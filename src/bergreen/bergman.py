@@ -33,6 +33,7 @@ from .domains import (
     GreenEvaluator,
     PlanarDomain,
     capacity,
+    gauss_legendre,
 )
 from .errors import (
     DivergentIntegralError,
@@ -326,7 +327,7 @@ def _gram_quadrature(
         raise DivergentIntegralError("negative modes on a disc diverge")
 
     def compute(n_rad: int, n_ang: int) -> np.ndarray:
-        x, wq = np.polynomial.legendre.leggauss(n_rad)
+        x, wq = gauss_legendre(n_rad)
         s = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
         ws = 0.5 * (hi - lo) * wq
         th = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)

@@ -28,6 +28,7 @@ import os
 import re
 import sys
 import time
+import traceback
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -449,11 +450,15 @@ def resolve_config(command: str, config_path: str | None = None, overrides: dict
 
 
 def _unit(command: str, input_id: str, inputs: dict, fn) -> ReportRecord:
-    """Run one check; a module error becomes a failing record."""
+    """Run one check; any error it raises (a module error, or a numpy or
+    programming error) becomes a failing record, so the report is still
+    written and the exit code is 1."""
     start = time.perf_counter()
     try:
         return fn()
-    except BergreenError as exc:
+    except Exception as exc:
+        if not isinstance(exc, BergreenError):
+            traceback.print_exc()  # not a numerical failure: keep the trace
         return make_record(
             command=command,
             input_id=input_id,

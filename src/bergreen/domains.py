@@ -21,6 +21,7 @@ Three evaluation methods are provided:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -45,6 +46,7 @@ __all__ = [
     "green_nystrom",
     "green_evaluator",
     "capacity",
+    "gauss_legendre",
     "sample_interior",
 ]
 
@@ -697,6 +699,31 @@ def capacity(
     rho = (eps1 / eps2) ** 2
     h_diag = (rho * a2 - a1) / (rho - 1.0)
     return math.exp(h_diag)
+
+
+# ---------------------------------------------------------------------------
+# Quadrature nodes (shared by the Gram, shell and torus integrals)
+# ---------------------------------------------------------------------------
+
+
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``n``-point Gauss-Legendre nodes and weights on [-1, 1],
+    computed once per process.
+
+    The cache is keyed on the rule bound at
+    ``numpy.polynomial.legendre.leggauss`` as well as on ``n``, so a
+    replaced rule (a test double, an instrumenting wrapper) is computed
+    afresh instead of being served the nodes of the rule it replaced.
+    """
+    return _gauss_legendre(n, np.polynomial.legendre.leggauss)
+
+
+@functools.cache
+def _gauss_legendre(n: int, rule) -> tuple[np.ndarray, np.ndarray]:
+    x, w = rule(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 # ---------------------------------------------------------------------------

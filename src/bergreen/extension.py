@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .bergman import MaxPiece, WeightSpec, least_norm_extension, weight_phi
-from .domains import PlanarDomain
+from .domains import PlanarDomain, gauss_legendre
 from .errors import (
     AccuracyError,
     DerivativeMismatchError,
@@ -528,7 +528,7 @@ def _shell_integral(
     z0 = psi.pole
     theta = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
     u_lo, u_hi = _shell_edges(psi, theta, -1.0 - t, -t)
-    x, w = np.polynomial.legendre.leggauss(n_rad)
+    x, w = gauss_legendre(n_rad)
     # per-angle affine map of the Gauss nodes into [u_lo, u_hi]
     half = 0.5 * (u_hi - u_lo)
     mid = 0.5 * (u_hi + u_lo)

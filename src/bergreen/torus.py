@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bergman import KernelEstimate
+from .domains import gauss_legendre
 from .errors import (
     AccuracyError,
     ExtrapolationDivergenceError,
@@ -45,6 +46,7 @@ from .reports import ReportRecord, make_record
 __all__ = [
     "TorusSpec",
     "theta1",
+    "theta1_term_count",
     "theta1_prime0",
     "lattice_reduce",
     "ArakelovGreen",
@@ -59,6 +61,9 @@ __all__ = [
     "arak1_check",
 ]
 
+# fewest theta1 terms ever summed (see theta1)
+_MIN_TERMS = 8
+
 
 @dataclass(frozen=True)
 class TorusSpec:
@@ -70,17 +75,12 @@ class TorusSpec:
     def __post_init__(self):
         if not (self.tau.imag > 0.0):
             raise ParameterError("torus modulus needs Im tau > 0")
-        if self.terms < 8:
-            raise ParameterError("theta truncation needs terms >= 8")
+        if self.terms < _MIN_TERMS:
+            raise ParameterError(f"theta truncation needs terms >= {_MIN_TERMS}")
 
     @property
     def tau2(self) -> float:
         return self.tau.imag
-
-    @property
-    def volume(self) -> float:
-        """Metric volume of the fundamental domain (1 by construction)."""
-        return self.tau2 * (1.0 / self.tau2)
 
 
 # ---------------------------------------------------------------------------
@@ -88,32 +88,63 @@ class TorusSpec:
 # ---------------------------------------------------------------------------
 
 
-def theta1(z, tau: complex, terms: int = 64, theta_tol: float = 1e-12):
-    """Odd Jacobi theta series
-    ``theta1(z) = 2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1) pi z)``
-    with ``q = exp(i pi tau)``, truncated at ``terms`` with a certified
-    geometric tail bound (grows with ``|Im z|``; raise ``terms`` or reduce
-    the argument to the fundamental cell for large imaginary parts)."""
+def _tail_certified(n: int, log_q: float, ymax: float, tol: float) -> bool:
+    """Whether the theta1 tail after ``n`` terms is certified below ``tol``:
+    the first dropped term ``2|q|^{(n+1/2)^2} e^{(2n+1) pi ymax}`` is at
+    most ``tol`` and the ratio ``|q|^{2n+2} e^{2 pi ymax}`` between
+    consecutive dropped terms is at most 1/2."""
+    log_ratio = (2 * n + 2) * log_q + 2.0 * math.pi * ymax
+    log_first = math.log(2.0) + (n + 0.5) ** 2 * log_q + (2 * n + 1) * math.pi * ymax
+    return log_ratio <= math.log(0.5) and log_first <= math.log(tol)
+
+
+def theta1_term_count(z, tau: complex, terms: int = 64, theta_tol: float = 1e-12) -> int:
+    """Number of series terms :func:`theta1` sums for the points ``z``:
+    the smallest count in ``[8, terms]`` whose certified tail is below
+    ``theta_tol * eps``, or ``terms`` if none is.  Raises
+    :class:`TruncationError` if even the tail after ``terms`` terms is not
+    certified below ``theta_tol``."""
     tau = complex(tau)
     if not (tau.imag > 0.0):
         raise ParameterError("theta1 needs Im tau > 0")
-    if terms < 8:
-        raise ParameterError("theta1 needs terms >= 8")
+    if terms < _MIN_TERMS:
+        raise ParameterError(f"theta1 needs terms >= {_MIN_TERMS}")
     z = np.asarray(z, dtype=complex)
     ymax = float(np.max(np.abs(z.imag))) if z.size else 0.0
-    # tail: first dropped term 2|q|^{(N+1/2)^2} e^{(2N+1) pi ymax}, ratio
-    # |q|^{2n+2} e^{2 pi ymax} between consecutive terms must be < 1/2
     log_q = -math.pi * tau.imag
-    n = terms
-    log_ratio = (2 * n + 2) * log_q + 2.0 * math.pi * ymax
-    log_first = math.log(2.0) + (n + 0.5) ** 2 * log_q + (2 * n + 1) * math.pi * ymax
-    if log_ratio > math.log(0.5) or log_first > math.log(theta_tol):
+    if not _tail_certified(terms, log_q, ymax, theta_tol):
         raise TruncationError(
             f"theta1 tail bound exceeds {theta_tol:.1e} at terms={terms} "
             f"(|Im z| up to {ymax:.3g}); increase terms"
         )
-    ns = np.arange(terms)
-    q_pow = np.exp(1j * math.pi * tau * (ns + 0.5) ** 2) * (-1.0) ** ns
+    stop = theta_tol * np.finfo(float).eps
+    return next(
+        (n for n in range(_MIN_TERMS, terms) if _tail_certified(n, log_q, ymax, stop)),
+        terms,
+    )
+
+
+def theta1(z, tau: complex, terms: int = 64, theta_tol: float = 1e-12):
+    """Odd Jacobi theta series
+    ``theta1(z) = 2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1) pi z)``
+    with ``q = exp(i pi tau)`` and a certified geometric tail bound (grows
+    with ``|Im z|``; raise ``terms`` or reduce the argument to the
+    fundamental cell for large imaginary parts).
+
+    ``terms`` is a cap: if the tail after ``terms`` terms is not certified
+    below ``theta_tol``, :class:`TruncationError` is raised.  Otherwise
+    the series is summed to the smallest count in ``[8, terms]`` whose
+    tail is certified below ``theta_tol * eps`` (:func:`theta1_term_count`),
+    so every dropped term lies below rounding.  The floor of 8 keeps the
+    result bit-identical to the sum over all ``terms``: the dropped terms
+    do not change the sum, but the dot product of a scalar ``z`` groups
+    fewer than 8 terms differently, and the last-bit changes that follow
+    reach the 10th digit of the finite-difference curvatures (step
+    ``h = 3e-4`` amplifies them by ``1/h^2``).
+    """
+    z = np.asarray(z, dtype=complex)
+    ns = np.arange(theta1_term_count(z, tau, terms, theta_tol))
+    q_pow = np.exp(1j * math.pi * complex(tau) * (ns + 0.5) ** 2) * (-1.0) ** ns
     # sin((2n+1) pi z) for all n at once
     phases = np.sin(math.pi * np.multiply.outer(z, 2 * ns + 1))
     out = 2.0 * phases @ q_pow
@@ -182,7 +213,7 @@ def _gamma_meanzero(spec: TorusSpec) -> float:
 
     tau = spec.tau
     # smooth part over the centered cell (only zero of theta1 is at 0)
-    x, w = np.polynomial.legendre.leggauss(48)
+    x, w = gauss_legendre(48)
     s = 0.5 * x
     ws = 0.5 * w
     S, T = np.meshgrid(s, s, indexing="ij")

@@ -9,6 +9,7 @@ import os
 import numpy as np
 import pytest
 
+from bergreen import cli
 from bergreen.cli import (
     _parse_domain,
     _parse_grid,
@@ -232,6 +233,32 @@ class TestCliRuns:
         assert rec["passed"] is False
         assert rec["margins"]["module_error"] == -1.0
         assert "error" in rec["inputs"]
+
+    def test_numpy_error_gives_failing_record_and_all_continues(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "arak1_check", broken)
+        monkeypatch.setattr(
+            cli,
+            "_ALL_SEQUENCE",
+            (
+                ("torus-check", {"taus": ["1j"], "ds": [4]}),
+                ("suita-check", {"domain": "disc", "zs": ["0j"]}),
+            ),
+        )
+        rc = main(["all", "--outdir", str(tmp_path), "--no-cache"])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert "FAIL torus-check" in out and "LinAlgError: Singular matrix" in err
+        torus_rec, suita_rec = _read_report(tmp_path / "all_report.json")["records"]
+        assert torus_rec["passed"] is False
+        assert torus_rec["margins"]["module_error"] == -1.0
+        assert torus_rec["inputs"]["error"].startswith("LinAlgError: ")
+        assert suita_rec["command"] == "suita-check" and suita_rec["passed"] is True
+        assert len(_read_csv(tmp_path / "all_summary.csv")) == 3
 
     def test_malformed_config_exits_2_without_report(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -13,6 +13,7 @@ from bergreen.domains import (
     GreenEvaluator,
     Jordan,
     capacity,
+    gauss_legendre,
     green_annulus,
     green_disc,
     green_evaluator,
@@ -339,3 +340,29 @@ def test_sample_interior_deterministic():
     b = sample_interior(Annulus(0.2), 8, seed=5)
     assert a == b
     assert all(Annulus(0.2).contains(z) for z in a)
+
+
+def test_gauss_legendre_cached_and_read_only():
+    x, w = gauss_legendre(24)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    again = gauss_legendre(24)
+    assert again[0] is x and again[1] is w
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w *= 2.0
+
+
+def test_gauss_legendre_misses_once_per_rule(monkeypatch):
+    calls = []
+    rule = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls.append(n)
+        return rule(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    for n in (8, 8, 24, 8):
+        gauss_legendre(n)
+    assert calls == [8, 24]

@@ -34,6 +34,7 @@ from bergreen.torus import (
     residual_mass,
     theta1,
     theta1_prime0,
+    theta1_term_count,
     torus_bergman,
     torus_capacity,
     torus_gram,
@@ -54,6 +55,24 @@ def mp_theta1_prime0(tau: complex) -> complex:
     """``theta1'(0) = pi * d/du jtheta(1, u, q)|_{u=0}``."""
     q = mpmath.exp(1j * mpmath.pi * tau)
     return complex(mpmath.pi * mpmath.jtheta(1, 0, q, 1))
+
+
+def dense_theta1(z, tau: complex, terms: int = 64):
+    """Reference for the truncation: the series summed over all ``terms``
+    terms, with no stopping rule."""
+    ns = np.arange(terms)
+    q_pow = np.exp(1j * np.pi * complex(tau) * (ns + 0.5) ** 2) * (-1.0) ** ns
+    return 2.0 * np.sin(np.pi * np.multiply.outer(np.asarray(z, dtype=complex), 2 * ns + 1)) @ q_pow
+
+
+def truncation_grid(tau: complex) -> np.ndarray:
+    """Points near the pole (|z| ~ 1e-5), on the edge of the reduced cell,
+    and one and a half lattice rows out (large |Im z|, where the dense sum
+    still stays finite)."""
+    near_pole = 1e-5 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False))
+    edge = np.array([0.5, 0.5 * tau, 0.5 + 0.5 * tau, -0.5 + 0.5 * tau, 0.31 - 0.5 * tau])
+    far = np.array([0.2 + 1.5 * tau, -0.4 - 1.5 * tau])
+    return np.concatenate([near_pole, edge, far])
 
 
 def dedekind_eta(tau: complex) -> complex:
@@ -98,10 +117,6 @@ class TestTorusSpec:
         with pytest.raises(ParameterError):
             TorusSpec(1j, terms=4)
 
-    def test_unit_volume(self, spec_i, spec_skew):
-        assert spec_i.volume == 1.0
-        assert spec_skew.volume == 1.0
-
 
 class TestTheta1:
     @pytest.mark.parametrize("tau", [TAU_I, TAU_SKEW, 0.25 + 2.0j])
@@ -137,6 +152,38 @@ class TestTheta1:
         out = theta1(z, TAU_I)
         assert out.shape == z.shape
         assert abs(out[0, 1] - theta1(0.2 + 0.3j, TAU_I)) < 1e-15
+
+    @pytest.mark.parametrize("tau", [TAU_I, TAU_SKEW, 0.23 + 1.07j, 0.2j])
+    def test_certified_count_matches_dense_sum(self, tau):
+        z = truncation_grid(tau)
+        ref = dense_theta1(z, tau)
+        scale = np.maximum(np.abs(ref), np.abs(z) * abs(theta1_prime0(tau)))
+        tol = 4.0 * np.finfo(float).eps
+        assert np.all(np.abs(theta1(z, tau) - ref) <= tol * scale)
+        # one point at a time, against the dense sum of that point (a scalar
+        # and an array are summed by different kernels)
+        for zk, sk in zip(z, scale):
+            assert abs(theta1(zk, tau) - dense_theta1(zk, tau)) <= tol * sk
+
+    def test_term_count_floor_growth_and_cap(self):
+        assert theta1_term_count(1e-5, TAU_I) == 8
+        thin = 0.2j
+        assert theta1_term_count(0.2 + 0.3j, thin) > theta1_term_count(1e-5, thin) > 8
+        assert theta1_term_count(0.2 + 0.3j, thin, terms=9) == 9
+
+    def test_far_rows_stay_finite(self):
+        # all 64 sines overflow at Im z = 3 (127 pi * 3 > 709); the
+        # certified count stops well before that
+        z = 0.2 + 3.0j
+        ref = mp_theta1(z, TAU_I)
+        assert abs(theta1(z, TAU_I) - ref) <= 1e-12 * abs(ref)
+
+    def test_thin_torus_sums_past_the_floor(self):
+        tau = 0.2j
+        for z in truncation_grid(tau):
+            assert theta1_term_count(z, tau) > 8
+            ref = mp_theta1(z, tau)
+            assert abs(theta1(z, tau) - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_truncation_guard_raises_before_overflow(self):
         # with few terms the certified tail bound fails well before the
