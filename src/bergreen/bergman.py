@@ -41,6 +41,7 @@ from .errors import (
     TruncationError,
     ZeroKernelError,
 )
+from .reports import ReportRecord, finite_margin, make_record
 
 __all__ = [
     "Unweighted",
@@ -58,6 +59,9 @@ __all__ = [
     "SuitaRatio",
     "extended_suita_check",
     "ExtendedSuitaResult",
+    "kernel_record",
+    "suita_record",
+    "extended_suita_record",
     "default_basis",
     "auto_basis",
 ]
@@ -607,4 +611,93 @@ def extended_suita_check(
         capacity_sq=cap**2,
         rho_at_z=rho,
         weighted_kernel=est,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+def kernel_record(
+    domain: PlanarDomain, weight: WeightSpec, z: complex, trunc_tol: float
+) -> ReportRecord:
+    """Kernel diagonal ``K_rho(z, z)`` with its basis diagnostics; the
+    record passes while the diagonal is finite."""
+    est = kernel_diag(domain, weight, z, trunc_tol=trunc_tol)
+    return make_record(
+        command="bergman",
+        input_id=f"{domain!r} {weight!r} z={z}",
+        inputs={"domain": repr(domain), "weight": repr(weight), "z": z, "trunc_tol": trunc_tol},
+        quantities={
+            "kernel_diag": est.value,
+            "basis_size": est.basis_size,
+            "gram_condition": est.gram_condition,
+            "truncation_error": est.truncation_error_estimate,
+        },
+        margins={"finite": finite_margin(est.value)},
+        tolerances={"finite": 0.0},
+        primary="kernel_diag",
+        provenance={
+            "kernel_diag": "kernel_diag",
+            "basis_size": "kernel_diag",
+            "gram_condition": "gram_matrix",
+            "truncation_error": "kernel_diag",
+        },
+    )
+
+
+def suita_record(domain: PlanarDomain, z: complex, ratio_tol: float) -> ReportRecord:
+    """``c_beta(z)^2 / (pi K(z, z)) <= 1`` (overshoot up to ``ratio_tol``)
+    and ``> 0``, from :func:`suita_ratio`."""
+    ratio = suita_ratio(domain, z, ratio_tol=ratio_tol)
+    return make_record(
+        command="suita-check",
+        input_id=f"{domain!r} z={z}",
+        inputs={"domain": repr(domain), "z": z, "ratio_tol": ratio_tol},
+        quantities={
+            "ratio": ratio.value,
+            "capacity": ratio.capacity,
+            "kernel_diag": ratio.kernel.value,
+            "gram_condition": ratio.kernel.gram_condition,
+        },
+        margins={"upper": 1.0 - ratio.value, "positive": ratio.value},
+        tolerances={"upper": ratio_tol, "positive": 0.0},
+        primary="ratio",
+        provenance={
+            "ratio": "suita_ratio",
+            "capacity": "capacity",
+            "kernel_diag": "kernel_diag",
+            "gram_condition": "gram_matrix",
+        },
+    )
+
+
+def extended_suita_record(
+    domain: PlanarDomain, weight: WeightSpec, z: complex, margin_tol: float
+) -> ReportRecord:
+    """``pi rho(z) K_rho(z, z) - c_beta(z)^2 >= -margin_tol``, from
+    :func:`extended_suita_check`."""
+    res = extended_suita_check(domain, weight, z, margin_tol=margin_tol)
+    return make_record(
+        command="extended-suita-check",
+        input_id=f"{domain!r} {weight!r} z={z}",
+        inputs={"domain": repr(domain), "weight": repr(weight), "z": z, "margin_tol": margin_tol},
+        quantities={
+            "margin": res.margin,
+            "capacity_sq": res.capacity_sq,
+            "rho_at_z": res.rho_at_z,
+            "weighted_kernel": res.weighted_kernel.value,
+            "gram_condition": res.weighted_kernel.gram_condition,
+        },
+        margins={"nonnegative": res.margin},
+        tolerances={"nonnegative": margin_tol},
+        primary="margin",
+        provenance={
+            "margin": "extended_suita_check",
+            "capacity_sq": "capacity",
+            "rho_at_z": "extended_suita_check",
+            "weighted_kernel": "kernel_diag",
+            "gram_condition": "gram_matrix",
+        },
     )

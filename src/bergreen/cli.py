@@ -2,7 +2,9 @@
 report persistence, and plot-data emission.
 
 Every run resolves one configuration (defaults < JSON config file < CLI
-flags, flags winning), validates it, and dispatches to the owning module.
+flags, flags winning), validates it, and expands it through the registry
+``CHECKS`` into cases, each a call of a record-building check in the
+module that owns it.
 A run writes one JSON report (full records) and one CSV summary (one row
 per check) into the output directory, plus two-column plot-data files for
 the sweep commands (``optimal-constant`` ratio-vs-a, ``squeeze-check``
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import inspect
 import json
 import math
 import os
@@ -30,29 +33,14 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .bergman import (
-    HarmonicLog,
-    HarmonicRe,
-    MaxPiece,
-    Unweighted,
-    extended_suita_check,
-    kernel_diag,
-    suita_ratio,
-)
-from .domains import Annulus, Disc, Jordan, capacity, green_evaluator
+from . import bergman, domains, extension, fuchsian, squeezing, torus
+from .bergman import HarmonicLog, HarmonicRe, MaxPiece, Unweighted
+from .domains import Annulus, Disc, Jordan
 from .errors import BergreenError, ConfigError, DomainError
-from .extension import (
-    PolarSpec,
-    cutoff_limit_check,
-    ode_pair,
-    ode_residual,
-    optimal_constant_experiment,
-    residual_measure,
-)
-from .fuchsian import DEFAULT_C_GRID, inequality_check
 from .reports import (
     ReportRecord,
     cache_load,
@@ -63,8 +51,6 @@ from .reports import (
     write_json_report,
     write_plot_data,
 )
-from .squeezing import boundary_trend_check, sandwich_check
-from .torus import TorusSpec, arak1_check
 
 __all__ = ["main", "run", "resolve_config"]
 
@@ -86,83 +72,114 @@ class Param:
     help: str = ""
 
 
+def _default(fn, name: str):
+    """The default of keyword ``name`` in the signature of ``fn``, the
+    function that applies it; each default a check owns is written there
+    only, and the schema reads it."""
+    return inspect.signature(fn).parameters[name].default
+
+
 PARAMS: dict[str, dict[str, Param]] = {
     "green": {
         "domain": Param("str", "disc", "domain spec (disc[:R] | annulus:r | ellipse:a:b | jordan:file)"),
-        "method": Param("str", "auto", "auto | closed_form | laurent_modes | nystrom"),
+        "method": Param("str", _default(domains.green_evaluator, "method"),
+                        "auto | closed_form | laurent_modes | nystrom"),
         "xi": Param("complex", "0.5", "evaluation point"),
         "z": Param("complex", "0.1", "pole location"),
     },
     "capacity": {
         "domain": Param("str", "disc", "domain spec"),
         "z": Param("complex", "0.3", "point"),
-        "cap_tol": Param("float", 1e-6, "limit stability tolerance"),
+        "cap_tol": Param("float", _default(domains.capacity, "cap_tol"),
+                         "limit stability tolerance"),
     },
     "bergman": {
-        "domain": Param("str", "disc", "domain spec"),
+        "domain": Param("str", "disc", "domain spec (disc or annulus)"),
         "weight": Param("str", "none", "weight spec (none | harmoniclog:a | harmonicre:c | maxpiece:d:a)"),
         "z": Param("complex", "0.3", "diagonal point"),
-        "trunc_tol": Param("float", 1e-6, "kernel truncation tolerance"),
+        "trunc_tol": Param("float", _default(bergman.kernel_diag, "trunc_tol"),
+                           "kernel truncation tolerance"),
     },
     "suita-check": {
-        "domain": Param("str", "annulus:0.2", "domain spec"),
+        "domain": Param("str", "annulus:0.2", "domain spec (disc or annulus)"),
         "zs": Param("complexes", [], "explicit points (overrides --points sweep)"),
         "points": Param("int", 8, "number of swept interior points"),
-        "ratio_tol": Param("float", 1e-6, "allowed overshoot of the unit bound"),
+        "ratio_tol": Param("float", _default(bergman.suita_ratio, "ratio_tol"),
+                           "allowed overshoot of the unit bound"),
     },
     "extended-suita-check": {
-        "domain": Param("str", "annulus:0.2", "domain spec"),
+        "domain": Param("str", "annulus:0.2", "domain spec (disc or annulus)"),
         "weight": Param("str", "harmoniclog:0.3", "harmonic weight spec"),
         "zs": Param("complexes", [], "explicit points (overrides --points sweep)"),
         "points": Param("int", 4, "number of swept interior points"),
-        "margin_tol": Param("float", 1e-9, "allowed negative margin"),
+        "margin_tol": Param("float", _default(bergman.extended_suita_check, "margin_tol"),
+                            "allowed negative margin"),
     },
     "optimal-constant": {
         "deltas": Param("floats", [0.5, 1.0, 2.0], "delta grid"),
         "epss": Param("floats", [0.0, 0.1], "epsilon grid"),
-        "a_values": Param("floats", [0.5, 0.1, 0.01, 1e-3, 1e-4], "decreasing plateau radii"),
-        "cross_tol": Param("float", 1e-6, "closed-form vs quadrature relative tolerance"),
-        "limit_rel_tol": Param("float", 0.01, "relative tolerance of the extrapolated limit"),
+        "a_values": Param("floats", _default(extension.optimal_constant_experiment, "a_values"),
+                          "decreasing plateau radii"),
+        "cross_tol": Param("float",
+                           _default(extension.optimal_constant_experiment, "cross_check_tol"),
+                           "closed-form vs quadrature relative tolerance"),
+        "limit_rel_tol": Param("float",
+                               _default(extension.optimal_constant_record, "limit_rel_tol"),
+                               "relative tolerance of the extrapolated limit"),
     },
     "ode-check": {
         "deltas": Param("floats", [0.1, 0.5, 1.0, 2.0, 10.0], "delta grid"),
         "t_grid": Param("grid", "log:0.01:50:200", "t grid spec (log:lo:hi:n | lin:lo:hi:n | comma list)"),
-        "residual_tol": Param("float", 1e-9, "max allowed identity residual"),
-        "end_tol": Param("float", 1e-6, "tolerance of u at the grid end vs its limit"),
+        "residual_tol": Param("float", _default(extension.ode_record, "residual_tol"),
+                              "max allowed identity residual"),
+        "end_tol": Param("float", _default(extension.ode_record, "end_tol"),
+                         "tolerance of u at the grid end vs its limit"),
     },
     "cutoff-check": {
         "t0s": Param("floats", [1.0, 5.0], "anchoring offsets"),
         "eps_sequence": Param("floats", [0.2, 0.1, 0.05, 0.01], "decreasing smoothing widths"),
-        "limit_tol": Param("float", 0.05, "final sup-gap bound"),
+        "limit_tol": Param("float", _default(extension.cutoff_limit_check, "limit_tol"),
+                           "final sup-gap bound"),
     },
     "residual-measure": {
         "psi0s": Param("floats", [0.0, -0.7, 0.3], "constant offsets added to the log pole"),
-        "fs": Param("strs", ["one", "affine"], "integrand profiles (one | affine)"),
-        "t": Param("float", 20.0, "shell depth"),
-        "value_tol": Param("float", 1e-3, "tolerance against the point-mass value"),
+        "fs": Param("strs", list(extension.RESIDUAL_PROFILES), "integrand profiles (one | affine)"),
+        "t": Param("float", _default(extension.residual_record, "t"), "shell depth"),
+        "value_tol": Param("float", _default(extension.residual_record, "value_tol"),
+                           "tolerance against the point-mass value"),
     },
     "squeeze-check": {
-        "domain": Param("str", "annulus:0.2", "domain spec"),
+        "domain": Param("str", "annulus:0.2", "domain spec (disc or annulus)"),
         "ps": Param("complexes", [], "explicit points (overrides --points sweep)"),
         "points": Param("int", 8, "number of swept interior points"),
-        "sandwich_tol": Param("float", 1e-6, "two-sided comparison tolerance"),
+        "sandwich_tol": Param("float", _default(squeezing.sandwich_check, "sandwich_tol"),
+                              "two-sided comparison tolerance"),
         "trend": Param("bool", True, "also run the boundary trend check"),
-        "ks": Param("ints", [1, 2, 3, 4], "boundary distances 10^-k for the trend"),
-        "angle": Param("float", 0.0, "ray angle for the trend points"),
+        "ks": Param("ints", _default(squeezing.boundary_trend_check, "ks"),
+                    "boundary distances 10^-k for the trend"),
+        "angle": Param("float", _default(squeezing.boundary_trend_check, "angle"),
+                       "ray angle for the trend points"),
     },
     "fuchsian-check": {
-        "c_grid": Param("floats", list(DEFAULT_C_GRID), "generator parameters"),
-        "n_terms": Param("int", 256, "orbit truncation"),
-        "tail_tol": Param("float", 1e-8, "certified tail bound"),
+        "c_grid": Param("floats", _default(fuchsian.inequality_check, "c_grid"),
+                        "generator parameters"),
+        "n_terms": Param("int", _default(fuchsian.inequality_check, "N"), "orbit truncation"),
+        "tail_tol": Param("float", _default(fuchsian.inequality_check, "tail_tol"),
+                          "certified tail bound"),
     },
     "torus-check": {
         "taus": Param("complexes", ["1j", "0.5+1j"], "moduli (Im > 0)"),
         "ds": Param("ints", [4, 6], "even degrees >= 4"),
-        "margin_tol": Param("float", 1e-9, "allowed negative inequality margin"),
-        "residual_tol": Param("float", 1e-4, "residual-mass identity tolerance"),
-        "lap_tol": Param("float", 1e-5, "volume-Laplacian deviation bound"),
-        "ab_tol": Param("float", 1e-6, "curvature ratio tolerance"),
-        "diag_tol": Param("float", 1e-6, "kernel diagonal constancy tolerance"),
+        "margin_tol": Param("float", _default(torus.arak1_check, "margin_tol"),
+                            "allowed negative inequality margin"),
+        "residual_tol": Param("float", _default(torus.arak1_check, "residual_tol"),
+                              "residual-mass identity tolerance"),
+        "lap_tol": Param("float", _default(torus.arak1_check, "lap_tol"),
+                         "volume-Laplacian deviation bound"),
+        "ab_tol": Param("float", _default(torus.arak1_check, "ab_tol"),
+                        "curvature ratio tolerance"),
+        "diag_tol": Param("float", _default(torus.arak1_check, "diag_tol"),
+                          "kernel diagonal constancy tolerance"),
     },
     "all": {},
 }
@@ -181,7 +198,8 @@ _NONEMPTY = {
     "ks",
 }
 
-_F_PROFILES = ("one", "affine")
+# commands whose checks need closed-form moments or exact circle images
+_DISC_OR_ANNULUS = {"bergman", "suita-check", "extended-suita-check", "squeeze-check"}
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +358,6 @@ def _base_config(command: str) -> dict:
     config["command"] = command
     config["outdir"] = os.environ.get(ENV_OUTDIR, DEFAULT_OUTDIR)
     config["cache"] = True
-    config["seed"] = 0
     return config
 
 
@@ -351,8 +368,6 @@ def _apply(config: dict, command: str, key: str, value) -> None:
         config["outdir"] = value
     elif key == "cache":
         config["cache"] = _coerce("bool", value, "cache")
-    elif key == "seed":
-        config["seed"] = _coerce("int", value, "seed")
     elif key in PARAMS[command]:
         config[key] = value  # coerced in bulk afterwards
     else:
@@ -382,20 +397,17 @@ def _validate(config: dict) -> None:
             raise ConfigError("t must be positive")
     if "domain" in schema:
         domain = _parse_domain(config["domain"])
-        sweep_key = "zs" if "zs" in schema else ("ps" if "ps" in schema else None)
-        if (
-            sweep_key is not None
-            and not config[sweep_key]
-            and not isinstance(domain, (Disc, Annulus))
-        ):
-            _sweep_points(domain, config.get("points", 1))  # raises ConfigError
+        if command in _DISC_OR_ANNULUS and not isinstance(domain, (Disc, Annulus)):
+            raise ConfigError(
+                f"{command} supports disc and annulus domains only, not {config['domain']!r}"
+            )
     if "weight" in schema:
         _parse_weight(config["weight"])
     if "fs" in schema:
         for f in config["fs"]:
-            if f not in _F_PROFILES:
+            if f not in extension.RESIDUAL_PROFILES:
                 raise ConfigError(
-                    f"unknown integrand profile {f!r} (use {'|'.join(_F_PROFILES)})"
+                    f"unknown integrand profile {f!r} (use {'|'.join(extension.RESIDUAL_PROFILES)})"
                 )
     if "taus" in schema:
         for t in config["taus"]:
@@ -445,24 +457,37 @@ def resolve_config(command: str, config_path: str | None = None, overrides: dict
 
 
 # ---------------------------------------------------------------------------
-# Record production
+# Check registry
 # ---------------------------------------------------------------------------
 
 
-def _unit(command: str, input_id: str, inputs: dict, fn) -> ReportRecord:
-    """Run one check; any error it raises (a module error, or a numpy or
-    programming error) becomes a failing record, so the report is still
-    written and the exit code is 1."""
+class Case(NamedTuple):
+    """One record to produce: its id and echoed inputs, and the check
+    ``"<module>.<function>"`` that builds it from ``kwargs``."""
+
+    input_id: str
+    inputs: dict
+    check: str
+    kwargs: dict
+
+
+def _unit(command: str, case: Case) -> ReportRecord:
+    """Run and time one case.  The check is looked up on its module when it
+    runs, so a wrapper installed there sees the call.  The record carries
+    the case's id and echoed inputs; any error the check raises (a module
+    error, or a numpy or programming error) becomes a failing record, so
+    the report is still written and the exit code is 1."""
+    module, _, name = case.check.partition(".")
     start = time.perf_counter()
     try:
-        return fn()
+        record = getattr(sys.modules[f"{__package__}.{module}"], name)(**case.kwargs)
     except Exception as exc:
         if not isinstance(exc, BergreenError):
             traceback.print_exc()  # not a numerical failure: keep the trace
         return make_record(
             command=command,
-            input_id=input_id,
-            inputs={**inputs, "error": f"{type(exc).__name__}: {exc}"},
+            input_id=case.input_id,
+            inputs={**case.inputs, "error": f"{type(exc).__name__}: {exc}"},
             quantities={"error_flag": 1.0},
             margins={"module_error": -1.0},
             tolerances={"module_error": 0.0},
@@ -470,463 +495,142 @@ def _unit(command: str, input_id: str, inputs: dict, fn) -> ReportRecord:
             provenance={"error_flag": type(exc).__name__},
             wall_time_s=time.perf_counter() - start,
         )
+    return replace(
+        record,
+        input_id=case.input_id,
+        inputs={**record.inputs, **case.inputs},
+        wall_time_s=time.perf_counter() - start,
+    )
 
 
-def _records_green(cfg: dict) -> list[ReportRecord]:
-    xi, z = complex(cfg["xi"]), complex(cfg["z"])
-    input_id = f"{cfg['domain']} xi={xi} z={z}"
-    inputs = {k: cfg[k] for k in ("domain", "method", "xi", "z")}
-
-    def work():
-        start = time.perf_counter()
-        ev = green_evaluator(_parse_domain(cfg["domain"]), method=cfg["method"])
-        g = ev.green(xi, z)
-        h = ev.remainder(xi, z)
-        return make_record(
-            command="green",
-            input_id=input_id,
-            inputs=inputs,
-            quantities={"green": g, "remainder": h},
-            margins={},
-            tolerances={},
-            primary="green",
-            provenance={"green": "green_evaluator", "remainder": "green_evaluator"},
-            wall_time_s=time.perf_counter() - start,
-        )
-
-    return [_unit("green", input_id, inputs, work)]
+def _echo(cfg: dict, *names: str) -> dict:
+    return {name: cfg[name] for name in names}
 
 
-def _records_capacity(cfg: dict) -> list[ReportRecord]:
-    z = complex(cfg["z"])
-    input_id = f"{cfg['domain']} z={z}"
-    inputs = {k: cfg[k] for k in ("domain", "z", "cap_tol")}
-
-    def work():
-        start = time.perf_counter()
-        val = capacity(_parse_domain(cfg["domain"]), z, cap_tol=cfg["cap_tol"])
-        return make_record(
-            command="capacity",
-            input_id=input_id,
-            inputs=inputs,
-            quantities={"capacity": val, "log_capacity": math.log(val)},
-            margins={},
-            tolerances={},
-            primary="capacity",
-            provenance={"capacity": "capacity", "log_capacity": "capacity"},
-            wall_time_s=time.perf_counter() - start,
-        )
-
-    return [_unit("capacity", input_id, inputs, work)]
-
-
-def _records_bergman(cfg: dict) -> list[ReportRecord]:
-    z = complex(cfg["z"])
-    input_id = f"{cfg['domain']} {cfg['weight']} z={z}"
-    inputs = {k: cfg[k] for k in ("domain", "weight", "z", "trunc_tol")}
-
-    def work():
-        start = time.perf_counter()
-        est = kernel_diag(
-            _parse_domain(cfg["domain"]),
-            _parse_weight(cfg["weight"]),
-            z,
-            trunc_tol=cfg["trunc_tol"],
-        )
-        return make_record(
-            command="bergman",
-            input_id=input_id,
-            inputs=inputs,
-            quantities={
-                "kernel_diag": est.value,
-                "basis_size": est.basis_size,
-                "gram_condition": est.gram_condition,
-                "truncation_error": est.truncation_error_estimate,
-            },
-            margins={},
-            tolerances={},
-            primary="kernel_diag",
-            provenance={
-                "kernel_diag": "kernel_diag",
-                "basis_size": "kernel_diag",
-                "gram_condition": "gram_matrix",
-                "truncation_error": "kernel_diag",
-            },
-            wall_time_s=time.perf_counter() - start,
-        )
-
-    return [_unit("bergman", input_id, inputs, work)]
-
-
-def _chosen_points(cfg: dict, key: str):
+def _points(cfg: dict, key: str):
     domain = _parse_domain(cfg["domain"])
-    if cfg[key]:
-        return domain, [complex(s) for s in cfg[key]]
-    return domain, _sweep_points(domain, cfg["points"])
+    return domain, [complex(s) for s in cfg[key]] or _sweep_points(domain, cfg["points"])
 
 
-def _records_suita(cfg: dict) -> list[ReportRecord]:
-    domain, zs = _chosen_points(cfg, "zs")
-    records = []
+def _green(cfg):
+    xi, z = complex(cfg["xi"]), complex(cfg["z"])
+    kwargs = {"domain": _parse_domain(cfg["domain"]), "xi": xi, "z": z, "method": cfg["method"]}
+    yield Case(f"{cfg['domain']} xi={xi} z={z}", _echo(cfg, "domain", "method", "xi", "z"),
+               "domains.green_record", kwargs)
+
+
+def _capacity(cfg):
+    z = complex(cfg["z"])
+    kwargs = {"domain": _parse_domain(cfg["domain"]), "z": z, "cap_tol": cfg["cap_tol"]}
+    yield Case(f"{cfg['domain']} z={z}", _echo(cfg, "domain", "z", "cap_tol"),
+               "domains.capacity_record", kwargs)
+
+
+def _bergman(cfg):
+    z = complex(cfg["z"])
+    kwargs = {"domain": _parse_domain(cfg["domain"]), "weight": _parse_weight(cfg["weight"]),
+              "z": z, "trunc_tol": cfg["trunc_tol"]}
+    yield Case(f"{cfg['domain']} {cfg['weight']} z={z}",
+               _echo(cfg, "domain", "weight", "z", "trunc_tol"), "bergman.kernel_record", kwargs)
+
+
+def _suita(cfg):
+    domain, zs = _points(cfg, "zs")
     for z in zs:
-        input_id = f"{cfg['domain']} z={z}"
-        inputs = {"domain": cfg["domain"], "z": z, "ratio_tol": cfg["ratio_tol"]}
-
-        def work(z=z, input_id=input_id, inputs=inputs):
-            start = time.perf_counter()
-            ratio = suita_ratio(domain, z, ratio_tol=cfg["ratio_tol"])
-            return make_record(
-                command="suita-check",
-                input_id=input_id,
-                inputs=inputs,
-                quantities={
-                    "ratio": ratio.value,
-                    "capacity": ratio.capacity,
-                    "kernel_diag": ratio.kernel.value,
-                    "gram_condition": ratio.kernel.gram_condition,
-                },
-                margins={"upper": 1.0 - ratio.value, "positive": ratio.value},
-                tolerances={"upper": cfg["ratio_tol"], "positive": 0.0},
-                primary="ratio",
-                provenance={
-                    "ratio": "suita_ratio",
-                    "capacity": "capacity",
-                    "kernel_diag": "kernel_diag",
-                    "gram_condition": "gram_matrix",
-                },
-                wall_time_s=time.perf_counter() - start,
-            )
-
-        records.append(_unit("suita-check", input_id, inputs, work))
-    return records
+        yield Case(f"{cfg['domain']} z={z}", {**_echo(cfg, "domain", "ratio_tol"), "z": str(z)},
+                   "bergman.suita_record",
+                   {"domain": domain, "z": z, "ratio_tol": cfg["ratio_tol"]})
 
 
-def _records_extended_suita(cfg: dict) -> list[ReportRecord]:
-    domain, zs = _chosen_points(cfg, "zs")
+def _extended_suita(cfg):
+    domain, zs = _points(cfg, "zs")
     weight = _parse_weight(cfg["weight"])
-    records = []
     for z in zs:
-        input_id = f"{cfg['domain']} {cfg['weight']} z={z}"
-        inputs = {
-            "domain": cfg["domain"],
-            "weight": cfg["weight"],
-            "z": z,
-            "margin_tol": cfg["margin_tol"],
-        }
-
-        def work(z=z, input_id=input_id, inputs=inputs):
-            start = time.perf_counter()
-            res = extended_suita_check(domain, weight, z, margin_tol=cfg["margin_tol"])
-            return make_record(
-                command="extended-suita-check",
-                input_id=input_id,
-                inputs=inputs,
-                quantities={
-                    "margin": res.margin,
-                    "capacity_sq": res.capacity_sq,
-                    "rho_at_z": res.rho_at_z,
-                    "weighted_kernel": res.weighted_kernel.value,
-                    "gram_condition": res.weighted_kernel.gram_condition,
-                },
-                margins={"nonnegative": res.margin},
-                tolerances={"nonnegative": cfg["margin_tol"]},
-                primary="margin",
-                provenance={
-                    "margin": "extended_suita_check",
-                    "capacity_sq": "capacity",
-                    "rho_at_z": "extended_suita_check",
-                    "weighted_kernel": "kernel_diag",
-                    "gram_condition": "gram_matrix",
-                },
-                wall_time_s=time.perf_counter() - start,
-            )
-
-        records.append(_unit("extended-suita-check", input_id, inputs, work))
-    return records
+        yield Case(f"{cfg['domain']} {cfg['weight']} z={z}",
+                   {**_echo(cfg, "domain", "weight", "margin_tol"), "z": str(z)},
+                   "bergman.extended_suita_record",
+                   {"domain": domain, "weight": weight, "z": z, "margin_tol": cfg["margin_tol"]})
 
 
-def _records_optimal_constant(cfg: dict) -> list[ReportRecord]:
-    records = []
+def _optimal_constant(cfg):
+    tols = _echo(cfg, "a_values", "cross_tol", "limit_rel_tol")
     for delta in cfg["deltas"]:
         for eps in cfg["epss"]:
-            input_id = f"delta={delta:g},eps={eps:g}"
-            inputs = {
-                "delta": delta,
-                "eps": eps,
-                "a_values": cfg["a_values"],
-                "cross_tol": cfg["cross_tol"],
-                "limit_rel_tol": cfg["limit_rel_tol"],
-            }
-
-            def work(delta=delta, eps=eps, input_id=input_id, inputs=inputs):
-                start = time.perf_counter()
-                res = optimal_constant_experiment(
-                    delta,
-                    eps,
-                    a_values=tuple(cfg["a_values"]),
-                    cross_check_tol=cfg["cross_tol"],
-                )
-                cross_rel = max(
-                    abs(c - q) / abs(c)
-                    for c, q in zip(res.min_norms_closed, res.min_norms_quadrature)
-                )
-                rel_err = res.limit_error / res.target
-                diffs = [
-                    b - a for a, b in zip(res.ratios[:-1], res.ratios[1:])
-                ]
-                quantities = {f"ratio_{i}": r for i, r in enumerate(res.ratios)}
-                quantities.update(
-                    {
-                        "limit": res.extrapolated_limit,
-                        "target": res.target,
-                        "limit_rel_error": rel_err,
-                        "cross_rel_max": cross_rel,
-                    }
-                )
-                return make_record(
-                    command="optimal-constant",
-                    input_id=input_id,
-                    inputs=inputs,
-                    quantities=quantities,
-                    margins={
-                        "limit_within_rel": cfg["limit_rel_tol"] - rel_err,
-                        "routes_agree": cfg["cross_tol"] - cross_rel,
-                        "ratios_increasing": min(diffs) if diffs else 0.0,
-                    },
-                    tolerances={
-                        "limit_within_rel": 0.0,
-                        "routes_agree": 0.0,
-                        "ratios_increasing": 1e-15,
-                    },
-                    primary="limit",
-                    provenance={
-                        k: "optimal_constant_experiment" for k in quantities
-                    },
-                    wall_time_s=time.perf_counter() - start,
-                )
-
-            records.append(_unit("optimal-constant", input_id, inputs, work))
-    return records
+            yield Case(f"delta={delta:g},eps={eps:g}", {"delta": delta, "eps": eps, **tols},
+                       "extension.optimal_constant_record", {"delta": delta, "eps": eps, **tols})
 
 
-def _records_ode(cfg: dict) -> list[ReportRecord]:
+def _ode(cfg):
     grid = _parse_grid(cfg["t_grid"])
-    records = []
+    tols = _echo(cfg, "residual_tol", "end_tol")
     for delta in cfg["deltas"]:
-        input_id = f"delta={delta:g}"
-        inputs = {
-            "delta": delta,
-            "t_grid": cfg["t_grid"],
-            "residual_tol": cfg["residual_tol"],
-            "end_tol": cfg["end_tol"],
-        }
-
-        def work(delta=delta, input_id=input_id, inputs=inputs):
-            start = time.perf_counter()
-            pair = ode_pair(delta)
-            r1s, r2s = zip(*(ode_residual(pair, float(t)) for t in grid))
-            s_vals = pair.s(grid)
-            sp_vals = pair.s_prime(grid)
-            denom = pair.u_second(grid) * s_vals - pair.s_second(grid)
-            u_end = pair.u(float(grid[-1]))
-            u_target = -math.log(pair.a)
-            quantities = {
-                "max_r1": max(abs(r) for r in r1s),
-                "max_r2": max(abs(r) for r in r2s),
-                "u_end": u_end,
-                "u_target": u_target,
-                "min_s_minus_floor": float(np.min(s_vals)) - 1.0 / delta,
-                "min_s_prime": float(np.min(sp_vals)),
-                "min_denom": float(np.min(denom)),
-            }
-            return make_record(
-                command="ode-check",
-                input_id=input_id,
-                inputs=inputs,
-                quantities=quantities,
-                margins={
-                    "residual_r1": cfg["residual_tol"] - quantities["max_r1"],
-                    "residual_r2": cfg["residual_tol"] - quantities["max_r2"],
-                    "s_floor": quantities["min_s_minus_floor"],
-                    "s_prime_positive": quantities["min_s_prime"],
-                    "denom_positive": quantities["min_denom"],
-                    "u_end_close": cfg["end_tol"] - abs(u_end - u_target),
-                },
-                tolerances={
-                    "residual_r1": 0.0,
-                    "residual_r2": 0.0,
-                    "s_floor": 1e-12,
-                    "s_prime_positive": 0.0,
-                    "denom_positive": 0.0,
-                    "u_end_close": 0.0,
-                },
-                primary="max_r1",
-                provenance={k: "ode_residual" if k.startswith("max_") else "ode_pair" for k in quantities},
-                wall_time_s=time.perf_counter() - start,
-            )
-
-        records.append(_unit("ode-check", input_id, inputs, work))
-    return records
+        yield Case(f"delta={delta:g}", {"delta": delta, "t_grid": cfg["t_grid"], **tols},
+                   "extension.ode_record", {"delta": delta, "grid": grid, **tols})
 
 
-def _records_cutoff(cfg: dict) -> list[ReportRecord]:
-    records = []
+def _cutoff(cfg):
+    args = _echo(cfg, "eps_sequence", "limit_tol")
     for t0 in cfg["t0s"]:
-        input_id = f"t0={t0:g},eps={cfg['eps_sequence']}"
-        inputs = {
-            "t0": t0,
-            "eps_sequence": cfg["eps_sequence"],
-            "limit_tol": cfg["limit_tol"],
-        }
-        records.append(
-            _unit(
-                "cutoff-check",
-                input_id,
-                inputs,
-                lambda t0=t0: cutoff_limit_check(
-                    t0, cfg["eps_sequence"], limit_tol=cfg["limit_tol"]
-                ),
-            )
-        )
-    return records
+        yield Case(f"t0={t0},eps={cfg['eps_sequence']}", {"t0": t0, **args},
+                   "extension.cutoff_limit_check", {"t0": t0, **args})
 
 
-def _profile_fn(name: str):
-    if name == "one":
-        return lambda z: np.ones(np.shape(z))
-    return lambda z: 1.0 + np.asarray(z, dtype=complex).real
-
-
-def _records_residual(cfg: dict) -> list[ReportRecord]:
-    records = []
+def _residual(cfg):
+    args = _echo(cfg, "t", "value_tol")
     for psi0 in cfg["psi0s"]:
-        for fname in cfg["fs"]:
-            input_id = f"psi0={psi0:g},f={fname}"
-            inputs = {
-                "psi0": psi0,
-                "f": fname,
-                "t": cfg["t"],
-                "value_tol": cfg["value_tol"],
-            }
-
-            def work(psi0=psi0, fname=fname, input_id=input_id, inputs=inputs):
-                start = time.perf_counter()
-                psi = PolarSpec(
-                    0.0,
-                    lambda z, c=psi0: np.full(np.shape(z), c, dtype=float),
-                    None,
-                    name=f"log-pole+{psi0:g}",
-                )
-                mass = residual_measure(psi, _profile_fn(fname), cfg["t"])
-                expected = math.exp(-psi0)  # both profiles have f(0) = 1
-                err = abs(mass - expected)
-                return make_record(
-                    command="residual-measure",
-                    input_id=input_id,
-                    inputs=inputs,
-                    quantities={
-                        "mass": mass,
-                        "expected": expected,
-                        "abs_error": err,
-                    },
-                    margins={"value_match": cfg["value_tol"] - err},
-                    tolerances={"value_match": 0.0},
-                    primary="mass",
-                    provenance={
-                        "mass": "residual_measure",
-                        "expected": "residual-measure",
-                        "abs_error": "residual-measure",
-                    },
-                    wall_time_s=time.perf_counter() - start,
-                )
-
-            records.append(_unit("residual-measure", input_id, inputs, work))
-    return records
+        for f in cfg["fs"]:
+            yield Case(f"psi0={psi0:g},f={f}", {"psi0": psi0, "f": f, **args},
+                       "extension.residual_record", {"psi0": psi0, "f": f, **args})
 
 
-def _records_squeeze(cfg: dict) -> list[ReportRecord]:
-    domain, ps = _chosen_points(cfg, "ps")
-    records = []
+def _squeeze(cfg):
+    domain, ps = _points(cfg, "ps")
+    tol = cfg["sandwich_tol"]
     for p in ps:
-        input_id = f"{domain!r}@p={p!r}"
-        inputs = {"domain": cfg["domain"], "p": p, "sandwich_tol": cfg["sandwich_tol"]}
-        records.append(
-            _unit(
-                "squeeze-check",
-                input_id,
-                inputs,
-                lambda p=p: sandwich_check(domain, p, sandwich_tol=cfg["sandwich_tol"]),
-            )
-        )
+        yield Case(f"{domain!r}@p={p!r}",
+                   {"domain": repr(domain), "p": str(p), "sandwich_tol": tol},
+                   "squeezing.sandwich_check", {"domain": domain, "p": p, "sandwich_tol": tol})
     if cfg["trend"]:
-        input_id = f"{domain!r}:boundary-trend"
-        inputs = {"domain": cfg["domain"], "ks": cfg["ks"], "angle": cfg["angle"]}
-        records.append(
-            _unit(
-                "squeeze-check",
-                input_id,
-                inputs,
-                lambda: boundary_trend_check(
-                    domain, ks=tuple(cfg["ks"]), angle=cfg["angle"]
-                ),
-            )
-        )
-    return records
+        trend = {"ks": cfg["ks"], "angle": cfg["angle"]}
+        yield Case(f"{domain!r}:boundary-trend", {"domain": repr(domain), **trend},
+                   "squeezing.boundary_trend_check", {"domain": domain, **trend})
 
 
-def _records_fuchsian(cfg: dict) -> list[ReportRecord]:
-    input_id = f"c_grid[{len(cfg['c_grid'])}],N={cfg['n_terms']}"
-    inputs = {
-        "c_grid": cfg["c_grid"],
-        "n_terms": cfg["n_terms"],
-        "tail_tol": cfg["tail_tol"],
-    }
-    return [
-        _unit(
-            "fuchsian-check",
-            input_id,
-            inputs,
-            lambda: inequality_check(
-                c_grid=tuple(cfg["c_grid"]),
-                N=cfg["n_terms"],
-                tail_tol=cfg["tail_tol"],
-            ),
-        )
-    ]
+def _fuchsian(cfg):
+    args = {"c_grid": cfg["c_grid"], "N": cfg["n_terms"], "tail_tol": cfg["tail_tol"]}
+    yield Case(f"c_grid={cfg['c_grid']},N={cfg['n_terms']}", args,
+               "fuchsian.inequality_check", args)
 
 
-def _records_torus(cfg: dict) -> list[ReportRecord]:
-    records = []
-    for tau_str in cfg["taus"]:
+def _torus(cfg):
+    tols = _echo(cfg, "margin_tol", "residual_tol", "lap_tol", "ab_tol", "diag_tol")
+    for tau in cfg["taus"]:
         for d in cfg["ds"]:
-            tau = complex(tau_str)
-            input_id = f"tau={tau},d={d}"
-            inputs = {"tau": tau_str, "d": d}
-            records.append(
-                _unit(
-                    "torus-check",
-                    input_id,
-                    inputs,
-                    lambda tau=tau, d=d: arak1_check(
-                        TorusSpec(tau),
-                        d,
-                        margin_tol=cfg["margin_tol"],
-                        residual_tol=cfg["residual_tol"],
-                        lap_tol=cfg["lap_tol"],
-                        ab_tol=cfg["ab_tol"],
-                        diag_tol=cfg["diag_tol"],
-                    ),
-                )
-            )
-    return records
+            yield Case(f"tau={complex(tau)},d={d}", {"tau": tau, "d": d},
+                       "torus.arak1_check", {"spec": torus.TorusSpec(complex(tau)), "d": d, **tols})
+
+
+# command -> the cases of its config, in record order
+CHECKS = {
+    "green": _green,
+    "capacity": _capacity,
+    "bergman": _bergman,
+    "suita-check": _suita,
+    "extended-suita-check": _extended_suita,
+    "optimal-constant": _optimal_constant,
+    "ode-check": _ode,
+    "cutoff-check": _cutoff,
+    "residual-measure": _residual,
+    "squeeze-check": _squeeze,
+    "fuchsian-check": _fuchsian,
+    "torus-check": _torus,
+}
 
 
 def _subconfig(command: str, **overrides) -> dict:
     cfg = {name: p.default for name, p in PARAMS[command].items()}
-    cfg.update(overrides)
-    cfg["command"] = command
-    for name, p in PARAMS[command].items():
-        cfg[name] = _coerce(p.kind, cfg[name], name)
+    cfg.update(overrides, command=command)
+    _canonicalize(cfg)
     return cfg
 
 
@@ -947,28 +651,15 @@ _ALL_SEQUENCE = (
 )
 
 
-def _records_all(cfg: dict) -> list[ReportRecord]:
-    records = []
-    for command, overrides in _ALL_SEQUENCE:
-        records.extend(_HANDLERS[command](_subconfig(command, **overrides)))
-    return records
-
-
-_HANDLERS = {
-    "green": _records_green,
-    "capacity": _records_capacity,
-    "bergman": _records_bergman,
-    "suita-check": _records_suita,
-    "extended-suita-check": _records_extended_suita,
-    "optimal-constant": _records_optimal_constant,
-    "ode-check": _records_ode,
-    "cutoff-check": _records_cutoff,
-    "residual-measure": _records_residual,
-    "squeeze-check": _records_squeeze,
-    "fuchsian-check": _records_fuchsian,
-    "torus-check": _records_torus,
-    "all": _records_all,
-}
+def _records(cfg: dict) -> list[ReportRecord]:
+    command = cfg["command"]
+    if command == "all":
+        return [
+            rec
+            for sub, overrides in _ALL_SEQUENCE
+            for rec in _records(_subconfig(sub, **overrides))
+        ]
+    return [_unit(command, case) for case in CHECKS[command](cfg)]
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +713,7 @@ def run(config: dict) -> int:
         if loaded is not None:
             records, cached_hit = loaded, True
     if records is None:
-        records = _HANDLERS[config["command"]](config)
+        records = _records(config)
         records = [replace(r, config_hash=key) for r in records]
         if config["cache"]:
             cache_store(outdir, key, records)
@@ -1075,12 +766,6 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help="reuse cached records for identical configs (default on)",
         )
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help="seed echoed into the config hash (reserved; no command samples randomly)",
-        )
         for name, param in schema.items():
             flag = "--" + name.replace("_", "-")
             if param.kind == "bool":
@@ -1104,7 +789,7 @@ def main(argv=None) -> int:
         return 2
     overrides = {
         name: getattr(args, name)
-        for name in list(PARAMS[args.command]) + ["outdir", "cache", "seed"]
+        for name in list(PARAMS[args.command]) + ["outdir", "cache"]
     }
     try:
         config = resolve_config(args.command, args.config, overrides)

@@ -35,6 +35,7 @@ from .errors import (
     NonConvergenceError,
     SolverSingularError,
 )
+from .reports import ReportRecord, finite_margin, make_record
 
 __all__ = [
     "Disc",
@@ -46,6 +47,8 @@ __all__ = [
     "green_nystrom",
     "green_evaluator",
     "capacity",
+    "green_record",
+    "capacity_record",
     "gauss_legendre",
     "sample_interior",
 ]
@@ -699,6 +702,40 @@ def capacity(
     rho = (eps1 / eps2) ** 2
     h_diag = (rho * a2 - a1) / (rho - 1.0)
     return math.exp(h_diag)
+
+
+def green_record(domain: PlanarDomain, xi: complex, z: complex, method: str) -> ReportRecord:
+    """``G(xi, z)`` and its remainder ``H(xi, z)`` by the evaluator
+    ``method``; the record passes while both are finite."""
+    ev = green_evaluator(domain, method=method)
+    g = ev.green(xi, z)
+    h = ev.remainder(xi, z)
+    return make_record(
+        command="green",
+        input_id=f"{domain!r} xi={xi} z={z}",
+        inputs={"domain": repr(domain), "method": method, "xi": xi, "z": z},
+        quantities={"green": g, "remainder": h},
+        margins={"finite": finite_margin(g, h)},
+        tolerances={"finite": 0.0},
+        primary="green",
+        provenance={"green": "green_evaluator", "remainder": "green_evaluator"},
+    )
+
+
+def capacity_record(domain: PlanarDomain, z: complex, cap_tol: float) -> ReportRecord:
+    """Logarithmic capacity ``c_beta(z)`` (see :func:`capacity`); the
+    record passes while it is finite."""
+    val = capacity(domain, z, cap_tol=cap_tol)
+    return make_record(
+        command="capacity",
+        input_id=f"{domain!r} z={z}",
+        inputs={"domain": repr(domain), "z": z, "cap_tol": cap_tol},
+        quantities={"capacity": val, "log_capacity": math.log(val)},
+        margins={"finite": finite_margin(val)},
+        tolerances={"finite": 0.0},
+        primary="capacity",
+        provenance={"capacity": "capacity", "log_capacity": "capacity"},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ e^{-eps}`` that shows the constant cannot be improved.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,11 +40,15 @@ __all__ = [
     "ode_pair",
     "ode_pair_from_ab",
     "ode_residual",
+    "ode_record",
     "PolarSpec",
     "delta_class_check",
     "residual_measure",
+    "RESIDUAL_PROFILES",
+    "residual_record",
     "OptimalConstantResult",
     "optimal_constant_experiment",
+    "optimal_constant_record",
 ]
 
 
@@ -193,7 +196,6 @@ def cutoff_limit_check(
     ``b_{t0}``) of ``|v' - b_{t0}|`` per ``eps``; passes if the sequence
     decreases monotonically and ends below ``limit_tol``.
     """
-    start = time.perf_counter()
     eps_sequence = [float(e) for e in eps_sequence]
     if any(b >= a for a, b in zip(eps_sequence[:-1], eps_sequence[1:])):
         raise ParameterError("eps sequence must be strictly decreasing")
@@ -227,7 +229,6 @@ def cutoff_limit_check(
         tolerances={"monotone_decrease": 1e-12, "final_below_tol": 1e-12},
         primary="final_sup_gap",
         provenance={k: "cutoff_limit_check" for k in quantities},
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -358,6 +359,54 @@ def ode_residual(
     return r1, r2
 
 
+def ode_record(
+    delta: float, grid, residual_tol: float = 1e-9, end_tol: float = 1e-6
+) -> ReportRecord:
+    """The ODE pair on the t ``grid``: both identity residuals below
+    ``residual_tol``, ``s >= 1/delta``, ``s' > 0``, ``u'' s - s'' > 0``,
+    and ``u`` at the grid end within ``end_tol`` of its limit ``-log a``."""
+    pair = ode_pair(delta)
+    r1s, r2s = zip(*(ode_residual(pair, float(t)) for t in grid))
+    s_vals = pair.s(grid)
+    sp_vals = pair.s_prime(grid)
+    denom = pair.u_second(grid) * s_vals - pair.s_second(grid)
+    u_end = pair.u(float(grid[-1]))
+    u_target = -math.log(pair.a)
+    quantities = {
+        "max_r1": max(abs(r) for r in r1s),
+        "max_r2": max(abs(r) for r in r2s),
+        "u_end": u_end,
+        "u_target": u_target,
+        "min_s_minus_floor": float(np.min(s_vals)) - 1.0 / delta,
+        "min_s_prime": float(np.min(sp_vals)),
+        "min_denom": float(np.min(denom)),
+    }
+    return make_record(
+        command="ode-check",
+        input_id=f"delta={delta:g}",
+        inputs={"delta": delta, "residual_tol": residual_tol, "end_tol": end_tol},
+        quantities=quantities,
+        margins={
+            "residual_r1": residual_tol - quantities["max_r1"],
+            "residual_r2": residual_tol - quantities["max_r2"],
+            "s_floor": quantities["min_s_minus_floor"],
+            "s_prime_positive": quantities["min_s_prime"],
+            "denom_positive": quantities["min_denom"],
+            "u_end_close": end_tol - abs(u_end - u_target),
+        },
+        tolerances={
+            "residual_r1": 0.0,
+            "residual_r2": 0.0,
+            "s_floor": 1e-12,
+            "s_prime_positive": 0.0,
+            "denom_positive": 0.0,
+            "u_end_close": 0.0,
+        },
+        primary="max_r1",
+        provenance={k: "ode_residual" if k.startswith("max_") else "ode_pair" for k in quantities},
+    )
+
+
 # ---------------------------------------------------------------------------
 # Polar pole specifications and the class check
 # ---------------------------------------------------------------------------
@@ -404,7 +453,6 @@ def delta_class_check(
     domain (or centers at the pole) are skipped and counted.  The record's
     margin is the worst ``average - center`` over all tested circles.
     """
-    start = time.perf_counter()
     if not (delta > 0.0):
         raise ParameterError("delta must be positive")
     if centers is None:
@@ -465,7 +513,6 @@ def delta_class_check(
             "circles_tested": "delta_class_check",
             "circles_skipped": "delta_class_check",
         },
-        wall_time_s=time.perf_counter() - start,
     )
 
 # ---------------------------------------------------------------------------
@@ -577,6 +624,42 @@ def residual_measure(
     return fine
 
 
+# integrand profiles of the residual-measure check; both have f(0) = 1
+RESIDUAL_PROFILES = {
+    "one": lambda z: np.ones(np.shape(z)),
+    "affine": lambda z: 1.0 + np.asarray(z, dtype=complex).real,
+}
+
+
+def residual_record(psi0: float, f: str, t: float = 20.0, value_tol: float = 1e-3) -> ReportRecord:
+    """Residual mass of ``log|z|^2 + psi0`` against the profile ``f`` of
+    :data:`RESIDUAL_PROFILES` at shell depth ``t``, within ``value_tol`` of
+    the point mass ``e^{-psi0} f(0)``."""
+    psi = PolarSpec(
+        0.0,
+        lambda z: np.full(np.shape(z), psi0, dtype=float),
+        None,
+        name=f"log-pole+{psi0:g}",
+    )
+    mass = residual_measure(psi, RESIDUAL_PROFILES[f], t)
+    expected = math.exp(-psi0)
+    err = abs(mass - expected)
+    return make_record(
+        command="residual-measure",
+        input_id=f"psi0={psi0:g},f={f}",
+        inputs={"psi0": psi0, "f": f, "t": t, "value_tol": value_tol},
+        quantities={"mass": mass, "expected": expected, "abs_error": err},
+        margins={"value_match": value_tol - err},
+        tolerances={"value_match": 0.0},
+        primary="mass",
+        provenance={
+            "mass": "residual_measure",
+            "expected": "residual-measure",
+            "abs_error": "residual-measure",
+        },
+    )
+
+
 # ---------------------------------------------------------------------------
 # Optimal-constant experiment
 # ---------------------------------------------------------------------------
@@ -682,4 +765,54 @@ def optimal_constant_experiment(
         ratios=tuple(ratios),
         extrapolated_limit=limit,
         target=target,
+    )
+
+
+def optimal_constant_record(
+    delta: float, eps: float, a_values, cross_tol: float, limit_rel_tol: float = 0.01
+) -> ReportRecord:
+    """:func:`optimal_constant_experiment` at ``(delta, eps)``: the
+    extrapolated limit within ``limit_rel_tol`` relative of the sharp
+    target, the two least-norm routes within ``cross_tol``, and the ratios
+    increasing as ``a`` shrinks."""
+    res = optimal_constant_experiment(
+        delta, eps, a_values=tuple(a_values), cross_check_tol=cross_tol
+    )
+    cross_rel = max(
+        abs(c - q) / abs(c) for c, q in zip(res.min_norms_closed, res.min_norms_quadrature)
+    )
+    rel_err = res.limit_error / res.target
+    diffs = [b - a for a, b in zip(res.ratios[:-1], res.ratios[1:])]
+    quantities = {f"ratio_{i}": r for i, r in enumerate(res.ratios)}
+    quantities.update(
+        {
+            "limit": res.extrapolated_limit,
+            "target": res.target,
+            "limit_rel_error": rel_err,
+            "cross_rel_max": cross_rel,
+        }
+    )
+    return make_record(
+        command="optimal-constant",
+        input_id=f"delta={delta:g},eps={eps:g}",
+        inputs={
+            "delta": delta,
+            "eps": eps,
+            "a_values": list(a_values),
+            "cross_tol": cross_tol,
+            "limit_rel_tol": limit_rel_tol,
+        },
+        quantities=quantities,
+        margins={
+            "limit_within_rel": limit_rel_tol - rel_err,
+            "routes_agree": cross_tol - cross_rel,
+            "ratios_increasing": min(diffs) if diffs else 0.0,
+        },
+        tolerances={
+            "limit_within_rel": 0.0,
+            "routes_agree": 0.0,
+            "ratios_increasing": 1e-15,
+        },
+        primary="limit",
+        provenance={k: "optimal_constant_experiment" for k in quantities},
     )

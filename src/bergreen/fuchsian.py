@@ -14,7 +14,6 @@ orbit, with an explicit geometric tail bound.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,7 +143,6 @@ def inequality_check(
 ) -> ReportRecord:
     """Derivative-sum versus modulus-product comparison across a grid of
     generator displacements; each margin must clear its own tail bound."""
-    start = time.perf_counter()
     c_grid = [float(c) for c in c_grid]
     if not c_grid:
         raise ParameterError("c grid must be nonempty")
@@ -172,5 +170,4 @@ def inequality_check(
         tolerances=tolerances,
         primary="min_margin",
         provenance={k: "fuchsian_sums" for k in quantities},
-        wall_time_s=time.perf_counter() - start,
     )

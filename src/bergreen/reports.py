@@ -22,6 +22,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
@@ -32,6 +33,7 @@ from .errors import ConfigError
 __all__ = [
     "ReportRecord",
     "make_record",
+    "finite_margin",
     "record_to_dict",
     "record_from_dict",
     "config_hash",
@@ -103,6 +105,13 @@ def make_record(
         wall_time_s=wall_time_s,
         config_hash=config_hash_value,
     )
+
+
+def finite_margin(*values) -> float:
+    """Margin of a record with no inequality to gate, at tolerance 0.0:
+    0.0 if every headline value is finite and -1.0 if not, so a NaN or inf
+    never passes (shaped like the error record's ``module_error``)."""
+    return 0.0 if all(math.isfinite(v) for v in values) else -1.0
 
 
 def _jsonable_number(v):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,7 +193,6 @@ def sandwich_check(
     holds because the true squeezing value dominates ``s_low`` and ``C``
     dominates its square.
     """
-    start = time.perf_counter()
     p = complex(p)
     s_low = squeeze_lower(domain, p)
     ratio = suita_ratio(domain, p, basis=basis)
@@ -227,7 +225,6 @@ def sandwich_check(
             "capacity": "capacity",
             "kernel": "kernel_diag",
         },
-        wall_time_s=time.perf_counter() - start,
     )
 
 
@@ -243,7 +240,6 @@ def boundary_trend_check(
     quadrature noise once the deficit falls below roundoff) and end within
     ``close_tol`` of 1.
     """
-    start = time.perf_counter()
     ks = [int(k) for k in ks]
     if ks != sorted(ks) or len(set(ks)) != len(ks):
         raise ParameterError("k sequence must be strictly increasing")
@@ -276,5 +272,4 @@ def boundary_trend_check(
         },
         primary="final_deficit",
         provenance={k: "suita_ratio" for k in quantities},
-        wall_time_s=time.perf_counter() - start,
     )

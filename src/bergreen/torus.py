@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +62,7 @@ __all__ = [
 
 # fewest theta1 terms ever summed (see theta1)
 _MIN_TERMS = 8
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,8 @@ def theta1_term_count(z, tau: complex, terms: int = 64, theta_tol: float = 1e-12
     the smallest count in ``[8, terms]`` whose certified tail is below
     ``theta_tol * eps``, or ``terms`` if none is.  Raises
     :class:`TruncationError` if even the tail after ``terms`` terms is not
-    certified below ``theta_tol``."""
+    certified below ``theta_tol``, or if the largest kept sine overflows
+    (its inf times an underflowed ``q`` power would return NaN)."""
     tau = complex(tau)
     if not (tau.imag > 0.0):
         raise ParameterError("theta1 needs Im tau > 0")
@@ -118,10 +119,16 @@ def theta1_term_count(z, tau: complex, terms: int = 64, theta_tol: float = 1e-12
             f"(|Im z| up to {ymax:.3g}); increase terms"
         )
     stop = theta_tol * np.finfo(float).eps
-    return next(
+    count = next(
         (n for n in range(_MIN_TERMS, terms) if _tail_certified(n, log_q, ymax, stop)),
         terms,
     )
+    if math.pi * (2 * count - 1) * ymax > _LOG_FLOAT_MAX:
+        raise TruncationError(
+            f"theta1 term sin({2 * count - 1} pi z) overflows at |Im z| = {ymax:.3g}; "
+            "reduce z to the fundamental cell (lattice_reduce)"
+        )
+    return count
 
 
 def theta1(z, tau: complex, terms: int = 64, theta_tol: float = 1e-12):
@@ -573,7 +580,6 @@ def arak1_check(
     * kernel diagonal constant across base points;
     * residual mass of ``2g`` equals ``2 / capacity^2``.
     """
-    start = time.perf_counter()
     if d <= 2 or d % 2 != 0:
         raise ParameterError("inequality check needs even degree d > 2")
     delta = d / 2.0 - 1.0
@@ -661,5 +667,4 @@ def arak1_check(
             )
             for k in quantities
         },
-        wall_time_s=time.perf_counter() - start,
     )

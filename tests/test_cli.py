@@ -9,7 +9,8 @@ import os
 import numpy as np
 import pytest
 
-from bergreen import cli
+from bergreen import cli, torus
+from bergreen.bergman import KernelEstimate
 from bergreen.cli import (
     _parse_domain,
     _parse_grid,
@@ -27,6 +28,26 @@ from bergreen.reports import (
     csv_summary_text,
     make_record,
 )
+
+
+# one small run of each command, with the checks its records come from
+_ONE_RUN_PER_COMMAND = [
+    (["green"], ["domains.green_record"]),
+    (["capacity"], ["domains.capacity_record"]),
+    (["bergman"], ["bergman.kernel_record"]),
+    (["suita-check", "--points", "2"], ["bergman.suita_record"]),
+    (["extended-suita-check", "--points", "1"], ["bergman.extended_suita_record"]),
+    (["optimal-constant", "--deltas", "1", "--epss", "0"], ["extension.optimal_constant_record"]),
+    (["ode-check", "--deltas", "1", "--t-grid", "log:0.1:50:20"], ["extension.ode_record"]),
+    (["cutoff-check"], ["extension.cutoff_limit_check"]),
+    (["residual-measure", "--psi0s", "0", "--fs", "one"], ["extension.residual_record"]),
+    (
+        ["squeeze-check", "--points", "1", "--ks", "1,2"],
+        ["squeezing.sandwich_check", "squeezing.boundary_trend_check"],
+    ),
+    (["fuchsian-check"], ["fuchsian.inequality_check"]),
+    (["torus-check", "--taus", "1j", "--ds", "4"], ["torus.arak1_check"]),
+]
 
 
 def _read_csv(path):
@@ -171,6 +192,10 @@ class TestResolveConfig:
             ("capacity", {"domain": "annulus:2"}),
             ("bergman", {"weight": "gauss:1"}),
             ("squeeze-check", {"domain": "ellipse:1:0.5"}),
+            ("bergman", {"domain": "ellipse:1:0.5"}),
+            ("suita-check", {"domain": "ellipse:1:0.5", "zs": "0.1"}),
+            ("extended-suita-check", {"domain": "ellipse:1:0.5", "zs": "0.1"}),
+            ("squeeze-check", {"domain": "ellipse:1:0.5", "ps": "0.1"}),
         ],
     )
     def test_validation_failures(self, tmp_path, command, overrides):
@@ -182,7 +207,7 @@ class TestResolveConfig:
         cfg = resolve_config(
             "suita-check",
             None,
-            {"domain": "ellipse:1:0.5", "zs": "0.1,0.2j", "outdir": str(tmp_path)},
+            {"domain": "disc", "zs": "0.1,0.2j", "outdir": str(tmp_path)},
         )
         assert cfg["zs"] == ["(0.1+0j)", "0.2j"]
 
@@ -240,7 +265,7 @@ class TestCliRuns:
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(cli, "arak1_check", broken)
+        monkeypatch.setattr(torus, "arak1_check", broken)
         monkeypatch.setattr(
             cli,
             "_ALL_SEQUENCE",
@@ -259,6 +284,46 @@ class TestCliRuns:
         assert torus_rec["inputs"]["error"].startswith("LinAlgError: ")
         assert suita_rec["command"] == "suita-check" and suita_rec["passed"] is True
         assert len(_read_csv(tmp_path / "all_summary.csv")) == 3
+
+    @pytest.mark.parametrize(
+        "argv,checks", _ONE_RUN_PER_COMMAND, ids=[argv[0] for argv, _ in _ONE_RUN_PER_COMMAND]
+    )
+    def test_failing_record_keeps_the_case_id(self, tmp_path, monkeypatch, argv, checks):
+        def rows(outdir):
+            main([*argv, "--no-cache", "--outdir", str(outdir)])
+            slug = argv[0].replace("-", "_")
+            return _read_csv(outdir / f"{slug}_summary.csv")[1:]
+
+        def broken(*args, **kwargs):
+            raise ConfigError("injected")
+
+        passing = rows(tmp_path / "pass")
+        for check in checks:
+            monkeypatch.setattr(f"bergreen.{check}", broken)
+        failing = rows(tmp_path / "fail")
+        assert all(row[6] == "True" for row in passing)
+        assert all(row[6] == "False" for row in failing)
+        assert [row[1] for row in failing] == [row[1] for row in passing]
+
+    @pytest.mark.parametrize(
+        "argv,target,value",
+        [
+            (["green"], "bergreen.domains.GreenEvaluator.green", lambda self, xi, z: float("nan")),
+            (["capacity"], "bergreen.domains.capacity", lambda *a, **k: float("inf")),
+            (
+                ["bergman"],
+                "bergreen.bergman.kernel_diag",
+                lambda *a, **k: KernelEstimate(float("nan"), 1, 1.0, 0.0),
+            ),
+        ],
+        ids=["green", "capacity", "bergman"],
+    )
+    def test_non_finite_headline_fails(self, tmp_path, monkeypatch, argv, target, value):
+        monkeypatch.setattr(target, value)
+        assert main([*argv, "--no-cache", "--outdir", str(tmp_path)]) == 1
+        (rec,) = _read_report(tmp_path / f"{argv[0]}_report.json")["records"]
+        assert rec["passed"] is False
+        assert rec["margins"] == {"finite": -1.0} and rec["tolerances"] == {"finite": 0.0}
 
     def test_malformed_config_exits_2_without_report(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -329,11 +394,6 @@ class TestCliRuns:
     def test_no_cache_writes_no_entries(self, tmp_path):
         main(["capacity", "--outdir", str(tmp_path), "--no-cache"])
         assert not (tmp_path / "cache").exists()
-
-    def test_seed_changes_hash(self, tmp_path):
-        cfg0 = resolve_config("capacity", None, {"outdir": str(tmp_path)})
-        cfg1 = resolve_config("capacity", None, {"outdir": str(tmp_path), "seed": 1})
-        assert config_hash(cfg0) != config_hash(cfg1)
 
     def test_ode_check_record_fields(self, tmp_path):
         rc = main(

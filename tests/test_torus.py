@@ -185,6 +185,18 @@ class TestTheta1:
             ref = mp_theta1(z, tau)
             assert abs(theta1(z, tau) - ref) <= 1e-12 * max(1.0, abs(ref))
 
+    @pytest.mark.parametrize("z,tau", [(0.2 + 7.5j, TAU_I), (0.2 + 5.0j, 0.2j)])
+    def test_overflowing_sine_raises(self, z, tau):
+        # pi (2N - 1) |Im z| exceeds log(float max): the largest kept sine
+        # is inf, its q power 0, and the sum would be NaN
+        with pytest.raises(TruncationError, match="fundamental cell"):
+            theta1(z, tau)
+
+    def test_last_row_before_overflow_matches_reference(self):
+        z = 0.2 + 7.2j  # pi (2N - 1) |Im z| = 701, just inside the float range
+        ref = mp_theta1(z, TAU_I)
+        assert abs(theta1(z, TAU_I) - ref) <= 3e-14 * abs(ref)
+
     def test_truncation_guard_raises_before_overflow(self):
         # with few terms the certified tail bound fails well before the
         # sine factors could overflow
