@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,26 +148,34 @@ def weight_phi(weight: WeightSpec, z):
 # ---------------------------------------------------------------------------
 
 
-def _log_power_integral(p: float, lo: float, hi: float) -> float:
-    """``log integral_lo^hi s^(p-1) ds`` for ``0 <= lo < hi``; exact branches.
+def _log_power_integrals(p: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``log integral_lo^hi s^(p-1) ds`` for each exponent in ``p`` and
+    ``0 <= lo < hi``; exact branches.
 
-    Raises :class:`DivergentIntegralError` when the integral diverges at 0.
+    Raises :class:`DivergentIntegralError` when an integral diverges at 0.
     """
+    p = np.asarray(p, dtype=float)
     if lo == 0.0:
-        if p <= 0.0:
+        if np.any(p <= 0.0):
             raise DivergentIntegralError("radial integral diverges at the origin")
-        return p * math.log(hi) - math.log(p)
-    if p == 0.0:
-        return math.log(math.log(hi / lo))
-    if p > 0.0:
-        # (hi^p - lo^p)/p
-        return p * math.log(hi) + math.log1p(-((lo / hi) ** p)) - math.log(p)
+        return p * math.log(hi) - np.log(p)
+    out = np.empty_like(p)
+    zero, pos, neg = p == 0.0, p > 0.0, p < 0.0
+    out[zero] = math.log(math.log(hi / lo))
+    # p > 0: (hi^p - lo^p)/p
+    pp = p[pos]
+    out[pos] = pp * math.log(hi) + np.log1p(-((lo / hi) ** pp)) - np.log(pp)
     # p < 0: (lo^p - hi^p)/(-p)
-    return p * math.log(lo) + math.log1p(-((hi / lo) ** p)) - math.log(-p)
+    pn = p[neg]
+    out[neg] = pn * math.log(lo) + np.log1p(-((hi / lo) ** pn)) - np.log(-pn)
+    return out
 
 
-def log_radial_moment(domain: PlanarDomain, weight: WeightSpec, n: int) -> float:
-    """``log`` of ``integral_Omega |z|^{2n} rho dLambda`` for radial weights.
+def log_radial_moments(
+    domain: PlanarDomain, weight: WeightSpec, ns: np.ndarray
+) -> np.ndarray:
+    """``log`` of ``integral_Omega |z|^{2n} rho dLambda`` for each ``n`` in
+    ``ns``, for radial weights.
 
     The moment equals ``2 pi integral_lo^hi s^{2n+1} rho(s) ds``.
     """
@@ -179,11 +188,12 @@ def log_radial_moment(domain: PlanarDomain, weight: WeightSpec, n: int) -> float
     else:
         raise DomainError("closed-form moments need a disc or annulus")
 
+    ns = np.asarray(ns)
     base = _LOG_2PI + math.log(getattr(weight, "scale", 1.0))
     if isinstance(weight, Unweighted):
-        return base + _log_power_integral(2 * n + 2, lo, hi)
+        return base + _log_power_integrals(2 * ns + 2, lo, hi)
     if isinstance(weight, HarmonicLog):
-        return base + _log_power_integral(2 * n + 2 - 2 * weight.alpha, lo, hi)
+        return base + _log_power_integrals(2 * ns + 2 - 2 * weight.alpha, lo, hi)
     if isinstance(weight, MaxPiece):
         a, delta = weight.a, weight.delta
         pieces = []
@@ -191,16 +201,21 @@ def log_radial_moment(domain: PlanarDomain, weight: WeightSpec, n: int) -> float
             # inner: rho = a^(-2(1+delta)) constant
             pieces.append(
                 -2.0 * (1.0 + delta) * math.log(a)
-                + _log_power_integral(2 * n + 2, lo, min(a, hi))
+                + _log_power_integrals(2 * ns + 2, lo, min(a, hi))
             )
         if hi > a:
             # outer: rho = s^(-2(1+delta))
-            pieces.append(_log_power_integral(2 * n - 2 * delta, max(lo, a), hi))
+            pieces.append(_log_power_integrals(2 * ns - 2 * delta, max(lo, a), hi))
         if len(pieces) == 1:
             return base + pieces[0]
-        m = max(pieces)
-        return base + m + math.log1p(math.exp(min(pieces) - m))
+        m = np.maximum(*pieces)
+        return base + m + np.log1p(np.exp(np.minimum(*pieces) - m))
     raise DomainError(f"no closed-form radial moment for {weight!r}")
+
+
+def log_radial_moment(domain: PlanarDomain, weight: WeightSpec, n: int) -> float:
+    """``log`` of ``integral_Omega |z|^{2n} rho dLambda`` for one mode ``n``."""
+    return float(log_radial_moments(domain, weight, np.array([n]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +265,11 @@ def auto_basis(
 # ---------------------------------------------------------------------------
 
 
+# The last matrix gram_matrix returned (weakly held) and the normalized
+# condition it computed, so that kernel_diag reports it without a second SVD.
+_last_gram: list = [lambda: None, 1.0]
+
+
 def gram_matrix(
     domain: PlanarDomain,
     weight: WeightSpec,
@@ -279,7 +299,7 @@ def gram_matrix(
     ns = np.arange(n_min, n_max + 1)
 
     if weight.radial:
-        logs = np.array([log_radial_moment(domain, weight, int(n)) for n in ns])
+        logs = log_radial_moments(domain, weight, ns)
         if np.max(logs) > 700.0:
             raise DomainError(
                 "Gram entries exceed the floating-point range; "
@@ -294,6 +314,7 @@ def gram_matrix(
         warnings.warn(
             f"Gram matrix condition {cond:.3e} exceeds 1e10", RuntimeWarning
         )
+    _last_gram[:] = [weakref.ref(gram), cond]
     return gram
 
 
@@ -329,6 +350,8 @@ def _gram_quadrature(
         raise DomainError("quadrature Gram needs a disc or annulus")
     if np.any(ns < 0) and lo == 0.0:
         raise DivergentIntegralError("negative modes on a disc diverge")
+    size = ns.size
+    idx = np.arange(size)
 
     def compute(n_rad: int, n_ang: int) -> np.ndarray:
         x, wq = gauss_legendre(n_rad)
@@ -342,12 +365,13 @@ def _gram_quadrature(
         fft = np.fft.fft(rho, axis=1) * (2.0 * math.pi / n_ang)
         # entry (i, j): integral s^{n_i + n_j + 1} rho e^{i (n_i - n_j) th}
         #             = sum_r ws s^{n_i+n_j+1} A[r, (n_j - n_i) mod n_ang]
-        p = ns[:, None] + ns[None, :]  # n_i + n_j
-        k = (ns[None, :] - ns[:, None]) % n_ang  # (n_j - n_i) mod n_ang
-        spow = np.power(s[:, None], (p + 1).reshape(-1)[None, :])  # (rad, i*j)
-        amat = fft[:, k.reshape(-1)]  # (rad, i*j)
-        vals = (ws[:, None] * spow * amat).sum(axis=0)
-        return vals.reshape(p.shape)
+        # depends on i + j and j - i only: one GEMM over the 2N-1 distinct
+        # sums and differences, B[i + j, j - i + N - 1], then a gather
+        sums = 2 * ns[0] + np.arange(2 * size - 1)  # n_i + n_j (ns is a range)
+        diffs = np.arange(1 - size, size)  # n_j - n_i
+        spow = ws[:, None] * s[:, None] ** (sums + 1)  # (rad, sums)
+        b = spow.T @ fft[:, diffs % n_ang]  # (sums, diffs)
+        return b[idx[:, None] + idx[None, :], idx[None, :] - idx[:, None] + size - 1]
 
     max_deg = int(np.max(np.abs(ns)))
     n_rad = max(quad_start, max_deg + 16)
@@ -388,7 +412,7 @@ def _log_kernel_terms(
     domain: PlanarDomain, weight: WeightSpec, z: complex, ns: np.ndarray
 ) -> np.ndarray:
     """``log`` of the per-mode kernel terms ``|z|^{2n} / gram_nn``."""
-    logs = np.array([log_radial_moment(domain, weight, int(n)) for n in ns])
+    logs = log_radial_moments(domain, weight, ns)
     s = abs(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         logz = math.log(s) if s > 0.0 else -math.inf
@@ -455,10 +479,14 @@ def kernel_diag(
     else:
         if gram is None:
             gram = gram_matrix(domain, weight, basis)
+            built, condition = _last_gram
+            if built() is not gram:
+                condition = _normalized_condition(gram)
+        else:
+            condition = _normalized_condition(gram)
         b = np.asarray(z, dtype=complex) ** ns
         value = _dense_kernel_value(gram, b)
         value_half = _dense_kernel_value(gram[np.ix_(half, half)], b[half])
-        condition = _normalized_condition(gram)
 
     trunc = abs(value - value_half) / value if value > 0.0 else 0.0
     if trunc > trunc_tol:

@@ -19,11 +19,13 @@ quantity).
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import math
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -170,14 +172,48 @@ _HASH_EXCLUDED = {"outdir", "cache"}
 
 
 def config_hash(config: dict) -> str:
-    """sha256 of the canonical JSON of the config.
+    """sha256 of the canonical JSON of the config, the package source and
+    the content of every ``jordan:<path>`` file the config references.
 
     The output directory and the cache toggle never change results, so they
     are excluded: the hash identifies the computation, not its destination.
+    A code change or an edited coefficient file gives a new key, so the
+    cache never serves a record the current inputs would not produce.
     """
     core = {k: v for k, v in config.items() if k not in _HASH_EXCLUDED}
-    canon = json.dumps(core, sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(
+        {"config": core, "source": _source_digest(), "files": _file_digests(core)},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the package's ``.py`` files, computed once per process."""
+    h = hashlib.sha256()
+    here = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(here)):
+        if name.endswith(".py"):
+            with open(os.path.join(here, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return h.hexdigest()
+
+
+def _file_digests(config: dict) -> dict:
+    """Content digest of each file named by a ``jordan:<path>`` value."""
+    digests = {}
+    for value in config.values():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, str) and item.startswith("jordan:"):
+                path = item[len("jordan:"):]
+                try:
+                    with open(path, "rb") as fh:
+                        digests[path] = hashlib.sha256(fh.read()).hexdigest()
+                except OSError:
+                    digests[path] = "unreadable"
+    return digests
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +221,28 @@ def config_hash(config: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _strict_json(v):
+    """``v`` with each non-finite float replaced by its ``repr`` string
+    (``"nan"``, ``"inf"``, ``"-inf"``), which strict JSON can carry."""
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(float(v))
+    if isinstance(v, dict):
+        return {k: _strict_json(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_strict_json(x) for x in v]
+    return v
+
+
 def write_json_report(path: str, config: dict, records: list[ReportRecord]) -> None:
+    """Full records as strict JSON: non-finite floats are written as the
+    strings ``"nan"``, ``"inf"`` and ``"-inf"``."""
     payload = {
         "config": config,
         "library_version": __version__,
         "records": [record_to_dict(r) for r in records],
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -254,10 +304,18 @@ def _cache_path(outdir: str, key: str) -> str:
 
 
 def cache_store(outdir: str, key: str, records: list[ReportRecord]) -> None:
+    """Write the entry to a temporary file, then rename it into place, so a
+    reader never sees a partly written entry."""
     path = _cache_path(outdir, key)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump([record_to_dict(r) for r in records], fh)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump([record_to_dict(r) for r in records], fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def cache_load(outdir: str, key: str) -> list[ReportRecord] | None:

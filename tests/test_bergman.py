@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
 
+from bergreen import bergman
 from bergreen.bergman import (
     ExtendedSuitaResult,
     HarmonicLog,
@@ -32,10 +33,17 @@ from bergreen.bergman import (
     kernel_diag,
     least_norm_extension,
     log_radial_moment,
+    log_radial_moments,
     suita_ratio,
     weight_phi,
 )
-from bergreen.domains import Annulus, Disc, green_evaluator, sample_interior
+from bergreen.domains import (
+    Annulus,
+    Disc,
+    gauss_legendre,
+    green_evaluator,
+    sample_interior,
+)
 from bergreen.errors import (
     DivergentIntegralError,
     DomainError,
@@ -184,6 +192,89 @@ class TestGram:
             gram_matrix(DISC, HarmonicRe(10.0), (0, 24))
 
 
+def _elementwise_gram(domain, weight, ns, n_rad=64, n_ang=256):
+    """Direct product quadrature ``sum w rho z^{n_i} conj(z)^{n_j}`` over
+    Gauss-Legendre x trapezoid nodes, entry by entry (no FFT, no GEMM)."""
+    lo, hi = (0.0, 1.0) if isinstance(domain, Disc) else (domain.r_inner, 1.0)
+    x, wq = gauss_legendre(n_rad)
+    s = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    th = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
+    zs = (s[:, None] * np.exp(1j * th[None, :])).ravel()
+    w = (0.5 * (hi - lo) * wq * s)[:, None] * np.full(n_ang, 2.0 * math.pi / n_ang)
+    w = w.ravel() * weight.density(zs)
+    gram = np.empty((ns.size, ns.size), dtype=complex)
+    for i, ni in enumerate(ns):
+        for j, nj in enumerate(ns):
+            gram[i, j] = np.sum(w * zs**ni * np.conj(zs) ** nj)
+    return gram
+
+
+def _scaled_max_error(a, b):
+    d = np.sqrt(np.abs(np.diag(b)))
+    return float(np.max(np.abs(a - b) / np.outer(d, d)))
+
+
+class TestGramQuadrature:
+    """The (sum, difference) GEMM of ``_gram_quadrature`` against direct
+    elementwise quadrature and against the closed-form radial moments."""
+
+    @pytest.mark.parametrize("domain,basis", [(DISC, (0, 16)), (ANN, (-16, 16))])
+    def test_matches_elementwise_reference(self, domain, basis):
+        ns = np.arange(basis[0], basis[1] + 1)
+        weight = HarmonicRe(0.2)
+        gram = bergman._gram_quadrature(domain, weight, ns, 1e-10, 64)
+        assert _scaled_max_error(gram, _elementwise_gram(domain, weight, ns)) < 1e-12
+
+    @pytest.mark.parametrize("domain,basis", [(DISC, (0, 8)), (ANN, (-8, 8))])
+    def test_radial_density_through_quadrature(self, domain, basis):
+        ns = np.arange(basis[0], basis[1] + 1)
+        gram = bergman._gram_quadrature(domain, Unweighted(), ns, 1e-10, 64)
+        moments = np.exp([log_radial_moment(domain, Unweighted(), int(n)) for n in ns])
+        np.testing.assert_allclose(np.diag(gram).real, moments, rtol=1e-12)
+        assert _scaled_max_error(gram, np.diag(moments)) < 1e-12
+
+
+class TestLogRadialMoments:
+    """The array function agrees with the scalar one mode by mode, on every
+    domain x weight branch of the closed form."""
+
+    @pytest.mark.parametrize(
+        "domain,weight,basis",
+        [
+            (DISC, Unweighted(), (0, 40)),
+            (ANN, Unweighted(), (-40, 40)),  # p == 0 at n = -1
+            (DISC, HarmonicLog(0.3), (0, 40)),
+            (ANN, HarmonicLog(1.0), (-40, 40)),  # p == 0 at n = 0
+            (ANN, HarmonicLog(-0.7, scale=2.5), (-40, 40)),
+            (DISC, MaxPiece(1.0, 0.5), (0, 40)),  # both pieces, inner from 0
+            (ANN, MaxPiece(0.7, 0.45), (-40, 40)),  # both pieces
+            (ANN, MaxPiece(0.7, 0.1), (-40, 40)),  # outer piece only
+            (Annulus(0.04), Unweighted(), (-400, 400)),
+        ],
+    )
+    def test_matches_scalar_per_mode(self, domain, weight, basis):
+        ns = np.arange(basis[0], basis[1] + 1)
+        logs = log_radial_moments(domain, weight, ns)
+        scalar = [log_radial_moment(domain, weight, int(n)) for n in ns]
+        np.testing.assert_allclose(logs, scalar, rtol=1e-14, atol=1e-14)
+
+    def test_p_zero_branch(self):
+        logs = log_radial_moments(ANN, HarmonicLog(1.0), np.array([-1, 0, 1]))
+        assert logs[1] == pytest.approx(math.log(2.0 * math.pi * math.log(5.0)), rel=1e-14)
+
+    def test_divergent_disc_mode_raises(self):
+        with pytest.raises(DivergentIntegralError):
+            log_radial_moments(DISC, HarmonicLog(1.0), np.arange(0, 4))
+        with pytest.raises(DivergentIntegralError):
+            log_radial_moments(DISC, Unweighted(), np.array([-1]))
+
+    def test_unsupported_inputs(self):
+        with pytest.raises(DomainError):
+            log_radial_moments(Disc(0.5), Unweighted(), np.arange(3))
+        with pytest.raises(DomainError):
+            log_radial_moments(ANN, HarmonicRe(0.2), np.arange(3))
+
+
 # ---------------------------------------------------------------------------
 # Kernel diagonal
 # ---------------------------------------------------------------------------
@@ -281,6 +372,25 @@ class TestKernelDiag:
             ANN, Unweighted(), z, basis=(-2 * lo, 2 * lo), trunc_tol=1.0
         )
         assert small.value <= big.value + 1e-12
+
+    def test_dense_condition_taken_once(self, monkeypatch):
+        calls = []
+        cond = np.linalg.cond
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return cond(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        est = kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0)
+        assert len(calls) == 1
+        gram = gram_matrix(ANN, HarmonicRe(0.2), (-8, 8))
+        assert est.gram_condition == bergman._normalized_condition(gram)
+        calls.clear()
+        given_gram = kernel_diag(
+            ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0, gram=gram
+        )
+        assert len(calls) == 1 and given_gram.gram_condition == est.gram_condition
 
 
 # ---------------------------------------------------------------------------

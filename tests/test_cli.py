@@ -4,12 +4,13 @@ cache, exit codes, determinism, and the report-layer helpers."""
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from bergreen import cli, torus
+from bergreen import cli, reports, torus
 from bergreen.bergman import KernelEstimate
 from bergreen.cli import (
     _parse_domain,
@@ -391,6 +392,35 @@ class TestCliRuns:
         (rec,) = _read_report(tmp_path / "capacity_report.json")["records"]
         assert rec["cached"] is False
 
+    def test_edited_jordan_file_misses_cache(self, tmp_path, capsys):
+        curve = tmp_path / "curve.txt"
+        curve.write_text("1 1.05 0.0\n-1 0.25 0.0\n")
+        args = ["capacity", "--domain", f"jordan:{curve}", "--z", "0.1", "--outdir", str(tmp_path)]
+        assert main(args) == 0
+        assert main(args) == 0
+        assert "(cached)" in capsys.readouterr().out
+        (first,) = _read_report(tmp_path / "capacity_report.json")["records"]
+        curve.write_text("1 1.2 0.0\n-1 0.25 0.0\n")
+        assert main(args) == 0
+        assert "(cached)" not in capsys.readouterr().out
+        (second,) = _read_report(tmp_path / "capacity_report.json")["records"]
+        assert second["cached"] is False
+        assert second["quantities"]["capacity"] != first["quantities"]["capacity"]
+
+    def test_non_finite_quantity_is_strict_json(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            "bergreen.domains.GreenEvaluator.green", lambda self, xi, z: float("nan")
+        )
+        assert main(["green", "--no-cache", "--outdir", str(tmp_path)]) == 1
+
+        def reject(name):
+            raise ValueError(f"bare {name} in the report")
+
+        text = (tmp_path / "green_report.json").read_text()
+        (rec,) = json.loads(text, parse_constant=reject)["records"]
+        assert rec["passed"] is False
+        assert rec["quantities"]["green"] == "nan"
+
     def test_no_cache_writes_no_entries(self, tmp_path):
         main(["capacity", "--outdir", str(tmp_path), "--no-cache"])
         assert not (tmp_path / "cache").exists()
@@ -514,6 +544,16 @@ class TestReportHelpers:
         a = {"command": "capacity", "z": "0.3", "outdir": "x", "cache": True}
         b = {"command": "capacity", "z": "0.3", "outdir": "y", "cache": False}
         assert config_hash(a) == config_hash(b)
+
+    def test_config_hash_sees_the_source(self, monkeypatch):
+        config = {"command": "capacity", "z": "0.3"}
+        before = config_hash(config)
+        monkeypatch.setattr(reports, "_source_digest", lambda: "edited")
+        assert config_hash(config) != before
+
+    def test_strict_json_spells_non_finite_floats(self):
+        out = reports._strict_json({"a": [math.nan, -math.inf, 1.5], "b": (math.inf, "x")})
+        assert out == {"a": ["nan", "-inf", 1.5], "b": ["inf", "x"]}
 
     def test_config_hash_sees_everything_else(self):
         a = {"command": "capacity", "cap_tol": 1e-6}
