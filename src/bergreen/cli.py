@@ -83,7 +83,7 @@ PARAMS: dict[str, dict[str, Param]] = {
     "green": {
         "domain": Param("str", "disc", "domain spec (disc[:R] | annulus:r | ellipse:a:b | jordan:file)"),
         "method": Param("str", _default(domains.green_evaluator, "method"),
-                        "auto | closed_form | laurent_modes | nystrom"),
+                        " | ".join(domains.GREEN_METHODS)),
         "xi": Param("complex", "0.5", "evaluation point"),
         "z": Param("complex", "0.1", "pole location"),
     },
@@ -401,6 +401,10 @@ def _validate(config: dict) -> None:
             raise ConfigError(
                 f"{command} supports disc and annulus domains only, not {config['domain']!r}"
             )
+    if "method" in schema and config["method"] not in domains.GREEN_METHODS:
+        raise ConfigError(
+            f"unknown method {config['method']!r} (use {'|'.join(domains.GREEN_METHODS)})"
+        )
     if "weight" in schema:
         _parse_weight(config["weight"])
     if "fs" in schema:

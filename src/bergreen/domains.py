@@ -16,6 +16,12 @@ Three evaluation methods are provided:
 * ``nystrom``       -- smooth Jordan domains (and the annulus, with the
   standard one-log-source augmentation for the hole), via a double layer
   potential discretized with the trapezoid rule.
+
+:class:`GreenEvaluator` is the one way to evaluate them, and it holds every
+guard: both points must lie inside the domain, and on the Nystrom method
+farther than ``1e-3 * diameter`` from the boundary; the Nystrom system must
+be well conditioned, and its value must be certified by the same problem
+solved on half (or, failing that, twice) the nodes.
 """
 
 from __future__ import annotations
@@ -42,9 +48,7 @@ __all__ = [
     "Annulus",
     "Jordan",
     "GreenEvaluator",
-    "green_disc",
-    "green_annulus",
-    "green_nystrom",
+    "GREEN_METHODS",
     "green_evaluator",
     "capacity",
     "green_record",
@@ -54,6 +58,8 @@ __all__ = [
 ]
 
 _COINCIDENT_TOL = 1e-14
+# the Nystrom refinement tolerance (see GreenEvaluator._nystrom_remainder)
+_REFINE_TOL = 1e-7
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -100,6 +106,23 @@ class Annulus:
 
     def boundary_distance(self, z: complex) -> float:
         return min(1.0 - abs(z), abs(z) - self.r_inner)
+
+
+# boundary samples of the Jordan simplicity and winding tests
+_VALIDATE_SAMPLES = 1024
+_WINDING_SAMPLES = 2048
+
+
+@functools.cache
+def _far_pairs() -> np.ndarray:
+    """Mask of the sample pairs of :meth:`Jordan._validate` more than
+    1/32 of the ring apart, which a simple curve keeps separated; built
+    once per process, on the first Jordan domain."""
+    idx = np.arange(_VALIDATE_SAMPLES)
+    gap = np.abs(idx[:, None] - idx[None, :])
+    mask = np.minimum(gap, _VALIDATE_SAMPLES - gap) > _VALIDATE_SAMPLES // 32
+    mask.setflags(write=False)
+    return mask
 
 
 class Jordan:
@@ -188,24 +211,19 @@ class Jordan:
         phases = np.exp(1j * np.multiply.outer(t, k))
         return phases @ (-(k**2) * self._coeffs)
 
-    def _validate(self, samples: int = 1024) -> None:
-        t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    def _validate(self) -> None:
+        t = np.linspace(0.0, 2.0 * math.pi, _VALIDATE_SAMPLES, endpoint=False)
         pts = self.point(t)
         dpt = self.tangent(t)
         if np.min(np.abs(dpt)) < 1e-9:
             raise DomainError("boundary parameterization derivative vanishes")
         # simplicity: non-neighboring samples must stay separated
-        sep = samples // 32
         d = np.abs(pts[:, None] - pts[None, :])
-        idx = np.arange(samples)
-        ring = np.minimum(
-            np.abs(idx[:, None] - idx[None, :]),
-            samples - np.abs(idx[:, None] - idx[None, :]),
-        )
-        mask = ring > sep
-        if np.min(d[mask]) < 1e-9:
+        if np.min(d[_far_pairs()]) < 1e-9:
             raise DomainError("boundary self-intersects on a dense sample")
         # positive winding around an interior reference point
+        t = np.linspace(0.0, 2.0 * math.pi, _WINDING_SAMPLES, endpoint=False)
+        self._winding_samples = (self.point(t), self.tangent(t))
         centroid = complex(np.mean(pts))
         if self.winding(centroid) != 1:
             raise DomainError("boundary must wind positively (counterclockwise)")
@@ -216,12 +234,10 @@ class Jordan:
     def diameter(self) -> float:
         return self._cached_diameter
 
-    def winding(self, z: complex, samples: int = 2048) -> int:
-        t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-        pts = self.point(t)
-        dpt = self.tangent(t)
+    def winding(self, z: complex) -> int:
+        pts, dpt = self._winding_samples
         vals = dpt / (pts - z)
-        integral = np.sum(vals) * (2.0 * math.pi / samples)
+        integral = np.sum(vals) * (2.0 * math.pi / _WINDING_SAMPLES)
         return int(round((integral / (2j * math.pi)).real))
 
     def contains(self, z: complex) -> bool:
@@ -244,18 +260,6 @@ PlanarDomain = Disc | Annulus | Jordan
 def _check_distinct(z: complex, w: complex) -> None:
     if abs(z - w) < _COINCIDENT_TOL:
         raise CoincidentPointsError(f"points {z} and {w} coincide")
-
-
-def green_disc(z: complex, w: complex, radius: float = 1.0) -> float:
-    """Green function of the disc of given radius, closed form.
-
-    ``G(z, w) = log( R |z - w| / |R^2 - conj(w) z| )``.
-    """
-    R = float(radius)
-    if abs(z) >= R or abs(w) >= R:
-        raise DomainError("points must lie strictly inside the disc")
-    _check_distinct(z, w)
-    return math.log(R * abs(z - w) / abs(R * R - w.conjugate() * z))
 
 
 def _disc_remainder(z: complex, w: complex, radius: float = 1.0) -> float:
@@ -328,30 +332,6 @@ def _annulus_remainder(
     return out, tail
 
 
-def green_annulus(
-    domain: Annulus,
-    z: complex,
-    w: complex,
-    modes: int = 64,
-    tail_tol: float = 1e-9,
-) -> float:
-    """Green function of ``A(r, 1)`` via the truncated mode expansion.
-
-    Raises :class:`NonConvergenceError` when the mode-``modes`` geometric
-    tail estimate exceeds ``tail_tol``.
-    """
-    r = domain.r_inner
-    if not (domain.contains(z) and domain.contains(w)):
-        raise DomainError("points must lie strictly inside the annulus")
-    _check_distinct(z, w)
-    h, tail = _annulus_remainder(r, z, w, modes)
-    if tail > tail_tol:
-        raise NonConvergenceError(
-            f"mode-{modes} tail estimate {tail:.3e} exceeds tail_tol={tail_tol:.3e}"
-        )
-    return math.log(abs(z - w)) + h
-
-
 def _annulus_robin(r: float, z: complex, modes: int | None = None) -> float:
     """Diagonal remainder ``H(z, z)`` on the annulus.
 
@@ -374,6 +354,9 @@ def _annulus_robin(r: float, z: complex, modes: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 # Nystrom solver (double layer potential, trapezoid rule)
 # ---------------------------------------------------------------------------
+
+
+_ASSEMBLY_ROWS = 128
 
 
 class _NystromSolver:
@@ -413,29 +396,29 @@ class _NystromSolver:
 
     def _assemble(self) -> None:
         y = self.pts
-        diff = y[None, :] - y[:, None]  # y_j - x_i
-        with np.errstate(divide="ignore", invalid="ignore"):
-            kern = (
-                -np.real(np.conj(self.normals)[None, :] * diff)
-                / (2.0 * math.pi * np.abs(diff) ** 2)
-            )
-        np.fill_diagonal(kern, -self.curv / (4.0 * math.pi))
         m = self.pts.size
         nh = len(self.hole_centers)
         A = np.zeros((m + nh, m + nh))
-        A[:m, :m] = kern * self.weights[None, :]
-        A[:m, :m] -= 0.5 * np.eye(m)
+        # rows in blocks, so the complex temporaries of a large system stay
+        # a fraction of its matrix; each entry is computed as on whole rows
+        for lo in range(0, m, _ASSEMBLY_ROWS):
+            rows = slice(lo, lo + _ASSEMBLY_ROWS)
+            diff = y[None, :] - y[rows, None]  # y_j - x_i
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kern = (
+                    -np.real(np.conj(self.normals)[None, :] * diff)
+                    / (2.0 * math.pi * np.abs(diff) ** 2)
+                )
+            A[rows, :m] = kern * self.weights[None, :]
+        diag = np.arange(m)
+        A[diag, diag] = (-self.curv / (4.0 * math.pi)) * self.weights
+        A[diag, diag] -= 0.5
         for j, c in enumerate(self.hole_centers):
             A[:m, m + j] = np.log(np.abs(y - c))
             # side condition: mean density over the hole component
             sl = self.slices[1 + j]
             A[m + j, sl] = self.weights[sl]
         self.matrix = A
-        self.condition = float(np.linalg.cond(A))
-        if self.condition > 1e12:
-            raise SolverSingularError(
-                f"boundary system condition {self.condition:.3e} exceeds 1e12"
-            )
         self._lu = None
 
     def solve(self, f_boundary: np.ndarray) -> np.ndarray:
@@ -506,59 +489,13 @@ def _nystrom_components(domain: PlanarDomain):
     raise DomainError(f"unsupported domain {domain!r}")
 
 
-def _interior_guard(domain: PlanarDomain, z: complex) -> None:
-    if not domain.contains(z):
-        raise DomainError(f"point {z} is not inside the domain")
-    if domain.boundary_distance(z) <= 1e-3 * domain.diameter:
-        raise DomainError(
-            f"point {z} is closer to the boundary than 1e-3 * diameter"
-        )
-
-
-def green_nystrom(
-    domain: PlanarDomain,
-    z: complex,
-    w: complex,
-    quad_points: int = 256,
-    refine_tol: float = 1e-7,
-    check_refinement: bool = True,
-) -> float:
-    """Green function via the Nystrom-discretized double layer equation.
-
-    Solves the Dirichlet problem for the harmonic correction ``H(., w)``
-    with boundary data ``-log|. - w|`` and returns ``log|z - w| + H(z, w)``.
-    With ``check_refinement`` the computation is repeated at twice the
-    quadrature size; an :class:`AccuracyError` is raised when the results
-    differ by more than ``refine_tol``.
-    """
-    if quad_points < 64:
-        raise DomainError("quad_points must be at least 64")
-    _interior_guard(domain, z)
-    _interior_guard(domain, w)
-    _check_distinct(z, w)
-
-    def run(n: int) -> float:
-        comps, holes = _nystrom_components(domain)
-        solver = _NystromSolver(comps, holes, n)
-        f = -np.log(np.abs(solver.pts - w))
-        sol = solver.solve(f)
-        return float(solver.evaluate(sol, z)[0])
-
-    h1 = run(quad_points)
-    if check_refinement:
-        h2 = run(2 * quad_points)
-        if abs(h1 - h2) > refine_tol:
-            raise AccuracyError(
-                f"doubling quad_points moved the result by {abs(h1 - h2):.3e} "
-                f"(> refine_tol={refine_tol:.3e})"
-            )
-        h1 = h2
-    return math.log(abs(z - w)) + h1
-
-
 # ---------------------------------------------------------------------------
 # Evaluator facade and capacity
 # ---------------------------------------------------------------------------
+
+
+# what ``green_evaluator`` accepts; ``auto`` picks by the domain's type
+GREEN_METHODS = ("auto", "closed_form", "laurent_modes", "nystrom")
 
 
 @dataclass
@@ -568,6 +505,14 @@ class GreenEvaluator:
     ``green(xi, z)`` and ``remainder(xi, z)`` evaluate ``G`` and
     ``H = G - log|xi - z|``; ``robin(z)`` returns ``H(z, z)`` directly for
     the closed-form and mode methods.
+
+    Every evaluation is guarded: a point outside the domain raises
+    :class:`DomainError`, and so does, on the Nystrom method, a point
+    within ``1e-3 * diameter`` of the boundary.  The Nystrom method reports
+    the ``quad_points`` value and raises :class:`AccuracyError` unless the
+    same problem on ``quad_points // 2`` (or, failing that, twice as many)
+    nodes certifies it; each witness system is built on first use and its
+    densities are cached per pole, as the main system's are.
     """
 
     domain: PlanarDomain
@@ -579,11 +524,32 @@ class GreenEvaluator:
     _density_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        if self.method not in GREEN_METHODS[1:]:
+            raise DomainError(
+                f"unknown Green function method {self.method!r} "
+                f"(use {' | '.join(GREEN_METHODS[1:])})"
+            )
+        if self.method == "closed_form" and not isinstance(self.domain, Disc):
+            raise DomainError("closed_form method is only available on discs")
+        if self.method == "laurent_modes" and not isinstance(self.domain, Annulus):
+            raise DomainError("laurent_modes method is only available on annuli")
         if self.method == "nystrom":
-            comps, holes = _nystrom_components(self.domain)
-            self._solver = _NystromSolver(comps, holes, self.quad_points)
+            if self.quad_points < 64:
+                raise DomainError("quad_points must be at least 64")
+            self._solver = _NystromSolver(*_nystrom_components(self.domain), self.quad_points)
+            cond = float(np.linalg.cond(self._solver.matrix))
+            if cond > 1e12:
+                raise SolverSingularError(f"boundary system condition {cond:.3e} exceeds 1e12")
 
     # -- internals -----------------------------------------------------------
+
+    def _check_inside(self, *points: complex) -> None:
+        dom = self.domain
+        for p in points:
+            if not dom.contains(p):
+                raise DomainError(f"point {p} is not inside the domain")
+            if self.method == "nystrom" and dom.boundary_distance(p) <= 1e-3 * dom.diameter:
+                raise DomainError(f"point {p} is closer to the boundary than 1e-3 * diameter")
 
     def _modes_for(self, z: complex, w: complex) -> int:
         if self.modes is not None:
@@ -591,18 +557,47 @@ class GreenEvaluator:
         q = _annulus_tail_ratio(self.domain.r_inner, z, w)
         return _annulus_modes_auto(q, self.tail_tol * 1e-2)
 
-    def _nystrom_remainder(self, xi: complex, z: complex) -> float:
-        key = complex(z)
+    @functools.cached_property
+    def _half(self) -> _NystromSolver:
+        return _NystromSolver(*_nystrom_components(self.domain), self.quad_points // 2)
+
+    @functools.cached_property
+    def _double(self) -> _NystromSolver:
+        return _NystromSolver(*_nystrom_components(self.domain), 2 * self.quad_points)
+
+    def _nystrom_value(self, solver: _NystromSolver, xi: complex, z: complex) -> float:
+        key = (solver.n, complex(z))
         sol = self._density_cache.get(key)
         if sol is None:
-            f = -np.log(np.abs(self._solver.pts - z))
-            sol = self._solver.solve(f)
-            self._density_cache[key] = sol
-        return float(self._solver.evaluate(sol, xi)[0])
+            f = -np.log(np.abs(solver.pts - z))
+            sol = self._density_cache[key] = solver.solve(f)
+        return float(solver.evaluate(sol, xi)[0])
+
+    def _nystrom_remainder(self, xi: complex, z: complex) -> float:
+        """``H`` on ``n = quad_points`` nodes, certified to ``_REFINE_TOL / 3``.
+
+        The discretization error at least quarters per doubling of ``n``
+        (``test_convergence_at_least_quadratic``), so either
+        ``|h_n - h_{n/2}| <= tol`` or ``|h_n - h_{2n}| <= tol / 4`` bounds
+        the error of ``h_n`` by ``tol / 3``.  The ``n/2`` witness is tried
+        first; the ``2n`` system is built only when it cannot tell, as near
+        the boundary, where the error falls much faster than quadratically.
+        """
+        h = self._nystrom_value(self._solver, xi, z)
+        if abs(h - self._nystrom_value(self._half, xi, z)) <= _REFINE_TOL:
+            return h
+        moved = abs(h - self._nystrom_value(self._double, xi, z))
+        if not moved <= _REFINE_TOL / 4:
+            raise AccuracyError(
+                f"doubling quad_points moved the result by {moved:.3e} "
+                f"(> {_REFINE_TOL / 4:.1e}) and halving it by more than {_REFINE_TOL:.0e}"
+            )
+        return h
 
     # -- public API ------------------------------------------------------------
 
     def remainder(self, xi: complex, z: complex) -> float:
+        self._check_inside(z, xi)
         if self.method == "closed_form":
             return _disc_remainder(xi, z, self.domain.radius)
         if self.method == "laurent_modes":
@@ -622,11 +617,12 @@ class GreenEvaluator:
 
     def robin(self, z: complex) -> float:
         """Diagonal remainder ``H(z, z)``; closed-form methods only."""
+        if self.method == "nystrom":
+            raise DomainError("robin(z) needs a closed-form or mode evaluator")
+        self._check_inside(z)
         if self.method == "closed_form":
             return _disc_robin(z, self.domain.radius)
-        if self.method == "laurent_modes":
-            return _annulus_robin(self.domain.r_inner, z, self.modes)
-        raise DomainError("robin(z) needs a closed-form or mode evaluator")
+        return _annulus_robin(self.domain.r_inner, z, self.modes)
 
 
 def green_evaluator(
@@ -648,10 +644,6 @@ def green_evaluator(
             method = "laurent_modes"
         else:
             method = "nystrom"
-    if method == "closed_form" and not isinstance(domain, Disc):
-        raise DomainError("closed_form method is only available on discs")
-    if method == "laurent_modes" and not isinstance(domain, Annulus):
-        raise DomainError("laurent_modes method is only available on annuli")
     return GreenEvaluator(
         domain, method, modes=modes, quad_points=quad_points, tail_tol=tail_tol
     )
@@ -677,9 +669,6 @@ def capacity(
     """
     if not isinstance(evaluator, GreenEvaluator):
         evaluator = green_evaluator(evaluator)
-    dom = evaluator.domain
-    if not dom.contains(z):
-        raise DomainError(f"point {z} is not inside the domain")
     if evaluator.method in ("closed_form", "laurent_modes") and not force_limit:
         return math.exp(evaluator.robin(z))
 

@@ -197,6 +197,7 @@ class TestResolveConfig:
             ("suita-check", {"domain": "ellipse:1:0.5", "zs": "0.1"}),
             ("extended-suita-check", {"domain": "ellipse:1:0.5", "zs": "0.1"}),
             ("squeeze-check", {"domain": "ellipse:1:0.5", "ps": "0.1"}),
+            ("green", {"method": "bogus"}),
         ],
     )
     def test_validation_failures(self, tmp_path, command, overrides):
@@ -341,6 +342,14 @@ class TestCliRuns:
         rc = main(["capacity", "--config", str(path), "--outdir", str(tmp_path)])
         assert rc == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_unresolved_nystrom_capacity_fails(self, tmp_path):
+        # n = 256 reads 57.86 here against 50.70 converged
+        argv = ["capacity", "--domain=ellipse:1:0.6", "--z=0.99", "--no-cache"]
+        assert main([*argv, "--outdir", str(tmp_path)]) == 1
+        (rec,) = _read_report(tmp_path / "capacity_report.json")["records"]
+        assert rec["passed"] is False
+        assert rec["inputs"]["error"].startswith("AccuracyError")
 
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         outdir = tmp_path / "from-env"

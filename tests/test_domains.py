@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bergreen import domains
 from bergreen.domains import (
     Annulus,
     Disc,
@@ -14,10 +15,7 @@ from bergreen.domains import (
     Jordan,
     capacity,
     gauss_legendre,
-    green_annulus,
-    green_disc,
     green_evaluator,
-    green_nystrom,
     sample_interior,
 )
 from bergreen.errors import (
@@ -26,6 +24,7 @@ from bergreen.errors import (
     DomainError,
     ExtrapolationDivergenceError,
     NonConvergenceError,
+    SolverSingularError,
 )
 
 
@@ -39,30 +38,32 @@ def moebius(p: complex, z: complex) -> complex:
 
 
 class TestGreenDisc:
+    disc = green_evaluator(Disc())
+
     def test_pole_at_origin(self):
-        assert green_disc(0.5, 0.0) == pytest.approx(math.log(0.5), abs=1e-15)
+        assert self.disc.green(0.5, 0.0) == pytest.approx(math.log(0.5), abs=1e-15)
 
     def test_symmetry(self):
         a, b = 0.3 + 0.4j, 0.1 + 0.0j
-        assert green_disc(a, b) == pytest.approx(green_disc(b, a), abs=1e-14)
+        assert self.disc.green(a, b) == pytest.approx(self.disc.green(b, a), abs=1e-14)
 
     def test_scaled_disc(self):
         # radius-2 disc: G(z, 0) = log(|z| / R)
-        assert green_disc(0.5, 0.0, radius=2.0) == pytest.approx(
+        assert green_evaluator(Disc(2.0)).green(0.5, 0.0) == pytest.approx(
             math.log(0.25), abs=1e-15
         )
 
     def test_coincident_points_error(self):
         with pytest.raises(CoincidentPointsError):
-            green_disc(0.3 + 0.1j, 0.3 + 0.1j)
+            self.disc.green(0.3 + 0.1j, 0.3 + 0.1j)
 
     def test_outside_domain_rejected(self):
         with pytest.raises(DomainError):
-            green_disc(1.2, 0.0)
+            self.disc.green(1.2, 0.0)
 
     def test_negative(self):
         for z in (0.9, -0.5 + 0.3j, 0.01j):
-            assert green_disc(z, 0.2 + 0.2j) < 0.0
+            assert self.disc.green(z, 0.2 + 0.2j) < 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -74,8 +75,8 @@ class TestGreenDisc:
         # conformal covariance under disc automorphisms, exact closed form
         if abs(xi - z) < 1e-3 or abs(moebius(p, xi) - moebius(p, z)) < 1e-6:
             return
-        lhs = green_disc(moebius(p, xi), moebius(p, z))
-        rhs = green_disc(xi, z)
+        lhs = self.disc.green(moebius(p, xi), moebius(p, z))
+        rhs = self.disc.green(xi, z)
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
@@ -89,9 +90,8 @@ class TestGreenAnnulus:
 
     def test_symmetry(self):
         z, w = 0.5 + 0.1j, -0.4 + 0.3j
-        assert green_annulus(self.ann, z, w, modes=128) == pytest.approx(
-            green_annulus(self.ann, w, z, modes=128), abs=1e-9
-        )
+        ev = green_evaluator(self.ann, modes=128)
+        assert ev.green(z, w) == pytest.approx(ev.green(w, z), abs=1e-9)
 
     def test_boundary_vanishing_outer(self):
         z = (1.0 - 1e-8) * cmath.exp(0.7j)
@@ -104,9 +104,11 @@ class TestGreenAnnulus:
         assert abs(ev.green(z, 0.5 + 0.1j)) < 1e-6
 
     def test_cross_method_nystrom(self):
+        # 512 nodes per circle, witnessed on 256: the pair the doubling
+        # check at 256 used to solve
         z, w = 0.5 + 0.1j, -0.4 + 0.3j
-        g_modes = green_annulus(self.ann, z, w, modes=256)
-        g_nys = green_nystrom(self.ann, z, w, quad_points=256)
+        g_modes = green_evaluator(self.ann, modes=256).green(z, w)
+        g_nys = green_evaluator(self.ann, method="nystrom", quad_points=512).green(z, w)
         assert g_modes == pytest.approx(g_nys, abs=1e-7)
 
     def test_disc_limit_with_log_correction(self):
@@ -117,15 +119,15 @@ class TestGreenAnnulus:
         ann = Annulus(r)
         z, w = 0.5 + 0.0j, 0.2 + 0.1j
         d0 = math.log(abs(w)) / math.log(1.0 / r)
-        g = green_annulus(ann, z, w, modes=256)
+        g = green_evaluator(ann, modes=256).green(z, w)
         assert g - d0 * math.log(abs(z)) == pytest.approx(
-            green_disc(z, w), abs=1e-10
+            green_evaluator(Disc()).green(z, w), abs=1e-10
         )
 
     def test_mode_refinement_stability(self):
         z, w = math.sqrt(0.2) * cmath.exp(0.9j), 0.55 - 0.2j
-        g1 = green_annulus(self.ann, z, w, modes=128)
-        g2 = green_annulus(self.ann, z, w, modes=256)
+        g1 = green_evaluator(self.ann, modes=128).green(z, w)
+        g2 = green_evaluator(self.ann, modes=256).green(z, w)
         assert abs(g1 - g2) < 1e-12
 
     def test_harmonicity_off_pole(self):
@@ -143,14 +145,14 @@ class TestGreenAnnulus:
 
     def test_coincident_points_error(self):
         with pytest.raises(CoincidentPointsError):
-            green_annulus(self.ann, 0.5, 0.5)
+            green_evaluator(self.ann, modes=64).green(0.5, 0.5)
 
     def test_non_convergence_error(self):
         tight = Annulus(0.9)
         z = 0.901 * cmath.exp(0.3j)
         w = 0.901 * cmath.exp(0.31j)
         with pytest.raises(NonConvergenceError):
-            green_annulus(tight, z, w, modes=64)
+            green_evaluator(tight, modes=64).green(z, w)
 
 
 # ---------------------------------------------------------------------------
@@ -162,55 +164,76 @@ def wobbly_domain() -> Jordan:
     return Jordan({1: 1.0, 4: 0.08 + 0.02j, -2: 0.06})
 
 
+def nystrom_green(domain, z: complex, w: complex, n: int) -> float:
+    """``G(z, w)`` from the bare Nystrom discretization on ``n`` nodes, with
+    no guard and no refinement witness."""
+    solver = domains._NystromSolver(*domains._nystrom_components(domain), n)
+    sol = solver.solve(-np.log(np.abs(solver.pts - w)))
+    return math.log(abs(z - w)) + float(solver.evaluate(sol, z)[0])
+
+
+@pytest.mark.parametrize(
+    "domain,n", [(Jordan.ellipse(1.2, 0.7), 256), (wobbly_domain(), 100), (Annulus(0.2), 256)]
+)
+def test_row_block_assembly_matches_whole_rows(domain, n):
+    # the whole-array assembly the row blocks replaced, as the reference
+    s = domains._NystromSolver(*domains._nystrom_components(domain), n)
+    y, m = s.pts, s.pts.size
+    diff = y[None, :] - y[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kern = -np.real(np.conj(s.normals)[None, :] * diff) / (2.0 * math.pi * np.abs(diff) ** 2)
+    np.fill_diagonal(kern, -s.curv / (4.0 * math.pi))
+    ref = kern * s.weights[None, :] - 0.5 * np.eye(m)
+    assert s.matrix[:m, :m].tobytes() == ref.tobytes()
+
+
 class TestGreenNystrom:
+    # quad_points=256 reports 256 nodes and witnesses on 128: the pair the
+    # doubling check at 128 used to solve, so each value is the one it gave
+
     def test_disc_oracle(self):
-        g = green_nystrom(Jordan.circle(), 0.5, 0.0, quad_points=128)
+        g = green_evaluator(Jordan.circle(), quad_points=256).green(0.5, 0.0)
         assert g == pytest.approx(math.log(0.5), abs=1e-8)
 
     def test_ellipse_symmetry(self):
-        dom = Jordan.ellipse(1.3, 0.8)
+        ev = green_evaluator(Jordan.ellipse(1.3, 0.8), quad_points=256)
         z, w = 0.4 + 0.2j, -0.6 - 0.1j
-        assert green_nystrom(dom, z, w, quad_points=128) == pytest.approx(
-            green_nystrom(dom, w, z, quad_points=128), abs=1e-7
-        )
+        assert ev.green(z, w) == pytest.approx(ev.green(w, z), abs=1e-7)
 
     def test_scaled_disc(self):
-        dom = Jordan.circle(radius=2.0)
-        g = green_nystrom(dom, 0.5, 0.0, quad_points=128)
-        assert g == pytest.approx(green_disc(0.5, 0.0, radius=2.0), abs=1e-7)
+        g = green_evaluator(Jordan.circle(radius=2.0), quad_points=256).green(0.5, 0.0)
+        assert g == pytest.approx(green_evaluator(Disc(2.0)).green(0.5, 0.0), abs=1e-7)
 
     def test_quad_points_minimum(self):
         with pytest.raises(DomainError):
-            green_nystrom(Jordan.circle(), 0.5, 0.0, quad_points=32)
+            green_evaluator(Jordan.circle(), quad_points=32)
 
-    def test_interior_guard(self):
+    def test_boundary_distance_guard(self):
+        ev = green_evaluator(Jordan.circle(), quad_points=64)
         with pytest.raises(DomainError):
-            green_nystrom(Jordan.circle(), 0.9999, 0.0, quad_points=64)
+            ev.green(0.9999, 0.0)
 
-    def test_refinement_check_mechanism(self):
-        # an absurdly tight tolerance must trip the doubling check
+    def test_refinement_check_mechanism(self, monkeypatch):
+        # an absurdly tight tolerance must trip the refinement witness
+        monkeypatch.setattr(domains, "_REFINE_TOL", 1e-30)
         with pytest.raises(AccuracyError):
-            green_nystrom(
-                wobbly_domain(), 0.3, -0.2j, quad_points=64, refine_tol=1e-30
-            )
+            green_evaluator(wobbly_domain(), quad_points=128).green(0.3, -0.2j)
 
     def test_convergence_at_least_quadratic(self):
         dom = wobbly_domain()
         z, w = 0.35 + 0.1j, -0.3 - 0.15j
-        ref = green_nystrom(dom, z, w, quad_points=1024, check_refinement=False)
-        errs = [
-            abs(green_nystrom(dom, z, w, quad_points=n, check_refinement=False) - ref)
-            for n in (64, 128)
-        ]
+        ref = nystrom_green(dom, z, w, 1024)
+        errs = [abs(nystrom_green(dom, z, w, n) - ref) for n in (64, 128)]
         assert errs[1] <= max(errs[0] / 4.0, 1e-13)
 
     def test_negativity_samples(self):
         dom = wobbly_domain()
+        ev = green_evaluator(dom, quad_points=256)
         pts = sample_interior(dom, 5, seed=3, margin=0.12)
         for i, a in enumerate(pts):
             for b in pts[i + 1 :]:
                 if abs(a - b) > 1e-6:
-                    assert green_nystrom(dom, a, b, quad_points=128) < 0.0
+                    assert ev.green(a, b) < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +286,99 @@ class TestCapacity:
 
 
 # ---------------------------------------------------------------------------
+# Evaluator guards and the Nystrom refinement witness
+# ---------------------------------------------------------------------------
+
+
+class TestEvaluatorGuards:
+    @pytest.mark.parametrize(
+        "domain,xi,z",
+        [
+            (Disc(), 1.5, 0.1),  # evaluation point outside the disc
+            (Annulus(0.2), 0.1, 0.5),  # evaluation point in the hole
+            (Jordan.ellipse(1.0, 0.6), 0.5, 1.5),  # pole outside the ellipse
+        ],
+        ids=["disc", "annulus-hole", "ellipse-pole"],
+    )
+    def test_outside_points_rejected(self, domain, xi, z):
+        ev = green_evaluator(domain)
+        with pytest.raises(DomainError, match="not inside"):
+            ev.green(xi, z)
+        with pytest.raises(DomainError, match="not inside"):
+            ev.remainder(xi, z)
+
+    def test_robin_outside_rejected(self):
+        with pytest.raises(DomainError, match="not inside"):
+            green_evaluator(Annulus(0.2)).robin(0.1)
+
+    def test_nystrom_boundary_guard_on_the_pole(self):
+        ev = green_evaluator(Jordan.ellipse(1.0, 0.6))
+        with pytest.raises(DomainError, match="1e-3"):
+            ev.green(0.5, 0.999)
+
+    def test_unresolved_pole_raises_accuracy_error(self):
+        # at z = 0.99 the n = 256 capacity reads 57.86 against 50.70
+        # converged; the half-node witness disagrees and says so
+        dom = Jordan.ellipse(1.0, 0.6)
+        with pytest.raises(AccuracyError):
+            capacity(dom, 0.99)
+        with pytest.raises(AccuracyError):
+            green_evaluator(dom).green(0.5, 0.99)
+
+    @pytest.mark.parametrize("nan_on", ["witnesses", "reported"])
+    def test_nan_fails(self, monkeypatch, nan_on):
+        ev = green_evaluator(Jordan.ellipse(1.2, 0.9))
+        evaluate = domains._NystromSolver.evaluate
+
+        def nan_evaluate(solver, sol, x):
+            out = evaluate(solver, sol, x)
+            return out * np.nan if (solver is ev._solver) == (nan_on == "reported") else out
+
+        monkeypatch.setattr(domains._NystromSolver, "evaluate", nan_evaluate)
+        with pytest.raises(AccuracyError):
+            ev.green(0.3, -0.2j)
+
+    def test_witness_is_half_size_lazy_and_reports_the_full_value(self, monkeypatch):
+        dom = Jordan.ellipse(1.2, 0.9)
+        conds = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(a.shape) or cond(a))
+        ev = green_evaluator(dom, quad_points=128)
+        assert "_half" not in vars(ev)
+        g = ev.green(0.3, -0.2j)
+        assert ev._half.n == 64 and ev._solver.n == 128 and "_double" not in vars(ev)
+        assert conds == [(128, 128)]  # the witness takes no condition number
+        assert g == nystrom_green(dom, 0.3, -0.2j, 128)
+
+    def test_doubled_witness_certifies_what_the_half_cannot(self):
+        # xi is 0.085 from the outer circle: h_128 is 1.1e-5 off, h_256
+        # 5e-11, so |h_256 - h_128| exceeds the tolerance though h_256 is
+        # good; the 512-node system certifies it
+        ann, xi, z = Annulus(0.2), 0.345551 + 0.847068j, 0.614357 + 0.398092j
+        ev = green_evaluator(ann, method="nystrom")
+        assert ev.green(xi, z) == nystrom_green(ann, xi, z, 256)
+        assert ev._double.n == 512
+
+    def test_condition_gate(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cond", lambda a: 1e13)
+        with pytest.raises(SolverSingularError):
+            green_evaluator(Jordan.ellipse(1.2, 0.9))
+
+    @pytest.mark.parametrize(
+        "domain,method",
+        [
+            (Disc(), "bogus"),
+            (Disc(), "auto"),
+            (Annulus(0.2), "closed_form"),
+            (Jordan.circle(), "laurent_modes"),
+        ],
+    )
+    def test_direct_construction_checks_the_method(self, domain, method):
+        with pytest.raises(DomainError):
+            GreenEvaluator(domain, method)
+
+
+# ---------------------------------------------------------------------------
 # Jordan geometry and ingestion
 # ---------------------------------------------------------------------------
 
@@ -287,6 +403,17 @@ class TestJordan:
         assert dom.contains(0.5)
         assert not dom.contains(1.5)
         assert dom.boundary_distance(0.0) == pytest.approx(1.0, abs=1e-6)
+
+    def test_samples_computed_once(self):
+        a, b = Jordan.ellipse(1.2, 0.7), wobbly_domain()
+        assert domains._far_pairs() is domains._far_pairs()
+        assert not domains._far_pairs().flags.writeable
+        # the stored winding samples give the winding number of a fresh sum
+        t = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
+        for dom in (a, b):
+            for z in (0.1 + 0.2j, 1.5, -0.9j):
+                direct = np.sum(dom.tangent(t) / (dom.point(t) - z)) * (2.0 * math.pi / 2048)
+                assert dom.winding(z) == int(round((direct / (2j * math.pi)).real))
 
     def test_from_file_roundtrip(self, tmp_path):
         path = tmp_path / "curve.txt"
