@@ -35,6 +35,7 @@ from .domains import (
     PlanarDomain,
     capacity,
     gauss_legendre,
+    refine,
 )
 from .errors import (
     DivergentIntegralError,
@@ -282,9 +283,10 @@ def gram_matrix(
     Entry ``(m, n)`` is ``integral z^m conj(z)^n rho dLambda``.  Radial
     weights on disc/annulus give a diagonal matrix with closed-form
     moments; otherwise entries come from Gauss-Legendre x trapezoid product
-    quadrature refined until the entrywise relative change is below
-    ``gram_tol``.  A Jacobi-normalized condition number above 1e10 triggers
-    an ill-conditioning warning.
+    quadrature, doubled by :func:`domains.refine` until the entrywise
+    relative change is at most ``gram_tol`` (:class:`AccuracyError` if five
+    doublings do not get there).  A Jacobi-normalized condition number
+    above 1e10 triggers an ill-conditioning warning.
 
     Raises :class:`DomainError` if a closed-form moment exceeds the float
     range (use :func:`kernel_diag`, which works in log space, instead).
@@ -373,24 +375,19 @@ def _gram_quadrature(
         b = spow.T @ fft[:, diffs % n_ang]  # (sums, diffs)
         return b[idx[:, None] + idx[None, :], idx[None, :] - idx[:, None] + size - 1]
 
-    max_deg = int(np.max(np.abs(ns)))
-    n_rad = max(quad_start, max_deg + 16)
-    n_ang = max(quad_start, 4 * (2 * max_deg + 2))
-    prev = compute(n_rad, n_ang)
-    for _ in range(5):
-        n_rad *= 2
-        n_ang *= 2
-        cur = compute(n_rad, n_ang)
+    def change(cur: np.ndarray, prev: np.ndarray) -> float:
         # scale-invariant entrywise change, relative to sqrt(diag_i diag_j)
         # (the normalization under which the matrix is later solved)
         d = np.sqrt(np.abs(np.diag(cur)).real)
-        if np.max(np.abs(cur - prev) / np.outer(d, d)) < gram_tol:
-            prev = cur
-            break
-        prev = cur
-    else:
-        warnings.warn("Gram quadrature did not fully stabilize", RuntimeWarning)
-    return 0.5 * (prev + prev.conj().T)
+        return float(np.max(np.abs(cur - prev) / np.outer(d, d)))
+
+    max_deg = int(np.max(np.abs(ns)))
+    n_rad = max(quad_start, max_deg + 16)
+    n_ang = max(quad_start, 4 * (2 * max_deg + 2))
+    gram, _ = refine(
+        lambda k: compute(n_rad << k, n_ang << k), change, gram_tol, doublings=5
+    )
+    return 0.5 * (gram + gram.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +426,21 @@ def _logsumexp(values: np.ndarray) -> float:
     return m + math.log(np.sum(np.exp(values - m)))
 
 
-def _dense_kernel_value(gram: np.ndarray, b: np.ndarray) -> float:
+def _jacobi_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(y, d)`` with ``gram^{-1} rhs = y / d``: ``y`` solves the
+    Jacobi-scaled Hermitian system ``(gram / d d^T) y = rhs / d``, whose
+    unit diagonal keeps modes of very different norms equally accurate."""
     import scipy.linalg
 
     d = np.sqrt(np.abs(np.diag(gram)).real)
     corr = gram / np.outer(d, d)
-    bs = b / d
-    sol = scipy.linalg.solve(corr, bs, assume_a="her")
-    return float(np.vdot(bs, sol).real)
+    return scipy.linalg.solve(corr, rhs / d, assume_a="her"), d
+
+
+def _dense_kernel_value(gram: np.ndarray, b: np.ndarray) -> float:
+    """``b^H gram^{-1} b`` through :func:`_jacobi_solve`."""
+    y, d = _jacobi_solve(gram, b)
+    return float(np.vdot(b / d, y).real)
 
 
 def _half_mask(ns: np.ndarray) -> np.ndarray:
@@ -532,13 +536,9 @@ def least_norm_extension(
         kz = float(np.sum(np.abs(b) ** 2 / d))
         sol = np.conj(b) / d
     else:
-        import scipy.linalg
-
-        d = np.sqrt(np.abs(np.diag(gram)).real)
-        corr = gram / np.outer(d, d)
-        sol = scipy.linalg.solve(corr, np.conj(b) / d, assume_a="her") / d
-        bs = b / d
-        kz = float(np.vdot(bs, scipy.linalg.solve(corr, bs, assume_a="her")).real)
+        y, d = _jacobi_solve(gram, np.conj(b))
+        sol = y / d
+        kz = _dense_kernel_value(gram, b)
     if kz <= 1e-300:
         raise ZeroKernelError("kernel diagonal vanishes at the prescribed point")
     coeffs = value * sol / kz

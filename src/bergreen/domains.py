@@ -54,6 +54,7 @@ __all__ = [
     "green_record",
     "capacity_record",
     "gauss_legendre",
+    "refine",
     "sample_interior",
 ]
 
@@ -446,46 +447,31 @@ class _NystromSolver:
         return out
 
 
+def _circle(radius: float, turn: int):
+    """(point, tangent, second derivative) of ``radius * exp(i turn t)``;
+    ``turn`` is 1 (counterclockwise) or -1 (clockwise)."""
+
+    def point(t):
+        return radius * np.exp(1j * turn * t)
+
+    def tangent(t):
+        return 1j * turn * point(t)
+
+    def second(t):
+        return -point(t)
+
+    return point, tangent, second
+
+
 def _nystrom_components(domain: PlanarDomain):
     """Boundary components (outward-from-domain orientation) and hole centers."""
     if isinstance(domain, Jordan):
         return [(domain.point, domain.tangent, domain.second)], []
     if isinstance(domain, Disc):
-        R = domain.radius
-
-        def p(t):
-            return R * np.exp(1j * t)
-
-        def dp(t):
-            return 1j * R * np.exp(1j * t)
-
-        def ddp(t):
-            return -R * np.exp(1j * t)
-
-        return [(p, dp, ddp)], []
+        return [_circle(domain.radius, 1)], []
     if isinstance(domain, Annulus):
-        r = domain.r_inner
-
-        def po(t):
-            return np.exp(1j * t)
-
-        def dpo(t):
-            return 1j * np.exp(1j * t)
-
-        def ddpo(t):
-            return -np.exp(1j * t)
-
         # inner circle, clockwise so the domain stays on the left
-        def pi_(t):
-            return r * np.exp(-1j * t)
-
-        def dpi(t):
-            return -1j * r * np.exp(-1j * t)
-
-        def ddpi(t):
-            return -r * np.exp(-1j * t)
-
-        return [(po, dpo, ddpo), (pi_, dpi, ddpi)], [0.0 + 0.0j]
+        return [_circle(1.0, 1), _circle(domain.r_inner, -1)], [0.0 + 0.0j]
     raise DomainError(f"unsupported domain {domain!r}")
 
 
@@ -697,8 +683,10 @@ def green_record(domain: PlanarDomain, xi: complex, z: complex, method: str) -> 
     """``G(xi, z)`` and its remainder ``H(xi, z)`` by the evaluator
     ``method``; the record passes while both are finite."""
     ev = green_evaluator(domain, method=method)
-    g = ev.green(xi, z)
+    _check_distinct(xi, z)
     h = ev.remainder(xi, z)
+    # G from the one remainder evaluation, as GreenEvaluator.green forms it
+    g = math.log(abs(xi - z)) + h
     return make_record(
         command="green",
         input_id=f"{domain!r} xi={xi} z={z}",
@@ -728,7 +716,8 @@ def capacity_record(domain: PlanarDomain, z: complex, cap_tol: float) -> ReportR
 
 
 # ---------------------------------------------------------------------------
-# Quadrature nodes (shared by the Gram, shell and torus integrals)
+# Quadrature nodes and refinement (shared by the Gram, shell and torus
+# integrals)
 # ---------------------------------------------------------------------------
 
 
@@ -750,6 +739,29 @@ def _gauss_legendre(n: int, rule) -> tuple[np.ndarray, np.ndarray]:
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
+
+
+def refine(compute, change, tol: float, doublings: int):
+    """``(value, moved)`` of the first doubling level that moved at most
+    ``tol`` from the level before it.
+
+    ``compute(k)`` evaluates a quadrature at level ``k``, on ``2**k`` times
+    the nodes of level 0, and ``change(fine, coarse)`` is the scaled change
+    between two consecutive levels.  Level 0 is computed, then levels
+    ``1 .. doublings`` in turn; :class:`AccuracyError` is raised if none of
+    them passes, and a NaN change never passes.
+    """
+    coarse = compute(0)
+    for k in range(1, doublings + 1):
+        fine = compute(k)
+        moved = change(fine, coarse)
+        if moved <= tol:
+            return fine, moved
+        coarse = fine
+    raise AccuracyError(
+        f"quadrature unresolved after {doublings} doubling(s): "
+        f"the last one moved it by {moved:.3e} (tolerance {tol:.1e})"
+    )
 
 
 # ---------------------------------------------------------------------------

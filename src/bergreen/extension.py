@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .bergman import MaxPiece, WeightSpec, least_norm_extension, weight_phi
-from .domains import PlanarDomain, gauss_legendre
+from .domains import PlanarDomain, gauss_legendre, refine
 from .errors import (
     AccuracyError,
     DerivativeMismatchError,
@@ -38,7 +38,6 @@ __all__ = [
     "cutoff_limit_check",
     "OdePair",
     "ode_pair",
-    "ode_pair_from_ab",
     "ode_residual",
     "ode_record",
     "PolarSpec",
@@ -300,16 +299,6 @@ def ode_pair(delta: float) -> OdePair:
         raise ParameterError("delta must be positive")
     a = 1.0 + 1.0 / delta
     return OdePair(delta=float(delta), a=a, b=a * a - 2.0 * a)
-
-
-def ode_pair_from_ab(a: float, b: float) -> OdePair:
-    """General-parameter constructor; requires the compatibility ``b = a^2 -
-    2a`` and ``a > 1`` (so it matches ``ode_pair(1/(a-1))``)."""
-    if not (a > 1.0):
-        raise ParameterError("a must exceed 1")
-    if abs(b - (a * a - 2.0 * a)) > 1e-12:
-        raise ParameterError("incompatible parameters: need b = a^2 - 2a")
-    return OdePair(delta=1.0 / (a - 1.0), a=float(a), b=float(b))
 
 
 def ode_residual(
@@ -603,25 +592,27 @@ def residual_measure(
 
     In the radial log coordinate the pole factor cancels and the integrand
     is smooth, so Gauss-Legendre (radially, inside per-angle shell edges)
-    x trapezoid (angularly) converges fast; the grid is doubled once for
-    an error estimate and :class:`AccuracyError` is raised if the two
-    disagree by more than ``accuracy_tol``.  If the validity domain is
-    known, a shell reaching the boundary raises :class:`ShellEscapeError`.
+    x trapezoid (angularly) converges fast; the grid is doubled once by
+    :func:`domains.refine`, which raises :class:`AccuracyError` if the two
+    disagree by more than ``accuracy_tol * max(1, |value|)``, or by NaN.
+    If the validity domain is known, a shell reaching the boundary on
+    either grid raises :class:`ShellEscapeError`.
     """
-    coarse, r_max = _shell_integral(psi, f, t, n_rad, n_ang)
-    fine, _ = _shell_integral(psi, f, t, 2 * n_rad, 2 * n_ang)
-    if psi.domain is not None:
-        dist = psi.domain.boundary_distance(psi.pole)
+    dist = math.inf if psi.domain is None else psi.domain.boundary_distance(psi.pole)
+
+    def compute(k: int) -> float:
+        value, r_max = _shell_integral(psi, f, t, n_rad << k, n_ang << k)
         if r_max >= dist:
             raise ShellEscapeError(
                 f"shell radius {r_max:.3e} reaches the boundary "
                 f"(pole clearance {dist:.3e}); increase t"
             )
-    if abs(fine - coarse) > accuracy_tol * max(1.0, abs(fine)):
-        raise AccuracyError(
-            f"shell quadrature unstable: {coarse!r} vs {fine!r} under doubling"
-        )
-    return fine
+        return value
+
+    def change(fine: float, coarse: float) -> float:
+        return abs(fine - coarse) / max(1.0, abs(fine))
+
+    return refine(compute, change, accuracy_tol, doublings=1)[0]
 
 
 # integrand profiles of the residual-measure check; both have f(0) = 1

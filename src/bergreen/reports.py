@@ -27,7 +27,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import __version__
 from .errors import ConfigError
@@ -85,7 +85,6 @@ def make_record(
     primary: str,
     provenance: dict | None = None,
     wall_time_s: float = 0.0,
-    config_hash_value: str = "",
 ) -> ReportRecord:
     """Build a record; the pass flag is derived from margins and tolerances."""
     if set(margins) != set(tolerances):
@@ -105,7 +104,6 @@ def make_record(
         primary=primary,
         provenance=dict(provenance or {}),
         wall_time_s=wall_time_s,
-        config_hash=config_hash_value,
     )
 
 
@@ -143,21 +141,7 @@ def _jsonable_value(v):
 
 
 def record_to_dict(rec: ReportRecord) -> dict:
-    return {
-        "command": rec.command,
-        "input_id": rec.input_id,
-        "inputs": rec.inputs,
-        "quantities": rec.quantities,
-        "margins": rec.margins,
-        "tolerances": rec.tolerances,
-        "passed": rec.passed,
-        "primary": rec.primary,
-        "provenance": rec.provenance,
-        "wall_time_s": rec.wall_time_s,
-        "library_version": rec.library_version,
-        "config_hash": rec.config_hash,
-        "cached": rec.cached,
-    }
+    return asdict(rec)
 
 
 def record_from_dict(d: dict) -> ReportRecord:

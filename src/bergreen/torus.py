@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import KernelEstimate
-from .domains import gauss_legendre
+from .bergman import KernelEstimate, _dense_kernel_value, _normalized_condition
+from .domains import gauss_legendre, refine
 from .errors import (
     AccuracyError,
     ExtrapolationDivergenceError,
@@ -304,6 +304,14 @@ def arakelov_green(spec: TorusSpec, normalization: str = "meanzero") -> Arakelov
     return ArakelovGreen(spec=spec, gamma=gamma, normalization=normalization)
 
 
+def _five_point_laplacian(f, z: complex, h: float) -> float:
+    """Euclidean Laplacian of ``f`` at ``z`` by the five-point stencil of
+    step ``h``."""
+    return (
+        f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4.0 * f(z)
+    ) / (h * h)
+
+
 def laplacian_deviation(
     green: ArakelovGreen,
     samples=None,
@@ -329,11 +337,7 @@ def laplacian_deviation(
         z = complex(z)
         if abs(lattice_reduce(z, spec.tau)) < 10 * h:
             raise ParameterError(f"sample {z!r} too close to the pole")
-        lap_e = (
-            green(z + h) + green(z - h) + green(z + 1j * h) + green(z - 1j * h)
-            - 4.0 * green(z)
-        ) / (h * h)
-        lap_vol = spec.tau2 / (2.0 * math.pi) * lap_e
+        lap_vol = spec.tau2 / (2.0 * math.pi) * _five_point_laplacian(green, z, h)
         worst = max(worst, abs(lap_vol + 1.0))
     if worst > lap_tol:
         raise AccuracyError(
@@ -446,8 +450,9 @@ def torus_gram(
 
     The integrand is smooth and doubly periodic, so the uniform product
     grid (trapezoid in both periods) converges spectrally; the grid is
-    doubled once and :class:`AccuracyError` raised if entries move by more
-    than ``gram_tol`` relative to the diagonal scale.
+    doubled once by :func:`domains.refine`, which raises
+    :class:`AccuracyError` if entries move by more than ``gram_tol``
+    relative to the diagonal scale (or by NaN).
     """
 
     def compute(n: int) -> np.ndarray:
@@ -459,15 +464,11 @@ def torus_gram(
         G = (theta_rows * w) @ theta_rows.conj().T / (n * n)
         return 0.5 * (G + G.conj().T)
 
-    coarse = compute(n_grid)
-    fine = compute(2 * n_grid)
-    scale = float(np.max(np.abs(np.diag(fine)).real))
-    resid = float(np.max(np.abs(fine - coarse))) / scale
-    if resid > gram_tol:
-        raise AccuracyError(
-            f"fundamental-domain quadrature unstable: residual {resid:.3e}"
-        )
-    return fine, resid
+    def change(fine: np.ndarray, coarse: np.ndarray) -> float:
+        scale = float(np.max(np.abs(np.diag(fine)).real))
+        return float(np.max(np.abs(fine - coarse))) / scale
+
+    return refine(lambda k: compute(n_grid << k), change, gram_tol, doublings=1)
 
 
 def torus_bergman(
@@ -490,23 +491,16 @@ def torus_bergman(
     Pass a precomputed ``(G, residual)`` from :func:`torus_gram` to reuse
     one Gram factorization across several evaluation points.
     """
-    import scipy.linalg
-
     basis = ThetaBasis(spec, d)
     G, resid = gram if gram is not None else torus_gram(
         basis, n_grid=n_grid, gram_tol=gram_tol
     )
     b = np.array([basis.theta(j, p) for j in range(d)])
-    dd = np.sqrt(np.abs(np.diag(G)).real)
-    corr = G / np.outer(dd, dd)
-    bs = b / dd
-    kz = float(np.vdot(bs, scipy.linalg.solve(corr, bs, assume_a="her")).real)
-    value = float(basis.weight(p)) * kz
-    cond = float(np.linalg.cond(corr))
+    value = float(basis.weight(p)) * _dense_kernel_value(G, b)
     return KernelEstimate(
         value=value,
         basis_size=d,
-        gram_condition=cond,
+        gram_condition=_normalized_condition(G),
         truncation_error_estimate=resid,
     )
 
@@ -530,15 +524,10 @@ def curvature_coefficients(
     spec = green.spec
     basis = ThetaBasis(spec, d)
 
-    def lap(f, z0):
-        return (
-            f(z0 + h) + f(z0 - h) + f(z0 + 1j * h) + f(z0 - 1j * h) - 4.0 * f(z0)
-        ) / (h * h)
-
     factor = spec.tau2 / (4.0 * math.pi)
-    a = -factor * lap(lambda w: 2.0 * float(green(w)), complex(z))
-    b = factor * lap(
-        lambda w: -math.log(float(basis.weight(complex(w)))), complex(z)
+    a = -factor * _five_point_laplacian(lambda w: 2.0 * float(green(w)), complex(z), h)
+    b = factor * _five_point_laplacian(
+        lambda w: -math.log(float(basis.weight(complex(w)))), complex(z), h
     )
     return float(a), float(b)
 

@@ -45,6 +45,7 @@ from bergreen.domains import (
     sample_interior,
 )
 from bergreen.errors import (
+    AccuracyError,
     DivergentIntegralError,
     DomainError,
     TruncationError,
@@ -190,6 +191,16 @@ class TestGram:
     def test_ill_conditioning_warning(self):
         with pytest.warns(RuntimeWarning, match="condition"):
             gram_matrix(DISC, HarmonicRe(10.0), (0, 24))
+
+    def test_unresolved_quadrature_fails(self):
+        # five doublings from 18 x 24 nodes cannot move the entries by
+        # less than 1e-30; the last level is not returned
+        with pytest.raises(AccuracyError, match="5 doubling"):
+            gram_matrix(DISC, HarmonicRe(0.2), (0, 2), gram_tol=1e-30, quad_start=8)
+
+    def test_nan_density_fails(self):
+        with pytest.raises(AccuracyError, match="nan"):
+            gram_matrix(DISC, HarmonicRe(math.nan), (0, 2), quad_start=8)
 
 
 def _elementwise_gram(domain, weight, ns, n_rad=64, n_ang=256):

@@ -310,7 +310,7 @@ class TestCliRuns:
     @pytest.mark.parametrize(
         "argv,target,value",
         [
-            (["green"], "bergreen.domains.GreenEvaluator.green", lambda self, xi, z: float("nan")),
+            (["green"], "bergreen.domains.GreenEvaluator.remainder", lambda self, xi, z: float("nan")),
             (["capacity"], "bergreen.domains.capacity", lambda *a, **k: float("inf")),
             (
                 ["bergman"],
@@ -418,7 +418,7 @@ class TestCliRuns:
 
     def test_non_finite_quantity_is_strict_json(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
-            "bergreen.domains.GreenEvaluator.green", lambda self, xi, z: float("nan")
+            "bergreen.domains.GreenEvaluator.remainder", lambda self, xi, z: float("nan")
         )
         assert main(["green", "--no-cache", "--outdir", str(tmp_path)]) == 1
 

@@ -377,6 +377,23 @@ class TestEvaluatorGuards:
         with pytest.raises(DomainError):
             GreenEvaluator(domain, method)
 
+    def test_green_record_evaluates_once(self, monkeypatch):
+        dom, xi, z = Jordan.ellipse(1.2, 0.7), 0.3, -0.2j
+        g = green_evaluator(dom).green(xi, z)
+        calls = []
+        remainder = GreenEvaluator.remainder
+        monkeypatch.setattr(
+            GreenEvaluator,
+            "remainder",
+            lambda ev, a, b: calls.append((a, b)) or remainder(ev, a, b),
+        )
+        rec = domains.green_record(dom, xi, z, "auto")
+        assert calls == [(xi, z)]
+        assert rec.quantities["green"] == g  # bit-identical to ev.green
+        with pytest.raises(CoincidentPointsError):
+            domains.green_record(dom, z, z, "auto")
+        assert len(calls) == 1  # the coincidence guard runs first
+
 
 # ---------------------------------------------------------------------------
 # Jordan geometry and ingestion

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from bergreen.bergman import MaxPiece, Unweighted, weight_phi
 from bergreen.domains import Disc
 from bergreen.errors import (
+    AccuracyError,
     DerivativeMismatchError,
     ParameterError,
     ShellEscapeError,
@@ -26,7 +27,6 @@ from bergreen.extension import (
     delta_class_check,
     make_cutoff,
     ode_pair,
-    ode_pair_from_ab,
     ode_residual,
     optimal_constant_experiment,
     residual_measure,
@@ -170,19 +170,6 @@ class TestOdePair:
         for delta in (0.0, -1.0):
             with pytest.raises(ParameterError):
                 ode_pair(delta)
-
-    def test_general_parameter_constructor(self):
-        pair = ode_pair_from_ab(2.0, 0.0)
-        ref = ode_pair(1.0)
-        for t in (0.01, 1.0, 10.0):
-            assert pair.u(t) == ref.u(t)
-            assert pair.s(t) == ref.s(t)
-        with pytest.raises(ParameterError):
-            ode_pair_from_ab(1.0, -1.0)  # need a > 1
-        with pytest.raises(ParameterError):
-            ode_pair_from_ab(0.5, -0.75)
-        with pytest.raises(ParameterError):
-            ode_pair_from_ab(2.0, 0.5)  # b incompatible with a
 
     @pytest.mark.parametrize("delta", DELTA_GRID)
     def test_initial_values(self, delta):
@@ -380,6 +367,11 @@ class TestResidualMeasure:
     def test_no_domain_skips_the_escape_check(self):
         psi = PolarSpec(0.9, _zero_psi, None, name="unbounded")
         assert residual_measure(psi, _one, 0.5) == pytest.approx(1.0, abs=1e-10)
+
+    def test_nan_integrand_fails(self):
+        psi = PolarSpec(0.0, _zero_psi, Disc(), name="pure-log")
+        with pytest.raises(AccuracyError):
+            residual_measure(psi, lambda z: np.full(np.shape(z), np.nan), 20.0, 16, 16)
 
 
 # ---------------------------------------------------------------------------

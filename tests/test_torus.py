@@ -443,6 +443,11 @@ class TestTorusGram:
         with pytest.raises(AccuracyError):
             torus_gram(ThetaBasis(spec_i, 4), n_grid=4)
 
+    def test_nan_weight_fails(self, spec_i, monkeypatch):
+        monkeypatch.setattr(ThetaBasis, "weight", lambda self, z: np.full(np.shape(z), np.nan))
+        with pytest.raises(AccuracyError):
+            torus_gram(ThetaBasis(spec_i, 4), n_grid=16)
+
 
 class TestTorusBergman:
     def test_refined_lattice_constancy(self, spec_i):
