@@ -15,6 +15,7 @@ e^{-eps}`` that shows the constant cannot be improved.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -56,13 +57,16 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _bump_tables(nodes: int = 4097):
     """Spline tables for the normalized bump ``exp(-1/(1-x^2))`` on [-1, 1].
 
     Returns (P1, Q1, R1, q1, r1) where P1 is the bump's CDF, Q1 and R1 its
     first and second antiderivatives (all exact antiderivatives of the
     interpolating spline, so differentiation relations hold to spline
-    accuracy ~1e-13), and q1 = Q1(1), r1 = R1(1).
+    accuracy ~1e-13), and q1 = Q1(1), r1 = R1(1).  Built once per process,
+    on the first cutoff, so importing the package skips
+    ``scipy.interpolate``.
     """
     from scipy.interpolate import CubicSpline
 
@@ -95,9 +99,6 @@ def _bump_tables(nodes: int = 4097):
     return P1, Q1, R1, float(Q1(np.asarray(1.0))), float(R1(np.asarray(1.0)))
 
 
-_BUMP = _bump_tables()
-
-
 @dataclass(frozen=True)
 class CutoffFamily:
     """Smoothed cutoff ``v`` with ``v(t) = t`` on the right, constant on the
@@ -123,7 +124,7 @@ class CutoffFamily:
     def _pqr(self, x):
         """P, Q, R evaluated at physical offset x (P = CDF of the mollifier,
         Q, R its antiderivatives, linear/quadratic continuations exact)."""
-        P1, Q1, R1, q1, r1 = _BUMP
+        P1, Q1, R1, q1, r1 = _bump_tables()
         xi = np.asarray(x, dtype=float) / self.m
         inside = np.clip(xi, -1.0, 1.0)
         above = np.maximum(xi - 1.0, 0.0)
@@ -169,7 +170,7 @@ def make_cutoff(t0: float, eps: float) -> CutoffFamily:
     if B <= A:
         raise ParameterError("cutoff transition interval is empty")
     k = 1.0 / (B - A)
-    _, _, _, q1, _ = _BUMP
+    _, _, _, q1, _ = _bump_tables()
     # anchor so v(t) = t exactly for t >= B + m = -t0 - eps
     C = 0.5 * (A + B) + m - m * q1
     return CutoffFamily(t0=float(t0), eps=float(eps), m=m, A=A, B=B, k=k, C=C)
@@ -511,7 +512,8 @@ def delta_class_check(
 
 def _shell_edges(psi: PolarSpec, theta: np.ndarray, level_lo: float, level_hi: float):
     """Per-angle solutions of ``Psi(pole + e^{u + i theta}) = level`` in
-    ``u = log(radius)`` for both shell levels, by bisection.
+    ``u = log(radius)`` for both shell levels, by one bisection over the
+    stacked (2, angles) array.
 
     Near the pole ``Psi = 2u + psi`` with ``psi`` continuous, so ``Psi`` is
     strictly increasing in ``u`` once ``2u`` dominates; the bracket is
@@ -528,33 +530,39 @@ def _shell_edges(psi: PolarSpec, theta: np.ndarray, level_lo: float, level_hi: f
     lo_guess = 0.5 * (level_lo - float(np.max(probe))) - 1.0
     hi_guess = 0.5 * (level_hi - float(np.min(probe))) + 1.0
 
-    edges = np.empty((2, theta.size))
-    for j, level in enumerate((level_lo, level_hi)):
-        a = np.full(theta.size, lo_guess)
-        b = np.full(theta.size, hi_guess)
-        ga = g(a, theta) - level
-        gb = g(b, theta) - level
-        for _ in range(8):  # widen until bracketed (psi bounded: terminates)
-            bad_a = ga >= 0.0
-            if np.any(bad_a):
-                a[bad_a] -= 2.0
-                ga[bad_a] = g(a[bad_a], theta[bad_a]) - level
-            bad_b = gb <= 0.0
-            if np.any(bad_b):
-                b[bad_b] += 2.0
-                gb[bad_b] = g(b[bad_b], theta[bad_b]) - level
-            if not (np.any(bad_a) or np.any(bad_b)):
-                break
-        else:
-            raise AccuracyError("could not bracket the shell edge")
-        for _ in range(64):
-            mid = 0.5 * (a + b)
-            gm = g(mid, theta) - level
-            neg = gm < 0.0
-            a = np.where(neg, mid, a)
-            b = np.where(neg, b, mid)
-        edges[j] = 0.5 * (a + b)
+    shape = (2, theta.size)
+    th = np.broadcast_to(theta, shape)
+    level = np.broadcast_to(np.array([[level_lo], [level_hi]]), shape)
+    a = np.full(shape, lo_guess)
+    b = np.full(shape, hi_guess)
+    ga = g(a, th) - level
+    gb = g(b, th) - level
+    for _ in range(8):  # widen until bracketed (psi bounded: terminates)
+        bad_a = ga >= 0.0
+        if np.any(bad_a):
+            a[bad_a] -= 2.0
+            ga[bad_a] = g(a[bad_a], th[bad_a]) - level[bad_a]
+        bad_b = gb <= 0.0
+        if np.any(bad_b):
+            b[bad_b] += 2.0
+            gb[bad_b] = g(b[bad_b], th[bad_b]) - level[bad_b]
+        if not (np.any(bad_a) or np.any(bad_b)):
+            break
+    else:
+        raise AccuracyError("could not bracket the shell edge")
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        neg = g(mid, th) - level < 0.0
+        a = np.where(neg, mid, a)
+        b = np.where(neg, b, mid)
+    edges = 0.5 * (a + b)
     return edges[0], edges[1]
+
+
+# angular offset of every shell grid, as a fraction of its step: irrational,
+# so two consecutive doubling levels share no node and cannot agree by
+# aliasing the same angular frequency
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 def _shell_integral(
@@ -562,7 +570,7 @@ def _shell_integral(
 ) -> tuple[float, float]:
     """(value, max shell radius) of the smooth polar integral."""
     z0 = psi.pole
-    theta = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
+    theta = 2.0 * math.pi * (np.arange(n_ang) + _GOLDEN) / n_ang
     u_lo, u_hi = _shell_edges(psi, theta, -1.0 - t, -t)
     x, w = gauss_legendre(n_rad)
     # per-angle affine map of the Gauss nodes into [u_lo, u_hi]
@@ -584,24 +592,35 @@ def residual_measure(
     psi: PolarSpec,
     f: Callable,
     t: float,
-    n_rad: int = 512,
-    n_ang: int = 256,
+    n_rad: int = 1024,
+    n_ang: int = 512,
     accuracy_tol: float = 1e-6,
 ) -> float:
     """Residual mass ``(1/pi) integral_{-1-t < Psi < -t} f e^{-Psi} dLambda``.
 
     In the radial log coordinate the pole factor cancels and the integrand
     is smooth, so Gauss-Legendre (radially, inside per-angle shell edges)
-    x trapezoid (angularly) converges fast; the grid is doubled once by
-    :func:`domains.refine`, which raises :class:`AccuracyError` if the two
-    disagree by more than ``accuracy_tol * max(1, |value|)``, or by NaN.
-    If the validity domain is known, a shell reaching the boundary on
-    either grid raises :class:`ShellEscapeError`.
+    x trapezoid (angularly, nodes offset by the golden fraction of a step)
+    converges fast.  ``(n_rad, n_ang)`` is the finest grid allowed: the
+    grid starts from it halved down to 16 angles (halved at least once)
+    and doubles through :func:`domains.refine` until two levels agree
+    within ``accuracy_tol * max(1, |value|)``; reaching the cap without
+    agreement, or a NaN change, raises :class:`AccuracyError`.  If the
+    validity domain is known, a shell reaching the boundary on any grid
+    raises :class:`ShellEscapeError`.
     """
     dist = math.inf if psi.domain is None else psi.domain.boundary_distance(psi.pole)
+    doublings = max(1, (n_ang // 16).bit_length() - 1)
+    if min(n_rad, n_ang) >> doublings < 1:
+        raise ParameterError(
+            f"shell cap ({n_rad}, {n_ang}) leaves no node on the first of "
+            f"{doublings + 1} levels; n_rad and n_ang need at least {1 << doublings}"
+        )
 
     def compute(k: int) -> float:
-        value, r_max = _shell_integral(psi, f, t, n_rad << k, n_ang << k)
+        value, r_max = _shell_integral(
+            psi, f, t, (n_rad >> doublings) << k, (n_ang >> doublings) << k
+        )
         if r_max >= dist:
             raise ShellEscapeError(
                 f"shell radius {r_max:.3e} reaches the boundary "
@@ -612,7 +631,7 @@ def residual_measure(
     def change(fine: float, coarse: float) -> float:
         return abs(fine - coarse) / max(1.0, abs(fine))
 
-    return refine(compute, change, accuracy_tol, doublings=1)[0]
+    return refine(compute, change, accuracy_tol, doublings)[0]
 
 
 # integrand profiles of the residual-measure check; both have f(0) = 1

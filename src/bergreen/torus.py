@@ -443,17 +443,25 @@ class ThetaBasis:
 
 
 def torus_gram(
-    basis: ThetaBasis, n_grid: int = 128, gram_tol: float = 1e-9
+    basis: ThetaBasis, n_grid: int = 256, gram_tol: float = 1e-9
 ) -> tuple[np.ndarray, float]:
     """(Gram matrix, doubling residual) of the weighted theta sections over
     the fundamental domain against the unit volume form.
 
     The integrand is smooth and doubly periodic, so the uniform product
-    grid (trapezoid in both periods) converges spectrally; the grid is
-    doubled once by :func:`domains.refine`, which raises
-    :class:`AccuracyError` if entries move by more than ``gram_tol``
-    relative to the diagonal scale (or by NaN).
+    grid (trapezoid in both periods) converges spectrally.  ``n_grid`` is
+    the finest grid allowed: the grid starts from the smallest power of
+    two that covers the basis band ``2N + 1`` (or ``n_grid // 2`` if that
+    is smaller), so a coarse pair cannot agree by aliasing, and
+    doubles through :func:`domains.refine` until entries move by at most
+    ``gram_tol`` relative to the diagonal scale; reaching the cap without
+    agreement, or a NaN change, raises :class:`AccuracyError`.
     """
+    if n_grid < 2:
+        raise ParameterError("torus Gram needs a cap n_grid >= 2")
+    band = 2 * basis._n_range + 1
+    start = min(1 << (band - 1).bit_length(), n_grid // 2)
+    doublings = (n_grid // start).bit_length() - 1
 
     def compute(n: int) -> np.ndarray:
         s = np.arange(n) / n
@@ -468,15 +476,13 @@ def torus_gram(
         scale = float(np.max(np.abs(np.diag(fine)).real))
         return float(np.max(np.abs(fine - coarse))) / scale
 
-    return refine(lambda k: compute(n_grid << k), change, gram_tol, doublings=1)
+    return refine(lambda k: compute(start << k), change, gram_tol, doublings)
 
 
 def torus_bergman(
     spec: TorusSpec,
     d: int,
     p: complex = 0.0,
-    n_grid: int = 128,
-    gram_tol: float = 1e-9,
     gram: tuple[np.ndarray, float] | None = None,
 ) -> KernelEstimate:
     """Weighted kernel diagonal of the degree-``d`` section space at ``p``:
@@ -492,9 +498,7 @@ def torus_bergman(
     one Gram factorization across several evaluation points.
     """
     basis = ThetaBasis(spec, d)
-    G, resid = gram if gram is not None else torus_gram(
-        basis, n_grid=n_grid, gram_tol=gram_tol
-    )
+    G, resid = gram if gram is not None else torus_gram(basis)
     b = np.array([basis.theta(j, p) for j in range(d)])
     value = float(basis.weight(p)) * _dense_kernel_value(G, b)
     return KernelEstimate(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from bergreen import extension
 from bergreen.bergman import MaxPiece, Unweighted, weight_phi
 from bergreen.domains import Disc
 from bergreen.errors import (
@@ -31,6 +32,7 @@ from bergreen.extension import (
     optimal_constant_experiment,
     residual_measure,
 )
+from bergreen.torus import TorusSpec, arakelov_green, residual_mass
 
 DELTA_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
 T_GRID = np.geomspace(0.01, 50.0, 200)
@@ -372,6 +374,101 @@ class TestResidualMeasure:
         psi = PolarSpec(0.0, _zero_psi, Disc(), name="pure-log")
         with pytest.raises(AccuracyError):
             residual_measure(psi, lambda z: np.full(np.shape(z), np.nan), 20.0, 16, 16)
+
+    @pytest.mark.parametrize(
+        "mass",
+        [
+            lambda: residual_measure(PolarSpec(0.0, _zero_psi, Disc()), _one, 20.0),
+            lambda: residual_mass(arakelov_green(TorusSpec(1j))),
+        ],
+        ids=["pure-log", "torus-green"],
+    )
+    def test_smooth_shell_stops_two_levels_above_sixteen_angles(self, monkeypatch, mass):
+        levels = _spy_shell_levels(monkeypatch)
+        mass()
+        assert levels == [(32, 16), (64, 32)]
+
+    @pytest.mark.parametrize("k", [48, 64, 96])
+    def test_angular_frequency_is_not_aliased(self, monkeypatch, k):
+        # Re((z/e^{-10})^k) averages to zero on every circle, but on the
+        # 16 and 32 angle grids k = 64 is a multiple of both node counts:
+        # nested grids (no offset) alias it identically on both levels,
+        # agree at 1.03125 and return that as the mass
+        levels = _spy_shell_levels(monkeypatch)
+        psi = PolarSpec(0.0, _zero_psi, Disc(), name="pure-log")
+        assert abs(residual_measure(psi, _oscillating(k), 20.0) - 1.0) < 1e-12
+        assert levels[-1][1] > 32
+
+    @pytest.mark.parametrize("n_rad,n_ang", [(16, 512), (1, 16)])
+    def test_cap_without_a_first_level_is_rejected(self, n_rad, n_ang):
+        psi = PolarSpec(0.0, _zero_psi, Disc(), name="pure-log")
+        with pytest.raises(ParameterError):
+            residual_measure(psi, _one, 20.0, n_rad, n_ang)
+
+    def test_aliased_frequency_at_a_small_cap_fails(self):
+        psi = PolarSpec(0.0, _zero_psi, Disc(), name="pure-log")
+        with pytest.raises(AccuracyError):
+            residual_measure(psi, _oscillating(64), 20.0, 64, 32)
+
+    @pytest.mark.parametrize("n_ang", [16, 512])
+    @pytest.mark.parametrize(
+        "rest", [_zero_psi, lambda z: 0.2 * np.real(z) + 0.1 * np.imag(np.asarray(z) ** 2)]
+    )
+    def test_stacked_edges_match_per_level_bisection(self, n_ang, rest):
+        psi = PolarSpec(0.05 + 0.02j, rest, Disc(), name="edges")
+        theta = 2.0 * math.pi * (np.arange(n_ang) + 0.618) / n_ang
+        for t in (0.5, 20.0):
+            got = extension._shell_edges(psi, theta, -1.0 - t, -t)
+            for edge, level in zip(got, (-1.0 - t, -t)):
+                assert np.array_equal(edge, _edge_reference(psi, theta, level, -1.0 - t, -t))
+
+
+def _spy_shell_levels(monkeypatch) -> list:
+    """Record the (n_rad, n_ang) of every shell grid summed."""
+    levels = []
+    inner = extension._shell_integral
+
+    def spy(psi, f, t, n_rad, n_ang):
+        levels.append((n_rad, n_ang))
+        return inner(psi, f, t, n_rad, n_ang)
+
+    monkeypatch.setattr(extension, "_shell_integral", spy)
+    return levels
+
+
+def _oscillating(k: int):
+    """Density ``1 + Re((z / e^{-10})^k)``: unit mean on every circle, and
+    of modulus up to 2 on the shell ``e^{-10.5} < |z| < e^{-10}``."""
+    return lambda z: 1.0 + np.real((np.asarray(z) / math.exp(-10.0)) ** k)
+
+
+def _edge_reference(psi, theta, level, level_lo, level_hi):
+    """One shell edge by its own bracket-and-bisect pass, with the probe
+    and the steps of :func:`extension._shell_edges`."""
+
+    def g(u, th):
+        return psi(psi.pole + np.exp(u) * np.exp(1j * th))
+
+    probe = psi.psi(psi.pole + math.exp(0.5 * (level_lo - 1.0)) * np.exp(1j * theta))
+    a = np.full(theta.size, 0.5 * (level_lo - float(np.max(probe))) - 1.0)
+    b = np.full(theta.size, 0.5 * (level_hi - float(np.min(probe))) + 1.0)
+    ga = g(a, theta) - level
+    gb = g(b, theta) - level
+    for _ in range(8):
+        bad_a = ga >= 0.0
+        a[bad_a] -= 2.0
+        ga[bad_a] = g(a[bad_a], theta[bad_a]) - level
+        bad_b = gb <= 0.0
+        b[bad_b] += 2.0
+        gb[bad_b] = g(b[bad_b], theta[bad_b]) - level
+        if not (np.any(bad_a) or np.any(bad_b)):
+            break
+    for _ in range(64):
+        mid = 0.5 * (a + b)
+        neg = g(mid, theta) - level < 0.0
+        a = np.where(neg, mid, a)
+        b = np.where(neg, b, mid)
+    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

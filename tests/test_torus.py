@@ -421,7 +421,10 @@ class TestThetaBasis:
 
 
 class TestTorusGram:
-    @pytest.mark.parametrize("tau,d", [(TAU_I, 4), (TAU_I, 6), (TAU_SKEW, 4)])
+    @pytest.mark.parametrize("d", [4, 6, 8, 10])
+    @pytest.mark.parametrize(
+        "tau", [TAU_I, TAU_SKEW, 0.23 + 1.07j, 0.2j, -0.5 + 0.9j, 0.4 + 1.3j, 2j]
+    )
     def test_matches_gaussian_closed_form(self, tau, d):
         # completing the square in the section series gives the exact Gram
         # G = I / sqrt(2 d Im tau); the quadrature route must reproduce it
@@ -433,6 +436,26 @@ class TestTorusGram:
         off = G - np.diag(np.diag(G))
         assert float(np.max(np.abs(off))) < 1e-12 * exact
         assert resid < 1e-9
+        assert np.all(np.isfinite(G))
+
+    @pytest.mark.parametrize("tau,d", [(TAU_I, 4), (0.2j, 10), (2j, 4)])
+    def test_first_level_covers_the_basis_band(self, tau, d, monkeypatch):
+        sizes = []
+        theta = ThetaBasis.theta
+
+        def spy(self, j, z):
+            sizes.append(np.size(z))
+            return theta(self, j, z)
+
+        monkeypatch.setattr(ThetaBasis, "theta", spy)
+        basis = ThetaBasis(TorusSpec(tau), d)
+        torus_gram(basis)
+        n0 = math.isqrt(sizes[0])
+        band = 2 * basis._n_range + 1
+        # the smallest power of two that covers the band
+        assert n0 * n0 == sizes[0]
+        assert band <= n0 < 2 * band
+        assert n0 & (n0 - 1) == 0
 
     def test_hermitian_and_well_conditioned(self, spec_i):
         G, _ = torus_gram(ThetaBasis(spec_i, 4))
@@ -442,6 +465,10 @@ class TestTorusGram:
     def test_coarse_grid_detected(self, spec_i):
         with pytest.raises(AccuracyError):
             torus_gram(ThetaBasis(spec_i, 4), n_grid=4)
+
+    def test_cap_without_two_levels_is_rejected(self, spec_i):
+        with pytest.raises(ParameterError):
+            torus_gram(ThetaBasis(spec_i, 4), n_grid=1)
 
     def test_nan_weight_fails(self, spec_i, monkeypatch):
         monkeypatch.setattr(ThetaBasis, "weight", lambda self, z: np.full(np.shape(z), np.nan))
