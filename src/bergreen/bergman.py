@@ -320,6 +320,15 @@ def gram_matrix(
     return gram
 
 
+def _built_gram(
+    domain: PlanarDomain, weight: WeightSpec, basis: tuple[int, int]
+) -> tuple[np.ndarray, float]:
+    """:func:`gram_matrix` and the normalized condition it computed."""
+    gram = gram_matrix(domain, weight, basis)
+    built, condition = _last_gram
+    return gram, condition if built() is gram else _normalized_condition(gram)
+
+
 def _is_diagonal(gram: np.ndarray) -> bool:
     return bool(np.all(gram == np.diag(np.diag(gram))))
 
@@ -457,12 +466,17 @@ def kernel_diag(
     basis: tuple[int, int] | None = None,
     trunc_tol: float = 1e-6,
     gram: np.ndarray | None = None,
+    gram_condition: float | None = None,
 ) -> KernelEstimate:
     """Bergman kernel diagonal ``K(z, z)`` over the monomial basis span.
 
     The truncation error estimate is the relative change when the basis
     index range is halved toward zero; :class:`TruncationError` is raised
     when it exceeds ``trunc_tol``.
+
+    A given ``gram`` is used in place of building one and must be square
+    of the basis size (:class:`DomainError` otherwise); ``gram_condition``
+    is its normalized condition when the caller already has it.
     """
     if basis is None:
         basis = default_basis(domain)
@@ -482,12 +496,15 @@ def kernel_diag(
         condition = 1.0
     else:
         if gram is None:
-            gram = gram_matrix(domain, weight, basis)
-            built, condition = _last_gram
-            if built() is not gram:
-                condition = _normalized_condition(gram)
-        else:
-            condition = _normalized_condition(gram)
+            gram, gram_condition = _built_gram(domain, weight, basis)
+        elif gram.shape != (ns.size, ns.size):
+            raise DomainError(
+                f"gram of shape {gram.shape} does not match the {ns.size} "
+                f"modes of basis {basis}"
+            )
+        condition = (
+            _normalized_condition(gram) if gram_condition is None else gram_condition
+        )
         b = np.asarray(z, dtype=complex) ** ns
         value = _dense_kernel_value(gram, b)
         value_half = _dense_kernel_value(gram[np.ix_(half, half)], b[half])
@@ -619,18 +636,30 @@ def extended_suita_check(
     z: complex,
     basis: tuple[int, int] | None = None,
     margin_tol: float = 1e-9,
+    memo: dict | None = None,
 ) -> ExtendedSuitaResult:
     """Check ``pi rho(z) K_rho(z, z) - c_beta(z)^2 >= -margin_tol``.
 
     ``weight`` must come from a harmonic exponent (``Unweighted``,
     ``HarmonicLog`` or ``HarmonicRe``); ``MaxPiece`` is not of that form.
+
+    Calls that pass the same ``memo`` dict build the dense Gram of each
+    (domain, weight, basis), and its condition, once and share it; a build
+    that raises stores nothing, so the next call tries again.
     """
     if isinstance(weight, MaxPiece):
         raise DomainError("extended check requires a harmonic weight variant")
     cap = capacity(domain, z)
-    if basis is None and isinstance(domain, (Disc, Annulus)):
-        basis = auto_basis(domain, z)
-    est = kernel_diag(domain, weight, z, basis=basis)
+    gram = condition = None
+    if isinstance(domain, (Disc, Annulus)):
+        if basis is None:
+            basis = auto_basis(domain, z)
+        if memo is not None and not weight.radial:
+            key = (domain, weight, basis)
+            if key not in memo:
+                memo[key] = _built_gram(domain, weight, basis)
+            gram, condition = memo[key]
+    est = kernel_diag(domain, weight, z, basis=basis, gram=gram, gram_condition=condition)
     rho = float(weight.density(np.asarray([z], dtype=complex))[0])
     margin = math.pi * rho * est.value - cap**2
     return ExtendedSuitaResult(
@@ -702,11 +731,15 @@ def suita_record(domain: PlanarDomain, z: complex, ratio_tol: float) -> ReportRe
 
 
 def extended_suita_record(
-    domain: PlanarDomain, weight: WeightSpec, z: complex, margin_tol: float
+    domain: PlanarDomain,
+    weight: WeightSpec,
+    z: complex,
+    margin_tol: float,
+    memo: dict | None = None,
 ) -> ReportRecord:
     """``pi rho(z) K_rho(z, z) - c_beta(z)^2 >= -margin_tol``, from
-    :func:`extended_suita_check`."""
-    res = extended_suita_check(domain, weight, z, margin_tol=margin_tol)
+    :func:`extended_suita_check` (``memo`` shares its dense Grams)."""
+    res = extended_suita_check(domain, weight, z, margin_tol=margin_tol, memo=memo)
     return make_record(
         command="extended-suita-check",
         input_id=f"{domain!r} {weight!r} z={z}",

@@ -549,11 +549,13 @@ def _suita(cfg):
 def _extended_suita(cfg):
     domain, zs = _points(cfg, "zs")
     weight = _parse_weight(cfg["weight"])
+    memo = {}  # the dense Grams this command's points share
     for z in zs:
         yield Case(f"{cfg['domain']} {cfg['weight']} z={z}",
                    {**_echo(cfg, "domain", "weight", "margin_tol"), "z": str(z)},
                    "bergman.extended_suita_record",
-                   {"domain": domain, "weight": weight, "z": z, "margin_tol": cfg["margin_tol"]})
+                   {"domain": domain, "weight": weight, "z": z,
+                    "margin_tol": cfg["margin_tol"], "memo": memo})
 
 
 def _optimal_constant(cfg):

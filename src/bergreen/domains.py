@@ -749,8 +749,12 @@ def refine(compute, change, tol: float, doublings: int):
     the nodes of level 0, and ``change(fine, coarse)`` is the scaled change
     between two consecutive levels.  Level 0 is computed, then levels
     ``1 .. doublings`` in turn; :class:`AccuracyError` is raised if none of
-    them passes, and a NaN change never passes.
+    them passes, and a NaN change never passes.  ``doublings`` must be at
+    least 1 (:class:`ValueError` otherwise): one level has nothing to agree
+    with.
     """
+    if doublings < 1:
+        raise ValueError(f"refine needs at least one doubling, got {doublings}")
     coarse = compute(0)
     for k in range(1, doublings + 1):
         fine = compute(k)

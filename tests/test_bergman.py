@@ -56,6 +56,20 @@ DISC = Disc()
 ANN = Annulus(0.2)
 
 
+def _count(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that logs each call's arguments;
+    returns the log."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def disc_kernel(z: complex) -> float:
     return 1.0 / (math.pi * (1.0 - abs(z) ** 2) ** 2)
 
@@ -403,6 +417,29 @@ class TestKernelDiag:
         )
         assert len(calls) == 1 and given_gram.gram_condition == est.gram_condition
 
+    def test_given_condition_skips_the_svd(self, monkeypatch):
+        gram = gram_matrix(ANN, HarmonicRe(0.2), (-8, 8))
+        calls = _count(monkeypatch, np.linalg, "cond")
+        est = kernel_diag(
+            ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0,
+            gram=gram, gram_condition=123.0,
+        )
+        assert calls == [] and est.gram_condition == 123.0
+
+    @pytest.mark.parametrize("basis", [(-8, 9), (-7, 8), (-16, 16)])
+    def test_gram_of_another_basis_is_rejected(self, basis):
+        gram = gram_matrix(ANN, HarmonicRe(0.2), (-8, 8))
+        size = basis[1] - basis[0] + 1
+        with pytest.raises(DomainError, match=rf"\(17, 17\).* {size} modes"):
+            kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=basis, trunc_tol=1.0, gram=gram)
+
+    def test_non_square_gram_is_rejected(self):
+        gram = gram_matrix(ANN, HarmonicRe(0.2), (-8, 8))
+        with pytest.raises(DomainError, match="17 modes"):
+            kernel_diag(
+                ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0, gram=gram[:, :-1]
+            )
+
 
 # ---------------------------------------------------------------------------
 # Least-norm extension
@@ -525,6 +562,59 @@ class TestExtendedSuita:
             res = extended_suita_check(ANN, weight, z)
             assert res.margin >= -1e-9
             assert res.passed
+
+
+class TestSharedGram:
+    """``extended_suita_check(..., memo=...)`` builds the dense Gram of each
+    (domain, weight, basis) once per memo and shares it."""
+
+    ONE_BASIS = [0.5, 0.5j, -0.45, 0.4 - 0.3j]  # all (-128, 128)
+
+    def test_one_gram_and_one_condition_for_one_basis(self, monkeypatch):
+        grams = _count(monkeypatch, bergman, "gram_matrix")
+        conds = _count(monkeypatch, np.linalg, "cond")
+        memo = {}
+        for z in self.ONE_BASIS:
+            assert extended_suita_check(ANN, HarmonicRe(0.2), z, memo=memo).passed
+        assert len(grams) == 1 and len(conds) == 1
+        assert list(memo) == [(ANN, HarmonicRe(0.2), (-128, 128))]
+
+    def test_one_gram_per_distinct_basis(self, monkeypatch):
+        grams = _count(monkeypatch, bergman, "gram_matrix")
+        conds = _count(monkeypatch, np.linalg, "cond")
+        zs = [0.5, 0.85, 0.5j, -0.85]
+        bases = [auto_basis(ANN, z) for z in zs]
+        assert bases[0] == bases[2] != bases[1] == bases[3]
+        memo = {}
+        for z in zs:
+            extended_suita_check(ANN, HarmonicRe(0.2), z, memo=memo)
+        assert [args[2] for args in grams] == bases[:2] and len(conds) == 2
+
+    def test_shared_gram_gives_the_same_result(self):
+        memo = {}
+        for z in [*self.ONE_BASIS, 0.85]:
+            shared = extended_suita_check(ANN, HarmonicRe(0.2), z, memo=memo)
+            assert shared == extended_suita_check(ANN, HarmonicRe(0.2), z)
+
+    @pytest.mark.parametrize("domain,weight", [(ANN, HarmonicLog(0.3)), (DISC, Unweighted())])
+    def test_radial_weights_store_nothing(self, monkeypatch, domain, weight):
+        grams = _count(monkeypatch, bergman, "gram_matrix")
+        memo = {}
+        for z in [0.3, 0.5j]:
+            extended_suita_check(domain, weight, z, memo=memo)
+        assert memo == {} and grams == []
+
+    def test_failed_build_is_not_stored(self, monkeypatch):
+        def unresolved(*args, **kwargs):
+            raise AccuracyError("injected")
+
+        monkeypatch.setattr(bergman, "refine", unresolved)
+        attempts = _count(monkeypatch, bergman, "refine")
+        memo = {}
+        for z in self.ONE_BASIS[:2]:
+            with pytest.raises(AccuracyError, match="injected"):
+                extended_suita_check(ANN, HarmonicRe(0.2), z, memo=memo)
+        assert memo == {} and len(attempts) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ import os
 import numpy as np
 import pytest
 
-from bergreen import cli, reports, torus
-from bergreen.bergman import KernelEstimate
+from bergreen import bergman, cli, reports, torus
+from bergreen.bergman import HarmonicRe, KernelEstimate, extended_suita_check
 from bergreen.cli import (
     _parse_domain,
     _parse_grid,
@@ -21,7 +21,7 @@ from bergreen.cli import (
     resolve_config,
 )
 from bergreen.domains import Annulus, Disc
-from bergreen.errors import ConfigError
+from bergreen.errors import AccuracyError, ConfigError
 from bergreen.reports import (
     CSV_COLUMNS,
     _jsonable_value,
@@ -546,6 +546,66 @@ class TestCliRuns:
 # ---------------------------------------------------------------------------
 # Report-layer helpers
 # ---------------------------------------------------------------------------
+
+
+class TestExtendedSuitaSharedGram:
+    """One ``extended-suita-check`` builds each dense Gram once and shares
+    it across its points; nothing is shared across commands."""
+
+    ZS = "0.5,0.5j,-0.45,(0.4-0.3j)"  # all in basis (-128, 128) on annulus:0.2
+
+    @staticmethod
+    def _argv(tmp_path, zs):
+        return ["extended-suita-check", "--domain=annulus:0.2", "--weight=harmonicre:0.2",
+                f"--zs={zs}", "--no-cache", f"--outdir={tmp_path}"]
+
+    @staticmethod
+    def _count(monkeypatch, owner, name):
+        calls = []
+        inner = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or inner(*a, **k))
+        return calls
+
+    def test_one_gram_and_one_condition_per_command(self, tmp_path, monkeypatch):
+        grams = self._count(monkeypatch, bergman, "gram_matrix")
+        conds = self._count(monkeypatch, np.linalg, "cond")
+        assert main(self._argv(tmp_path, self.ZS)) == 0
+        assert len(grams) == 1 and len(conds) == 1
+        assert main(self._argv(tmp_path, self.ZS)) == 0
+        assert len(grams) == 2 and len(conds) == 2  # the next command builds again
+
+    def test_one_gram_per_distinct_basis(self, tmp_path, monkeypatch):
+        grams = self._count(monkeypatch, bergman, "gram_matrix")
+        assert main(self._argv(tmp_path, "0.5,0.85,0.5j,-0.85")) == 0
+        assert [args[2] for args in grams] == [(-128, 128), (-128, 154)]
+
+    def test_records_match_point_by_point_checks(self, tmp_path):
+        assert main(self._argv(tmp_path, f"{self.ZS},0.85")) == 0
+        records = _read_report(tmp_path / "extended_suita_check_report.json")["records"]
+        zs = [complex(z) for z in f"{self.ZS},0.85".split(",")]
+        assert len(records) == len(zs)
+        for rec, z in zip(records, zs):
+            res = extended_suita_check(Annulus(0.2), HarmonicRe(0.2), z, margin_tol=1e-9)
+            assert rec["quantities"] == {
+                "margin": res.margin,
+                "capacity_sq": res.capacity_sq,
+                "rho_at_z": res.rho_at_z,
+                "weighted_kernel": res.weighted_kernel.value,
+                "gram_condition": res.weighted_kernel.gram_condition,
+            }
+
+    def test_failed_build_fails_every_point(self, tmp_path, monkeypatch):
+        def unresolved(*args, **kwargs):
+            raise AccuracyError("injected")
+
+        monkeypatch.setattr(bergman, "refine", unresolved)
+        attempts = self._count(monkeypatch, bergman, "refine")
+        assert main(self._argv(tmp_path, self.ZS)) == 1
+        records = _read_report(tmp_path / "extended_suita_check_report.json")["records"]
+        assert len(records) == len(attempts) == 4
+        for rec in records:
+            assert rec["passed"] is False
+            assert rec["inputs"]["error"] == "AccuracyError: injected"
 
 
 class TestReportHelpers:

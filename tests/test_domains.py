@@ -510,3 +510,26 @@ def test_gauss_legendre_misses_once_per_rule(monkeypatch):
     for n in (8, 8, 24, 8):
         gauss_legendre(n)
     assert calls == [8, 24]
+
+
+@pytest.mark.parametrize("doublings", [0, -1])
+def test_refine_without_a_doubling_is_rejected(doublings):
+    levels = []
+    with pytest.raises(ValueError, match=f"at least one doubling, got {doublings}"):
+        domains.refine(levels.append, lambda fine, coarse: 0.0, 1e-9, doublings=doublings)
+    assert levels == []  # rejected before any level is computed
+
+
+def test_refine_stops_at_the_first_level_that_agrees():
+    values = [1.0, 0.5, 0.26, 0.25, 0.25]
+    computed = []
+
+    def compute(k):
+        computed.append(k)
+        return values[k]
+
+    change = lambda fine, coarse: abs(fine - coarse)  # noqa: E731
+    value, moved = domains.refine(compute, change, 0.02, doublings=4)
+    assert (value, computed) == (0.25, [0, 1, 2, 3]) and moved == pytest.approx(0.01)
+    with pytest.raises(AccuracyError, match="after 2 doubling"):
+        domains.refine(compute, change, 0.02, doublings=2)
