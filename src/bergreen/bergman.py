@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import warnings
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +52,7 @@ __all__ = [
     "WeightSpec",
     "KernelEstimate",
     "weight_phi",
+    "parse_weight",
     "gram_matrix",
     "kernel_diag",
     "least_norm_extension",
@@ -142,6 +142,30 @@ def weight_phi(weight: WeightSpec, z):
     weight comes from a harmonic ``h``)."""
     with np.errstate(divide="ignore"):
         return -np.log(weight.density(z))
+
+
+def parse_weight(spec: str) -> WeightSpec:
+    """Weight from its spec: ``none`` | ``harmoniclog:alpha`` |
+    ``harmonicre:c`` | ``maxpiece:delta:a``.
+
+    Raises :class:`DomainError` naming the spec when it is malformed.
+    """
+    kind, _, rest = str(spec).partition(":")
+    try:
+        if kind in ("none", "unweighted"):
+            return Unweighted()
+        if kind == "harmoniclog":
+            return HarmonicLog(float(rest))
+        if kind == "harmonicre":
+            return HarmonicRe(float(rest))
+        if kind == "maxpiece":
+            d, _, a = rest.partition(":")
+            return MaxPiece(float(d), float(a))
+    except (ValueError, DomainError) as exc:
+        raise DomainError(f"bad weight spec {spec!r}: {exc}") from exc
+    raise DomainError(
+        f"bad weight spec {spec!r} (use none | harmoniclog:a | harmonicre:c | maxpiece:d:a)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +290,6 @@ def auto_basis(
 # ---------------------------------------------------------------------------
 
 
-# The last matrix gram_matrix returned (weakly held) and the normalized
-# condition it computed, so that kernel_diag reports it without a second SVD.
-_last_gram: list = [lambda: None, 1.0]
-
-
 def gram_matrix(
     domain: PlanarDomain,
     weight: WeightSpec,
@@ -285,8 +304,7 @@ def gram_matrix(
     moments; otherwise entries come from Gauss-Legendre x trapezoid product
     quadrature, doubled by :func:`domains.refine` until the entrywise
     relative change is at most ``gram_tol`` (:class:`AccuracyError` if five
-    doublings do not get there).  A Jacobi-normalized condition number
-    above 1e10 triggers an ill-conditioning warning.
+    doublings do not get there).
 
     Raises :class:`DomainError` if a closed-form moment exceeds the float
     range (use :func:`kernel_diag`, which works in log space, instead).
@@ -307,26 +325,8 @@ def gram_matrix(
                 "Gram entries exceed the floating-point range; "
                 "kernel_diag evaluates radial kernels in log space instead"
             )
-        gram = np.diag(np.exp(logs))
-    else:
-        gram = _gram_quadrature(domain, weight, ns, gram_tol, quad_start)
-
-    cond = _normalized_condition(gram)
-    if cond > 1e10:
-        warnings.warn(
-            f"Gram matrix condition {cond:.3e} exceeds 1e10", RuntimeWarning
-        )
-    _last_gram[:] = [weakref.ref(gram), cond]
-    return gram
-
-
-def _built_gram(
-    domain: PlanarDomain, weight: WeightSpec, basis: tuple[int, int]
-) -> tuple[np.ndarray, float]:
-    """:func:`gram_matrix` and the normalized condition it computed."""
-    gram = gram_matrix(domain, weight, basis)
-    built, condition = _last_gram
-    return gram, condition if built() is gram else _normalized_condition(gram)
+        return np.diag(np.exp(logs))
+    return _gram_quadrature(domain, weight, ns, gram_tol, quad_start)
 
 
 def _is_diagonal(gram: np.ndarray) -> bool:
@@ -337,13 +337,17 @@ def _normalized_condition(gram: np.ndarray) -> float:
     """Condition number of the Jacobi-normalized (correlation) matrix.
 
     For a diagonal Gram matrix the basis is orthogonal, per-mode solves are
-    perfectly conditioned, and the normalized condition is exactly 1.
+    perfectly conditioned, and the normalized condition is exactly 1.  A
+    condition above 1e10 triggers an ill-conditioning warning.
     """
     if _is_diagonal(gram):
         return 1.0
     d = np.sqrt(np.abs(np.diag(gram)))
     corr = gram / np.outer(d, d)
-    return float(np.linalg.cond(corr))
+    cond = float(np.linalg.cond(corr))
+    if cond > 1e10:
+        warnings.warn(f"Gram matrix condition {cond:.3e} exceeds 1e10", RuntimeWarning)
+    return cond
 
 
 def _gram_quadrature(
@@ -465,8 +469,7 @@ def kernel_diag(
     z: complex,
     basis: tuple[int, int] | None = None,
     trunc_tol: float = 1e-6,
-    gram: np.ndarray | None = None,
-    gram_condition: float | None = None,
+    memo: dict | None = None,
 ) -> KernelEstimate:
     """Bergman kernel diagonal ``K(z, z)`` over the monomial basis span.
 
@@ -474,9 +477,9 @@ def kernel_diag(
     index range is halved toward zero; :class:`TruncationError` is raised
     when it exceeds ``trunc_tol``.
 
-    A given ``gram`` is used in place of building one and must be square
-    of the basis size (:class:`DomainError` otherwise); ``gram_condition``
-    is its normalized condition when the caller already has it.
+    Calls that pass the same ``memo`` dict build the dense Gram of each
+    (domain, weight, basis), and its normalized condition, once and share
+    them; a build that raises stores nothing, so the next call tries again.
     """
     if basis is None:
         basis = default_basis(domain)
@@ -486,7 +489,7 @@ def kernel_diag(
     ns = np.arange(n_min, n_max + 1)
     half = _half_mask(ns)
 
-    if gram is None and weight.radial and isinstance(domain, (Disc, Annulus)):
+    if weight.radial and isinstance(domain, (Disc, Annulus)):
         lt = _log_kernel_terms(domain, weight, z, ns)
         log_k = _logsumexp(lt)
         if log_k == -math.inf:
@@ -495,16 +498,12 @@ def kernel_diag(
         value_half = math.exp(_logsumexp(lt[half]))
         condition = 1.0
     else:
-        if gram is None:
-            gram, gram_condition = _built_gram(domain, weight, basis)
-        elif gram.shape != (ns.size, ns.size):
-            raise DomainError(
-                f"gram of shape {gram.shape} does not match the {ns.size} "
-                f"modes of basis {basis}"
-            )
-        condition = (
-            _normalized_condition(gram) if gram_condition is None else gram_condition
-        )
+        memo = {} if memo is None else memo
+        key = (domain, weight, (n_min, n_max))
+        if key not in memo:
+            gram = gram_matrix(domain, weight, basis)
+            memo[key] = gram, _normalized_condition(gram)
+        gram, condition = memo[key]
         b = np.asarray(z, dtype=complex) ** ns
         value = _dense_kernel_value(gram, b)
         value_half = _dense_kernel_value(gram[np.ix_(half, half)], b[half])
@@ -553,6 +552,7 @@ def least_norm_extension(
         kz = float(np.sum(np.abs(b) ** 2 / d))
         sol = np.conj(b) / d
     else:
+        _normalized_condition(gram)  # warns if ill-conditioned
         y, d = _jacobi_solve(gram, np.conj(b))
         sol = y / d
         kz = _dense_kernel_value(gram, b)
@@ -643,23 +643,15 @@ def extended_suita_check(
     ``weight`` must come from a harmonic exponent (``Unweighted``,
     ``HarmonicLog`` or ``HarmonicRe``); ``MaxPiece`` is not of that form.
 
-    Calls that pass the same ``memo`` dict build the dense Gram of each
-    (domain, weight, basis), and its condition, once and share it; a build
-    that raises stores nothing, so the next call tries again.
+    Calls that pass the same ``memo`` share their dense Grams through
+    :func:`kernel_diag`.
     """
     if isinstance(weight, MaxPiece):
         raise DomainError("extended check requires a harmonic weight variant")
     cap = capacity(domain, z)
-    gram = condition = None
-    if isinstance(domain, (Disc, Annulus)):
-        if basis is None:
-            basis = auto_basis(domain, z)
-        if memo is not None and not weight.radial:
-            key = (domain, weight, basis)
-            if key not in memo:
-                memo[key] = _built_gram(domain, weight, basis)
-            gram, condition = memo[key]
-    est = kernel_diag(domain, weight, z, basis=basis, gram=gram, gram_condition=condition)
+    if basis is None and isinstance(domain, (Disc, Annulus)):
+        basis = auto_basis(domain, z)
+    est = kernel_diag(domain, weight, z, basis=basis, memo=memo)
     rho = float(weight.density(np.asarray([z], dtype=complex))[0])
     margin = math.pi * rho * est.value - cap**2
     return ExtendedSuitaResult(

@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bergman, domains, extension, fuchsian, squeezing, torus
-from .bergman import HarmonicLog, HarmonicRe, MaxPiece, Unweighted
-from .domains import Annulus, Disc, Jordan
+from .bergman import parse_weight
+from .domains import Annulus, Disc, parse_domain
 from .errors import BergreenError, ConfigError, DomainError
 from .reports import (
     ReportRecord,
@@ -47,6 +47,7 @@ from .reports import (
     cache_store,
     config_hash,
     make_record,
+    primary_text,
     write_csv_summary,
     write_json_report,
     write_plot_data,
@@ -184,20 +185,6 @@ PARAMS: dict[str, dict[str, Param]] = {
     "all": {},
 }
 
-_NONEMPTY = {
-    "deltas",
-    "epss",
-    "a_values",
-    "t0s",
-    "eps_sequence",
-    "psi0s",
-    "fs",
-    "c_grid",
-    "taus",
-    "ds",
-    "ks",
-}
-
 # commands whose checks need closed-form moments or exact circle images
 _DISC_OR_ANNULUS = {"bergman", "suita-check", "extended-suita-check", "squeeze-check"}
 
@@ -222,46 +209,51 @@ def _split_list(v):
     raise ConfigError(f"expected a list or comma-separated string, got {v!r}")
 
 
+def _as_str(v) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"expected a string, got {v!r}")
+    return v
+
+
+def _as_bool(v) -> bool:
+    if isinstance(v, str) and v.lower() in ("true", "false"):
+        return v.lower() == "true"
+    if not isinstance(v, bool):
+        raise ConfigError(f"expected true/false, got {v!r}")
+    return v
+
+
+def _as_int(v) -> int:
+    if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
+        raise ConfigError(f"expected an integer, got {v!r}")
+    return int(v)
+
+
+def _as_grid(v) -> str:
+    _parse_grid(_as_str(v))  # validate only
+    return v
+
+
+# Param.kind -> converter of a config value to its canonical form
+_CONVERTERS = {
+    "str": _as_str,
+    "bool": _as_bool,
+    "int": _as_int,
+    "float": float,
+    "complex": _canon_complex,
+    "grid": _as_grid,
+    "floats": lambda v: [float(x) for x in _split_list(v)],
+    "ints": lambda v: [int(x) for x in _split_list(v)],
+    "complexes": lambda v: [_canon_complex(x) for x in _split_list(v)],
+    "strs": lambda v: [str(x) for x in _split_list(v)],
+}
+
+
 def _coerce(kind: str, value, name: str):
     try:
-        if kind == "str":
-            if not isinstance(value, str):
-                raise ConfigError(f"{name}: expected a string, got {value!r}")
-            return value
-        if kind == "bool":
-            if isinstance(value, bool):
-                return value
-            if isinstance(value, str) and value.lower() in ("true", "false"):
-                return value.lower() == "true"
-            raise ConfigError(f"{name}: expected true/false, got {value!r}")
-        if kind == "int":
-            if isinstance(value, bool) or (
-                isinstance(value, float) and not value.is_integer()
-            ):
-                raise ConfigError(f"{name}: expected an integer, got {value!r}")
-            return int(value)
-        if kind == "float":
-            return float(value)
-        if kind == "complex":
-            return _canon_complex(value)
-        if kind == "floats":
-            return [float(x) for x in _split_list(value)]
-        if kind == "ints":
-            return [int(x) for x in _split_list(value)]
-        if kind == "complexes":
-            return [_canon_complex(x) for x in _split_list(value)]
-        if kind == "strs":
-            return [str(x) for x in _split_list(value)]
-        if kind == "grid":
-            if not isinstance(value, str):
-                raise ConfigError(f"{name}: expected a grid spec string, got {value!r}")
-            _parse_grid(value)  # validate only
-            return value
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+        return _CONVERTERS[kind](value)
+    except (ConfigError, TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
-    raise ConfigError(f"unknown parameter kind {kind!r}")  # pragma: no cover
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -283,50 +275,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     if not values:
         raise ConfigError("empty grid")
     return np.asarray(values)
-
-
-def _parse_domain(spec: str):
-    kind, _, rest = str(spec).partition(":")
-    try:
-        if kind == "disc":
-            return Disc(float(rest)) if rest else Disc()
-        if kind == "annulus":
-            if not rest:
-                raise ConfigError("annulus spec needs an inner radius")
-            return Annulus(float(rest))
-        if kind == "ellipse":
-            a, _, b = rest.partition(":")
-            return Jordan.ellipse(float(a), float(b))
-        if kind == "jordan":
-            if not rest:
-                raise ConfigError("jordan spec needs a coefficient file path")
-            return Jordan.from_file(rest)
-    except ConfigError:
-        raise
-    except (ValueError, OSError, DomainError) as exc:
-        raise ConfigError(f"bad domain spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown domain kind {kind!r} (use disc | annulus | ellipse | jordan)")
-
-
-def _parse_weight(spec: str):
-    kind, _, rest = str(spec).partition(":")
-    try:
-        if kind in ("none", "unweighted"):
-            return Unweighted()
-        if kind == "harmoniclog":
-            return HarmonicLog(float(rest))
-        if kind == "harmonicre":
-            return HarmonicRe(float(rest))
-        if kind == "maxpiece":
-            d, _, a = rest.partition(":")
-            return MaxPiece(float(d), float(a))
-    except ConfigError:
-        raise
-    except (ValueError, DomainError) as exc:
-        raise ConfigError(f"bad weight spec {spec!r}: {exc}") from exc
-    raise ConfigError(
-        f"unknown weight kind {kind!r} (use none | harmoniclog | harmonicre | maxpiece)"
-    )
 
 
 def _sweep_points(domain, n: int) -> list[complex]:
@@ -385,28 +333,27 @@ def _validate(config: dict) -> None:
     schema = PARAMS[command]
     for name, p in schema.items():
         value = config[name]
-        if name.endswith("_tol") and not (value > 0.0):
-            raise ConfigError(f"{name} must be strictly positive")
-        if name in _NONEMPTY and not value:
+        if (name.endswith("_tol") or name == "t") and not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and strictly positive")
+        if p.kind == "int" and value < 1:
+            raise ConfigError(f"{name} must be at least 1")
+        # a list may be empty only where its default is (a sweep takes its place)
+        if isinstance(value, list) and not value and p.default:
             raise ConfigError(f"{name} must be a non-empty list")
-        if name == "points" and value < 1:
-            raise ConfigError("points must be at least 1")
-        if name == "n_terms" and value < 1:
-            raise ConfigError("n_terms must be at least 1")
-        if name == "t" and not (value > 0.0):
-            raise ConfigError("t must be positive")
-    if "domain" in schema:
-        domain = _parse_domain(config["domain"])
-        if command in _DISC_OR_ANNULUS and not isinstance(domain, (Disc, Annulus)):
-            raise ConfigError(
-                f"{command} supports disc and annulus domains only, not {config['domain']!r}"
-            )
+    try:  # the spec grammars live beside their types and raise DomainError
+        domain = parse_domain(config["domain"]) if "domain" in schema else None
+        if "weight" in schema:
+            parse_weight(config["weight"])
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+    if command in _DISC_OR_ANNULUS and not isinstance(domain, (Disc, Annulus)):
+        raise ConfigError(
+            f"{command} supports disc and annulus domains only, not {config['domain']!r}"
+        )
     if "method" in schema and config["method"] not in domains.GREEN_METHODS:
         raise ConfigError(
             f"unknown method {config['method']!r} (use {'|'.join(domains.GREEN_METHODS)})"
         )
-    if "weight" in schema:
-        _parse_weight(config["weight"])
     if "fs" in schema:
         for f in config["fs"]:
             if f not in extension.RESIDUAL_PROFILES:
@@ -512,27 +459,27 @@ def _echo(cfg: dict, *names: str) -> dict:
 
 
 def _points(cfg: dict, key: str):
-    domain = _parse_domain(cfg["domain"])
+    domain = parse_domain(cfg["domain"])
     return domain, [complex(s) for s in cfg[key]] or _sweep_points(domain, cfg["points"])
 
 
 def _green(cfg):
     xi, z = complex(cfg["xi"]), complex(cfg["z"])
-    kwargs = {"domain": _parse_domain(cfg["domain"]), "xi": xi, "z": z, "method": cfg["method"]}
+    kwargs = {"domain": parse_domain(cfg["domain"]), "xi": xi, "z": z, "method": cfg["method"]}
     yield Case(f"{cfg['domain']} xi={xi} z={z}", _echo(cfg, "domain", "method", "xi", "z"),
                "domains.green_record", kwargs)
 
 
 def _capacity(cfg):
     z = complex(cfg["z"])
-    kwargs = {"domain": _parse_domain(cfg["domain"]), "z": z, "cap_tol": cfg["cap_tol"]}
+    kwargs = {"domain": parse_domain(cfg["domain"]), "z": z, "cap_tol": cfg["cap_tol"]}
     yield Case(f"{cfg['domain']} z={z}", _echo(cfg, "domain", "z", "cap_tol"),
                "domains.capacity_record", kwargs)
 
 
 def _bergman(cfg):
     z = complex(cfg["z"])
-    kwargs = {"domain": _parse_domain(cfg["domain"]), "weight": _parse_weight(cfg["weight"]),
+    kwargs = {"domain": parse_domain(cfg["domain"]), "weight": parse_weight(cfg["weight"]),
               "z": z, "trunc_tol": cfg["trunc_tol"]}
     yield Case(f"{cfg['domain']} {cfg['weight']} z={z}",
                _echo(cfg, "domain", "weight", "z", "trunc_tol"), "bergman.kernel_record", kwargs)
@@ -548,7 +495,7 @@ def _suita(cfg):
 
 def _extended_suita(cfg):
     domain, zs = _points(cfg, "zs")
-    weight = _parse_weight(cfg["weight"])
+    weight = parse_weight(cfg["weight"])
     memo = {}  # the dense Grams this command's points share
     for z in zs:
         yield Case(f"{cfg['domain']} {cfg['weight']} z={z}",
@@ -633,13 +580,6 @@ CHECKS = {
 }
 
 
-def _subconfig(command: str, **overrides) -> dict:
-    cfg = {name: p.default for name, p in PARAMS[command].items()}
-    cfg.update(overrides, command=command)
-    _canonicalize(cfg)
-    return cfg
-
-
 # the full verification suite, in dependency order
 _ALL_SEQUENCE = (
     ("suita-check", {"domain": "disc", "zs": ["0j", "0.3", "0.6j"]}),
@@ -663,7 +603,7 @@ def _records(cfg: dict) -> list[ReportRecord]:
         return [
             rec
             for sub, overrides in _ALL_SEQUENCE
-            for rec in _records(_subconfig(sub, **overrides))
+            for rec in _records(resolve_config(sub, None, {**overrides, "outdir": cfg["outdir"]}))
         ]
     return [_unit(command, case) for case in CHECKS[command](cfg)]
 
@@ -733,12 +673,8 @@ def run(config: dict) -> int:
         write_plot_data(os.path.join(outdir, name), xs, ys, header)
 
     for rec in records:
-        value = rec.quantities[rec.primary]
-        value_str = (
-            f"{value[0]!r}+{value[1]!r}j" if isinstance(value, list) else repr(float(value))
-        )
         status = "PASS" if rec.passed else "FAIL"
-        print(f"{status} {rec.command} [{rec.input_id}] {rec.primary}={value_str}")
+        print(f"{status} {rec.command} [{rec.input_id}] {rec.primary}={primary_text(rec)}")
     n_fail = sum(1 for r in records if not r.passed)
     tag = " (cached)" if cached_hit else ""
     print(

@@ -47,6 +47,7 @@ __all__ = [
     "Disc",
     "Annulus",
     "Jordan",
+    "parse_domain",
     "GreenEvaluator",
     "GREEN_METHODS",
     "green_evaluator",
@@ -251,6 +252,31 @@ class Jordan:
 
 
 PlanarDomain = Disc | Annulus | Jordan
+
+
+def parse_domain(spec: str) -> PlanarDomain:
+    """Domain from its spec: ``disc[:R]`` | ``annulus:r`` | ``ellipse:a:b``
+    | ``jordan:<file>`` (coefficients as read by :meth:`Jordan.from_file`).
+
+    Raises :class:`DomainError` naming the spec when it is malformed or its
+    file cannot be read.
+    """
+    kind, _, rest = str(spec).partition(":")
+    try:
+        if kind == "disc":
+            return Disc(float(rest)) if rest else Disc()
+        if kind == "annulus":
+            return Annulus(float(rest))
+        if kind == "ellipse":
+            a, _, b = rest.partition(":")
+            return Jordan.ellipse(float(a), float(b))
+        if kind == "jordan" and rest:
+            return Jordan.from_file(rest)
+    except (ValueError, OSError, DomainError) as exc:
+        raise DomainError(f"bad domain spec {spec!r}: {exc}") from exc
+    raise DomainError(
+        f"bad domain spec {spec!r} (use disc[:R] | annulus:r | ellipse:a:b | jordan:file)"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ __all__ = [
     "ReportRecord",
     "make_record",
     "finite_margin",
+    "primary_text",
     "record_to_dict",
     "record_from_dict",
     "config_hash",
@@ -112,6 +113,15 @@ def finite_margin(*values) -> float:
     0.0 if every headline value is finite and -1.0 if not, so a NaN or inf
     never passes (shaped like the error record's ``module_error``)."""
     return 0.0 if all(math.isfinite(v) for v in values) else -1.0
+
+
+def primary_text(rec: ReportRecord) -> str:
+    """The record's primary value as text: ``repr`` of the float, or
+    ``re+imj`` for a complex value stored as ``[re, im]``."""
+    value = rec.quantities[rec.primary]
+    if isinstance(value, list):
+        return f"{value[0]!r}+{value[1]!r}j"
+    return repr(float(value))
 
 
 def _jsonable_number(v):
@@ -244,22 +254,9 @@ def csv_summary_text(records: list[ReportRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in records:
-        value = rec.quantities[rec.primary]
-        if isinstance(value, list):  # complex stored as [re, im]
-            value_str = f"{value[0]!r}+{value[1]!r}j"
-        else:
-            value_str = repr(float(value))
         margin, tol = _binding_margin(rec)
         writer.writerow(
-            [
-                rec.command,
-                rec.input_id,
-                rec.primary,
-                value_str,
-                margin,
-                tol,
-                str(rec.passed),
-            ]
+            [rec.command, rec.input_id, rec.primary, primary_text(rec), margin, tol, str(rec.passed)]
         )
     return buf.getvalue()
 

@@ -34,6 +34,7 @@ from bergreen.bergman import (
     least_norm_extension,
     log_radial_moment,
     log_radial_moments,
+    parse_weight,
     suita_ratio,
     weight_phi,
 )
@@ -110,6 +111,18 @@ class TestWeights:
             MaxPiece(1.0, 0.0)
         with pytest.raises(DomainError):
             MaxPiece(1.0, 1.0)
+
+    def test_weight_specs(self):
+        assert parse_weight("none").scale == 1.0
+        assert parse_weight("harmoniclog:0.3").alpha == 0.3
+        assert parse_weight("harmonicre:0.2").c == 0.2
+        mp = parse_weight("maxpiece:1.0:0.5")
+        assert mp.delta == 1.0 and mp.a == 0.5
+
+    @pytest.mark.parametrize("spec", ["gauss", "harmoniclog:", "maxpiece:1.0"])
+    def test_weight_rejects(self, spec):
+        with pytest.raises(DomainError, match=spec):
+            parse_weight(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +217,7 @@ class TestGram:
 
     def test_ill_conditioning_warning(self):
         with pytest.warns(RuntimeWarning, match="condition"):
-            gram_matrix(DISC, HarmonicRe(10.0), (0, 24))
+            kernel_diag(DISC, HarmonicRe(10.0), 0.1, basis=(0, 24), trunc_tol=1.0)
 
     def test_unresolved_quadrature_fails(self):
         # five doublings from 18 x 24 nodes cannot move the entries by
@@ -399,46 +412,42 @@ class TestKernelDiag:
         assert small.value <= big.value + 1e-12
 
     def test_dense_condition_taken_once(self, monkeypatch):
-        calls = []
-        cond = np.linalg.cond
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return cond(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "cond", counted)
-        est = kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0)
-        assert len(calls) == 1
+        conds = _count(monkeypatch, np.linalg, "cond")
+        memo = {}
+        est = kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0, memo=memo)
+        assert len(conds) == 1
         gram = gram_matrix(ANN, HarmonicRe(0.2), (-8, 8))
         assert est.gram_condition == bergman._normalized_condition(gram)
-        calls.clear()
-        given_gram = kernel_diag(
-            ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0, gram=gram
-        )
-        assert len(calls) == 1 and given_gram.gram_condition == est.gram_condition
+        conds.clear()
+        shared = kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0, memo=memo)
+        assert conds == [] and shared == est
 
-    def test_given_condition_skips_the_svd(self, monkeypatch):
-        gram = gram_matrix(ANN, HarmonicRe(0.2), (-8, 8))
-        calls = _count(monkeypatch, np.linalg, "cond")
-        est = kernel_diag(
-            ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0,
-            gram=gram, gram_condition=123.0,
-        )
-        assert calls == [] and est.gram_condition == 123.0
+    def test_memo_builds_one_gram_for_two_points(self, monkeypatch):
+        grams = _count(monkeypatch, bergman, "gram_matrix")
+        conds = _count(monkeypatch, np.linalg, "cond")
+        memo = {}
+        for z in [0.5, 0.4j]:
+            kernel_diag(ANN, HarmonicRe(0.2), z, basis=(-8, 8), trunc_tol=1.0, memo=memo)
+        assert len(grams) == 1 and len(conds) == 1
+        assert list(memo) == [(ANN, HarmonicRe(0.2), (-8, 8))]
 
-    @pytest.mark.parametrize("basis", [(-8, 9), (-7, 8), (-16, 16)])
-    def test_gram_of_another_basis_is_rejected(self, basis):
-        gram = gram_matrix(ANN, HarmonicRe(0.2), (-8, 8))
-        size = basis[1] - basis[0] + 1
-        with pytest.raises(DomainError, match=rf"\(17, 17\).* {size} modes"):
-            kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=basis, trunc_tol=1.0, gram=gram)
+    def test_memo_stores_no_failed_build(self, monkeypatch):
+        def unresolved(*args, **kwargs):
+            raise AccuracyError("injected")
 
-    def test_non_square_gram_is_rejected(self):
-        gram = gram_matrix(ANN, HarmonicRe(0.2), (-8, 8))
-        with pytest.raises(DomainError, match="17 modes"):
-            kernel_diag(
-                ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0, gram=gram[:, :-1]
-            )
+        monkeypatch.setattr(bergman, "gram_matrix", unresolved)
+        memo = {}
+        with pytest.raises(AccuracyError, match="injected"):
+            kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0, memo=memo)
+        assert memo == {}
+
+    def test_memo_stores_no_gram_whose_condition_raised(self):
+        memo = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="condition"):
+                kernel_diag(DISC, HarmonicRe(10.0), 0.1, basis=(0, 24), trunc_tol=1.0, memo=memo)
+        assert memo == {}
 
 
 # ---------------------------------------------------------------------------

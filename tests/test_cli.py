@@ -13,14 +13,12 @@ import pytest
 from bergreen import bergman, cli, reports, torus
 from bergreen.bergman import HarmonicRe, KernelEstimate, extended_suita_check
 from bergreen.cli import (
-    _parse_domain,
     _parse_grid,
-    _parse_weight,
     _sweep_points,
     main,
     resolve_config,
 )
-from bergreen.domains import Annulus, Disc
+from bergreen.domains import Annulus, Disc, Jordan
 from bergreen.errors import AccuracyError, ConfigError
 from bergreen.reports import (
     CSV_COLUMNS,
@@ -90,32 +88,27 @@ class TestParsing:
         with pytest.raises(ConfigError):
             _parse_grid(spec)
 
-    def test_domain_specs(self):
-        assert isinstance(_parse_domain("disc"), Disc)
-        assert _parse_domain("disc:2.0").radius == 2.0
-        ann = _parse_domain("annulus:0.2")
-        assert isinstance(ann, Annulus) and ann.r_inner == 0.2
-        ell = _parse_domain("ellipse:1.0:0.5")
-        assert ell.coeffs  # Jordan with conformal coefficients
+    # the grammars and their own tests live in domains and bergman; these
+    # check that the config path accepts each kind and wraps each rejection
+    def test_domain_specs(self, tmp_path):
+        for spec in ["disc", "disc:2.0", "annulus:0.2", "ellipse:1.0:0.5"]:
+            assert resolve_config("capacity", None, {"domain": spec, "outdir": str(tmp_path)})
 
     @pytest.mark.parametrize(
         "spec", ["square", "annulus", "annulus:1.5", "disc:-1", "jordan:", "jordan:/nope.txt"]
     )
-    def test_domain_rejects(self, spec):
-        with pytest.raises(ConfigError):
-            _parse_domain(spec)
+    def test_domain_rejects(self, tmp_path, spec):
+        with pytest.raises(ConfigError, match=spec):
+            resolve_config("capacity", None, {"domain": spec, "outdir": str(tmp_path)})
 
-    def test_weight_specs(self):
-        assert _parse_weight("none").scale == 1.0
-        assert _parse_weight("harmoniclog:0.3").alpha == 0.3
-        assert _parse_weight("harmonicre:0.2").c == 0.2
-        mp = _parse_weight("maxpiece:1.0:0.5")
-        assert mp.delta == 1.0 and mp.a == 0.5
+    def test_weight_specs(self, tmp_path):
+        for spec in ["none", "harmoniclog:0.3", "harmonicre:0.2", "maxpiece:1.0:0.5"]:
+            assert resolve_config("bergman", None, {"weight": spec, "outdir": str(tmp_path)})
 
     @pytest.mark.parametrize("spec", ["gauss", "harmoniclog:", "maxpiece:1.0"])
-    def test_weight_rejects(self, spec):
-        with pytest.raises(ConfigError):
-            _parse_weight(spec)
+    def test_weight_rejects(self, tmp_path, spec):
+        with pytest.raises(ConfigError, match=spec):
+            resolve_config("bergman", None, {"weight": spec, "outdir": str(tmp_path)})
 
     def test_sweep_points_annulus_band(self):
         pts = _sweep_points(Annulus(0.2), 8)
@@ -129,7 +122,7 @@ class TestParsing:
 
     def test_sweep_points_rejects_jordan(self):
         with pytest.raises(ConfigError):
-            _sweep_points(_parse_domain("ellipse:1.0:0.5"), 4)
+            _sweep_points(Jordan.ellipse(1.0, 0.5), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +191,14 @@ class TestResolveConfig:
             ("extended-suita-check", {"domain": "ellipse:1:0.5", "zs": "0.1"}),
             ("squeeze-check", {"domain": "ellipse:1:0.5", "ps": "0.1"}),
             ("green", {"method": "bogus"}),
+            ("suita-check", {"zs": "0.3", "ratio_tol": "inf"}),
+            ("extended-suita-check", {"margin_tol": "inf"}),
+            ("torus-check", {"lap_tol": "nan"}),
+            ("residual-measure", {"t": "inf"}),
+            ("fuchsian-check", {"n_terms": "0"}),
+            ("squeeze-check", {"ks": ""}),
+            ("capacity", {"domain": "jordan:/nope.txt"}),
+            ("bergman", {"weight": "maxpiece:1.0"}),
         ],
     )
     def test_validation_failures(self, tmp_path, command, overrides):
@@ -222,6 +223,24 @@ class TestResolveConfig:
     def test_config_is_json_serializable(self, tmp_path):
         cfg = resolve_config("torus-check", None, {"outdir": str(tmp_path)})
         json.dumps(cfg)  # must not raise
+
+    @pytest.mark.parametrize("command", list(cli.PARAMS))
+    def test_default_config_resolves_to_itself(self, tmp_path, command):
+        cfg = resolve_config(command, None, {"outdir": str(tmp_path)})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert resolve_config(command, str(path)) == cfg
+
+    @pytest.mark.parametrize("sub,overrides", cli._ALL_SEQUENCE)
+    def test_all_sequence_entries_resolve(self, tmp_path, sub, overrides):
+        cfg = resolve_config(sub, None, {**overrides, "outdir": str(tmp_path)})
+        assert cfg["command"] == sub and list(cli.CHECKS[sub](cfg))
+
+    def test_suita_check_with_infinite_tolerance_exits_2(self, tmp_path, capsys):
+        argv = ["suita-check", "--zs", "0.3", "--ratio-tol", "inf", "--outdir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "ratio_tol must be finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from bergreen.domains import (
     capacity,
     gauss_legendre,
     green_evaluator,
+    parse_domain,
     sample_interior,
 )
 from bergreen.errors import (
@@ -398,6 +399,23 @@ class TestEvaluatorGuards:
 # ---------------------------------------------------------------------------
 # Jordan geometry and ingestion
 # ---------------------------------------------------------------------------
+
+
+class TestDomainSpecs:
+    def test_domain_specs(self):
+        assert isinstance(parse_domain("disc"), Disc)
+        assert parse_domain("disc:2.0").radius == 2.0
+        ann = parse_domain("annulus:0.2")
+        assert isinstance(ann, Annulus) and ann.r_inner == 0.2
+        ell = parse_domain("ellipse:1.0:0.5")
+        assert ell.coeffs  # Jordan with conformal coefficients
+
+    @pytest.mark.parametrize(
+        "spec", ["square", "annulus", "annulus:1.5", "disc:-1", "jordan:", "jordan:/nope.txt"]
+    )
+    def test_domain_rejects(self, spec):
+        with pytest.raises(DomainError, match=spec):
+            parse_domain(spec)
 
 
 class TestJordan:
