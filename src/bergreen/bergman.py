@@ -441,13 +441,12 @@ def _logsumexp(values: np.ndarray) -> float:
 
 def _jacobi_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(y, d)`` with ``gram^{-1} rhs = y / d``: ``y`` solves the
-    Jacobi-scaled Hermitian system ``(gram / d d^T) y = rhs / d``, whose
-    unit diagonal keeps modes of very different norms equally accurate."""
-    import scipy.linalg
-
+    Jacobi-scaled system ``(gram / d d^T) y = rhs / d``, whose unit diagonal
+    keeps modes of very different norms equally accurate.  The system is
+    Hermitian; it is solved by partial-pivoting LU (``numpy.linalg``)."""
     d = np.sqrt(np.abs(np.diag(gram)).real)
     corr = gram / np.outer(d, d)
-    return scipy.linalg.solve(corr, rhs / d, assume_a="her"), d
+    return np.linalg.solve(corr, rhs / d), d
 
 
 def _dense_kernel_value(gram: np.ndarray, b: np.ndarray) -> float:

@@ -33,14 +33,14 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import bergman, domains, extension, fuchsian, squeezing, torus
 from .bergman import parse_weight
 from .domains import Annulus, Disc, parse_domain
-from .errors import BergreenError, ConfigError, DomainError
+from .errors import BergreenError, ConfigError, DomainError, ParameterError
 from .reports import (
     ReportRecord,
     cache_load,
@@ -66,11 +66,14 @@ DEFAULT_OUTDIR = "reports"
 
 @dataclass(frozen=True)
 class Param:
-    """One command parameter: value kind, default, and help text."""
+    """One command parameter: value kind, default, help text, and the
+    precondition that the owning check states for one value (each element
+    of a list), which raises :class:`ParameterError`."""
 
     kind: str  # str | int | float | complex | bool | floats | ints | complexes | strs | grid
     default: object
     help: str = ""
+    check: Callable[[object], None] | None = None
 
 
 def _default(fn, name: str):
@@ -117,8 +120,9 @@ PARAMS: dict[str, dict[str, Param]] = {
                             "allowed negative margin"),
     },
     "optimal-constant": {
-        "deltas": Param("floats", [0.5, 1.0, 2.0], "delta grid"),
-        "epss": Param("floats", [0.0, 0.1], "epsilon grid"),
+        "deltas": Param("floats", [0.5, 1.0, 2.0], "delta grid",
+                        check=extension.require_delta),
+        "epss": Param("floats", [0.0, 0.1], "epsilon grid", check=extension.require_eps),
         "a_values": Param("floats", _default(extension.optimal_constant_experiment, "a_values"),
                           "decreasing plateau radii"),
         "cross_tol": Param("float",
@@ -157,9 +161,9 @@ PARAMS: dict[str, dict[str, Param]] = {
                               "two-sided comparison tolerance"),
         "trend": Param("bool", True, "also run the boundary trend check"),
         "ks": Param("ints", _default(squeezing.boundary_trend_check, "ks"),
-                    "boundary distances 10^-k for the trend"),
+                    "boundary distances 10^-k for the trend", check=squeezing.require_trend_k),
         "angle": Param("float", _default(squeezing.boundary_trend_check, "angle"),
-                       "ray angle for the trend points"),
+                       "ray angle for the trend points", check=squeezing.require_angle),
     },
     "fuchsian-check": {
         "c_grid": Param("floats", _default(fuchsian.inequality_check, "c_grid"),
@@ -170,7 +174,7 @@ PARAMS: dict[str, dict[str, Param]] = {
     },
     "torus-check": {
         "taus": Param("complexes", ["1j", "0.5+1j"], "moduli (Im > 0)"),
-        "ds": Param("ints", [4, 6], "even degrees >= 4"),
+        "ds": Param("ints", [4, 6], "even degrees >= 4", check=torus.require_degree),
         "margin_tol": Param("float", _default(torus.arak1_check, "margin_tol"),
                             "allowed negative inequality margin"),
         "residual_tol": Param("float", _default(torus.arak1_check, "residual_tol"),
@@ -340,6 +344,12 @@ def _validate(config: dict) -> None:
         # a list may be empty only where its default is (a sweep takes its place)
         if isinstance(value, list) and not value and p.default:
             raise ConfigError(f"{name} must be a non-empty list")
+        if p.check is not None:
+            try:
+                for v in value if isinstance(value, list) else [value]:
+                    p.check(v)
+            except ParameterError as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
     try:  # the spec grammars live beside their types and raise DomainError
         domain = parse_domain(config["domain"]) if "domain" in schema else None
         if "weight" in schema:

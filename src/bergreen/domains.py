@@ -446,16 +446,11 @@ class _NystromSolver:
             sl = self.slices[1 + j]
             A[m + j, sl] = self.weights[sl]
         self.matrix = A
-        self._lu = None
 
     def solve(self, f_boundary: np.ndarray) -> np.ndarray:
-        import scipy.linalg
-
-        if self._lu is None:
-            self._lu = scipy.linalg.lu_factor(self.matrix)
         nh = len(self.hole_centers)
         rhs = np.concatenate([f_boundary, np.zeros(nh)])
-        return scipy.linalg.lu_solve(self._lu, rhs)
+        return np.linalg.solve(self.matrix, rhs)
 
     def evaluate(self, sol: np.ndarray, x) -> np.ndarray:
         """Evaluate the represented harmonic function at interior point(s)."""
@@ -523,8 +518,10 @@ class GreenEvaluator:
     within ``1e-3 * diameter`` of the boundary.  The Nystrom method reports
     the ``quad_points`` value and raises :class:`AccuracyError` unless the
     same problem on ``quad_points // 2`` (or, failing that, twice as many)
-    nodes certifies it; each witness system is built on first use and its
-    densities are cached per pole, as the main system's are.
+    nodes certifies it; each witness system is built on first use.  The
+    Nystrom systems are real and not symmetric; each pole's density is one
+    partial-pivoting LU solve (``numpy.linalg.solve``), cached per
+    ``(nodes, pole)``.  No factor is kept, so a new pole costs a new solve.
     """
 
     domain: PlanarDomain

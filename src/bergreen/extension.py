@@ -47,6 +47,8 @@ __all__ = [
     "RESIDUAL_PROFILES",
     "residual_record",
     "OptimalConstantResult",
+    "require_delta",
+    "require_eps",
     "optimal_constant_experiment",
     "optimal_constant_record",
 ]
@@ -718,6 +720,18 @@ def _min_norm_quadrature(delta: float, a: float) -> float:
     return inner + outer
 
 
+def require_delta(delta: float) -> None:
+    """Precondition of :func:`optimal_constant_experiment` on ``delta``."""
+    if not 0.0 < delta < math.inf:
+        raise ParameterError("delta must be finite and positive")
+
+
+def require_eps(eps: float) -> None:
+    """Precondition of :func:`optimal_constant_experiment` on ``eps``."""
+    if not 0.0 <= eps < math.inf:
+        raise ParameterError("eps must be finite and nonnegative")
+
+
 def optimal_constant_experiment(
     delta: float,
     eps: float,
@@ -734,10 +748,8 @@ def optimal_constant_experiment(
     extrapolated in the known power ``a^{2 delta}``, with the sharp
     target ``(1 + 1/delta) pi e^{-eps}``.
     """
-    if not (delta > 0.0):
-        raise ParameterError("delta must be positive")
-    if eps < 0.0:
-        raise ParameterError("eps must be nonnegative")
+    require_delta(delta)
+    require_eps(eps)
     a_values = tuple(float(a) for a in a_values)
     if any(not (0.0 < a < 1.0) for a in a_values):
         raise ParameterError("a values must lie in (0, 1)")

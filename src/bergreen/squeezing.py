@@ -35,6 +35,8 @@ __all__ = [
     "image_circle",
     "squeeze_lower",
     "sandwich_check",
+    "require_trend_k",
+    "require_angle",
     "boundary_trend_check",
 ]
 
@@ -228,6 +230,19 @@ def sandwich_check(
     )
 
 
+def require_trend_k(k: int) -> None:
+    """Precondition of :func:`boundary_trend_check` on each exponent ``k``
+    of the distance ``10^{-k}`` to the boundary."""
+    if k < 1:
+        raise ParameterError(f"trend exponent k = {k} must be at least 1")
+
+
+def require_angle(angle: float) -> None:
+    """Precondition of :func:`boundary_trend_check` on the ray angle."""
+    if not math.isfinite(angle):
+        raise ParameterError("trend angle must be finite")
+
+
 def boundary_trend_check(
     domain,
     ks=(1, 2, 3, 4),
@@ -243,6 +258,9 @@ def boundary_trend_check(
     ks = [int(k) for k in ks]
     if ks != sorted(ks) or len(set(ks)) != len(ks):
         raise ParameterError("k sequence must be strictly increasing")
+    for k in ks:
+        require_trend_k(k)
+    require_angle(angle)
     phase = cmath.exp(1j * angle)
     ratios = []
     for k in ks:

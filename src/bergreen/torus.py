@@ -52,6 +52,7 @@ __all__ = [
     "arakelov_green",
     "laplacian_deviation",
     "torus_capacity",
+    "require_degree",
     "ThetaBasis",
     "torus_gram",
     "torus_bergman",
@@ -386,6 +387,13 @@ def torus_capacity(
 # ---------------------------------------------------------------------------
 
 
+def require_degree(d: int) -> None:
+    """Precondition of :class:`ThetaBasis` and :func:`arak1_check` on the
+    degree: even and at least 4."""
+    if d < 4 or d % 2 != 0:
+        raise ParameterError(f"degree d = {d} must be even and at least 4")
+
+
 @dataclass(frozen=True)
 class ThetaBasis:
     """Degree-``d`` section space: theta functions with characteristics
@@ -401,8 +409,7 @@ class ThetaBasis:
     d: int
 
     def __post_init__(self):
-        if self.d < 4 or self.d % 2 != 0:
-            raise ParameterError("theta basis needs even degree d >= 4")
+        require_degree(self.d)
 
     @property
     def _n_range(self) -> int:
@@ -573,8 +580,7 @@ def arak1_check(
     * kernel diagonal constant across base points;
     * residual mass of ``2g`` equals ``2 / capacity^2``.
     """
-    if d <= 2 or d % 2 != 0:
-        raise ParameterError("inequality check needs even degree d > 2")
+    require_degree(d)
     delta = d / 2.0 - 1.0
     factor = math.pi * (1.0 + 1.0 / delta)
 

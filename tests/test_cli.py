@@ -6,6 +6,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -199,6 +201,15 @@ class TestResolveConfig:
             ("squeeze-check", {"ks": ""}),
             ("capacity", {"domain": "jordan:/nope.txt"}),
             ("bergman", {"weight": "maxpiece:1.0"}),
+            ("torus-check", {"taus": "1j", "ds": "3"}),
+            ("torus-check", {"ds": "4,8,10,2"}),
+            ("optimal-constant", {"deltas": "-1"}),
+            ("optimal-constant", {"deltas": "0"}),
+            ("optimal-constant", {"deltas": "inf"}),
+            ("optimal-constant", {"epss": "-0.1"}),
+            ("optimal-constant", {"epss": "nan"}),
+            ("squeeze-check", {"ks": "0,1"}),
+            ("squeeze-check", {"angle": "nan"}),
         ],
     )
     def test_validation_failures(self, tmp_path, command, overrides):
@@ -241,6 +252,58 @@ class TestResolveConfig:
         assert main(argv) == 2
         assert "ratio_tol must be finite" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["torus-check", "--taus", "1j", "--ds", "3"], "ds: degree d = 3 must be even"),
+            (["optimal-constant", "--deltas", "-1"], "deltas: delta must be finite and positive"),
+            (["optimal-constant", "--epss", "-0.1"], "epss: eps must be finite and nonnegative"),
+            (["squeeze-check", "--ks", "0,1"], "ks: trend exponent k = 0 must be at least 1"),
+            (["squeeze-check", "--angle", "nan"], "angle: trend angle must be finite"),
+        ],
+    )
+    def test_out_of_range_parameter_exits_2(self, tmp_path, capsys, argv, message):
+        # each range is the precondition of the check that owns the parameter
+        assert main([*argv, "--outdir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_ode_check_keeps_infinite_delta(self, tmp_path):
+        # ode_pair has a finite limit as delta -> inf, so only delta > 0 is stated
+        cfg = resolve_config("ode-check", None, {"deltas": "inf", "outdir": str(tmp_path)})
+        assert cfg["deltas"] == [math.inf]
+
+
+class TestOneBlasPool:
+    """Every dense solve goes through ``numpy.linalg``: a Nystrom capacity,
+    a Nystrom Green function and a dense Bergman kernel load no
+    ``scipy.linalg``, and with it no second OpenBLAS."""
+
+    SCRIPT = """
+import sys
+from bergreen import bergman, cli
+from bergreen.domains import Annulus
+out = sys.argv[1]
+assert cli.main(["capacity", "--domain", "ellipse:1.2:0.7", "--z", "0.1+0.05j",
+                 "--no-cache", "--outdir", out]) == 0
+assert cli.main(["green", "--domain", "annulus:0.2", "--method", "nystrom",
+                 "--xi", "0.5", "--z", "0.4j", "--no-cache", "--outdir", out]) == 0
+assert "scipy.linalg" not in sys.modules, "cli"
+bergman.kernel_diag(Annulus(0.2), bergman.HarmonicRe(0.2), 0.3 + 0.1j)
+assert "scipy.linalg" not in sys.modules, "kernel_diag"
+"""
+
+    def test_no_scipy_linalg(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -511,6 +511,11 @@ class TestOptimalConstant:
             optimal_constant_experiment(0.0, 0.0)
         with pytest.raises(ParameterError):
             optimal_constant_experiment(1.0, -0.1)
+        # both preconditions also ask for a finite value
+        with pytest.raises(ParameterError):
+            optimal_constant_experiment(math.inf, 0.0)
+        with pytest.raises(ParameterError):
+            optimal_constant_experiment(1.0, math.nan)
         with pytest.raises(ParameterError):
             optimal_constant_experiment(1.0, 0.0, a_values=(0.5, 1.5))
         with pytest.raises(ParameterError):

@@ -247,3 +247,10 @@ class TestBoundaryTrend:
             boundary_trend_check(Annulus(0.2), ks=(2, 1))
         with pytest.raises(ParameterError):
             boundary_trend_check(Annulus(0.2), ks=(1, 1, 2))
+
+    def test_rejects_k_below_one_and_nonfinite_angle(self):
+        # k = 0 puts the first point at the origin, in the annulus' hole
+        with pytest.raises(ParameterError, match="at least 1"):
+            boundary_trend_check(Annulus(0.2), ks=(0, 1))
+        with pytest.raises(ParameterError, match="finite"):
+            boundary_trend_check(Annulus(0.2), ks=(1, 2), angle=math.nan)
