@@ -67,13 +67,14 @@ DEFAULT_OUTDIR = "reports"
 @dataclass(frozen=True)
 class Param:
     """One command parameter: value kind, default, help text, and the
-    precondition that the owning check states for one value (each element
-    of a list), which raises :class:`ParameterError`."""
+    preconditions that the owning check states for one value (each element
+    of a list) and for a whole list, which raise :class:`ParameterError`."""
 
     kind: str  # str | int | float | complex | bool | floats | ints | complexes | strs | grid
     default: object
     help: str = ""
     check: Callable[[object], None] | None = None
+    check_list: Callable[[list], None] | None = None
 
 
 def _default(fn, name: str):
@@ -124,7 +125,8 @@ PARAMS: dict[str, dict[str, Param]] = {
                         check=extension.require_delta),
         "epss": Param("floats", [0.0, 0.1], "epsilon grid", check=extension.require_eps),
         "a_values": Param("floats", _default(extension.optimal_constant_experiment, "a_values"),
-                          "decreasing plateau radii"),
+                          "decreasing plateau radii", check=extension.require_a,
+                          check_list=extension.require_a_values),
         "cross_tol": Param("float",
                            _default(extension.optimal_constant_experiment, "cross_check_tol"),
                            "closed-form vs quadrature relative tolerance"),
@@ -142,7 +144,9 @@ PARAMS: dict[str, dict[str, Param]] = {
     },
     "cutoff-check": {
         "t0s": Param("floats", [1.0, 5.0], "anchoring offsets"),
-        "eps_sequence": Param("floats", [0.2, 0.1, 0.05, 0.01], "decreasing smoothing widths"),
+        "eps_sequence": Param("floats", [0.2, 0.1, 0.05, 0.01], "decreasing smoothing widths",
+                              check=extension.require_cutoff_eps,
+                              check_list=extension.require_eps_sequence),
         "limit_tol": Param("float", _default(extension.cutoff_limit_check, "limit_tol"),
                            "final sup-gap bound"),
     },
@@ -161,13 +165,14 @@ PARAMS: dict[str, dict[str, Param]] = {
                               "two-sided comparison tolerance"),
         "trend": Param("bool", True, "also run the boundary trend check"),
         "ks": Param("ints", _default(squeezing.boundary_trend_check, "ks"),
-                    "boundary distances 10^-k for the trend", check=squeezing.require_trend_k),
+                    "boundary distances 10^-k for the trend", check=squeezing.require_trend_k,
+                    check_list=squeezing.require_trend_ks),
         "angle": Param("float", _default(squeezing.boundary_trend_check, "angle"),
                        "ray angle for the trend points", check=squeezing.require_angle),
     },
     "fuchsian-check": {
         "c_grid": Param("floats", _default(fuchsian.inequality_check, "c_grid"),
-                        "generator parameters"),
+                        "generator parameters", check=fuchsian.require_c),
         "n_terms": Param("int", _default(fuchsian.inequality_check, "N"), "orbit truncation"),
         "tail_tol": Param("float", _default(fuchsian.inequality_check, "tail_tol"),
                           "certified tail bound"),
@@ -344,12 +349,14 @@ def _validate(config: dict) -> None:
         # a list may be empty only where its default is (a sweep takes its place)
         if isinstance(value, list) and not value and p.default:
             raise ConfigError(f"{name} must be a non-empty list")
-        if p.check is not None:
-            try:
+        try:
+            if p.check is not None:
                 for v in value if isinstance(value, list) else [value]:
                     p.check(v)
-            except ParameterError as exc:
-                raise ConfigError(f"{name}: {exc}") from exc
+            if p.check_list is not None:
+                p.check_list(value)
+        except ParameterError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
     try:  # the spec grammars live beside their types and raise DomainError
         domain = parse_domain(config["domain"]) if "domain" in schema else None
         if "weight" in schema:

@@ -113,18 +113,57 @@ class Annulus:
 # boundary samples of the Jordan simplicity and winding tests
 _VALIDATE_SAMPLES = 1024
 _WINDING_SAMPLES = 2048
+# the least distance between boundary samples more than 1/32 of the ring
+# apart, which a simple curve keeps
+_SEPARATION = 1e-9
+# the sweep direction of _far_samples_separated: an irrational angle, so that
+# no axis-symmetric curve puts two samples at one projection by symmetry
+_SWEEP = cmath.exp(1j * math.sqrt(2.0))
 
 
-@functools.cache
-def _far_pairs() -> np.ndarray:
-    """Mask of the sample pairs of :meth:`Jordan._validate` more than
-    1/32 of the ring apart, which a simple curve keeps separated; built
-    once per process, on the first Jordan domain."""
-    idx = np.arange(_VALIDATE_SAMPLES)
-    gap = np.abs(idx[:, None] - idx[None, :])
-    mask = np.minimum(gap, _VALIDATE_SAMPLES - gap) > _VALIDATE_SAMPLES // 32
-    mask.setflags(write=False)
-    return mask
+def _far_samples_separated(pts: np.ndarray) -> bool:
+    """Whether every two of the ring samples ``pts`` more than ``n // 32``
+    apart along the ring (cyclically) are at least ``_SEPARATION`` apart.
+
+    A sweep over the samples sorted by their projection onto ``_SWEEP``:
+    a pair closer than ``_SEPARATION`` is closer than that in projection
+    too, so only the pairs within a window a little wider are candidates,
+    and the window's slack covers the rounding of the projections.  Each
+    candidate is then judged by the same ``abs`` of the same difference as
+    the all-pairs test it replaces, so the verdict is the same.
+    """
+    n = pts.size
+    proj = (pts * _SWEEP.conjugate()).real
+    window = 2.0 * _SEPARATION + 16.0 * np.finfo(float).eps * float(
+        np.max(np.abs(pts.real) + np.abs(pts.imag))
+    )
+    order = np.argsort(proj, kind="stable")
+    sweep = proj[order]
+    # sorted sample i pairs with the count[i] sorted samples after it, the
+    # ones within the window
+    count = np.searchsorted(sweep, sweep + window, side="right") - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), count)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(count) - count, count)
+    i, j = order[first], order[first + 1 + offset]
+    gap = np.abs(i - j)
+    far = np.minimum(gap, n - gap) > n // 32
+    return not np.any(np.abs(pts[i[far]] - pts[j[far]]) < _SEPARATION)
+
+
+def _diameter(pts: np.ndarray) -> float:
+    """``max |p_i - p_j|`` over the samples ``pts``, as the float the full
+    distance matrix gives, from the rows that can hold it.
+
+    The antipodal pairs give a lower bound ``L`` on the maximum, and row
+    ``i`` is at most ``|p_i - c| + max_j |p_j - c|`` about the centroid
+    ``c``; rows whose bound (with a relative slack far above rounding)
+    falls short of ``L`` are skipped.  The kept rows are the same ``abs``
+    of the same differences, so the result is the same float.
+    """
+    low = float(np.max(np.abs(pts - np.roll(pts, pts.size // 2))))
+    radius = np.abs(pts - np.mean(pts))
+    rows = (radius + np.max(radius)) * (1.0 + 1e-12) >= low
+    return float(np.max(np.abs(pts[rows, None] - pts[None, :])))
 
 
 class Jordan:
@@ -145,6 +184,8 @@ class Jordan:
             raise DomainError("Jordan boundary needs at least one coefficient")
         self._indices = np.array(sorted(coeffs), dtype=np.int64)
         self._coeffs = np.array([complex(coeffs[k]) for k in sorted(coeffs)])
+        if not np.all(np.isfinite(self._coeffs)):
+            raise DomainError("Jordan boundary coefficients must be finite")
         self.coeffs = {int(k): complex(coeffs[k]) for k in sorted(coeffs)}
         self._validate()
 
@@ -214,14 +255,16 @@ class Jordan:
         return phases @ (-(k**2) * self._coeffs)
 
     def _validate(self) -> None:
+        """Necessary conditions of a smooth, positively wound simple curve,
+        tested on samples: they reject the curves that fail them but do not
+        prove the curve simple."""
         t = np.linspace(0.0, 2.0 * math.pi, _VALIDATE_SAMPLES, endpoint=False)
         pts = self.point(t)
         dpt = self.tangent(t)
         if np.min(np.abs(dpt)) < 1e-9:
             raise DomainError("boundary parameterization derivative vanishes")
         # simplicity: non-neighboring samples must stay separated
-        d = np.abs(pts[:, None] - pts[None, :])
-        if np.min(d[_far_pairs()]) < 1e-9:
+        if not _far_samples_separated(pts):
             raise DomainError("boundary self-intersects on a dense sample")
         # positive winding around an interior reference point
         t = np.linspace(0.0, 2.0 * math.pi, _WINDING_SAMPLES, endpoint=False)
@@ -229,8 +272,18 @@ class Jordan:
         centroid = complex(np.mean(pts))
         if self.winding(centroid) != 1:
             raise DomainError("boundary must wind positively (counterclockwise)")
+        # the tangent of a simple closed curve turns exactly once (Hopf's
+        # Umlaufsatz): (1/2pi) * integral of Im(gamma''/gamma') dt
+        with np.errstate(divide="ignore", invalid="ignore"):
+            turning = float(np.mean((self.second(t) / self._winding_samples[1]).imag))
+        if not abs(turning - 1.0) < 0.5:
+            raise DomainError(
+                f"boundary tangent turns {turning:.3f} times, not once: the curve "
+                "has a loop (a simple closed curve turns exactly once) or bends "
+                f"too sharply for {_WINDING_SAMPLES} samples"
+            )
         self._cached_samples = pts
-        self._cached_diameter = float(np.max(d))
+        self._cached_diameter = _diameter(pts)
 
     @property
     def diameter(self) -> float:

@@ -49,6 +49,10 @@ __all__ = [
     "OptimalConstantResult",
     "require_delta",
     "require_eps",
+    "require_a",
+    "require_a_values",
+    "require_cutoff_eps",
+    "require_eps_sequence",
     "optimal_constant_experiment",
     "optimal_constant_record",
 ]
@@ -162,10 +166,26 @@ class CutoffFamily:
         return (self.A - self.m, self.B + self.m)
 
 
+def _require_decreasing(values, name: str) -> None:
+    if any(b >= a for a, b in zip(values[:-1], values[1:])):
+        raise ParameterError(f"{name} must be strictly decreasing")
+
+
+def require_cutoff_eps(eps: float) -> None:
+    """Precondition of :func:`make_cutoff` on the sharpness ``eps``."""
+    if not 0.0 < eps < 0.25:
+        raise ParameterError("eps must lie in (0, 1/4)")
+
+
+def require_eps_sequence(eps_sequence) -> None:
+    """Precondition of :func:`cutoff_limit_check` on the whole ``eps``
+    sequence."""
+    _require_decreasing(eps_sequence, "eps sequence")
+
+
 def make_cutoff(t0: float, eps: float) -> CutoffFamily:
     """Build the cutoff family member for shift ``t0`` and sharpness ``eps``."""
-    if not (0.0 < eps < 0.25):
-        raise ParameterError("eps must lie in (0, 1/4)")
+    require_cutoff_eps(eps)
     m = min(eps / 4.0, 0.25 - eps)
     A = -t0 - 1.0 + eps + m
     B = -t0 - eps - m
@@ -199,8 +219,7 @@ def cutoff_limit_check(
     decreases monotonically and ends below ``limit_tol``.
     """
     eps_sequence = [float(e) for e in eps_sequence]
-    if any(b >= a for a, b in zip(eps_sequence[:-1], eps_sequence[1:])):
-        raise ParameterError("eps sequence must be strictly decreasing")
+    require_eps_sequence(eps_sequence)
     if sample_points is None:
         sample_points = np.linspace(-t0 - 2.0, -t0 + 1.0, 1201)
     ts = np.asarray(sample_points, dtype=float)
@@ -732,6 +751,19 @@ def require_eps(eps: float) -> None:
         raise ParameterError("eps must be finite and nonnegative")
 
 
+def require_a(a: float) -> None:
+    """Precondition of :func:`optimal_constant_experiment` on each plateau
+    radius ``a``."""
+    if not 0.0 < a < 1.0:
+        raise ParameterError("a values must lie in (0, 1)")
+
+
+def require_a_values(a_values) -> None:
+    """Precondition of :func:`optimal_constant_experiment` on the whole
+    sequence of plateau radii, which the limit ``a -> 0`` runs along."""
+    _require_decreasing(a_values, "a sequence")
+
+
 def optimal_constant_experiment(
     delta: float,
     eps: float,
@@ -751,10 +783,9 @@ def optimal_constant_experiment(
     require_delta(delta)
     require_eps(eps)
     a_values = tuple(float(a) for a in a_values)
-    if any(not (0.0 < a < 1.0) for a in a_values):
-        raise ParameterError("a values must lie in (0, 1)")
-    if any(a2 >= a1 for a1, a2 in zip(a_values[:-1], a_values[1:])):
-        raise ParameterError("a sequence must be strictly decreasing")
+    for a in a_values:
+        require_a(a)
+    require_a_values(a_values)
 
     from .domains import Disc
 

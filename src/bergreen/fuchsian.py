@@ -25,6 +25,7 @@ from .squeezing import MoebiusMap
 __all__ = [
     "CyclicGroup",
     "canonical_generator",
+    "require_c",
     "group_sums",
     "fuchsian_sums",
     "inequality_check",
@@ -34,12 +35,18 @@ __all__ = [
 DEFAULT_C_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 
+def require_c(c: float) -> None:
+    """Precondition of :func:`canonical_generator` (and so of every sum
+    over its group) on the displacement ``c = g(0)``."""
+    if not 0.0 < c < 1.0:
+        raise ParameterError(f"generator parameter c = {c} must lie in (0, 1)")
+
+
 def canonical_generator(c: float) -> MoebiusMap:
     """Hyperbolic disc automorphism ``g(z) = (z + c) / (1 + c z)`` with
     ``g(0) = c`` and fixed points ±1, in unit-determinant form."""
     c = float(c)
-    if not (0.0 < c < 1.0):
-        raise ParameterError("canonical generator requires 0 < c < 1")
+    require_c(c)
     s = math.sqrt(1.0 - c * c)
     return MoebiusMap(1.0 / s, c / s, c / s, 1.0 / s)
 
@@ -122,8 +129,7 @@ def fuchsian_sums(
     rather than trust an under-resolved comparison.
     """
     c = float(c)
-    if not (0.0 < c < 1.0):
-        raise ParameterError("fuchsian_sums requires 0 < c < 1")
+    require_c(c)
     if N < 8:
         raise ParameterError("fuchsian_sums requires N >= 8")
     tail = _tail_bound(c, N)

@@ -36,6 +36,7 @@ __all__ = [
     "squeeze_lower",
     "sandwich_check",
     "require_trend_k",
+    "require_trend_ks",
     "require_angle",
     "boundary_trend_check",
 ]
@@ -237,6 +238,13 @@ def require_trend_k(k: int) -> None:
         raise ParameterError(f"trend exponent k = {k} must be at least 1")
 
 
+def require_trend_ks(ks) -> None:
+    """Precondition of :func:`boundary_trend_check` on the whole exponent
+    sequence: strictly increasing, so the points approach the boundary."""
+    if any(b <= a for a, b in zip(ks[:-1], ks[1:])):
+        raise ParameterError("k sequence must be strictly increasing")
+
+
 def require_angle(angle: float) -> None:
     """Precondition of :func:`boundary_trend_check` on the ray angle."""
     if not math.isfinite(angle):
@@ -256,8 +264,7 @@ def boundary_trend_check(
     ``close_tol`` of 1.
     """
     ks = [int(k) for k in ks]
-    if ks != sorted(ks) or len(set(ks)) != len(ks):
-        raise ParameterError("k sequence must be strictly increasing")
+    require_trend_ks(ks)
     for k in ks:
         require_trend_k(k)
     require_angle(angle)

@@ -210,6 +210,10 @@ class TestResolveConfig:
             ("optimal-constant", {"epss": "nan"}),
             ("squeeze-check", {"ks": "0,1"}),
             ("squeeze-check", {"angle": "nan"}),
+            ("squeeze-check", {"points": "1", "ks": "2,1"}),
+            ("fuchsian-check", {"c_grid": "1.5"}),
+            ("optimal-constant", {"a_values": "0.5,1.5"}),
+            ("cutoff-check", {"eps_sequence": "0.1,0.2"}),
         ],
     )
     def test_validation_failures(self, tmp_path, command, overrides):
@@ -261,6 +265,16 @@ class TestResolveConfig:
             (["optimal-constant", "--epss", "-0.1"], "epss: eps must be finite and nonnegative"),
             (["squeeze-check", "--ks", "0,1"], "ks: trend exponent k = 0 must be at least 1"),
             (["squeeze-check", "--angle", "nan"], "angle: trend angle must be finite"),
+            (["squeeze-check", "--points", "1", "--ks", "2,1"],
+             "ks: k sequence must be strictly increasing"),
+            (["squeeze-check", "--ks", "1,1"], "ks: k sequence must be strictly increasing"),
+            (["fuchsian-check", "--c-grid", "1.5"], "c_grid: generator parameter c = 1.5 must lie"),
+            (["optimal-constant", "--a-values", "0.5,1.5"], "a_values: a values must lie in (0, 1)"),
+            (["optimal-constant", "--a-values", "0.1,0.5"],
+             "a_values: a sequence must be strictly decreasing"),
+            (["cutoff-check", "--eps-sequence", "0.1,0.2"],
+             "eps_sequence: eps sequence must be strictly decreasing"),
+            (["cutoff-check", "--eps-sequence", "0.3,0.2"], "eps_sequence: eps must lie in (0, 1/4)"),
         ],
     )
     def test_out_of_range_parameter_exits_2(self, tmp_path, capsys, argv, message):
@@ -268,6 +282,16 @@ class TestResolveConfig:
         assert main([*argv, "--outdir", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    def test_looped_jordan_file_exits_2(self, tmp_path, capsys):
+        # a small inner loop: samples apart, winding +1, but turning number 2
+        curve = tmp_path / "looped.txt"
+        curve.write_text("1 1.0 0.0\n2 0.6 0.0\n")
+        out = tmp_path / "out"
+        argv = ["capacity", f"--domain=jordan:{curve}", "--z=0.1", "--outdir", str(out)]
+        assert main(argv) == 2
+        assert "tangent turns 2.000 times, not once" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any output
 
     def test_ode_check_keeps_infinite_delta(self, tmp_path):
         # ode_pair has a finite limit as delta -> inf, so only delta > 0 is stated

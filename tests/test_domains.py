@@ -439,10 +439,25 @@ class TestJordan:
         assert not dom.contains(1.5)
         assert dom.boundary_distance(0.0) == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "coeffs,turns", [({1: 1.0, 2: 0.6}, "2.000"), ({1: 1.0, -3: 0.5}, "-3.000")],
+        ids=["inner-loop", "four-loops"],
+    )
+    def test_looped_curve_rejected(self, coeffs, turns):
+        # both keep their samples apart and wind +1 around their centroid;
+        # only the turning of the tangent gives the loops away
+        t = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+        assert all_pairs_validation(fourier_samples(coeffs, t))[0]
+        with pytest.raises(DomainError, match=f"tangent turns {turns} times, not once"):
+            Jordan(coeffs)
+
+    @pytest.mark.parametrize("coeffs", [{1: float("nan")}, {1: 1.0, 2: float("inf")}])
+    def test_non_finite_coefficients_rejected(self, coeffs):
+        with pytest.raises(DomainError, match="coefficients must be finite"):
+            Jordan(coeffs)
+
     def test_samples_computed_once(self):
         a, b = Jordan.ellipse(1.2, 0.7), wobbly_domain()
-        assert domains._far_pairs() is domains._far_pairs()
-        assert not domains._far_pairs().flags.writeable
         # the stored winding samples give the winding number of a fresh sum
         t = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
         for dom in (a, b):
@@ -470,6 +485,105 @@ class TestJordan:
             Annulus(1.0)
         with pytest.raises(DomainError):
             Disc(0.0)
+
+
+def fourier_samples(coeffs: dict, t: np.ndarray) -> np.ndarray:
+    """``gamma(t)`` computed as :meth:`Jordan.point` does, also for curves
+    that ``Jordan`` rejects."""
+    k = np.array(sorted(coeffs), dtype=np.int64).astype(float)
+    c = np.array([complex(coeffs[j]) for j in sorted(coeffs)])
+    return np.exp(1j * np.multiply.outer(t, k)) @ c
+
+
+def all_pairs_validation(pts: np.ndarray) -> tuple[bool, float]:
+    """The full distance-matrix separation test and diameter that
+    ``_far_samples_separated`` and ``_diameter`` replace, kept as their
+    oracle: (far samples at least 1e-9 apart, max distance)."""
+    n = pts.size
+    idx = np.arange(n)
+    gap = np.abs(idx[:, None] - idx[None, :])
+    far = np.minimum(gap, n - gap) > n // 32
+    d = np.abs(pts[:, None] - pts[None, :])
+    return not np.min(d[far]) < 1e-9, float(np.max(d))
+
+
+def _ellipse(a: float, b: float) -> dict:
+    return {1: (a + b) / 2.0 + 0j, -1: (a - b) / 2.0 + 0j}
+
+
+def _random_curve(seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    coeffs = {k: 0.15 * complex(*rng.normal(size=2)) for k in (-3, -2, -1, 0, 2, 3)}
+    return {**coeffs, 1: 1.0}
+
+
+# curves Jordan accepts; the first twelve ellipses are those of the nystrom
+# benchmark workload at seeds 0, 1, 3 and 7
+_ACCEPTED_CURVES = [
+    *(_ellipse(a, b) for a, b in [
+        (1.1432, 0.8059), (1.1943, 0.8112), (1.3194, 0.5679),
+        (1.2851, 0.6575), (1.3082, 0.5954), (1.3846, 0.778),
+        (1.0475, 0.8144), (1.0543, 0.8904), (1.4491, 0.6898),
+        (1.1072, 0.5043), (1.2017, 0.5749), (1.2383, 0.8519),
+        (1.2, 0.7), (1.0, 1.0), (1.0, 1e-3), (3.0, 2.0),
+    ]),
+    {1: 1.0},
+    {1: 2.0, 0: 0.5 - 0.25j},
+    {1: 1.0, 4: 0.08 + 0.02j, -2: 0.06},  # wobbly_domain
+]
+# curves the separation test rejects: the figure-eight, whose crossing is a
+# pair of samples, and an ellipse too thin for it (|gamma'| >= 2e-9 passes)
+_REJECTED_CURVES = [{1: 0.5, -1: 0.5, 2: 0.25, -2: -0.25}, _ellipse(1.0, 2e-9)]
+
+
+@pytest.mark.parametrize(
+    "coeffs,accepted",
+    [*((c, True) for c in _ACCEPTED_CURVES), *((c, False) for c in _REJECTED_CURVES),
+     *((_random_curve(seed), None) for seed in range(40))],
+)
+def test_sweep_validation_matches_all_pairs(coeffs, accepted):
+    t = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+    pts = fourier_samples(coeffs, t)
+    separated, diameter = all_pairs_validation(pts)
+    assert accepted is not False or not separated
+    assert domains._far_samples_separated(pts) == separated
+    assert domains._diameter(pts) == diameter  # the same float, not close
+    try:
+        dom = Jordan(coeffs)
+    except DomainError as exc:
+        assert accepted is not True, exc
+        # separation decides once the derivative test has passed
+        if "derivative" not in str(exc):
+            assert ("self-intersects" in str(exc)) == (not separated)
+    else:
+        assert accepted is not False and separated
+        assert dom._cached_samples.tobytes() == pts.tobytes()
+        assert dom.diameter == diameter
+
+
+def _ring(n: int = 1024) -> np.ndarray:
+    return np.exp(2j * math.pi * np.arange(n) / n)
+
+
+@pytest.mark.parametrize(
+    "j,dist,separated",
+    [
+        (500, 5e-10, False),  # a far pair too close
+        (500, 2e-9, True),  # a far pair just apart
+        (33, 5e-10, False),  # the nearest far pair
+        (32, 5e-10, True),  # a gap of n // 32 is near
+        (1, 5e-10, True),
+        (1000, 5e-10, True),  # near across the seam of the ring
+        (991, 5e-10, False),  # far across the seam
+    ],
+)
+@pytest.mark.parametrize("angle", [0.0, 1.0, math.sqrt(2.0), math.sqrt(2.0) + math.pi / 2])
+def test_separation_on_planted_pairs(j, dist, separated, angle):
+    # sqrt(2) is along the sweep, sqrt(2) + pi/2 across it (equal projections)
+    pts = _ring()
+    pts[j] = pts[0] + dist * cmath.exp(1j * angle)
+    assert domains._far_samples_separated(pts) == separated
+    assert all_pairs_validation(pts)[0] == separated
 
 
 # ---------------------------------------------------------------------------
