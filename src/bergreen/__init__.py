@@ -35,12 +35,10 @@ cli
 __version__ = "0.1.0"
 
 from .bergman import (
-    ExtendedSuitaResult,
     HarmonicLog,
     HarmonicRe,
     KernelEstimate,
     MaxPiece,
-    SuitaRatio,
     Unweighted,
     extended_suita_check,
     gram_matrix,
@@ -101,9 +99,7 @@ __all__ = [
     "kernel_diag",
     "least_norm_extension",
     "suita_ratio",
-    "SuitaRatio",
     "extended_suita_check",
-    "ExtendedSuitaResult",
     # extension
     "CutoffFamily",
     "make_cutoff",

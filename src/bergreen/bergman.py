@@ -58,12 +58,8 @@ __all__ = [
     "least_norm_extension",
     "evaluate_span",
     "suita_ratio",
-    "SuitaRatio",
     "extended_suita_check",
-    "ExtendedSuitaResult",
     "kernel_record",
-    "suita_record",
-    "extended_suita_record",
     "default_basis",
     "auto_basis",
 ]
@@ -570,99 +566,6 @@ def evaluate_span(coeffs: np.ndarray, basis: tuple[int, int], z):
 
 
 # ---------------------------------------------------------------------------
-# Suita-type checks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SuitaRatio:
-    """Capacity/kernel comparison ``c_beta^2 / (pi K)`` at one point."""
-
-    value: float
-    capacity: float
-    kernel: KernelEstimate
-    violation: bool
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def suita_ratio(
-    domain: PlanarDomain,
-    z: complex,
-    basis: tuple[int, int] | None = None,
-    ratio_tol: float = 1e-6,
-    evaluator: GreenEvaluator | None = None,
-) -> SuitaRatio:
-    """Ratio ``c_beta(z)^2 / (pi K(z, z))`` with its ingredients.
-
-    Must lie in ``(0, 1 + ratio_tol]``; larger values are flagged as
-    violations (reported, never clipped).  ``evaluator`` overrides the
-    capacity method (e.g. a Nystrom evaluator for cross-method pipelines);
-    the kernel part always uses the monomial Gram machinery.
-    """
-    cap = capacity(evaluator if evaluator is not None else domain, z)
-    kernel_domain = domain
-    if basis is None and isinstance(kernel_domain, (Disc, Annulus)):
-        basis = auto_basis(kernel_domain, z)
-    est = kernel_diag(kernel_domain, Unweighted(), z, basis=basis)
-    if est.value <= 0.0:
-        raise ZeroKernelError("kernel diagonal is not positive")
-    ratio = cap**2 / (math.pi * est.value)
-    violation = ratio > 1.0 + ratio_tol
-    if violation:
-        warnings.warn(
-            f"capacity/kernel ratio {ratio} exceeds 1 + {ratio_tol} at z={z}",
-            RuntimeWarning,
-        )
-    return SuitaRatio(value=ratio, capacity=cap, kernel=est, violation=violation)
-
-
-@dataclass(frozen=True)
-class ExtendedSuitaResult:
-    """Weighted comparison ``pi rho(z) K_rho(z, z) >= c_beta(z)^2``."""
-
-    margin: float
-    passed: bool
-    capacity_sq: float
-    rho_at_z: float
-    weighted_kernel: KernelEstimate
-
-
-def extended_suita_check(
-    domain: PlanarDomain,
-    weight: WeightSpec,
-    z: complex,
-    basis: tuple[int, int] | None = None,
-    margin_tol: float = 1e-9,
-    memo: dict | None = None,
-) -> ExtendedSuitaResult:
-    """Check ``pi rho(z) K_rho(z, z) - c_beta(z)^2 >= -margin_tol``.
-
-    ``weight`` must come from a harmonic exponent (``Unweighted``,
-    ``HarmonicLog`` or ``HarmonicRe``); ``MaxPiece`` is not of that form.
-
-    Calls that pass the same ``memo`` share their dense Grams through
-    :func:`kernel_diag`.
-    """
-    if isinstance(weight, MaxPiece):
-        raise DomainError("extended check requires a harmonic weight variant")
-    cap = capacity(domain, z)
-    if basis is None and isinstance(domain, (Disc, Annulus)):
-        basis = auto_basis(domain, z)
-    est = kernel_diag(domain, weight, z, basis=basis, memo=memo)
-    rho = float(weight.density(np.asarray([z], dtype=complex))[0])
-    margin = math.pi * rho * est.value - cap**2
-    return ExtendedSuitaResult(
-        margin=margin,
-        passed=margin >= -margin_tol,
-        capacity_sq=cap**2,
-        rho_at_z=rho,
-        weighted_kernel=est,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Records
 # ---------------------------------------------------------------------------
 
@@ -695,21 +598,39 @@ def kernel_record(
     )
 
 
-def suita_record(domain: PlanarDomain, z: complex, ratio_tol: float) -> ReportRecord:
+def suita_ratio(
+    domain: PlanarDomain,
+    z: complex,
+    basis: tuple[int, int] | None = None,
+    ratio_tol: float = 1e-6,
+    evaluator: GreenEvaluator | None = None,
+) -> ReportRecord:
     """``c_beta(z)^2 / (pi K(z, z)) <= 1`` (overshoot up to ``ratio_tol``)
-    and ``> 0``, from :func:`suita_ratio`."""
-    ratio = suita_ratio(domain, z, ratio_tol=ratio_tol)
+    and ``> 0``: the ``suita-check`` record, with the ratio, the capacity
+    and the kernel diagonal among its quantities.
+
+    ``evaluator`` overrides the capacity method (e.g. a Nystrom evaluator
+    for cross-method pipelines); the kernel part always uses the monomial
+    Gram machinery, on :func:`auto_basis` unless ``basis`` is given.
+    """
+    cap = capacity(evaluator if evaluator is not None else domain, z)
+    if basis is None and isinstance(domain, (Disc, Annulus)):
+        basis = auto_basis(domain, z)
+    est = kernel_diag(domain, Unweighted(), z, basis=basis)
+    if est.value <= 0.0:
+        raise ZeroKernelError("kernel diagonal is not positive")
+    ratio = cap**2 / (math.pi * est.value)
     return make_record(
         command="suita-check",
         input_id=f"{domain!r} z={z}",
         inputs={"domain": repr(domain), "z": z, "ratio_tol": ratio_tol},
         quantities={
-            "ratio": ratio.value,
-            "capacity": ratio.capacity,
-            "kernel_diag": ratio.kernel.value,
-            "gram_condition": ratio.kernel.gram_condition,
+            "ratio": ratio,
+            "capacity": cap,
+            "kernel_diag": est.value,
+            "gram_condition": est.gram_condition,
         },
-        margins={"upper": 1.0 - ratio.value, "positive": ratio.value},
+        margins={"upper": 1.0 - ratio, "positive": ratio},
         tolerances={"upper": ratio_tol, "positive": 0.0},
         primary="ratio",
         provenance={
@@ -721,28 +642,40 @@ def suita_record(domain: PlanarDomain, z: complex, ratio_tol: float) -> ReportRe
     )
 
 
-def extended_suita_record(
+def extended_suita_check(
     domain: PlanarDomain,
     weight: WeightSpec,
     z: complex,
-    margin_tol: float,
+    margin_tol: float = 1e-9,
     memo: dict | None = None,
 ) -> ReportRecord:
-    """``pi rho(z) K_rho(z, z) - c_beta(z)^2 >= -margin_tol``, from
-    :func:`extended_suita_check` (``memo`` shares its dense Grams)."""
-    res = extended_suita_check(domain, weight, z, margin_tol=margin_tol, memo=memo)
+    """``pi rho(z) K_rho(z, z) - c_beta(z)^2 >= -margin_tol``: the
+    ``extended-suita-check`` record.
+
+    ``weight`` must come from a harmonic exponent (``Unweighted``,
+    ``HarmonicLog`` or ``HarmonicRe``); ``MaxPiece`` is not of that form.
+    Calls that pass the same ``memo`` share their dense Grams through
+    :func:`kernel_diag`.
+    """
+    if isinstance(weight, MaxPiece):
+        raise DomainError("extended check requires a harmonic weight variant")
+    cap = capacity(domain, z)
+    basis = auto_basis(domain, z) if isinstance(domain, (Disc, Annulus)) else None
+    est = kernel_diag(domain, weight, z, basis=basis, memo=memo)
+    rho = float(weight.density(np.asarray([z], dtype=complex))[0])
+    margin = math.pi * rho * est.value - cap**2
     return make_record(
         command="extended-suita-check",
         input_id=f"{domain!r} {weight!r} z={z}",
         inputs={"domain": repr(domain), "weight": repr(weight), "z": z, "margin_tol": margin_tol},
         quantities={
-            "margin": res.margin,
-            "capacity_sq": res.capacity_sq,
-            "rho_at_z": res.rho_at_z,
-            "weighted_kernel": res.weighted_kernel.value,
-            "gram_condition": res.weighted_kernel.gram_condition,
+            "margin": margin,
+            "capacity_sq": cap**2,
+            "rho_at_z": rho,
+            "weighted_kernel": est.value,
+            "gram_condition": est.gram_condition,
         },
-        margins={"nonnegative": res.margin},
+        margins={"nonnegative": margin},
         tolerances={"nonnegative": margin_tol},
         primary="margin",
         provenance={

@@ -127,15 +127,15 @@ PARAMS: dict[str, dict[str, Param]] = {
         "a_values": Param("floats", _default(extension.optimal_constant_experiment, "a_values"),
                           "decreasing plateau radii", check=extension.require_a,
                           check_list=extension.require_a_values),
-        "cross_tol": Param("float",
-                           _default(extension.optimal_constant_experiment, "cross_check_tol"),
+        "cross_tol": Param("float", _default(extension.optimal_constant_experiment, "cross_tol"),
                            "closed-form vs quadrature relative tolerance"),
         "limit_rel_tol": Param("float",
-                               _default(extension.optimal_constant_record, "limit_rel_tol"),
+                               _default(extension.optimal_constant_experiment, "limit_rel_tol"),
                                "relative tolerance of the extrapolated limit"),
     },
     "ode-check": {
-        "deltas": Param("floats", [0.1, 0.5, 1.0, 2.0, 10.0], "delta grid"),
+        "deltas": Param("floats", [0.1, 0.5, 1.0, 2.0, 10.0], "delta grid",
+                        check=extension.require_positive_delta),
         "t_grid": Param("grid", "log:0.01:50:200", "t grid spec (log:lo:hi:n | lin:lo:hi:n | comma list)"),
         "residual_tol": Param("float", _default(extension.ode_record, "residual_tol"),
                               "max allowed identity residual"),
@@ -143,7 +143,7 @@ PARAMS: dict[str, dict[str, Param]] = {
                          "tolerance of u at the grid end vs its limit"),
     },
     "cutoff-check": {
-        "t0s": Param("floats", [1.0, 5.0], "anchoring offsets"),
+        "t0s": Param("floats", [1.0, 5.0], "anchoring offsets", check=extension.require_t0),
         "eps_sequence": Param("floats", [0.2, 0.1, 0.05, 0.01], "decreasing smoothing widths",
                               check=extension.require_cutoff_eps,
                               check_list=extension.require_eps_sequence),
@@ -151,7 +151,8 @@ PARAMS: dict[str, dict[str, Param]] = {
                            "final sup-gap bound"),
     },
     "residual-measure": {
-        "psi0s": Param("floats", [0.0, -0.7, 0.3], "constant offsets added to the log pole"),
+        "psi0s": Param("floats", [0.0, -0.7, 0.3], "constant offsets added to the log pole",
+                       check=extension.require_psi0),
         "fs": Param("strs", list(extension.RESIDUAL_PROFILES), "integrand profiles (one | affine)"),
         "t": Param("float", _default(extension.residual_record, "t"), "shell depth"),
         "value_tol": Param("float", _default(extension.residual_record, "value_tol"),
@@ -173,12 +174,13 @@ PARAMS: dict[str, dict[str, Param]] = {
     "fuchsian-check": {
         "c_grid": Param("floats", _default(fuchsian.inequality_check, "c_grid"),
                         "generator parameters", check=fuchsian.require_c),
-        "n_terms": Param("int", _default(fuchsian.inequality_check, "N"), "orbit truncation"),
+        "n_terms": Param("int", _default(fuchsian.inequality_check, "N"), "orbit truncation",
+                         check=fuchsian.require_terms),
         "tail_tol": Param("float", _default(fuchsian.inequality_check, "tail_tol"),
                           "certified tail bound"),
     },
     "torus-check": {
-        "taus": Param("complexes", ["1j", "0.5+1j"], "moduli (Im > 0)"),
+        "taus": Param("complexes", ["1j", "0.5+1j"], "moduli (Im > 0)", check=torus.require_tau),
         "ds": Param("ints", [4, 6], "even degrees >= 4", check=torus.require_degree),
         "margin_tol": Param("float", _default(torus.arak1_check, "margin_tol"),
                             "allowed negative inequality margin"),
@@ -377,10 +379,6 @@ def _validate(config: dict) -> None:
                 raise ConfigError(
                     f"unknown integrand profile {f!r} (use {'|'.join(extension.RESIDUAL_PROFILES)})"
                 )
-    if "taus" in schema:
-        for t in config["taus"]:
-            if not complex(t).imag > 0.0:
-                raise ConfigError(f"torus modulus {t} needs Im tau > 0")
     outdir = config["outdir"]
     try:
         os.makedirs(outdir, exist_ok=True)
@@ -506,7 +504,7 @@ def _suita(cfg):
     domain, zs = _points(cfg, "zs")
     for z in zs:
         yield Case(f"{cfg['domain']} z={z}", {**_echo(cfg, "domain", "ratio_tol"), "z": str(z)},
-                   "bergman.suita_record",
+                   "bergman.suita_ratio",
                    {"domain": domain, "z": z, "ratio_tol": cfg["ratio_tol"]})
 
 
@@ -517,7 +515,7 @@ def _extended_suita(cfg):
     for z in zs:
         yield Case(f"{cfg['domain']} {cfg['weight']} z={z}",
                    {**_echo(cfg, "domain", "weight", "margin_tol"), "z": str(z)},
-                   "bergman.extended_suita_record",
+                   "bergman.extended_suita_check",
                    {"domain": domain, "weight": weight, "z": z,
                     "margin_tol": cfg["margin_tol"], "memo": memo})
 
@@ -527,7 +525,7 @@ def _optimal_constant(cfg):
     for delta in cfg["deltas"]:
         for eps in cfg["epss"]:
             yield Case(f"delta={delta:g},eps={eps:g}", {"delta": delta, "eps": eps, **tols},
-                       "extension.optimal_constant_record", {"delta": delta, "eps": eps, **tols})
+                       "extension.optimal_constant_experiment", {"delta": delta, "eps": eps, **tols})
 
 
 def _ode(cfg):

@@ -189,6 +189,10 @@ class Jordan:
         self.coeffs = {int(k): complex(coeffs[k]) for k in sorted(coeffs)}
         self._validate()
 
+    def __repr__(self) -> str:
+        # built from the coefficients, so record ids do not vary by process
+        return f"Jordan({self.coeffs!r})"
+
     # -- construction helpers ------------------------------------------------
 
     @classmethod

@@ -30,7 +30,7 @@ from .errors import (
     ParameterError,
     ShellEscapeError,
 )
-from .reports import ReportRecord, make_record
+from .reports import ReportRecord, make_record, min_margin
 
 __all__ = [
     "CutoffFamily",
@@ -46,15 +46,16 @@ __all__ = [
     "residual_measure",
     "RESIDUAL_PROFILES",
     "residual_record",
-    "OptimalConstantResult",
     "require_delta",
     "require_eps",
     "require_a",
     "require_a_values",
     "require_cutoff_eps",
     "require_eps_sequence",
+    "require_t0",
+    "require_positive_delta",
+    "require_psi0",
     "optimal_constant_experiment",
-    "optimal_constant_record",
 ]
 
 
@@ -177,6 +178,13 @@ def require_cutoff_eps(eps: float) -> None:
         raise ParameterError("eps must lie in (0, 1/4)")
 
 
+def require_t0(t0: float) -> None:
+    """Precondition of :func:`make_cutoff` and :func:`cutoff_limit_check`
+    on the offset ``t0``."""
+    if not math.isfinite(t0):
+        raise ParameterError("t0 must be finite")
+
+
 def require_eps_sequence(eps_sequence) -> None:
     """Precondition of :func:`cutoff_limit_check` on the whole ``eps``
     sequence."""
@@ -185,6 +193,7 @@ def require_eps_sequence(eps_sequence) -> None:
 
 def make_cutoff(t0: float, eps: float) -> CutoffFamily:
     """Build the cutoff family member for shift ``t0`` and sharpness ``eps``."""
+    require_t0(t0)
     require_cutoff_eps(eps)
     m = min(eps / 4.0, 0.25 - eps)
     A = -t0 - 1.0 + eps + m
@@ -218,6 +227,7 @@ def cutoff_limit_check(
     ``b_{t0}``) of ``|v' - b_{t0}|`` per ``eps``; passes if the sequence
     decreases monotonically and ends below ``limit_tol``.
     """
+    require_t0(t0)
     eps_sequence = [float(e) for e in eps_sequence]
     require_eps_sequence(eps_sequence)
     if sample_points is None:
@@ -244,7 +254,7 @@ def cutoff_limit_check(
         },
         quantities=quantities,
         margins={
-            "monotone_decrease": min(diffs) if diffs else 0.0,
+            "monotone_decrease": min_margin(diffs),
             "final_below_tol": limit_tol - gaps[-1],
         },
         tolerances={"monotone_decrease": 1e-12, "final_below_tol": 1e-12},
@@ -316,9 +326,15 @@ class OdePair:
         return out if out.ndim else float(out)
 
 
-def ode_pair(delta: float) -> OdePair:
-    if not (delta > 0.0):
+def require_positive_delta(delta: float) -> None:
+    """Precondition of :func:`ode_pair` and :func:`delta_class_check` on
+    ``delta``: positive; ``inf`` is allowed (the pair's limit ``a = 1``)."""
+    if not delta > 0.0:
         raise ParameterError("delta must be positive")
+
+
+def ode_pair(delta: float) -> OdePair:
+    require_positive_delta(delta)
     a = 1.0 + 1.0 / delta
     return OdePair(delta=float(delta), a=a, b=a * a - 2.0 * a)
 
@@ -384,8 +400,8 @@ def ode_record(
     u_end = pair.u(float(grid[-1]))
     u_target = -math.log(pair.a)
     quantities = {
-        "max_r1": max(abs(r) for r in r1s),
-        "max_r2": max(abs(r) for r in r2s),
+        "max_r1": float(np.max(np.abs(r1s))),
+        "max_r2": float(np.max(np.abs(r2s))),
         "u_end": u_end,
         "u_target": u_target,
         "min_s_minus_floor": float(np.min(s_vals)) - 1.0 / delta,
@@ -464,8 +480,7 @@ def delta_class_check(
     domain (or centers at the pole) are skipped and counted.  The record's
     margin is the worst ``average - center`` over all tested circles.
     """
-    if not (delta > 0.0):
-        raise ParameterError("delta must be positive")
+    require_positive_delta(delta)
     if centers is None:
         from .domains import sample_interior
 
@@ -475,9 +490,8 @@ def delta_class_check(
     def combined(z, factor):
         return weight_phi(phi_weight, z) + factor * psi(z)
 
-    worst = math.inf
+    margins = []
     skipped = 0
-    tested = 0
     theta = np.linspace(0.0, 2.0 * math.pi, angular_nodes, endpoint=False)
     ring = np.exp(1j * theta)
     for c in centers:
@@ -495,9 +509,8 @@ def delta_class_check(
             for factor in (1.0, 1.0 + delta):
                 avg = float(np.mean(combined(zs, factor)))
                 center_val = float(combined(np.asarray([c]), factor)[0])
-                margin = avg - center_val
-                worst = min(worst, margin)
-                tested += 1
+                margins.append(avg - center_val)
+    worst = min_margin(margins, empty=math.inf)
 
     return make_record(
         command="delta-class-check",
@@ -513,7 +526,7 @@ def delta_class_check(
         },
         quantities={
             "worst_margin": worst,
-            "circles_tested": tested,
+            "circles_tested": len(margins),
             "circles_skipped": skipped,
         },
         margins={"sub_mean_value": worst},
@@ -662,10 +675,17 @@ RESIDUAL_PROFILES = {
 }
 
 
+def require_psi0(psi0: float) -> None:
+    """Precondition of :func:`residual_record` on the pole offset."""
+    if not math.isfinite(psi0):
+        raise ParameterError("psi0 must be finite")
+
+
 def residual_record(psi0: float, f: str, t: float = 20.0, value_tol: float = 1e-3) -> ReportRecord:
     """Residual mass of ``log|z|^2 + psi0`` against the profile ``f`` of
     :data:`RESIDUAL_PROFILES` at shell depth ``t``, within ``value_tol`` of
     the point mass ``e^{-psi0} f(0)``."""
+    require_psi0(psi0)
     psi = PolarSpec(
         0.0,
         lambda z: np.full(np.shape(z), psi0, dtype=float),
@@ -694,24 +714,6 @@ def residual_record(psi0: float, f: str, t: float = 20.0, value_tol: float = 1e-
 # ---------------------------------------------------------------------------
 # Optimal-constant experiment
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OptimalConstantResult:
-    """Ratio table and extrapolated small-``a`` limit for one (delta, eps)."""
-
-    delta: float
-    eps: float
-    a_values: tuple
-    min_norms_closed: tuple
-    min_norms_quadrature: tuple
-    ratios: tuple
-    extrapolated_limit: float
-    target: float
-
-    @property
-    def limit_error(self) -> float:
-        return abs(self.extrapolated_limit - self.target)
 
 
 def _min_norm_quadrature(delta: float, a: float) -> float:
@@ -768,17 +770,20 @@ def optimal_constant_experiment(
     delta: float,
     eps: float,
     a_values=(0.5, 0.1, 0.01, 1e-3, 1e-4),
-    cross_check_tol: float = 1e-6,
-) -> OptimalConstantResult:
-    """Least-norm extensions against ``MaxPiece(delta, a)`` as ``a -> 0``.
+    cross_tol: float = 1e-6,
+    limit_rel_tol: float = 0.01,
+) -> ReportRecord:
+    """Least-norm extensions against ``MaxPiece(delta, a)`` as ``a -> 0``:
+    the ``optimal-constant`` record.
 
     For each ``a`` the minimum of ``int |F|^2 e^{-phi}`` over ``F(0) = 1``
     is computed twice: through the Gram/least-norm machinery (closed-form
     radial moments) and through direct radial quadrature; the two must
-    agree within ``cross_check_tol`` relative.  The ratio against the
-    normalization ``a^{-2 delta} e^{eps}`` is tabulated and Richardson-
-    extrapolated in the known power ``a^{2 delta}``, with the sharp
-    target ``(1 + 1/delta) pi e^{-eps}``.
+    agree within ``cross_tol`` relative.  The ratio against the
+    normalization ``a^{-2 delta} e^{eps}`` is tabulated, must increase as
+    ``a`` shrinks, and is Richardson-extrapolated in the known power
+    ``a^{2 delta}``; the limit must lie within ``limit_rel_tol`` relative
+    of the sharp target ``(1 + 1/delta) pi e^{-eps}``.
     """
     require_delta(delta)
     require_eps(eps)
@@ -793,13 +798,8 @@ def optimal_constant_experiment(
     closed, quads, ratios = [], [], []
     for a in a_values:
         mn, _ = least_norm_extension(disc, MaxPiece(delta, a), 0.0, 1.0, basis=(0, 8))
-        mq = _min_norm_quadrature(delta, a)
-        if abs(mn - mq) / abs(mn) > cross_check_tol:
-            raise AccuracyError(
-                f"least-norm routes disagree at a={a}: {mn!r} vs {mq!r}"
-            )
         closed.append(mn)
-        quads.append(mq)
+        quads.append(_min_norm_quadrature(delta, a))
         ratios.append(mn * a ** (2.0 * delta) * math.exp(-eps))
 
     target = (1.0 + 1.0 / delta) * math.pi * math.exp(-eps)
@@ -809,38 +809,13 @@ def optimal_constant_experiment(
         limit = (ratios[-1] - q * ratios[-2]) / (1.0 - q)
     else:
         limit = ratios[-1]
-    return OptimalConstantResult(
-        delta=delta,
-        eps=eps,
-        a_values=a_values,
-        min_norms_closed=tuple(closed),
-        min_norms_quadrature=tuple(quads),
-        ratios=tuple(ratios),
-        extrapolated_limit=limit,
-        target=target,
-    )
-
-
-def optimal_constant_record(
-    delta: float, eps: float, a_values, cross_tol: float, limit_rel_tol: float = 0.01
-) -> ReportRecord:
-    """:func:`optimal_constant_experiment` at ``(delta, eps)``: the
-    extrapolated limit within ``limit_rel_tol`` relative of the sharp
-    target, the two least-norm routes within ``cross_tol``, and the ratios
-    increasing as ``a`` shrinks."""
-    res = optimal_constant_experiment(
-        delta, eps, a_values=tuple(a_values), cross_check_tol=cross_tol
-    )
-    cross_rel = max(
-        abs(c - q) / abs(c) for c, q in zip(res.min_norms_closed, res.min_norms_quadrature)
-    )
-    rel_err = res.limit_error / res.target
-    diffs = [b - a for a, b in zip(res.ratios[:-1], res.ratios[1:])]
-    quantities = {f"ratio_{i}": r for i, r in enumerate(res.ratios)}
+    rel_err = abs(limit - target) / target
+    cross_rel = float(np.max(np.abs(np.subtract(closed, quads)) / np.abs(closed)))
+    quantities = {f"ratio_{i}": r for i, r in enumerate(ratios)}
     quantities.update(
         {
-            "limit": res.extrapolated_limit,
-            "target": res.target,
+            "limit": limit,
+            "target": target,
             "limit_rel_error": rel_err,
             "cross_rel_max": cross_rel,
         }
@@ -859,7 +834,7 @@ def optimal_constant_record(
         margins={
             "limit_within_rel": limit_rel_tol - rel_err,
             "routes_agree": cross_tol - cross_rel,
-            "ratios_increasing": min(diffs) if diffs else 0.0,
+            "ratios_increasing": min_margin(np.diff(ratios)),
         },
         tolerances={
             "limit_within_rel": 0.0,

@@ -26,6 +26,7 @@ __all__ = [
     "CyclicGroup",
     "canonical_generator",
     "require_c",
+    "require_terms",
     "group_sums",
     "fuchsian_sums",
     "inequality_check",
@@ -40,6 +41,13 @@ def require_c(c: float) -> None:
     over its group) on the displacement ``c = g(0)``."""
     if not 0.0 < c < 1.0:
         raise ParameterError(f"generator parameter c = {c} must lie in (0, 1)")
+
+
+def require_terms(N: int) -> None:
+    """Precondition of :func:`fuchsian_sums` (and so of
+    :func:`inequality_check`) on the orbit truncation."""
+    if N < 8:
+        raise ParameterError("fuchsian_sums requires N >= 8")
 
 
 def canonical_generator(c: float) -> MoebiusMap:
@@ -130,8 +138,7 @@ def fuchsian_sums(
     """
     c = float(c)
     require_c(c)
-    if N < 8:
-        raise ParameterError("fuchsian_sums requires N >= 8")
+    require_terms(N)
     tail = _tail_bound(c, N)
     if tail > tail_tol:
         raise NonConvergenceError(

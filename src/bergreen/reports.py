@@ -29,6 +29,8 @@ import tempfile
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError
 
@@ -36,6 +38,7 @@ __all__ = [
     "ReportRecord",
     "make_record",
     "finite_margin",
+    "min_margin",
     "primary_text",
     "record_to_dict",
     "record_from_dict",
@@ -113,6 +116,13 @@ def finite_margin(*values) -> float:
     0.0 if every headline value is finite and -1.0 if not, so a NaN or inf
     never passes (shaped like the error record's ``module_error``)."""
     return 0.0 if all(math.isfinite(v) for v in values) else -1.0
+
+
+def min_margin(values, empty: float = 0.0) -> float:
+    """The smallest of ``values`` as a margin: NaN if any value is NaN
+    (Python's ``min`` skips a NaN unless it comes first), ``empty`` when
+    there are no values."""
+    return float(np.min(values)) if len(values) else empty
 
 
 def primary_text(rec: ReportRecord) -> str:
@@ -241,10 +251,16 @@ def write_json_report(path: str, config: dict, records: list[ReportRecord]) -> N
 
 
 def _binding_margin(rec: ReportRecord) -> tuple[str, str]:
-    """(margin, tol) strings for the CSV row: the binding (smallest) margin."""
+    """(margin, tol) strings for the CSV row: the binding (smallest) margin,
+    or the first NaN margin if there is one."""
     if not rec.margins:
         return "", ""
-    key = min(rec.margins, key=lambda k: rec.margins[k] + rec.tolerances[k])
+
+    def slack(k):
+        s = rec.margins[k] + rec.tolerances[k]
+        return -math.inf if math.isnan(s) else s
+
+    key = min(rec.margins, key=slack)
     return repr(float(rec.margins[key])), repr(float(rec.tolerances[key]))
 
 

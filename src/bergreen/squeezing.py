@@ -26,7 +26,7 @@ from .errors import (
     ParameterError,
     PoleOnCircleError,
 )
-from .reports import ReportRecord, make_record
+from .reports import ReportRecord, make_record, min_margin
 
 __all__ = [
     "Circle",
@@ -183,12 +183,7 @@ def squeeze_lower(domain, p: complex) -> float:
     return max(dist, 0.0)
 
 
-def sandwich_check(
-    domain,
-    p: complex,
-    sandwich_tol: float = 1e-6,
-    basis=None,
-) -> ReportRecord:
+def sandwich_check(domain, p: complex, sandwich_tol: float = 1e-6) -> ReportRecord:
     """Two-sided comparison ``s_low^2 - tol <= C <= 1 + tol`` at one point.
 
     ``C`` is the capacity-squared to kernel ratio; ``s_low`` the certified
@@ -198,8 +193,8 @@ def sandwich_check(
     """
     p = complex(p)
     s_low = squeeze_lower(domain, p)
-    ratio = suita_ratio(domain, p, basis=basis)
-    c_val = float(ratio)
+    ratio = suita_ratio(domain, p).quantities
+    c_val = ratio["ratio"]
     return make_record(
         command="squeeze-check",
         input_id=f"{domain!r}@p={p!r}",
@@ -212,8 +207,8 @@ def sandwich_check(
             "ratio": c_val,
             "squeeze_lower": s_low,
             "squeeze_lower_sq": s_low * s_low,
-            "capacity": ratio.capacity,
-            "kernel": ratio.kernel.value,
+            "capacity": ratio["capacity"],
+            "kernel": ratio["kernel_diag"],
         },
         margins={
             "lower": c_val - s_low * s_low,
@@ -272,8 +267,7 @@ def boundary_trend_check(
     ratios = []
     for k in ks:
         p = (1.0 - 10.0 ** (-k)) * phase
-        ratios.append(float(suita_ratio(domain, p)))
-    diffs = [b - a for a, b in zip(ratios[:-1], ratios[1:])]
+        ratios.append(suita_ratio(domain, p).quantities["ratio"])
     quantities = {f"ratio_k{k}": r for k, r in zip(ks, ratios)}
     quantities["final_deficit"] = 1.0 - ratios[-1]
     return make_record(
@@ -288,7 +282,7 @@ def boundary_trend_check(
         },
         quantities=quantities,
         margins={
-            "monotone_toward_one": min(diffs) if diffs else 0.0,
+            "monotone_toward_one": min_margin(np.diff(ratios)),
             "final_close_to_one": close_tol - abs(1.0 - ratios[-1]),
         },
         tolerances={

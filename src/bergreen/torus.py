@@ -34,7 +34,6 @@ import numpy as np
 from .bergman import KernelEstimate, _dense_kernel_value, _normalized_condition
 from .domains import gauss_legendre, refine
 from .errors import (
-    AccuracyError,
     ExtrapolationDivergenceError,
     ParameterError,
     TruncationError,
@@ -43,6 +42,7 @@ from .extension import PolarSpec, residual_measure
 from .reports import ReportRecord, make_record
 
 __all__ = [
+    "require_tau",
     "TorusSpec",
     "theta1",
     "theta1_term_count",
@@ -66,6 +66,14 @@ _MIN_TERMS = 8
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
+def require_tau(tau) -> None:
+    """Precondition of :class:`TorusSpec` on the modulus: finite, with
+    ``Im tau > 0``."""
+    tau = complex(tau)
+    if not (math.isfinite(tau.real) and 0.0 < tau.imag < math.inf):
+        raise ParameterError(f"torus modulus {tau} must be finite with Im tau > 0")
+
+
 @dataclass(frozen=True)
 class TorusSpec:
     """Torus ``C / (Z + tau Z)`` with the unit-volume flat metric."""
@@ -74,8 +82,7 @@ class TorusSpec:
     terms: int = 64
 
     def __post_init__(self):
-        if not (self.tau.imag > 0.0):
-            raise ParameterError("torus modulus needs Im tau > 0")
+        require_tau(self.tau)
         if self.terms < _MIN_TERMS:
             raise ParameterError(f"theta truncation needs terms >= {_MIN_TERMS}")
 
@@ -313,18 +320,11 @@ def _five_point_laplacian(f, z: complex, h: float) -> float:
     ) / (h * h)
 
 
-def laplacian_deviation(
-    green: ArakelovGreen,
-    samples=None,
-    h: float = 5e-4,
-    lap_tol: float = 1e-5,
-) -> float:
-    """Max deviation of the volume-normalized Laplacian of ``g`` from -1
-    over interior samples, by five-point finite differences.
-
-    ``Lap_vol = (Im tau / 2 pi) Lap_euclid``; exceeding ``lap_tol`` raises
-    :class:`AccuracyError` (the evaluator would not be a Green function).
-    """
+def laplacian_deviation(green: ArakelovGreen, samples=None, h: float = 5e-4) -> float:
+    """Max deviation of the volume-normalized Laplacian ``Lap_vol = (Im tau
+    / 2 pi) Lap_euclid`` of ``g`` from -1 over interior samples, by
+    five-point finite differences; NaN if any sample gives NaN.  The
+    ``laplacian`` margin of :func:`arak1_check` gates it."""
     spec = green.spec
     if samples is None:
         samples = [
@@ -333,18 +333,14 @@ def laplacian_deviation(
             -0.25 + 0.3j * spec.tau2,
             0.42 + 0.18j * spec.tau2,
         ]
-    worst = 0.0
+    devs = []
     for z in samples:
         z = complex(z)
         if abs(lattice_reduce(z, spec.tau)) < 10 * h:
             raise ParameterError(f"sample {z!r} too close to the pole")
         lap_vol = spec.tau2 / (2.0 * math.pi) * _five_point_laplacian(green, z, h)
-        worst = max(worst, abs(lap_vol + 1.0))
-    if worst > lap_tol:
-        raise AccuracyError(
-            f"volume Laplacian deviates from -1 by {worst:.3e} > {lap_tol:.1e}"
-        )
-    return worst
+        devs.append(abs(lap_vol + 1.0))
+    return float(np.max(devs, initial=0.0))
 
 
 def torus_capacity(
@@ -593,7 +589,7 @@ def arak1_check(
         torus_bergman(spec, d, p=1.0 / d, gram=gram).value,
         torus_bergman(spec, d, p=(1.0 + spec.tau) / d, gram=gram).value,
     ]
-    diag_spread = max(abs(v - kernel.value) for v in others) / kernel.value
+    diag_spread = float(np.max(np.abs(np.subtract(others, kernel.value)))) / kernel.value
     # between refined-lattice points the diagonal varies by an amount
     # exponentially small in d; recorded for reference, not gated
     midcell = torus_bergman(spec, d, p=(1.0 + spec.tau) / (2 * d), gram=gram).value
@@ -616,7 +612,7 @@ def arak1_check(
     for norm in ("meanzero", "maxzero"):
         green = arakelov_green(spec, normalization=norm)
         if lap_dev is None:
-            lap_dev = laplacian_deviation(green, lap_tol=lap_tol)
+            lap_dev = laplacian_deviation(green)
             a, b = curvature_coefficients(green, d)
             quantities["laplacian_deviation"] = lap_dev
             quantities["curvature_a"] = a

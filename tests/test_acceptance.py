@@ -14,13 +14,16 @@ from scipy.integrate import quad
 from bergreen.bergman import (
     HarmonicLog,
     HarmonicRe,
+    MaxPiece,
     Unweighted,
     auto_basis,
     extended_suita_check,
+    least_norm_extension,
     suita_ratio,
 )
 from bergreen.cli import main as cli_main
 from bergreen.domains import Annulus, Disc, green_evaluator
+from bergreen import extension
 from bergreen.extension import (
     PolarSpec,
     cutoff_limit_check,
@@ -59,9 +62,9 @@ def test_criterion_01_disc_equality():
     nystrom = green_evaluator(disc, method="nystrom")
     worst_closed = worst_pipeline = 0.0
     for z in (0.0, 0.3, 0.6j):
-        closed = suita_ratio(disc, z).value
+        closed = suita_ratio(disc, z).quantities["ratio"]
         assert abs(closed - 1.0) < 1e-12
-        pipeline = suita_ratio(disc, z, evaluator=nystrom).value
+        pipeline = suita_ratio(disc, z, evaluator=nystrom).quantities["ratio"]
         assert abs(pipeline - 1.0) < 1e-6
         worst_closed = max(worst_closed, abs(closed - 1.0))
         worst_pipeline = max(worst_pipeline, abs(pipeline - 1.0))
@@ -86,7 +89,7 @@ def test_criterion_02_annulus_strict_inequality():
     lo_margin = hi_margin = 1.0
     worst_shift = 0.0
     for z in _band_points(0.2, 8):
-        ratio = suita_ratio(ann, z).value
+        ratio = suita_ratio(ann, z).quantities["ratio"]
         assert 0.0 < ratio < 1.0
         assert ratio > 1e-3  # margin from the lower endpoint
         assert 1.0 - ratio > 1e-5  # strict at the upper endpoint
@@ -96,7 +99,7 @@ def test_criterion_02_annulus_strict_inequality():
             z,
             basis=(2 * base[0], 2 * base[1]),
             evaluator=green_evaluator(ann, method="laurent_modes", modes=512),
-        ).value
+        ).quantities["ratio"]
         assert abs(doubled - ratio) <= 1e-6
         lo_margin = min(lo_margin, ratio)
         hi_margin = min(hi_margin, 1.0 - ratio)
@@ -116,15 +119,17 @@ def test_criterion_03_optimal_constant_limit():
     worst_rel = worst_cross = 0.0
     for delta in (0.5, 1.0, 2.0):
         for eps in (0.0, 0.1):
-            res = optimal_constant_experiment(delta, eps)
-            assert res.a_values[-1] == 1e-4
-            rel = abs(res.ratios[-1] - res.target) / res.target
+            rec = optimal_constant_experiment(delta, eps)
+            q = rec.quantities
+            a_values = rec.inputs["a_values"]
+            assert a_values[-1] == 1e-4
+            rel = abs(q[f"ratio_{len(a_values) - 1}"] - q["target"]) / q["target"]
             assert rel < 0.01
-            for i, a in enumerate(res.a_values[:3]):
+            assert q["cross_rel_max"] < 1e-6
+            for a in a_values[:3]:
                 assert a in (0.5, 0.1, 0.01)
-                cross = abs(
-                    res.min_norms_closed[i] - res.min_norms_quadrature[i]
-                ) / abs(res.min_norms_closed[i])
+                closed, _ = least_norm_extension(Disc(), MaxPiece(delta, a), 0.0, 1.0, basis=(0, 8))
+                cross = abs(closed - extension._min_norm_quadrature(delta, a)) / abs(closed)
                 assert cross < 1e-6
                 worst_cross = max(worst_cross, cross)
             worst_rel = max(worst_rel, rel)
@@ -326,16 +331,14 @@ def test_criterion_10_extended_suita():
     worst_margin = math.inf
     for weight in (HarmonicLog(0.3), HarmonicRe(0.2)):
         for z in points:
-            res = extended_suita_check(ann, weight, z)
-            assert res.margin >= -1e-9
-            worst_margin = min(worst_margin, res.margin)
+            margin = extended_suita_check(ann, weight, z).quantities["margin"]
+            assert margin >= -1e-9
+            worst_margin = min(worst_margin, margin)
     worst_red = 0.0
     for z in points:
-        res0 = extended_suita_check(ann, Unweighted(), z)
-        implied = res0.capacity_sq / (
-            math.pi * res0.rho_at_z * res0.weighted_kernel.value
-        )
-        ratio = suita_ratio(ann, z).value
+        q0 = extended_suita_check(ann, Unweighted(), z).quantities
+        implied = q0["capacity_sq"] / (math.pi * q0["rho_at_z"] * q0["weighted_kernel"])
+        ratio = suita_ratio(ann, z).quantities["ratio"]
         assert abs(implied - ratio) < 1e-9
         worst_red = max(worst_red, abs(implied - ratio))
     _finish(

@@ -20,11 +20,9 @@ from scipy.special import iv
 
 from bergreen import bergman
 from bergreen.bergman import (
-    ExtendedSuitaResult,
     HarmonicLog,
     HarmonicRe,
     MaxPiece,
-    SuitaRatio,
     Unweighted,
     auto_basis,
     default_basis,
@@ -508,45 +506,45 @@ class TestSuitaRatio:
     def test_disc_equality(self):
         for z in [0.0, 0.6, 0.3 + 0.2j]:
             s = suita_ratio(DISC, z)
-            assert s.value == pytest.approx(1.0, abs=1e-12)
-            assert not s.violation
-            assert float(s) == s.value
+            assert s.quantities["ratio"] == pytest.approx(1.0, abs=1e-12)
+            assert s.passed
 
     def test_disc_equality_nystrom_pipeline(self):
         ev = green_evaluator(Disc(), method="nystrom", quad_points=256)
         for z in [0.0, 0.3, 0.6j]:
             s = suita_ratio(DISC, z, evaluator=ev)
-            assert s.value == pytest.approx(1.0, abs=1e-6)
+            assert s.quantities["ratio"] == pytest.approx(1.0, abs=1e-6)
 
     def test_annulus_strict(self):
         s = suita_ratio(ANN, math.sqrt(0.2))
-        assert 1e-3 < s.value < 1.0 - 1e-5
-        assert not s.violation
+        assert 1e-3 < s.quantities["ratio"] < 1.0 - 1e-5
+        assert s.passed
 
     def test_ratio_bounded_on_samples(self):
         for domain in [DISC, ANN]:
             for z in sample_interior(domain, 12, seed=11):
                 s = suita_ratio(domain, z)
-                assert 0.0 < s.value <= 1.0 + 1e-6
-                assert not s.violation
+                assert 0.0 < s.quantities["ratio"] <= 1.0 + 1e-6
+                assert s.passed
 
     def test_structure(self):
         s = suita_ratio(ANN, 0.5)
-        assert isinstance(s, SuitaRatio)
-        assert s.capacity > 0
-        assert s.kernel.value > 0
+        assert s.command == "suita-check" and s.primary == "ratio"
+        assert s.quantities["capacity"] > 0
+        assert s.quantities["kernel_diag"] > 0
+        assert s.margins == {"upper": 1.0 - s.quantities["ratio"], "positive": s.quantities["ratio"]}
 
 
 class TestExtendedSuita:
     def test_trivial_weight_equality_at_center(self):
         res = extended_suita_check(DISC, Unweighted(), 0.0)
-        assert isinstance(res, ExtendedSuitaResult)
-        assert abs(res.margin) < 1e-12
+        assert res.command == "extended-suita-check" and res.primary == "margin"
+        assert abs(res.quantities["margin"]) < 1e-12
         assert res.passed
 
     def test_harmonic_log_annulus(self):
         res = extended_suita_check(ANN, HarmonicLog(0.3), math.sqrt(0.2))
-        assert res.passed and res.margin > 0.0
+        assert res.passed and res.quantities["margin"] > 0.0
 
     def test_harmonic_re_annulus(self):
         res = extended_suita_check(ANN, HarmonicRe(0.2), -0.5)
@@ -559,10 +557,10 @@ class TestExtendedSuita:
     def test_trivial_weight_reduction_matches_ratio(self):
         # h == 0 reduces the extended margin to the plain ratio's data
         for z in [0.5, -0.5, 0.3 + 0.4j]:
-            res = extended_suita_check(ANN, Unweighted(), z)
+            q = extended_suita_check(ANN, Unweighted(), z).quantities
             s = suita_ratio(ANN, z)
-            recon = res.capacity_sq / (res.margin + res.capacity_sq)
-            assert recon == pytest.approx(s.value, abs=1e-9)
+            recon = q["capacity_sq"] / (q["margin"] + q["capacity_sq"])
+            assert recon == pytest.approx(s.quantities["ratio"], abs=1e-9)
 
     @pytest.mark.parametrize(
         "weight", [HarmonicLog(0.3), HarmonicRe(0.2), HarmonicLog(-0.4)]
@@ -570,7 +568,7 @@ class TestExtendedSuita:
     def test_margins_nonnegative_on_samples(self, weight):
         for z in sample_interior(ANN, 4, seed=5):
             res = extended_suita_check(ANN, weight, z)
-            assert res.margin >= -1e-9
+            assert res.quantities["margin"] >= -1e-9
             assert res.passed
 
 

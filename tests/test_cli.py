@@ -3,16 +3,19 @@ validation failures, report/CSV/plot-data emission, the content-addressed
 cache, exit codes, determinism, and the report-layer helpers."""
 
 import csv
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bergreen import bergman, cli, reports, torus
+from bergreen import bergman, cli, extension, reports, squeezing, torus
 from bergreen.bergman import HarmonicRe, KernelEstimate, extended_suita_check
 from bergreen.cli import (
     _parse_grid,
@@ -36,9 +39,9 @@ _ONE_RUN_PER_COMMAND = [
     (["green"], ["domains.green_record"]),
     (["capacity"], ["domains.capacity_record"]),
     (["bergman"], ["bergman.kernel_record"]),
-    (["suita-check", "--points", "2"], ["bergman.suita_record"]),
-    (["extended-suita-check", "--points", "1"], ["bergman.extended_suita_record"]),
-    (["optimal-constant", "--deltas", "1", "--epss", "0"], ["extension.optimal_constant_record"]),
+    (["suita-check", "--points", "2"], ["bergman.suita_ratio"]),
+    (["extended-suita-check", "--points", "1"], ["bergman.extended_suita_check"]),
+    (["optimal-constant", "--deltas", "1", "--epss", "0"], ["extension.optimal_constant_experiment"]),
     (["ode-check", "--deltas", "1", "--t-grid", "log:0.1:50:20"], ["extension.ode_record"]),
     (["cutoff-check"], ["extension.cutoff_limit_check"]),
     (["residual-measure", "--psi0s", "0", "--fs", "one"], ["extension.residual_record"]),
@@ -214,6 +217,13 @@ class TestResolveConfig:
             ("fuchsian-check", {"c_grid": "1.5"}),
             ("optimal-constant", {"a_values": "0.5,1.5"}),
             ("cutoff-check", {"eps_sequence": "0.1,0.2"}),
+            ("fuchsian-check", {"n_terms": "5"}),
+            ("cutoff-check", {"t0s": "nan"}),
+            ("cutoff-check", {"t0s": "1,inf"}),
+            ("ode-check", {"deltas": "0"}),
+            ("ode-check", {"deltas": "1,nan"}),
+            ("residual-measure", {"psi0s": "nan"}),
+            ("torus-check", {"taus": "nan+1j"}),
         ],
     )
     def test_validation_failures(self, tmp_path, command, overrides):
@@ -692,13 +702,10 @@ class TestExtendedSuitaSharedGram:
         assert len(records) == len(zs)
         for rec, z in zip(records, zs):
             res = extended_suita_check(Annulus(0.2), HarmonicRe(0.2), z, margin_tol=1e-9)
-            assert rec["quantities"] == {
-                "margin": res.margin,
-                "capacity_sq": res.capacity_sq,
-                "rho_at_z": res.rho_at_z,
-                "weighted_kernel": res.weighted_kernel.value,
-                "gram_condition": res.weighted_kernel.gram_condition,
-            }
+            assert list(res.quantities) == [
+                "margin", "capacity_sq", "rho_at_z", "weighted_kernel", "gram_condition"
+            ]
+            assert rec["quantities"] == res.quantities
 
     def test_failed_build_fails_every_point(self, tmp_path, monkeypatch):
         def unresolved(*args, **kwargs):
@@ -772,3 +779,97 @@ class TestReportHelpers:
         assert complex(out["b"]) == 1 + 2j
         assert out["c"] == 3
         json.dumps(out)
+
+
+# ---------------------------------------------------------------------------
+# A NaN never passes a record
+# ---------------------------------------------------------------------------
+
+
+def _spoil_call(monkeypatch, owner, name, n, spoil):
+    """Patch ``owner.name`` so that the result of its ``n``-th call goes
+    through ``spoil``; the other calls are untouched."""
+    real, calls = getattr(owner, name), itertools.count(1)
+
+    def patched(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return spoil(out) if next(calls) == n else out
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+def _nan_ode_r1(mp):
+    _spoil_call(mp, extension, "ode_residual", 5, lambda r: (math.nan, r[1]))
+    return extension.ode_record(1.0, np.geomspace(0.1, 50.0, 20)), "residual_r1"
+
+
+def _nan_ode_r2(mp):
+    _spoil_call(mp, extension, "ode_residual", 5, lambda r: (r[0], math.nan))
+    return extension.ode_record(1.0, np.geomspace(0.1, 50.0, 20)), "residual_r2"
+
+
+def _nan_cutoff_gap(mp):
+    # the third of four sup gaps, so the first difference is a number
+    flat_nan = SimpleNamespace(v_prime=lambda t: np.full(np.shape(t), math.nan))
+    _spoil_call(mp, extension, "make_cutoff", 3, lambda fam: flat_nan)
+    return extension.cutoff_limit_check(1.0, [0.2, 0.1, 0.05, 0.01]), "monotone_decrease"
+
+
+def _nan_trend_ratio(mp):
+    _spoil_call(mp, bergman, "capacity", 3, lambda cap: math.nan)
+    return squeezing.boundary_trend_check(Annulus(0.2)), "monotone_toward_one"
+
+
+def _nan_quadrature_route(mp):
+    _spoil_call(mp, extension, "_min_norm_quadrature", 3, lambda mq: math.nan)
+    return extension.optimal_constant_experiment(1.0, 0.0), "routes_agree"
+
+
+def _nan_closed_route(mp):
+    _spoil_call(mp, extension, "least_norm_extension", 3, lambda res: (math.nan, res[1]))
+    return extension.optimal_constant_experiment(1.0, 0.0), "ratios_increasing"
+
+
+def _nan_torus_diagonal(mp):
+    # calls: p = 0, then the two refined-lattice points, then mid-cell
+    _spoil_call(mp, torus, "torus_bergman", 3, lambda est: replace(est, value=math.nan))
+    return torus.arak1_check(torus.TorusSpec(1j), 4), "diag_constancy"
+
+
+def _nan_laplacian_sample(mp):
+    _spoil_call(mp, torus, "_five_point_laplacian", 2, lambda lap: math.nan)
+    return torus.arak1_check(torus.TorusSpec(1j), 4), "laplacian"
+
+
+def _nan_sub_mean_value(mp):
+    # psi is NaN only around the second center, so the first circles are numbers
+    psi = extension.PolarSpec(
+        0.0, lambda z: np.where(np.abs(z - 0.5j) < 0.05, math.nan, 0.0), name="nan-spot"
+    )
+    rec = extension.delta_class_check(
+        bergman.Unweighted(), psi, 1.0, Disc(), radii=(1e-2,), centers=[0.3, 0.5j]
+    )
+    return rec, "sub_mean_value"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _nan_ode_r1,
+        _nan_ode_r2,
+        _nan_cutoff_gap,
+        _nan_trend_ratio,
+        _nan_quadrature_route,
+        _nan_closed_route,
+        _nan_torus_diagonal,
+        _nan_laplacian_sample,
+        _nan_sub_mean_value,
+    ],
+    ids=lambda f: f.__name__[len("_nan_"):],
+)
+def test_a_nan_never_passes_a_record(monkeypatch, build):
+    # Python's min and max skip a NaN that is not first; each gate sees one
+    rec, margin = build(monkeypatch)
+    assert rec.passed is False
+    assert math.isnan(rec.margins[margin])
+    assert reports._binding_margin(rec)[0] == "nan"

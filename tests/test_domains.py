@@ -433,6 +433,14 @@ class TestJordan:
         with pytest.raises(DomainError):
             Jordan({-1: 1.0})
 
+    def test_record_id_is_the_same_for_two_builds(self):
+        # the id comes from the coefficients, not from an object address
+        ids = [
+            domains.green_record(Jordan.ellipse(1.2, 0.7), 0.5, 0.1, "nystrom").input_id
+            for _ in range(2)
+        ]
+        assert ids[0] == ids[1] == "Jordan({-1: (0.25+0j), 1: (0.95+0j)}) xi=0.5 z=0.1"
+
     def test_containment_and_distance(self):
         dom = Jordan.circle()
         assert dom.contains(0.5)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bergreen import extension
-from bergreen.bergman import MaxPiece, Unweighted, weight_phi
+from bergreen.bergman import MaxPiece, Unweighted, least_norm_extension, weight_phi
 from bergreen.domains import Disc
 from bergreen.errors import (
     AccuracyError,
@@ -476,35 +476,60 @@ def _edge_reference(psi, theta, level, level_lo, level_hi):
 # ---------------------------------------------------------------------------
 
 
+def _ratios(rec) -> list:
+    return [rec.quantities[f"ratio_{i}"] for i in range(len(rec.inputs["a_values"]))]
+
+
 class TestOptimalConstant:
     def test_closed_form_table(self):
-        res = optimal_constant_experiment(1.0, 0.0, a_values=(0.5, 0.1, 0.01))
+        rec = optimal_constant_experiment(1.0, 0.0, a_values=(0.5, 0.1, 0.01))
+        q = rec.quantities
         # minimum norm pi ((a^{-2} - 1)/1 + a^{-2}) = 7 pi at a = 1/2
-        assert res.min_norms_closed[0] == pytest.approx(7.0 * math.pi, rel=1e-12)
-        assert res.ratios[0] == pytest.approx(7.0 * math.pi / 4.0, rel=1e-12)
-        assert res.target == pytest.approx(2.0 * math.pi, rel=1e-15)
-        for mn, mq in zip(res.min_norms_closed, res.min_norms_quadrature):
+        mn, _ = least_norm_extension(Disc(), MaxPiece(1.0, 0.5), 0.0, 1.0, basis=(0, 8))
+        assert mn == pytest.approx(7.0 * math.pi, rel=1e-12)
+        assert q["ratio_0"] == pytest.approx(7.0 * math.pi / 4.0, rel=1e-12)
+        assert q["target"] == pytest.approx(2.0 * math.pi, rel=1e-15)
+        for a in (0.5, 0.1, 0.01):
+            mn, _ = least_norm_extension(Disc(), MaxPiece(1.0, a), 0.0, 1.0, basis=(0, 8))
+            mq = extension._min_norm_quadrature(1.0, a)
             assert abs(mn - mq) / mn < 1e-9
+        assert q["cross_rel_max"] < 1e-9 and rec.passed
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_extrapolation_hits_the_sharp_constant(self, delta, eps):
-        res = optimal_constant_experiment(delta, eps)
-        assert res.target == pytest.approx(
+        rec = optimal_constant_experiment(delta, eps)
+        q = rec.quantities
+        assert q["target"] == pytest.approx(
             (1.0 + 1.0 / delta) * math.pi * math.exp(-eps), rel=1e-15
         )
         # the ratio is exactly affine in a^{2 delta}, so one Richardson step
         # removes the whole finite-a correction
-        assert res.limit_error < 1e-10 * res.target
+        assert abs(q["limit"] - q["target"]) < 1e-10 * q["target"]
+        assert q["limit_rel_error"] < 1e-10
         # raw ratio at a = 1e-4 is already within one percent
-        assert abs(res.ratios[-1] - res.target) / res.target < 0.01
+        assert abs(_ratios(rec)[-1] - q["target"]) / q["target"] < 0.01
 
     def test_ratios_increase_as_a_shrinks(self):
-        res = optimal_constant_experiment(0.5, 0.0)
-        diffs = np.diff(res.ratios)
+        rec = optimal_constant_experiment(0.5, 0.0)
+        ratios = _ratios(rec)
+        diffs = np.diff(ratios)
         assert np.all(diffs > 0.0)
+        assert rec.margins["ratios_increasing"] == diffs.min()
         # and stay below the limiting value
-        assert max(res.ratios) < res.target + 1e-12
+        assert max(ratios) < rec.quantities["target"] + 1e-12
+
+    def test_disagreeing_routes_fail_the_record(self, monkeypatch):
+        # one percent off at every a: the routes_agree margin, not an
+        # exception, reports it
+        quad_route = extension._min_norm_quadrature
+        monkeypatch.setattr(
+            extension, "_min_norm_quadrature", lambda delta, a: 1.01 * quad_route(delta, a)
+        )
+        rec = optimal_constant_experiment(1.0, 0.0)
+        assert not rec.passed
+        assert rec.margins["routes_agree"] < 0.0
+        assert rec.quantities["cross_rel_max"] == pytest.approx(0.01, rel=1e-6)
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):

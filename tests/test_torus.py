@@ -334,9 +334,12 @@ class TestLaplacianDeviation:
         with pytest.raises(ParameterError):
             laplacian_deviation(green_mean_i, samples=[1.0 + TAU_I])
 
-    def test_impossible_tolerance_raises(self, green_mean_i):
-        with pytest.raises(AccuracyError):
-            laplacian_deviation(green_mean_i, lap_tol=1e-14)
+    def test_impossible_tolerance_fails_the_record(self, spec_i):
+        # arak1_check's laplacian margin is the one gate on the deviation
+        rec = arak1_check(spec_i, 4, lap_tol=1e-14)
+        assert not rec.passed
+        assert rec.margins["laplacian"] < 0.0
+        assert rec.quantities["laplacian_deviation"] > 1e-14
 
 
 class TestTorusCapacity:
