@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -65,6 +66,14 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# the relative truncation level half of an automatic basis reaches (auto_basis)
+_BASIS_REL_TOL = 1e-7
+# the largest halved-basis change of a kernel diagonal (kernel_diag)
+_TRUNC_TOL = 1e-6
+# the allowed overshoot of c^2/(pi K) <= 1 (suita_ratio)
+_RATIO_TOL = 1e-6
+# the allowed negative margin of pi rho K - c^2 >= 0 (extended_suita_check)
+_MARGIN_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +86,7 @@ class Unweighted:
     """Density ``rho = scale`` (constant; scale defaults to 1)."""
 
     scale: float = 1.0
-    radial: bool = True
+    radial: ClassVar[bool] = True
 
     def density(self, z):
         z = np.asarray(z, dtype=complex)
@@ -90,7 +99,7 @@ class HarmonicLog:
 
     alpha: float
     scale: float = 1.0
-    radial: bool = True
+    radial: ClassVar[bool] = True
 
     def density(self, z):
         return self.scale * np.abs(np.asarray(z, dtype=complex)) ** (-2.0 * self.alpha)
@@ -103,7 +112,7 @@ class MaxPiece:
     delta: float
     a: float
     scale: float = 1.0
-    radial: bool = True
+    radial: ClassVar[bool] = True
 
     def __post_init__(self):
         if not (self.delta > 0.0):
@@ -123,7 +132,7 @@ class HarmonicRe:
 
     c: float
     scale: float = 1.0
-    radial: bool = False
+    radial: ClassVar[bool] = False
 
     def density(self, z):
         z = np.asarray(z, dtype=complex)
@@ -251,15 +260,13 @@ def default_basis(domain: PlanarDomain) -> tuple[int, int]:
     return (0, 64)
 
 
-def auto_basis(
-    domain: PlanarDomain, z: complex, rel_tol: float = 1e-7
-) -> tuple[int, int]:
+def auto_basis(domain: PlanarDomain, z: complex) -> tuple[int, int]:
     """Index range making the kernel truncation at ``z`` negligible.
 
     Kernel terms decay like ``|z|^{2n} n`` for large positive ``n`` and like
     ``(r/|z|)^{2|n|} |n|`` for large negative ``n`` on an annulus.  The range
     is sized so that *half* of it already truncates at relative level
-    ``rel_tol``, which keeps the halved-range estimate reported by
+    ``_BASIS_REL_TOL``, which keeps the halved-range estimate reported by
     :func:`kernel_diag` comfortably below its gate while making the full
     range's own truncation negligible.
     """
@@ -271,7 +278,7 @@ def auto_basis(
         for _ in range(4):
             n = max(
                 64.0,
-                (math.log(rel_tol) - 2.0 * math.log(n + 2.0)) / (2.0 * math.log(q)),
+                (math.log(_BASIS_REL_TOL) - 2.0 * math.log(n + 2.0)) / (2.0 * math.log(q)),
             )
         return int(math.ceil(n))
 
@@ -463,14 +470,14 @@ def kernel_diag(
     weight: WeightSpec,
     z: complex,
     basis: tuple[int, int] | None = None,
-    trunc_tol: float = 1e-6,
+    trunc_tol: float | None = None,
     memo: dict | None = None,
 ) -> KernelEstimate:
     """Bergman kernel diagonal ``K(z, z)`` over the monomial basis span.
 
     The truncation error estimate is the relative change when the basis
     index range is halved toward zero; :class:`TruncationError` is raised
-    when it exceeds ``trunc_tol``.
+    when it exceeds ``trunc_tol`` (``_TRUNC_TOL`` unless given).
 
     Calls that pass the same ``memo`` dict build the dense Gram of each
     (domain, weight, basis), and its normalized condition, once and share
@@ -504,6 +511,8 @@ def kernel_diag(
         value_half = _dense_kernel_value(gram[np.ix_(half, half)], b[half])
 
     trunc = abs(value - value_half) / value if value > 0.0 else 0.0
+    if trunc_tol is None:
+        trunc_tol = _TRUNC_TOL
     if trunc > trunc_tol:
         raise TruncationError(
             f"basis truncation estimate {trunc:.3e} exceeds trunc_tol={trunc_tol:.3e}"
@@ -570,16 +579,14 @@ def evaluate_span(coeffs: np.ndarray, basis: tuple[int, int], z):
 # ---------------------------------------------------------------------------
 
 
-def kernel_record(
-    domain: PlanarDomain, weight: WeightSpec, z: complex, trunc_tol: float
-) -> ReportRecord:
+def kernel_record(domain: PlanarDomain, weight: WeightSpec, z: complex) -> ReportRecord:
     """Kernel diagonal ``K_rho(z, z)`` with its basis diagnostics; the
     record passes while the diagonal is finite."""
-    est = kernel_diag(domain, weight, z, trunc_tol=trunc_tol)
+    est = kernel_diag(domain, weight, z)
     return make_record(
         command="bergman",
         input_id=f"{domain!r} {weight!r} z={z}",
-        inputs={"domain": repr(domain), "weight": repr(weight), "z": z, "trunc_tol": trunc_tol},
+        inputs={"domain": repr(domain), "weight": repr(weight), "z": z},
         quantities={
             "kernel_diag": est.value,
             "basis_size": est.basis_size,
@@ -602,10 +609,9 @@ def suita_ratio(
     domain: PlanarDomain,
     z: complex,
     basis: tuple[int, int] | None = None,
-    ratio_tol: float = 1e-6,
     evaluator: GreenEvaluator | None = None,
 ) -> ReportRecord:
-    """``c_beta(z)^2 / (pi K(z, z)) <= 1`` (overshoot up to ``ratio_tol``)
+    """``c_beta(z)^2 / (pi K(z, z)) <= 1`` (overshoot up to ``_RATIO_TOL``)
     and ``> 0``: the ``suita-check`` record, with the ratio, the capacity
     and the kernel diagonal among its quantities.
 
@@ -623,7 +629,7 @@ def suita_ratio(
     return make_record(
         command="suita-check",
         input_id=f"{domain!r} z={z}",
-        inputs={"domain": repr(domain), "z": z, "ratio_tol": ratio_tol},
+        inputs={"domain": repr(domain), "z": z},
         quantities={
             "ratio": ratio,
             "capacity": cap,
@@ -631,7 +637,7 @@ def suita_ratio(
             "gram_condition": est.gram_condition,
         },
         margins={"upper": 1.0 - ratio, "positive": ratio},
-        tolerances={"upper": ratio_tol, "positive": 0.0},
+        tolerances={"upper": _RATIO_TOL, "positive": 0.0},
         primary="ratio",
         provenance={
             "ratio": "suita_ratio",
@@ -646,10 +652,9 @@ def extended_suita_check(
     domain: PlanarDomain,
     weight: WeightSpec,
     z: complex,
-    margin_tol: float = 1e-9,
     memo: dict | None = None,
 ) -> ReportRecord:
-    """``pi rho(z) K_rho(z, z) - c_beta(z)^2 >= -margin_tol``: the
+    """``pi rho(z) K_rho(z, z) - c_beta(z)^2 >= -_MARGIN_TOL``: the
     ``extended-suita-check`` record.
 
     ``weight`` must come from a harmonic exponent (``Unweighted``,
@@ -667,7 +672,7 @@ def extended_suita_check(
     return make_record(
         command="extended-suita-check",
         input_id=f"{domain!r} {weight!r} z={z}",
-        inputs={"domain": repr(domain), "weight": repr(weight), "z": z, "margin_tol": margin_tol},
+        inputs={"domain": repr(domain), "weight": repr(weight), "z": z},
         quantities={
             "margin": margin,
             "capacity_sq": cap**2,
@@ -676,7 +681,7 @@ def extended_suita_check(
             "gram_condition": est.gram_condition,
         },
         margins={"nonnegative": margin},
-        tolerances={"nonnegative": margin_tol},
+        tolerances={"nonnegative": _MARGIN_TOL},
         primary="margin",
         provenance={
             "margin": "extended_suita_check",

@@ -95,30 +95,22 @@ PARAMS: dict[str, dict[str, Param]] = {
     "capacity": {
         "domain": Param("str", "disc", "domain spec"),
         "z": Param("complex", "0.3", "point"),
-        "cap_tol": Param("float", _default(domains.capacity, "cap_tol"),
-                         "limit stability tolerance"),
     },
     "bergman": {
         "domain": Param("str", "disc", "domain spec (disc or annulus)"),
         "weight": Param("str", "none", "weight spec (none | harmoniclog:a | harmonicre:c | maxpiece:d:a)"),
         "z": Param("complex", "0.3", "diagonal point"),
-        "trunc_tol": Param("float", _default(bergman.kernel_diag, "trunc_tol"),
-                           "kernel truncation tolerance"),
     },
     "suita-check": {
         "domain": Param("str", "annulus:0.2", "domain spec (disc or annulus)"),
         "zs": Param("complexes", [], "explicit points (overrides --points sweep)"),
         "points": Param("int", 8, "number of swept interior points"),
-        "ratio_tol": Param("float", _default(bergman.suita_ratio, "ratio_tol"),
-                           "allowed overshoot of the unit bound"),
     },
     "extended-suita-check": {
         "domain": Param("str", "annulus:0.2", "domain spec (disc or annulus)"),
         "weight": Param("str", "harmoniclog:0.3", "harmonic weight spec"),
         "zs": Param("complexes", [], "explicit points (overrides --points sweep)"),
         "points": Param("int", 4, "number of swept interior points"),
-        "margin_tol": Param("float", _default(bergman.extended_suita_check, "margin_tol"),
-                            "allowed negative margin"),
     },
     "optimal-constant": {
         "deltas": Param("floats", [0.5, 1.0, 2.0], "delta grid",
@@ -127,43 +119,29 @@ PARAMS: dict[str, dict[str, Param]] = {
         "a_values": Param("floats", _default(extension.optimal_constant_experiment, "a_values"),
                           "decreasing plateau radii", check=extension.require_a,
                           check_list=extension.require_a_values),
-        "cross_tol": Param("float", _default(extension.optimal_constant_experiment, "cross_tol"),
-                           "closed-form vs quadrature relative tolerance"),
-        "limit_rel_tol": Param("float",
-                               _default(extension.optimal_constant_experiment, "limit_rel_tol"),
-                               "relative tolerance of the extrapolated limit"),
     },
     "ode-check": {
         "deltas": Param("floats", [0.1, 0.5, 1.0, 2.0, 10.0], "delta grid",
                         check=extension.require_positive_delta),
         "t_grid": Param("grid", "log:0.01:50:200", "t grid spec (log:lo:hi:n | lin:lo:hi:n | comma list)"),
-        "residual_tol": Param("float", _default(extension.ode_record, "residual_tol"),
-                              "max allowed identity residual"),
-        "end_tol": Param("float", _default(extension.ode_record, "end_tol"),
-                         "tolerance of u at the grid end vs its limit"),
     },
     "cutoff-check": {
         "t0s": Param("floats", [1.0, 5.0], "anchoring offsets", check=extension.require_t0),
         "eps_sequence": Param("floats", [0.2, 0.1, 0.05, 0.01], "decreasing smoothing widths",
                               check=extension.require_cutoff_eps,
                               check_list=extension.require_eps_sequence),
-        "limit_tol": Param("float", _default(extension.cutoff_limit_check, "limit_tol"),
-                           "final sup-gap bound"),
     },
     "residual-measure": {
         "psi0s": Param("floats", [0.0, -0.7, 0.3], "constant offsets added to the log pole",
                        check=extension.require_psi0),
         "fs": Param("strs", list(extension.RESIDUAL_PROFILES), "integrand profiles (one | affine)"),
-        "t": Param("float", _default(extension.residual_record, "t"), "shell depth"),
-        "value_tol": Param("float", _default(extension.residual_record, "value_tol"),
-                           "tolerance against the point-mass value"),
+        "t": Param("float", _default(extension.residual_record, "t"), "shell depth",
+                   check=extension.require_shell_depth),
     },
     "squeeze-check": {
         "domain": Param("str", "annulus:0.2", "domain spec (disc or annulus)"),
         "ps": Param("complexes", [], "explicit points (overrides --points sweep)"),
         "points": Param("int", 8, "number of swept interior points"),
-        "sandwich_tol": Param("float", _default(squeezing.sandwich_check, "sandwich_tol"),
-                              "two-sided comparison tolerance"),
         "trend": Param("bool", True, "also run the boundary trend check"),
         "ks": Param("ints", _default(squeezing.boundary_trend_check, "ks"),
                     "boundary distances 10^-k for the trend", check=squeezing.require_trend_k,
@@ -176,22 +154,10 @@ PARAMS: dict[str, dict[str, Param]] = {
                         "generator parameters", check=fuchsian.require_c),
         "n_terms": Param("int", _default(fuchsian.inequality_check, "N"), "orbit truncation",
                          check=fuchsian.require_terms),
-        "tail_tol": Param("float", _default(fuchsian.inequality_check, "tail_tol"),
-                          "certified tail bound"),
     },
     "torus-check": {
         "taus": Param("complexes", ["1j", "0.5+1j"], "moduli (Im > 0)", check=torus.require_tau),
         "ds": Param("ints", [4, 6], "even degrees >= 4", check=torus.require_degree),
-        "margin_tol": Param("float", _default(torus.arak1_check, "margin_tol"),
-                            "allowed negative inequality margin"),
-        "residual_tol": Param("float", _default(torus.arak1_check, "residual_tol"),
-                              "residual-mass identity tolerance"),
-        "lap_tol": Param("float", _default(torus.arak1_check, "lap_tol"),
-                         "volume-Laplacian deviation bound"),
-        "ab_tol": Param("float", _default(torus.arak1_check, "ab_tol"),
-                        "curvature ratio tolerance"),
-        "diag_tol": Param("float", _default(torus.arak1_check, "diag_tol"),
-                          "kernel diagonal constancy tolerance"),
     },
     "all": {},
 }
@@ -344,8 +310,6 @@ def _validate(config: dict) -> None:
     schema = PARAMS[command]
     for name, p in schema.items():
         value = config[name]
-        if (name.endswith("_tol") or name == "t") and not 0.0 < value < math.inf:
-            raise ConfigError(f"{name} must be finite and strictly positive")
         if p.kind == "int" and value < 1:
             raise ConfigError(f"{name} must be at least 1")
         # a list may be empty only where its default is (a sweep takes its place)
@@ -487,25 +451,23 @@ def _green(cfg):
 
 def _capacity(cfg):
     z = complex(cfg["z"])
-    kwargs = {"domain": parse_domain(cfg["domain"]), "z": z, "cap_tol": cfg["cap_tol"]}
-    yield Case(f"{cfg['domain']} z={z}", _echo(cfg, "domain", "z", "cap_tol"),
+    kwargs = {"domain": parse_domain(cfg["domain"]), "z": z}
+    yield Case(f"{cfg['domain']} z={z}", _echo(cfg, "domain", "z"),
                "domains.capacity_record", kwargs)
 
 
 def _bergman(cfg):
     z = complex(cfg["z"])
-    kwargs = {"domain": parse_domain(cfg["domain"]), "weight": parse_weight(cfg["weight"]),
-              "z": z, "trunc_tol": cfg["trunc_tol"]}
+    kwargs = {"domain": parse_domain(cfg["domain"]), "weight": parse_weight(cfg["weight"]), "z": z}
     yield Case(f"{cfg['domain']} {cfg['weight']} z={z}",
-               _echo(cfg, "domain", "weight", "z", "trunc_tol"), "bergman.kernel_record", kwargs)
+               _echo(cfg, "domain", "weight", "z"), "bergman.kernel_record", kwargs)
 
 
 def _suita(cfg):
     domain, zs = _points(cfg, "zs")
     for z in zs:
-        yield Case(f"{cfg['domain']} z={z}", {**_echo(cfg, "domain", "ratio_tol"), "z": str(z)},
-                   "bergman.suita_ratio",
-                   {"domain": domain, "z": z, "ratio_tol": cfg["ratio_tol"]})
+        yield Case(f"{cfg['domain']} z={z}", {"domain": cfg["domain"], "z": str(z)},
+                   "bergman.suita_ratio", {"domain": domain, "z": z})
 
 
 def _extended_suita(cfg):
@@ -514,37 +476,36 @@ def _extended_suita(cfg):
     memo = {}  # the dense Grams this command's points share
     for z in zs:
         yield Case(f"{cfg['domain']} {cfg['weight']} z={z}",
-                   {**_echo(cfg, "domain", "weight", "margin_tol"), "z": str(z)},
+                   {**_echo(cfg, "domain", "weight"), "z": str(z)},
                    "bergman.extended_suita_check",
-                   {"domain": domain, "weight": weight, "z": z,
-                    "margin_tol": cfg["margin_tol"], "memo": memo})
+                   {"domain": domain, "weight": weight, "z": z, "memo": memo})
 
 
 def _optimal_constant(cfg):
-    tols = _echo(cfg, "a_values", "cross_tol", "limit_rel_tol")
+    a_values = cfg["a_values"]
     for delta in cfg["deltas"]:
         for eps in cfg["epss"]:
-            yield Case(f"delta={delta:g},eps={eps:g}", {"delta": delta, "eps": eps, **tols},
-                       "extension.optimal_constant_experiment", {"delta": delta, "eps": eps, **tols})
+            args = {"delta": delta, "eps": eps, "a_values": a_values}
+            yield Case(f"delta={delta:g},eps={eps:g}", args,
+                       "extension.optimal_constant_experiment", args)
 
 
 def _ode(cfg):
     grid = _parse_grid(cfg["t_grid"])
-    tols = _echo(cfg, "residual_tol", "end_tol")
     for delta in cfg["deltas"]:
-        yield Case(f"delta={delta:g}", {"delta": delta, "t_grid": cfg["t_grid"], **tols},
-                   "extension.ode_record", {"delta": delta, "grid": grid, **tols})
+        yield Case(f"delta={delta:g}", {"delta": delta, "t_grid": cfg["t_grid"]},
+                   "extension.ode_record", {"delta": delta, "grid": grid})
 
 
 def _cutoff(cfg):
-    args = _echo(cfg, "eps_sequence", "limit_tol")
+    eps_sequence = cfg["eps_sequence"]
     for t0 in cfg["t0s"]:
-        yield Case(f"t0={t0},eps={cfg['eps_sequence']}", {"t0": t0, **args},
-                   "extension.cutoff_limit_check", {"t0": t0, **args})
+        args = {"t0": t0, "eps_sequence": eps_sequence}
+        yield Case(f"t0={t0},eps={eps_sequence}", args, "extension.cutoff_limit_check", args)
 
 
 def _residual(cfg):
-    args = _echo(cfg, "t", "value_tol")
+    args = {"t": cfg["t"]}
     for psi0 in cfg["psi0s"]:
         for f in cfg["fs"]:
             yield Case(f"psi0={psi0:g},f={f}", {"psi0": psi0, "f": f, **args},
@@ -553,11 +514,9 @@ def _residual(cfg):
 
 def _squeeze(cfg):
     domain, ps = _points(cfg, "ps")
-    tol = cfg["sandwich_tol"]
     for p in ps:
-        yield Case(f"{domain!r}@p={p!r}",
-                   {"domain": repr(domain), "p": str(p), "sandwich_tol": tol},
-                   "squeezing.sandwich_check", {"domain": domain, "p": p, "sandwich_tol": tol})
+        yield Case(f"{domain!r}@p={p!r}", {"domain": repr(domain), "p": str(p)},
+                   "squeezing.sandwich_check", {"domain": domain, "p": p})
     if cfg["trend"]:
         trend = {"ks": cfg["ks"], "angle": cfg["angle"]}
         yield Case(f"{domain!r}:boundary-trend", {"domain": repr(domain), **trend},
@@ -565,17 +524,16 @@ def _squeeze(cfg):
 
 
 def _fuchsian(cfg):
-    args = {"c_grid": cfg["c_grid"], "N": cfg["n_terms"], "tail_tol": cfg["tail_tol"]}
+    args = {"c_grid": cfg["c_grid"], "N": cfg["n_terms"]}
     yield Case(f"c_grid={cfg['c_grid']},N={cfg['n_terms']}", args,
                "fuchsian.inequality_check", args)
 
 
 def _torus(cfg):
-    tols = _echo(cfg, "margin_tol", "residual_tol", "lap_tol", "ab_tol", "diag_tol")
     for tau in cfg["taus"]:
         for d in cfg["ds"]:
             yield Case(f"tau={complex(tau)},d={d}", {"tau": tau, "d": d},
-                       "torus.arak1_check", {"spec": torus.TorusSpec(complex(tau)), "d": d, **tols})
+                       "torus.arak1_check", {"spec": torus.TorusSpec(complex(tau)), "d": d})
 
 
 # command -> the cases of its config, in record order

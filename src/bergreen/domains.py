@@ -62,6 +62,11 @@ __all__ = [
 _COINCIDENT_TOL = 1e-14
 # the Nystrom refinement tolerance (see GreenEvaluator._nystrom_remainder)
 _REFINE_TOL = 1e-7
+# the largest certified mode-series tail of a Laurent-mode value
+_TAIL_TOL = 1e-9
+# the stage gate of the capacity limit and its two radii (see capacity)
+_CAP_TOL = 1e-6
+_EPS_PAIR = (1e-4, 1e-5)
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -196,19 +201,15 @@ class Jordan:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def circle(cls, radius: float = 1.0, center: complex = 0.0) -> "Jordan":
-        c = {1: complex(radius)}
-        if center != 0:
-            c[0] = complex(center)
-        return cls(c)
+    def circle(cls, radius: float = 1.0) -> "Jordan":
+        """Circle of radius ``radius`` about the origin."""
+        return cls({1: complex(radius)})
 
     @classmethod
-    def ellipse(cls, a: float, b: float, center: complex = 0.0) -> "Jordan":
-        """Ellipse with semi-axes ``a`` (real direction) and ``b``."""
-        c = {1: (a + b) / 2.0 + 0j, -1: (a - b) / 2.0 + 0j}
-        if center != 0:
-            c[0] = complex(center)
-        return cls(c)
+    def ellipse(cls, a: float, b: float) -> "Jordan":
+        """Ellipse about the origin with semi-axes ``a`` (real direction)
+        and ``b``."""
+        return cls({1: (a + b) / 2.0 + 0j, -1: (a - b) / 2.0 + 0j})
 
     @classmethod
     def from_file(cls, path) -> "Jordan":
@@ -416,12 +417,14 @@ def _annulus_remainder(
     return out, tail
 
 
-def _annulus_robin(r: float, z: complex, modes: int | None = None) -> float:
-    """Diagonal remainder ``H(z, z)`` on the annulus.
+def _annulus_robin(r: float, z: complex, modes: int | None = None) -> tuple[float, float]:
+    """Diagonal remainder ``H(z, z)`` on the annulus and a tail estimate.
 
     The pure-disc part sums to ``-log(1 - |z|^2)`` in closed form; the
     remaining correction terms decay at least like ``max(r^2/|z|^2, r^2|z|^2,
-    r^2)^k`` and are summed adaptively.
+    r^2)^k`` and are summed adaptively.  Term ``k`` is at most
+    ``4 q^k / (k (1 - r^2))``, so the terms after ``n`` sum to at most
+    ``4 q^(n+1) / ((1 - q) (n + 1) (1 - r^2))``.
     """
     s2 = abs(z) ** 2
     q = max(r * r / s2, r * r * s2, r * r)
@@ -432,7 +435,8 @@ def _annulus_robin(r: float, z: complex, modes: int | None = None) -> float:
         np.power(r * r / s2, k) - 2.0 * r2k + np.power(r * r * s2, k)
     ) / (k * (1.0 - r2k))
     lz = math.log(abs(z))
-    return lz * lz / math.log(1.0 / r) - math.log1p(-s2) + float(np.sum(corr))
+    tail = 4.0 * q ** (n + 1) / ((1.0 - q) * (n + 1) * (1.0 - r * r))
+    return lz * lz / math.log(1.0 / r) - math.log1p(-s2) + float(np.sum(corr)), tail
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +576,9 @@ class GreenEvaluator:
 
     Every evaluation is guarded: a point outside the domain raises
     :class:`DomainError`, and so does, on the Nystrom method, a point
-    within ``1e-3 * diameter`` of the boundary.  The Nystrom method reports
+    within ``1e-3 * diameter`` of the boundary.  A Laurent-mode value whose
+    certified tail exceeds ``_TAIL_TOL`` raises
+    :class:`NonConvergenceError`.  The Nystrom method reports
     the ``quad_points`` value and raises :class:`AccuracyError` unless the
     same problem on ``quad_points // 2`` (or, failing that, twice as many)
     nodes certifies it; each witness system is built on first use.  The
@@ -585,7 +591,6 @@ class GreenEvaluator:
     method: str
     modes: int | None = None
     quad_points: int = 256
-    tail_tol: float = 1e-9
     _solver: object = field(default=None, repr=False)
     _density_cache: dict = field(default_factory=dict, repr=False)
 
@@ -621,7 +626,14 @@ class GreenEvaluator:
         if self.modes is not None:
             return self.modes
         q = _annulus_tail_ratio(self.domain.r_inner, z, w)
-        return _annulus_modes_auto(q, self.tail_tol * 1e-2)
+        return _annulus_modes_auto(q, _TAIL_TOL * 1e-2)
+
+    @staticmethod
+    def _tail_gated(value_and_tail: tuple[float, float]) -> float:
+        value, tail = value_and_tail
+        if tail > _TAIL_TOL:
+            raise NonConvergenceError(f"tail estimate {tail:.3e} exceeds {_TAIL_TOL:.3e}")
+        return value
 
     @functools.cached_property
     def _half(self) -> _NystromSolver:
@@ -667,14 +679,9 @@ class GreenEvaluator:
         if self.method == "closed_form":
             return _disc_remainder(xi, z, self.domain.radius)
         if self.method == "laurent_modes":
-            h, tail = _annulus_remainder(
-                self.domain.r_inner, xi, z, self._modes_for(xi, z)
+            return self._tail_gated(
+                _annulus_remainder(self.domain.r_inner, xi, z, self._modes_for(xi, z))
             )
-            if tail > self.tail_tol:
-                raise NonConvergenceError(
-                    f"tail estimate {tail:.3e} exceeds {self.tail_tol:.3e}"
-                )
-            return h
         return self._nystrom_remainder(xi, z)
 
     def green(self, xi: complex, z: complex) -> float:
@@ -688,7 +695,7 @@ class GreenEvaluator:
         self._check_inside(z)
         if self.method == "closed_form":
             return _disc_robin(z, self.domain.radius)
-        return _annulus_robin(self.domain.r_inner, z, self.modes)
+        return self._tail_gated(_annulus_robin(self.domain.r_inner, z, self.modes))
 
 
 def green_evaluator(
@@ -696,7 +703,6 @@ def green_evaluator(
     method: str = "auto",
     modes: int | None = None,
     quad_points: int = 256,
-    tail_tol: float = 1e-9,
 ) -> GreenEvaluator:
     """Construct the natural evaluator for the domain.
 
@@ -710,9 +716,7 @@ def green_evaluator(
             method = "laurent_modes"
         else:
             method = "nystrom"
-    return GreenEvaluator(
-        domain, method, modes=modes, quad_points=quad_points, tail_tol=tail_tol
-    )
+    return GreenEvaluator(domain, method, modes=modes, quad_points=quad_points)
 
 
 _CAPACITY_ANGLES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
@@ -721,8 +725,7 @@ _CAPACITY_ANGLES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
 def capacity(
     evaluator: GreenEvaluator | PlanarDomain,
     z: complex,
-    cap_tol: float = 1e-6,
-    eps_pair: tuple[float, float] = (1e-4, 1e-5),
+    cap_tol: float | None = None,
     force_limit: bool = False,
 ) -> float:
     """Logarithmic capacity ``c_beta(z) = exp(H(z, z))``.
@@ -730,17 +733,17 @@ def capacity(
     Closed-form and mode evaluators use the exact diagonal unless
     ``force_limit``; otherwise ``H(z, z)`` is the Richardson-extrapolated
     limit of four-angle averages of ``H(z + eps e^{i theta}, z)`` over the
-    two radii in ``eps_pair``.  The two stage averages must agree within
-    ``cap_tol`` or :class:`ExtrapolationDivergenceError` is raised.
+    two radii in ``_EPS_PAIR``.  The two stage averages must agree within
+    ``cap_tol`` (``_CAP_TOL`` unless given) or
+    :class:`ExtrapolationDivergenceError` is raised.
     """
     if not isinstance(evaluator, GreenEvaluator):
         evaluator = green_evaluator(evaluator)
     if evaluator.method in ("closed_form", "laurent_modes") and not force_limit:
         return math.exp(evaluator.robin(z))
-
-    eps1, eps2 = eps_pair
-    if not eps1 > eps2 > 0:
-        raise ValueError("eps_pair must be decreasing and positive")
+    if cap_tol is None:
+        cap_tol = _CAP_TOL
+    eps1, eps2 = _EPS_PAIR
 
     def stage(eps: float) -> float:
         vals = [
@@ -779,14 +782,14 @@ def green_record(domain: PlanarDomain, xi: complex, z: complex, method: str) -> 
     )
 
 
-def capacity_record(domain: PlanarDomain, z: complex, cap_tol: float) -> ReportRecord:
+def capacity_record(domain: PlanarDomain, z: complex) -> ReportRecord:
     """Logarithmic capacity ``c_beta(z)`` (see :func:`capacity`); the
     record passes while it is finite."""
-    val = capacity(domain, z, cap_tol=cap_tol)
+    val = capacity(domain, z)
     return make_record(
         command="capacity",
         input_id=f"{domain!r} z={z}",
-        inputs={"domain": repr(domain), "z": z, "cap_tol": cap_tol},
+        inputs={"domain": repr(domain), "z": z},
         quantities={"capacity": val, "log_capacity": math.log(val)},
         margins={"finite": finite_margin(val)},
         tolerances={"finite": 0.0},

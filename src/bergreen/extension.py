@@ -55,6 +55,7 @@ __all__ = [
     "require_t0",
     "require_positive_delta",
     "require_psi0",
+    "require_shell_depth",
     "optimal_constant_experiment",
 ]
 
@@ -64,8 +65,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# spline nodes of the bump tables on [-1, 1]
+_BUMP_NODES = 4097
+
+
 @functools.cache
-def _bump_tables(nodes: int = 4097):
+def _bump_tables():
     """Spline tables for the normalized bump ``exp(-1/(1-x^2))`` on [-1, 1].
 
     Returns (P1, Q1, R1, q1, r1) where P1 is the bump's CDF, Q1 and R1 its
@@ -77,7 +82,7 @@ def _bump_tables(nodes: int = 4097):
     """
     from scipy.interpolate import CubicSpline
 
-    xs = np.linspace(-1.0, 1.0, nodes)
+    xs = np.linspace(-1.0, 1.0, _BUMP_NODES)
     with np.errstate(divide="ignore", over="ignore"):
         vals = np.where(
             np.abs(xs) < 1.0, np.exp(-1.0 / np.maximum(1.0 - xs**2, 1e-300)), 0.0
@@ -178,11 +183,17 @@ def require_cutoff_eps(eps: float) -> None:
         raise ParameterError("eps must lie in (0, 1/4)")
 
 
+# the largest offset a cutoff takes: there the spacing of doubles, 1.2e-10,
+# is still below the kink exclusion of cutoff_limit_check
+_T0_MAX = 1e6
+
+
 def require_t0(t0: float) -> None:
     """Precondition of :func:`make_cutoff` and :func:`cutoff_limit_check`
-    on the offset ``t0``."""
-    if not math.isfinite(t0):
-        raise ParameterError("t0 must be finite")
+    on the offset ``t0``: at most ``_T0_MAX`` in size, so that the rounding
+    of ``t0`` stays below the kink exclusion of the sampled gaps."""
+    if not abs(t0) <= _T0_MAX:
+        raise ParameterError(f"t0 must be finite with |t0| <= {_T0_MAX:g}")
 
 
 def require_eps_sequence(eps_sequence) -> None:
@@ -198,8 +209,6 @@ def make_cutoff(t0: float, eps: float) -> CutoffFamily:
     m = min(eps / 4.0, 0.25 - eps)
     A = -t0 - 1.0 + eps + m
     B = -t0 - eps - m
-    if B <= A:
-        raise ParameterError("cutoff transition interval is empty")
     k = 1.0 / (B - A)
     _, _, _, q1, _ = _bump_tables()
     # anchor so v(t) = t exactly for t >= B + m = -t0 - eps
@@ -214,26 +223,25 @@ def b_step(t0: float, t):
     return out if out.ndim else float(out)
 
 
-def cutoff_limit_check(
-    t0: float,
-    eps_sequence,
-    sample_points=None,
-    limit_tol: float = 0.05,
-    kink_exclusion: float = 1e-9,
-) -> ReportRecord:
+# sample points on (-t0-2, -t0+1), the distance within which a sample counts
+# as a kink of b_t0, and the bound on the last sup gap
+_CUTOFF_SAMPLES = 1201
+_KINK_EXCLUSION = 1e-9
+_LIMIT_TOL = 0.05
+
+
+def cutoff_limit_check(t0: float, eps_sequence) -> ReportRecord:
     """Check ``v' -> b_{t0}`` pointwise along a decreasing ``eps`` sequence.
 
     Records the sup over sample points (excluding the two kink points of
     ``b_{t0}``) of ``|v' - b_{t0}|`` per ``eps``; passes if the sequence
-    decreases monotonically and ends below ``limit_tol``.
+    decreases monotonically and ends below ``_LIMIT_TOL``.
     """
     require_t0(t0)
     eps_sequence = [float(e) for e in eps_sequence]
     require_eps_sequence(eps_sequence)
-    if sample_points is None:
-        sample_points = np.linspace(-t0 - 2.0, -t0 + 1.0, 1201)
-    ts = np.asarray(sample_points, dtype=float)
-    keep = (np.abs(ts + t0) > kink_exclusion) & (np.abs(ts + t0 + 1.0) > kink_exclusion)
+    ts = np.linspace(-t0 - 2.0, -t0 + 1.0, _CUTOFF_SAMPLES)
+    keep = (np.abs(ts + t0) > _KINK_EXCLUSION) & (np.abs(ts + t0 + 1.0) > _KINK_EXCLUSION)
     ts = ts[keep]
     target = b_step(t0, ts)
     gaps = []
@@ -246,16 +254,11 @@ def cutoff_limit_check(
     return make_record(
         command="cutoff-check",
         input_id=f"t0={t0},eps={eps_sequence}",
-        inputs={
-            "t0": t0,
-            "eps_sequence": eps_sequence,
-            "samples": int(ts.size),
-            "limit_tol": limit_tol,
-        },
+        inputs={"t0": t0, "eps_sequence": eps_sequence, "samples": int(ts.size)},
         quantities=quantities,
         margins={
             "monotone_decrease": min_margin(diffs),
-            "final_below_tol": limit_tol - gaps[-1],
+            "final_below_tol": _LIMIT_TOL - gaps[-1],
         },
         tolerances={"monotone_decrease": 1e-12, "final_below_tol": 1e-12},
         primary="final_sup_gap",
@@ -339,12 +342,12 @@ def ode_pair(delta: float) -> OdePair:
     return OdePair(delta=float(delta), a=a, b=a * a - 2.0 * a)
 
 
-def ode_residual(
-    pair: OdePair,
-    t: float,
-    fd_step: float = 1e-6,
-    fd_rel_tol: float = 1e-5,
-) -> tuple[float, float]:
+# the finite-difference step and its allowed relative mismatch
+_FD_STEP = 1e-6
+_FD_REL_TOL = 1e-5
+
+
+def ode_residual(pair: OdePair, t: float) -> tuple[float, float]:
     """Residuals of the defining identities at ``t``:
 
     ``r1 = (s + s'^2/(u''s - s'')) e^{u-t} - 1`` and ``r2 = s' - s u' - 1``,
@@ -352,15 +355,16 @@ def ode_residual(
     both evaluated from analytic derivatives.  The analytic first
     derivatives are cross-checked against central finite differences of
     ``u, s`` and the analytic second derivatives against central
-    differences of the analytic first derivatives; a relative mismatch
-    above ``fd_rel_tol`` raises :class:`DerivativeMismatchError`.  (The
-    relative error uses denominator floor 1e-3: differencing magnitudes
-    ~1 at step 1e-6 carries ~1e-10 roundoff, which would swamp a pure
-    relative comparison against derivatives decaying like ``e^{-t}``.)
+    differences of the analytic first derivatives, at step ``_FD_STEP``; a
+    relative mismatch above ``_FD_REL_TOL`` raises
+    :class:`DerivativeMismatchError`.  (The relative error uses
+    denominator floor 1e-3: differencing magnitudes ~1 at step 1e-6
+    carries ~1e-10 roundoff, which would swamp a pure relative comparison
+    against derivatives decaying like ``e^{-t}``.)
     """
     if not (t > 0.0):
         raise ParameterError("ode_residual requires t > 0")
-    h = fd_step
+    h = _FD_STEP
     u, up, upp = pair.u(t), pair.u_prime(t), pair.u_second(t)
     s, sp, spp = pair.s(t), pair.s_prime(t), pair.s_second(t)
 
@@ -372,10 +376,10 @@ def ode_residual(
     ]
     for analytic, fd, name in checks:
         rel = abs(analytic - fd) / max(abs(analytic), 1e-3)
-        if rel > fd_rel_tol:
+        if rel > _FD_REL_TOL:
             raise DerivativeMismatchError(
                 f"{name} analytic={analytic} vs finite-difference={fd} "
-                f"(relative {rel:.3e} > {fd_rel_tol:.1e}) at t={t}"
+                f"(relative {rel:.3e} > {_FD_REL_TOL:.1e}) at t={t}"
             )
 
     denom = upp * s - spp
@@ -386,12 +390,16 @@ def ode_residual(
     return r1, r2
 
 
-def ode_record(
-    delta: float, grid, residual_tol: float = 1e-9, end_tol: float = 1e-6
-) -> ReportRecord:
+# the bound on both identity residuals, and on |u(end) - u(inf)|
+_ODE_RESIDUAL_TOL = 1e-9
+_ODE_END_TOL = 1e-6
+
+
+def ode_record(delta: float, grid) -> ReportRecord:
     """The ODE pair on the t ``grid``: both identity residuals below
-    ``residual_tol``, ``s >= 1/delta``, ``s' > 0``, ``u'' s - s'' > 0``,
-    and ``u`` at the grid end within ``end_tol`` of its limit ``-log a``."""
+    ``_ODE_RESIDUAL_TOL``, ``s >= 1/delta``, ``s' > 0``, ``u'' s - s'' > 0``,
+    and ``u`` at the grid end within ``_ODE_END_TOL`` of its limit
+    ``-log a``."""
     pair = ode_pair(delta)
     r1s, r2s = zip(*(ode_residual(pair, float(t)) for t in grid))
     s_vals = pair.s(grid)
@@ -411,15 +419,15 @@ def ode_record(
     return make_record(
         command="ode-check",
         input_id=f"delta={delta:g}",
-        inputs={"delta": delta, "residual_tol": residual_tol, "end_tol": end_tol},
+        inputs={"delta": delta},
         quantities=quantities,
         margins={
-            "residual_r1": residual_tol - quantities["max_r1"],
-            "residual_r2": residual_tol - quantities["max_r2"],
+            "residual_r1": _ODE_RESIDUAL_TOL - quantities["max_r1"],
+            "residual_r2": _ODE_RESIDUAL_TOL - quantities["max_r2"],
             "s_floor": quantities["min_s_minus_floor"],
             "s_prime_positive": quantities["min_s_prime"],
             "denom_positive": quantities["min_denom"],
-            "u_end_close": end_tol - abs(u_end - u_target),
+            "u_end_close": _ODE_END_TOL - abs(u_end - u_target),
         },
         tolerances={
             "residual_r1": 0.0,
@@ -462,23 +470,27 @@ class PolarSpec:
         return out if out.ndim else float(out)
 
 
+# nodes per circle, and the allowed sub-mean-value deficit
+_ANGULAR_NODES = 4096
+_SMV_TOL = 1e-6
+
+
 def delta_class_check(
     phi_weight: WeightSpec,
     psi: PolarSpec,
     delta: float,
     domain: PlanarDomain,
     radii=(1e-2, 1e-3),
-    smv_tol: float = 1e-6,
     centers=None,
-    angular_nodes: int = 4096,
 ) -> ReportRecord:
     """Sub-mean-value test of the class membership conditions.
 
     Both ``phi + Psi`` and ``phi + (1 + delta) Psi`` must be subharmonic;
-    on a grid of centers and circle radii the circle average must be at
-    least the center value minus ``smv_tol``.  Circles that exit the
-    domain (or centers at the pole) are skipped and counted.  The record's
-    margin is the worst ``average - center`` over all tested circles.
+    on a grid of centers and circle radii the circle average, over
+    ``_ANGULAR_NODES`` nodes, must be at least the center value minus
+    ``_SMV_TOL``.  Circles that exit the domain (or centers at the pole)
+    are skipped and counted.  The record's margin is the worst
+    ``average - center`` over all tested circles.
     """
     require_positive_delta(delta)
     if centers is None:
@@ -492,7 +504,7 @@ def delta_class_check(
 
     margins = []
     skipped = 0
-    theta = np.linspace(0.0, 2.0 * math.pi, angular_nodes, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * math.pi, _ANGULAR_NODES, endpoint=False)
     ring = np.exp(1j * theta)
     for c in centers:
         if abs(c - psi.pole) < 1e-6:
@@ -505,7 +517,7 @@ def delta_class_check(
             zs = c + r * ring
             dmin = np.min(np.abs(zs - psi.pole))
             if dmin < 1e-12:  # pole hits a node: rotate the grid half a step
-                zs = c + r * np.exp(1j * (theta + math.pi / angular_nodes))
+                zs = c + r * np.exp(1j * (theta + math.pi / _ANGULAR_NODES))
             for factor in (1.0, 1.0 + delta):
                 avg = float(np.mean(combined(zs, factor)))
                 center_val = float(combined(np.asarray([c]), factor)[0])
@@ -520,9 +532,8 @@ def delta_class_check(
             "psi": psi.name or "custom",
             "delta": delta,
             "radii": list(radii),
-            "smv_tol": smv_tol,
             "centers": len(centers),
-            "angular_nodes": angular_nodes,
+            "angular_nodes": _ANGULAR_NODES,
         },
         quantities={
             "worst_margin": worst,
@@ -530,7 +541,7 @@ def delta_class_check(
             "circles_skipped": skipped,
         },
         margins={"sub_mean_value": worst},
-        tolerances={"sub_mean_value": smv_tol},
+        tolerances={"sub_mean_value": _SMV_TOL},
         primary="worst_margin",
         provenance={
             "worst_margin": "delta_class_check",
@@ -622,13 +633,16 @@ def _shell_integral(
     return value, float(np.exp(np.max(u_hi)))
 
 
+# the largest scaled change between the two last shell grid levels
+_SHELL_TOL = 1e-6
+
+
 def residual_measure(
     psi: PolarSpec,
     f: Callable,
     t: float,
     n_rad: int = 1024,
     n_ang: int = 512,
-    accuracy_tol: float = 1e-6,
 ) -> float:
     """Residual mass ``(1/pi) integral_{-1-t < Psi < -t} f e^{-Psi} dLambda``.
 
@@ -638,7 +652,7 @@ def residual_measure(
     converges fast.  ``(n_rad, n_ang)`` is the finest grid allowed: the
     grid starts from it halved down to 16 angles (halved at least once)
     and doubles through :func:`domains.refine` until two levels agree
-    within ``accuracy_tol * max(1, |value|)``; reaching the cap without
+    within ``_SHELL_TOL * max(1, |value|)``; reaching the cap without
     agreement, or a NaN change, raises :class:`AccuracyError`.  If the
     validity domain is known, a shell reaching the boundary on any grid
     raises :class:`ShellEscapeError`.
@@ -665,7 +679,7 @@ def residual_measure(
     def change(fine: float, coarse: float) -> float:
         return abs(fine - coarse) / max(1.0, abs(fine))
 
-    return refine(compute, change, accuracy_tol, doublings)[0]
+    return refine(compute, change, _SHELL_TOL, doublings)[0]
 
 
 # integrand profiles of the residual-measure check; both have f(0) = 1
@@ -681,11 +695,22 @@ def require_psi0(psi0: float) -> None:
         raise ParameterError("psi0 must be finite")
 
 
-def residual_record(psi0: float, f: str, t: float = 20.0, value_tol: float = 1e-3) -> ReportRecord:
+def require_shell_depth(t: float) -> None:
+    """Precondition of :func:`residual_record` on the shell depth ``t``."""
+    if not 0.0 < t < math.inf:
+        raise ParameterError("shell depth t must be finite and positive")
+
+
+# the bound on |mass - e^{-psi0}|
+_MASS_TOL = 1e-3
+
+
+def residual_record(psi0: float, f: str, t: float = 20.0) -> ReportRecord:
     """Residual mass of ``log|z|^2 + psi0`` against the profile ``f`` of
-    :data:`RESIDUAL_PROFILES` at shell depth ``t``, within ``value_tol`` of
+    :data:`RESIDUAL_PROFILES` at shell depth ``t``, within ``_MASS_TOL`` of
     the point mass ``e^{-psi0} f(0)``."""
     require_psi0(psi0)
+    require_shell_depth(t)
     psi = PolarSpec(
         0.0,
         lambda z: np.full(np.shape(z), psi0, dtype=float),
@@ -698,9 +723,9 @@ def residual_record(psi0: float, f: str, t: float = 20.0, value_tol: float = 1e-
     return make_record(
         command="residual-measure",
         input_id=f"psi0={psi0:g},f={f}",
-        inputs={"psi0": psi0, "f": f, "t": t, "value_tol": value_tol},
+        inputs={"psi0": psi0, "f": f, "t": t},
         quantities={"mass": mass, "expected": expected, "abs_error": err},
-        margins={"value_match": value_tol - err},
+        margins={"value_match": _MASS_TOL - err},
         tolerances={"value_match": 0.0},
         primary="mass",
         provenance={
@@ -766,12 +791,16 @@ def require_a_values(a_values) -> None:
     _require_decreasing(a_values, "a sequence")
 
 
+# the relative agreement of the two least-norm routes, and of the
+# extrapolated limit with (1 + 1/delta) pi e^{-eps}
+_CROSS_TOL = 1e-6
+_LIMIT_REL_TOL = 0.01
+
+
 def optimal_constant_experiment(
     delta: float,
     eps: float,
     a_values=(0.5, 0.1, 0.01, 1e-3, 1e-4),
-    cross_tol: float = 1e-6,
-    limit_rel_tol: float = 0.01,
 ) -> ReportRecord:
     """Least-norm extensions against ``MaxPiece(delta, a)`` as ``a -> 0``:
     the ``optimal-constant`` record.
@@ -779,10 +808,10 @@ def optimal_constant_experiment(
     For each ``a`` the minimum of ``int |F|^2 e^{-phi}`` over ``F(0) = 1``
     is computed twice: through the Gram/least-norm machinery (closed-form
     radial moments) and through direct radial quadrature; the two must
-    agree within ``cross_tol`` relative.  The ratio against the
+    agree within ``_CROSS_TOL`` relative.  The ratio against the
     normalization ``a^{-2 delta} e^{eps}`` is tabulated, must increase as
     ``a`` shrinks, and is Richardson-extrapolated in the known power
-    ``a^{2 delta}``; the limit must lie within ``limit_rel_tol`` relative
+    ``a^{2 delta}``; the limit must lie within ``_LIMIT_REL_TOL`` relative
     of the sharp target ``(1 + 1/delta) pi e^{-eps}``.
     """
     require_delta(delta)
@@ -823,17 +852,11 @@ def optimal_constant_experiment(
     return make_record(
         command="optimal-constant",
         input_id=f"delta={delta:g},eps={eps:g}",
-        inputs={
-            "delta": delta,
-            "eps": eps,
-            "a_values": list(a_values),
-            "cross_tol": cross_tol,
-            "limit_rel_tol": limit_rel_tol,
-        },
+        inputs={"delta": delta, "eps": eps, "a_values": list(a_values)},
         quantities=quantities,
         margins={
-            "limit_within_rel": limit_rel_tol - rel_err,
-            "routes_agree": cross_tol - cross_rel,
+            "limit_within_rel": _LIMIT_REL_TOL - rel_err,
+            "routes_agree": _CROSS_TOL - cross_rel,
             "ratios_increasing": min_margin(np.diff(ratios)),
         },
         tolerances={

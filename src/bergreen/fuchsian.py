@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonConvergenceError, ParameterError
-from .reports import ReportRecord, make_record
+from .reports import ReportRecord, make_record, min_margin
 from .squeezing import MoebiusMap
 
 __all__ = [
@@ -127,33 +127,31 @@ def _tail_bound(c: float, N: int) -> float:
     return 16.0 * math.exp(-2.0 * (N + 1) * alpha) / (1.0 - math.exp(-2.0 * alpha))
 
 
-def fuchsian_sums(
-    c: float, N: int, tail_tol: float = 1e-8
-) -> tuple[float, float, float]:
+# the largest certified tail bound of a comparison
+_TAIL_TOL = 1e-8
+
+
+def fuchsian_sums(c: float, N: int) -> tuple[float, float, float]:
     """(sum, product, tail_bound) for the canonical generator at ``c``.
 
     Raises :class:`NonConvergenceError` if the geometric tail bound at
-    truncation ``N`` exceeds ``tail_tol`` — the caller must increase ``N``
+    truncation ``N`` exceeds ``_TAIL_TOL`` — the caller must increase ``N``
     rather than trust an under-resolved comparison.
     """
     c = float(c)
     require_c(c)
     require_terms(N)
     tail = _tail_bound(c, N)
-    if tail > tail_tol:
+    if tail > _TAIL_TOL:
         raise NonConvergenceError(
-            f"tail bound {tail:.3e} exceeds {tail_tol:.1e} at N={N}; "
+            f"tail bound {tail:.3e} exceeds {_TAIL_TOL:.1e} at N={N}; "
             f"increase the truncation"
         )
     total, product = group_sums(CyclicGroup(canonical_generator(c), N))
     return total, product, tail
 
 
-def inequality_check(
-    c_grid=DEFAULT_C_GRID,
-    N: int = 256,
-    tail_tol: float = 1e-8,
-) -> ReportRecord:
+def inequality_check(c_grid=DEFAULT_C_GRID, N: int = 256) -> ReportRecord:
     """Derivative-sum versus modulus-product comparison across a grid of
     generator displacements; each margin must clear its own tail bound."""
     c_grid = [float(c) for c in c_grid]
@@ -163,7 +161,7 @@ def inequality_check(
     margins: dict = {}
     tolerances: dict = {}
     for c in c_grid:
-        total, product, tail = fuchsian_sums(c, N, tail_tol=tail_tol)
+        total, product, tail = fuchsian_sums(c, N)
         key = f"{c:g}"
         quantities[f"sum_c{key}"] = total
         quantities[f"product_c{key}"] = product
@@ -171,13 +169,11 @@ def inequality_check(
         quantities[f"tail_c{key}"] = tail
         margins[f"margin_c{key}"] = total - product
         tolerances[f"margin_c{key}"] = tail
-    quantities["min_margin"] = min(
-        quantities[f"margin_c{c:g}"] for c in c_grid
-    )
+    quantities["min_margin"] = min_margin(list(margins.values()))
     return make_record(
         command="fuchsian-check",
         input_id=f"c_grid={c_grid},N={N}",
-        inputs={"c_grid": c_grid, "N": N, "tail_tol": tail_tol},
+        inputs={"c_grid": c_grid, "N": N},
         quantities=quantities,
         margins=margins,
         tolerances=tolerances,

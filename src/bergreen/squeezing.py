@@ -183,8 +183,13 @@ def squeeze_lower(domain, p: complex) -> float:
     return max(dist, 0.0)
 
 
-def sandwich_check(domain, p: complex, sandwich_tol: float = 1e-6) -> ReportRecord:
-    """Two-sided comparison ``s_low^2 - tol <= C <= 1 + tol`` at one point.
+# the allowed overshoot of either side of the sandwich
+_SANDWICH_TOL = 1e-6
+
+
+def sandwich_check(domain, p: complex) -> ReportRecord:
+    """Two-sided comparison ``s_low^2 - tol <= C <= 1 + tol`` at one point,
+    ``tol = _SANDWICH_TOL``.
 
     ``C`` is the capacity-squared to kernel ratio; ``s_low`` the certified
     squeezing lower bound from :func:`squeeze_lower`.  The lower estimate
@@ -198,11 +203,7 @@ def sandwich_check(domain, p: complex, sandwich_tol: float = 1e-6) -> ReportReco
     return make_record(
         command="squeeze-check",
         input_id=f"{domain!r}@p={p!r}",
-        inputs={
-            "domain": repr(domain),
-            "p": p,
-            "sandwich_tol": sandwich_tol,
-        },
+        inputs={"domain": repr(domain), "p": p},
         quantities={
             "ratio": c_val,
             "squeeze_lower": s_low,
@@ -214,7 +215,7 @@ def sandwich_check(domain, p: complex, sandwich_tol: float = 1e-6) -> ReportReco
             "lower": c_val - s_low * s_low,
             "upper": 1.0 - c_val,
         },
-        tolerances={"lower": sandwich_tol, "upper": sandwich_tol},
+        tolerances={"lower": _SANDWICH_TOL, "upper": _SANDWICH_TOL},
         primary="ratio",
         provenance={
             "ratio": "suita_ratio",
@@ -246,17 +247,17 @@ def require_angle(angle: float) -> None:
         raise ParameterError("trend angle must be finite")
 
 
-def boundary_trend_check(
-    domain,
-    ks=(1, 2, 3, 4),
-    angle: float = 0.0,
-    trend_slack: float = 1e-9,
-    close_tol: float = 1e-6,
-) -> ReportRecord:
+# the allowed decrease between consecutive trend ratios, which absorbs
+# quadrature noise once the deficit falls below roundoff, and the bound on
+# the last deficit
+_TREND_SLACK = 1e-9
+_CLOSE_TOL = 1e-6
+
+
+def boundary_trend_check(domain, ks=(1, 2, 3, 4), angle: float = 0.0) -> ReportRecord:
     """Trend check: the ratio ``C`` at ``|p| = 1 - 10^{-k}`` must increase
-    toward 1 along the ``k`` sequence (within ``trend_slack``, which absorbs
-    quadrature noise once the deficit falls below roundoff) and end within
-    ``close_tol`` of 1.
+    toward 1 along the ``k`` sequence (within ``_TREND_SLACK``) and end
+    within ``_CLOSE_TOL`` of 1.
     """
     ks = [int(k) for k in ks]
     require_trend_ks(ks)
@@ -273,20 +274,14 @@ def boundary_trend_check(
     return make_record(
         command="squeeze-check",
         input_id=f"{domain!r}:boundary-trend",
-        inputs={
-            "domain": repr(domain),
-            "ks": ks,
-            "angle": angle,
-            "trend_slack": trend_slack,
-            "close_tol": close_tol,
-        },
+        inputs={"domain": repr(domain), "ks": ks, "angle": angle},
         quantities=quantities,
         margins={
             "monotone_toward_one": min_margin(np.diff(ratios)),
-            "final_close_to_one": close_tol - abs(1.0 - ratios[-1]),
+            "final_close_to_one": _CLOSE_TOL - abs(1.0 - ratios[-1]),
         },
         tolerances={
-            "monotone_toward_one": trend_slack,
+            "monotone_toward_one": _TREND_SLACK,
             "final_close_to_one": 0.0,
         },
         primary="final_deficit",

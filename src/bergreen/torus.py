@@ -63,6 +63,9 @@ __all__ = [
 
 # fewest theta1 terms ever summed (see theta1)
 _MIN_TERMS = 8
+# the certified theta1 tail bound at the term cap; the summed count stops at
+# this times eps (see theta1_term_count)
+_THETA_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
@@ -106,12 +109,12 @@ def _tail_certified(n: int, log_q: float, ymax: float, tol: float) -> bool:
     return log_ratio <= math.log(0.5) and log_first <= math.log(tol)
 
 
-def theta1_term_count(z, tau: complex, terms: int = 64, theta_tol: float = 1e-12) -> int:
+def theta1_term_count(z, tau: complex, terms: int = 64) -> int:
     """Number of series terms :func:`theta1` sums for the points ``z``:
     the smallest count in ``[8, terms]`` whose certified tail is below
-    ``theta_tol * eps``, or ``terms`` if none is.  Raises
+    ``_THETA_TOL * eps``, or ``terms`` if none is.  Raises
     :class:`TruncationError` if even the tail after ``terms`` terms is not
-    certified below ``theta_tol``, or if the largest kept sine overflows
+    certified below ``_THETA_TOL``, or if the largest kept sine overflows
     (its inf times an underflowed ``q`` power would return NaN)."""
     tau = complex(tau)
     if not (tau.imag > 0.0):
@@ -121,12 +124,12 @@ def theta1_term_count(z, tau: complex, terms: int = 64, theta_tol: float = 1e-12
     z = np.asarray(z, dtype=complex)
     ymax = float(np.max(np.abs(z.imag))) if z.size else 0.0
     log_q = -math.pi * tau.imag
-    if not _tail_certified(terms, log_q, ymax, theta_tol):
+    if not _tail_certified(terms, log_q, ymax, _THETA_TOL):
         raise TruncationError(
-            f"theta1 tail bound exceeds {theta_tol:.1e} at terms={terms} "
+            f"theta1 tail bound exceeds {_THETA_TOL:.1e} at terms={terms} "
             f"(|Im z| up to {ymax:.3g}); increase terms"
         )
-    stop = theta_tol * np.finfo(float).eps
+    stop = _THETA_TOL * np.finfo(float).eps
     count = next(
         (n for n in range(_MIN_TERMS, terms) if _tail_certified(n, log_q, ymax, stop)),
         terms,
@@ -139,7 +142,7 @@ def theta1_term_count(z, tau: complex, terms: int = 64, theta_tol: float = 1e-12
     return count
 
 
-def theta1(z, tau: complex, terms: int = 64, theta_tol: float = 1e-12):
+def theta1(z, tau: complex, terms: int = 64):
     """Odd Jacobi theta series
     ``theta1(z) = 2 sum_{n>=0} (-1)^n q^{(n+1/2)^2} sin((2n+1) pi z)``
     with ``q = exp(i pi tau)`` and a certified geometric tail bound (grows
@@ -147,9 +150,9 @@ def theta1(z, tau: complex, terms: int = 64, theta_tol: float = 1e-12):
     fundamental cell for large imaginary parts).
 
     ``terms`` is a cap: if the tail after ``terms`` terms is not certified
-    below ``theta_tol``, :class:`TruncationError` is raised.  Otherwise
+    below ``_THETA_TOL``, :class:`TruncationError` is raised.  Otherwise
     the series is summed to the smallest count in ``[8, terms]`` whose
-    tail is certified below ``theta_tol * eps`` (:func:`theta1_term_count`),
+    tail is certified below ``_THETA_TOL * eps`` (:func:`theta1_term_count`),
     so every dropped term lies below rounding.  The floor of 8 keeps the
     result bit-identical to the sum over all ``terms``: the dropped terms
     do not change the sum, but the dot product of a scalar ``z`` groups
@@ -158,7 +161,7 @@ def theta1(z, tau: complex, terms: int = 64, theta_tol: float = 1e-12):
     ``h = 3e-4`` amplifies them by ``1/h^2``).
     """
     z = np.asarray(z, dtype=complex)
-    ns = np.arange(theta1_term_count(z, tau, terms, theta_tol))
+    ns = np.arange(theta1_term_count(z, tau, terms))
     q_pow = np.exp(1j * math.pi * complex(tau) * (ns + 0.5) ** 2) * (-1.0) ** ns
     # sin((2n+1) pi z) for all n at once
     phases = np.sin(math.pi * np.multiply.outer(z, 2 * ns + 1))
@@ -320,12 +323,17 @@ def _five_point_laplacian(f, z: complex, h: float) -> float:
     ) / (h * h)
 
 
-def laplacian_deviation(green: ArakelovGreen, samples=None, h: float = 5e-4) -> float:
+# the five-point stencil step of laplacian_deviation
+_LAP_STEP = 5e-4
+
+
+def laplacian_deviation(green: ArakelovGreen, samples=None) -> float:
     """Max deviation of the volume-normalized Laplacian ``Lap_vol = (Im tau
     / 2 pi) Lap_euclid`` of ``g`` from -1 over interior samples, by
-    five-point finite differences; NaN if any sample gives NaN.  The
-    ``laplacian`` margin of :func:`arak1_check` gates it."""
+    five-point finite differences of step ``_LAP_STEP``; NaN if any sample
+    gives NaN.  The ``laplacian`` margin of :func:`arak1_check` gates it."""
     spec = green.spec
+    h = _LAP_STEP
     if samples is None:
         samples = [
             0.3 + 0.2j * spec.tau2,
@@ -343,10 +351,13 @@ def laplacian_deviation(green: ArakelovGreen, samples=None, h: float = 5e-4) -> 
     return float(np.max(devs, initial=0.0))
 
 
+# the smaller base radius of torus_capacity's two Richardson estimates
+_CAPACITY_RADIUS = 1e-3
+
+
 def torus_capacity(
     green: ArakelovGreen,
     p: complex = 0.0,
-    base_r: float = 1e-3,
     angle: float = 0.3,
     stability_tol: float = 1e-9,
 ) -> float:
@@ -354,7 +365,8 @@ def torus_capacity(
 
     The bracketed profile is even in the radius with an exact ``r^2``
     leading correction, so one Richardson step at radii ``(r, r/2)`` leaves
-    ``O(r^4)``; two such estimates at base radii ``r`` and ``2r`` must
+    ``O(r^4)``; two such estimates at base radii ``r = _CAPACITY_RADIUS``
+    and ``2r`` must
     agree within ``stability_tol`` or :class:`ExtrapolationDivergenceError`
     is raised.
     """
@@ -369,8 +381,8 @@ def torus_capacity(
     def richardson(r: float) -> float:
         return (4.0 * profile(0.5 * r) - profile(r)) / 3.0
 
-    l1 = richardson(base_r)
-    l2 = richardson(2.0 * base_r)
+    l1 = richardson(_CAPACITY_RADIUS)
+    l2 = richardson(2.0 * _CAPACITY_RADIUS)
     if abs(l1 - l2) > stability_tol:
         raise ExtrapolationDivergenceError(
             f"capacity extrapolation unstable: {l1!r} vs {l2!r}"
@@ -445,9 +457,11 @@ class ThetaBasis:
         return worst
 
 
-def torus_gram(
-    basis: ThetaBasis, n_grid: int = 256, gram_tol: float = 1e-9
-) -> tuple[np.ndarray, float]:
+# the largest scaled entry change between the two last torus Gram levels
+_GRAM_TOL = 1e-9
+
+
+def torus_gram(basis: ThetaBasis, n_grid: int = 256) -> tuple[np.ndarray, float]:
     """(Gram matrix, doubling residual) of the weighted theta sections over
     the fundamental domain against the unit volume form.
 
@@ -457,7 +471,7 @@ def torus_gram(
     two that covers the basis band ``2N + 1`` (or ``n_grid // 2`` if that
     is smaller), so a coarse pair cannot agree by aliasing, and
     doubles through :func:`domains.refine` until entries move by at most
-    ``gram_tol`` relative to the diagonal scale; reaching the cap without
+    ``_GRAM_TOL`` relative to the diagonal scale; reaching the cap without
     agreement, or a NaN change, raises :class:`AccuracyError`.
     """
     if n_grid < 2:
@@ -479,7 +493,7 @@ def torus_gram(
         scale = float(np.max(np.abs(np.diag(fine)).real))
         return float(np.max(np.abs(fine - coarse))) / scale
 
-    return refine(lambda k: compute(start << k), change, gram_tol, doublings)
+    return refine(lambda k: compute(start << k), change, _GRAM_TOL, doublings)
 
 
 def torus_bergman(
@@ -517,12 +531,16 @@ def torus_bergman(
 # ---------------------------------------------------------------------------
 
 
-def curvature_coefficients(
-    green: ArakelovGreen, d: int, z: complex = 0.31 + 0.23j, h: float = 3e-4
-) -> tuple[float, float]:
+# the point and the five-point stencil step of curvature_coefficients
+_CURVATURE_POINT = 0.31 + 0.23j
+_CURVATURE_STEP = 3e-4
+
+
+def curvature_coefficients(green: ArakelovGreen, d: int) -> tuple[float, float]:
     """(a, b): curvature coefficients against the volume form of the Green
     weight ``2g`` and the degree-``d`` section weight, extracted by
-    five-point finite differences of the implemented potentials.
+    five-point finite differences of the implemented potentials at
+    ``_CURVATURE_POINT``.
 
     The coefficient of a weight ``phi`` is ``(Im tau / 4 pi) Lap_euclid
     phi``; for ``-2g`` it integrates to 1 (Green condition), for the
@@ -531,10 +549,11 @@ def curvature_coefficients(
     spec = green.spec
     basis = ThetaBasis(spec, d)
 
+    z, h = _CURVATURE_POINT, _CURVATURE_STEP
     factor = spec.tau2 / (4.0 * math.pi)
-    a = -factor * _five_point_laplacian(lambda w: 2.0 * float(green(w)), complex(z), h)
+    a = -factor * _five_point_laplacian(lambda w: 2.0 * float(green(w)), z, h)
     b = factor * _five_point_laplacian(
-        lambda w: -math.log(float(basis.weight(complex(w)))), complex(z), h
+        lambda w: -math.log(float(basis.weight(complex(w)))), z, h
     )
     return float(a), float(b)
 
@@ -557,16 +576,19 @@ def residual_mass(green: ArakelovGreen, t: float = 20.0) -> float:
     return 2.0 / spec.tau2 * residual_measure(psi, lambda z: np.ones(np.shape(z)), t)
 
 
-def arak1_check(
-    spec: TorusSpec,
-    d: int,
-    margin_tol: float = 1e-9,
-    residual_tol: float = 1e-4,
-    lap_tol: float = 1e-5,
-    ab_tol: float = 1e-6,
-    diag_tol: float = 1e-6,
-    t_residual: float = 20.0,
-) -> ReportRecord:
+# the allowed negative inequality margin, and the bounds on the residual-mass
+# identity, the Laplacian deviation, the curvature ratio and the kernel
+# diagonal spread
+_MARGIN_TOL = 1e-9
+_RESIDUAL_TOL = 1e-4
+_LAP_TOL = 1e-5
+_AB_TOL = 1e-6
+_DIAG_TOL = 1e-6
+# the shell depth of the residual mass
+_T_RESIDUAL = 20.0
+
+
+def arak1_check(spec: TorusSpec, d: int) -> ReportRecord:
     """Degree-``d`` kernel inequality on the torus with its side identities:
 
     * ``pi (1 + 1/(d/2 - 1)) * kernel >= capacity^2`` under both additive
@@ -605,7 +627,7 @@ def arak1_check(
         "midcell_deviation": midcell_dev,
         "gram_condition": kernel.gram_condition,
     }
-    margins: dict = {"diag_constancy": diag_tol - diag_spread}
+    margins: dict = {"diag_constancy": _DIAG_TOL - diag_spread}
     tolerances: dict = {"diag_constancy": 0.0}
 
     lap_dev = None
@@ -618,13 +640,13 @@ def arak1_check(
             quantities["curvature_a"] = a
             quantities["curvature_b"] = b
             quantities["two_a_over_b"] = 2.0 * a / b
-            margins["laplacian"] = lap_tol - lap_dev
+            margins["laplacian"] = _LAP_TOL - lap_dev
             tolerances["laplacian"] = 0.0
-            margins["curvature_ratio"] = ab_tol - abs(2.0 * a / b - 2.0 / d)
+            margins["curvature_ratio"] = _AB_TOL - abs(2.0 * a / b - 2.0 / d)
             tolerances["curvature_ratio"] = 0.0
         cap = torus_capacity(green)
         rhs = cap * cap
-        mass = residual_mass(green, t=t_residual)
+        mass = residual_mass(green, t=_T_RESIDUAL)
         expected_mass = 2.0 / rhs
         quantities[f"capacity_{norm}"] = cap
         quantities[f"rhs_{norm}"] = rhs
@@ -632,24 +654,14 @@ def arak1_check(
         quantities[f"residual_mass_{norm}"] = mass
         quantities[f"residual_expected_{norm}"] = expected_mass
         margins[f"inequality_{norm}"] = lhs - rhs
-        tolerances[f"inequality_{norm}"] = margin_tol
-        margins[f"residual_mass_{norm}"] = residual_tol - abs(mass - expected_mass)
+        tolerances[f"inequality_{norm}"] = _MARGIN_TOL
+        margins[f"residual_mass_{norm}"] = _RESIDUAL_TOL - abs(mass - expected_mass)
         tolerances[f"residual_mass_{norm}"] = 0.0
 
     return make_record(
         command="torus-check",
         input_id=f"tau={spec.tau},d={d}",
-        inputs={
-            "tau": spec.tau,
-            "d": d,
-            "terms": spec.terms,
-            "margin_tol": margin_tol,
-            "residual_tol": residual_tol,
-            "lap_tol": lap_tol,
-            "ab_tol": ab_tol,
-            "diag_tol": diag_tol,
-            "t_residual": t_residual,
-        },
+        inputs={"tau": spec.tau, "d": d, "terms": spec.terms, "t_residual": _T_RESIDUAL},
         quantities=quantities,
         margins=margins,
         tolerances=tolerances,

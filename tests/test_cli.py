@@ -3,6 +3,7 @@ validation failures, report/CSV/plot-data emission, the content-addressed
 cache, exit codes, determinism, and the report-layer helpers."""
 
 import csv
+import inspect
 import itertools
 import json
 import math
@@ -224,6 +225,7 @@ class TestResolveConfig:
             ("ode-check", {"deltas": "1,nan"}),
             ("residual-measure", {"psi0s": "nan"}),
             ("torus-check", {"taus": "nan+1j"}),
+            ("cutoff-check", {"t0s": "1e16"}),
         ],
     )
     def test_validation_failures(self, tmp_path, command, overrides):
@@ -262,10 +264,28 @@ class TestResolveConfig:
         assert cfg["command"] == sub and list(cli.CHECKS[sub](cfg))
 
     def test_suita_check_with_infinite_tolerance_exits_2(self, tmp_path, capsys):
-        argv = ["suita-check", "--zs", "0.3", "--ratio-tol", "inf", "--outdir", str(tmp_path)]
-        assert main(argv) == 2
-        assert "ratio_tol must be finite" in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
+        # a gate tolerance is a constant of its check, settable neither by
+        # flag nor by config file
+        out = tmp_path / "out"
+        argv = ["suita-check", "--zs", "0.3", "--ratio-tol", "inf", "--outdir", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --ratio-tol inf" in capsys.readouterr().err
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"zs": "0.3", "ratio_tol": "inf"}))
+        assert main(["suita-check", "--config", str(path), "--outdir", str(out)]) == 2
+        assert "unknown config key 'ratio_tol'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_tolerance_is_a_parameter(self, tmp_path):
+        assert [name for schema in cli.PARAMS.values() for name in schema
+                if name.endswith("_tol")] == []
+        for command, expand in cli.CHECKS.items():
+            for case in expand(resolve_config(command, None, {"outdir": str(tmp_path)})):
+                module, _, name = case.check.partition(".")
+                check = getattr(sys.modules[f"bergreen.{module}"], name)
+                assert [k for k in inspect.signature(check).parameters if k.endswith("_tol")] == []
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -498,10 +518,10 @@ class TestCliRuns:
         main(args)
         assert (tmp_path / "capacity_summary.csv").read_bytes() == fresh
 
-    def test_tolerance_change_misses_cache(self, tmp_path, capsys):
+    def test_parameter_change_misses_cache(self, tmp_path, capsys):
         main(["capacity", "--outdir", str(tmp_path)])
         capsys.readouterr()
-        main(["capacity", "--cap-tol", "2e-6", "--outdir", str(tmp_path)])
+        main(["capacity", "--z", "0.4", "--outdir", str(tmp_path)])
         assert "(cached)" not in capsys.readouterr().out
 
     def test_corrupt_cache_warns_and_recomputes(self, tmp_path, capsys):
@@ -701,7 +721,7 @@ class TestExtendedSuitaSharedGram:
         zs = [complex(z) for z in f"{self.ZS},0.85".split(",")]
         assert len(records) == len(zs)
         for rec, z in zip(records, zs):
-            res = extended_suita_check(Annulus(0.2), HarmonicRe(0.2), z, margin_tol=1e-9)
+            res = extended_suita_check(Annulus(0.2), HarmonicRe(0.2), z)
             assert list(res.quantities) == [
                 "margin", "capacity_sq", "rho_at_z", "weighted_kernel", "gram_condition"
             ]

@@ -276,6 +276,13 @@ class TestCapacity:
         ev = green_evaluator(Annulus(0.2), method="nystrom", quad_points=256)
         assert capacity(ev, z) == pytest.approx(direct, abs=1e-7)
 
+    def test_truncated_mode_sum_raises(self):
+        # two modes leave a certified tail of about 0.2 at z = 0.3, and the
+        # sum is 4.4 % below the certified capacity
+        assert capacity(Annulus(0.2), 0.3) == pytest.approx(4.573181024599501, rel=1e-12)
+        with pytest.raises(NonConvergenceError, match="tail estimate"):
+            capacity(green_evaluator(Annulus(0.2), modes=2), 0.3)
+
     def test_richardson_divergence_guard(self):
         class Noisy(GreenEvaluator):
             def remainder(self, xi, z):

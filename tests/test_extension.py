@@ -49,6 +49,15 @@ class TestCutoffFamily:
         with pytest.raises(ParameterError):
             make_cutoff(1.0, eps)
 
+    def test_rejects_offset_beyond_bound(self):
+        # at 1e16 the unit interval (-t0-1, -t0) is below the spacing of doubles
+        with pytest.raises(ParameterError, match=r"\|t0\| <= 1e\+06"):
+            make_cutoff(1e16, 0.1)
+
+    @pytest.mark.parametrize("t0", [1e6, -1e6])
+    def test_limit_check_passes_at_the_offset_bound(self, t0):
+        assert cutoff_limit_check(t0, (0.2, 0.1, 0.05, 0.01)).passed
+
     @pytest.mark.parametrize("t0", [1.0, 2.0, 5.0])
     @pytest.mark.parametrize("eps", [0.2, 0.1, 0.05, 0.23])
     def test_support_interval(self, t0, eps):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergreen import fuchsian
 from bergreen.errors import NonConvergenceError, ParameterError
 from bergreen.fuchsian import (
     DEFAULT_C_GRID,
@@ -175,6 +176,22 @@ class TestInequalityCheck:
         with pytest.raises(ParameterError):
             inequality_check(c_grid=())
 
-    def test_strict_tail_tolerance_propagates(self):
+    def test_strict_tail_tolerance_propagates(self, monkeypatch):
+        monkeypatch.setattr(fuchsian, "_TAIL_TOL", 1e-12)
         with pytest.raises(NonConvergenceError):
-            inequality_check(c_grid=(0.05,), N=256, tail_tol=1e-12)
+            inequality_check(c_grid=(0.05,), N=256)
+
+    def test_nan_sum_reaches_the_primary_value(self, monkeypatch):
+        # Python's min skips a NaN that is not first; the primary must not
+        calls = []
+
+        def spoiled(c, N, **kwargs):
+            total, product, tail = fuchsian_sums(c, N, **kwargs)
+            calls.append(c)
+            return (math.nan if len(calls) == 2 else total), product, tail
+
+        monkeypatch.setattr(fuchsian, "fuchsian_sums", spoiled)
+        rec = inequality_check(c_grid=(0.1, 0.5, 0.9))
+        assert len(calls) == 3
+        assert math.isnan(rec.quantities["min_margin"])
+        assert not rec.passed

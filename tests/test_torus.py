@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergreen import torus
 from bergreen.errors import (
     AccuracyError,
     ExtrapolationDivergenceError,
@@ -334,9 +335,10 @@ class TestLaplacianDeviation:
         with pytest.raises(ParameterError):
             laplacian_deviation(green_mean_i, samples=[1.0 + TAU_I])
 
-    def test_impossible_tolerance_fails_the_record(self, spec_i):
+    def test_impossible_tolerance_fails_the_record(self, spec_i, monkeypatch):
         # arak1_check's laplacian margin is the one gate on the deviation
-        rec = arak1_check(spec_i, 4, lap_tol=1e-14)
+        monkeypatch.setattr(torus, "_LAP_TOL", 1e-14)
+        rec = arak1_check(spec_i, 4)
         assert not rec.passed
         assert rec.margins["laplacian"] < 0.0
         assert rec.quantities["laplacian_deviation"] > 1e-14
