@@ -194,10 +194,27 @@ def _log_power_integrals(p: np.ndarray, lo: float, hi: float) -> np.ndarray:
     out[zero] = math.log(math.log(hi / lo))
     # p > 0: (hi^p - lo^p)/p
     pp = p[pos]
-    out[pos] = pp * math.log(hi) + np.log1p(-((lo / hi) ** pp)) - np.log(pp)
+    out[pos] = pp * math.log(hi) + _log1m_power(lo / hi, pp) - np.log(pp)
     # p < 0: (lo^p - hi^p)/(-p)
     pn = p[neg]
-    out[neg] = pn * math.log(lo) + np.log1p(-((hi / lo) ** pn)) - np.log(-pn)
+    out[neg] = pn * math.log(lo) + _log1m_power(hi / lo, pn) - np.log(-pn)
+    return out
+
+
+# beyond this |log| a power underflows to exactly 0.0 (e^-750 < 2^-1075)
+_UNDERFLOW_LOG = 750.0
+
+
+def _log1m_power(base: float, q: np.ndarray) -> np.ndarray:
+    """``log1p(-base**q)`` for exponents ``q`` with ``base**q < 1``.
+
+    Where ``|q log base| > _UNDERFLOW_LOG`` the power is exactly 0.0 and the
+    result is ``log1p(-0.0) = -0.0``, which is written without calling
+    ``pow``: underflowing powers take libm's slow path.
+    """
+    near = np.abs(q) <= _UNDERFLOW_LOG / abs(math.log(base))
+    out = np.full_like(q, -0.0)
+    out[near] = np.log1p(-(base ** q[near]))
     return out
 
 

@@ -347,47 +347,74 @@ _FD_STEP = 1e-6
 _FD_REL_TOL = 1e-5
 
 
-def ode_residual(pair: OdePair, t: float) -> tuple[float, float]:
-    """Residuals of the defining identities at ``t``:
+def ode_residual(pair: OdePair, t):
+    """Residuals of the defining identities at each ``t`` (a float or an
+    array of floats):
 
     ``r1 = (s + s'^2/(u''s - s'')) e^{u-t} - 1`` and ``r2 = s' - s u' - 1``,
 
-    both evaluated from analytic derivatives.  The analytic first
-    derivatives are cross-checked against central finite differences of
-    ``u, s`` and the analytic second derivatives against central
-    differences of the analytic first derivatives, at step ``_FD_STEP``; a
-    relative mismatch above ``_FD_REL_TOL`` raises
-    :class:`DerivativeMismatchError`.  (The relative error uses
-    denominator floor 1e-3: differencing magnitudes ~1 at step 1e-6
-    carries ~1e-10 roundoff, which would swamp a pure relative comparison
-    against derivatives decaying like ``e^{-t}``.)
+    both evaluated from analytic derivatives in one array pass over the
+    points.  The analytic first derivatives are cross-checked against
+    central finite differences of ``u, s`` and the analytic second
+    derivatives against central differences of the analytic first
+    derivatives, at step ``_FD_STEP``; a relative mismatch above
+    ``_FD_REL_TOL`` raises :class:`DerivativeMismatchError`.  (The relative
+    error uses denominator floor 1e-3: differencing magnitudes ~1 at step
+    1e-6 carries ~1e-10 roundoff, which would swamp a pure relative
+    comparison against derivatives decaying like ``e^{-t}``.)
+
+    Every check is per point: ``t > 0``, then the four cross-checks in the
+    order u', s', u'', s'', then ``u''s - s'' > 0``.  The error raised is
+    the one of the first point that fails a check, naming its first failing
+    check, as a loop over the points would raise it.  A scalar ``t`` gives
+    two floats, an array two arrays of its shape.
     """
-    if not (t > 0.0):
-        raise ParameterError("ode_residual requires t > 0")
+    ts = np.asarray(t, dtype=float)
+    flat = ts.reshape(-1)
+    # only the points before the first nonpositive t are evaluated; a NaN t
+    # is not positive
+    positive = flat > 0.0
+    first = flat.size if positive.all() else int(np.argmin(positive))
+    tt = flat[:first]
     h = _FD_STEP
-    u, up, upp = pair.u(t), pair.u_prime(t), pair.u_second(t)
-    s, sp, spp = pair.s(t), pair.s_prime(t), pair.s_second(t)
+    u, up, upp = pair.u(tt), pair.u_prime(tt), pair.u_second(tt)
+    s, sp, spp = pair.s(tt), pair.s_prime(tt), pair.s_second(tt)
 
     checks = [
-        (up, (pair.u(t + h) - pair.u(t - h)) / (2 * h), "u'"),
-        (sp, (pair.s(t + h) - pair.s(t - h)) / (2 * h), "s'"),
-        (upp, (pair.u_prime(t + h) - pair.u_prime(t - h)) / (2 * h), "u''"),
-        (spp, (pair.s_prime(t + h) - pair.s_prime(t - h)) / (2 * h), "s''"),
+        (up, (pair.u(tt + h) - pair.u(tt - h)) / (2 * h), "u'"),
+        (sp, (pair.s(tt + h) - pair.s(tt - h)) / (2 * h), "s'"),
+        (upp, (pair.u_prime(tt + h) - pair.u_prime(tt - h)) / (2 * h), "u''"),
+        (spp, (pair.s_prime(tt + h) - pair.s_prime(tt - h)) / (2 * h), "s''"),
     ]
+    # each check looks only before the first failure found so far, so the
+    # earliest point wins and, at one point, the earlier check
+    error = None
     for analytic, fd, name in checks:
-        rel = abs(analytic - fd) / max(abs(analytic), 1e-3)
-        if rel > _FD_REL_TOL:
-            raise DerivativeMismatchError(
-                f"{name} analytic={analytic} vs finite-difference={fd} "
-                f"(relative {rel:.3e} > {_FD_REL_TOL:.1e}) at t={t}"
+        rel = np.abs(analytic - fd) / np.maximum(np.abs(analytic), 1e-3)
+        hit = np.flatnonzero(rel[:first] > _FD_REL_TOL)
+        if hit.size:
+            k = first = int(hit[0])
+            error = DerivativeMismatchError(
+                f"{name} analytic={float(analytic[k])} vs finite-difference={float(fd[k])} "
+                f"(relative {rel[k]:.3e} > {_FD_REL_TOL:.1e}) at t={float(tt[k])}"
             )
-
     denom = upp * s - spp
-    if denom <= 0.0:
-        raise ParameterError(f"u''s - s'' = {denom} not positive at t={t}")
-    r1 = (s + sp * sp / denom) * math.exp(u - t) - 1.0
+    hit = np.flatnonzero(denom[:first] <= 0.0)
+    if hit.size:
+        k = first = int(hit[0])
+        error = ParameterError(f"u''s - s'' = {float(denom[k])} not positive at t={float(tt[k])}")
+    if error is not None:
+        raise error
+    if first < flat.size:
+        raise ParameterError("ode_residual requires t > 0")
+
+    # e^{u-t} through libm, point by point
+    growth = np.fromiter(map(math.exp, u - tt), dtype=float, count=first)
+    r1 = (s + sp * sp / denom) * growth - 1.0
     r2 = sp - s * up - 1.0
-    return r1, r2
+    if ts.ndim == 0:
+        return float(r1[0]), float(r2[0])
+    return r1.reshape(ts.shape), r2.reshape(ts.shape)
 
 
 # the bound on both identity residuals, and on |u(end) - u(inf)|
@@ -401,7 +428,7 @@ def ode_record(delta: float, grid) -> ReportRecord:
     and ``u`` at the grid end within ``_ODE_END_TOL`` of its limit
     ``-log a``."""
     pair = ode_pair(delta)
-    r1s, r2s = zip(*(ode_residual(pair, float(t)) for t in grid))
+    r1s, r2s = ode_residual(pair, grid)
     s_vals = pair.s(grid)
     sp_vals = pair.s_prime(grid)
     denom = pair.u_second(grid) * s_vals - pair.s_second(grid)

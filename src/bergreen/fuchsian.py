@@ -84,18 +84,20 @@ class CyclicGroup:
             raise ParameterError(
                 "generator is not hyperbolic: |trace| must exceed 2"
             )
-        g = self.generator
-        ginv = g.inverse()
         N = self.N
         points = np.empty(2 * N + 1, dtype=complex)
         derivs = np.empty(2 * N + 1, dtype=complex)
         points[N] = 0.0
         derivs[N] = 1.0
-        for n in range(N):
-            points[N + n + 1] = g(points[N + n])
-            derivs[N + n + 1] = g.deriv(points[N + n]) * derivs[N + n]
-            points[N - n - 1] = ginv(points[N - n])
-            derivs[N - n - 1] = ginv.deriv(points[N - n]) * derivs[N - n]
+        # numpy complex scalars, one shared denominator q = gamma z + delta
+        # per step: g(z) = (alpha z + beta) / q and g'(z) = 1 / q^2
+        for m, step in ((self.generator, 1), (self.generator.inverse(), -1)):
+            a, b, c, d = map(np.complex128, (m.alpha, m.beta, m.gamma, m.delta_coef))
+            z, dz = points[N], derivs[N]
+            for k in range(N + step, N + step * (N + 1), step):
+                q = c * z + d
+                z, dz = (a * z + b) / q, 1.0 / (q * q) * dz
+                points[k], derivs[k] = z, dz
         # hyperbolic orbits approach the boundary so fast that |g^n(0)|
         # saturates to 1.0 in floating point; only genuine escape is an error
         if np.any(np.abs(points) > 1.0 + 1e-9):

@@ -295,6 +295,33 @@ class TestLogRadialMoments:
         scalar = [log_radial_moment(domain, weight, int(n)) for n in ns]
         np.testing.assert_allclose(logs, scalar, rtol=1e-14, atol=1e-14)
 
+    @staticmethod
+    def _unskipped(p, lo, hi):
+        """The closed form of ``_log_power_integrals`` for ``lo > 0`` with
+        every power taken, underflowing ones included."""
+        out = np.empty_like(p)
+        zero, pos, neg = p == 0.0, p > 0.0, p < 0.0
+        out[zero] = math.log(math.log(hi / lo))
+        pp, pn = p[pos], p[neg]
+        out[pos] = pp * math.log(hi) + np.log1p(-((lo / hi) ** pp)) - np.log(pp)
+        out[neg] = pn * math.log(lo) + np.log1p(-((hi / lo) ** pn)) - np.log(-pn)
+        return out
+
+    # (0.2, 0.5) is the inner piece of MaxPiece(., 0.5) on annulus:0.2, hi = a < 1
+    @pytest.mark.parametrize("lo,hi", [(0.2, 1.0), (0.04, 1.0), (0.5, 1.0), (0.2, 0.5)])
+    def test_underflow_skip_is_bit_exact(self, lo, hi):
+        cut = bergman._UNDERFLOW_LOG / math.log(hi / lo)
+        near_cut = cut * (1.0 + np.linspace(-1e-9, 1e-9, 21))
+        p = np.concatenate([
+            np.linspace(-2.0 * cut, 2.0 * cut, 4001),  # holds p = 0
+            near_cut, -near_cut,
+            2.0 * np.arange(-3 * int(cut), 3 * int(cut)) + 2.0 - 2.0 * 0.37,
+        ])
+        expected = self._unskipped(p, lo, hi)
+        got = bergman._log_power_integrals(p, lo, hi)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+
     def test_p_zero_branch(self):
         logs = log_radial_moments(ANN, HarmonicLog(1.0), np.array([-1, 0, 1]))
         assert logs[1] == pytest.approx(math.log(2.0 * math.pi * math.log(5.0)), rel=1e-14)

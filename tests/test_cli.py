@@ -818,13 +818,21 @@ def _spoil_call(monkeypatch, owner, name, n, spoil):
     monkeypatch.setattr(owner, name, patched)
 
 
+def _nan_at_4(values):
+    """A copy of ``values`` with its 5th element NaN."""
+    out = np.array(values, dtype=float)
+    out[4] = math.nan
+    return out
+
+
 def _nan_ode_r1(mp):
-    _spoil_call(mp, extension, "ode_residual", 5, lambda r: (math.nan, r[1]))
+    # one ode_residual call covers the grid; its 5th r1 is NaN
+    _spoil_call(mp, extension, "ode_residual", 1, lambda r: (_nan_at_4(r[0]), r[1]))
     return extension.ode_record(1.0, np.geomspace(0.1, 50.0, 20)), "residual_r1"
 
 
 def _nan_ode_r2(mp):
-    _spoil_call(mp, extension, "ode_residual", 5, lambda r: (r[0], math.nan))
+    _spoil_call(mp, extension, "ode_residual", 1, lambda r: (r[0], _nan_at_4(r[1])))
     return extension.ode_record(1.0, np.geomspace(0.1, 50.0, 20)), "residual_r2"
 
 

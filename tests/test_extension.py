@@ -170,6 +170,16 @@ class TestCutoffFamily:
 # ---------------------------------------------------------------------------
 
 
+def _broken_from(t_bad):
+    """An ODE pair whose analytic u' is off by 0.1 % for ``t >= t_bad``."""
+
+    class Broken(OdePair):
+        def u_prime(self, t):
+            return super().u_prime(t) * np.where(np.asarray(t) >= t_bad, 1.001, 1.0)
+
+    return Broken(delta=1.0, a=2.0, b=0.0)
+
+
 class TestOdePair:
     def test_construction(self):
         pair = ode_pair(1.0)
@@ -215,21 +225,35 @@ class TestOdePair:
 
     def test_requires_positive_time(self):
         pair = ode_pair(1.0)
-        for t in (0.0, -1.0):
-            with pytest.raises(ParameterError):
+        for t in (0.0, -1.0, np.array([1.0, 0.0])):
+            with pytest.raises(ParameterError, match="requires t > 0"):
                 ode_residual(pair, t)
         # the closed forms themselves blow up once e^{-t} reaches a
         with pytest.raises(ParameterError):
             pair.u(-5.0)
 
     def test_detects_inconsistent_derivatives(self):
-        class Broken(OdePair):
-            def u_prime(self, t):
-                return super().u_prime(t) * 1.001
-
-        bad = Broken(delta=1.0, a=2.0, b=0.0)
         with pytest.raises(DerivativeMismatchError):
-            ode_residual(bad, 1.0)
+            ode_residual(_broken_from(0.0), 1.0)
+
+    @pytest.mark.parametrize("delta", DELTA_GRID)
+    def test_array_call_matches_scalar_calls(self, delta):
+        pair = ode_pair(delta)
+        r1, r2 = ode_residual(pair, T_GRID)
+        scalar = [ode_residual(pair, float(t)) for t in T_GRID]
+        assert all(isinstance(r, float) for r in scalar[0])
+        np.testing.assert_array_max_ulp(r1, [r[0] for r in scalar], maxulp=4)
+        np.testing.assert_array_max_ulp(r2, [r[1] for r in scalar], maxulp=4)
+
+    def test_record_names_the_first_failing_point(self, monkeypatch):
+        grid = np.geomspace(0.1, 50.0, 20)
+        t_first = float(grid[grid >= 2.0][0])
+        monkeypatch.setattr(extension, "ode_pair", lambda delta: _broken_from(2.0))
+        with pytest.raises(DerivativeMismatchError, match=rf"^u' analytic=.* at t={t_first}$"):
+            extension.ode_record(1.0, grid)
+        # a derivative that fails before a nonpositive t is the error raised
+        with pytest.raises(DerivativeMismatchError, match=r"at t=1\.0$"):
+            ode_residual(_broken_from(0.5), np.array([1.0, 0.0]))
 
     @settings(max_examples=40, deadline=None)
     @given(delta=st.floats(0.05, 20.0), t=st.floats(0.01, 60.0))

@@ -58,7 +58,42 @@ class TestCanonicalGenerator:
         assert np.max(np.abs(np.abs(g(ring)) - 1.0)) < 1e-12
 
 
+def _orbit_by_map_calls(g: MoebiusMap, N: int):
+    """The orbit of 0 and its derivatives through ``MoebiusMap.__call__``
+    and ``deriv``, one point at a time: the reference for the cached orbit."""
+    ginv = g.inverse()
+    points = np.empty(2 * N + 1, dtype=complex)
+    derivs = np.empty(2 * N + 1, dtype=complex)
+    points[N], derivs[N] = 0.0, 1.0
+    for n in range(N):
+        points[N + n + 1] = g(points[N + n])
+        derivs[N + n + 1] = g.deriv(points[N + n]) * derivs[N + n]
+        points[N - n - 1] = ginv(points[N - n])
+        derivs[N - n - 1] = ginv.deriv(points[N - n]) * derivs[N - n]
+    return points, derivs
+
+
 class TestCyclicGroup:
+    @pytest.mark.parametrize("c", DEFAULT_C_GRID)
+    def test_orbit_bit_exact_against_map_calls(self, c):
+        g = canonical_generator(c)
+        points, derivs = _orbit_by_map_calls(g, 256)
+        grp = CyclicGroup(g, 256)
+        assert np.array_equal(grp.points, points)
+        assert np.array_equal(grp.derivs, derivs)
+
+    def test_complex_orbit_against_map_calls(self):
+        # Bit equality holds only for real coefficients: numpy's complex
+        # multiply ufunc (behind the 0-d arrays of MoebiusMap) may fuse
+        # multiply-adds, its scalar arithmetic does not, so a complex gamma z
+        # can differ in the last bit.
+        g = normalizer(0.3 + 0.2j)
+        points, derivs = _orbit_by_map_calls(g, 16)
+        grp = CyclicGroup(g, 16)
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(grp.points, points, rtol=4 * eps, atol=0)
+        np.testing.assert_allclose(grp.derivs, derivs, rtol=4 * eps, atol=0)
+
     def test_orbit_matches_closed_form(self):
         alpha = math.atanh(0.5)
         grp = CyclicGroup(canonical_generator(0.5), 64)
