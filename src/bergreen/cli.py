@@ -657,7 +657,9 @@ def run(config: dict) -> int:
     return 0 if n_fail == 0 else 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``bergreen`` parser with every command, or with command ``only``
+    alone; the usage line names every command either way."""
     parser = argparse.ArgumentParser(
         prog="bergreen",
         description=(
@@ -666,8 +668,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "CSV summary into the output directory."
         ),
     )
-    sub = parser.add_subparsers(dest="command")
+    choices = "{" + ",".join(PARAMS) + "}"
+    sub = parser.add_subparsers(dest="command", metavar=None if only is None else choices)
     for command, schema in PARAMS.items():
+        if only not in (None, command):
+            continue
         p = sub.add_parser(command, help=f"run the {command} experiment")
         p.add_argument("--config", default=None, help="JSON config file (flags win)")
         p.add_argument(
@@ -697,7 +702,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # help and an unknown command get every command, with its arguments
+    parser = _build_parser(argv[0] if argv and argv[0] in PARAMS else None)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()

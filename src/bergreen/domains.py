@@ -67,6 +67,17 @@ _TAIL_TOL = 1e-9
 # the stage gate of the capacity limit and its two radii (see capacity)
 _CAP_TOL = 1e-6
 _EPS_PAIR = (1e-4, 1e-5)
+# kappa_2(A) <= kappa_F(A) = ||A||_F ||A^-1||_F (Higham, Accuracy and
+# Stability of Numerical Algorithms, ch. 6), so a Frobenius condition at or
+# below this constant passes the 1e12 gate of GreenEvaluator without the
+# SVD.  It is taken from the computed inverse X, whose columns solve
+# (A + dA_j) x_j = e_j with ||dA_j||_2 <= g ||A||_2, g a small multiple of
+# n u times the pivot growth (ch. 9 and 14).  Then A X = I - E with
+# ||E||_2 <= g ||A||_2 ||X||_F, so A^-1 = X + A^-1 E and
+# kappa_2(A) <= K / (1 - g K) for the computed K = ||A||_F ||X||_F.  At
+# K <= 1e10 that is below 1e12 whenever g < 0.99e-10, that is n times the
+# growth below about 9e5; two decades keep rounding from flipping the gate.
+_COND_CERTIFIED = 1e10
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -585,6 +596,11 @@ class GreenEvaluator:
     Nystrom systems are real and not symmetric; each pole's density is one
     partial-pivoting LU solve (``numpy.linalg.solve``), cached per
     ``(nodes, pole)``.  No factor is kept, so a new pole costs a new solve.
+    The reported system must hold finite entries and have a 2-norm
+    condition of at most 1e12, or :class:`SolverSingularError` is raised;
+    its Frobenius condition (one LU), an upper bound, certifies the gate
+    when it is at most ``_COND_CERTIFIED`` (1e10), and the SVD decides
+    above that.
     """
 
     domain: PlanarDomain
@@ -608,8 +624,14 @@ class GreenEvaluator:
             if self.quad_points < 64:
                 raise DomainError("quad_points must be at least 64")
             self._solver = _NystromSolver(*_nystrom_components(self.domain), self.quad_points)
-            cond = float(np.linalg.cond(self._solver.matrix))
-            if cond > 1e12:
+            A = self._solver.matrix
+            if not np.isfinite(A).all():
+                raise SolverSingularError("boundary system holds a non-finite entry")
+            # one LU certifies a well-conditioned system; the SVD decides past it
+            cond = float(np.linalg.cond(A, "fro"))
+            if not cond <= _COND_CERTIFIED:
+                cond = float(np.linalg.cond(A))
+            if not cond <= 1e12:
                 raise SolverSingularError(f"boundary system condition {cond:.3e} exceeds 1e12")
 
     # -- internals -----------------------------------------------------------
@@ -631,7 +653,7 @@ class GreenEvaluator:
     @staticmethod
     def _tail_gated(value_and_tail: tuple[float, float]) -> float:
         value, tail = value_and_tail
-        if tail > _TAIL_TOL:
+        if not tail <= _TAIL_TOL:
             raise NonConvergenceError(f"tail estimate {tail:.3e} exceeds {_TAIL_TOL:.3e}")
         return value
 
@@ -753,7 +775,7 @@ def capacity(
         return sum(vals) / len(vals)
 
     a1, a2 = stage(eps1), stage(eps2)
-    if abs(a1 - a2) > cap_tol:
+    if not abs(a1 - a2) <= cap_tol:
         raise ExtrapolationDivergenceError(
             f"epsilon stages differ by {abs(a1 - a2):.3e} (> cap_tol)"
         )

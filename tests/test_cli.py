@@ -679,6 +679,59 @@ class TestCliRuns:
         assert path.read_bytes() == first
 
 
+class TestParser:
+    """``main`` builds the invoked command's arguments only; help and an
+    unknown command see every command."""
+
+    CHOICES = "{" + ",".join(cli.PARAMS) + "}"
+
+    @staticmethod
+    def _exit(argv, capsys) -> tuple[int, str, str]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    def test_help_lists_every_command(self, capsys):
+        code, out, _ = self._exit(["-h"], capsys)
+        assert code == 0 and len(cli.PARAMS) == 13
+        assert self.CHOICES in out
+        for command in cli.PARAMS:
+            assert f"run the {command} experiment" in out
+
+    def test_command_help(self, capsys):
+        code, out, _ = self._exit(["capacity", "-h"], capsys)
+        assert code == 0
+        assert out.startswith("usage: bergreen capacity [-h]")
+        assert "--domain DOMAIN" in out and "--z Z" in out and "--points" not in out
+
+    def test_unknown_command(self, capsys):
+        code, _, err = self._exit(["bogus"], capsys)
+        assert code == 2
+        assert "argument command: invalid choice: 'bogus'" in err
+        assert self.CHOICES in err
+
+    def test_unrecognized_argument_usage_names_every_command(self, capsys):
+        code, _, err = self._exit(["suita-check", "--ratio-tol", "inf"], capsys)
+        assert code == 2
+        assert err.startswith("usage: bergreen [-h]") and self.CHOICES in err
+        assert "unrecognized arguments: --ratio-tol inf" in err
+
+    def test_builds_only_the_invoked_command(self, monkeypatch, tmp_path):
+        added = []
+        add_argument = cli.argparse.ArgumentParser.add_argument
+
+        def record(parser, *flags, **kwargs):
+            added.append((parser.prog, flags))
+            return add_argument(parser, *flags, **kwargs)
+
+        monkeypatch.setattr(cli.argparse.ArgumentParser, "add_argument", record)
+        assert main(["capacity", "--no-cache", "--outdir", str(tmp_path)]) == 0
+        assert {prog for prog, _ in added} == {"bergreen", "bergreen capacity"}
+        flags = {flag for prog, fs in added if prog == "bergreen capacity" for flag in fs}
+        assert flags == {"-h", "--help", "--config", "--outdir", "--cache", "--domain", "--z"}
+
+
 # ---------------------------------------------------------------------------
 # Report-layer helpers
 # ---------------------------------------------------------------------------

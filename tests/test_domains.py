@@ -350,7 +350,9 @@ class TestEvaluatorGuards:
         dom = Jordan.ellipse(1.2, 0.9)
         conds = []
         cond = np.linalg.cond
-        monkeypatch.setattr(np.linalg, "cond", lambda a: conds.append(a.shape) or cond(a))
+        monkeypatch.setattr(
+            np.linalg, "cond", lambda a, *p: conds.append(a.shape) or cond(a, *p)
+        )
         ev = green_evaluator(dom, quad_points=128)
         assert "_half" not in vars(ev)
         g = ev.green(0.3, -0.2j)
@@ -368,9 +370,38 @@ class TestEvaluatorGuards:
         assert ev._double.n == 512
 
     def test_condition_gate(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "cond", lambda a: 1e13)
+        monkeypatch.setattr(np.linalg, "cond", lambda a, *p: 1e13)
         with pytest.raises(SolverSingularError):
             green_evaluator(Jordan.ellipse(1.2, 0.9))
+
+    def test_nan_condition_fails(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cond", lambda a, *p: math.nan)
+        with pytest.raises(SolverSingularError, match="nan"):
+            green_evaluator(Jordan.ellipse(1.2, 0.9))
+
+    def test_nan_in_the_system_fails(self, monkeypatch):
+        assemble = domains._NystromSolver._assemble
+
+        def nan_assemble(solver):
+            assemble(solver)
+            solver.matrix[3, 5] = math.nan
+
+        monkeypatch.setattr(domains._NystromSolver, "_assemble", nan_assemble)
+        with pytest.raises(SolverSingularError, match="non-finite"):
+            green_evaluator(Jordan.ellipse(1.2, 0.9))
+
+    def test_nan_tail_fails(self):
+        with pytest.raises(NonConvergenceError):
+            GreenEvaluator._tail_gated((1.0, math.nan))
+
+    def test_nan_capacity_stage_fails(self):
+        class NanNearPole(GreenEvaluator):
+            def remainder(self, xi, z):
+                # NaN on the eps = 1e-5 stage only
+                return math.nan if abs(xi - z) < 5e-5 else super().remainder(xi, z)
+
+        with pytest.raises(ExtrapolationDivergenceError):
+            capacity(NanNearPole(Disc(), "closed_form"), 0.4, force_limit=True)
 
     @pytest.mark.parametrize(
         "domain,method",
@@ -402,6 +433,59 @@ class TestEvaluatorGuards:
             domains.green_record(dom, z, z, "auto")
         assert len(calls) == 1  # the coincidence guard runs first
 
+
+# ---------------------------------------------------------------------------
+# The Nystrom condition gate: kappa_F certifies, the SVD decides past it
+# ---------------------------------------------------------------------------
+
+
+class TestConditionGate:
+    @staticmethod
+    def _prescribed(singular_values) -> np.ndarray:
+        """``U diag(s) V^T`` with seeded orthogonal ``U`` and ``V``."""
+        rng = np.random.default_rng(5)
+        n = len(singular_values)
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return (u * np.asarray(singular_values)) @ v.T
+
+    @staticmethod
+    def _gate(monkeypatch, matrix) -> list:
+        """Build a Nystrom evaluator whose reported system is ``matrix``;
+        returns the norm argument of each ``numpy.linalg.cond`` call."""
+        monkeypatch.setattr(domains._NystromSolver, "_assemble", lambda s: setattr(s, "matrix", matrix))
+        norms = []
+        cond = np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda a, p=None: norms.append(p) or cond(a, p))
+        green_evaluator(Jordan.ellipse(1.2, 0.9), quad_points=64)
+        return norms
+
+    def test_well_conditioned_takes_one_lu_and_no_svd(self, monkeypatch):
+        A = self._prescribed(np.linspace(1.0, 2.0, 64))
+        assert np.linalg.cond(A, "fro") <= domains._COND_CERTIFIED
+        assert self._gate(monkeypatch, A) == ["fro"]
+
+    def test_svd_accepts_what_the_certificate_cannot(self, monkeypatch):
+        A = self._prescribed(np.geomspace(1.0, 1e-11, 64))
+        assert np.linalg.cond(A, "fro") > domains._COND_CERTIFIED
+        assert np.linalg.cond(A) == pytest.approx(1e11, rel=1e-3)
+        assert self._gate(monkeypatch, A) == ["fro", None]
+
+    def test_svd_rejects_past_1e12(self, monkeypatch):
+        A = self._prescribed(np.geomspace(1.0, 1e-13, 64))
+        with pytest.raises(SolverSingularError, match="exceeds 1e12"):
+            self._gate(monkeypatch, A)
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    @pytest.mark.parametrize(
+        "domain",
+        [Jordan.ellipse(1.2, 0.7), Annulus(0.2), wobbly_domain()],
+        ids=["ellipse", "annulus", "jordan"],
+    )
+    def test_frobenius_bounds_the_2_norm_condition(self, domain, n):
+        A = domains._NystromSolver(*domains._nystrom_components(domain), n).matrix
+        kappa_2, kappa_f = np.linalg.cond(A), np.linalg.cond(A, "fro")
+        assert kappa_2 <= kappa_f <= domains._COND_CERTIFIED
 
 # ---------------------------------------------------------------------------
 # Jordan geometry and ingestion
