@@ -57,7 +57,6 @@ __all__ = [
     "gram_matrix",
     "kernel_diag",
     "least_norm_extension",
-    "evaluate_span",
     "suita_ratio",
     "extended_suita_check",
     "kernel_record",
@@ -258,11 +257,6 @@ def log_radial_moments(
         m = np.maximum(*pieces)
         return base + m + np.log1p(np.exp(np.minimum(*pieces) - m))
     raise DomainError(f"no closed-form radial moment for {weight!r}")
-
-
-def log_radial_moment(domain: PlanarDomain, weight: WeightSpec, n: int) -> float:
-    """``log`` of ``integral_Omega |z|^{2n} rho dLambda`` for one mode ``n``."""
-    return float(log_radial_moments(domain, weight, np.array([n]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +577,6 @@ def least_norm_extension(
     return abs(value) ** 2 / kz, coeffs
 
 
-def evaluate_span(coeffs: np.ndarray, basis: tuple[int, int], z):
-    """Evaluate ``sum_n c_n z^n`` for a coefficient vector on a basis range."""
-    ns = np.arange(basis[0], basis[1] + 1)
-    z = np.asarray(z, dtype=complex)
-    powers = z[..., None] ** ns
-    return powers @ coeffs
-
-
 # ---------------------------------------------------------------------------
 # Records
 # ---------------------------------------------------------------------------
@@ -674,13 +660,19 @@ def extended_suita_check(
     """``pi rho(z) K_rho(z, z) - c_beta(z)^2 >= -_MARGIN_TOL``: the
     ``extended-suita-check`` record.
 
-    ``weight`` must come from a harmonic exponent (``Unweighted``,
-    ``HarmonicLog`` or ``HarmonicRe``); ``MaxPiece`` is not of that form.
-    Calls that pass the same ``memo`` share their dense Grams through
-    :func:`kernel_diag`.
+    ``weight`` must come from an exponent harmonic on ``domain``
+    (``Unweighted``, ``HarmonicRe``, or ``HarmonicLog`` off the disc);
+    ``MaxPiece`` is not of that form, and ``HarmonicLog(alpha)`` with
+    ``alpha != 0`` has a pole at 0, inside a disc.  Calls that pass the same
+    ``memo`` share their dense Grams through :func:`kernel_diag`.
     """
     if isinstance(weight, MaxPiece):
         raise DomainError("extended check requires a harmonic weight variant")
+    if isinstance(weight, HarmonicLog) and weight.alpha != 0.0 and isinstance(domain, Disc):
+        raise DomainError(
+            f"extended check requires a weight harmonic on the domain: {weight!r} "
+            "has a pole at 0, inside the disc"
+        )
     cap = capacity(domain, z)
     basis = auto_basis(domain, z) if isinstance(domain, (Disc, Annulus)) else None
     est = kernel_diag(domain, weight, z, basis=basis, memo=memo)

@@ -37,7 +37,6 @@ from .errors import (
     AccuracyError,
     CoincidentPointsError,
     DomainError,
-    ExtrapolationDivergenceError,
     NonConvergenceError,
     SolverSingularError,
 )
@@ -64,9 +63,6 @@ _COINCIDENT_TOL = 1e-14
 _REFINE_TOL = 1e-7
 # the largest certified mode-series tail of a Laurent-mode value
 _TAIL_TOL = 1e-9
-# the stage gate of the capacity limit and its two radii (see capacity)
-_CAP_TOL = 1e-6
-_EPS_PAIR = (1e-4, 1e-5)
 # kappa_2(A) <= kappa_F(A) = ||A||_F ||A^-1||_F (Higham, Accuracy and
 # Stability of Numerical Algorithms, ch. 6), so a Frobenius condition at or
 # below this constant passes the 1e12 gate of GreenEvaluator without the
@@ -582,8 +578,8 @@ class GreenEvaluator:
     """Uniform interface over the three Green function methods.
 
     ``green(xi, z)`` and ``remainder(xi, z)`` evaluate ``G`` and
-    ``H = G - log|xi - z|``; ``robin(z)`` returns ``H(z, z)`` directly for
-    the closed-form and mode methods.
+    ``H = G - log|xi - z|``; ``robin(z)`` returns the diagonal ``H(z, z)``
+    on every method.
 
     Every evaluation is guarded: a point outside the domain raises
     :class:`DomainError`, and so does, on the Nystrom method, a point
@@ -711,13 +707,15 @@ class GreenEvaluator:
         return math.log(abs(xi - z)) + self.remainder(xi, z)
 
     def robin(self, z: complex) -> float:
-        """Diagonal remainder ``H(z, z)``; closed-form methods only."""
-        if self.method == "nystrom":
-            raise DomainError("robin(z) needs a closed-form or mode evaluator")
+        """Diagonal remainder ``H(z, z)``, guarded as :meth:`remainder`."""
         self._check_inside(z)
         if self.method == "closed_form":
             return _disc_robin(z, self.domain.radius)
-        return self._tail_gated(_annulus_robin(self.domain.r_inner, z, self.modes))
+        if self.method == "laurent_modes":
+            return self._tail_gated(_annulus_robin(self.domain.r_inner, z, self.modes))
+        # H = G - log|xi - z| has no log term, so the Nystrom value is
+        # evaluated at xi = z itself
+        return self._nystrom_remainder(z, z)
 
 
 def green_evaluator(
@@ -741,47 +739,12 @@ def green_evaluator(
     return GreenEvaluator(domain, method, modes=modes, quad_points=quad_points)
 
 
-_CAPACITY_ANGLES = (0.0, 0.5 * math.pi, math.pi, 1.5 * math.pi)
-
-
-def capacity(
-    evaluator: GreenEvaluator | PlanarDomain,
-    z: complex,
-    cap_tol: float | None = None,
-    force_limit: bool = False,
-) -> float:
-    """Logarithmic capacity ``c_beta(z) = exp(H(z, z))``.
-
-    Closed-form and mode evaluators use the exact diagonal unless
-    ``force_limit``; otherwise ``H(z, z)`` is the Richardson-extrapolated
-    limit of four-angle averages of ``H(z + eps e^{i theta}, z)`` over the
-    two radii in ``_EPS_PAIR``.  The two stage averages must agree within
-    ``cap_tol`` (``_CAP_TOL`` unless given) or
-    :class:`ExtrapolationDivergenceError` is raised.
-    """
+def capacity(evaluator: GreenEvaluator | PlanarDomain, z: complex) -> float:
+    """Logarithmic capacity ``c_beta(z) = exp(H(z, z))``, from the
+    evaluator's diagonal :meth:`GreenEvaluator.robin` on every method."""
     if not isinstance(evaluator, GreenEvaluator):
         evaluator = green_evaluator(evaluator)
-    if evaluator.method in ("closed_form", "laurent_modes") and not force_limit:
-        return math.exp(evaluator.robin(z))
-    if cap_tol is None:
-        cap_tol = _CAP_TOL
-    eps1, eps2 = _EPS_PAIR
-
-    def stage(eps: float) -> float:
-        vals = [
-            evaluator.remainder(z + eps * cmath.exp(1j * th), z)
-            for th in _CAPACITY_ANGLES
-        ]
-        return sum(vals) / len(vals)
-
-    a1, a2 = stage(eps1), stage(eps2)
-    if not abs(a1 - a2) <= cap_tol:
-        raise ExtrapolationDivergenceError(
-            f"epsilon stages differ by {abs(a1 - a2):.3e} (> cap_tol)"
-        )
-    rho = (eps1 / eps2) ** 2
-    h_diag = (rho * a2 - a1) / (rho - 1.0)
-    return math.exp(h_diag)
+    return math.exp(evaluator.robin(z))
 
 
 def green_record(domain: PlanarDomain, xi: complex, z: complex, method: str) -> ReportRecord:

@@ -31,7 +31,8 @@ class AccuracyError(BergreenError):
 
 
 class ExtrapolationDivergenceError(BergreenError):
-    """Richardson extrapolation stages disagree beyond tolerance."""
+    """The two Richardson stages of ``torus.torus_capacity`` disagree beyond
+    tolerance."""
 
 
 class DivergentIntegralError(BergreenError):

@@ -26,12 +26,10 @@ from bergreen.bergman import (
     Unweighted,
     auto_basis,
     default_basis,
-    evaluate_span,
     extended_suita_check,
     gram_matrix,
     kernel_diag,
     least_norm_extension,
-    log_radial_moment,
     log_radial_moments,
     parse_weight,
     suita_ratio,
@@ -72,6 +70,18 @@ def _count(monkeypatch, owner, name):
 
 def disc_kernel(z: complex) -> float:
     return 1.0 / (math.pi * (1.0 - abs(z) ** 2) ** 2)
+
+
+def log_radial_moment(domain, weight, n: int) -> float:
+    """``log`` of ``integral_Omega |z|^{2n} rho dLambda`` for one mode ``n``."""
+    return float(log_radial_moments(domain, weight, np.array([n]))[0])
+
+
+def evaluate_span(coeffs: np.ndarray, basis: tuple[int, int], z):
+    """Evaluate ``sum_n c_n z^n`` for a coefficient vector on a basis range."""
+    ns = np.arange(basis[0], basis[1] + 1)
+    z = np.asarray(z, dtype=complex)
+    return z[..., None] ** ns @ coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +590,14 @@ class TestExtendedSuita:
     def test_maxpiece_rejected(self):
         with pytest.raises(DomainError):
             extended_suita_check(DISC, MaxPiece(1.0, 0.5), 0.3)
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.3])
+    def test_harmonic_log_rejected_on_the_disc(self, alpha):
+        # alpha log|z| has a pole at 0, so the theorem says nothing on a disc
+        with pytest.raises(DomainError, match="pole at 0"):
+            extended_suita_check(DISC, HarmonicLog(alpha), 0.3)
+        # the kernel alone stays available
+        assert kernel_diag(DISC, HarmonicLog(alpha), 0.3).value > 0.0
 
     def test_trivial_weight_reduction_matches_ratio(self):
         # h == 0 reduces the extended margin to the plain ratio's data

@@ -24,7 +24,7 @@ from bergreen.cli import (
     main,
     resolve_config,
 )
-from bergreen.domains import Annulus, Disc, Jordan
+from bergreen.domains import Annulus, Disc, GreenEvaluator, Jordan
 from bergreen.errors import AccuracyError, ConfigError
 from bergreen.reports import (
     CSV_COLUMNS,
@@ -487,6 +487,33 @@ class TestCliRuns:
         assert rec["passed"] is False
         assert rec["inputs"]["error"].startswith("AccuracyError")
 
+    def test_nan_nystrom_capacity_fails(self, tmp_path, monkeypatch):
+        value = GreenEvaluator._nystrom_value
+
+        def nan_at_pole(self, solver, xi, z):
+            return math.nan if xi == z else value(self, solver, xi, z)
+
+        monkeypatch.setattr(GreenEvaluator, "_nystrom_value", nan_at_pole)
+        argv = ["capacity", "--domain=ellipse:1.2:0.7", "--no-cache"]
+        assert main([*argv, "--outdir", str(tmp_path)]) == 1
+        (rec,) = _read_report(tmp_path / "capacity_report.json")["records"]
+        assert rec["passed"] is False
+        assert rec["inputs"]["error"].startswith("AccuracyError")
+
+    @pytest.mark.parametrize("weight", ["harmoniclog:-0.4", "harmoniclog:0.3"])
+    def test_extended_suita_rejects_a_pole_inside(self, tmp_path, capsys, weight):
+        argv = ["extended-suita-check", "--domain=disc", f"--weight={weight}", "--zs=0.3"]
+        assert main([*argv, "--no-cache", "--outdir", str(tmp_path)]) == 1
+        assert "FAIL extended-suita-check" in capsys.readouterr().out
+        (rec,) = _read_report(tmp_path / "extended_suita_check_report.json")["records"]
+        assert rec["passed"] is False
+        assert rec["margins"] == {"module_error": -1.0}
+        assert rec["inputs"]["error"].startswith("DomainError")
+        assert "pole at 0" in rec["inputs"]["error"]
+        # the kernel alone is still computed for the pair
+        assert main(["bergman", "--domain=disc", f"--weight={weight}", "--no-cache",
+                     "--outdir", str(tmp_path)]) == 0
+
     def test_env_var_default_outdir(self, tmp_path, monkeypatch):
         outdir = tmp_path / "from-env"
         monkeypatch.setenv("BERGREEN_OUTDIR", str(outdir))
@@ -811,8 +838,8 @@ class TestReportHelpers:
         assert out == {"a": ["nan", "-inf", 1.5], "b": ["inf", "x"]}
 
     def test_config_hash_sees_everything_else(self):
-        a = {"command": "capacity", "cap_tol": 1e-6}
-        b = {"command": "capacity", "cap_tol": 2e-6}
+        a = {"command": "suita-check", "points": 8}
+        b = {"command": "suita-check", "points": 9}
         assert config_hash(a) != config_hash(b)
 
     def test_binding_margin_is_smallest(self):

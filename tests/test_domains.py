@@ -23,7 +23,6 @@ from bergreen.errors import (
     AccuracyError,
     CoincidentPointsError,
     DomainError,
-    ExtrapolationDivergenceError,
     NonConvergenceError,
     SolverSingularError,
 )
@@ -253,16 +252,10 @@ class TestCapacity:
                     1.0 / (1.0 - abs(z) ** 2), abs=1e-9
                 )
 
-    def test_disc_richardson_limit_matches_closed_form(self):
-        ev = green_evaluator(Disc())
-        for z in (0.0, 0.3, 0.6j):
-            assert capacity(ev, z, force_limit=True) == pytest.approx(
-                1.0 / (1.0 - abs(z) ** 2), abs=1e-8
-            )
-
     def test_nystrom_capacity_disc(self):
         ev = green_evaluator(Jordan.circle(), quad_points=256)
-        assert capacity(ev, 0.6) == pytest.approx(1.5625, abs=1e-7)
+        for z in (0.0, 0.6, 0.3j, -0.4 + 0.5j):
+            assert capacity(ev, z) == pytest.approx(1.0 / (1.0 - abs(z) ** 2), abs=1e-7)
 
     def test_annulus_capacity_stability(self):
         z = math.sqrt(0.2) * cmath.exp(0.9j)
@@ -282,15 +275,6 @@ class TestCapacity:
         assert capacity(Annulus(0.2), 0.3) == pytest.approx(4.573181024599501, rel=1e-12)
         with pytest.raises(NonConvergenceError, match="tail estimate"):
             capacity(green_evaluator(Annulus(0.2), modes=2), 0.3)
-
-    def test_richardson_divergence_guard(self):
-        class Noisy(GreenEvaluator):
-            def remainder(self, xi, z):
-                return super().remainder(xi, z) + 1e-2 * abs(xi - z) ** 0.5
-
-        ev = Noisy(Disc(), "closed_form")
-        with pytest.raises(ExtrapolationDivergenceError):
-            capacity(ev, 0.4, force_limit=True, cap_tol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -394,14 +378,15 @@ class TestEvaluatorGuards:
         with pytest.raises(NonConvergenceError):
             GreenEvaluator._tail_gated((1.0, math.nan))
 
-    def test_nan_capacity_stage_fails(self):
-        class NanNearPole(GreenEvaluator):
-            def remainder(self, xi, z):
-                # NaN on the eps = 1e-5 stage only
-                return math.nan if abs(xi - z) < 5e-5 else super().remainder(xi, z)
+    def test_nan_nystrom_diagonal_fails(self, monkeypatch):
+        value = GreenEvaluator._nystrom_value
 
-        with pytest.raises(ExtrapolationDivergenceError):
-            capacity(NanNearPole(Disc(), "closed_form"), 0.4, force_limit=True)
+        def nan_at_pole(self, solver, xi, z):
+            return math.nan if xi == z else value(self, solver, xi, z)
+
+        monkeypatch.setattr(GreenEvaluator, "_nystrom_value", nan_at_pole)
+        with pytest.raises(AccuracyError):
+            capacity(green_evaluator(Jordan.ellipse(1.2, 0.7)), 0.3)
 
     @pytest.mark.parametrize(
         "domain,method",
