@@ -350,15 +350,21 @@ def _is_diagonal(gram: np.ndarray) -> bool:
 def _normalized_condition(gram: np.ndarray) -> float:
     """Condition number of the Jacobi-normalized (correlation) matrix.
 
-    For a diagonal Gram matrix the basis is orthogonal, per-mode solves are
-    perfectly conditioned, and the normalized condition is exactly 1.  A
-    condition above 1e10 triggers an ill-conditioning warning.
+    ``gram`` must be exactly Hermitian, as every Gram builder returns it
+    (``(G + G^H) / 2``): the 2-norm condition is then
+    ``max |lambda| / min |lambda|`` over the eigenvalues from ``eigvalsh``,
+    which reads one triangle only.  For a diagonal Gram matrix the basis is
+    orthogonal, per-mode solves are perfectly conditioned, and the
+    normalized condition is exactly 1.  A condition above 1e10 triggers an
+    ill-conditioning warning.
     """
     if _is_diagonal(gram):
         return 1.0
     d = np.sqrt(np.abs(np.diag(gram)))
     corr = gram / np.outer(d, d)
-    cond = float(np.linalg.cond(corr))
+    lam = np.abs(np.linalg.eigvalsh(corr))
+    with np.errstate(divide="ignore"):
+        cond = float(lam.max() / lam.min())
     if cond > 1e10:
         warnings.warn(f"Gram matrix condition {cond:.3e} exceeds 1e10", RuntimeWarning)
     return cond
@@ -380,7 +386,28 @@ def _gram_quadrature(
     if np.any(ns < 0) and lo == 0.0:
         raise DivergentIntegralError("negative modes on a disc diverge")
     size = ns.size
+    # entry (i, j) = integral s^{n_i + n_j + 1} rho e^{i (n_i - n_j) th}
+    #              = sum_r ws s^{n_i + n_j + 1} A[r, n_j - n_i],
+    # A[r, k] = (2 pi / n_ang) sum_t rho[r, t] e^{-i k t}.  rho is real, so
+    # A[r, -k] = conj(A[r, k]) (the real FFT gives every k >= 0), and entry
+    # (j, i) is the conjugate of entry (i, j): only the cells
+    # (n_i + n_j, |n_j - n_i|) are computed.  A sum and a difference of two
+    # integers have one parity, so the cells of parity p are one real GEMM:
+    # the w s^(sum + 1) columns of the sums of parity p times the float view
+    # (re, im interleaved) of the columns A[:, k] with k = p mod 2.  The two
+    # products are laid end to end in one buffer, read at `cell`.
+    sums = 2 * ns[0] + np.arange(2 * size - 1)  # n_i + n_j (ns is a range)
     idx = np.arange(size)
+    row = idx[:, None] + idx[None, :]
+    gap = np.abs(idx[None, :] - idx[:, None])
+    shapes = ((size, (size + 1) // 2), (size - 1, size // 2))  # (sums, k < size)
+    offset = shapes[0][0] * shapes[0][1]
+    cell = np.where(
+        row % 2 == 0,
+        (row // 2) * shapes[0][1] + gap // 2,
+        offset + (row // 2) * shapes[1][1] + gap // 2,
+    )
+    below = idx[:, None] > idx[None, :]  # n_j < n_i: the conjugate cell
 
     def compute(n_rad: int, n_ang: int) -> np.ndarray:
         x, wq = gauss_legendre(n_rad)
@@ -388,19 +415,17 @@ def _gram_quadrature(
         ws = 0.5 * (hi - lo) * wq
         th = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
         zs = s[:, None] * np.exp(1j * th[None, :])  # (rad, ang)
-        rho = weight.density(zs)
-        # angular Fourier transform of rho at each radius via FFT:
-        # A[r, k] = sum_t rho[r, t] e^{-i k t} * (2 pi / n_ang)
-        fft = np.fft.fft(rho, axis=1) * (2.0 * math.pi / n_ang)
-        # entry (i, j): integral s^{n_i + n_j + 1} rho e^{i (n_i - n_j) th}
-        #             = sum_r ws s^{n_i+n_j+1} A[r, (n_j - n_i) mod n_ang]
-        # depends on i + j and j - i only: one GEMM over the 2N-1 distinct
-        # sums and differences, B[i + j, j - i + N - 1], then a gather
-        sums = 2 * ns[0] + np.arange(2 * size - 1)  # n_i + n_j (ns is a range)
-        diffs = np.arange(1 - size, size)  # n_j - n_i
-        spow = ws[:, None] * s[:, None] ** (sums + 1)  # (rad, sums)
-        b = spow.T @ fft[:, diffs % n_ang]  # (sums, diffs)
-        return b[idx[:, None] + idx[None, :], idx[None, :] - idx[:, None] + size - 1]
+        fft = np.fft.rfft(weight.density(zs), axis=1)
+        table = np.empty(offset + shapes[1][0] * shapes[1][1], dtype=complex)
+        for parity, (n_sums, n_k) in enumerate(shapes):
+            cols = np.multiply(fft[:, parity:size:2], 2.0 * math.pi / n_ang, order="C")
+            spow = ws[:, None] * s[:, None] ** (sums[parity::2] + 1)  # (rad, sums)
+            start = offset * parity
+            part = table[start : start + n_sums * n_k].view(float).reshape(n_sums, 2 * n_k)
+            np.matmul(spow.T, cols.view(float), out=part)
+        gram = table[cell]
+        np.negative(gram.imag, out=gram.imag, where=below)
+        return gram
 
     def change(cur: np.ndarray, prev: np.ndarray) -> float:
         # scale-invariant entrywise change, relative to sqrt(diag_i diag_j)

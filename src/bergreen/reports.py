@@ -27,7 +27,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -90,20 +90,27 @@ def make_record(
     provenance: dict | None = None,
     wall_time_s: float = 0.0,
 ) -> ReportRecord:
-    """Build a record; the pass flag is derived from margins and tolerances."""
+    """Build a record; the pass flag is derived from margins and tolerances.
+
+    Every container is copied, quantities become Python numbers (complex
+    values ``[re, im]`` pairs), and margins and tolerances Python floats, so
+    the record serializes as it stands.
+    """
     if set(margins) != set(tolerances):
         raise ConfigError("margins and tolerances must have identical keys")
     if primary not in quantities:
         raise ConfigError(f"primary quantity {primary!r} missing from quantities")
     quantities = {k: _jsonable_number(v) for k, v in quantities.items()}
+    margins = {k: float(v) for k, v in margins.items()}
+    tolerances = {k: float(v) for k, v in tolerances.items()}
     passed = all(margins[k] >= -tolerances[k] for k in margins)
     return ReportRecord(
         command=command,
         input_id=input_id,
         inputs=_jsonable_value(dict(inputs)),
         quantities=quantities,
-        margins=dict(margins),
-        tolerances=dict(tolerances),
+        margins=margins,
+        tolerances=tolerances,
         passed=passed,
         primary=primary,
         provenance=dict(provenance or {}),
@@ -160,8 +167,14 @@ def _jsonable_value(v):
     return str(v)
 
 
+_FIELDS = tuple(f.name for f in fields(ReportRecord))
+
+
 def record_to_dict(rec: ReportRecord) -> dict:
-    return asdict(rec)
+    """The record's fields as a shallow dict, in field order, for
+    serializing only: its containers are the record's own (copied and
+    normalized by :func:`make_record`), so the result must not be mutated."""
+    return {name: getattr(rec, name) for name in _FIELDS}
 
 
 def record_from_dict(d: dict) -> ReportRecord:
@@ -239,15 +252,17 @@ def _strict_json(v):
 
 def write_json_report(path: str, config: dict, records: list[ReportRecord]) -> None:
     """Full records as strict JSON: non-finite floats are written as the
-    strings ``"nan"``, ``"inf"`` and ``"-inf"``."""
+    strings ``"nan"``, ``"inf"`` and ``"-inf"``.  The text is serialized
+    whole before the file is opened, so a value JSON cannot encode leaves
+    no partial report."""
     payload = {
         "config": config,
         "library_version": __version__,
         "records": [record_to_dict(r) for r in records],
     }
+    text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(_strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _binding_margin(rec: ReportRecord) -> tuple[str, str]:
@@ -284,11 +299,9 @@ def write_csv_summary(path: str, records: list[ReportRecord]) -> None:
 
 def write_plot_data(path: str, xs, ys, header: str = "") -> None:
     """Two-column numeric text (x y per line), optional # header."""
+    rows = "".join(f"{float(x)!r} {float(y)!r}\n" for x, y in zip(xs, ys))
     with open(path, "w") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for x, y in zip(xs, ys):
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
+        fh.write((f"# {header}\n" if header else "") + rows)
 
 
 # ---------------------------------------------------------------------------
@@ -301,14 +314,15 @@ def _cache_path(outdir: str, key: str) -> str:
 
 
 def cache_store(outdir: str, key: str, records: list[ReportRecord]) -> None:
-    """Write the entry to a temporary file, then rename it into place, so a
-    reader never sees a partly written entry."""
+    """Serialize the entry, write it to a temporary file, then rename it
+    into place, so a reader never sees a partly written entry."""
+    text = json.dumps([record_to_dict(r) for r in records])
     path = _cache_path(outdir, key)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump([record_to_dict(r) for r in records], fh)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

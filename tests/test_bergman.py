@@ -9,6 +9,8 @@ Oracles used here (tests only, never in library code):
 
 import math
 import warnings
+from dataclasses import dataclass
+from typing import ClassVar
 
 import mpmath
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
 
-from bergreen import bergman
+from bergreen import bergman, torus
 from bergreen.bergman import (
     HarmonicLog,
     HarmonicRe,
@@ -40,6 +42,7 @@ from bergreen.domains import (
     Disc,
     gauss_legendre,
     green_evaluator,
+    refine,
     sample_interior,
 )
 from bergreen.errors import (
@@ -65,6 +68,22 @@ def _count(monkeypatch, owner, name):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _count_conditions(monkeypatch):
+    """Log each ``numpy.linalg.eigvalsh`` call on a complex matrix, that is
+    each Gram condition; returns the log.  Real calls are Gauss-Legendre
+    node computations (``leggauss``), made once per node count."""
+    calls = []
+    inner = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        if np.iscomplexobj(a):
+            calls.append(a)
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     return calls
 
 
@@ -281,6 +300,91 @@ class TestGramQuadrature:
         assert _scaled_max_error(gram, np.diag(moments)) < 1e-12
 
 
+@dataclass(frozen=True)
+class RotatedRe:
+    """Harmonic weight ``h = Re(c z)`` for complex ``c``, density
+    ``exp(-2 Re(c z))``.  Unlike ``HarmonicRe`` (real ``c``) it is not even
+    under ``z -> conj(z)``, so its angular Fourier coefficients are not
+    real and the negative frequencies are not the positive ones."""
+
+    c: complex
+    radial: ClassVar[bool] = False
+
+    def density(self, z):
+        return np.exp(-2.0 * (self.c * np.asarray(z, dtype=complex)).real)
+
+
+ROTATED = RotatedRe(0.5 * complex(math.cos(0.7), math.sin(0.7)))
+
+
+def _full_fft_gram(domain, weight, ns, gram_tol=1e-10, quad_start=64):
+    """The quadrature Gram by the complex FFT of every angular frequency and
+    one complex GEMM over all (2N - 1)^2 (sum, difference) cells, at the
+    node counts and doublings of ``_gram_quadrature``."""
+    lo, hi = (0.0, 1.0) if isinstance(domain, Disc) else (domain.r_inner, 1.0)
+    size = ns.size
+    idx = np.arange(size)
+
+    def compute(n_rad, n_ang):
+        x, wq = gauss_legendre(n_rad)
+        s = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+        ws = 0.5 * (hi - lo) * wq
+        th = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
+        rho = weight.density(s[:, None] * np.exp(1j * th[None, :]))
+        fft = np.fft.fft(rho, axis=1) * (2.0 * math.pi / n_ang)
+        sums = 2 * ns[0] + np.arange(2 * size - 1)
+        diffs = np.arange(1 - size, size)
+        spow = ws[:, None] * s[:, None] ** (sums + 1)
+        b = spow.T @ fft[:, diffs % n_ang]
+        return b[idx[:, None] + idx[None, :], idx[None, :] - idx[:, None] + size - 1]
+
+    def change(cur, prev):
+        d = np.sqrt(np.abs(np.diag(cur)).real)
+        return float(np.max(np.abs(cur - prev) / np.outer(d, d)))
+
+    max_deg = int(np.max(np.abs(ns)))
+    n_rad = max(quad_start, max_deg + 16)
+    n_ang = max(quad_start, 4 * (2 * max_deg + 2))
+    gram, _ = refine(lambda k: compute(n_rad << k, n_ang << k), change, gram_tol, doublings=5)
+    return 0.5 * (gram + gram.conj().T)
+
+
+def _svd_condition(gram):
+    d = np.sqrt(np.abs(np.diag(gram)))
+    return float(np.linalg.cond(gram / np.outer(d, d)))
+
+
+class TestGramAgainstFullFft:
+    """The real-FFT, conjugate-symmetric, parity-split GEMMs of
+    ``_gram_quadrature`` against the full complex formula, on bases of both
+    size parities (N sets how many columns of each parity a GEMM takes), for
+    a weight even under ``z -> conj(z)`` and for one that is not."""
+
+    BASES = [(DISC, (0, 63)), (DISC, (0, 64)), (ANN, (-7, 8)), (ANN, (-8, 8))]
+
+    @pytest.mark.parametrize("weight", [HarmonicRe(0.2), ROTATED])
+    @pytest.mark.parametrize("domain,basis", BASES)
+    def test_matches_full_fft_formula(self, domain, basis, weight):
+        ns = np.arange(basis[0], basis[1] + 1)
+        gram = gram_matrix(domain, weight, basis)
+        assert _scaled_max_error(gram, _full_fft_gram(domain, weight, ns)) <= 1e-15
+
+    @pytest.mark.parametrize("weight", [HarmonicRe(0.2), ROTATED])
+    @pytest.mark.parametrize("domain,basis", BASES)
+    def test_exactly_hermitian_and_condition_matches_svd(self, domain, basis, weight):
+        gram = gram_matrix(domain, weight, basis)
+        assert np.array_equal(gram, gram.conj().T)
+        kappa = bergman._normalized_condition(gram)
+        assert kappa == pytest.approx(_svd_condition(gram), rel=1e-12)
+
+    @pytest.mark.parametrize("tau,d", [(1j, 4), (0.3 + 1.1j, 6)])
+    def test_torus_gram_exactly_hermitian(self, tau, d):
+        gram, _ = torus.torus_gram(torus.ThetaBasis(torus.TorusSpec(tau), d))
+        assert np.array_equal(gram, gram.conj().T)
+        kappa = bergman._normalized_condition(gram)
+        assert kappa == pytest.approx(_svd_condition(gram), rel=1e-12)
+
+
 class TestLogRadialMoments:
     """The array function agrees with the scalar one mode by mode, on every
     domain x weight branch of the closed form."""
@@ -448,7 +552,7 @@ class TestKernelDiag:
         assert small.value <= big.value + 1e-12
 
     def test_dense_condition_taken_once(self, monkeypatch):
-        conds = _count(monkeypatch, np.linalg, "cond")
+        conds = _count_conditions(monkeypatch)
         memo = {}
         est = kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0, memo=memo)
         assert len(conds) == 1
@@ -460,7 +564,7 @@ class TestKernelDiag:
 
     def test_memo_builds_one_gram_for_two_points(self, monkeypatch):
         grams = _count(monkeypatch, bergman, "gram_matrix")
-        conds = _count(monkeypatch, np.linalg, "cond")
+        conds = _count_conditions(monkeypatch)
         memo = {}
         for z in [0.5, 0.4j]:
             kernel_diag(ANN, HarmonicRe(0.2), z, basis=(-8, 8), trunc_tol=1.0, memo=memo)
@@ -617,6 +721,22 @@ class TestExtendedSuita:
             assert res.passed
 
 
+class TestDiscEqualityOracle:
+    """The disc is simply connected, so ``c_beta(z)^2 = pi rho(z) K_rho(z, z)``
+    for every harmonic weight: an exact oracle for the non-radial Gram
+    quadrature, which no closed form covers."""
+
+    @pytest.mark.parametrize(
+        "weight", [HarmonicRe(0.2), HarmonicRe(0.5), HarmonicRe(1.0), ROTATED]
+    )
+    def test_harmonic_weight_is_an_equality(self, weight):
+        memo = {}
+        for z in [0.0, 0.3, 0.5j, -0.4 + 0.3j, 0.7]:
+            q = extended_suita_check(DISC, weight, complex(z), memo=memo).quantities
+            ratio = q["capacity_sq"] / (math.pi * q["rho_at_z"] * q["weighted_kernel"])
+            assert abs(ratio - 1.0) <= 1e-12, (weight, z, ratio)
+
+
 class TestSharedGram:
     """``extended_suita_check(..., memo=...)`` builds the dense Gram of each
     (domain, weight, basis) once per memo and shares it."""
@@ -625,7 +745,7 @@ class TestSharedGram:
 
     def test_one_gram_and_one_condition_for_one_basis(self, monkeypatch):
         grams = _count(monkeypatch, bergman, "gram_matrix")
-        conds = _count(monkeypatch, np.linalg, "cond")
+        conds = _count_conditions(monkeypatch)
         memo = {}
         for z in self.ONE_BASIS:
             assert extended_suita_check(ANN, HarmonicRe(0.2), z, memo=memo).passed
@@ -634,7 +754,7 @@ class TestSharedGram:
 
     def test_one_gram_per_distinct_basis(self, monkeypatch):
         grams = _count(monkeypatch, bergman, "gram_matrix")
-        conds = _count(monkeypatch, np.linalg, "cond")
+        conds = _count_conditions(monkeypatch)
         zs = [0.5, 0.85, 0.5j, -0.85]
         bases = [auto_basis(ANN, z) for z in zs]
         assert bases[0] == bases[2] != bases[1] == bases[3]
