@@ -589,9 +589,9 @@ class GreenEvaluator:
     the ``quad_points`` value and raises :class:`AccuracyError` unless the
     same problem on ``quad_points // 2`` (or, failing that, twice as many)
     nodes certifies it; each witness system is built on first use.  The
-    Nystrom systems are real and not symmetric; each pole's density is one
-    partial-pivoting LU solve (``numpy.linalg.solve``), cached per
-    ``(nodes, pole)``.  No factor is kept, so a new pole costs a new solve.
+    Nystrom systems are real and not symmetric; each value solves for its
+    pole's density afresh, by one partial-pivoting LU solve
+    (``numpy.linalg.solve``).  No factor or density is kept.
     The reported system must hold finite entries and have a 2-norm
     condition of at most 1e12, or :class:`SolverSingularError` is raised;
     its Frobenius condition (one LU), an upper bound, certifies the gate
@@ -604,7 +604,6 @@ class GreenEvaluator:
     modes: int | None = None
     quad_points: int = 256
     _solver: object = field(default=None, repr=False)
-    _density_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.method not in GREEN_METHODS[1:]:
@@ -662,11 +661,7 @@ class GreenEvaluator:
         return _NystromSolver(*_nystrom_components(self.domain), 2 * self.quad_points)
 
     def _nystrom_value(self, solver: _NystromSolver, xi: complex, z: complex) -> float:
-        key = (solver.n, complex(z))
-        sol = self._density_cache.get(key)
-        if sol is None:
-            f = -np.log(np.abs(solver.pts - z))
-            sol = self._density_cache[key] = solver.solve(f)
+        sol = solver.solve(-np.log(np.abs(solver.pts - z)))
         return float(solver.evaluate(sol, xi)[0])
 
     def _nystrom_remainder(self, xi: complex, z: complex) -> float:

@@ -30,11 +30,6 @@ class AccuracyError(BergreenError):
     """Refinement changed a result by more than the admissible tolerance."""
 
 
-class ExtrapolationDivergenceError(BergreenError):
-    """The two Richardson stages of ``torus.torus_capacity`` disagree beyond
-    tolerance."""
-
-
 class DivergentIntegralError(BergreenError):
     """A requested moment integral diverges for the given weight/domain."""
 

@@ -85,23 +85,8 @@ class MoebiusMap:
         out = (self.alpha * z + self.beta) / (self.gamma * z + self.delta_coef)
         return out if out.ndim else complex(out)
 
-    def deriv(self, z):
-        """Complex derivative ``1 / (gamma z + delta_coef)^2``."""
-        z = np.asarray(z, dtype=complex)
-        out = 1.0 / (self.gamma * z + self.delta_coef) ** 2
-        return out if out.ndim else complex(out)
-
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.delta_coef, -self.beta, -self.gamma, self.alpha)
-
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """Map applying ``other`` first (matrix product self @ other)."""
-        return MoebiusMap(
-            self.alpha * other.alpha + self.beta * other.gamma,
-            self.alpha * other.beta + self.beta * other.delta_coef,
-            self.gamma * other.alpha + self.delta_coef * other.gamma,
-            self.gamma * other.beta + self.delta_coef * other.delta_coef,
-        )
 
     @property
     def trace(self) -> complex:

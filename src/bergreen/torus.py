@@ -25,19 +25,14 @@ Conventions (pinned by internal-consistency checks, see README):
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bergman import KernelEstimate, _dense_kernel_value, _normalized_condition
-from .domains import gauss_legendre, refine
-from .errors import (
-    ExtrapolationDivergenceError,
-    ParameterError,
-    TruncationError,
-)
+from .domains import refine
+from .errors import ParameterError, TruncationError
 from .extension import PolarSpec, residual_measure
 from .reports import ReportRecord, make_record
 
@@ -170,13 +165,36 @@ def theta1(z, tau: complex, terms: int = 64):
 
 
 def theta1_prime0(tau: complex, terms: int = 64) -> complex:
-    """Derivative ``theta1'(0) = 2 pi sum (-1)^n (2n+1) q^{(n+1/2)^2}``."""
+    """Derivative ``theta1'(0) = 2 pi sum_{n<terms} t_n`` with
+    ``t_n = (-1)^n (2n+1) q^{(n+1/2)^2}``.
+
+    The series alternates, and for small ``Im tau`` its terms cancel, so
+    the sum is certified: :class:`TruncationError` is raised when the tail
+    bound plus the rounding bound ``terms * eps * sum |t_n|`` exceeds
+    ``_THETA_TOL * |theta1'(0)|``.  The tail is bounded by its first term
+    over one minus the ratio of consecutive terms, which decreases in n.
+    """
     tau = complex(tau)
     if not (tau.imag > 0.0):
         raise ParameterError("theta1_prime0 needs Im tau > 0")
-    ns = np.arange(max(terms, 8))
+    if terms < _MIN_TERMS:
+        raise ParameterError(f"theta1_prime0 needs terms >= {_MIN_TERMS}")
+    ns = np.arange(terms)
     q_pow = np.exp(1j * math.pi * tau * (ns + 0.5) ** 2) * (-1.0) ** ns
-    return complex(2.0 * math.pi * np.sum((2 * ns + 1) * q_pow))
+    t = (2 * ns + 1) * q_pow
+    value = complex(2.0 * math.pi * np.sum(t))
+    log_q = -math.pi * tau.imag
+    ratio = (2 * terms + 3) / (2 * terms + 1) * math.exp((2 * terms + 2) * log_q)
+    first = (2 * terms + 1) * math.exp((terms + 0.5) ** 2 * log_q)
+    tail = first / (1.0 - ratio) if ratio < 1.0 else math.inf
+    rounding = terms * np.finfo(float).eps * float(np.sum(np.abs(t)))
+    bound = 2.0 * math.pi * (tail + rounding)
+    if not bound <= _THETA_TOL * abs(value):
+        raise TruncationError(
+            f"theta1'(0) relative error bound {bound / abs(value):.3e} exceeds "
+            f"{_THETA_TOL:.1e} at tau = {tau} (the series cancels)"
+        )
+    return value
 
 
 def lattice_reduce(z, tau: complex):
@@ -220,44 +238,9 @@ def _log_abs_theta_over_z(spec: TorusSpec, z):
 
 def _gamma_meanzero(spec: TorusSpec) -> float:
     """Additive constant making the Green function mean-zero against the
-    volume form: ``gamma = -mean(g_raw)``.
-
-    The mean splits into a smooth part (``log|theta1(z)/z|`` integrated by
-    tensor Gauss-Legendre over the centered cell), the logarithmic part
-    ``integral of log|s + t tau|`` (closed-form inner integral, adaptive
-    outer), and the exact quadratic moment ``-pi tau2 / 12``.
-    """
-    from scipy.integrate import quad
-
-    tau = spec.tau
-    # smooth part over the centered cell (only zero of theta1 is at 0)
-    x, w = gauss_legendre(48)
-    s = 0.5 * x
-    ws = 0.5 * w
-    S, T = np.meshgrid(s, s, indexing="ij")
-    Z = S + T * tau
-    vals = _log_abs_theta_over_z(spec, Z.ravel()).reshape(Z.shape)
-    smooth = float(np.einsum("i,j,ij->", ws, ws, vals))
-
-    # log part: inner integral of log|s + t tau| over s in closed form
-    def inner(t):
-        a = t * tau.real
-        b = t * tau.imag
-
-        def F(u):
-            if b == 0.0:
-                return u * math.log(abs(u)) - u if u != 0.0 else 0.0
-            return (
-                0.5 * u * math.log(u * u + b * b)
-                - u
-                + b * math.atan(u / b)
-            )
-
-        return F(0.5 + a) - F(-0.5 + a)
-
-    log_part = quad(inner, -0.5, 0.5, points=[0.0], limit=200)[0]
-    mean = smooth + log_part - math.pi * spec.tau2 / 12.0
-    return -mean
+    volume form: ``gamma = -log|eta(tau)| = -(1/3) log(|theta1'(0)| / 2 pi)``
+    by Jacobi's ``theta1'(0) = 2 pi eta(tau)^3``."""
+    return -math.log(abs(theta1_prime0(spec.tau, spec.terms)) / (2.0 * math.pi)) / 3.0
 
 
 def _gamma_maxzero(spec: TorusSpec) -> float:
@@ -351,43 +334,16 @@ def laplacian_deviation(green: ArakelovGreen, samples=None) -> float:
     return float(np.max(devs, initial=0.0))
 
 
-# the smaller base radius of torus_capacity's two Richardson estimates
-_CAPACITY_RADIUS = 1e-3
+def torus_capacity(green: ArakelovGreen) -> float:
+    """Capacity ``exp(lim_{z->0} (g(z) - log(|z| / sqrt(Im tau))))``.
 
-
-def torus_capacity(
-    green: ArakelovGreen,
-    p: complex = 0.0,
-    angle: float = 0.3,
-    stability_tol: float = 1e-9,
-) -> float:
-    """Capacity ``exp(lim_{z->p} (g(z - p) - log(|z - p| / sqrt(Im tau))))``.
-
-    The bracketed profile is even in the radius with an exact ``r^2``
-    leading correction, so one Richardson step at radii ``(r, r/2)`` leaves
-    ``O(r^4)``; two such estimates at base radii ``r = _CAPACITY_RADIUS``
-    and ``2r`` must
-    agree within ``stability_tol`` or :class:`ExtrapolationDivergenceError`
-    is raised.
+    Near the pole ``theta1(z) = theta1'(0) z + O(z^3)``, so the limit is
+    ``e^gamma |theta1'(0)| sqrt(Im tau)``; ``g`` depends only on the
+    difference of its arguments, so the capacity is the same at every
+    point.
     """
     spec = green.spec
-    p = complex(p)
-    phase = cmath.exp(1j * angle)
-
-    def profile(r: float) -> float:
-        z = p + r * phase
-        return float(green(z - p)) - math.log(r / math.sqrt(spec.tau2))
-
-    def richardson(r: float) -> float:
-        return (4.0 * profile(0.5 * r) - profile(r)) / 3.0
-
-    l1 = richardson(_CAPACITY_RADIUS)
-    l2 = richardson(2.0 * _CAPACITY_RADIUS)
-    if abs(l1 - l2) > stability_tol:
-        raise ExtrapolationDivergenceError(
-            f"capacity extrapolation unstable: {l1!r} vs {l2!r}"
-        )
-    return math.exp(l1)
+    return math.exp(green.gamma) * abs(theta1_prime0(spec.tau, spec.terms)) * math.sqrt(spec.tau2)
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +467,8 @@ def torus_bergman(
     by ``O(exp(-pi d Im tau / 2))`` — exponentially small in the degree
     but far above machine precision at small ``d``.
 
-    Pass a precomputed ``(G, residual)`` from :func:`torus_gram` to reuse
-    one Gram factorization across several evaluation points.
+    Pass a precomputed ``(G, residual)`` from :func:`torus_gram` to skip
+    the quadrature; each call solves the Gram system afresh.
     """
     basis = ThetaBasis(spec, d)
     G, resid = gram if gram is not None else torus_gram(basis)

@@ -335,12 +335,17 @@ class TestResolveConfig:
 class TestOneBlasPool:
     """Every dense solve goes through ``numpy.linalg``: a Nystrom capacity,
     a Nystrom Green function and a dense Bergman kernel load no
-    ``scipy.linalg``, and with it no second OpenBLAS."""
+    ``scipy.linalg``, and with it no second OpenBLAS.  Importing the CLI
+    loads no scipy module at all, and ``torus-check``, whose constants are
+    closed forms, loads no ``scipy.integrate`` (its max-zero constant still
+    loads ``scipy.optimize``, which pulls in ``scipy.linalg``, so it runs
+    last)."""
 
     SCRIPT = """
 import sys
 from bergreen import bergman, cli
 from bergreen.domains import Annulus
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "import"
 out = sys.argv[1]
 assert cli.main(["capacity", "--domain", "ellipse:1.2:0.7", "--z", "0.1+0.05j",
                  "--no-cache", "--outdir", out]) == 0
@@ -349,6 +354,9 @@ assert cli.main(["green", "--domain", "annulus:0.2", "--method", "nystrom",
 assert "scipy.linalg" not in sys.modules, "cli"
 bergman.kernel_diag(Annulus(0.2), bergman.HarmonicRe(0.2), 0.3 + 0.1j)
 assert "scipy.linalg" not in sys.modules, "kernel_diag"
+assert cli.main(["torus-check", "--taus", "0.3+1.1j", "--ds", "4",
+                 "--no-cache", "--outdir", out]) == 0
+assert "scipy.integrate" not in sys.modules, "torus-check"
 """
 
     def test_no_scipy_linalg(self, tmp_path):

@@ -2,12 +2,15 @@
 oracles, Green-function normalizations, capacity, theta bases, the
 weighted kernel, and the degree-dependent inequality record.
 
-Oracle policy: ``mpmath.jtheta`` and Dedekind-eta product/closed forms are
-used here (tests only) as independent references for the theta series and
-the derived constants; Gram matrices are checked against the exact
+Oracle policy: ``mpmath.jtheta``, ``mpmath.eta`` and the Dedekind-eta
+product are used here (tests only) as independent references for the theta
+series and the derived constants; the closed-form constants are also checked
+against their definitions, the mean of g by quadrature and the capacity as a
+Richardson-extrapolated limit; Gram matrices are checked against the exact
 Gaussian-integral closed form.
 """
 
+import cmath
 import math
 
 import mpmath
@@ -17,12 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergreen import torus
-from bergreen.errors import (
-    AccuracyError,
-    ExtrapolationDivergenceError,
-    ParameterError,
-    TruncationError,
-)
+from bergreen.domains import gauss_legendre
+from bergreen.errors import AccuracyError, ParameterError, TruncationError
 from bergreen.torus import (
     ArakelovGreen,
     ThetaBasis,
@@ -43,6 +42,8 @@ from bergreen.torus import (
 
 TAU_I = 1j
 TAU_SKEW = 0.5 + 1j
+# the moduli on which the closed-form constants are pinned against mpmath
+ETA_TAUS = [TAU_I, TAU_SKEW, 0.3 + 1.1j, cmath.exp(1j * math.pi / 3), 2j, 0.1 + 0.6j]
 
 
 def mp_theta1(z: complex, tau: complex) -> complex:
@@ -85,6 +86,60 @@ def dedekind_eta(tau: complex) -> complex:
     for n in range(1, 80):
         out *= 1.0 - q**n
     return complex(out)
+
+
+def mp_abs_eta(tau: complex):
+    """``|eta(tau)|`` from mpmath's Dedekind eta at 40 digits."""
+    with mpmath.workdps(40):
+        return abs(mpmath.eta(mpmath.mpc(tau.real, tau.imag)))
+
+
+def quadrature_mean(green: ArakelovGreen) -> float:
+    """Mean of ``g`` against the volume form, by quadrature of its
+    definition: ``log|theta1(z)/z|`` by tensor Gauss-Legendre over the
+    centered cell, ``log|s + t tau|`` with the inner integral in closed
+    form and the outer one adaptive, and the exact quadratic moment
+    ``-pi tau2 / 12``."""
+    from scipy.integrate import quad
+
+    spec = green.spec
+    tau = spec.tau
+    x, w = gauss_legendre(48)
+    s = 0.5 * x
+    ws = 0.5 * w
+    S, T = np.meshgrid(s, s, indexing="ij")
+    Z = S + T * tau
+    vals = torus._log_abs_theta_over_z(spec, Z.ravel()).reshape(Z.shape)
+    smooth = float(np.einsum("i,j,ij->", ws, ws, vals))
+
+    def inner(t):
+        a = t * tau.real
+        b = t * tau.imag
+
+        def F(u):
+            if b == 0.0:
+                return u * math.log(abs(u)) - u if u != 0.0 else 0.0
+            return 0.5 * u * math.log(u * u + b * b) - u + b * math.atan(u / b)
+
+        return F(0.5 + a) - F(-0.5 + a)
+
+    log_part = quad(inner, -0.5, 0.5, points=[0.0], limit=200)[0]
+    return smooth + log_part - math.pi * spec.tau2 / 12.0 + green.gamma
+
+
+def richardson_capacity(green: ArakelovGreen, p: complex = 0.0, angle: float = 0.3) -> float:
+    """Capacity from its definition as a limit: the profile
+    ``g(z - p) - log(|z - p| / sqrt(Im tau))`` on the ray from ``p`` at
+    ``angle`` is even in the radius with an ``r^2`` leading correction, so
+    one Richardson step at radii ``(1e-3, 5e-4)`` leaves ``O(r^4)``."""
+    phase = cmath.exp(1j * angle)
+
+    def profile(r: float) -> float:
+        z = p + r * phase
+        return float(green(z - p)) - math.log(r / math.sqrt(green.spec.tau2))
+
+    r = 1e-3
+    return math.exp((4.0 * profile(0.5 * r) - profile(r)) / 3.0)
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +266,8 @@ class TestTheta1:
             theta1(0.3, TAU_I, terms=4)
         with pytest.raises(ParameterError):
             theta1_prime0(-2.0)
+        with pytest.raises(ParameterError):
+            theta1_prime0(TAU_I, terms=4)
 
     @pytest.mark.parametrize("tau", [TAU_I, TAU_SKEW])
     def test_prime0_matches_reference(self, tau):
@@ -223,6 +280,33 @@ class TestTheta1:
         # classical identity theta1'(0) = 2 pi eta(tau)^3
         ref = 2.0 * np.pi * dedekind_eta(tau) ** 3
         assert abs(theta1_prime0(tau) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("tau", [*ETA_TAUS, 0.2j, 0.02 + 0.3j])
+    @pytest.mark.parametrize("terms", [8, 64])
+    def test_prime0_is_the_plain_sum(self, tau, terms):
+        # the certificate only gates: the value is the sum over all terms
+        ns = np.arange(terms)
+        q_pow = np.exp(1j * np.pi * tau * (ns + 0.5) ** 2) * (-1.0) ** ns
+        assert theta1_prime0(tau, terms) == complex(2.0 * np.pi * np.sum((2 * ns + 1) * q_pow))
+
+    @pytest.mark.parametrize("tau", [0.1j, 0.07j, 0.05j, 0.02j])
+    def test_prime0_cancellation_raises(self, tau):
+        # the alternating terms cancel: at 0.02i the 64-term sum is 14 % off
+        # mpmath's value, and at 0.1i the rounding bound already exceeds
+        # _THETA_TOL
+        with pytest.raises(TruncationError, match="cancels"):
+            theta1_prime0(tau)
+        with pytest.raises(TruncationError):
+            arakelov_green(TorusSpec(tau))
+
+    def test_prime0_tail_bound_gates_few_terms(self):
+        # at 0.13i eight terms leave a tail above _THETA_TOL, nine do not
+        tau = 0.13j
+        with pytest.raises(TruncationError):
+            theta1_prime0(tau, terms=8)
+        ref = mp_theta1_prime0(tau)
+        for terms in (9, 64):
+            assert abs(theta1_prime0(tau, terms) - ref) <= 1e-12 * abs(ref)
 
 
 class TestLatticeReduce:
@@ -288,6 +372,17 @@ class TestArakelovGreen:
         green = arakelov_green(TorusSpec(tau), normalization="meanzero")
         ref = -math.log(abs(dedekind_eta(tau)))
         assert abs(green.gamma - ref) < 1e-12
+
+    @pytest.mark.parametrize("tau", ETA_TAUS)
+    def test_meanzero_constant_matches_mpmath_eta(self, tau):
+        green = arakelov_green(TorusSpec(tau), normalization="meanzero")
+        assert abs(green.gamma + float(mpmath.log(mp_abs_eta(tau)))) <= 1e-15
+
+    @pytest.mark.parametrize("tau", ETA_TAUS)
+    def test_quadrature_mean_is_zero(self, tau):
+        # the closed-form constant against the mean of g by quadrature
+        green = arakelov_green(TorusSpec(tau), normalization="meanzero")
+        assert abs(quadrature_mean(green)) < 1e-14
 
     def test_meanzero_grid_mean_small(self, green_mean_i):
         # offset grid avoids the pole; the log singularity limits uniform-
@@ -363,18 +458,22 @@ class TestTorusCapacity:
         assert abs(torus_capacity(green_mean_i) - oracle) < 1e-10
 
     def test_translation_invariance(self, green_mean_i):
-        c0 = torus_capacity(green_mean_i, p=0.0)
-        c1 = torus_capacity(green_mean_i, p=0.3 + 0.1j)
-        assert abs(c0 - c1) < 1e-9
+        # the limit that defines the capacity, taken away from the pole
+        c = torus_capacity(green_mean_i)
+        assert abs(richardson_capacity(green_mean_i, p=0.3 + 0.1j) - c) < 1e-9
 
     def test_angle_independence(self, green_mean_i):
-        c0 = torus_capacity(green_mean_i, angle=0.3)
-        c1 = torus_capacity(green_mean_i, angle=2.1)
-        assert abs(c0 - c1) < 1e-10
+        c = torus_capacity(green_mean_i)
+        for angle in (0.3, 2.1):
+            assert abs(richardson_capacity(green_mean_i, angle=angle) - c) < 1e-10
 
-    def test_zero_stability_budget_raises(self, green_mean_i):
-        with pytest.raises(ExtrapolationDivergenceError):
-            torus_capacity(green_mean_i, stability_tol=0.0)
+    @pytest.mark.parametrize("tau", ETA_TAUS)
+    def test_meanzero_capacity_is_eta_squared(self, tau):
+        # c = 2 pi sqrt(Im tau) |eta(tau)|^2 under the mean-zero constant
+        c = torus_capacity(arakelov_green(TorusSpec(tau), normalization="meanzero"))
+        with mpmath.workdps(40):
+            ref = 2 * mpmath.pi * mpmath.sqrt(tau.imag) * mp_abs_eta(tau) ** 2
+            assert abs(float(mpmath.mpf(c) / ref - 1)) <= 1e-15
 
     def test_skew_torus_oracle(self, spec_skew):
         green = arakelov_green(spec_skew, normalization="meanzero")
