@@ -497,7 +497,8 @@ class _NystromSolver:
         # rows in blocks, so the complex temporaries of a large system stay
         # a fraction of its matrix; each entry is computed as on whole rows
         for lo in range(0, m, _ASSEMBLY_ROWS):
-            rows = slice(lo, lo + _ASSEMBLY_ROWS)
+            # the last block stops at m, short of the side-condition rows
+            rows = slice(lo, min(lo + _ASSEMBLY_ROWS, m))
             diff = y[None, :] - y[rows, None]  # y_j - x_i
             with np.errstate(divide="ignore", invalid="ignore"):
                 kern = (

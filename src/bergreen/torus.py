@@ -230,8 +230,10 @@ def _log_abs_theta_over_z(spec: TorusSpec, z):
     z = np.asarray(z, dtype=complex)
     th = np.asarray(theta1(z, spec.tau, spec.terms), dtype=complex)
     small = np.abs(z) < 1e-14
-    safe = np.where(small, 1.0, z)
-    ratio = np.where(small, abs(theta1_prime0(spec.tau, spec.terms)), np.abs(th / safe))
+    ratio = np.abs(th / np.where(small, 1.0, z))
+    # theta1'(0) is a whole series: sum it only when a point is on the pole
+    if small.any():
+        ratio = np.where(small, abs(theta1_prime0(spec.tau, spec.terms)), ratio)
     out = np.log(ratio)
     return out if out.ndim else float(out)
 
@@ -391,6 +393,30 @@ class ThetaBasis:
         out = np.exp(expo + 2j * math.pi * d * np.multiply.outer(z, nu)).sum(axis=-1)
         return out if out.ndim else complex(out)
 
+    def theta_grid(self, n: int) -> np.ndarray:
+        """``theta_j`` for every ``j`` on the product grid ``a/n + (b/n) tau``
+        (``0 <= a, b < n``): shape ``(d, n*n)``, columns ``a``-major, as
+        :meth:`theta` gives them term by term.
+
+        A series term factors as ``U[a, nu] W[b, nu]`` with the unimodular
+        ``U = exp(2 pi i d nu a/n)`` and ``W = exp(pi i tau d nu^2 +
+        2 pi i d nu tau b/n)``, so row ``j`` is the product ``U_j W_j^T``.
+        ``d nu`` is an integer, so ``U`` takes its phase reduced mod ``n``
+        exactly.  The Gaussian factor stays in ``W``, where ``|W|`` is the
+        modulus of the series term, at most ``exp(pi d Im tau)``; split off,
+        ``exp(2 pi i d nu tau b/n)`` alone grows like ``exp(2 pi d N Im tau)``
+        and overflows (``d = 10``, ``tau = i``).
+        """
+        tau, d = self.spec.tau, self.d
+        N = self._n_range
+        dnu = d * np.arange(-N, N + 1) + np.arange(d)[:, None]  # (d, 2N+1)
+        nu = dnu / d
+        idx = np.arange(n)
+        U = np.exp(2j * math.pi / n * (np.multiply.outer(dnu, idx) % n))  # (d, 2N+1, n)
+        expo = 1j * math.pi * tau * d * nu**2
+        W = np.exp(expo[:, :, None] + 2j * math.pi * d * np.multiply.outer(nu, idx / n * tau))
+        return (np.swapaxes(U, 1, 2) @ W).reshape(d, n * n)
+
     def weight(self, z):
         z = np.asarray(z, dtype=complex)
         out = np.exp(-2.0 * math.pi * self.d * z.imag**2 / self.spec.tau2)
@@ -422,13 +448,21 @@ def torus_gram(basis: ThetaBasis, n_grid: int = 256) -> tuple[np.ndarray, float]
     the fundamental domain against the unit volume form.
 
     The integrand is smooth and doubly periodic, so the uniform product
-    grid (trapezoid in both periods) converges spectrally.  ``n_grid`` is
-    the finest grid allowed: the grid starts from the smallest power of
-    two that covers the basis band ``2N + 1`` (or ``n_grid // 2`` if that
-    is smaller), so a coarse pair cannot agree by aliasing, and
-    doubles through :func:`domains.refine` until entries move by at most
-    ``_GRAM_TOL`` relative to the diagonal scale; reaching the cap without
-    agreement, or a NaN change, raises :class:`AccuracyError`.
+    grid (trapezoid in both periods) converges spectrally.  On that grid a
+    theta term factors into a table over the real period and a table over
+    the ``tau`` period (:meth:`ThetaBasis.theta_grid`), so the ``d`` rows
+    on ``n^2`` points take one batched ``(n, 2N+1) @ (2N+1, n)`` product
+    instead of an ``exp`` per point and term; the Gaussian factor
+    ``exp(pi i tau d nu^2)`` rides with the ``tau``-direction table, which
+    it keeps bounded.
+
+    ``n_grid`` is the finest grid allowed: the grid starts from the
+    smallest power of two that covers the basis band ``2N + 1`` (or
+    ``n_grid // 2`` if that is smaller), so a coarse pair cannot agree by
+    aliasing, and doubles through :func:`domains.refine` until entries
+    move by at most ``_GRAM_TOL`` relative to the diagonal scale; reaching
+    the cap without agreement, or a NaN change, raises
+    :class:`AccuracyError`.
     """
     if n_grid < 2:
         raise ParameterError("torus Gram needs a cap n_grid >= 2")
@@ -440,7 +474,7 @@ def torus_gram(basis: ThetaBasis, n_grid: int = 256) -> tuple[np.ndarray, float]
         s = np.arange(n) / n
         S, T = np.meshgrid(s, s, indexing="ij")
         Z = (S + T * basis.spec.tau).ravel()
-        theta_rows = np.vstack([basis.theta(j, Z) for j in range(basis.d)])
+        theta_rows = basis.theta_grid(n)
         w = basis.weight(Z)
         G = (theta_rows * w) @ theta_rows.conj().T / (n * n)
         return 0.5 * (G + G.conj().T)

@@ -172,8 +172,16 @@ def nystrom_green(domain, z: complex, w: complex, n: int) -> float:
     return math.log(abs(z - w)) + float(solver.evaluate(sol, z)[0])
 
 
+# annulus node counts whose 2n nodes, or the 2(n/2) of the witness, are not a
+# multiple of the 128-row block: the last block used to reach into the
+# side-condition row
+PARTIAL_BLOCK_NODE_COUNTS = [64, 96, 100, 200, 320]
+
+
 @pytest.mark.parametrize(
-    "domain,n", [(Jordan.ellipse(1.2, 0.7), 256), (wobbly_domain(), 100), (Annulus(0.2), 256)]
+    "domain,n",
+    [(Jordan.ellipse(1.2, 0.7), 256), (wobbly_domain(), 100), (Annulus(0.2), 256)]
+    + [(Annulus(0.2), n) for n in PARTIAL_BLOCK_NODE_COUNTS],
 )
 def test_row_block_assembly_matches_whole_rows(domain, n):
     # the whole-array assembly the row blocks replaced, as the reference
@@ -185,6 +193,24 @@ def test_row_block_assembly_matches_whole_rows(domain, n):
     np.fill_diagonal(kern, -s.curv / (4.0 * math.pi))
     ref = kern * s.weights[None, :] - 0.5 * np.eye(m)
     assert s.matrix[:m, :m].tobytes() == ref.tobytes()
+    # the hole columns and side-condition rows, whole
+    nh = len(s.hole_centers)
+    border = np.zeros((m + nh, m + nh))
+    for j, c in enumerate(s.hole_centers):
+        border[:m, m + j] = np.log(np.abs(y - c))
+        border[m + j, s.slices[1 + j]] = s.weights[s.slices[1 + j]]
+    assert s.matrix[:, m:].tobytes() == border[:, m:].tobytes()
+    assert s.matrix[m:, :].tobytes() == border[m:, :].tobytes()
+
+
+@pytest.mark.parametrize("n", PARTIAL_BLOCK_NODE_COUNTS + [256])
+def test_annulus_nystrom_at_any_node_count(n):
+    # the Nystrom remainder against the Laurent-mode series, at node counts
+    # whose assembly (or n/2 witness) ends in a partial row block
+    ann = Annulus(0.2)
+    ref = green_evaluator(ann, method="laurent_modes").remainder(0.5, -0.3j)
+    got = green_evaluator(ann, method="nystrom", quad_points=n).remainder(0.5, -0.3j)
+    assert abs(got - ref) <= domains._REFINE_TOL
 
 
 class TestGreenNystrom:

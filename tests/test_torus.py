@@ -524,11 +524,13 @@ class TestThetaBasis:
         ) < 1e-15
 
 
+# the moduli on which the torus Gram is pinned against its closed form
+GRAM_TAUS = [TAU_I, TAU_SKEW, 0.23 + 1.07j, 0.2j, -0.5 + 0.9j, 0.4 + 1.3j, 2j]
+
+
 class TestTorusGram:
     @pytest.mark.parametrize("d", [4, 6, 8, 10])
-    @pytest.mark.parametrize(
-        "tau", [TAU_I, TAU_SKEW, 0.23 + 1.07j, 0.2j, -0.5 + 0.9j, 0.4 + 1.3j, 2j]
-    )
+    @pytest.mark.parametrize("tau", GRAM_TAUS)
     def test_matches_gaussian_closed_form(self, tau, d):
         # completing the square in the section series gives the exact Gram
         # G = I / sqrt(2 d Im tau); the quadrature route must reproduce it
@@ -545,13 +547,14 @@ class TestTorusGram:
     @pytest.mark.parametrize("tau,d", [(TAU_I, 4), (0.2j, 10), (2j, 4)])
     def test_first_level_covers_the_basis_band(self, tau, d, monkeypatch):
         sizes = []
-        theta = ThetaBasis.theta
+        theta_grid = ThetaBasis.theta_grid
 
-        def spy(self, j, z):
-            sizes.append(np.size(z))
-            return theta(self, j, z)
+        def spy(self, n):
+            rows = theta_grid(self, n)
+            sizes.append(rows.shape[1])
+            return rows
 
-        monkeypatch.setattr(ThetaBasis, "theta", spy)
+        monkeypatch.setattr(ThetaBasis, "theta_grid", spy)
         basis = ThetaBasis(TorusSpec(tau), d)
         torus_gram(basis)
         n0 = math.isqrt(sizes[0])
@@ -560,6 +563,21 @@ class TestTorusGram:
         assert n0 * n0 == sizes[0]
         assert band <= n0 < 2 * band
         assert n0 & (n0 - 1) == 0
+
+    @pytest.mark.parametrize("n", [32, 64])
+    @pytest.mark.parametrize("d", [4, 6, 8, 10])
+    @pytest.mark.parametrize("tau", GRAM_TAUS)
+    def test_grid_table_matches_the_series(self, tau, d, n):
+        # the separable table against the term-by-term series on the same
+        # a-major product grid a/n + (b/n) tau
+        basis = ThetaBasis(TorusSpec(tau), d)
+        s = np.arange(n) / n
+        S, T = np.meshgrid(s, s, indexing="ij")
+        Z = (S + T * tau).ravel()
+        ref = np.vstack([basis.theta(j, Z) for j in range(d)])
+        table = basis.theta_grid(n)
+        assert table.shape == (d, n * n)
+        assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_hermitian_and_well_conditioned(self, spec_i):
         G, _ = torus_gram(ThetaBasis(spec_i, 4))
@@ -661,6 +679,30 @@ class TestResidualMass:
             cap = torus_capacity(green)
             mass = residual_mass(green)
             assert abs(mass - 2.0 / cap**2) < 1e-8
+
+    def test_theta1_prime0_only_on_the_pole(self, monkeypatch):
+        spec = TorusSpec(0.3 + 1.1j)
+        green = arakelov_green(spec)
+        prime0 = torus.theta1_prime0
+        calls = []
+
+        def spy(tau, terms=64):
+            calls.append(tau)
+            return prime0(tau, terms)
+
+        monkeypatch.setattr(torus, "theta1_prime0", spy)
+        residual_mass(green)
+        assert calls == []
+        # on the pole the limit log|theta1'(0)|, bit for bit, and the other
+        # points as before
+        at_pole = abs(prime0(spec.tau, spec.terms))
+        assert torus._log_abs_theta_over_z(spec, 0.0) == float(np.log(at_pole))
+        z = np.array([0.0, 1e-15j, 0.1 + 0.2j, -0.3 + 0.05j])
+        th = theta1(z, spec.tau, spec.terms)
+        small = np.abs(z) < 1e-14
+        ref = np.log(np.where(small, at_pole, np.abs(th / np.where(small, 1.0, z))))
+        assert torus._log_abs_theta_over_z(spec, z).tobytes() == ref.tobytes()
+        assert len(calls) == 2
 
 
 class TestArak1Check:
