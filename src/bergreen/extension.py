@@ -65,50 +65,48 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-# spline nodes of the bump tables on [-1, 1]
-_BUMP_NODES = 4097
+# panels of the bump moment tables on [-1, 1], and Gauss-Legendre nodes per panel
+_BUMP_PANELS = 256
+_BUMP_GAUSS = 16
+
+
+def _bump_moments(lo, hi):
+    """``int_lo^hi u^k exp(-1/(1-u^2)) du`` for k = 0, 1, 2 (last axis), by
+    ``_BUMP_GAUSS``-point Gauss-Legendre, for arrays of bounds in [-1, 1]."""
+    x, w = gauss_legendre(_BUMP_GAUSS)
+    half = 0.5 * (hi - lo)[..., None]
+    u = 0.5 * (hi + lo)[..., None] + half * x
+    with np.errstate(divide="ignore"):  # a node that rounds to +-1 gives exp(-inf) = 0
+        fw = half * w * np.exp(-1.0 / (1.0 - u * u))
+    return np.stack([fw.sum(axis=-1), (fw * u).sum(axis=-1), (fw * u * u).sum(axis=-1)], axis=-1)
 
 
 @functools.cache
 def _bump_tables():
-    """Spline tables for the normalized bump ``exp(-1/(1-x^2))`` on [-1, 1].
-
-    Returns (P1, Q1, R1, q1, r1) where P1 is the bump's CDF, Q1 and R1 its
-    first and second antiderivatives (all exact antiderivatives of the
-    interpolating spline, so differentiation relations hold to spline
-    accuracy ~1e-13), and q1 = Q1(1), r1 = R1(1).  Built once per process,
-    on the first cutoff, so importing the package skips
-    ``scipy.interpolate``.
+    """(pqr, q1) for the normalized bump ``f = exp(-1/(1-x^2))`` on [-1, 1]:
+    ``pqr(x)`` is the CDF ``P1`` and its antiderivatives ``Q1``, ``R1`` from
+    -1, and ``q1 = Q1(1)``.  By Cauchy's formula for repeated integrals all
+    three come from one pass over the moments ``M_k(x) = int_{-1}^x u^k f``:
+    ``P1 = M0/m``, ``Q1 = (x M0 - M1)/m``, ``R1 = (x^2 M0 - 2x M1 + M2)/2m``
+    (``m`` the mass).  The moments are cumulative sums over panels; a point
+    inside (-1, 1) adds its partial panel, and the ends read the table.
+    Built once per process, on the first cutoff.
     """
-    from scipy.interpolate import CubicSpline
+    edges = np.linspace(-1.0, 1.0, _BUMP_PANELS + 1)
+    table = np.cumsum(_bump_moments(edges[:-1], edges[1:]), axis=0)
+    table = np.concatenate([np.zeros((1, 3)), table])
+    mass = table[-1, 0]
 
-    xs = np.linspace(-1.0, 1.0, _BUMP_NODES)
-    with np.errstate(divide="ignore", over="ignore"):
-        vals = np.where(
-            np.abs(xs) < 1.0, np.exp(-1.0 / np.maximum(1.0 - xs**2, 1e-300)), 0.0
-        )
-    vals[0] = vals[-1] = 0.0
-    spline = CubicSpline(xs, vals)
-    ip = spline.antiderivative()  # integral of bump
-    mass = float(ip(1.0) - ip(-1.0))
-    iq = ip.antiderivative()  # integral of integral
-    ir = iq.antiderivative()
+    def pqr(x):
+        x = np.asarray(x, dtype=float)
+        panel = np.clip(((x + 1.0) * (_BUMP_PANELS / 2)).astype(int), 0, _BUMP_PANELS)
+        moments = np.take(table, panel, axis=0)
+        inside = np.abs(x) < 1.0
+        moments[inside] += _bump_moments(edges[panel[inside]], x[inside])
+        m0, m1, m2 = np.moveaxis(moments, -1, 0)
+        return m0 / mass, (x * m0 - m1) / mass, (x * x * m0 - 2.0 * x * m1 + m2) / (2.0 * mass)
 
-    ip_m1, iq_m1, ir_m1 = float(ip(-1.0)), float(iq(-1.0)), float(ir(-1.0))
-
-    def P1(x):
-        # CDF, clipped so the plateau values 0 and 1 are exact
-        return np.clip((ip(x) - ip_m1) / mass, 0.0, 1.0)
-
-    def Q1(x):
-        # integral of P1 from -1: int (ip(u) - ip(-1)) du / mass
-        return (iq(x) - iq_m1 - ip_m1 * (x + 1.0)) / mass
-
-    def R1(x):
-        # integral of Q1 from -1
-        return (ir(x) - ir_m1 - iq_m1 * (x + 1.0) - 0.5 * ip_m1 * (x + 1.0) ** 2) / mass
-
-    return P1, Q1, R1, float(Q1(np.asarray(1.0))), float(R1(np.asarray(1.0)))
+    return pqr, float(pqr(1.0)[1])
 
 
 @dataclass(frozen=True)
@@ -136,35 +134,26 @@ class CutoffFamily:
     def _pqr(self, x):
         """P, Q, R evaluated at physical offset x (P = CDF of the mollifier,
         Q, R its antiderivatives, linear/quadratic continuations exact)."""
-        P1, Q1, R1, q1, r1 = _bump_tables()
+        pqr, q1 = _bump_tables()
         xi = np.asarray(x, dtype=float) / self.m
-        inside = np.clip(xi, -1.0, 1.0)
+        p, q, r = pqr(np.clip(xi, -1.0, 1.0))
         above = np.maximum(xi - 1.0, 0.0)
-        p = P1(inside)
-        q = self.m * (Q1(inside) + above)
-        r = self.m**2 * (R1(inside) + q1 * above + 0.5 * above**2)
-        return p, q, r
+        return p, self.m * (q + above), self.m**2 * (r + q1 * above + 0.5 * above**2)
+
+    def _difference(self, t, i: int):
+        """``k (X(t - A) - X(t - B))`` for ``X`` the ``i``-th of P, Q, R."""
+        t = np.asarray(t, dtype=float)
+        out = self.k * (self._pqr(t - self.A)[i] - self._pqr(t - self.B)[i])
+        return out if out.ndim else float(out)
 
     def v(self, t):
-        t = np.asarray(t, dtype=float)
-        _, _, ra = self._pqr(t - self.A)
-        _, _, rb = self._pqr(t - self.B)
-        out = self.k * (ra - rb) + self.C
-        return out if out.ndim else float(out)
+        return self._difference(t, 2) + self.C
 
     def v_prime(self, t):
-        t = np.asarray(t, dtype=float)
-        _, qa, _ = self._pqr(t - self.A)
-        _, qb, _ = self._pqr(t - self.B)
-        out = self.k * (qa - qb)
-        return out if out.ndim else float(out)
+        return self._difference(t, 1)
 
     def v_second(self, t):
-        t = np.asarray(t, dtype=float)
-        pa, _, _ = self._pqr(t - self.A)
-        pb, _, _ = self._pqr(t - self.B)
-        out = self.k * (pa - pb)
-        return out if out.ndim else float(out)
+        return self._difference(t, 0)
 
     @property
     def support(self) -> tuple[float, float]:
@@ -210,7 +199,7 @@ def make_cutoff(t0: float, eps: float) -> CutoffFamily:
     A = -t0 - 1.0 + eps + m
     B = -t0 - eps - m
     k = 1.0 / (B - A)
-    _, _, _, q1, _ = _bump_tables()
+    q1 = _bump_tables()[1]
     # anchor so v(t) = t exactly for t >= B + m = -t0 - eps
     C = 0.5 * (A + B) + m - m * q1
     return CutoffFamily(t0=float(t0), eps=float(eps), m=m, A=A, B=B, k=k, C=C)
@@ -768,29 +757,28 @@ def residual_record(psi0: float, f: str, t: float = 20.0) -> ReportRecord:
 # ---------------------------------------------------------------------------
 
 
+# the largest relative change between the two last panel levels of the
+# min-norm quadrature
+_MIN_NORM_TOL = 1e-12
+
+
 def _min_norm_quadrature(delta: float, a: float) -> float:
     """Independent route: direct radial quadrature of ``2 pi int s rho ds``
-    for the plateaued weight, split at the corner ``s = a``."""
-    from scipy.integrate import quad
+    for the plateaued weight, split at the corner ``s = a``: Gauss-Legendre,
+    exact for the linear inner integrand, and the outer ``int_a^1
+    s^{-1-2 delta} ds = int_{log a}^0 e^{-2 delta u} du`` over up to 256
+    panels in ``u = log s``, doubled through :func:`domains.refine`."""
+    x, w = gauss_legendre(16)
+    s = 0.5 * a * (x + 1.0)
+    inner = float(0.5 * a * w @ (2.0 * math.pi * s)) * a ** (-2.0 * (1.0 + delta))
 
-    # absolute tolerances scaled to the a^{-2 delta} magnitude of the pieces
-    scale = a ** (-2.0 * delta)
-    inner = quad(
-        lambda s: 2.0 * math.pi * s * a ** (-2.0 * (1.0 + delta)),
-        0.0,
-        a,
-        epsabs=1e-12 * scale,
-        epsrel=1e-12,
-    )[0]
-    outer = quad(
-        lambda s: 2.0 * math.pi * s ** (-1.0 - 2.0 * delta),
-        a,
-        1.0,
-        epsabs=1e-12 * scale,
-        epsrel=1e-12,
-        limit=200,
-    )[0]
-    return inner + outer
+    def outer(k: int) -> float:
+        edges = np.linspace(math.log(a), 0.0, (1 << k) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        u = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x
+        return float(np.sum(half * w * 2.0 * math.pi * np.exp(-2.0 * delta * u)))
+
+    return inner + refine(outer, lambda f, c: abs(f - c) / abs(f), _MIN_NORM_TOL, 8)[0]
 
 
 def require_delta(delta: float) -> None:

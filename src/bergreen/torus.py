@@ -32,7 +32,7 @@ import numpy as np
 
 from .bergman import KernelEstimate, _dense_kernel_value, _normalized_condition
 from .domains import refine
-from .errors import ParameterError, TruncationError
+from .errors import AccuracyError, ParameterError, TruncationError
 from .extension import PolarSpec, residual_measure
 from .reports import ReportRecord, make_record
 
@@ -62,6 +62,8 @@ _MIN_TERMS = 8
 # this times eps (see theta1_term_count)
 _THETA_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# the central-difference step of the max-zero Newton polish
+_POLISH_STEP = 1e-4
 
 
 def require_tau(tau) -> None:
@@ -165,12 +167,13 @@ def theta1(z, tau: complex, terms: int = 64):
 
 
 def theta1_prime0(tau: complex, terms: int = 64) -> complex:
-    """Derivative ``theta1'(0) = 2 pi sum_{n<terms} t_n`` with
-    ``t_n = (-1)^n (2n+1) q^{(n+1/2)^2}``.
+    """Derivative ``theta1'(0) = 2 pi sum_{n<N} t_n`` with ``t_n = (-1)^n
+    (2n+1) q^{(n+1/2)^2}`` and ``N`` the smallest count in ``[8, terms]``
+    whose tail bound is below ``_THETA_TOL * eps`` (else ``terms``).
 
     The series alternates, and for small ``Im tau`` its terms cancel, so
     the sum is certified: :class:`TruncationError` is raised when the tail
-    bound plus the rounding bound ``terms * eps * sum |t_n|`` exceeds
+    bound plus the rounding bound ``N * eps * sum |t_n|`` exceeds
     ``_THETA_TOL * |theta1'(0)|``.  The tail is bounded by its first term
     over one minus the ratio of consecutive terms, which decreases in n.
     """
@@ -179,16 +182,21 @@ def theta1_prime0(tau: complex, terms: int = 64) -> complex:
         raise ParameterError("theta1_prime0 needs Im tau > 0")
     if terms < _MIN_TERMS:
         raise ParameterError(f"theta1_prime0 needs terms >= {_MIN_TERMS}")
-    ns = np.arange(terms)
+    log_q = -math.pi * tau.imag
+
+    def tail(n: int) -> float:
+        ratio = (2 * n + 3) / (2 * n + 1) * math.exp((2 * n + 2) * log_q)
+        first = (2 * n + 1) * math.exp((n + 0.5) ** 2 * log_q)
+        return first / (1.0 - ratio) if ratio < 1.0 else math.inf
+
+    stop = _THETA_TOL * np.finfo(float).eps
+    count = next((n for n in range(_MIN_TERMS, terms) if tail(n) <= stop), terms)
+    ns = np.arange(count)
     q_pow = np.exp(1j * math.pi * tau * (ns + 0.5) ** 2) * (-1.0) ** ns
     t = (2 * ns + 1) * q_pow
     value = complex(2.0 * math.pi * np.sum(t))
-    log_q = -math.pi * tau.imag
-    ratio = (2 * terms + 3) / (2 * terms + 1) * math.exp((2 * terms + 2) * log_q)
-    first = (2 * terms + 1) * math.exp((terms + 0.5) ** 2 * log_q)
-    tail = first / (1.0 - ratio) if ratio < 1.0 else math.inf
-    rounding = terms * np.finfo(float).eps * float(np.sum(np.abs(t)))
-    bound = 2.0 * math.pi * (tail + rounding)
+    rounding = count * np.finfo(float).eps * float(np.sum(np.abs(t)))
+    bound = 2.0 * math.pi * (tail(count) + rounding)
     if not bound <= _THETA_TOL * abs(value):
         raise TruncationError(
             f"theta1'(0) relative error bound {bound / abs(value):.3e} exceeds "
@@ -246,27 +254,35 @@ def _gamma_meanzero(spec: TorusSpec) -> float:
 
 
 def _gamma_maxzero(spec: TorusSpec) -> float:
-    """Additive constant making ``sup g = 0`` (grid search plus local
-    quadratic polish on the raw profile)."""
+    """Additive constant making ``sup g = 0``: minus the raw profile's
+    maximum, by Newton steps (central differences of step ``_POLISH_STEP``)
+    from the 96^2 grid maximum, each taken only if it raises the profile."""
     n = 96
     s = np.linspace(0.0, 1.0, n, endpoint=False)
     S, T = np.meshgrid(s, s, indexing="ij")
     Z = (S + T * spec.tau).ravel()
     vals = _green_raw(spec, Z)
     k = int(np.argmax(vals))
-    from scipy.optimize import minimize
-
-    def neg(xy):
-        return -_green_raw(spec, complex(xy[0], xy[1]))
-
-    z0 = Z[k]
-    res = minimize(
-        neg,
-        [z0.real, z0.imag],
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400},
-    )
-    return float(res.fun)  # -max(g_raw)
+    z, best, h = complex(Z[k]), float(vals[k]), _POLISH_STEP
+    stencil = h * np.add.outer(np.arange(-1, 2), 1j * np.arange(-1, 2))
+    while True:
+        f = _green_raw(spec, z + stencil)  # f[i, j] at z + ((i - 1) + (j - 1) i) h
+        fxy = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
+        hess = np.array([[np.diff(f[:, 1], 2)[0], fxy], [fxy, np.diff(f[1], 2)[0]]]) / (h * h)
+        grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
+        trial = z + complex(*np.linalg.solve(hess, -grad))
+        value = float(_green_raw(spec, trial))
+        if not value > best:  # on thin tori g is almost flat along Im z: steps overshoot
+            break
+        z, best = trial, value
+    # g is even, so its half-periods are critical points (Lin and Wang, Ann. of Math. 2010)
+    halves = _green_raw(spec, 0.5 * np.array([1.0, spec.tau, 1.0 + spec.tau]))
+    if not (hess[0, 0] < 0.0 < np.linalg.det(hess) and best >= np.max(halves)):
+        raise AccuracyError(
+            f"max-zero polish at tau = {spec.tau} ends at z = {z:.6g} with g = {best!r}: the "
+            f"Hessian must be negative definite, and g at least {np.max(halves)!r} (half-periods)"
+        )
+    return -best
 
 
 @dataclass(frozen=True)
@@ -315,10 +331,11 @@ _LAP_STEP = 5e-4
 def laplacian_deviation(green: ArakelovGreen, samples=None) -> float:
     """Max deviation of the volume-normalized Laplacian ``Lap_vol = (Im tau
     / 2 pi) Lap_euclid`` of ``g`` from -1 over interior samples, by
-    five-point finite differences of step ``_LAP_STEP``; NaN if any sample
-    gives NaN.  The ``laplacian`` margin of :func:`arak1_check` gates it."""
+    five-point finite differences of step ``_LAP_STEP * min(1, Im tau)``
+    (``g`` varies on the scale of ``Im tau``); NaN if any sample gives NaN.
+    The ``laplacian`` margin of :func:`arak1_check` gates it."""
     spec = green.spec
-    h = _LAP_STEP
+    h = _LAP_STEP * min(1.0, spec.tau2)
     if samples is None:
         samples = [
             0.3 + 0.2j * spec.tau2,

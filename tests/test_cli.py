@@ -336,10 +336,9 @@ class TestOneBlasPool:
     """Every dense solve goes through ``numpy.linalg``: a Nystrom capacity,
     a Nystrom Green function and a dense Bergman kernel load no
     ``scipy.linalg``, and with it no second OpenBLAS.  Importing the CLI
-    loads no scipy module at all, and ``torus-check``, whose constants are
-    closed forms, loads no ``scipy.integrate`` (its max-zero constant still
-    loads ``scipy.optimize``, which pulls in ``scipy.linalg``, so it runs
-    last)."""
+    loads no scipy module at all, ``torus-check`` loads no
+    ``scipy.integrate``, and after ``all`` no scipy module is loaded:
+    scipy is a test dependency only."""
 
     SCRIPT = """
 import sys
@@ -357,6 +356,8 @@ assert "scipy.linalg" not in sys.modules, "kernel_diag"
 assert cli.main(["torus-check", "--taus", "0.3+1.1j", "--ds", "4",
                  "--no-cache", "--outdir", out]) == 0
 assert "scipy.integrate" not in sys.modules, "torus-check"
+assert cli.main(["all", "--no-cache", "--outdir", out]) == 0
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], "all"
 """
 
     def test_no_scipy_linalg(self, tmp_path):

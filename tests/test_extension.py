@@ -112,6 +112,29 @@ class TestCutoffFamily:
         assert est < 1e-9
         assert mass == pytest.approx(1.0, abs=1e-8)
 
+    def test_bump_tables_match_the_spline(self):
+        # the moment tables against the antiderivatives of a cubic spline
+        # through 4097 bump samples
+        from scipy.interpolate import CubicSpline
+
+        nodes = np.linspace(-1.0, 1.0, 4097)
+        bump = np.zeros_like(nodes)
+        bump[1:-1] = np.exp(-1.0 / (1.0 - nodes[1:-1] ** 2))
+        ip = CubicSpline(nodes, bump).antiderivative()
+        iq, mass = ip.antiderivative(), ip(1.0) - ip(-1.0)
+        ir = iq.antiderivative()
+        x = np.linspace(-1.0, 1.0, 20_001)
+        P = (ip(x) - ip(-1.0)) / mass
+        Q = (iq(x) - iq(-1.0) - ip(-1.0) * (x + 1.0)) / mass
+        R = (ir(x) - ir(-1.0) - iq(-1.0) * (x + 1.0) - 0.5 * ip(-1.0) * (x + 1.0) ** 2) / mass
+        pqr, q1 = extension._bump_tables()
+        for ours, ref in zip(pqr(x), (P, Q, R)):
+            assert np.max(np.abs(ours - ref)) <= 1e-13
+        assert q1 == 1.0
+        # a scalar call leaves the tables as they were
+        for _ in range(2):
+            assert tuple(map(float, pqr(x[13_000]))) == tuple(float(v[13_000]) for v in pqr(x))
+
     def test_sup_second_derivative_at_most_two(self):
         for eps in np.linspace(0.01, 0.24, 24):
             fam = make_cutoff(3.0, float(eps))
@@ -542,6 +565,16 @@ class TestOptimalConstant:
         assert q["limit_rel_error"] < 1e-10
         # raw ratio at a = 1e-4 is already within one percent
         assert abs(_ratios(rec)[-1] - q["target"]) / q["target"] < 0.01
+
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+    def test_min_norm_quadrature_matches_the_closed_form(self, delta):
+        # pi a^{-2 delta} from the plateau plus pi (a^{-2 delta} - 1)/delta
+        # from the annulus a < |z| < 1
+        for a in (0.5, 0.1, 0.01, 1e-3, 1e-4):
+            closed = math.pi * a ** (-2.0 * delta) * (1.0 + 1.0 / delta) - math.pi / delta
+            rel = abs(extension._min_norm_quadrature(delta, a) - closed) / closed
+            assert rel <= extension._CROSS_TOL
+            assert rel <= 1e-14
 
     def test_ratios_increase_as_a_shrinks(self):
         rec = optimal_constant_experiment(0.5, 0.0)
