@@ -573,12 +573,21 @@ def delta_class_check(
 
 def _shell_edges(psi: PolarSpec, theta: np.ndarray, level_lo: float, level_hi: float):
     """Per-angle solutions of ``Psi(pole + e^{u + i theta}) = level`` in
-    ``u = log(radius)`` for both shell levels, by one bisection over the
-    stacked (2, angles) array.
+    ``u = log(radius)`` for both shell levels, by one bracketed Newton
+    solve over the stacked (2, angles) array.
 
     Near the pole ``Psi = 2u + psi`` with ``psi`` continuous, so ``Psi`` is
     strictly increasing in ``u`` once ``2u`` dominates; the bracket is
-    built from the local spread of ``psi``.
+    built from the local spread of ``psi``.  Each iteration samples
+    ``Psi`` at ``u`` and ``u +- delta`` (``delta`` 16 ulps of ``max(1,
+    |u|)``) in one call; every sample inside the bracket moves the end of
+    its sign.  The next ``u`` is the Newton step with the secant slope of
+    the outer pair (the pole slope 2 where that is not positive), at least
+    ``2 delta`` long, or the bracket's midpoint if the step leaves it (R. P.
+    Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
+    The solve stops when every bracket is at most ``2 delta`` wide, and
+    after 64 iterations at the latest; each edge is the midpoint of a
+    bracket whose ends ``Psi`` puts on either side of the level.
     """
     z0 = psi.pole
 
@@ -611,11 +620,22 @@ def _shell_edges(psi: PolarSpec, theta: np.ndarray, level_lo: float, level_hi: f
             break
     else:
         raise AccuracyError("could not bracket the shell edge")
+    u = np.clip(0.5 * (level - probe), a, b)  # Psi = 2u + psi, psi read off the probe
     for _ in range(64):
-        mid = 0.5 * (a + b)
-        neg = g(mid, th) - level < 0.0
-        a = np.where(neg, mid, a)
-        b = np.where(neg, b, mid)
+        delta = 16.0 * np.spacing(np.maximum(1.0, np.abs(u)))
+        x = u + delta * np.array([-1.0, 0.0, 1.0])[:, None, None]
+        F = g(x, th) - level  # one call for the three samples
+        # each sample inside the bracket moves the end of its sign to it
+        inside = (a < x) & (x < b)
+        a = np.max(np.where(inside & (F < 0.0), x, a), axis=0)
+        b = np.min(np.where(inside & (F >= 0.0), x, b), axis=0)
+        if np.all(b - a <= 2.0 * delta):
+            break
+        slope = (F[2] - F[0]) / (2.0 * delta)
+        step = -F[1] / np.where(slope > 0.0, slope, 2.0)
+        # a step under 2 delta would resample the span u +- delta just taken
+        step = u + np.copysign(np.maximum(np.abs(step), 2.0 * delta), step)
+        u = np.where((a < step) & (step < b), step, 0.5 * (a + b))
     edges = 0.5 * (a + b)
     return edges[0], edges[1]
 

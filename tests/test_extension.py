@@ -474,9 +474,35 @@ class TestResidualMeasure:
         psi = PolarSpec(0.05 + 0.02j, rest, Disc(), name="edges")
         theta = 2.0 * math.pi * (np.arange(n_ang) + 0.618) / n_ang
         for t in (0.5, 20.0):
-            got = extension._shell_edges(psi, theta, -1.0 - t, -t)
-            for edge, level in zip(got, (-1.0 - t, -t)):
-                assert np.array_equal(edge, _edge_reference(psi, theta, level, -1.0 - t, -t))
+            _assert_edges_certified(psi, theta, t)
+
+    @pytest.mark.parametrize("t", [-3.0, -1.0, 0.5, 3.0])
+    @pytest.mark.parametrize("c", [2.5, 6.0])
+    def test_edges_on_a_steep_psi_match_bisection(self, c, t):
+        # Psi = 2u + c log(1 + e^{2u}) climbs at slopes up to 2 + 2c: Newton
+        # steps at the pole slope 2 diverge there, so only the bracket may
+        # stop the solve
+        psi = PolarSpec(0.0, lambda z: c * np.log1p(np.abs(z) ** 2), None, name="steep")
+        theta = 2.0 * math.pi * (np.arange(16) + 0.618) / 16
+        _assert_edges_certified(psi, theta, t)
+
+    def test_torus_shell_takes_few_psi_calls(self, monkeypatch):
+        # a 64-step bisection to the same width takes 66 calls of Psi
+        counts = []
+        call, edges = extension.PolarSpec.__call__, extension._shell_edges
+
+        def counted(self, z):
+            counts[-1] += 1
+            return call(self, z)
+
+        def spy(*args):
+            counts.append(0)
+            return edges(*args)
+
+        monkeypatch.setattr(extension.PolarSpec, "__call__", counted)
+        monkeypatch.setattr(extension, "_shell_edges", spy)
+        residual_mass(arakelov_green(TorusSpec(1j)))
+        assert len(counts) == 2 and max(counts) <= 8
 
 
 def _spy_shell_levels(monkeypatch) -> list:
@@ -498,9 +524,26 @@ def _oscillating(k: int):
     return lambda z: 1.0 + np.real((np.asarray(z) / math.exp(-10.0)) ** k)
 
 
+def _assert_edges_certified(psi, theta, t: float) -> None:
+    """Both shell edges at depth ``t`` agree with :func:`_edge_reference`
+    within ``1e-14 max(1, |u|)``, and ``Psi`` changes sign across each
+    within that distance."""
+    levels = (-1.0 - t, -t)
+    for edge, level in zip(extension._shell_edges(psi, theta, *levels), levels):
+        width = 1e-14 * np.maximum(1.0, np.abs(edge))
+        ref = _edge_reference(psi, theta, level, *levels)
+        assert np.all(np.abs(edge - ref) <= width)
+
+        def excess(u):
+            return psi(psi.pole + np.exp(u) * np.exp(1j * theta)) - level
+
+        assert np.all(excess(edge - width) < 0.0) and np.all(excess(edge + width) >= 0.0)
+
+
 def _edge_reference(psi, theta, level, level_lo, level_hi):
     """One shell edge by its own bracket-and-bisect pass, with the probe
-    and the steps of :func:`extension._shell_edges`."""
+    and the bracket of :func:`extension._shell_edges`: the oracle for its
+    Newton solve."""
 
     def g(u, th):
         return psi(psi.pole + np.exp(u) * np.exp(1j * th))
