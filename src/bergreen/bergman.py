@@ -6,12 +6,15 @@ over the monomial span, computed from the Gram matrix
     M[i, j] = integral_Omega  z^{n_i} conj(z)^{n_j} rho(z) dLambda(z)
 
 as ``K(z, z) = b* M^{-1} b`` with ``b_i = z^{n_i}``.  For radial weights on
-disc/annulus the monomials are orthogonal, the Gram matrix is diagonal
-with closed-form per-mode moments, and the kernel sum is evaluated in log
-space so that very large bases (needed near the boundary) neither overflow
-nor underflow.  Non-radial weights build a dense Gram matrix by
-Gauss-Legendre x trapezoid product quadrature and solve a Jacobi-scaled
-Hermitian system.
+disc/annulus the monomials are orthogonal and the Gram matrix is diagonal
+with closed-form per-mode moments.  Without a basis range, the kernel of
+``Unweighted`` and ``HarmonicLog`` sums every mode in closed form: a
+rational function on the disc, a Lambert series with a certified geometric
+tail on an annulus.  Over a given basis range it sums the modes in log
+space, so that very large bases neither overflow nor underflow.
+``HarmonicRe`` builds a dense real Gram matrix from the modified-Bessel
+expansion of its density, a series of one-signed terms with a certified
+tail, and solves a Jacobi-scaled symmetric system.
 
 Norm convention: ``||f||^2 = integral |f|^2 rho dLambda`` (plain Lebesgue
 area measure).  Under this convention the unweighted unit disc gives
@@ -34,10 +37,9 @@ from .domains import (
     GreenEvaluator,
     PlanarDomain,
     capacity,
-    gauss_legendre,
-    refine,
 )
 from .errors import (
+    AccuracyError,
     DivergentIntegralError,
     DomainError,
     TruncationError,
@@ -308,20 +310,22 @@ def gram_matrix(
     domain: PlanarDomain,
     weight: WeightSpec,
     basis: tuple[int, int] | None = None,
-    gram_tol: float = 1e-10,
+    gram_tol: float = 1e-16,
     quad_start: int = 64,
 ) -> np.ndarray:
     """Gram matrix of the monomials ``z^n`` for ``n`` in the basis range.
 
     Entry ``(m, n)`` is ``integral z^m conj(z)^n rho dLambda``.  Radial
     weights on disc/annulus give a diagonal matrix with closed-form
-    moments; otherwise entries come from Gauss-Legendre x trapezoid product
-    quadrature, doubled by :func:`domains.refine` until the entrywise
-    relative change is at most ``gram_tol`` (:class:`AccuracyError` if five
-    doublings do not get there).
+    moments; ``HarmonicRe`` gives a dense real symmetric matrix from the
+    series of :func:`_bessel_gram`, whose tail is certified at most
+    ``gram_tol`` relative to every entry (the default is below a unit
+    roundoff).  ``quad_start`` is unused; it stays because
+    ``benchmarks/spans.py`` keys traced calls on it by name.
 
-    Raises :class:`DomainError` if a closed-form moment exceeds the float
-    range (use :func:`kernel_diag`, which works in log space, instead).
+    Raises :class:`DomainError` for a weight outside :data:`WeightSpec`
+    and if an entry exceeds the float range (radial kernels are
+    evaluated by :func:`kernel_diag` in log space instead).
     """
     if basis is None:
         basis = default_basis(domain)
@@ -330,17 +334,98 @@ def gram_matrix(
         raise DomainError("basis range is empty")
     if isinstance(domain, Disc) and n_min < 0:
         raise DomainError("disc basis requires n_min >= 0")
+    if not isinstance(weight, WeightSpec):
+        raise DomainError(f"no Gram matrix for the weight {weight!r}")
     ns = np.arange(n_min, n_max + 1)
 
-    if weight.radial:
-        logs = log_radial_moments(domain, weight, ns)
-        if np.max(logs) > 700.0:
-            raise DomainError(
-                "Gram entries exceed the floating-point range; "
-                "kernel_diag evaluates radial kernels in log space instead"
+    if isinstance(weight, HarmonicRe):
+        return _bessel_gram(domain, weight, ns, gram_tol)
+    logs = log_radial_moments(domain, weight, ns)
+    if np.max(logs) > _EXP_MAX:
+        raise DomainError(_RANGE_ERROR)
+    return np.diag(np.exp(logs))
+
+
+# the largest log of a Gram entry, and the refusal beyond it
+_EXP_MAX = 700.0
+_RANGE_ERROR = (
+    "Gram entries exceed the floating-point range; "
+    "kernel_diag evaluates radial kernels in log space instead"
+)
+# the most series terms a HarmonicRe Gram entry may take (_bessel_gram)
+_SERIES_TERMS = 1000
+
+
+def _bessel_gram(
+    domain: PlanarDomain, weight: HarmonicRe, ns: np.ndarray, gram_tol: float
+) -> np.ndarray:
+    """Real symmetric Gram of ``HarmonicRe(c)`` from its Bessel moments.
+
+    ``e^{-2 c s cos t} = sum_k (-1)^k I_k(2 c s) e^{ikt}`` and the power
+    series of ``I_k`` turn entry ``(m, n)`` on the unit disc or an annulus
+    ``lo < |z| < 1`` into
+
+        2 pi scale (-c)^k sum_j c^(2j) / (j! (j+k)!) L(2 (max(m, n) + 1 + j)),
+
+    with ``k = |m - n|`` and ``L(p) = integral_lo^1 s^(p-1) ds``
+    (``log(1/lo)`` at ``p = 0``).  The terms have one sign and ``L``
+    decreases in ``p``, so term ``j + 1`` is at most ``rho_j = c^2 / ((j+1)
+    (j+k+1))`` times term ``j``, and after terms ``0..J`` the tail is at most
+    term ``J`` times ``rho_J / (1 - rho_J)``.  Relative to the entry, that
+    bound is largest at ``k = 0``, where term ``J`` is at most ``c^(2J) /
+    (J!)^2`` times term 0; ``J`` is the first index that takes it below
+    ``gram_tol``.  On a disc of radius ``R`` the entry is ``R^(m+n+2)`` times
+    the unit-disc entry at ``c R``.  Every entry is a cell ``(max(m, n),
+    |m - n|)`` of one table, a product of the Hankel matrix of ``L`` and the
+    coefficients; entries below the smallest normal float are set to 0,
+    since subnormal operands slow the later solves.
+
+    Raises :class:`AccuracyError` when ``c`` is not finite or the series
+    needs more than ``_SERIES_TERMS`` terms.
+    """
+    if isinstance(domain, Disc):
+        lo, radius = 0.0, domain.radius
+    elif isinstance(domain, Annulus):
+        lo, radius = domain.r_inner, 1.0
+    else:
+        raise DomainError("the HarmonicRe Gram needs a disc or annulus")
+    c = weight.c * radius
+    if not math.isfinite(c):
+        raise AccuracyError(f"the HarmonicRe Gram series is undefined at c = {weight.c!r}")
+    c2 = c * c
+    last, n_terms = 1.0, 0  # term n_terms relative to term 0, at k = 0
+    while not (c2 < (n_terms + 1) ** 2 and last * c2 / ((n_terms + 1) ** 2 - c2) <= gram_tol):
+        n_terms += 1
+        if n_terms > _SERIES_TERMS:
+            raise AccuracyError(
+                f"the HarmonicRe Gram series at c = {weight.c!r} needs more than "
+                f"{_SERIES_TERMS} terms for gram_tol={gram_tol:.3e}"
             )
-        return np.diag(np.exp(logs))
-    return _gram_quadrature(domain, weight, ns, gram_tol, quad_start)
+        last *= c2 / (n_terms * n_terms)
+
+    size = ns.size
+    # L(2 (M + 1 + j)) for every M + j, M in the basis range and j <= J
+    p = 2.0 * np.arange(ns[0] + 1, ns[-1] + n_terms + 2)
+    if lo > 0.0 and p[0] * math.log(lo) > _EXP_MAX:
+        raise DomainError(_RANGE_ERROR)
+    power = np.full(p.shape, -math.log(lo) if lo > 0.0 else math.inf)
+    nonzero = p != 0.0
+    power[nonzero] = (1.0 - lo ** p[nonzero]) / p[nonzero]
+    # coeff[j, k] = (-c)^k c^(2j) / (j! (j+k)!), by recurrence in k, then j
+    ks = np.arange(size)
+    coeff = np.empty((n_terms + 1, size))
+    coeff[0] = np.cumprod(np.concatenate(([1.0], -c / ks[1:])))
+    for j in range(1, n_terms + 1):
+        coeff[j] = coeff[j - 1] * (c2 / (j * (j + ks)))
+    tiny = np.finfo(float).tiny
+    coeff[np.abs(coeff) < tiny] = 0.0
+    hankel = power[ks[:, None] + np.arange(n_terms + 1)]
+    table = (2.0 * math.pi * weight.scale) * (hankel @ coeff)  # [M - n_min, k]
+    table[np.abs(table) < tiny] = 0.0
+    gram = table[np.maximum.outer(ks, ks), np.abs(ks[:, None] - ks)]
+    if radius != 1.0:
+        gram *= np.outer(radius ** (ns + 1.0), radius ** (ns + 1.0))
+    return gram
 
 
 def _is_diagonal(gram: np.ndarray) -> bool:
@@ -350,8 +435,8 @@ def _is_diagonal(gram: np.ndarray) -> bool:
 def _normalized_condition(gram: np.ndarray) -> float:
     """Condition number of the Jacobi-normalized (correlation) matrix.
 
-    ``gram`` must be exactly Hermitian, as every Gram builder returns it
-    (``(G + G^H) / 2``): the 2-norm condition is then
+    ``gram`` must be exactly symmetric (real) or Hermitian (complex), as
+    every Gram builder returns it: the 2-norm condition is then
     ``max |lambda| / min |lambda|`` over the eigenvalues from ``eigvalsh``,
     which reads one triangle only.  For a diagonal Gram matrix the basis is
     orthogonal, per-mode solves are perfectly conditioned, and the
@@ -368,78 +453,6 @@ def _normalized_condition(gram: np.ndarray) -> float:
     if cond > 1e10:
         warnings.warn(f"Gram matrix condition {cond:.3e} exceeds 1e10", RuntimeWarning)
     return cond
-
-
-def _gram_quadrature(
-    domain: PlanarDomain,
-    weight: WeightSpec,
-    ns: np.ndarray,
-    gram_tol: float,
-    quad_start: int,
-) -> np.ndarray:
-    if isinstance(domain, Disc):
-        lo, hi = 0.0, domain.radius
-    elif isinstance(domain, Annulus):
-        lo, hi = domain.r_inner, 1.0
-    else:
-        raise DomainError("quadrature Gram needs a disc or annulus")
-    if np.any(ns < 0) and lo == 0.0:
-        raise DivergentIntegralError("negative modes on a disc diverge")
-    size = ns.size
-    # entry (i, j) = integral s^{n_i + n_j + 1} rho e^{i (n_i - n_j) th}
-    #              = sum_r ws s^{n_i + n_j + 1} A[r, n_j - n_i],
-    # A[r, k] = (2 pi / n_ang) sum_t rho[r, t] e^{-i k t}.  rho is real, so
-    # A[r, -k] = conj(A[r, k]) (the real FFT gives every k >= 0), and entry
-    # (j, i) is the conjugate of entry (i, j): only the cells
-    # (n_i + n_j, |n_j - n_i|) are computed.  A sum and a difference of two
-    # integers have one parity, so the cells of parity p are one real GEMM:
-    # the w s^(sum + 1) columns of the sums of parity p times the float view
-    # (re, im interleaved) of the columns A[:, k] with k = p mod 2.  The two
-    # products are laid end to end in one buffer, read at `cell`.
-    sums = 2 * ns[0] + np.arange(2 * size - 1)  # n_i + n_j (ns is a range)
-    idx = np.arange(size)
-    row = idx[:, None] + idx[None, :]
-    gap = np.abs(idx[None, :] - idx[:, None])
-    shapes = ((size, (size + 1) // 2), (size - 1, size // 2))  # (sums, k < size)
-    offset = shapes[0][0] * shapes[0][1]
-    cell = np.where(
-        row % 2 == 0,
-        (row // 2) * shapes[0][1] + gap // 2,
-        offset + (row // 2) * shapes[1][1] + gap // 2,
-    )
-    below = idx[:, None] > idx[None, :]  # n_j < n_i: the conjugate cell
-
-    def compute(n_rad: int, n_ang: int) -> np.ndarray:
-        x, wq = gauss_legendre(n_rad)
-        s = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
-        ws = 0.5 * (hi - lo) * wq
-        th = np.linspace(0.0, 2.0 * math.pi, n_ang, endpoint=False)
-        zs = s[:, None] * np.exp(1j * th[None, :])  # (rad, ang)
-        fft = np.fft.rfft(weight.density(zs), axis=1)
-        table = np.empty(offset + shapes[1][0] * shapes[1][1], dtype=complex)
-        for parity, (n_sums, n_k) in enumerate(shapes):
-            cols = np.multiply(fft[:, parity:size:2], 2.0 * math.pi / n_ang, order="C")
-            spow = ws[:, None] * s[:, None] ** (sums[parity::2] + 1)  # (rad, sums)
-            start = offset * parity
-            part = table[start : start + n_sums * n_k].view(float).reshape(n_sums, 2 * n_k)
-            np.matmul(spow.T, cols.view(float), out=part)
-        gram = table[cell]
-        np.negative(gram.imag, out=gram.imag, where=below)
-        return gram
-
-    def change(cur: np.ndarray, prev: np.ndarray) -> float:
-        # scale-invariant entrywise change, relative to sqrt(diag_i diag_j)
-        # (the normalization under which the matrix is later solved)
-        d = np.sqrt(np.abs(np.diag(cur)).real)
-        return float(np.max(np.abs(cur - prev) / np.outer(d, d)))
-
-    max_deg = int(np.max(np.abs(ns)))
-    n_rad = max(quad_start, max_deg + 16)
-    n_ang = max(quad_start, 4 * (2 * max_deg + 2))
-    gram, _ = refine(
-        lambda k: compute(n_rad << k, n_ang << k), change, gram_tol, doublings=5
-    )
-    return 0.5 * (gram + gram.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +495,16 @@ def _jacobi_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.nda
     """``(y, d)`` with ``gram^{-1} rhs = y / d``: ``y`` solves the
     Jacobi-scaled system ``(gram / d d^T) y = rhs / d``, whose unit diagonal
     keeps modes of very different norms equally accurate.  The system is
-    Hermitian; it is solved by partial-pivoting LU (``numpy.linalg``)."""
+    symmetric or Hermitian; it is solved by partial-pivoting LU
+    (``numpy.linalg``), on a real Gram in real arithmetic, with the real and
+    imaginary parts of a complex ``rhs`` as two right-hand sides."""
     d = np.sqrt(np.abs(np.diag(gram)).real)
     corr = gram / np.outer(d, d)
-    return np.linalg.solve(corr, rhs / d), d
+    rhs = rhs / d
+    if np.isrealobj(corr) and np.iscomplexobj(rhs):
+        y = np.linalg.solve(corr, np.stack([rhs.real, rhs.imag], axis=-1))
+        return y[:, 0] + 1j * y[:, 1], d
+    return np.linalg.solve(corr, rhs), d
 
 
 def _dense_kernel_value(gram: np.ndarray, b: np.ndarray) -> float:
@@ -501,6 +520,76 @@ def _half_mask(ns: np.ndarray) -> np.ndarray:
     return (ns >= lo) & (ns <= hi)
 
 
+# the relative tail the closed-form annulus kernel sums to (_closed_form_kernel)
+_TAIL_TOL = 2.0**-60
+
+
+def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) -> KernelEstimate:
+    """Every mode of ``Unweighted`` or ``HarmonicLog(alpha)`` summed in
+    closed form, with ``x = |z|^2``.
+
+    On the unit disc the modes ``n >= 0`` sum to ``(1/(1 - x)^2 - alpha/(1 -
+    x)) / (pi scale)``.  On the annulus ``r < |z| < 1``, ``q = r^2``, mode ``n``
+    is ``x^(alpha-1) x^p p / (1 - q^p) / (pi scale)`` with ``p = n + 1 -
+    alpha``.  Expanding ``1/(1 - q^p)`` as a geometric series and summing
+    over ``p`` first gives, with ``f(y, a) = sum_{m>=0} (a+m) y^(a+m) =
+    y^a (a/(1-y) + y/(1-y)^2)``, the Lambert form
+
+        pi scale K = x^(alpha-1) [g(p+) + g(-p-) + sum_{k>=0} f(x q^k, p+ + 1)
+                     + sum_{k>=1} f(q^k/x, p- + 1) + [p0 = 0] / (2 log(1/r))],
+
+    where ``p+`` and ``-p-`` are the smallest positive and the largest
+    negative exponent and ``g(p) = x^p p / (1 - q^p)`` are their modes, taken
+    alone so that the series start at exponents of at least 1 whatever
+    ``alpha`` is.  ``f(y q, a) <= q^a f(y, a)``, so each series falls at least
+    geometrically with ratio ``q^a``; after its last term ``t`` the rest is
+    at most ``t rho/(1 - rho)``.  That bound, relative to ``K``, is the
+    reported truncation error, and the number of summed terms the basis size.
+    ``1 - x`` is formed as ``(1 - |z|)(1 + |z|)`` and ``1 - q/x`` as ``(|z| -
+    r)(|z| + r)/x``, which keeps their relative accuracy near the circles.
+    """
+    if isinstance(domain, Disc) and domain.radius != 1.0:
+        raise DomainError("closed-form moments assume the unit disc")
+    alpha = weight.alpha if isinstance(weight, HarmonicLog) else 0.0
+    s = abs(z)
+    lo = domain.r_inner if isinstance(domain, Annulus) else 0.0
+    if not (lo < s < 1.0 or lo == 0.0 <= s < 1.0):
+        raise DomainError(f"z = {z} is not inside {domain!r}")
+    x, outer = s * s, (1.0 - s) * (1.0 + s)
+    norm = math.pi * weight.scale
+    if lo == 0.0:
+        if alpha >= 1.0:
+            raise DivergentIntegralError("radial integral diverges at the origin")
+        return KernelEstimate((1.0 / outer - alpha) / outer / norm, 1, 1.0, 0.0)
+
+    q, log_q = lo * lo, 2.0 * math.log(lo)
+    p_pos = math.floor(alpha) + 1.0 - alpha  # in (0, 1]
+    p_neg = alpha + 1.0 - math.ceil(alpha)  # in (0, 1]
+    total = p_pos * x**p_pos / -math.expm1(p_pos * log_q)
+    total += p_neg * (q / x) ** p_neg / -math.expm1(p_neg * log_q)
+    integer = alpha == math.floor(alpha)  # p0 = 0 is an exponent
+    if integer:
+        total += 0.5 / -math.log(lo)
+    rho = q ** (1.0 + min(p_pos, p_neg))
+    n_terms = math.ceil(math.log(_TAIL_TOL * (1.0 - rho)) / math.log(rho))
+    k = np.arange(n_terms)
+    tails = 0.0
+    for y, a, near in (
+        (x * q**k, p_pos + 1.0, outer),  # k >= 0
+        (q ** (k + 1) / x, p_neg + 1.0, (s - lo) * (s + lo) / x),  # k >= 1
+    ):
+        om = 1.0 - y
+        om[0] = near
+        f = y**a * (a / om + y / (om * om))
+        total += float(np.sum(f))
+        ratio = q**a
+        tails += float(f[-1]) * ratio / (1.0 - ratio)
+    value = x ** (alpha - 1.0) * total / norm
+    size = 2 + 2 * n_terms + integer
+    return KernelEstimate(value, size, 1.0, tails / total)
+
+
+
 def kernel_diag(
     domain: PlanarDomain,
     weight: WeightSpec,
@@ -511,14 +600,28 @@ def kernel_diag(
 ) -> KernelEstimate:
     """Bergman kernel diagonal ``K(z, z)`` over the monomial basis span.
 
-    The truncation error estimate is the relative change when the basis
-    index range is halved toward zero; :class:`TruncationError` is raised
-    when it exceeds ``trunc_tol`` (``_TRUNC_TOL`` unless given).
+    Without ``basis``, ``Unweighted`` and ``HarmonicLog`` on the unit disc
+    and on annuli take every mode in closed form
+    (:func:`_closed_form_kernel`); other weights use :func:`default_basis`.
+    Over a basis range, the truncation error estimate is the relative
+    change when the range is halved toward zero.  :class:`TruncationError`
+    is raised when the estimate exceeds ``trunc_tol`` (``_TRUNC_TOL``
+    unless given).
 
     Calls that pass the same ``memo`` dict build the dense Gram of each
     (domain, weight, basis), and its normalized condition, once and share
     them; a build that raises stores nothing, so the next call tries again.
     """
+    if trunc_tol is None:
+        trunc_tol = _TRUNC_TOL
+    if (
+        basis is None
+        and isinstance(weight, (Unweighted, HarmonicLog))
+        and isinstance(domain, (Disc, Annulus))
+    ):
+        est = _closed_form_kernel(domain, weight, z)
+        _check_truncation(est.truncation_error_estimate, trunc_tol)
+        return est
     if basis is None:
         basis = default_basis(domain)
     n_min, n_max = basis
@@ -547,18 +650,20 @@ def kernel_diag(
         value_half = _dense_kernel_value(gram[np.ix_(half, half)], b[half])
 
     trunc = abs(value - value_half) / value if value > 0.0 else 0.0
-    if trunc_tol is None:
-        trunc_tol = _TRUNC_TOL
-    if trunc > trunc_tol:
-        raise TruncationError(
-            f"basis truncation estimate {trunc:.3e} exceeds trunc_tol={trunc_tol:.3e}"
-        )
+    _check_truncation(trunc, trunc_tol)
     return KernelEstimate(
         value=value,
         basis_size=int(ns.size),
         gram_condition=condition,
         truncation_error_estimate=trunc,
     )
+
+
+def _check_truncation(trunc: float, trunc_tol: float) -> None:
+    if trunc > trunc_tol:
+        raise TruncationError(
+            f"basis truncation estimate {trunc:.3e} exceeds trunc_tol={trunc_tol:.3e}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -644,12 +749,10 @@ def suita_ratio(
     and the kernel diagonal among its quantities.
 
     ``evaluator`` overrides the capacity method (e.g. a Nystrom evaluator
-    for cross-method pipelines); the kernel part always uses the monomial
-    Gram machinery, on :func:`auto_basis` unless ``basis`` is given.
+    for cross-method pipelines); the kernel is the closed form of
+    :func:`kernel_diag` unless ``basis`` is given.
     """
     cap = capacity(evaluator if evaluator is not None else domain, z)
-    if basis is None and isinstance(domain, (Disc, Annulus)):
-        basis = auto_basis(domain, z)
     est = kernel_diag(domain, Unweighted(), z, basis=basis)
     if est.value <= 0.0:
         raise ZeroKernelError("kernel diagonal is not positive")
@@ -688,8 +791,10 @@ def extended_suita_check(
     ``weight`` must come from an exponent harmonic on ``domain``
     (``Unweighted``, ``HarmonicRe``, or ``HarmonicLog`` off the disc);
     ``MaxPiece`` is not of that form, and ``HarmonicLog(alpha)`` with
-    ``alpha != 0`` has a pole at 0, inside a disc.  Calls that pass the same
-    ``memo`` share their dense Grams through :func:`kernel_diag`.
+    ``alpha != 0`` has a pole at 0, inside a disc.  The radial weights take
+    the closed-form kernel, ``HarmonicRe`` the dense Gram on
+    :func:`auto_basis`; calls that pass the same ``memo`` share their dense
+    Grams through :func:`kernel_diag`.
     """
     if isinstance(weight, MaxPiece):
         raise DomainError("extended check requires a harmonic weight variant")
@@ -699,7 +804,7 @@ def extended_suita_check(
             "has a pole at 0, inside the disc"
         )
     cap = capacity(domain, z)
-    basis = auto_basis(domain, z) if isinstance(domain, (Disc, Annulus)) else None
+    basis = auto_basis(domain, z) if isinstance(weight, HarmonicRe) else None
     est = kernel_diag(domain, weight, z, basis=basis, memo=memo)
     rho = float(weight.density(np.asarray([z], dtype=complex))[0])
     margin = math.pi * rho * est.value - cap**2

@@ -360,8 +360,9 @@ def _disc_remainder(z: complex, w: complex, radius: float = 1.0) -> float:
 
 
 def _disc_robin(z: complex, radius: float = 1.0) -> float:
-    R = float(radius)
-    return math.log(R / (R * R - abs(z) ** 2))
+    # R^2 - |z|^2 as a product, which stays accurate near the circle
+    R, s = float(radius), abs(z)
+    return math.log(R / ((R - s) * (R + s)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +434,8 @@ def _annulus_robin(r: float, z: complex, modes: int | None = None) -> tuple[floa
     ``4 q^k / (k (1 - r^2))``, so the terms after ``n`` sum to at most
     ``4 q^(n+1) / ((1 - q) (n + 1) (1 - r^2))``.
     """
-    s2 = abs(z) ** 2
+    s = abs(z)
+    s2 = s * s
     q = max(r * r / s2, r * r * s2, r * r)
     n = modes if modes is not None else _annulus_modes_auto(q, 1e-14)
     k = np.arange(1, n + 1, dtype=float)
@@ -443,7 +445,8 @@ def _annulus_robin(r: float, z: complex, modes: int | None = None) -> tuple[floa
     ) / (k * (1.0 - r2k))
     lz = math.log(abs(z))
     tail = 4.0 * q ** (n + 1) / ((1.0 - q) * (n + 1) * (1.0 - r * r))
-    return lz * lz / math.log(1.0 / r) - math.log1p(-s2) + float(np.sum(corr)), tail
+    # 1 - |z|^2 as a product, which stays accurate near the outer circle
+    return lz * lz / math.log(1.0 / r) - math.log((1.0 - s) * (1.0 + s)) + float(np.sum(corr)), tail
 
 
 # ---------------------------------------------------------------------------

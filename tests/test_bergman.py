@@ -2,11 +2,16 @@
 
 Oracles used here (tests only, never in library code):
   - closed-form disc kernel 1/(pi (1-|z|^2)^2),
+  - the modal sum of ``kernel_diag`` over an explicit basis, for its
+    closed-form (Lambert) route,
   - scipy.integrate.quad radial integrals for diagonal Gram entries,
-  - scipy.special.iv Bessel identity for the HarmonicRe angular integrals:
-        integral_0^{2pi} e^{i k t} e^{-2 c s cos t} dt = 2 pi (-1)^k I_k(2 c s).
+  - scipy.special.iv and mpmath.besseli for the HarmonicRe angular integrals:
+        integral_0^{2pi} e^{i k t} e^{-2 c s cos t} dt = 2 pi (-1)^k I_k(2 c s),
+  - ``_gram_quadrature``, a Gauss-Legendre x trapezoid product quadrature
+    of any density, for the HarmonicRe Bessel-moment Gram.
 """
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -40,6 +45,7 @@ from bergreen.bergman import (
 from bergreen.domains import (
     Annulus,
     Disc,
+    capacity,
     gauss_legendre,
     green_evaluator,
     refine,
@@ -72,19 +78,9 @@ def _count(monkeypatch, owner, name):
 
 
 def _count_conditions(monkeypatch):
-    """Log each ``numpy.linalg.eigvalsh`` call on a complex matrix, that is
-    each Gram condition; returns the log.  Real calls are Gauss-Legendre
-    node computations (``leggauss``), made once per node count."""
-    calls = []
-    inner = np.linalg.eigvalsh
-
-    def counted(a, *args, **kwargs):
-        if np.iscomplexobj(a):
-            calls.append(a)
-        return inner(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    return calls
+    """Log each Gram condition, that is each
+    ``bergman._normalized_condition`` call; returns the log."""
+    return _count(monkeypatch, bergman, "_normalized_condition")
 
 
 def disc_kernel(z: complex) -> float:
@@ -248,14 +244,19 @@ class TestGram:
             kernel_diag(DISC, HarmonicRe(10.0), 0.1, basis=(0, 24), trunc_tol=1.0)
 
     def test_unresolved_quadrature_fails(self):
-        # five doublings from 18 x 24 nodes cannot move the entries by
-        # less than 1e-30; the last level is not returned
+        # the oracle quadrature: five doublings from 18 x 24 nodes cannot
+        # move the entries by less than 1e-30; the last level is not returned
         with pytest.raises(AccuracyError, match="5 doubling"):
-            gram_matrix(DISC, HarmonicRe(0.2), (0, 2), gram_tol=1e-30, quad_start=8)
+            _gram_quadrature(DISC, HarmonicRe(0.2), np.arange(3), gram_tol=1e-30, quad_start=8)
 
     def test_nan_density_fails(self):
-        with pytest.raises(AccuracyError, match="nan"):
-            gram_matrix(DISC, HarmonicRe(math.nan), (0, 2), quad_start=8)
+        for c in (math.nan, math.inf):
+            with pytest.raises(AccuracyError, match=repr(c)):
+                gram_matrix(DISC, HarmonicRe(c), (0, 2))
+
+    def test_only_weight_specs(self):
+        with pytest.raises(DomainError, match="RotatedRe"):
+            gram_matrix(DISC, ROTATED, (0, 2))
 
 
 def _elementwise_gram(domain, weight, ns, n_rad=64, n_ang=256):
@@ -275,53 +276,13 @@ def _elementwise_gram(domain, weight, ns, n_rad=64, n_ang=256):
     return gram
 
 
-def _scaled_max_error(a, b):
-    d = np.sqrt(np.abs(np.diag(b)))
-    return float(np.max(np.abs(a - b) / np.outer(d, d)))
-
-
-class TestGramQuadrature:
-    """The (sum, difference) GEMM of ``_gram_quadrature`` against direct
-    elementwise quadrature and against the closed-form radial moments."""
-
-    @pytest.mark.parametrize("domain,basis", [(DISC, (0, 16)), (ANN, (-16, 16))])
-    def test_matches_elementwise_reference(self, domain, basis):
-        ns = np.arange(basis[0], basis[1] + 1)
-        weight = HarmonicRe(0.2)
-        gram = bergman._gram_quadrature(domain, weight, ns, 1e-10, 64)
-        assert _scaled_max_error(gram, _elementwise_gram(domain, weight, ns)) < 1e-12
-
-    @pytest.mark.parametrize("domain,basis", [(DISC, (0, 8)), (ANN, (-8, 8))])
-    def test_radial_density_through_quadrature(self, domain, basis):
-        ns = np.arange(basis[0], basis[1] + 1)
-        gram = bergman._gram_quadrature(domain, Unweighted(), ns, 1e-10, 64)
-        moments = np.exp([log_radial_moment(domain, Unweighted(), int(n)) for n in ns])
-        np.testing.assert_allclose(np.diag(gram).real, moments, rtol=1e-12)
-        assert _scaled_max_error(gram, np.diag(moments)) < 1e-12
-
-
-@dataclass(frozen=True)
-class RotatedRe:
-    """Harmonic weight ``h = Re(c z)`` for complex ``c``, density
-    ``exp(-2 Re(c z))``.  Unlike ``HarmonicRe`` (real ``c``) it is not even
-    under ``z -> conj(z)``, so its angular Fourier coefficients are not
-    real and the negative frequencies are not the positive ones."""
-
-    c: complex
-    radial: ClassVar[bool] = False
-
-    def density(self, z):
-        return np.exp(-2.0 * (self.c * np.asarray(z, dtype=complex)).real)
-
-
-ROTATED = RotatedRe(0.5 * complex(math.cos(0.7), math.sin(0.7)))
-
-
-def _full_fft_gram(domain, weight, ns, gram_tol=1e-10, quad_start=64):
-    """The quadrature Gram by the complex FFT of every angular frequency and
-    one complex GEMM over all (2N - 1)^2 (sum, difference) cells, at the
-    node counts and doublings of ``_gram_quadrature``."""
-    lo, hi = (0.0, 1.0) if isinstance(domain, Disc) else (domain.r_inner, 1.0)
+def _gram_quadrature(domain, weight, ns, gram_tol=1e-10, quad_start=64):
+    """The Gram of any density by Gauss-Legendre x trapezoid product
+    quadrature: entry (i, j) is a cell of the table ``(w s^(sum + 1))^T
+    FFT(rho)`` over the sums ``n_i + n_j`` and the differences ``n_j - n_i``,
+    refined by ``domains.refine`` (up to 5 doublings) until the Jacobi-scaled
+    entrywise change is at most ``gram_tol``."""
+    lo, hi = (0.0, domain.radius) if isinstance(domain, Disc) else (domain.r_inner, 1.0)
     size = ns.size
     idx = np.arange(size)
 
@@ -349,16 +310,79 @@ def _full_fft_gram(domain, weight, ns, gram_tol=1e-10, quad_start=64):
     return 0.5 * (gram + gram.conj().T)
 
 
+def _scaled_max_error(a, b):
+    d = np.sqrt(np.abs(np.diag(b)))
+    return float(np.max(np.abs(a - b) / np.outer(d, d)))
+
+
+class TestGramQuadrature:
+    """The Bessel-moment Gram against direct elementwise quadrature, and the
+    oracle quadrature and the zero-``c`` series against the closed-form
+    radial moments."""
+
+    @pytest.mark.parametrize("domain,basis", [(DISC, (0, 16)), (ANN, (-16, 16))])
+    def test_matches_elementwise_reference(self, domain, basis):
+        ns = np.arange(basis[0], basis[1] + 1)
+        weight = HarmonicRe(0.2)
+        gram = gram_matrix(domain, weight, basis)
+        assert _scaled_max_error(gram, _elementwise_gram(domain, weight, ns)) < 1e-12
+
+    @pytest.mark.parametrize("domain,basis", [(DISC, (0, 8)), (ANN, (-8, 8))])
+    def test_radial_density_through_quadrature(self, domain, basis):
+        ns = np.arange(basis[0], basis[1] + 1)
+        gram = _gram_quadrature(domain, Unweighted(), ns)
+        moments = np.exp([log_radial_moment(domain, Unweighted(), int(n)) for n in ns])
+        np.testing.assert_allclose(np.diag(gram).real, moments, rtol=1e-12)
+        assert _scaled_max_error(gram, np.diag(moments)) < 1e-12
+
+    @pytest.mark.parametrize("domain,basis", [(DISC, (0, 8)), (ANN, (-8, 8))])
+    def test_zero_c_is_the_radial_diagonal(self, domain, basis):
+        ns = np.arange(basis[0], basis[1] + 1)
+        gram = gram_matrix(domain, HarmonicRe(0.0), basis)
+        moments = np.exp([log_radial_moment(domain, Unweighted(), int(n)) for n in ns])
+        np.testing.assert_allclose(np.diag(gram), moments, rtol=1e-14)
+        assert np.array_equal(gram, np.diag(np.diag(gram)))
+
+
+@dataclass(frozen=True)
+class RotatedRe:
+    """Harmonic weight ``h = Re(c z)`` for complex ``c``, density
+    ``exp(-2 Re(c z))``.  Unlike ``HarmonicRe`` (real ``c``) it is not even
+    under ``z -> conj(z)``, so its Gram is complex.  ``gram_matrix`` does not
+    take it; :func:`_series_gram` rotates the Gram of ``HarmonicRe(|c|)``."""
+
+    c: complex
+    radial: ClassVar[bool] = False
+
+    def density(self, z):
+        return np.exp(-2.0 * (self.c * np.asarray(z, dtype=complex)).real)
+
+
+ROTATED = RotatedRe(0.5 * cmath.exp(0.7j))
+
+
+def _series_gram(domain, weight, basis):
+    """``gram_matrix`` for a ``HarmonicRe``; for ``RotatedRe(|c| e^{i phi})``,
+    whose density is that of ``HarmonicRe(|c|)`` at ``e^{i phi} z``, the
+    rotated Gram ``D M D^H`` with ``D = diag(e^{-i n phi})``, made exactly
+    Hermitian."""
+    if not isinstance(weight, RotatedRe):
+        return gram_matrix(domain, weight, basis)
+    ns = np.arange(basis[0], basis[1] + 1)
+    d = np.exp(-1j * ns * cmath.phase(weight.c))
+    gram = d[:, None] * gram_matrix(domain, HarmonicRe(abs(weight.c)), basis) * d.conj()
+    return 0.5 * (gram + gram.conj().T)
+
+
 def _svd_condition(gram):
     d = np.sqrt(np.abs(np.diag(gram)))
     return float(np.linalg.cond(gram / np.outer(d, d)))
 
 
 class TestGramAgainstFullFft:
-    """The real-FFT, conjugate-symmetric, parity-split GEMMs of
-    ``_gram_quadrature`` against the full complex formula, on bases of both
-    size parities (N sets how many columns of each parity a GEMM takes), for
-    a weight even under ``z -> conj(z)`` and for one that is not."""
+    """The Bessel-moment Gram, and its rotation for a weight not even under
+    ``z -> conj(z)``, against the full complex FFT product quadrature, on
+    bases of both size parities."""
 
     BASES = [(DISC, (0, 63)), (DISC, (0, 64)), (ANN, (-7, 8)), (ANN, (-8, 8))]
 
@@ -366,13 +390,13 @@ class TestGramAgainstFullFft:
     @pytest.mark.parametrize("domain,basis", BASES)
     def test_matches_full_fft_formula(self, domain, basis, weight):
         ns = np.arange(basis[0], basis[1] + 1)
-        gram = gram_matrix(domain, weight, basis)
-        assert _scaled_max_error(gram, _full_fft_gram(domain, weight, ns)) <= 1e-15
+        gram = _series_gram(domain, weight, basis)
+        assert _scaled_max_error(gram, _gram_quadrature(domain, weight, ns)) <= 1e-11
 
     @pytest.mark.parametrize("weight", [HarmonicRe(0.2), ROTATED])
     @pytest.mark.parametrize("domain,basis", BASES)
     def test_exactly_hermitian_and_condition_matches_svd(self, domain, basis, weight):
-        gram = gram_matrix(domain, weight, basis)
+        gram = _series_gram(domain, weight, basis)
         assert np.array_equal(gram, gram.conj().T)
         kappa = bergman._normalized_condition(gram)
         assert kappa == pytest.approx(_svd_condition(gram), rel=1e-12)
@@ -383,6 +407,70 @@ class TestGramAgainstFullFft:
         assert np.array_equal(gram, gram.conj().T)
         kappa = bergman._normalized_condition(gram)
         assert kappa == pytest.approx(_svd_condition(gram), rel=1e-12)
+
+
+def _besseli_entry(domain, c, m, n):
+    """Gram entry ``(m, n)`` of ``HarmonicRe(c)`` as the 30-digit integral
+    ``integral s^(m+n+1) 2 pi (-1)^k I_k(2 c s) ds``, ``k = |m - n|``."""
+    lo, hi = (0, domain.radius) if isinstance(domain, Disc) else (domain.r_inner, 1)
+    k = abs(m - n)
+    with mpmath.workdps(30):
+        return float(mpmath.quad(
+            lambda s: s ** (m + n + 1) * 2 * mpmath.pi * (-1) ** k * mpmath.besseli(k, 2 * c * s),
+            [lo, hi],
+        ))
+
+
+class TestBesselGram:
+    """The series of ``bergman._bessel_gram``: entries, certified tail,
+    guards, and the real solves on its real Gram."""
+
+    @pytest.mark.parametrize(
+        "domain,basis,c",
+        [(ANN, (-3, 3), 0.2), (ANN, (-3, 3), -0.7), (DISC, (0, 5), 1.0), (Disc(0.5), (0, 4), 0.7)],
+    )
+    def test_matches_mpmath_besseli(self, domain, basis, c):
+        # Jacobi-scaled; 4.1e-16 at worst when written
+        ns = [int(n) for n in range(basis[0], basis[1] + 1)]
+        gram = gram_matrix(domain, HarmonicRe(c), basis)
+        oracle = np.empty_like(gram)
+        for i, m in enumerate(ns):
+            for j, n in enumerate(ns[i:], start=i):
+                oracle[i, j] = oracle[j, i] = _besseli_entry(domain, c, m, n)
+        assert _scaled_max_error(gram, oracle) <= 1e-13
+
+    @pytest.mark.parametrize("c", [0.2, 1.0, 3.0])
+    def test_tail_bound_holds(self, c):
+        exact = gram_matrix(ANN, HarmonicRe(c), (-8, 8))
+        for tol in (1e-2, 1e-5, 1e-9):
+            cut = gram_matrix(ANN, HarmonicRe(c), (-8, 8), gram_tol=tol)
+            assert np.all(np.abs(cut - exact) <= tol * np.abs(exact))
+        assert not np.array_equal(gram_matrix(ANN, HarmonicRe(c), (-8, 8), gram_tol=1e-2), exact)
+
+    def test_series_term_cap(self):
+        with pytest.raises(AccuracyError, match="terms"):
+            gram_matrix(DISC, HarmonicRe(2.0), (0, 4), gram_tol=-1.0)
+
+    def test_subnormal_entries_flushed(self):
+        # the far off-diagonal entries fall like c^k/k! below the smallest
+        # normal float; they are 0, not subnormal
+        gram = gram_matrix(ANN, HarmonicRe(0.2), (-128, 128))
+        tiny = np.finfo(float).tiny
+        assert np.all((gram == 0.0) | (np.abs(gram) >= tiny))
+        assert np.any(gram == 0.0) and np.all(np.diag(gram) > 0.0)
+
+    def test_float_range_guard(self):
+        # 0.04^-254 exceeds the float range: refused, with no overflow warning
+        with pytest.raises(DomainError, match="floating-point range"):
+            gram_matrix(Annulus(0.04), HarmonicRe(0.2), (-128, 128))
+
+    @pytest.mark.parametrize("z", [0.3 + 0.1j, -0.45, 0.5j])
+    def test_real_solve_matches_complex_solve(self, z):
+        gram = gram_matrix(ANN, HarmonicRe(0.2), (-16, 16))
+        assert gram.dtype == np.float64
+        b = np.asarray(z, dtype=complex) ** np.arange(-16, 17)
+        real = bergman._dense_kernel_value(gram, b)
+        assert real == pytest.approx(bergman._dense_kernel_value(gram.astype(complex), b), rel=1e-13)
 
 
 class TestLogRadialMoments:
@@ -590,6 +678,81 @@ class TestKernelDiag:
         assert memo == {}
 
 
+class TestClosedFormKernel:
+    """``kernel_diag`` without a basis: the Lambert form on annuli and the
+    rational form on the disc, against the modal sum on ``auto_basis``."""
+
+    CASES = [
+        (domain, weight)
+        for domain in (ANN, Annulus(0.04), DISC)
+        for weight in (
+            Unweighted(),
+            HarmonicLog(0.3),
+            HarmonicLog(-0.4),
+            HarmonicLog(0.77),
+            HarmonicLog(-0.7, scale=2.5),
+            HarmonicLog(1.0),
+        )
+        if isinstance(domain, Annulus) or weight.__class__ is Unweighted or weight.alpha < 1.0
+    ]
+
+    @pytest.mark.parametrize("domain,weight", CASES)
+    def test_matches_modal_sum(self, domain, weight):
+        # 4.5e-14 at worst when written, at |z| = 1.01 r on annulus:0.04
+        lo = getattr(domain, "r_inner", 0.0)
+        for s in [1.01 * lo, 0.3, 0.5, 0.9, 0.999, 1.0 - 1e-4]:
+            z = s * cmath.exp(0.4j)
+            est = kernel_diag(domain, weight, z)
+            modal = kernel_diag(domain, weight, z, basis=auto_basis(domain, z)).value
+            assert est.value == pytest.approx(modal, rel=1e-12), (s, est.value, modal)
+
+    @pytest.mark.parametrize("alpha", ["1e-9", "0.999999999", "-2.000000001"])
+    def test_near_integer_alpha(self, alpha):
+        # a mode p = n + 1 - alpha near 0 is summed alone, so the series
+        # still start at exponents >= 1; a 40-digit modal sum is the oracle
+        # (the float modal sum loses digits in 1 - r^(2p) there)
+        for s in [0.3, 0.95]:
+            with mpmath.workdps(40):
+                a, r, x = mpmath.mpf(alpha), mpmath.mpf(0.2), mpmath.mpf(s) ** 2
+                total = 0
+                for n in range(-400, 401):
+                    p = n + 1 - a
+                    total += x**n * p / (mpmath.pi * (1 - r ** (2 * p)))
+            est = kernel_diag(ANN, HarmonicLog(float(alpha)), s)
+            assert est.value == pytest.approx(float(total), rel=1e-14)
+            assert est.basis_size <= 40
+
+    @pytest.mark.parametrize("domain", [ANN, Annulus(0.04), Annulus(0.8)])
+    def test_certified_tail(self, domain):
+        # a few dozen terms at most, whatever |z| is, with a tail below
+        # a unit roundoff
+        for s in [1.0001 * domain.r_inner, 0.9, 1.0 - 1e-6]:
+            est = kernel_diag(domain, HarmonicLog(0.3), s)
+            assert est.truncation_error_estimate <= 2.0**-53
+            assert est.basis_size <= 200 and est.gram_condition == 1.0
+
+    def test_disc_rational_form(self):
+        for z in [0.0, 0.6, 0.3 + 0.2j, 1.0 - 1e-4]:
+            est = kernel_diag(DISC, Unweighted(), z)
+            om = (1.0 - abs(z)) * (1.0 + abs(z))
+            assert est.value == pytest.approx(1.0 / (math.pi * om * om), rel=4e-16)
+            assert est.basis_size == 1 and est.truncation_error_estimate == 0.0
+        assert kernel_diag(DISC, HarmonicLog(0.3, 2.0), 0.0).value == pytest.approx(
+            0.7 / (2.0 * math.pi), rel=1e-15
+        )
+
+    def test_points_outside_rejected(self):
+        for domain, z in [(DISC, 1.0), (DISC, 1.5j), (ANN, 0.2), (ANN, 0.1), (ANN, 0.0)]:
+            with pytest.raises(DomainError, match="not inside"):
+                kernel_diag(domain, Unweighted(), z)
+
+    def test_divergent_disc_weight(self):
+        with pytest.raises(DivergentIntegralError):
+            kernel_diag(DISC, HarmonicLog(1.0), 0.3)
+        with pytest.raises(DomainError, match="unit disc"):
+            kernel_diag(Disc(0.5), Unweighted(), 0.3)
+
+
 # ---------------------------------------------------------------------------
 # Least-norm extension
 # ---------------------------------------------------------------------------
@@ -649,6 +812,15 @@ class TestSuitaRatio:
             s = suita_ratio(DISC, z)
             assert s.quantities["ratio"] == pytest.approx(1.0, abs=1e-12)
             assert s.passed
+
+    def test_disc_equality_to_rounding(self):
+        # Suita's equality case: the closed-form kernel and the disc
+        # capacity, both on (1 - |z|)(1 + |z|), agree to 8 eps
+        eps = np.finfo(float).eps
+        for z in [0.0, 0.3, 0.5j, -0.4 + 0.3j, 0.7, 1.0 - 1e-4]:
+            ratio = suita_ratio(DISC, z).quantities["ratio"]
+            assert abs(ratio - 1.0) <= 8.0 * eps, (z, ratio)
+        assert suita_ratio(DISC, 0.3).quantities["ratio"] == 1.0
 
     def test_disc_equality_nystrom_pipeline(self):
         ev = green_evaluator(Disc(), method="nystrom", quad_points=256)
@@ -723,8 +895,20 @@ class TestExtendedSuita:
 
 class TestDiscEqualityOracle:
     """The disc is simply connected, so ``c_beta(z)^2 = pi rho(z) K_rho(z, z)``
-    for every harmonic weight: an exact oracle for the non-radial Gram
-    quadrature, which no closed form covers."""
+    for every harmonic weight: an exact oracle for the Bessel-moment Gram,
+    and, through the rotated Gram of :func:`_series_gram`, for the complex
+    Jacobi solve."""
+
+    @staticmethod
+    def _ratio(weight, z, memo):
+        if not isinstance(weight, RotatedRe):
+            q = extended_suita_check(DISC, weight, z, memo=memo).quantities
+            return q["capacity_sq"] / (math.pi * q["rho_at_z"] * q["weighted_kernel"])
+        basis = auto_basis(DISC, z)
+        b = z ** np.arange(basis[0], basis[1] + 1)
+        kernel = bergman._dense_kernel_value(_series_gram(DISC, weight, basis), b)
+        rho = float(weight.density(np.asarray([z]))[0])
+        return capacity(DISC, z) ** 2 / (math.pi * rho * kernel)
 
     @pytest.mark.parametrize(
         "weight", [HarmonicRe(0.2), HarmonicRe(0.5), HarmonicRe(1.0), ROTATED]
@@ -732,8 +916,7 @@ class TestDiscEqualityOracle:
     def test_harmonic_weight_is_an_equality(self, weight):
         memo = {}
         for z in [0.0, 0.3, 0.5j, -0.4 + 0.3j, 0.7]:
-            q = extended_suita_check(DISC, weight, complex(z), memo=memo).quantities
-            ratio = q["capacity_sq"] / (math.pi * q["rho_at_z"] * q["weighted_kernel"])
+            ratio = self._ratio(weight, complex(z), memo)
             assert abs(ratio - 1.0) <= 1e-12, (weight, z, ratio)
 
 
@@ -781,8 +964,8 @@ class TestSharedGram:
         def unresolved(*args, **kwargs):
             raise AccuracyError("injected")
 
-        monkeypatch.setattr(bergman, "refine", unresolved)
-        attempts = _count(monkeypatch, bergman, "refine")
+        monkeypatch.setattr(bergman, "_bessel_gram", unresolved)
+        attempts = _count(monkeypatch, bergman, "_bessel_gram")
         memo = {}
         for z in self.ONE_BASIS[:2]:
             with pytest.raises(AccuracyError, match="injected"):
