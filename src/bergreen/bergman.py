@@ -202,21 +202,13 @@ def _log_power_integrals(p: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return out
 
 
-# beyond this |log| a power underflows to exactly 0.0 (e^-750 < 2^-1075)
-_UNDERFLOW_LOG = 750.0
-
-
 def _log1m_power(base: float, q: np.ndarray) -> np.ndarray:
-    """``log1p(-base**q)`` for exponents ``q`` with ``base**q < 1``.
-
-    Where ``|q log base| > _UNDERFLOW_LOG`` the power is exactly 0.0 and the
-    result is ``log1p(-0.0) = -0.0``, which is written without calling
-    ``pow``: underflowing powers take libm's slow path.
-    """
-    near = np.abs(q) <= _UNDERFLOW_LOG / abs(math.log(base))
-    out = np.full_like(q, -0.0)
-    out[near] = np.log1p(-(base ** q[near]))
-    return out
+    """``log(1 - base**q)`` for exponents ``q`` with ``base**q < 1``, as
+    ``log(-expm1(q log base))`` (M. Maechler, *Accurately computing
+    log(1 - exp(-|a|))*, 2012), which keeps the digits that ``1 -
+    base**q`` cancels where ``q log base`` is near 0 (a mode near ``p =
+    0``, as ``alpha`` nears an integer)."""
+    return np.log(-np.expm1(q * math.log(base)))
 
 
 def log_radial_moments(

@@ -592,7 +592,9 @@ def _shell_edges(psi: PolarSpec, theta: np.ndarray, level_lo: float, level_hi: f
     z0 = psi.pole
 
     def g(u, th):
-        return psi(z0 + np.exp(u) * np.exp(1j * th))
+        # 2 log|z - pole| is u exactly: formed from z, it would lose the
+        # digits of |pole| / e^u to cancellation
+        return 2.0 * u + np.asarray(psi.psi(z0 + np.exp(u) * np.exp(1j * th)), dtype=float)
 
     # estimate the local psi spread on a probe circle at the shell scale
     probe_r = math.exp(0.5 * (level_lo - 1.0))

@@ -497,32 +497,33 @@ class TestLogRadialMoments:
         scalar = [log_radial_moment(domain, weight, int(n)) for n in ns]
         np.testing.assert_allclose(logs, scalar, rtol=1e-14, atol=1e-14)
 
-    @staticmethod
-    def _unskipped(p, lo, hi):
-        """The closed form of ``_log_power_integrals`` for ``lo > 0`` with
-        every power taken, underflowing ones included."""
-        out = np.empty_like(p)
-        zero, pos, neg = p == 0.0, p > 0.0, p < 0.0
-        out[zero] = math.log(math.log(hi / lo))
-        pp, pn = p[pos], p[neg]
-        out[pos] = pp * math.log(hi) + np.log1p(-((lo / hi) ** pp)) - np.log(pp)
-        out[neg] = pn * math.log(lo) + np.log1p(-((hi / lo) ** pn)) - np.log(-pn)
-        return out
-
     # (0.2, 0.5) is the inner piece of MaxPiece(., 0.5) on annulus:0.2, hi = a < 1
     @pytest.mark.parametrize("lo,hi", [(0.2, 1.0), (0.04, 1.0), (0.5, 1.0), (0.2, 0.5)])
-    def test_underflow_skip_is_bit_exact(self, lo, hi):
-        cut = bergman._UNDERFLOW_LOG / math.log(hi / lo)
-        near_cut = cut * (1.0 + np.linspace(-1e-9, 1e-9, 21))
+    def test_power_integrals_match_mpmath(self, lo, hi):
+        # log((hi^p - lo^p)/p) against 40 digits: across p = 0, past the
+        # exponents where (lo/hi)^|p| underflows (|p| log(hi/lo) = 750), and
+        # within 1e-12 of p = 0, where 1 - (lo/hi)^|p| cancels; the bound is
+        # a few ulps of the terms summed
+        cut = 750.0 / math.log(hi / lo)
+        small = np.array([1e-12, 1e-9, 1e-6, 0.37])
         p = np.concatenate([
-            np.linspace(-2.0 * cut, 2.0 * cut, 4001),  # holds p = 0
-            near_cut, -near_cut,
-            2.0 * np.arange(-3 * int(cut), 3 * int(cut)) + 2.0 - 2.0 * 0.37,
+            np.linspace(-2.0 * cut, 2.0 * cut, 401),  # holds p = 0
+            cut * (1.0 + np.linspace(-1e-9, 1e-9, 5)),
+            -cut * (1.0 + np.linspace(-1e-9, 1e-9, 5)),
+            small, -small,
         ])
-        expected = self._unskipped(p, lo, hi)
         got = bergman._log_power_integrals(p, lo, hi)
-        assert np.array_equal(got, expected)
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        with mpmath.workdps(40):
+            mlo, mhi = mpmath.mpf(lo), mpmath.mpf(hi)
+            for pk, value in zip(p, got):
+                if pk == 0.0:
+                    exact = mpmath.log(mpmath.log(mhi / mlo))
+                else:
+                    mp = mpmath.mpf(pk)
+                    exact = mpmath.log((mhi**mp - mlo**mp) / mp)
+                leading = abs(pk * math.log(hi if pk > 0.0 else lo))
+                bound = 8.0 * np.finfo(float).eps * (1.0 + leading + 2.0 * abs(math.log(abs(pk) or 1.0)))
+                assert abs(value - float(exact)) <= bound, (pk, value, float(exact))
 
     def test_p_zero_branch(self):
         logs = log_radial_moments(ANN, HarmonicLog(1.0), np.array([-1, 0, 1]))
@@ -710,7 +711,6 @@ class TestClosedFormKernel:
     def test_near_integer_alpha(self, alpha):
         # a mode p = n + 1 - alpha near 0 is summed alone, so the series
         # still start at exponents >= 1; a 40-digit modal sum is the oracle
-        # (the float modal sum loses digits in 1 - r^(2p) there)
         for s in [0.3, 0.95]:
             with mpmath.workdps(40):
                 a, r, x = mpmath.mpf(alpha), mpmath.mpf(0.2), mpmath.mpf(s) ** 2
@@ -721,6 +721,15 @@ class TestClosedFormKernel:
             est = kernel_diag(ANN, HarmonicLog(float(alpha)), s)
             assert est.value == pytest.approx(float(total), rel=1e-14)
             assert est.basis_size <= 40
+
+    @pytest.mark.parametrize("alpha", [1.0 - 1e-9, 1e-9, -2.0 + 1e-9])
+    def test_modal_sum_near_integer_alpha(self, alpha):
+        # the modal sum's moment of the mode near p = 0 takes 1 - r^(2p)
+        # through expm1, so it keeps the digits that the difference cancels
+        weight = HarmonicLog(alpha)
+        modal = kernel_diag(ANN, weight, 0.3, basis=auto_basis(ANN, 0.3)).value
+        closed = kernel_diag(ANN, weight, 0.3).value
+        assert abs(modal - closed) <= 1e-13 * closed
 
     @pytest.mark.parametrize("domain", [ANN, Annulus(0.04), Annulus(0.8)])
     def test_certified_tail(self, domain):

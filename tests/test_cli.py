@@ -1052,6 +1052,13 @@ def _nan_laplacian_sample(mp):
     return torus.arak1_check(torus.TorusSpec(1j), 4), "laplacian"
 
 
+def _nan_maxzero_sup(mp):
+    # calls: the polish's 96^2 search grid, then the 97^2 grid, whose 5th
+    # row is NaN
+    _spoil_call(mp, torus, "_green_grid", 2, _nan_at_4)
+    return torus.arak1_check(torus.TorusSpec(1j), 4), "maxzero_sup"
+
+
 def _nan_sub_mean_value(mp):
     # psi is NaN only around the second center, so the first circles are numbers
     psi = extension.PolarSpec(
@@ -1074,6 +1081,7 @@ def _nan_sub_mean_value(mp):
         _nan_closed_route,
         _nan_torus_diagonal,
         _nan_laplacian_sample,
+        _nan_maxzero_sup,
         _nan_sub_mean_value,
     ],
     ids=lambda f: f.__name__[len("_nan_"):],

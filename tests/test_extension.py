@@ -3,6 +3,7 @@ class-membership check, the generalized residual measure, and the
 optimal-constant experiment."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -476,6 +477,18 @@ class TestResidualMeasure:
         for t in (0.5, 20.0):
             _assert_edges_certified(psi, theta, t)
 
+    @pytest.mark.parametrize("pole", [0.0, 0.05 + 0.02j, 0.3 - 0.4j])
+    def test_edges_on_a_constant_psi_are_exact(self, pole):
+        # Psi = 2u + c on a constant psi = c, so the edges are (level - c)/2,
+        # also where e^u is far below |pole|
+        c = 0.7
+        psi = PolarSpec(pole, lambda z: np.full(np.shape(z), c), None, name="constant")
+        theta = 2.0 * math.pi * (np.arange(64) + 0.618) / 64
+        for t in (0.5, 20.0, 24.0):
+            for edge, level in zip(extension._shell_edges(psi, theta, -1.0 - t, -t), (-1.0 - t, -t)):
+                exact = 0.5 * (level - c)
+                assert np.all(np.abs(edge - exact) <= 1e-14 * max(1.0, abs(exact)))
+
     @pytest.mark.parametrize("t", [-3.0, -1.0, 0.5, 3.0])
     @pytest.mark.parametrize("c", [2.5, 6.0])
     def test_edges_on_a_steep_psi_match_bisection(self, c, t):
@@ -487,22 +500,23 @@ class TestResidualMeasure:
         _assert_edges_certified(psi, theta, t)
 
     def test_torus_shell_takes_few_psi_calls(self, monkeypatch):
-        # a 64-step bisection to the same width takes 66 calls of Psi
+        # a 64-step bisection to the same width takes 66 calls of Psi; each
+        # Psi call evaluates psi once, and the probe circle once more
         counts = []
-        call, edges = extension.PolarSpec.__call__, extension._shell_edges
+        edges = extension._shell_edges
 
-        def counted(self, z):
-            counts[-1] += 1
-            return call(self, z)
-
-        def spy(*args):
+        def spy(psi, *args):
             counts.append(0)
-            return edges(*args)
 
-        monkeypatch.setattr(extension.PolarSpec, "__call__", counted)
+            def counted(z):
+                counts[-1] += 1
+                return psi.psi(z)
+
+            return edges(replace(psi, psi=counted), *args)
+
         monkeypatch.setattr(extension, "_shell_edges", spy)
         residual_mass(arakelov_green(TorusSpec(1j)))
-        assert len(counts) == 2 and max(counts) <= 8
+        assert len(counts) == 2 and max(counts) <= 1 + 8
 
 
 def _spy_shell_levels(monkeypatch) -> list:
@@ -535,9 +549,15 @@ def _assert_edges_certified(psi, theta, t: float) -> None:
         assert np.all(np.abs(edge - ref) <= width)
 
         def excess(u):
-            return psi(psi.pole + np.exp(u) * np.exp(1j * theta)) - level
+            return _exact_psi(psi, u, theta) - level
 
         assert np.all(excess(edge - width) < 0.0) and np.all(excess(edge + width) >= 0.0)
+
+
+def _exact_psi(psi, u, theta):
+    """``Psi`` at ``pole + e^{u + i theta}`` with ``2 log|z - pole|`` taken
+    as ``2u``: formed from ``z``, it loses the digits of ``|pole| / e^u``."""
+    return 2.0 * u + psi.psi(psi.pole + np.exp(u) * np.exp(1j * theta))
 
 
 def _edge_reference(psi, theta, level, level_lo, level_hi):
@@ -546,7 +566,7 @@ def _edge_reference(psi, theta, level, level_lo, level_hi):
     Newton solve."""
 
     def g(u, th):
-        return psi(psi.pole + np.exp(u) * np.exp(1j * th))
+        return _exact_psi(psi, u, th)
 
     probe = psi.psi(psi.pole + math.exp(0.5 * (level_lo - 1.0)) * np.exp(1j * theta))
     a = np.full(theta.size, 0.5 * (level_lo - float(np.max(probe))) - 1.0)

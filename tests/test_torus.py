@@ -197,8 +197,14 @@ class TestTorusSpec:
             TorusSpec(0.3 - 0.5j)
 
     def test_requires_enough_terms(self):
+        # the theta functions carry the truncation cap; the spec has none
+        with pytest.raises(TypeError):
+            TorusSpec(1j, terms=64)
+        spec = TorusSpec(1j)
         with pytest.raises(ParameterError):
-            TorusSpec(1j, terms=4)
+            theta1(0.3, spec.tau, terms=4)
+        with pytest.raises(ParameterError):
+            theta1_prime0(spec.tau, terms=4)
 
 
 class TestTheta1:
@@ -792,10 +798,10 @@ class TestResidualMass:
         assert calls == []
         # on the pole the limit log|theta1'(0)|, bit for bit, and the other
         # points as before
-        at_pole = abs(prime0(spec.tau, spec.terms))
+        at_pole = abs(prime0(spec.tau))
         assert torus._log_abs_theta_over_z(spec, 0.0) == float(np.log(at_pole))
         z = np.array([0.0, 1e-15j, 0.1 + 0.2j, -0.3 + 0.05j])
-        th = theta1(z, spec.tau, spec.terms)
+        th = theta1(z, spec.tau)
         small = np.abs(z) < 1e-14
         ref = np.log(np.where(small, at_pole, np.abs(th / np.where(small, 1.0, z))))
         assert torus._log_abs_theta_over_z(spec, z).tobytes() == ref.tobytes()
@@ -803,11 +809,12 @@ class TestResidualMass:
 
 
 class TestArak1Check:
-    # on the thin tori 0.3i, 0.2i and 0.15i the Laplacian step shrinks with
-    # Im tau, and at 0.15i the max-zero residual mass, 268, needs the shell
-    # depth 24 to stay inside the absolute 1e-4 gate
+    # on the thin tori the Laplacian step shrinks with Im tau, and the
+    # largest gated residual mass, 178.9 (mean-zero at 0.1i), needs the
+    # shell depth 24 to stay inside the absolute 1e-4 gate
     @pytest.mark.parametrize(
-        "tau,d", [(TAU_I, 4), (TAU_SKEW, 4), (0.3j, 4), (0.2j, 4), (0.15j, 4)]
+        "tau,d",
+        [(TAU_I, 4), (TAU_SKEW, 4), (0.3j, 4), (0.2j, 4), (0.15j, 4), (0.12j, 4), (0.1j, 4)],
     )
     def test_record_passes(self, tau, d):
         rec = arak1_check(TorusSpec(tau), d)
@@ -824,6 +831,58 @@ class TestArak1Check:
         # O(exp(-pi d Im tau / 2)), which is not small on the thin tori
         assert 0.0 < q["midcell_deviation"] < 10.0 * math.exp(-math.pi * d * tau.imag / 2.0)
         assert abs(q["two_a_over_b"] - 2.0 / d) < 1e-6
+        assert -1e-3 < q["maxzero_grid_sup"] <= 0.0
+
+    def test_one_residual_mass_per_record(self, spec_skew, monkeypatch):
+        # the max-zero Green function enters through its constant alone
+        greens = []
+        mass = torus.residual_mass
+
+        def spy(green, t=20.0):
+            greens.append(green)
+            return mass(green, t)
+
+        monkeypatch.setattr(torus, "residual_mass", spy)
+        rec = arak1_check(spec_skew, 4)
+        assert [g.normalization for g in greens] == ["meanzero"]
+        assert rec.quantities["residual_mass_meanzero"] == mass(greens[0], torus._T_RESIDUAL)
+        assert not any("residual_mass_max" in k or "expected_max" in k for k in rec.quantities)
+
+    def test_gates_are_written_against_their_tolerances(self, spec_i):
+        # every gated quantity is -value against its gate, so the CSV's tol
+        # column shows the gate
+        rec = arak1_check(spec_i, 4)
+        q, m, tol = rec.quantities, rec.margins, rec.tolerances
+        assert m["diag_constancy"] == -q["diag_spread"] and tol["diag_constancy"] == 1e-6
+        assert m["laplacian"] == -q["laplacian_deviation"] and tol["laplacian"] == 1e-5
+        assert m["curvature_ratio"] == -abs(q["two_a_over_b"] - 0.5) and tol["curvature_ratio"] == 1e-6
+        assert m["residual_mass_meanzero"] == -abs(
+            q["residual_mass_meanzero"] - q["residual_expected_meanzero"]
+        ) and tol["residual_mass_meanzero"] == 1e-4
+        assert m["maxzero_sup"] == -q["maxzero_grid_sup"] and tol["maxzero_sup"] == 1e-9
+        assert set(m) == {
+            "diag_constancy", "laplacian", "curvature_ratio", "inequality_meanzero",
+            "residual_mass_meanzero", "inequality_maxzero", "maxzero_sup",
+        }
+
+    @pytest.mark.parametrize("tau", [TAU_I, TAU_SKEW, 0.15j, 0.12j, 0.1j])
+    def test_maxzero_sup_sees_a_raised_constant(self, tau, monkeypatch):
+        # a gamma 1e-3 too high lifts g above 0 on the 97^2 grid
+        gamma = torus._gamma_maxzero
+        monkeypatch.setattr(torus, "_gamma_maxzero", lambda spec: gamma(spec) + 1e-3)
+        rec = arak1_check(TorusSpec(tau), 4)
+        assert not rec.passed
+        assert rec.margins["maxzero_sup"] < -rec.tolerances["maxzero_sup"]
+
+    def test_maxzero_sup_sees_an_unpolished_constant(self, spec_skew, monkeypatch):
+        # at 0.5 + i the 96^2 grid maximum lies 5.8e-5 below the supremum,
+        # so a polish that took no Newton step fails the record
+        monkeypatch.setattr(
+            torus, "_gamma_maxzero", lambda spec: -float(np.max(torus._green_grid(spec, 96)))
+        )
+        rec = arak1_check(spec_skew, 4)
+        assert not rec.passed
+        assert rec.margins["maxzero_sup"] < -rec.tolerances["maxzero_sup"]
 
     def test_degree_four_bookkeeping(self, spec_i):
         rec = arak1_check(spec_i, 4)
