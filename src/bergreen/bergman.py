@@ -14,7 +14,8 @@ tail on an annulus.  Over a given basis range it sums the modes in log
 space, so that very large bases neither overflow nor underflow.
 ``HarmonicRe`` builds a dense real Gram matrix from the modified-Bessel
 expansion of its density, a series of one-signed terms with a certified
-tail, and solves a Jacobi-scaled symmetric system.
+tail, and solves a Jacobi-scaled symmetric system, built once per Gram
+with its underflowed tail dropped.
 
 Norm convention: ``||f||^2 = integral |f|^2 rho dLambda`` (plain Lebesgue
 area measure).  Under this convention the unweighted unit disc gives
@@ -369,8 +370,10 @@ def _bessel_gram(
     ``gram_tol``.  On a disc of radius ``R`` the entry is ``R^(m+n+2)`` times
     the unit-disc entry at ``c R``.  Every entry is a cell ``(max(m, n),
     |m - n|)`` of one table, a product of the Hankel matrix of ``L`` and the
-    coefficients; entries below the smallest normal float are set to 0,
-    since subnormal operands slow the later solves.
+    coefficients; coefficients below the smallest normal float are set to
+    0, which keeps subnormal operands out of that product.  The far
+    off-diagonal entries, which fall like ``c^k / k!``, underflow once
+    Jacobi-scaled; :func:`_jacobi_scaled` drops that tail before any solve.
 
     Raises :class:`AccuracyError` when ``c`` is not finite or the series
     needs more than ``_SERIES_TERMS`` terms.
@@ -413,7 +416,6 @@ def _bessel_gram(
     coeff[np.abs(coeff) < tiny] = 0.0
     hankel = power[ks[:, None] + np.arange(n_terms + 1)]
     table = (2.0 * math.pi * weight.scale) * (hankel @ coeff)  # [M - n_min, k]
-    table[np.abs(table) < tiny] = 0.0
     gram = table[np.maximum.outer(ks, ks), np.abs(ks[:, None] - ks)]
     if radius != 1.0:
         gram *= np.outer(radius ** (ns + 1.0), radius ** (ns + 1.0))
@@ -424,21 +426,43 @@ def _is_diagonal(gram: np.ndarray) -> bool:
     return bool(np.all(gram == np.diag(np.diag(gram))))
 
 
-def _normalized_condition(gram: np.ndarray) -> float:
-    """Condition number of the Jacobi-normalized (correlation) matrix.
+# eps^2: Jacobi-scaled entries below it are set to 0 (_jacobi_scaled).  The
+# dropped part E of an n x n matrix has ||E||_2 <= ||E||_F < n eps^2, so a
+# solve moves by at most kappa n eps^2 relative, below 1.3e-19 at n = 257 for
+# every kappa under the 1e10 warning, and by Weyl's inequality no eigenvalue
+# moves by more than ||E||_2 (N. J. Higham, *Accuracy and Stability of
+# Numerical Algorithms*, 2nd ed., 2002, ch. 7)
+_DROP = 2.0**-104
 
-    ``gram`` must be exactly symmetric (real) or Hermitian (complex), as
-    every Gram builder returns it: the 2-norm condition is then
+
+def _jacobi_scaled(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(corr, d)`` with ``d = sqrt|diag gram|`` and ``corr = gram / d
+    d^T``, whose unit diagonal keeps modes of very different norms equally
+    accurate.  Entries of ``corr`` below ``_DROP`` in modulus are set to 0:
+    the far off-diagonal entries of a Bessel-moment Gram fall like ``c^k /
+    k!``, and their subnormal quotients slow every later LAPACK call.  The
+    scaling and the drop are entrywise, so ``corr[ix(half, half)]`` and
+    ``d[half]`` are, bit for bit, those of the sub-Gram."""
+    d = np.sqrt(np.abs(np.diag(gram)).real)
+    corr = gram / np.outer(d, d)
+    corr[np.abs(corr) < _DROP] = 0.0
+    return corr, d
+
+
+def _normalized_condition(corr: np.ndarray) -> float:
+    """Condition number of the Jacobi-scaled (correlation) matrix ``corr``
+    of :func:`_jacobi_scaled`.
+
+    ``corr`` is exactly symmetric (real) or Hermitian (complex), since
+    every Gram builder returns its Gram so: the 2-norm condition is then
     ``max |lambda| / min |lambda|`` over the eigenvalues from ``eigvalsh``,
     which reads one triangle only.  For a diagonal Gram matrix the basis is
     orthogonal, per-mode solves are perfectly conditioned, and the
     normalized condition is exactly 1.  A condition above 1e10 triggers an
     ill-conditioning warning.
     """
-    if _is_diagonal(gram):
+    if _is_diagonal(corr):
         return 1.0
-    d = np.sqrt(np.abs(np.diag(gram)))
-    corr = gram / np.outer(d, d)
     lam = np.abs(np.linalg.eigvalsh(corr))
     with np.errstate(divide="ignore"):
         cond = float(lam.max() / lam.min())
@@ -483,26 +507,22 @@ def _logsumexp(values: np.ndarray) -> float:
     return m + math.log(np.sum(np.exp(values - m)))
 
 
-def _jacobi_solve(gram: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(y, d)`` with ``gram^{-1} rhs = y / d``: ``y`` solves the
-    Jacobi-scaled system ``(gram / d d^T) y = rhs / d``, whose unit diagonal
-    keeps modes of very different norms equally accurate.  The system is
-    symmetric or Hermitian; it is solved by partial-pivoting LU
+def _jacobi_solve(corr: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``y`` with ``gram^{-1} rhs = y / d``, for ``(corr, d)`` from
+    :func:`_jacobi_scaled`: ``y`` solves ``corr y = rhs / d``.  The system
+    is symmetric or Hermitian; it is solved by partial-pivoting LU
     (``numpy.linalg``), on a real Gram in real arithmetic, with the real and
     imaginary parts of a complex ``rhs`` as two right-hand sides."""
-    d = np.sqrt(np.abs(np.diag(gram)).real)
-    corr = gram / np.outer(d, d)
     rhs = rhs / d
     if np.isrealobj(corr) and np.iscomplexobj(rhs):
         y = np.linalg.solve(corr, np.stack([rhs.real, rhs.imag], axis=-1))
-        return y[:, 0] + 1j * y[:, 1], d
-    return np.linalg.solve(corr, rhs), d
+        return y[:, 0] + 1j * y[:, 1]
+    return np.linalg.solve(corr, rhs)
 
 
-def _dense_kernel_value(gram: np.ndarray, b: np.ndarray) -> float:
+def _dense_kernel_value(corr: np.ndarray, d: np.ndarray, b: np.ndarray) -> float:
     """``b^H gram^{-1} b`` through :func:`_jacobi_solve`."""
-    y, d = _jacobi_solve(gram, b)
-    return float(np.vdot(b / d, y).real)
+    return float(np.vdot(b / d, _jacobi_solve(corr, d, b)).real)
 
 
 def _half_mask(ns: np.ndarray) -> np.ndarray:
@@ -601,8 +621,9 @@ def kernel_diag(
     unless given).
 
     Calls that pass the same ``memo`` dict build the dense Gram of each
-    (domain, weight, basis), and its normalized condition, once and share
-    them; a build that raises stores nothing, so the next call tries again.
+    (domain, weight, basis) once and share its Jacobi scaling ``(corr, d)``
+    (:func:`_jacobi_scaled`) and the condition of ``corr``; a build that
+    raises stores nothing, so the next call tries again.
     """
     if trunc_tol is None:
         trunc_tol = _TRUNC_TOL
@@ -634,12 +655,12 @@ def kernel_diag(
         memo = {} if memo is None else memo
         key = (domain, weight, (n_min, n_max))
         if key not in memo:
-            gram = gram_matrix(domain, weight, basis)
-            memo[key] = gram, _normalized_condition(gram)
-        gram, condition = memo[key]
+            corr, d = _jacobi_scaled(gram_matrix(domain, weight, basis))
+            memo[key] = corr, d, _normalized_condition(corr)
+        corr, d, condition = memo[key]
         b = np.asarray(z, dtype=complex) ** ns
-        value = _dense_kernel_value(gram, b)
-        value_half = _dense_kernel_value(gram[np.ix_(half, half)], b[half])
+        value = _dense_kernel_value(corr, d, b)
+        value_half = _dense_kernel_value(corr[np.ix_(half, half)], d[half], b[half])
 
     trunc = abs(value - value_half) / value if value > 0.0 else 0.0
     _check_truncation(trunc, trunc_tol)
@@ -689,10 +710,10 @@ def least_norm_extension(
         kz = float(np.sum(np.abs(b) ** 2 / d))
         sol = np.conj(b) / d
     else:
-        _normalized_condition(gram)  # warns if ill-conditioned
-        y, d = _jacobi_solve(gram, np.conj(b))
-        sol = y / d
-        kz = _dense_kernel_value(gram, b)
+        corr, d = _jacobi_scaled(gram)
+        _normalized_condition(corr)  # warns if ill-conditioned
+        sol = _jacobi_solve(corr, d, np.conj(b)) / d
+        kz = _dense_kernel_value(corr, d, b)
     if kz <= 1e-300:
         raise ZeroKernelError("kernel diagonal vanishes at the prescribed point")
     coeffs = value * sol / kz

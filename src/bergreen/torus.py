@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import KernelEstimate, _dense_kernel_value, _normalized_condition
+from .bergman import KernelEstimate, _dense_kernel_value, _jacobi_scaled, _normalized_condition
 from .domains import refine
 from .errors import AccuracyError, ParameterError, TruncationError
 from .extension import PolarSpec, residual_measure
@@ -552,11 +552,12 @@ def torus_bergman(
     basis = ThetaBasis(spec, d)
     G, resid = gram if gram is not None else torus_gram(basis)
     b = np.array([basis.theta(j, p) for j in range(d)])
-    value = float(basis.weight(p)) * _dense_kernel_value(G, b)
+    corr, scale = _jacobi_scaled(G)
+    value = float(basis.weight(p)) * _dense_kernel_value(corr, scale, b)
     return KernelEstimate(
         value=value,
         basis_size=d,
-        gram_condition=_normalized_condition(G),
+        gram_condition=_normalized_condition(corr),
         truncation_error_estimate=resid,
     )
 

@@ -26,6 +26,7 @@ from scipy.integrate import quad
 from scipy.special import iv
 
 from bergreen import bergman, torus
+from bergreen.cli import _sweep_points
 from bergreen.bergman import (
     HarmonicLog,
     HarmonicRe,
@@ -81,6 +82,16 @@ def _count_conditions(monkeypatch):
     """Log each Gram condition, that is each
     ``bergman._normalized_condition`` call; returns the log."""
     return _count(monkeypatch, bergman, "_normalized_condition")
+
+
+def _condition(gram):
+    """``bergman._normalized_condition`` of the Jacobi scaling of ``gram``."""
+    return bergman._normalized_condition(bergman._jacobi_scaled(gram)[0])
+
+
+def _kernel_value(gram, b):
+    """``b^H gram^{-1} b`` by the Jacobi-scaled dense solve of ``bergman``."""
+    return bergman._dense_kernel_value(*bergman._jacobi_scaled(gram), b)
 
 
 def disc_kernel(z: complex) -> float:
@@ -398,14 +409,14 @@ class TestGramAgainstFullFft:
     def test_exactly_hermitian_and_condition_matches_svd(self, domain, basis, weight):
         gram = _series_gram(domain, weight, basis)
         assert np.array_equal(gram, gram.conj().T)
-        kappa = bergman._normalized_condition(gram)
+        kappa = _condition(gram)
         assert kappa == pytest.approx(_svd_condition(gram), rel=1e-12)
 
     @pytest.mark.parametrize("tau,d", [(1j, 4), (0.3 + 1.1j, 6)])
     def test_torus_gram_exactly_hermitian(self, tau, d):
         gram, _ = torus.torus_gram(torus.ThetaBasis(torus.TorusSpec(tau), d))
         assert np.array_equal(gram, gram.conj().T)
-        kappa = bergman._normalized_condition(gram)
+        kappa = _condition(gram)
         assert kappa == pytest.approx(_svd_condition(gram), rel=1e-12)
 
 
@@ -469,8 +480,8 @@ class TestBesselGram:
         gram = gram_matrix(ANN, HarmonicRe(0.2), (-16, 16))
         assert gram.dtype == np.float64
         b = np.asarray(z, dtype=complex) ** np.arange(-16, 17)
-        real = bergman._dense_kernel_value(gram, b)
-        assert real == pytest.approx(bergman._dense_kernel_value(gram.astype(complex), b), rel=1e-13)
+        real = _kernel_value(gram, b)
+        assert real == pytest.approx(_kernel_value(gram.astype(complex), b), rel=1e-13)
 
 
 class TestLogRadialMoments:
@@ -646,7 +657,7 @@ class TestKernelDiag:
         est = kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0, memo=memo)
         assert len(conds) == 1
         gram = gram_matrix(ANN, HarmonicRe(0.2), (-8, 8))
-        assert est.gram_condition == bergman._normalized_condition(gram)
+        assert est.gram_condition == _condition(gram)
         conds.clear()
         shared = kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), trunc_tol=1.0, memo=memo)
         assert conds == [] and shared == est
@@ -915,7 +926,7 @@ class TestDiscEqualityOracle:
             return q["capacity_sq"] / (math.pi * q["rho_at_z"] * q["weighted_kernel"])
         basis = auto_basis(DISC, z)
         b = z ** np.arange(basis[0], basis[1] + 1)
-        kernel = bergman._dense_kernel_value(_series_gram(DISC, weight, basis), b)
+        kernel = _kernel_value(_series_gram(DISC, weight, basis), b)
         rho = float(weight.density(np.asarray([z]))[0])
         return capacity(DISC, z) ** 2 / (math.pi * rho * kernel)
 
@@ -947,13 +958,15 @@ class TestSharedGram:
     def test_one_gram_per_distinct_basis(self, monkeypatch):
         grams = _count(monkeypatch, bergman, "gram_matrix")
         conds = _count_conditions(monkeypatch)
+        scalings = _count(monkeypatch, bergman, "_jacobi_scaled")
         zs = [0.5, 0.85, 0.5j, -0.85]
         bases = [auto_basis(ANN, z) for z in zs]
         assert bases[0] == bases[2] != bases[1] == bases[3]
         memo = {}
         for z in zs:
             extended_suita_check(ANN, HarmonicRe(0.2), z, memo=memo)
-        assert [args[2] for args in grams] == bases[:2] and len(conds) == 2
+        assert [args[2] for args in grams] == bases[:2]
+        assert len(conds) == len(scalings) == 2
 
     def test_shared_gram_gives_the_same_result(self):
         memo = {}
@@ -982,6 +995,55 @@ class TestSharedGram:
         assert memo == {} and len(attempts) == 2
 
 
+class TestJacobiScaledOperands:
+    """The dense path of ``extended-suita-check`` on ``annulus:0.2`` with
+    ``harmonicre:0.2`` at the four points of ``bergreen all``: the
+    Jacobi-scaled matrix is formed once per memo entry, without the
+    underflowed tail of ``bergman._jacobi_scaled``, and dropping that tail
+    moves no kernel value and no margin."""
+
+    WEIGHT = HarmonicRe(0.2)
+    ZS = _sweep_points(ANN, 4)  # all in basis (-128, 128)
+
+    def _records(self):
+        memo = {}
+        return [extended_suita_check(ANN, self.WEIGHT, z, memo=memo) for z in self.ZS]
+
+    def test_no_lapack_matrix_holds_an_entry_below_eps_squared(self, monkeypatch):
+        operands = []
+        for name in ("solve", "eigvalsh"):
+            inner = getattr(np.linalg, name)
+
+            def spy(*args, inner=inner):
+                operands.append(args)
+                return inner(*args)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        assert all(rec.passed for rec in self._records())
+        # one condition, then a full and a halved solve per point
+        assert len(operands) == 1 + 2 * len(self.ZS)
+        eps2, tiny = np.finfo(float).eps ** 2, np.finfo(float).tiny
+        for matrix, *rhs in operands:
+            # the smallest nonzero entry was 5e-324 before the drop
+            assert np.min(np.abs(matrix[matrix != 0.0])) >= eps2
+            for x in rhs:
+                assert not np.any((x != 0.0) & (np.abs(x) < tiny))
+
+    def test_values_match_the_undropped_solve(self, monkeypatch):
+        dropped = self._records()
+        monkeypatch.setattr(bergman, "_DROP", 0.0)
+        kept = self._records()
+        for a, b in zip(dropped, kept):
+            q, r = a.quantities, b.quantities
+            assert q["weighted_kernel"] == r["weighted_kernel"] and q["margin"] == r["margin"]
+            assert q["gram_condition"] == pytest.approx(r["gram_condition"], rel=1e-13)
+
+    def test_one_scaling_per_least_norm_extension(self, monkeypatch):
+        scalings = _count(monkeypatch, bergman, "_jacobi_scaled")
+        least_norm_extension(ANN, self.WEIGHT, 0.5, 1.0, basis=(-16, 16))
+        assert len(scalings) == 1
+
+
 class TestJacobiSolveAccuracy:
     """The dense kernel value ``b^H gram^{-1} b`` against a 50-digit
     ``mpmath`` solve of the same float64 Gram.  Partial-pivoting LU is
@@ -998,13 +1060,13 @@ class TestJacobiSolveAccuracy:
         gram = gram_matrix(ANN, HarmonicRe(0.2), self.BASIS)
         ns = np.arange(self.BASIS[0], self.BASIS[1] + 1)
         b = np.asarray(z, dtype=complex) ** ns
-        value = bergman._dense_kernel_value(gram, b)
+        value = _kernel_value(gram, b)
         with mpmath.workdps(50):
             g = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in gram])
             bb = mpmath.matrix([mpmath.mpc(complex(x)) for x in b])
             y = mpmath.lu_solve(g, bb)
             exact = float(sum(mpmath.conj(bb[i]) * y[i] for i in range(ns.size)).real)
-        kappa = bergman._normalized_condition(gram)
+        kappa = _condition(gram)
         tol = ns.size * kappa * np.finfo(float).eps
         assert abs(value - exact) <= tol * exact
 

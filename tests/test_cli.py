@@ -797,10 +797,11 @@ class TestExtendedSuitaSharedGram:
     def test_one_gram_and_one_condition_per_command(self, tmp_path, monkeypatch):
         grams = self._count(monkeypatch, bergman, "gram_matrix")
         conds = self._count(monkeypatch, bergman, "_normalized_condition")
+        scalings = self._count(monkeypatch, bergman, "_jacobi_scaled")
         assert main(self._argv(tmp_path, self.ZS)) == 0
-        assert len(grams) == 1 and len(conds) == 1
+        assert len(grams) == len(conds) == len(scalings) == 1
         assert main(self._argv(tmp_path, self.ZS)) == 0
-        assert len(grams) == 2 and len(conds) == 2  # the next command builds again
+        assert len(grams) == len(conds) == len(scalings) == 2  # the next command builds again
 
     def test_one_gram_per_distinct_basis(self, tmp_path, monkeypatch):
         grams = self._count(monkeypatch, bergman, "gram_matrix")

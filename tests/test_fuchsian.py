@@ -3,7 +3,9 @@ sums, modulus products, tail bounds, and the grid inequality record."""
 
 import cmath
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,45 @@ class TestFuchsianSums:
     def test_sum_exceeds_product(self, c):
         total, product, _ = fuchsian_sums(c, 256)
         assert total > product
+
+
+def _forty_digit_sums(c: float, N: int) -> tuple[float, float]:
+    """``1 + 2 sum sech^2(n alpha)`` and ``prod tanh^4(n alpha)`` over ``n =
+    1..N``, ``alpha = artanh c``, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        alpha = mpmath.atanh(mpmath.mpf(c))
+        total = 1 + 2 * mpmath.fsum(mpmath.sech(n * alpha) ** 2 for n in range(1, N + 1))
+        product = mpmath.fprod(mpmath.tanh(n * alpha) ** 4 for n in range(1, N + 1))
+        return float(total), float(product)
+
+
+class TestClosedFormSums:
+    """``fuchsian_sums`` in closed form, against 40 digits and against the
+    chain rule of ``CyclicGroup``."""
+
+    @pytest.mark.parametrize(
+        "c,N", [(c, 256) for c in DEFAULT_C_GRID] + [(0.01, 4096), (0.999, 256)]
+    )
+    def test_matches_forty_digits(self, c, N):
+        # the bound was fixed before measuring; the worst seen is 8.9e-15
+        total, product, _ = fuchsian_sums(c, N)
+        exact_total, exact_product = _forty_digit_sums(c, N)
+        assert abs(total - exact_total) <= 1e-13 * exact_total
+        assert abs(product - exact_product) <= 1e-13 * exact_product
+
+    @pytest.mark.parametrize("c", DEFAULT_C_GRID)
+    def test_matches_the_chain_rule(self, c):
+        total, product, _ = fuchsian_sums(c, 256)
+        chain_total, chain_product = group_sums(CyclicGroup(canonical_generator(c), 256))
+        assert total == pytest.approx(chain_total, rel=1e-12)
+        assert product == pytest.approx(chain_product, rel=1e-12)
+
+    def test_no_overflow_near_the_boundary(self):
+        # cosh^2(n alpha) overflows from n alpha = 355, here from n = 94
+        with np.errstate(over="warn", invalid="warn", divide="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            total, product, _ = fuchsian_sums(0.999, 4096)
+        assert math.isfinite(total) and 0.0 < product < 1.0
 
 
 class TestInequalityCheck:
