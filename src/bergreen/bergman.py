@@ -739,8 +739,7 @@ def kernel_record(domain: PlanarDomain, weight: WeightSpec, z: complex) -> Repor
             "gram_condition": est.gram_condition,
             "truncation_error": est.truncation_error_estimate,
         },
-        margins={"finite": finite_margin(est.value)},
-        tolerances={"finite": 0.0},
+        gates={"finite": (finite_margin(est.value), 0.0)},
         primary="kernel_diag",
         provenance={
             "kernel_diag": "kernel_diag",
@@ -780,8 +779,7 @@ def suita_ratio(
             "kernel_diag": est.value,
             "gram_condition": est.gram_condition,
         },
-        margins={"upper": 1.0 - ratio, "positive": ratio},
-        tolerances={"upper": _RATIO_TOL, "positive": 0.0},
+        gates={"upper": (1.0 - ratio, _RATIO_TOL), "positive": (ratio, 0.0)},
         primary="ratio",
         provenance={
             "ratio": "suita_ratio",
@@ -832,8 +830,7 @@ def extended_suita_check(
             "weighted_kernel": est.value,
             "gram_condition": est.gram_condition,
         },
-        margins={"nonnegative": margin},
-        tolerances={"nonnegative": _MARGIN_TOL},
+        gates={"nonnegative": (margin, _MARGIN_TOL)},
         primary="margin",
         provenance={
             "margin": "extended_suita_check",

@@ -419,8 +419,7 @@ def _unit(command: str, case: Case) -> ReportRecord:
             input_id=case.input_id,
             inputs={**case.inputs, "error": f"{type(exc).__name__}: {exc}"},
             quantities={"error_flag": 1.0},
-            margins={"module_error": -1.0},
-            tolerances={"module_error": 0.0},
+            gates={"module_error": (-1.0, 0.0)},
             primary="error_flag",
             provenance={"error_flag": type(exc).__name__},
             wall_time_s=time.perf_counter() - start,

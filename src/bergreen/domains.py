@@ -248,23 +248,21 @@ class Jordan:
 
     # -- geometry ------------------------------------------------------------
 
+    def _series(self, t, weights) -> np.ndarray:
+        """``sum_k w_k exp(i k t)`` over the coefficient indices ``k``;
+        vectorized in ``t``."""
+        t = np.asarray(t, dtype=float)
+        return np.exp(1j * np.multiply.outer(t, self._indices.astype(float))) @ weights
+
     def point(self, t) -> np.ndarray:
         """Boundary point(s) ``gamma(t)``; vectorized in ``t``."""
-        t = np.asarray(t, dtype=float)
-        phases = np.exp(1j * np.multiply.outer(t, self._indices.astype(float)))
-        return phases @ self._coeffs
+        return self._series(t, self._coeffs)
 
     def tangent(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        k = self._indices.astype(float)
-        phases = np.exp(1j * np.multiply.outer(t, k))
-        return phases @ (1j * k * self._coeffs)
+        return self._series(t, 1j * self._indices.astype(float) * self._coeffs)
 
     def second(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        k = self._indices.astype(float)
-        phases = np.exp(1j * np.multiply.outer(t, k))
-        return phases @ (-(k**2) * self._coeffs)
+        return self._series(t, -(self._indices.astype(float) ** 2) * self._coeffs)
 
     def _validate(self) -> None:
         """Necessary conditions of a smooth, positively wound simple curve,
@@ -502,12 +500,9 @@ class _NystromSolver:
         for lo in range(0, m, _ASSEMBLY_ROWS):
             # the last block stops at m, short of the side-condition rows
             rows = slice(lo, min(lo + _ASSEMBLY_ROWS, m))
-            diff = y[None, :] - y[rows, None]  # y_j - x_i
+            # the diagonal divides 0 by 0; it is overwritten below
             with np.errstate(divide="ignore", invalid="ignore"):
-                kern = (
-                    -np.real(np.conj(self.normals)[None, :] * diff)
-                    / (2.0 * math.pi * np.abs(diff) ** 2)
-                )
+                kern = self._double_layer(y[rows])
             A[rows, :m] = kern * self.weights[None, :]
         diag = np.arange(m)
         A[diag, diag] = (-self.curv / (4.0 * math.pi)) * self.weights
@@ -519,6 +514,12 @@ class _NystromSolver:
             A[m + j, sl] = self.weights[sl]
         self.matrix = A
 
+    def _double_layer(self, x: np.ndarray) -> np.ndarray:
+        """Double-layer kernel ``-Re(conj(n_j) (y_j - x_i)) / (2 pi |y_j -
+        x_i|^2)``: one row per point ``x_i``, one column per node ``y_j``."""
+        diff = self.pts[None, :] - x[:, None]
+        return -np.real(np.conj(self.normals)[None, :] * diff) / (2.0 * math.pi * np.abs(diff) ** 2)
+
     def solve(self, f_boundary: np.ndarray) -> np.ndarray:
         nh = len(self.hole_centers)
         rhs = np.concatenate([f_boundary, np.zeros(nh)])
@@ -529,12 +530,7 @@ class _NystromSolver:
         x = np.atleast_1d(np.asarray(x, dtype=complex))
         m = self.pts.size
         mu = sol[:m]
-        diff = self.pts[None, :] - x[:, None]
-        kern = (
-            -np.real(np.conj(self.normals)[None, :] * diff)
-            / (2.0 * math.pi * np.abs(diff) ** 2)
-        )
-        out = kern @ (mu * self.weights)
+        out = self._double_layer(x) @ (mu * self.weights)
         for j, c in enumerate(self.hole_centers):
             out += sol[m + j] * np.log(np.abs(x - c))
         return out
@@ -759,8 +755,7 @@ def green_record(domain: PlanarDomain, xi: complex, z: complex, method: str) -> 
         input_id=f"{domain!r} xi={xi} z={z}",
         inputs={"domain": repr(domain), "method": method, "xi": xi, "z": z},
         quantities={"green": g, "remainder": h},
-        margins={"finite": finite_margin(g, h)},
-        tolerances={"finite": 0.0},
+        gates={"finite": (finite_margin(g, h), 0.0)},
         primary="green",
         provenance={"green": "green_evaluator", "remainder": "green_evaluator"},
     )
@@ -775,8 +770,7 @@ def capacity_record(domain: PlanarDomain, z: complex) -> ReportRecord:
         input_id=f"{domain!r} z={z}",
         inputs={"domain": repr(domain), "z": z},
         quantities={"capacity": val, "log_capacity": math.log(val)},
-        margins={"finite": finite_margin(val)},
-        tolerances={"finite": 0.0},
+        gates={"finite": (finite_margin(val), 0.0)},
         primary="capacity",
         provenance={"capacity": "capacity", "log_capacity": "capacity"},
     )

@@ -245,11 +245,10 @@ def cutoff_limit_check(t0: float, eps_sequence) -> ReportRecord:
         input_id=f"t0={t0},eps={eps_sequence}",
         inputs={"t0": t0, "eps_sequence": eps_sequence, "samples": int(ts.size)},
         quantities=quantities,
-        margins={
-            "monotone_decrease": min_margin(diffs),
-            "final_below_tol": _LIMIT_TOL - gaps[-1],
+        gates={
+            "monotone_decrease": (min_margin(diffs), 1e-12),
+            "final_below_tol": (_LIMIT_TOL - gaps[-1], 1e-12),
         },
-        tolerances={"monotone_decrease": 1e-12, "final_below_tol": 1e-12},
         primary="final_sup_gap",
         provenance={k: "cutoff_limit_check" for k in quantities},
     )
@@ -437,21 +436,13 @@ def ode_record(delta: float, grid) -> ReportRecord:
         input_id=f"delta={delta:g}",
         inputs={"delta": delta},
         quantities=quantities,
-        margins={
-            "residual_r1": _ODE_RESIDUAL_TOL - quantities["max_r1"],
-            "residual_r2": _ODE_RESIDUAL_TOL - quantities["max_r2"],
-            "s_floor": quantities["min_s_minus_floor"],
-            "s_prime_positive": quantities["min_s_prime"],
-            "denom_positive": quantities["min_denom"],
-            "u_end_close": _ODE_END_TOL - abs(u_end - u_target),
-        },
-        tolerances={
-            "residual_r1": 0.0,
-            "residual_r2": 0.0,
-            "s_floor": 1e-12,
-            "s_prime_positive": 0.0,
-            "denom_positive": 0.0,
-            "u_end_close": 0.0,
+        gates={
+            "residual_r1": (-quantities["max_r1"], _ODE_RESIDUAL_TOL),
+            "residual_r2": (-quantities["max_r2"], _ODE_RESIDUAL_TOL),
+            "s_floor": (quantities["min_s_minus_floor"], 1e-12),
+            "s_prime_positive": (quantities["min_s_prime"], 0.0),
+            "denom_positive": (quantities["min_denom"], 0.0),
+            "u_end_close": (-abs(u_end - u_target), _ODE_END_TOL),
         },
         primary="max_r1",
         provenance={k: "ode_residual" if k.startswith("max_") else "ode_pair" for k in quantities},
@@ -556,8 +547,7 @@ def delta_class_check(
             "circles_tested": len(margins),
             "circles_skipped": skipped,
         },
-        margins={"sub_mean_value": worst},
-        tolerances={"sub_mean_value": _SMV_TOL},
+        gates={"sub_mean_value": (worst, _SMV_TOL)},
         primary="worst_margin",
         provenance={
             "worst_margin": "delta_class_check",
@@ -763,8 +753,7 @@ def residual_record(psi0: float, f: str, t: float = 20.0) -> ReportRecord:
         input_id=f"psi0={psi0:g},f={f}",
         inputs={"psi0": psi0, "f": f, "t": t},
         quantities={"mass": mass, "expected": expected, "abs_error": err},
-        margins={"value_match": _MASS_TOL - err},
-        tolerances={"value_match": 0.0},
+        gates={"value_match": (-err, _MASS_TOL)},
         primary="mass",
         provenance={
             "mass": "residual_measure",
@@ -891,15 +880,10 @@ def optimal_constant_experiment(
         input_id=f"delta={delta:g},eps={eps:g}",
         inputs={"delta": delta, "eps": eps, "a_values": list(a_values)},
         quantities=quantities,
-        margins={
-            "limit_within_rel": _LIMIT_REL_TOL - rel_err,
-            "routes_agree": _CROSS_TOL - cross_rel,
-            "ratios_increasing": min_margin(np.diff(ratios)),
-        },
-        tolerances={
-            "limit_within_rel": 0.0,
-            "routes_agree": 0.0,
-            "ratios_increasing": 1e-15,
+        gates={
+            "limit_within_rel": (-rel_err, _LIMIT_REL_TOL),
+            "routes_agree": (-cross_rel, _CROSS_TOL),
+            "ratios_increasing": (min_margin(np.diff(ratios)), 1e-15),
         },
         primary="limit",
         provenance={k: "optimal_constant_experiment" for k in quantities},

@@ -172,8 +172,7 @@ def inequality_check(c_grid=DEFAULT_C_GRID, N: int = 256) -> ReportRecord:
     if not c_grid:
         raise ParameterError("c grid must be nonempty")
     quantities: dict = {}
-    margins: dict = {}
-    tolerances: dict = {}
+    gates: dict = {}
     for c in c_grid:
         total, product, tail = fuchsian_sums(c, N)
         key = f"{c:g}"
@@ -181,16 +180,14 @@ def inequality_check(c_grid=DEFAULT_C_GRID, N: int = 256) -> ReportRecord:
         quantities[f"product_c{key}"] = product
         quantities[f"margin_c{key}"] = total - product
         quantities[f"tail_c{key}"] = tail
-        margins[f"margin_c{key}"] = total - product
-        tolerances[f"margin_c{key}"] = tail
-    quantities["min_margin"] = min_margin(list(margins.values()))
+        gates[f"margin_c{key}"] = (total - product, tail)
+    quantities["min_margin"] = min_margin([m for m, _ in gates.values()])
     return make_record(
         command="fuchsian-check",
         input_id=f"c_grid={c_grid},N={N}",
         inputs={"c_grid": c_grid, "N": N},
         quantities=quantities,
-        margins=margins,
-        tolerances=tolerances,
+        gates=gates,
         primary="min_margin",
         provenance={k: "fuchsian_sums" for k in quantities},
     )

@@ -1,14 +1,17 @@
 """Report records, deterministic summaries, and the content-addressed cache.
 
 Every check in the toolkit produces a :class:`ReportRecord`: inputs echoed,
-named computed quantities, inequality margins with their tolerances, and a
-pass flag that is recomputable from the record (``passed`` if and only if
-every margin is at least ``-tolerance``).
+named computed quantities, gates, and a pass flag that is recomputable from
+the record (``passed`` if and only if every margin is at least
+``-tolerance``).
 
-Margin conventions used throughout the package:
-  - one-sided inequality ``value >= bound``: margin = value - bound;
-  - equality check ``value == target`` at tolerance ``tol``:
-    margin = -(|value - target|), tolerance = tol.
+A gate is one ``(margin, tolerance)`` pair, in one of two shapes:
+  - a deviation held below its gate, ``dev <= gate`` (an equality
+    ``value == target`` has ``dev = |value - target|``): ``(-dev, gate)``.
+    The gate is the tolerance, never written inside the margin as
+    ``(gate - dev, 0.0)``;
+  - a one-sided inequality ``value >= bound``: ``(value - bound, slack)``,
+    at the slack it may be overshot by; 0.0 for a sign such as positivity.
 
 CSV summaries are byte-deterministic for a fixed configuration: fixed column
 order, ``repr`` floats, no timestamps.  JSON reports carry the full records
@@ -84,25 +87,25 @@ def make_record(
     input_id: str,
     inputs: dict,
     quantities: dict,
-    margins: dict,
-    tolerances: dict,
+    gates: dict,
     primary: str,
     provenance: dict | None = None,
     wall_time_s: float = 0.0,
 ) -> ReportRecord:
-    """Build a record; the pass flag is derived from margins and tolerances.
+    """Build a record from ``gates = {name: (margin, tolerance)}``, in the
+    module's two gate shapes (a deviation is ``(-dev, gate)``); the pairs
+    are split into the record's ``margins`` and ``tolerances``, and the
+    pass flag is derived from them.
 
     Every container is copied, quantities become Python numbers (complex
     values ``[re, im]`` pairs), and margins and tolerances Python floats, so
     the record serializes as it stands.
     """
-    if set(margins) != set(tolerances):
-        raise ConfigError("margins and tolerances must have identical keys")
     if primary not in quantities:
         raise ConfigError(f"primary quantity {primary!r} missing from quantities")
     quantities = {k: _jsonable_number(v) for k, v in quantities.items()}
-    margins = {k: float(v) for k, v in margins.items()}
-    tolerances = {k: float(v) for k, v in tolerances.items()}
+    margins = {k: float(m) for k, (m, _) in gates.items()}
+    tolerances = {k: float(tol) for k, (_, tol) in gates.items()}
     passed = all(margins[k] >= -tolerances[k] for k in margins)
     return ReportRecord(
         command=command,

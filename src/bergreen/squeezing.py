@@ -196,11 +196,10 @@ def sandwich_check(domain, p: complex) -> ReportRecord:
             "capacity": ratio["capacity"],
             "kernel": ratio["kernel_diag"],
         },
-        margins={
-            "lower": c_val - s_low * s_low,
-            "upper": 1.0 - c_val,
+        gates={
+            "lower": (c_val - s_low * s_low, _SANDWICH_TOL),
+            "upper": (1.0 - c_val, _SANDWICH_TOL),
         },
-        tolerances={"lower": _SANDWICH_TOL, "upper": _SANDWICH_TOL},
         primary="ratio",
         provenance={
             "ratio": "suita_ratio",
@@ -261,13 +260,9 @@ def boundary_trend_check(domain, ks=(1, 2, 3, 4), angle: float = 0.0) -> ReportR
         input_id=f"{domain!r}:boundary-trend",
         inputs={"domain": repr(domain), "ks": ks, "angle": angle},
         quantities=quantities,
-        margins={
-            "monotone_toward_one": min_margin(np.diff(ratios)),
-            "final_close_to_one": _CLOSE_TOL - abs(1.0 - ratios[-1]),
-        },
-        tolerances={
-            "monotone_toward_one": _TREND_SLACK,
-            "final_close_to_one": 0.0,
+        gates={
+            "monotone_toward_one": (min_margin(np.diff(ratios)), _TREND_SLACK),
+            "final_close_to_one": (-abs(1.0 - ratios[-1]), _CLOSE_TOL),
         },
         primary="final_deficit",
         provenance={k: "suita_ratio" for k in quantities},

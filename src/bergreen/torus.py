@@ -713,8 +713,7 @@ def arak1_check(spec: TorusSpec, d: int) -> ReportRecord:
         input_id=f"tau={spec.tau},d={d}",
         inputs={"tau": spec.tau, "d": d, "t_residual": _T_RESIDUAL},
         quantities=quantities,
-        margins={k: m for k, (m, _) in gated.items()},
-        tolerances={k: tol for k, (_, tol) in gated.items()},
+        gates=gated,
         primary="lhs",
         provenance={
             k: "torus_bergman" if k in from_kernel else "arak1_check" for k in quantities

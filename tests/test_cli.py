@@ -861,8 +861,7 @@ class TestReportHelpers:
             input_id="x",
             inputs={},
             quantities={"v": 1.0},
-            margins={"loose": 5.0, "tight": 0.25},
-            tolerances={"loose": 0.0, "tight": 0.5},
+            gates={"loose": (5.0, 0.0), "tight": (0.25, 0.5)},
             primary="v",
         )
         row = csv_summary_text([rec]).splitlines()[1].split(",")
@@ -902,8 +901,7 @@ def _writer_records():
         input_id="z=(0.3+0.1j)",
         inputs={"z": 0.3 + 0.1j, "grid": np.array([1.0, 2.0]), "pair": (1, 2), "flag": True},
         quantities={"value": 0.25 - 0.5j, "count": 3, "ratio": np.float64(0.75)},
-        margins={"upper": 0.25, "positive": np.float64(0.5)},
-        tolerances={"upper": 1e-6, "positive": 0.0},
+        gates={"upper": (0.25, 1e-6), "positive": (np.float64(0.5), 0.0)},
         primary="value",
         provenance={"value": "demo", "ratio": "demo"},
         wall_time_s=0.125,
@@ -913,8 +911,7 @@ def _writer_records():
         input_id="nan",
         inputs={"points": [0.1, [0.2, 0.3]]},
         quantities={"green": math.nan, "big": math.inf, "small": -math.inf},
-        margins={"finite": -1.0, "gap": math.nan},
-        tolerances={"finite": 0.0, "gap": math.inf},
+        gates={"finite": (-1.0, 0.0), "gap": (math.nan, math.inf)},
         primary="green",
     )
     return [plain, odd, replace(plain, cached=True, config_hash="abc")]
@@ -960,8 +957,7 @@ class TestWriters:
             input_id="x",
             inputs={},
             quantities={"v": 1.0},
-            margins={"m": np.float32(0.5)},
-            tolerances={"m": np.float32(0.0)},
+            gates={"m": (np.float32(0.5), np.float32(0.0))},
             primary="v",
         )
         assert rec.passed
@@ -1093,3 +1089,27 @@ def test_a_nan_never_passes_a_record(monkeypatch, build):
     assert rec.passed is False
     assert math.isnan(rec.margins[margin])
     assert reports._binding_margin(rec)[0] == "nan"
+
+
+# every gate of `all` held at tolerance 0.0, with the reason it has no bound
+_ZERO_TOLERANCE_GATES = {
+    ("suita-check", "positive"): "positivity at 0",
+    ("ode-check", "denom_positive"): "positivity at 0",
+    ("ode-check", "s_prime_positive"): "positivity at 0",
+    ("fuchsian-check", "margin_c0.9"): "the certified tail underflows to 0.0",
+    ("fuchsian-check", "margin_c0.95"): "the certified tail underflows to 0.0",
+}
+
+
+def test_every_bound_of_all_is_its_gates_tolerance(tmp_path):
+    # a bound written inside a margin, as gate - value at tolerance 0, adds
+    # a (command, margin) pair that the allowlist does not name
+    assert main(["all", "--no-cache", "--outdir", str(tmp_path)]) == 0
+    records = _read_report(tmp_path / "all_report.json")["records"]
+    zero = {
+        (rec["command"], name)
+        for rec in records
+        for name, tol in rec["tolerances"].items()
+        if tol == 0.0
+    }
+    assert zero == set(_ZERO_TOLERANCE_GATES)

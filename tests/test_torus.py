@@ -538,7 +538,7 @@ class TestLaplacianDeviation:
         monkeypatch.setattr(torus, "_LAP_TOL", 1e-14)
         rec = arak1_check(spec_i, 4)
         assert not rec.passed
-        assert rec.margins["laplacian"] < 0.0
+        assert rec.margins["laplacian"] < -rec.tolerances["laplacian"]
         assert rec.quantities["laplacian_deviation"] > 1e-14
 
 
