@@ -198,6 +198,9 @@ class Jordan:
         self._coeffs = np.array([complex(coeffs[k]) for k in sorted(coeffs)])
         if not np.all(np.isfinite(self._coeffs)):
             raise DomainError("Jordan boundary coefficients must be finite")
+        ks = self._indices.astype(float)
+        # the series weights of gamma, gamma' and gamma''
+        self._weights = (self._coeffs, 1j * ks * self._coeffs, -(ks**2) * self._coeffs)
         self.coeffs = {int(k): complex(coeffs[k]) for k in sorted(coeffs)}
         self._validate()
 
@@ -248,44 +251,53 @@ class Jordan:
 
     # -- geometry ------------------------------------------------------------
 
-    def _series(self, t, weights) -> np.ndarray:
-        """``sum_k w_k exp(i k t)`` over the coefficient indices ``k``;
-        vectorized in ``t``."""
+    def _table(self, t) -> np.ndarray:
+        """``exp(i k t)`` over the coefficient indices ``k``: one row per
+        ``t``, one column per ``k``."""
         t = np.asarray(t, dtype=float)
-        return np.exp(1j * np.multiply.outer(t, self._indices.astype(float))) @ weights
+        return np.exp(1j * np.multiply.outer(t, self._indices.astype(float)))
 
     def point(self, t) -> np.ndarray:
         """Boundary point(s) ``gamma(t)``; vectorized in ``t``."""
-        return self._series(t, self._coeffs)
+        return self._table(t) @ self._weights[0]
 
     def tangent(self, t) -> np.ndarray:
-        return self._series(t, 1j * self._indices.astype(float) * self._coeffs)
+        return self._table(t) @ self._weights[1]
 
     def second(self, t) -> np.ndarray:
-        return self._series(t, -(self._indices.astype(float) ** 2) * self._coeffs)
+        return self._table(t) @ self._weights[2]
+
+    def derivatives(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(gamma(t), gamma'(t), gamma''(t))``, each the value of
+        :meth:`point`, :meth:`tangent` and :meth:`second`, from one table
+        of ``exp(i k t)``."""
+        table = self._table(t)
+        return tuple(table @ w for w in self._weights)
 
     def _validate(self) -> None:
         """Necessary conditions of a smooth, positively wound simple curve,
         tested on samples: they reject the curves that fail them but do not
         prove the curve simple."""
-        t = np.linspace(0.0, 2.0 * math.pi, _VALIDATE_SAMPLES, endpoint=False)
-        pts = self.point(t)
-        dpt = self.tangent(t)
+        # the separation samples are every other winding sample: the step
+        # 2 pi / n doubles exactly, so their t are the same floats
+        t = np.linspace(0.0, 2.0 * math.pi, _WINDING_SAMPLES, endpoint=False)
+        fine, dfine, sfine = self.derivatives(t)
+        stride = _WINDING_SAMPLES // _VALIDATE_SAMPLES
+        pts, dpt = fine[::stride], dfine[::stride]
         if np.min(np.abs(dpt)) < 1e-9:
             raise DomainError("boundary parameterization derivative vanishes")
         # simplicity: non-neighboring samples must stay separated
         if not _far_samples_separated(pts):
             raise DomainError("boundary self-intersects on a dense sample")
         # positive winding around an interior reference point
-        t = np.linspace(0.0, 2.0 * math.pi, _WINDING_SAMPLES, endpoint=False)
-        self._winding_samples = (self.point(t), self.tangent(t))
+        self._winding_samples = (fine, dfine)
         centroid = complex(np.mean(pts))
         if self.winding(centroid) != 1:
             raise DomainError("boundary must wind positively (counterclockwise)")
         # the tangent of a simple closed curve turns exactly once (Hopf's
         # Umlaufsatz): (1/2pi) * integral of Im(gamma''/gamma') dt
         with np.errstate(divide="ignore", invalid="ignore"):
-            turning = float(np.mean((self.second(t) / self._winding_samples[1]).imag))
+            turning = float(np.mean((sfine / dfine).imag))
         if not abs(turning - 1.0) < 0.5:
             raise DomainError(
                 f"boundary tangent turns {turning:.3f} times, not once: the curve "
@@ -467,28 +479,26 @@ class _NystromSolver:
     """
 
     def __init__(self, components, hole_centers, n_per_component: int):
-        # components: list of (point_fn, tangent_fn, second_fn) callables
-        self.n = int(n_per_component)
+        # components: one derivatives(t) -> (gamma, gamma', gamma'') callable
+        # per boundary component
+        n = int(n_per_component)
+        t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        samples = zip(*(derivatives(t) for derivatives in components))
+        self._place(n, hole_centers, *(np.concatenate(s) for s in samples))
+        self._assemble()
+
+    def _place(self, n: int, hole_centers, pts, tans, secs) -> None:
+        """The nodes, weights and curvatures of ``n`` nodes per component,
+        from the samples ``gamma``, ``gamma'`` and ``gamma''`` at them."""
+        self.n = n
         self.hole_centers = [complex(c) for c in hole_centers]
-        pts, tans, secs = [], [], []
-        self.slices = []
-        start = 0
-        for point_fn, tangent_fn, second_fn in components:
-            t = np.linspace(0.0, 2.0 * math.pi, self.n, endpoint=False)
-            pts.append(point_fn(t))
-            tans.append(tangent_fn(t))
-            secs.append(second_fn(t))
-            self.slices.append(slice(start, start + self.n))
-            start += self.n
-        self.pts = np.concatenate(pts)
-        self.tans = np.concatenate(tans)
-        self.secs = np.concatenate(secs)
+        self.slices = [slice(start, start + n) for start in range(0, pts.size, n)]
+        self.pts, self.tans, self.secs = pts, tans, secs
         self.speed = np.abs(self.tans)
         self.normals = -1j * self.tans / self.speed
         self.curv = np.imag(np.conj(self.tans) * self.secs) / self.speed**3
         self.h = 2.0 * math.pi / self.n
         self.weights = self.speed * self.h
-        self._assemble()
 
     def _assemble(self) -> None:
         y = self.pts
@@ -504,15 +514,36 @@ class _NystromSolver:
             with np.errstate(divide="ignore", invalid="ignore"):
                 kern = self._double_layer(y[rows])
             A[rows, :m] = kern * self.weights[None, :]
-        diag = np.arange(m)
-        A[diag, diag] = (-self.curv / (4.0 * math.pi)) * self.weights
-        A[diag, diag] -= 0.5
         for j, c in enumerate(self.hole_centers):
             A[:m, m + j] = np.log(np.abs(y - c))
             # side condition: mean density over the hole component
             sl = self.slices[1 + j]
             A[m + j, sl] = self.weights[sl]
+        self._set_diagonal(A)
+
+    def _set_diagonal(self, A: np.ndarray) -> None:
+        """The kernel's diagonal limit ``-curv / (4 pi)``, weighted, minus
+        the jump ``1/2``, on the node diagonal of ``A``; then keep ``A``."""
+        diag = np.arange(self.pts.size)
+        A[diag, diag] = (-self.curv / (4.0 * math.pi)) * self.weights
+        A[diag, diag] -= 0.5
         self.matrix = A
+
+    def halved(self) -> "_NystromSolver":
+        """The same problem on every other node of each component, sliced
+        from this system: the step doubles exactly, so the nodes are the
+        same floats, the weights are doubled, and so are the kernel columns
+        and side-condition rows; the hole columns are equal.  Only the
+        diagonal is computed afresh.  Needs an even ``n``."""
+        m = self.pts.size
+        even = np.arange(0, m, 2)
+        half = object.__new__(_NystromSolver)
+        half._place(self.n // 2, self.hole_centers, self.pts[even], self.tans[even], self.secs[even])
+        keep = np.concatenate([even, np.arange(m, m + len(self.hole_centers))])
+        A = self.matrix[np.ix_(keep, keep)]
+        A[:, : even.size] *= 2.0
+        half._set_diagonal(A)
+        return half
 
     def _double_layer(self, x: np.ndarray) -> np.ndarray:
         """Double-layer kernel ``-Re(conj(n_j) (y_j - x_i)) / (2 pi |y_j -
@@ -537,25 +568,21 @@ class _NystromSolver:
 
 
 def _circle(radius: float, turn: int):
-    """(point, tangent, second derivative) of ``radius * exp(i turn t)``;
-    ``turn`` is 1 (counterclockwise) or -1 (clockwise)."""
+    """The ``derivatives(t)`` callable of ``radius * exp(i turn t)``:
+    ``(gamma, gamma', gamma'')``; ``turn`` is 1 (counterclockwise) or -1
+    (clockwise)."""
 
-    def point(t):
-        return radius * np.exp(1j * turn * t)
+    def derivatives(t):
+        point = radius * np.exp(1j * turn * t)
+        return point, 1j * turn * point, -point
 
-    def tangent(t):
-        return 1j * turn * point(t)
-
-    def second(t):
-        return -point(t)
-
-    return point, tangent, second
+    return derivatives
 
 
 def _nystrom_components(domain: PlanarDomain):
     """Boundary components (outward-from-domain orientation) and hole centers."""
     if isinstance(domain, Jordan):
-        return [(domain.point, domain.tangent, domain.second)], []
+        return [domain.derivatives], []
     if isinstance(domain, Disc):
         return [_circle(domain.radius, 1)], []
     if isinstance(domain, Annulus):
@@ -588,9 +615,10 @@ class GreenEvaluator:
     :class:`NonConvergenceError`.  The Nystrom method reports
     the ``quad_points`` value and raises :class:`AccuracyError` unless the
     same problem on ``quad_points // 2`` (or, failing that, twice as many)
-    nodes certifies it; each witness system is built on first use.  The
-    Nystrom systems are real and not symmetric; each value solves for its
-    pole's density afresh, by one partial-pivoting LU solve
+    nodes certifies it; each witness system is built on first use, the
+    ``n/2`` one sliced from the reported system, so ``quad_points`` must be
+    even.  The Nystrom systems are real and not symmetric; each value
+    solves for its pole's density afresh, by one partial-pivoting LU solve
     (``numpy.linalg.solve``).  No factor or density is kept.
     The reported system must hold finite entries and have a 2-norm
     condition of at most 1e12, or :class:`SolverSingularError` is raised;
@@ -616,8 +644,9 @@ class GreenEvaluator:
         if self.method == "laurent_modes" and not isinstance(self.domain, Annulus):
             raise DomainError("laurent_modes method is only available on annuli")
         if self.method == "nystrom":
-            if self.quad_points < 64:
-                raise DomainError("quad_points must be at least 64")
+            if self.quad_points < 64 or self.quad_points % 2:
+                # the n/2 witness takes every other node of the reported system
+                raise DomainError("quad_points must be even and at least 64")
             self._solver = _NystromSolver(*_nystrom_components(self.domain), self.quad_points)
             A = self._solver.matrix
             if not np.isfinite(A).all():
@@ -654,7 +683,7 @@ class GreenEvaluator:
 
     @functools.cached_property
     def _half(self) -> _NystromSolver:
-        return _NystromSolver(*_nystrom_components(self.domain), self.quad_points // 2)
+        return self._solver.halved()
 
     @functools.cached_property
     def _double(self) -> _NystromSolver:

@@ -254,16 +254,22 @@ def _strict_json(v):
 
 
 def write_json_report(path: str, config: dict, records: list[ReportRecord]) -> None:
-    """Full records as strict JSON: non-finite floats are written as the
-    strings ``"nan"``, ``"inf"`` and ``"-inf"``.  The text is serialized
-    whole before the file is opened, so a value JSON cannot encode leaves
-    no partial report."""
+    """Full records as one line of strict JSON: non-finite floats are
+    written as the strings ``"nan"``, ``"inf"`` and ``"-inf"``.  The text is
+    serialized whole before the file is opened, so a value JSON cannot
+    encode leaves no partial report.
+
+    Without ``indent`` json uses its C encoder; the payload is walked by
+    :func:`_strict_json` only when that encoder meets a non-finite float."""
     payload = {
         "config": config,
         "library_version": __version__,
         "records": [record_to_dict(r) for r in records],
     }
-    text = json.dumps(_strict_json(payload), indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_strict_json(payload), sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

@@ -1071,6 +1071,38 @@ class TestJacobiSolveAccuracy:
         assert abs(value - exact) <= tol * exact
 
 
+class TestNormalizedCondition:
+    """``bergman._normalized_condition`` takes the spectrum of a symmetric
+    permutation of the scaled Gram: an exact similarity, so it matches the
+    unpermuted spectrum to rounding."""
+
+    @pytest.mark.parametrize(
+        "domain,c,basis",
+        [
+            (ANN, 0.2, (-128, 128)),
+            (ANN, 1.0, (-128, 128)),
+            (Annulus(0.5), 0.3, (-128, 128)),
+            (Annulus(0.1), 0.5, (-128, 128)),
+            (DISC, 0.2, (0, 128)),
+            (DISC, 1.0, (0, 128)),
+        ],
+    )
+    def test_matches_the_unpermuted_spectrum(self, domain, c, basis):
+        corr, _ = bergman._jacobi_scaled(gram_matrix(domain, HarmonicRe(c), basis))
+        lam = np.abs(np.linalg.eigvalsh(corr))
+        reference = lam.max() / lam.min()
+        assert bergman._normalized_condition(corr) == pytest.approx(reference, rel=1e-13)
+
+    def test_diagonal_gram_is_exactly_one(self):
+        corr, _ = bergman._jacobi_scaled(gram_matrix(ANN, Unweighted(), (-16, 16)))
+        assert bergman._normalized_condition(corr) == 1.0
+
+    def test_warns_above_1e10(self):
+        corr = np.diag([1.0, 1.0, 1e-11]) + np.diag([1e-12, 1e-12], 1) + np.diag([1e-12, 1e-12], -1)
+        with pytest.warns(RuntimeWarning, match="exceeds 1e10"):
+            assert bergman._normalized_condition(corr) > 1e10
+
+
 # ---------------------------------------------------------------------------
 # Basis helpers
 # ---------------------------------------------------------------------------

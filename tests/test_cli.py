@@ -929,10 +929,19 @@ class TestWriters:
             "library_version": reports.__version__,
             "records": [asdict(r) for r in records],
         }
-        with open(tmp_path / "ref.json", "w") as fh:
-            json.dump(reports._strict_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
-        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        ref = json.dumps(reports._strict_json(payload), sort_keys=True, allow_nan=False) + "\n"
+        assert (tmp_path / "new.json").read_bytes() == ref.encode()
+
+    def test_finite_report_skips_the_non_finite_walk(self, tmp_path, monkeypatch):
+        walks = []
+        walk = reports._strict_json
+        monkeypatch.setattr(reports, "_strict_json", lambda v: walks.append(v) or walk(v))
+        plain, odd, cached = _writer_records()
+        write_json_report(str(tmp_path / "finite.json"), {"command": "demo"}, [plain, cached])
+        assert walks == []
+        # a non-finite value takes the walk, from the whole payload down
+        write_json_report(str(tmp_path / "odd.json"), {"command": "demo"}, [plain, odd])
+        assert walks and set(walks[0]) == {"config", "library_version", "records"}
 
     def test_cache_entry_bytes_match_the_asdict_reference(self, tmp_path):
         records = _writer_records()

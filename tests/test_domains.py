@@ -176,13 +176,12 @@ def nystrom_green(domain, z: complex, w: complex, n: int) -> float:
 # multiple of the 128-row block: the last block used to reach into the
 # side-condition row
 PARTIAL_BLOCK_NODE_COUNTS = [64, 96, 100, 200, 320]
+ASSEMBLY_CASES = [(Jordan.ellipse(1.2, 0.7), 256), (wobbly_domain(), 100), (Annulus(0.2), 256)] + [
+    (Annulus(0.2), n) for n in PARTIAL_BLOCK_NODE_COUNTS
+]
 
 
-@pytest.mark.parametrize(
-    "domain,n",
-    [(Jordan.ellipse(1.2, 0.7), 256), (wobbly_domain(), 100), (Annulus(0.2), 256)]
-    + [(Annulus(0.2), n) for n in PARTIAL_BLOCK_NODE_COUNTS],
-)
+@pytest.mark.parametrize("domain,n", ASSEMBLY_CASES)
 def test_row_block_assembly_matches_whole_rows(domain, n):
     # the whole-array assembly the row blocks replaced, as the reference
     s = domains._NystromSolver(*domains._nystrom_components(domain), n)
@@ -201,6 +200,16 @@ def test_row_block_assembly_matches_whole_rows(domain, n):
         border[m + j, s.slices[1 + j]] = s.weights[s.slices[1 + j]]
     assert s.matrix[:, m:].tobytes() == border[:, m:].tobytes()
     assert s.matrix[m:, :].tobytes() == border[m:, :].tobytes()
+
+
+@pytest.mark.parametrize("domain,n", ASSEMBLY_CASES)
+def test_halved_system_is_the_assembled_half(domain, n):
+    # the n/2 witness sliced from the n-node system, against its assembly
+    half = domains._NystromSolver(*domains._nystrom_components(domain), n).halved()
+    ref = domains._NystromSolver(*domains._nystrom_components(domain), n // 2)
+    assert half.n == ref.n and half.slices == ref.slices and half.h == ref.h
+    for name in ("pts", "normals", "curv", "weights", "matrix"):
+        assert getattr(half, name).tobytes() == getattr(ref, name).tobytes(), name
 
 
 @pytest.mark.parametrize("n", PARTIAL_BLOCK_NODE_COUNTS + [256])
@@ -233,6 +242,11 @@ class TestGreenNystrom:
     def test_quad_points_minimum(self):
         with pytest.raises(DomainError):
             green_evaluator(Jordan.circle(), quad_points=32)
+
+    def test_odd_quad_points_refused(self):
+        # the n/2 witness takes every other node of the reported system
+        with pytest.raises(DomainError, match="even"):
+            green_evaluator(Jordan.circle(), quad_points=129)
 
     def test_boundary_distance_guard(self):
         ev = green_evaluator(Jordan.circle(), quad_points=64)
@@ -369,6 +383,16 @@ class TestEvaluatorGuards:
         assert ev._half.n == 64 and ev._solver.n == 128 and "_double" not in vars(ev)
         assert conds == [(128, 128)]  # the witness takes no condition number
         assert g == nystrom_green(dom, 0.3, -0.2j, 128)
+
+    def test_witness_is_sliced_not_assembled(self, monkeypatch):
+        assemble = domains._NystromSolver._assemble
+        built = []
+        monkeypatch.setattr(
+            domains._NystromSolver, "_assemble", lambda s: built.append(s.n) or assemble(s)
+        )
+        ev = green_evaluator(Annulus(0.2), method="nystrom", quad_points=128)
+        ev.green(0.5, -0.3j)
+        assert built == [128] and ev._half.n == 64
 
     def test_doubled_witness_certifies_what_the_half_cannot(self):
         # xi is 0.085 from the outer circle: h_128 is 1.1e-5 off, h_256
@@ -574,6 +598,13 @@ class TestJordan:
             for z in (0.1 + 0.2j, 1.5, -0.9j):
                 direct = np.sum(dom.tangent(t) / (dom.point(t) - z)) * (2.0 * math.pi / 2048)
                 assert dom.winding(z) == int(round((direct / (2j * math.pi)).real))
+
+    def test_derivatives_are_point_tangent_and_second(self):
+        t = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
+        for dom in (Jordan.ellipse(1.2, 0.7), wobbly_domain()):
+            got = dom.derivatives(t)
+            ref = (dom.point(t), dom.tangent(t), dom.second(t))
+            assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
 
     def test_from_file_roundtrip(self, tmp_path):
         path = tmp_path / "curve.txt"
