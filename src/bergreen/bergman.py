@@ -32,13 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .domains import (
-    Annulus,
-    Disc,
-    GreenEvaluator,
-    PlanarDomain,
-    capacity,
-)
+from .domains import Annulus, Disc, PlanarDomain, capacity
 from .errors import (
     AccuracyError,
     DivergentIntegralError,
@@ -85,14 +79,12 @@ _MARGIN_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Unweighted:
-    """Density ``rho = scale`` (constant; scale defaults to 1)."""
+    """Density ``rho = 1``."""
 
-    scale: float = 1.0
     radial: ClassVar[bool] = True
 
     def density(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.full(z.shape, self.scale, dtype=float)
+        return np.ones(np.shape(z))
 
 
 @dataclass(frozen=True)
@@ -100,11 +92,10 @@ class HarmonicLog:
     """Harmonic weight ``h = alpha log|z|``, density ``rho = |z|^(-2 alpha)``."""
 
     alpha: float
-    scale: float = 1.0
     radial: ClassVar[bool] = True
 
     def density(self, z):
-        return self.scale * np.abs(np.asarray(z, dtype=complex)) ** (-2.0 * self.alpha)
+        return np.abs(np.asarray(z, dtype=complex)) ** (-2.0 * self.alpha)
 
 
 @dataclass(frozen=True)
@@ -113,7 +104,6 @@ class MaxPiece:
 
     delta: float
     a: float
-    scale: float = 1.0
     radial: ClassVar[bool] = True
 
     def __post_init__(self):
@@ -125,7 +115,7 @@ class MaxPiece:
     def density(self, z):
         s = np.abs(np.asarray(z, dtype=complex))
         phi = 2.0 * (1.0 + self.delta) * np.log(np.maximum(s, self.a))
-        return self.scale * np.exp(-phi)
+        return np.exp(-phi)
 
 
 @dataclass(frozen=True)
@@ -133,12 +123,11 @@ class HarmonicRe:
     """Harmonic weight ``h = c Re z``, density ``rho = exp(-2 c Re z)``."""
 
     c: float
-    scale: float = 1.0
     radial: ClassVar[bool] = False
 
     def density(self, z):
         z = np.asarray(z, dtype=complex)
-        return self.scale * np.exp(-2.0 * self.c * z.real)
+        return np.exp(-2.0 * self.c * z.real)
 
 
 WeightSpec = Unweighted | HarmonicLog | MaxPiece | HarmonicRe
@@ -221,20 +210,17 @@ def log_radial_moments(
     The moment equals ``2 pi integral_lo^hi s^{2n+1} rho(s) ds``.
     """
     if isinstance(domain, Disc):
-        if domain.radius != 1.0:
-            raise DomainError("closed-form moments assume the unit disc")
-        lo, hi = 0.0, 1.0
+        lo, hi = 0.0, domain.radius
     elif isinstance(domain, Annulus):
         lo, hi = domain.r_inner, 1.0
     else:
         raise DomainError("closed-form moments need a disc or annulus")
 
     ns = np.asarray(ns)
-    base = _LOG_2PI + math.log(getattr(weight, "scale", 1.0))
     if isinstance(weight, Unweighted):
-        return base + _log_power_integrals(2 * ns + 2, lo, hi)
+        return _LOG_2PI + _log_power_integrals(2 * ns + 2, lo, hi)
     if isinstance(weight, HarmonicLog):
-        return base + _log_power_integrals(2 * ns + 2 - 2 * weight.alpha, lo, hi)
+        return _LOG_2PI + _log_power_integrals(2 * ns + 2 - 2 * weight.alpha, lo, hi)
     if isinstance(weight, MaxPiece):
         a, delta = weight.a, weight.delta
         pieces = []
@@ -248,9 +234,9 @@ def log_radial_moments(
             # outer: rho = s^(-2(1+delta))
             pieces.append(_log_power_integrals(2 * ns - 2 * delta, max(lo, a), hi))
         if len(pieces) == 1:
-            return base + pieces[0]
+            return _LOG_2PI + pieces[0]
         m = np.maximum(*pieces)
-        return base + m + np.log1p(np.exp(np.minimum(*pieces) - m))
+        return _LOG_2PI + m + np.log1p(np.exp(np.minimum(*pieces) - m))
     raise DomainError(f"no closed-form radial moment for {weight!r}")
 
 
@@ -358,7 +344,7 @@ def _bessel_gram(
     series of ``I_k`` turn entry ``(m, n)`` on the unit disc or an annulus
     ``lo < |z| < 1`` into
 
-        2 pi scale (-c)^k sum_j c^(2j) / (j! (j+k)!) L(2 (max(m, n) + 1 + j)),
+        2 pi (-c)^k sum_j c^(2j) / (j! (j+k)!) L(2 (max(m, n) + 1 + j)),
 
     with ``k = |m - n|`` and ``L(p) = integral_lo^1 s^(p-1) ds``
     (``log(1/lo)`` at ``p = 0``).  The terms have one sign and ``L``
@@ -415,7 +401,7 @@ def _bessel_gram(
     tiny = np.finfo(float).tiny
     coeff[np.abs(coeff) < tiny] = 0.0
     hankel = power[ks[:, None] + np.arange(n_terms + 1)]
-    table = (2.0 * math.pi * weight.scale) * (hankel @ coeff)  # [M - n_min, k]
+    table = (2.0 * math.pi) * (hankel @ coeff)  # [M - n_min, k]
     gram = table[np.maximum.outer(ks, ks), np.abs(ks[:, None] - ks)]
     if radius != 1.0:
         gram *= np.outer(radius ** (ns + 1.0), radius ** (ns + 1.0))
@@ -546,14 +532,15 @@ def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) ->
     closed form, with ``x = |z|^2``.
 
     On the unit disc the modes ``n >= 0`` sum to ``(1/(1 - x)^2 - alpha/(1 -
-    x)) / (pi scale)``.  On the annulus ``r < |z| < 1``, ``q = r^2``, mode ``n``
-    is ``x^(alpha-1) x^p p / (1 - q^p) / (pi scale)`` with ``p = n + 1 -
-    alpha``.  Expanding ``1/(1 - q^p)`` as a geometric series and summing
-    over ``p`` first gives, with ``f(y, a) = sum_{m>=0} (a+m) y^(a+m) =
-    y^a (a/(1-y) + y/(1-y)^2)``, the Lambert form
+    x)) / pi``; on a disc of radius ``R``, ``z = R w`` maps it to the unit
+    disc, so ``K_R(z) = R^(2 alpha - 2) K_1(z / R)``.  On the annulus ``r <
+    |z| < 1``, ``q = r^2``, mode ``n`` is ``x^(alpha-1) x^p p / (1 - q^p) /
+    pi`` with ``p = n + 1 - alpha``.  Expanding ``1/(1 - q^p)`` as a
+    geometric series and summing over ``p`` first gives, with ``f(y, a) =
+    sum_{m>=0} (a+m) y^(a+m) = y^a (a/(1-y) + y/(1-y)^2)``, the Lambert form
 
-        pi scale K = x^(alpha-1) [g(p+) + g(-p-) + sum_{k>=0} f(x q^k, p+ + 1)
-                     + sum_{k>=1} f(q^k/x, p- + 1) + [p0 = 0] / (2 log(1/r))],
+        pi K = x^(alpha-1) [g(p+) + g(-p-) + sum_{k>=0} f(x q^k, p+ + 1)
+               + sum_{k>=1} f(q^k/x, p- + 1) + [p0 = 0] / (2 log(1/r))],
 
     where ``p+`` and ``-p-`` are the smallest positive and the largest
     negative exponent and ``g(p) = x^p p / (1 - q^p)`` are their modes, taken
@@ -562,22 +549,23 @@ def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) ->
     geometrically with ratio ``q^a``; after its last term ``t`` the rest is
     at most ``t rho/(1 - rho)``.  That bound, relative to ``K``, is the
     reported truncation error, and the number of summed terms the basis size.
-    ``1 - x`` is formed as ``(1 - |z|)(1 + |z|)`` and ``1 - q/x`` as ``(|z| -
-    r)(|z| + r)/x``, which keeps their relative accuracy near the circles.
+    ``1 - x`` is formed as ``(1 - |z|)(1 + |z|)`` (``(R - |z|)(R + |z|) /
+    R^2`` on the disc) and ``1 - q/x`` as ``(|z| - r)(|z| + r)/x``, which
+    keeps their relative accuracy near the circles.
     """
-    if isinstance(domain, Disc) and domain.radius != 1.0:
-        raise DomainError("closed-form moments assume the unit disc")
     alpha = weight.alpha if isinstance(weight, HarmonicLog) else 0.0
-    s = abs(z)
+    radius = domain.radius if isinstance(domain, Disc) else 1.0
     lo = domain.r_inner if isinstance(domain, Annulus) else 0.0
-    if not (lo < s < 1.0 or lo == 0.0 <= s < 1.0):
+    s = abs(z)
+    if not (lo < s < radius or lo == 0.0 <= s < radius):
         raise DomainError(f"z = {z} is not inside {domain!r}")
-    x, outer = s * s, (1.0 - s) * (1.0 + s)
-    norm = math.pi * weight.scale
+    unit = s / radius  # |z / R|, a point of the unit disc
+    x, outer = unit * unit, (radius - s) * (radius + s) / (radius * radius)
     if lo == 0.0:
         if alpha >= 1.0:
             raise DivergentIntegralError("radial integral diverges at the origin")
-        return KernelEstimate((1.0 / outer - alpha) / outer / norm, 1, 1.0, 0.0)
+        value = (1.0 / outer - alpha) / outer / math.pi * radius ** (2.0 * alpha - 2.0)
+        return KernelEstimate(value, 1, 1.0, 0.0)
 
     q, log_q = lo * lo, 2.0 * math.log(lo)
     p_pos = math.floor(alpha) + 1.0 - alpha  # in (0, 1]
@@ -601,10 +589,9 @@ def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) ->
         total += float(np.sum(f))
         ratio = q**a
         tails += float(f[-1]) * ratio / (1.0 - ratio)
-    value = x ** (alpha - 1.0) * total / norm
+    value = x ** (alpha - 1.0) * total / math.pi
     size = 2 + 2 * n_terms + integer
     return KernelEstimate(value, size, 1.0, tails / total)
-
 
 
 def kernel_diag(
@@ -612,33 +599,29 @@ def kernel_diag(
     weight: WeightSpec,
     z: complex,
     basis: tuple[int, int] | None = None,
-    trunc_tol: float | None = None,
     memo: dict | None = None,
 ) -> KernelEstimate:
     """Bergman kernel diagonal ``K(z, z)`` over the monomial basis span.
 
-    Without ``basis``, ``Unweighted`` and ``HarmonicLog`` on the unit disc
-    and on annuli take every mode in closed form
-    (:func:`_closed_form_kernel`); other weights use :func:`default_basis`.
-    Over a basis range, the truncation error estimate is the relative
-    change when the range is halved toward zero.  :class:`TruncationError`
-    is raised when the estimate exceeds ``trunc_tol`` (``_TRUNC_TOL``
-    unless given).
+    Without ``basis``, ``Unweighted`` and ``HarmonicLog`` on discs and on
+    annuli take every mode in closed form (:func:`_closed_form_kernel`);
+    other weights use :func:`default_basis`.  Over a basis range, the
+    truncation error estimate is the relative change when the range is
+    halved toward zero.  :class:`TruncationError` is raised when the
+    estimate exceeds ``_TRUNC_TOL``.
 
     Calls that pass the same ``memo`` dict build the dense Gram of each
     (domain, weight, basis) once and share its Jacobi scaling ``(corr, d)``
     (:func:`_jacobi_scaled`) and the condition of ``corr``; a build that
     raises stores nothing, so the next call tries again.
     """
-    if trunc_tol is None:
-        trunc_tol = _TRUNC_TOL
     if (
         basis is None
         and isinstance(weight, (Unweighted, HarmonicLog))
         and isinstance(domain, (Disc, Annulus))
     ):
         est = _closed_form_kernel(domain, weight, z)
-        _check_truncation(est.truncation_error_estimate, trunc_tol)
+        _check_truncation(est.truncation_error_estimate)
         return est
     if basis is None:
         basis = default_basis(domain)
@@ -668,7 +651,7 @@ def kernel_diag(
         value_half = _dense_kernel_value(corr[np.ix_(half, half)], d[half], b[half])
 
     trunc = abs(value - value_half) / value if value > 0.0 else 0.0
-    _check_truncation(trunc, trunc_tol)
+    _check_truncation(trunc)
     return KernelEstimate(
         value=value,
         basis_size=int(ns.size),
@@ -677,10 +660,10 @@ def kernel_diag(
     )
 
 
-def _check_truncation(trunc: float, trunc_tol: float) -> None:
-    if trunc > trunc_tol:
+def _check_truncation(trunc: float) -> None:
+    if trunc > _TRUNC_TOL:
         raise TruncationError(
-            f"basis truncation estimate {trunc:.3e} exceeds trunc_tol={trunc_tol:.3e}"
+            f"basis truncation estimate {trunc:.3e} exceeds {_TRUNC_TOL:.3e}"
         )
 
 
@@ -755,22 +738,15 @@ def kernel_record(domain: PlanarDomain, weight: WeightSpec, z: complex) -> Repor
     )
 
 
-def suita_ratio(
-    domain: PlanarDomain,
-    z: complex,
-    basis: tuple[int, int] | None = None,
-    evaluator: GreenEvaluator | None = None,
-) -> ReportRecord:
+def suita_ratio(domain: PlanarDomain, z: complex) -> ReportRecord:
     """``c_beta(z)^2 / (pi K(z, z)) <= 1`` (overshoot up to ``_RATIO_TOL``)
     and ``> 0``: the ``suita-check`` record, with the ratio, the capacity
-    and the kernel diagonal among its quantities.
-
-    ``evaluator`` overrides the capacity method (e.g. a Nystrom evaluator
-    for cross-method pipelines); the kernel is the closed form of
-    :func:`kernel_diag` unless ``basis`` is given.
+    and the kernel diagonal among its quantities.  The capacity is that of
+    the domain's natural evaluator, the kernel the closed form of
+    :func:`kernel_diag`.
     """
-    cap = capacity(evaluator if evaluator is not None else domain, z)
-    est = kernel_diag(domain, Unweighted(), z, basis=basis)
+    cap = capacity(domain, z)
+    est = kernel_diag(domain, Unweighted(), z)
     if est.value <= 0.0:
         raise ZeroKernelError("kernel diagonal is not positive")
     ratio = cap**2 / (math.pi * est.value)

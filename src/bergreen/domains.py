@@ -74,6 +74,9 @@ _TAIL_TOL = 1e-9
 # K <= 1e10 that is below 1e12 whenever g < 0.99e-10, that is n times the
 # growth below about 9e5; two decades keep rounding from flipping the gate.
 _COND_CERTIFIED = 1e10
+# Nystrom nodes per boundary component; even, since the n/2 witness takes
+# every other node of the reported system
+_QUAD_POINTS = 256
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -610,14 +613,14 @@ class GreenEvaluator:
 
     Every evaluation is guarded: a point outside the domain raises
     :class:`DomainError`, and so does, on the Nystrom method, a point
-    within ``1e-3 * diameter`` of the boundary.  A Laurent-mode value whose
-    certified tail exceeds ``_TAIL_TOL`` raises
-    :class:`NonConvergenceError`.  The Nystrom method reports
-    the ``quad_points`` value and raises :class:`AccuracyError` unless the
-    same problem on ``quad_points // 2`` (or, failing that, twice as many)
-    nodes certifies it; each witness system is built on first use, the
-    ``n/2`` one sliced from the reported system, so ``quad_points`` must be
-    even.  The Nystrom systems are real and not symmetric; each value
+    within ``1e-3 * diameter`` of the boundary.  A Laurent-mode value sums
+    as many modes as its geometric tail needs, and one whose certified tail
+    still exceeds ``_TAIL_TOL`` raises :class:`NonConvergenceError`.  The
+    Nystrom method reports the value on ``_QUAD_POINTS`` nodes per boundary
+    component and raises :class:`AccuracyError` unless the same problem on
+    half (or, failing that, twice) as many nodes certifies it; each witness
+    system is built on first use, the half one sliced from the reported
+    system.  The Nystrom systems are real and not symmetric; each value
     solves for its pole's density afresh, by one partial-pivoting LU solve
     (``numpy.linalg.solve``).  No factor or density is kept.
     The reported system must hold finite entries and have a 2-norm
@@ -629,9 +632,7 @@ class GreenEvaluator:
 
     domain: PlanarDomain
     method: str
-    modes: int | None = None
-    quad_points: int = 256
-    _solver: object = field(default=None, repr=False)
+    _solver: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.method not in GREEN_METHODS[1:]:
@@ -644,10 +645,7 @@ class GreenEvaluator:
         if self.method == "laurent_modes" and not isinstance(self.domain, Annulus):
             raise DomainError("laurent_modes method is only available on annuli")
         if self.method == "nystrom":
-            if self.quad_points < 64 or self.quad_points % 2:
-                # the n/2 witness takes every other node of the reported system
-                raise DomainError("quad_points must be even and at least 64")
-            self._solver = _NystromSolver(*_nystrom_components(self.domain), self.quad_points)
+            self._solver = _NystromSolver(*_nystrom_components(self.domain), _QUAD_POINTS)
             A = self._solver.matrix
             if not np.isfinite(A).all():
                 raise SolverSingularError("boundary system holds a non-finite entry")
@@ -669,8 +667,6 @@ class GreenEvaluator:
                 raise DomainError(f"point {p} is closer to the boundary than 1e-3 * diameter")
 
     def _modes_for(self, z: complex, w: complex) -> int:
-        if self.modes is not None:
-            return self.modes
         q = _annulus_tail_ratio(self.domain.r_inner, z, w)
         return _annulus_modes_auto(q, _TAIL_TOL * 1e-2)
 
@@ -687,14 +683,15 @@ class GreenEvaluator:
 
     @functools.cached_property
     def _double(self) -> _NystromSolver:
-        return _NystromSolver(*_nystrom_components(self.domain), 2 * self.quad_points)
+        return _NystromSolver(*_nystrom_components(self.domain), 2 * self._solver.n)
 
     def _nystrom_value(self, solver: _NystromSolver, xi: complex, z: complex) -> float:
         sol = solver.solve(-np.log(np.abs(solver.pts - z)))
         return float(solver.evaluate(sol, xi)[0])
 
     def _nystrom_remainder(self, xi: complex, z: complex) -> float:
-        """``H`` on ``n = quad_points`` nodes, certified to ``_REFINE_TOL / 3``.
+        """``H`` on the ``n`` nodes of the reported system, certified to
+        ``_REFINE_TOL / 3``.
 
         The discretization error at least quarters per doubling of ``n``
         (``test_convergence_at_least_quadratic``), so either
@@ -709,7 +706,7 @@ class GreenEvaluator:
         moved = abs(h - self._nystrom_value(self._double, xi, z))
         if not moved <= _REFINE_TOL / 4:
             raise AccuracyError(
-                f"doubling quad_points moved the result by {moved:.3e} "
+                f"doubling the nodes moved the result by {moved:.3e} "
                 f"(> {_REFINE_TOL / 4:.1e}) and halving it by more than {_REFINE_TOL:.0e}"
             )
         return h
@@ -736,18 +733,13 @@ class GreenEvaluator:
         if self.method == "closed_form":
             return _disc_robin(z, self.domain.radius)
         if self.method == "laurent_modes":
-            return self._tail_gated(_annulus_robin(self.domain.r_inner, z, self.modes))
+            return self._tail_gated(_annulus_robin(self.domain.r_inner, z))
         # H = G - log|xi - z| has no log term, so the Nystrom value is
         # evaluated at xi = z itself
         return self._nystrom_remainder(z, z)
 
 
-def green_evaluator(
-    domain: PlanarDomain,
-    method: str = "auto",
-    modes: int | None = None,
-    quad_points: int = 256,
-) -> GreenEvaluator:
+def green_evaluator(domain: PlanarDomain, method: str = "auto") -> GreenEvaluator:
     """Construct the natural evaluator for the domain.
 
     ``auto`` picks ``closed_form`` for discs, ``laurent_modes`` for annuli
@@ -760,7 +752,7 @@ def green_evaluator(
             method = "laurent_modes"
         else:
             method = "nystrom"
-    return GreenEvaluator(domain, method, modes=modes, quad_points=quad_points)
+    return GreenEvaluator(domain, method)
 
 
 def capacity(evaluator: GreenEvaluator | PlanarDomain, z: complex) -> float:

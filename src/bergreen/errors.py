@@ -50,10 +50,6 @@ class ParameterError(BergreenError):
     """A parameter lies outside its documented range."""
 
 
-class ShellEscapeError(BergreenError):
-    """A sublevel shell is not compactly contained in the domain."""
-
-
 class GeometryError(BergreenError):
     """An exact-geometry assumption is violated (should not happen for
     admissible inputs; raised defensively)."""

@@ -24,12 +24,7 @@ import numpy as np
 
 from .bergman import MaxPiece, WeightSpec, least_norm_extension, weight_phi
 from .domains import PlanarDomain, gauss_legendre, refine
-from .errors import (
-    AccuracyError,
-    DerivativeMismatchError,
-    ParameterError,
-    ShellEscapeError,
-)
+from .errors import AccuracyError, DerivativeMismatchError, ParameterError
 from .reports import ReportRecord, make_record, min_margin
 
 __all__ = [
@@ -465,7 +460,6 @@ class PolarSpec:
 
     pole: complex
     psi: Callable
-    domain: PlanarDomain | None = None
     name: str = ""
 
     def __call__(self, z):
@@ -638,10 +632,9 @@ def _shell_edges(psi: PolarSpec, theta: np.ndarray, level_lo: float, level_hi: f
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
-def _shell_integral(
-    psi: PolarSpec, f: Callable, t: float, n_rad: int, n_ang: int
-) -> tuple[float, float]:
-    """(value, max shell radius) of the smooth polar integral."""
+def _shell_integral(psi: PolarSpec, f: Callable, t: float, n_rad: int, n_ang: int) -> float:
+    """The smooth polar integral on ``n_rad`` radial by ``n_ang`` angular
+    nodes."""
     z0 = psi.pole
     theta = 2.0 * math.pi * (np.arange(n_ang) + _GOLDEN) / n_ang
     u_lo, u_hi = _shell_edges(psi, theta, -1.0 - t, -t)
@@ -657,52 +650,32 @@ def _shell_integral(
         -np.asarray(psi.psi(zs), dtype=float)
     )
     radial = (w[:, None] * vals).sum(axis=0) * half
-    value = float(radial.mean() * 2.0 * math.pi / math.pi)
-    return value, float(np.exp(np.max(u_hi)))
+    return float(radial.mean() * 2.0 * math.pi / math.pi)
 
 
-# the largest scaled change between the two last shell grid levels
+# the largest scaled change between the two last shell grid levels, and the
+# finest grid, (radial, angular) nodes
 _SHELL_TOL = 1e-6
+_SHELL_CAP = (1024, 512)
 
 
-def residual_measure(
-    psi: PolarSpec,
-    f: Callable,
-    t: float,
-    n_rad: int = 1024,
-    n_ang: int = 512,
-) -> float:
+def residual_measure(psi: PolarSpec, f: Callable, t: float) -> float:
     """Residual mass ``(1/pi) integral_{-1-t < Psi < -t} f e^{-Psi} dLambda``.
 
     In the radial log coordinate the pole factor cancels and the integrand
     is smooth, so Gauss-Legendre (radially, inside per-angle shell edges)
     x trapezoid (angularly, nodes offset by the golden fraction of a step)
-    converges fast.  ``(n_rad, n_ang)`` is the finest grid allowed: the
-    grid starts from it halved down to 16 angles (halved at least once)
-    and doubles through :func:`domains.refine` until two levels agree
-    within ``_SHELL_TOL * max(1, |value|)``; reaching the cap without
-    agreement, or a NaN change, raises :class:`AccuracyError`.  If the
-    validity domain is known, a shell reaching the boundary on any grid
-    raises :class:`ShellEscapeError`.
+    converges fast.  ``_SHELL_CAP`` is the finest grid: the grid starts
+    from it halved down to 16 angles (halved at least once) and doubles
+    through :func:`domains.refine` until two levels agree within
+    ``_SHELL_TOL * max(1, |value|)``; reaching the cap without agreement,
+    or a NaN change, raises :class:`AccuracyError`.
     """
-    dist = math.inf if psi.domain is None else psi.domain.boundary_distance(psi.pole)
+    n_rad, n_ang = _SHELL_CAP
     doublings = max(1, (n_ang // 16).bit_length() - 1)
-    if min(n_rad, n_ang) >> doublings < 1:
-        raise ParameterError(
-            f"shell cap ({n_rad}, {n_ang}) leaves no node on the first of "
-            f"{doublings + 1} levels; n_rad and n_ang need at least {1 << doublings}"
-        )
 
     def compute(k: int) -> float:
-        value, r_max = _shell_integral(
-            psi, f, t, (n_rad >> doublings) << k, (n_ang >> doublings) << k
-        )
-        if r_max >= dist:
-            raise ShellEscapeError(
-                f"shell radius {r_max:.3e} reaches the boundary "
-                f"(pole clearance {dist:.3e}); increase t"
-            )
-        return value
+        return _shell_integral(psi, f, t, (n_rad >> doublings) << k, (n_ang >> doublings) << k)
 
     def change(fine: float, coarse: float) -> float:
         return abs(fine - coarse) / max(1.0, abs(fine))
@@ -740,10 +713,7 @@ def residual_record(psi0: float, f: str, t: float = 20.0) -> ReportRecord:
     require_psi0(psi0)
     require_shell_depth(t)
     psi = PolarSpec(
-        0.0,
-        lambda z: np.full(np.shape(z), psi0, dtype=float),
-        None,
-        name=f"log-pole+{psi0:g}",
+        0.0, lambda z: np.full(np.shape(z), psi0, dtype=float), name=f"log-pole+{psi0:g}"
     )
     mass = residual_measure(psi, RESIDUAL_PROFILES[f], t)
     expected = math.exp(-psi0)

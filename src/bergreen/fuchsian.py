@@ -167,7 +167,9 @@ def fuchsian_sums(c: float, N: int) -> tuple[float, float, float]:
 
 def inequality_check(c_grid=DEFAULT_C_GRID, N: int = 256) -> ReportRecord:
     """Derivative-sum versus modulus-product comparison across a grid of
-    generator displacements; each margin must clear its own tail bound."""
+    generator displacements; each margin must clear its own tail bound.
+    Quantities and margins are keyed by ``repr(c)``, so two displacements
+    that differ keep one margin each."""
     c_grid = [float(c) for c in c_grid]
     if not c_grid:
         raise ParameterError("c grid must be nonempty")
@@ -175,7 +177,7 @@ def inequality_check(c_grid=DEFAULT_C_GRID, N: int = 256) -> ReportRecord:
     gates: dict = {}
     for c in c_grid:
         total, product, tail = fuchsian_sums(c, N)
-        key = f"{c:g}"
+        key = repr(c)
         quantities[f"sum_c{key}"] = total
         quantities[f"product_c{key}"] = product
         quantities[f"margin_c{key}"] = total - product

@@ -56,8 +56,10 @@ __all__ = [
     "arak1_check",
 ]
 
-# fewest theta1 terms ever summed (see theta1)
+# fewest theta1 terms ever summed (see theta1), and the most terms
+# theta1_prime0 sums
 _MIN_TERMS = 8
+_PRIME0_TERMS = 64
 # the certified theta1 tail bound at the term cap; the summed count stops at
 # this times eps (see theta1_term_count)
 _THETA_TOL = 1e-12
@@ -167,10 +169,11 @@ def _q_powers(tau: complex, ns: np.ndarray) -> np.ndarray:
     return np.exp(1j * math.pi * complex(tau) * (ns + 0.5) ** 2) * (-1.0) ** ns
 
 
-def theta1_prime0(tau: complex, terms: int = 64) -> complex:
+def theta1_prime0(tau: complex) -> complex:
     """Derivative ``theta1'(0) = 2 pi sum_{n<N} t_n`` with ``t_n = (-1)^n
-    (2n+1) q^{(n+1/2)^2}`` and ``N`` the smallest count in ``[8, terms]``
-    whose tail bound is below ``_THETA_TOL * eps`` (else ``terms``).
+    (2n+1) q^{(n+1/2)^2}`` and ``N`` the smallest count in ``[8,
+    _PRIME0_TERMS]`` whose tail bound is below ``_THETA_TOL * eps`` (else
+    ``_PRIME0_TERMS``).
 
     The series alternates, and for small ``Im tau`` its terms cancel, so
     the sum is certified: :class:`TruncationError` is raised when the tail
@@ -181,8 +184,6 @@ def theta1_prime0(tau: complex, terms: int = 64) -> complex:
     tau = complex(tau)
     if not (tau.imag > 0.0):
         raise ParameterError("theta1_prime0 needs Im tau > 0")
-    if terms < _MIN_TERMS:
-        raise ParameterError(f"theta1_prime0 needs terms >= {_MIN_TERMS}")
     log_q = -math.pi * tau.imag
 
     def tail(n: int) -> float:
@@ -191,7 +192,9 @@ def theta1_prime0(tau: complex, terms: int = 64) -> complex:
         return first / (1.0 - ratio) if ratio < 1.0 else math.inf
 
     stop = _THETA_TOL * np.finfo(float).eps
-    count = next((n for n in range(_MIN_TERMS, terms) if tail(n) <= stop), terms)
+    count = next(
+        (n for n in range(_MIN_TERMS, _PRIME0_TERMS) if tail(n) <= stop), _PRIME0_TERMS
+    )
     ns = np.arange(count)
     t = (2 * ns + 1) * _q_powers(tau, ns)
     value = complex(2.0 * math.pi * np.sum(t))
@@ -352,30 +355,24 @@ def _five_point_laplacian(f, z: complex, h: float) -> float:
     ) / (h * h)
 
 
-# the five-point stencil step of laplacian_deviation
+# the five-point stencil step of laplacian_deviation, and its samples, where
+# x + iy stands for the point x + i y Im tau: each at least 0.1 from the pole
 _LAP_STEP = 5e-4
+_LAP_SAMPLES = (0.3 + 0.2j, 0.1 + 0.45j, -0.25 + 0.3j, 0.42 + 0.18j)
 
 
-def laplacian_deviation(green: ArakelovGreen, samples=None) -> float:
+def laplacian_deviation(green: ArakelovGreen) -> float:
     """Max deviation of the volume-normalized Laplacian ``Lap_vol = (Im tau
-    / 2 pi) Lap_euclid`` of ``g`` from -1 over interior samples, by
-    five-point finite differences of step ``_LAP_STEP * min(1, Im tau)``
-    (``g`` varies on the scale of ``Im tau``); NaN if any sample gives NaN.
-    The ``laplacian`` margin of :func:`arak1_check` gates it."""
+    / 2 pi) Lap_euclid`` of ``g`` from -1 over the samples
+    ``_LAP_SAMPLES``, by five-point finite differences of step ``_LAP_STEP
+    * min(1, Im tau)`` (``g`` varies on the scale of ``Im tau``); NaN if
+    any sample gives NaN.  The ``laplacian`` margin of :func:`arak1_check`
+    gates it."""
     spec = green.spec
     h = _LAP_STEP * min(1.0, spec.tau2)
-    if samples is None:
-        samples = [
-            0.3 + 0.2j * spec.tau2,
-            0.1 + 0.45j * spec.tau2,
-            -0.25 + 0.3j * spec.tau2,
-            0.42 + 0.18j * spec.tau2,
-        ]
     devs = []
-    for z in samples:
-        z = complex(z)
-        if abs(lattice_reduce(z, spec.tau)) < 10 * h:
-            raise ParameterError(f"sample {z!r} too close to the pole")
+    for w in _LAP_SAMPLES:
+        z = complex(w.real, w.imag * spec.tau2)
         lap_vol = spec.tau2 / (2.0 * math.pi) * _five_point_laplacian(green, z, h)
         devs.append(abs(lap_vol + 1.0))
     return float(np.max(devs, initial=0.0))
@@ -484,11 +481,13 @@ class ThetaBasis:
         return worst
 
 
-# the largest scaled entry change between the two last torus Gram levels
+# the largest scaled entry change between the two last torus Gram levels, and
+# the finest grid, nodes per period
 _GRAM_TOL = 1e-9
+_GRAM_CAP = 256
 
 
-def torus_gram(basis: ThetaBasis, n_grid: int = 256) -> tuple[np.ndarray, float]:
+def torus_gram(basis: ThetaBasis) -> tuple[np.ndarray, float]:
     """(Gram matrix, doubling residual) of the weighted theta sections over
     the fundamental domain against the unit volume form.
 
@@ -501,19 +500,16 @@ def torus_gram(basis: ThetaBasis, n_grid: int = 256) -> tuple[np.ndarray, float]
     ``exp(pi i tau d nu^2)`` rides with the ``tau``-direction table, which
     it keeps bounded.
 
-    ``n_grid`` is the finest grid allowed: the grid starts from the
-    smallest power of two that covers the basis band ``2N + 1`` (or
-    ``n_grid // 2`` if that is smaller), so a coarse pair cannot agree by
-    aliasing, and doubles through :func:`domains.refine` until entries
-    move by at most ``_GRAM_TOL`` relative to the diagonal scale; reaching
-    the cap without agreement, or a NaN change, raises
-    :class:`AccuracyError`.
+    ``_GRAM_CAP`` is the finest grid: the grid starts from the smallest
+    power of two that covers the basis band ``2N + 1`` (or ``_GRAM_CAP //
+    2`` if that is smaller), so a coarse pair cannot agree by aliasing, and
+    doubles through :func:`domains.refine` until entries move by at most
+    ``_GRAM_TOL`` relative to the diagonal scale; reaching the cap without
+    agreement, or a NaN change, raises :class:`AccuracyError`.
     """
-    if n_grid < 2:
-        raise ParameterError("torus Gram needs a cap n_grid >= 2")
     band = 2 * basis._n_range + 1
-    start = min(1 << (band - 1).bit_length(), n_grid // 2)
-    doublings = (n_grid // start).bit_length() - 1
+    start = min(1 << (band - 1).bit_length(), _GRAM_CAP // 2)
+    doublings = (_GRAM_CAP // start).bit_length() - 1
 
     def compute(n: int) -> np.ndarray:
         s = np.arange(n) / n
@@ -532,10 +528,7 @@ def torus_gram(basis: ThetaBasis, n_grid: int = 256) -> tuple[np.ndarray, float]
 
 
 def torus_bergman(
-    spec: TorusSpec,
-    d: int,
-    p: complex = 0.0,
-    gram: tuple[np.ndarray, float] | None = None,
+    spec: TorusSpec, d: int, p: complex, gram: tuple[np.ndarray, float]
 ) -> KernelEstimate:
     """Weighted kernel diagonal of the degree-``d`` section space at ``p``:
     ``weight(p) * b^H G^{-1} b`` with ``b_j = theta_j(p)``.
@@ -546,11 +539,11 @@ def torus_bergman(
     by ``O(exp(-pi d Im tau / 2))`` — exponentially small in the degree
     but far above machine precision at small ``d``.
 
-    Pass a precomputed ``(G, residual)`` from :func:`torus_gram` to skip
-    the quadrature; each call solves the Gram system afresh.
+    ``gram`` is the ``(G, residual)`` of :func:`torus_gram` on the same
+    basis; each call solves the Gram system afresh.
     """
     basis = ThetaBasis(spec, d)
-    G, resid = gram if gram is not None else torus_gram(basis)
+    G, resid = gram
     b = np.array([basis.theta(j, p) for j in range(d)])
     corr, scale = _jacobi_scaled(G)
     value = float(basis.weight(p)) * _dense_kernel_value(corr, scale, b)
@@ -608,7 +601,7 @@ def residual_mass(green: ArakelovGreen, t: float = 20.0) -> float:
             - 2.0 * math.pi * np.asarray(z, dtype=complex).imag ** 2 / spec.tau2
         )
 
-    psi = PolarSpec(0.0, psi_rest, None, name="torus-green")
+    psi = PolarSpec(0.0, psi_rest, name="torus-green")
     return 2.0 / spec.tau2 * residual_measure(psi, lambda z: np.ones(np.shape(z)), t)
 
 

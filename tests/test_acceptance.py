@@ -18,11 +18,13 @@ from bergreen.bergman import (
     Unweighted,
     auto_basis,
     extended_suita_check,
+    kernel_diag,
     least_norm_extension,
     suita_ratio,
 )
 from bergreen.cli import main as cli_main
-from bergreen.domains import Annulus, Disc, green_evaluator
+from bergreen import domains
+from bergreen.domains import Annulus, Disc, capacity, green_evaluator
 from bergreen import extension
 from bergreen.extension import (
     PolarSpec,
@@ -64,7 +66,8 @@ def test_criterion_01_disc_equality():
     for z in (0.0, 0.3, 0.6j):
         closed = suita_ratio(disc, z).quantities["ratio"]
         assert abs(closed - 1.0) < 1e-12
-        pipeline = suita_ratio(disc, z, evaluator=nystrom).quantities["ratio"]
+        kernel = kernel_diag(disc, Unweighted(), z).value
+        pipeline = capacity(nystrom, z) ** 2 / (math.pi * kernel)
         assert abs(pipeline - 1.0) < 1e-6
         worst_closed = max(worst_closed, abs(closed - 1.0))
         worst_pipeline = max(worst_pipeline, abs(pipeline - 1.0))
@@ -94,12 +97,9 @@ def test_criterion_02_annulus_strict_inequality():
         assert ratio > 1e-3  # margin from the lower endpoint
         assert 1.0 - ratio > 1e-5  # strict at the upper endpoint
         base = auto_basis(ann, z)
-        doubled = suita_ratio(
-            ann,
-            z,
-            basis=(2 * base[0], 2 * base[1]),
-            evaluator=green_evaluator(ann, method="laurent_modes", modes=512),
-        ).quantities["ratio"]
+        robin, _ = domains._annulus_robin(ann.r_inner, z, 512)
+        kernel = kernel_diag(ann, Unweighted(), z, basis=(2 * base[0], 2 * base[1])).value
+        doubled = math.exp(robin) ** 2 / (math.pi * kernel)
         assert abs(doubled - ratio) <= 1e-6
         lo_margin = min(lo_margin, ratio)
         hi_margin = min(hi_margin, 1.0 - ratio)
@@ -220,7 +220,6 @@ def test_criterion_06_residual_measure():
         spec = PolarSpec(
             0.0,
             lambda z, c=psi0: np.full(np.shape(z), c, dtype=float),
-            None,
             name=f"log-pole+{psi0:g}",
         )
         for name, f in profiles.items():

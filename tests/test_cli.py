@@ -10,13 +10,13 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict, replace
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from bergreen import bergman, cli, extension, reports, squeezing, torus
+from bergreen import bergman, cli, domains, extension, fuchsian, reports, squeezing, torus
 from bergreen.bergman import HarmonicRe, KernelEstimate, extended_suita_check
 from bergreen.cli import (
     _parse_grid,
@@ -36,6 +36,69 @@ from bergreen.reports import (
     make_record,
     write_json_report,
 )
+
+
+# every public parameter and dataclass field with a default in the library
+# modules, and what sets it; any other numerical setting is a private module
+# constant beside the code that reads it, which a test monkeypatches
+_SETTABLE_DEFAULTS = {
+    "bergman.gram_matrix.basis": "kernel_diag passes the basis of its command",
+    "bergman.gram_matrix.gram_tol": "benchmarks/spans.py binds it",
+    "bergman.gram_matrix.quad_start": "benchmarks/spans.py binds it",
+    "bergman.kernel_diag.basis": "extended-suita-check passes auto_basis",
+    "bergman.kernel_diag.memo": "extended-suita-check passes the memo of its command",
+    "bergman.least_norm_extension.basis": "optimal-constant passes (0, 8)",
+    "bergman.extended_suita_check.memo": "extended-suita-check passes the memo of its command",
+    "domains.Disc.radius": "every command with a domain passes it, from disc:R",
+    "domains.green_evaluator.method": "the CLI schema reads it (green --method)",
+    "domains.sample_interior.seed": "benchmarks/workloads.py passes it",
+    "domains.sample_interior.margin": "benchmarks/workloads.py passes it",
+    "extension.PolarSpec.name": "residual-measure and torus-check pass it",
+    "extension.delta_class_check.radii": "a field of the record (inputs)",
+    "extension.delta_class_check.centers": "a field of the record (inputs)",
+    "extension.residual_record.t": "the CLI schema reads it (residual-measure --t)",
+    "extension.optimal_constant_experiment.a_values": "the CLI schema reads it (--a-values)",
+    "fuchsian.inequality_check.c_grid": "the CLI schema reads it (--c-grid)",
+    "fuchsian.inequality_check.N": "the CLI schema reads it (--n-terms)",
+    "squeezing.boundary_trend_check.ks": "the CLI schema reads it (--ks)",
+    "squeezing.boundary_trend_check.angle": "the CLI schema reads it (--angle)",
+    "torus.theta1.terms": "benchmarks/spans.py binds it",
+    "torus.theta1_term_count.terms": "theta1 passes it its own terms",
+    "torus.arakelov_green.normalization": "benchmarks/spans.py binds it; torus-check passes it",
+    "torus.residual_mass.t": "benchmarks/spans.py binds it; torus-check passes it",
+    "reports.ReportRecord.provenance": "a field of the record",
+    "reports.ReportRecord.wall_time_s": "a field of the record",
+    "reports.ReportRecord.library_version": "a field of the record",
+    "reports.ReportRecord.config_hash": "a field of the record",
+    "reports.ReportRecord.cached": "a field of the record",
+    "reports.make_record.provenance": "a field of the record",
+    "reports.make_record.wall_time_s": "a field of the record; every command passes it",
+    "reports.min_margin.empty": "delta_class_check passes inf for a record that tests no circle",
+    "reports.write_plot_data.header": "every sweep command passes it",
+}
+
+
+def _settable_defaults() -> set[str]:
+    """``module.callable.name`` of every parameter with a default, and
+    every dataclass field with a default, of the public callables of the
+    library modules."""
+    found = set()
+    for module in (bergman, domains, extension, fuchsian, reports, squeezing, torus):
+        short = module.__name__.rpartition(".")[2]
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj):
+                continue
+            defaults = [
+                f.name for f in (fields(obj) if is_dataclass(obj) else ())
+                if f.default is not MISSING or f.default_factory is not MISSING
+            ]
+            defaults += [
+                p.name for p in inspect.signature(obj).parameters.values()
+                if p.default is not inspect.Parameter.empty
+            ]
+            found |= {f"{short}.{name}.{d}" for d in defaults if not d.startswith("_")}
+    return found
 
 
 # one small run of each command, with the checks its records come from
@@ -290,6 +353,11 @@ class TestResolveConfig:
                 check = getattr(sys.modules[f"bergreen.{module}"], name)
                 assert [k for k in inspect.signature(check).parameters if k.endswith("_tol")] == []
 
+    def test_every_settable_default_has_a_reader(self):
+        # the settings analogue of the test above: a default that no
+        # command, record or benchmark sets is a private constant instead
+        assert _settable_defaults() == set(_SETTABLE_DEFAULTS)
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -397,6 +465,21 @@ class TestCliRuns:
         assert rows[0] == CSV_COLUMNS
         assert len(rows) == 9  # header + 8 points
         assert all(row[6] == "True" for row in rows[1:])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suita-check", "--domain", "disc:2", "--zs", "0.5,1.2j,-1.9"],
+            ["bergman", "--domain", "disc:0.5", "--weight", "maxpiece:1:0.3", "--z", "0.2"],
+            ["extended-suita-check", "--domain", "disc:0.5", "--weight", "none"],
+        ],
+    )
+    def test_radial_kernels_on_a_disc_of_any_radius(self, tmp_path, argv):
+        # disc:R is in the domain grammar, and the closed-form kernels take R
+        assert main([*argv, "--outdir", str(tmp_path), "--no-cache"]) == 0
+        slug = argv[0].replace("-", "_")
+        records = _read_report(tmp_path / f"{slug}_report.json")["records"]
+        assert records and all(rec["passed"] for rec in records)
 
     def test_module_error_gives_exit_1_and_failing_record(self, tmp_path, capsys):
         rc = main(

@@ -90,7 +90,7 @@ class TestGreenAnnulus:
 
     def test_symmetry(self):
         z, w = 0.5 + 0.1j, -0.4 + 0.3j
-        ev = green_evaluator(self.ann, modes=128)
+        ev = green_evaluator(self.ann)
         assert ev.green(z, w) == pytest.approx(ev.green(w, z), abs=1e-9)
 
     def test_boundary_vanishing_outer(self):
@@ -103,12 +103,13 @@ class TestGreenAnnulus:
         ev = green_evaluator(self.ann)
         assert abs(ev.green(z, 0.5 + 0.1j)) < 1e-6
 
-    def test_cross_method_nystrom(self):
+    def test_cross_method_nystrom(self, monkeypatch):
         # 512 nodes per circle, witnessed on 256: the pair the doubling
         # check at 256 used to solve
         z, w = 0.5 + 0.1j, -0.4 + 0.3j
-        g_modes = green_evaluator(self.ann, modes=256).green(z, w)
-        g_nys = green_evaluator(self.ann, method="nystrom", quad_points=512).green(z, w)
+        g_modes = green_evaluator(self.ann).green(z, w)
+        monkeypatch.setattr(domains, "_QUAD_POINTS", 512)
+        g_nys = green_evaluator(self.ann, method="nystrom").green(z, w)
         assert g_modes == pytest.approx(g_nys, abs=1e-7)
 
     def test_disc_limit_with_log_correction(self):
@@ -119,16 +120,16 @@ class TestGreenAnnulus:
         ann = Annulus(r)
         z, w = 0.5 + 0.0j, 0.2 + 0.1j
         d0 = math.log(abs(w)) / math.log(1.0 / r)
-        g = green_evaluator(ann, modes=256).green(z, w)
+        g = green_evaluator(ann).green(z, w)
         assert g - d0 * math.log(abs(z)) == pytest.approx(
             green_evaluator(Disc()).green(z, w), abs=1e-10
         )
 
     def test_mode_refinement_stability(self):
         z, w = math.sqrt(0.2) * cmath.exp(0.9j), 0.55 - 0.2j
-        g1 = green_evaluator(self.ann, modes=128).green(z, w)
-        g2 = green_evaluator(self.ann, modes=256).green(z, w)
-        assert abs(g1 - g2) < 1e-12
+        h1, _ = domains._annulus_remainder(0.2, z, w, 128)
+        h2, _ = domains._annulus_remainder(0.2, z, w, 256)
+        assert abs(h1 - h2) < 1e-12
 
     def test_harmonicity_off_pole(self):
         # five-point Laplacian of G(., w) away from the pole vanishes
@@ -145,14 +146,16 @@ class TestGreenAnnulus:
 
     def test_coincident_points_error(self):
         with pytest.raises(CoincidentPointsError):
-            green_evaluator(self.ann, modes=64).green(0.5, 0.5)
+            green_evaluator(self.ann).green(0.5, 0.5)
 
-    def test_non_convergence_error(self):
+    def test_non_convergence_error(self, monkeypatch):
+        # 64 modes leave a tail far above the gate this close to both circles
+        monkeypatch.setattr(domains, "_annulus_modes_auto", lambda q, tol: 64)
         tight = Annulus(0.9)
         z = 0.901 * cmath.exp(0.3j)
         w = 0.901 * cmath.exp(0.31j)
         with pytest.raises(NonConvergenceError):
-            green_evaluator(tight, modes=64).green(z, w)
+            green_evaluator(tight).green(z, w)
 
 
 # ---------------------------------------------------------------------------
@@ -213,51 +216,50 @@ def test_halved_system_is_the_assembled_half(domain, n):
 
 
 @pytest.mark.parametrize("n", PARTIAL_BLOCK_NODE_COUNTS + [256])
-def test_annulus_nystrom_at_any_node_count(n):
+def test_annulus_nystrom_at_any_node_count(n, monkeypatch):
     # the Nystrom remainder against the Laurent-mode series, at node counts
     # whose assembly (or n/2 witness) ends in a partial row block
     ann = Annulus(0.2)
     ref = green_evaluator(ann, method="laurent_modes").remainder(0.5, -0.3j)
-    got = green_evaluator(ann, method="nystrom", quad_points=n).remainder(0.5, -0.3j)
+    monkeypatch.setattr(domains, "_QUAD_POINTS", n)
+    got = green_evaluator(ann, method="nystrom").remainder(0.5, -0.3j)
     assert abs(got - ref) <= domains._REFINE_TOL
 
 
 class TestGreenNystrom:
-    # quad_points=256 reports 256 nodes and witnesses on 128: the pair the
-    # doubling check at 128 used to solve, so each value is the one it gave
+    # 256 nodes are reported and witnessed on 128: the pair the doubling
+    # check at 128 used to solve, so each value is the one it gave
 
     def test_disc_oracle(self):
-        g = green_evaluator(Jordan.circle(), quad_points=256).green(0.5, 0.0)
+        g = green_evaluator(Jordan.circle()).green(0.5, 0.0)
         assert g == pytest.approx(math.log(0.5), abs=1e-8)
 
     def test_ellipse_symmetry(self):
-        ev = green_evaluator(Jordan.ellipse(1.3, 0.8), quad_points=256)
+        ev = green_evaluator(Jordan.ellipse(1.3, 0.8))
         z, w = 0.4 + 0.2j, -0.6 - 0.1j
         assert ev.green(z, w) == pytest.approx(ev.green(w, z), abs=1e-7)
 
     def test_scaled_disc(self):
-        g = green_evaluator(Jordan.circle(radius=2.0), quad_points=256).green(0.5, 0.0)
+        g = green_evaluator(Jordan.circle(radius=2.0)).green(0.5, 0.0)
         assert g == pytest.approx(green_evaluator(Disc(2.0)).green(0.5, 0.0), abs=1e-7)
 
-    def test_quad_points_minimum(self):
-        with pytest.raises(DomainError):
-            green_evaluator(Jordan.circle(), quad_points=32)
-
-    def test_odd_quad_points_refused(self):
+    def test_default_node_count_is_even(self):
         # the n/2 witness takes every other node of the reported system
-        with pytest.raises(DomainError, match="even"):
-            green_evaluator(Jordan.circle(), quad_points=129)
+        assert domains._QUAD_POINTS % 2 == 0
+        assert green_evaluator(Jordan.circle())._half.n == domains._QUAD_POINTS // 2
 
-    def test_boundary_distance_guard(self):
-        ev = green_evaluator(Jordan.circle(), quad_points=64)
+    def test_boundary_distance_guard(self, monkeypatch):
+        monkeypatch.setattr(domains, "_QUAD_POINTS", 64)
+        ev = green_evaluator(Jordan.circle())
         with pytest.raises(DomainError):
             ev.green(0.9999, 0.0)
 
     def test_refinement_check_mechanism(self, monkeypatch):
         # an absurdly tight tolerance must trip the refinement witness
         monkeypatch.setattr(domains, "_REFINE_TOL", 1e-30)
+        monkeypatch.setattr(domains, "_QUAD_POINTS", 128)
         with pytest.raises(AccuracyError):
-            green_evaluator(wobbly_domain(), quad_points=128).green(0.3, -0.2j)
+            green_evaluator(wobbly_domain()).green(0.3, -0.2j)
 
     def test_convergence_at_least_quadratic(self):
         dom = wobbly_domain()
@@ -268,7 +270,7 @@ class TestGreenNystrom:
 
     def test_negativity_samples(self):
         dom = wobbly_domain()
-        ev = green_evaluator(dom, quad_points=256)
+        ev = green_evaluator(dom)
         pts = sample_interior(dom, 5, seed=3, margin=0.12)
         for i, a in enumerate(pts):
             for b in pts[i + 1 :]:
@@ -293,28 +295,29 @@ class TestCapacity:
                 )
 
     def test_nystrom_capacity_disc(self):
-        ev = green_evaluator(Jordan.circle(), quad_points=256)
+        ev = green_evaluator(Jordan.circle())
         for z in (0.0, 0.6, 0.3j, -0.4 + 0.5j):
             assert capacity(ev, z) == pytest.approx(1.0 / (1.0 - abs(z) ** 2), abs=1e-7)
 
     def test_annulus_capacity_stability(self):
         z = math.sqrt(0.2) * cmath.exp(0.9j)
-        e1 = green_evaluator(Annulus(0.2), modes=128)
-        e2 = green_evaluator(Annulus(0.2), modes=256)
-        assert abs(math.exp(e1.robin(z)) - math.exp(e2.robin(z))) < 1e-7
+        h1, _ = domains._annulus_robin(0.2, z, 128)
+        h2, _ = domains._annulus_robin(0.2, z, 256)
+        assert abs(math.exp(h1) - math.exp(h2)) < 1e-7
 
     def test_annulus_capacity_nystrom_cross_method(self):
         z = math.sqrt(0.2) * cmath.exp(0.9j)
         direct = capacity(Annulus(0.2), z)
-        ev = green_evaluator(Annulus(0.2), method="nystrom", quad_points=256)
+        ev = green_evaluator(Annulus(0.2), method="nystrom")
         assert capacity(ev, z) == pytest.approx(direct, abs=1e-7)
 
-    def test_truncated_mode_sum_raises(self):
+    def test_truncated_mode_sum_raises(self, monkeypatch):
         # two modes leave a certified tail of about 0.2 at z = 0.3, and the
         # sum is 4.4 % below the certified capacity
         assert capacity(Annulus(0.2), 0.3) == pytest.approx(4.573181024599501, rel=1e-12)
+        monkeypatch.setattr(domains, "_annulus_modes_auto", lambda q, tol: 2)
         with pytest.raises(NonConvergenceError, match="tail estimate"):
-            capacity(green_evaluator(Annulus(0.2), modes=2), 0.3)
+            capacity(Annulus(0.2), 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +380,8 @@ class TestEvaluatorGuards:
         monkeypatch.setattr(
             np.linalg, "cond", lambda a, *p: conds.append(a.shape) or cond(a, *p)
         )
-        ev = green_evaluator(dom, quad_points=128)
+        monkeypatch.setattr(domains, "_QUAD_POINTS", 128)
+        ev = green_evaluator(dom)
         assert "_half" not in vars(ev)
         g = ev.green(0.3, -0.2j)
         assert ev._half.n == 64 and ev._solver.n == 128 and "_double" not in vars(ev)
@@ -390,7 +394,8 @@ class TestEvaluatorGuards:
         monkeypatch.setattr(
             domains._NystromSolver, "_assemble", lambda s: built.append(s.n) or assemble(s)
         )
-        ev = green_evaluator(Annulus(0.2), method="nystrom", quad_points=128)
+        monkeypatch.setattr(domains, "_QUAD_POINTS", 128)
+        ev = green_evaluator(Annulus(0.2), method="nystrom")
         ev.green(0.5, -0.3j)
         assert built == [128] and ev._half.n == 64
 
@@ -492,7 +497,8 @@ class TestConditionGate:
         norms = []
         cond = np.linalg.cond
         monkeypatch.setattr(np.linalg, "cond", lambda a, p=None: norms.append(p) or cond(a, p))
-        green_evaluator(Jordan.ellipse(1.2, 0.9), quad_points=64)
+        monkeypatch.setattr(domains, "_QUAD_POINTS", 64)
+        green_evaluator(Jordan.ellipse(1.2, 0.9))
         return norms
 
     def test_well_conditioned_takes_one_lu_and_no_svd(self, monkeypatch):
@@ -740,8 +746,9 @@ def test_separation_on_planted_pairs(j, dist, separated, angle):
         (Jordan.ellipse(1.2, 0.9), "nystrom"),
     ],
 )
-def test_symmetry_and_negativity(domain, method):
-    ev = green_evaluator(domain, method=method, quad_points=128)
+def test_symmetry_and_negativity(domain, method, monkeypatch):
+    monkeypatch.setattr(domains, "_QUAD_POINTS", 128)
+    ev = green_evaluator(domain, method=method)
     pts = sample_interior(domain, 4, seed=11, margin=0.15)
     for i, a in enumerate(pts):
         for b in pts[i + 1 :]:

@@ -14,12 +14,7 @@ from scipy.integrate import quad
 from bergreen import extension
 from bergreen.bergman import MaxPiece, Unweighted, least_norm_extension, weight_phi
 from bergreen.domains import Disc
-from bergreen.errors import (
-    AccuracyError,
-    DerivativeMismatchError,
-    ParameterError,
-    ShellEscapeError,
-)
+from bergreen.errors import AccuracyError, DerivativeMismatchError, ParameterError
 from bergreen.extension import (
     CutoffFamily,
     OdePair,
@@ -309,7 +304,6 @@ class TestDeltaClassCheck:
                 2.0 * np.log(np.maximum(np.abs(z), 1e-300)), 2.0 * math.log(a)
             )
             - eps,
-            Disc(),
             name="plateaued-remainder",
         )
         rec = delta_class_check(MaxPiece(delta, a), psi, delta, Disc())
@@ -320,7 +314,7 @@ class TestDeltaClassCheck:
 
     @pytest.mark.parametrize("delta", [0.3, 1.0, 4.0])
     def test_pure_log_pole_passes(self, delta):
-        psi = PolarSpec(0.0, _zero_psi, Disc(), name="pure-log")
+        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
         rec = delta_class_check(Unweighted(), psi, delta, Disc())
         assert rec.passed
         assert rec.quantities["worst_margin"] > -1e-6
@@ -331,7 +325,6 @@ class TestDeltaClassCheck:
         psi = PolarSpec(
             0.0,
             lambda z: np.log(2.0 - np.abs(z) ** 2),
-            Disc(),
             name="superharmonic-remainder",
         )
         rec = delta_class_check(Unweighted(), psi, 1.0, Disc())
@@ -339,7 +332,7 @@ class TestDeltaClassCheck:
         assert rec.quantities["worst_margin"] < -1e-6
 
     def test_skips_near_boundary_circles_and_pole_centers(self):
-        psi = PolarSpec(0.0, _zero_psi, Disc(), name="pure-log")
+        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
         rec = delta_class_check(
             Unweighted(), psi, 1.0, Disc(), centers=[0.995, 0.0, 0.5]
         )
@@ -354,13 +347,13 @@ class TestDeltaClassCheck:
     def test_pole_on_quadrature_node_is_rotated(self):
         # the pole 0.51 lies exactly on the theta = 0 node of the circle of
         # radius 1e-2 around 0.5; the half-step rotation keeps values finite
-        psi = PolarSpec(0.51, _zero_psi, Disc(), name="pole-on-node")
+        psi = PolarSpec(0.51, _zero_psi, name="pole-on-node")
         rec = delta_class_check(Unweighted(), psi, 1.0, Disc(), centers=[0.5])
         assert math.isfinite(rec.quantities["worst_margin"])
         assert rec.passed
 
     def test_rejects_nonpositive_delta(self):
-        psi = PolarSpec(0.0, _zero_psi, Disc())
+        psi = PolarSpec(0.0, _zero_psi)
         with pytest.raises(ParameterError):
             delta_class_check(Unweighted(), psi, 0.0, Disc(), centers=[0.5])
 
@@ -373,7 +366,6 @@ class TestDeltaClassCheck:
         psi = PolarSpec(
             0.0,
             lambda z: 3.0 * np.log(2.0 - np.abs(z) ** 2),
-            Disc(),
             name="strongly-superharmonic",
         )
         rec = delta_class_check(MaxPiece(0.5, 0.3), psi, 0.5, Disc())
@@ -392,50 +384,45 @@ def _one(z):
 class TestResidualMeasure:
     @pytest.mark.parametrize("t", [0.5, 5.0, 20.0])
     def test_pure_log_gives_unit_mass_at_every_level(self, t):
-        psi = PolarSpec(0.0, _zero_psi, Disc(), name="pure-log")
+        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
         assert residual_measure(psi, _one, t) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("psi0", [-0.7, 0.0, 0.3])
     def test_constant_remainder_scales_exponentially(self, psi0):
         psi = PolarSpec(
-            0.0, lambda z: np.full(np.shape(z), psi0), None, name="constant"
+            0.0, lambda z: np.full(np.shape(z), psi0), name="constant"
         )
         for t in (0.5, 3.0, 20.0):
             got = residual_measure(psi, _one, t)
             assert got == pytest.approx(math.exp(-psi0), rel=1e-12)
 
     def test_affine_density_averages_out(self):
-        psi = PolarSpec(0.0, _zero_psi, Disc(), name="pure-log")
+        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
         got = residual_measure(psi, lambda z: 1.0 + np.real(z), 20.0)
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_harmonic_remainder_tends_to_pole_value(self):
         psi = PolarSpec(
-            0.0, lambda z: 0.2 * np.real(z), Disc(), name="harmonic-remainder"
+            0.0, lambda z: 0.2 * np.real(z), name="harmonic-remainder"
         )
         got = residual_measure(psi, _one, 20.0)
         assert got == pytest.approx(1.0, abs=1e-8)
 
-    def test_shell_reaching_boundary_raises(self):
-        psi = PolarSpec(0.9, _zero_psi, Disc(), name="off-center")
-        with pytest.raises(ShellEscapeError):
-            residual_measure(psi, _one, 0.5)
-        # deep shells around the same pole stay inside
-        assert residual_measure(psi, _one, 20.0) == pytest.approx(1.0, abs=1e-10)
+    def test_off_center_pole_gives_unit_mass(self):
+        psi = PolarSpec(0.9, _zero_psi, name="off-center")
+        for t in (0.5, 20.0):
+            assert residual_measure(psi, _one, t) == pytest.approx(1.0, abs=1e-10)
 
-    def test_no_domain_skips_the_escape_check(self):
-        psi = PolarSpec(0.9, _zero_psi, None, name="unbounded")
-        assert residual_measure(psi, _one, 0.5) == pytest.approx(1.0, abs=1e-10)
-
-    def test_nan_integrand_fails(self):
-        psi = PolarSpec(0.0, _zero_psi, Disc(), name="pure-log")
+    def test_nan_integrand_fails(self, monkeypatch):
+        monkeypatch.setattr(extension, "_SHELL_CAP", (16, 16))
+        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
         with pytest.raises(AccuracyError):
-            residual_measure(psi, lambda z: np.full(np.shape(z), np.nan), 20.0, 16, 16)
+            residual_measure(psi, lambda z: np.full(np.shape(z), np.nan), 20.0)
 
     @pytest.mark.parametrize(
         "mass",
         [
-            lambda: residual_measure(PolarSpec(0.0, _zero_psi, Disc()), _one, 20.0),
+            lambda: residual_measure(PolarSpec(0.0, _zero_psi), _one, 20.0),
             lambda: residual_mass(arakelov_green(TorusSpec(1j))),
         ],
         ids=["pure-log", "torus-green"],
@@ -452,27 +439,22 @@ class TestResidualMeasure:
         # nested grids (no offset) alias it identically on both levels,
         # agree at 1.03125 and return that as the mass
         levels = _spy_shell_levels(monkeypatch)
-        psi = PolarSpec(0.0, _zero_psi, Disc(), name="pure-log")
+        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
         assert abs(residual_measure(psi, _oscillating(k), 20.0) - 1.0) < 1e-12
         assert levels[-1][1] > 32
 
-    @pytest.mark.parametrize("n_rad,n_ang", [(16, 512), (1, 16)])
-    def test_cap_without_a_first_level_is_rejected(self, n_rad, n_ang):
-        psi = PolarSpec(0.0, _zero_psi, Disc(), name="pure-log")
-        with pytest.raises(ParameterError):
-            residual_measure(psi, _one, 20.0, n_rad, n_ang)
-
-    def test_aliased_frequency_at_a_small_cap_fails(self):
-        psi = PolarSpec(0.0, _zero_psi, Disc(), name="pure-log")
+    def test_aliased_frequency_at_a_small_cap_fails(self, monkeypatch):
+        monkeypatch.setattr(extension, "_SHELL_CAP", (64, 32))
+        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
         with pytest.raises(AccuracyError):
-            residual_measure(psi, _oscillating(64), 20.0, 64, 32)
+            residual_measure(psi, _oscillating(64), 20.0)
 
     @pytest.mark.parametrize("n_ang", [16, 512])
     @pytest.mark.parametrize(
         "rest", [_zero_psi, lambda z: 0.2 * np.real(z) + 0.1 * np.imag(np.asarray(z) ** 2)]
     )
     def test_stacked_edges_match_per_level_bisection(self, n_ang, rest):
-        psi = PolarSpec(0.05 + 0.02j, rest, Disc(), name="edges")
+        psi = PolarSpec(0.05 + 0.02j, rest, name="edges")
         theta = 2.0 * math.pi * (np.arange(n_ang) + 0.618) / n_ang
         for t in (0.5, 20.0):
             _assert_edges_certified(psi, theta, t)
@@ -482,7 +464,7 @@ class TestResidualMeasure:
         # Psi = 2u + c on a constant psi = c, so the edges are (level - c)/2,
         # also where e^u is far below |pole|
         c = 0.7
-        psi = PolarSpec(pole, lambda z: np.full(np.shape(z), c), None, name="constant")
+        psi = PolarSpec(pole, lambda z: np.full(np.shape(z), c), name="constant")
         theta = 2.0 * math.pi * (np.arange(64) + 0.618) / 64
         for t in (0.5, 20.0, 24.0):
             for edge, level in zip(extension._shell_edges(psi, theta, -1.0 - t, -t), (-1.0 - t, -t)):
@@ -495,7 +477,7 @@ class TestResidualMeasure:
         # Psi = 2u + c log(1 + e^{2u}) climbs at slopes up to 2 + 2c: Newton
         # steps at the pole slope 2 diverge there, so only the bracket may
         # stop the solve
-        psi = PolarSpec(0.0, lambda z: c * np.log1p(np.abs(z) ** 2), None, name="steep")
+        psi = PolarSpec(0.0, lambda z: c * np.log1p(np.abs(z) ** 2), name="steep")
         theta = 2.0 * math.pi * (np.arange(16) + 0.618) / 16
         _assert_edges_certified(psi, theta, t)
 

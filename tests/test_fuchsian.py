@@ -270,6 +270,20 @@ class TestInequalityCheck:
         with pytest.raises(ParameterError):
             inequality_check(c_grid=())
 
+    def test_close_generators_keep_a_margin_each(self):
+        # six significant digits (":g") would key both as margin_c0.123456
+        grid = (0.1234561, 0.1234564)
+        rec = inequality_check(c_grid=grid)
+        assert list(rec.margins) == ["margin_c0.1234561", "margin_c0.1234564"]
+        assert rec.tolerances.keys() == rec.margins.keys()
+        assert rec.passed
+
+    @pytest.mark.parametrize("grid,N", [(DEFAULT_C_GRID, 256), ((0.01, 0.5, 0.999), 4096)])
+    def test_usual_grids_keep_their_keys(self, grid, N):
+        # the default grid and CI's: repr and ":g" spell every c the same
+        rec = inequality_check(c_grid=grid, N=N)
+        assert list(rec.margins) == [f"margin_c{c:g}" for c in grid]
+
     def test_strict_tail_tolerance_propagates(self, monkeypatch):
         monkeypatch.setattr(fuchsian, "_TAIL_TOL", 1e-12)
         with pytest.raises(NonConvergenceError):
