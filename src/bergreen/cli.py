@@ -589,6 +589,14 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9.]+", "_", text).strip("_").lower()
 
 
+def _outer_radius(domain_repr: str) -> float:
+    """Outer radius of the domain a trend record echoes by its repr, as
+    ``squeezing.boundary_trend_check`` takes it: ``R`` of
+    ``Disc(radius=R)``, else 1 (an annulus)."""
+    disc = re.fullmatch(r"Disc\(radius=(.+)\)", domain_repr)
+    return float(disc.group(1)) if disc else 1.0
+
+
 def _plot_series(records: list[ReportRecord]):
     """(filename, xs, ys, header) for each sweep record."""
     series = []
@@ -605,7 +613,8 @@ def _plot_series(records: list[ReportRecord]):
             )
         elif rec.command == "squeeze-check" and "final_deficit" in rec.quantities:
             ks = rec.inputs.get("ks") or []
-            xs = [10.0 ** (-k) for k in ks]
+            R = _outer_radius(str(rec.inputs.get("domain")))
+            xs = [R * 10.0 ** (-k) for k in ks]
             ys = [rec.quantities[f"ratio_k{k}"] for k in ks]
             name = f"squeeze_trend_{_slug(str(rec.inputs.get('domain', 'domain')))}.dat"
             series.append(

@@ -214,7 +214,7 @@ class Jordan:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def circle(cls, radius: float = 1.0) -> "Jordan":
+    def circle(cls, radius: float) -> "Jordan":
         """Circle of radius ``radius`` about the origin."""
         return cls({1: complex(radius)})
 

@@ -58,7 +58,7 @@ class Circle:
         if not (self.radius > 0.0 and math.isfinite(self.radius)):
             raise ParameterError("circle radius must be positive and finite")
 
-    def points(self, n: int = 360) -> np.ndarray:
+    def points(self, n: int) -> np.ndarray:
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         return self.center + self.radius * np.exp(1j * theta)
 
@@ -239,9 +239,11 @@ _CLOSE_TOL = 1e-6
 
 
 def boundary_trend_check(domain, ks=(1, 2, 3, 4), angle: float = 0.0) -> ReportRecord:
-    """Trend check: the ratio ``C`` at ``|p| = 1 - 10^{-k}`` must increase
-    toward 1 along the ``k`` sequence (within ``_TREND_SLACK``) and end
-    within ``_CLOSE_TOL`` of 1.
+    """Trend check: the ratio ``C`` at ``|p| = R (1 - 10^{-k})``, at
+    distance ``R 10^{-k}`` from the outer circle of radius ``R`` (the
+    radius of a disc, 1 on an annulus), must increase toward 1 along the
+    ``k`` sequence (within ``_TREND_SLACK``) and end within ``_CLOSE_TOL``
+    of 1.
     """
     ks = [int(k) for k in ks]
     require_trend_ks(ks)
@@ -249,9 +251,10 @@ def boundary_trend_check(domain, ks=(1, 2, 3, 4), angle: float = 0.0) -> ReportR
         require_trend_k(k)
     require_angle(angle)
     phase = cmath.exp(1j * angle)
+    R = domain.radius if isinstance(domain, Disc) else 1.0
     ratios = []
     for k in ks:
-        p = (1.0 - 10.0 ** (-k)) * phase
+        p = R * (1.0 - 10.0 ** (-k)) * phase
         ratios.append(suita_ratio(domain, p).quantities["ratio"])
     quantities = {f"ratio_k{k}": r for k, r in zip(ks, ratios)}
     quantities["final_deficit"] = 1.0 - ratios[-1]

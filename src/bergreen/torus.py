@@ -287,7 +287,7 @@ def _gamma_maxzero(spec: TorusSpec) -> float:
     :func:`_green_raw` call with the three half-periods, and the polish
     starts from the highest of the four: where the maximum is a
     half-period, the start then holds the half-period's value bit for bit,
-    as the final guard reads it.
+    as the final guard reads it from the same call.
     """
     n = 96
     s = np.linspace(0.0, 1.0, n, endpoint=False)
@@ -307,8 +307,9 @@ def _gamma_maxzero(spec: TorusSpec) -> float:
         if not value > best:  # on thin tori g is almost flat along Im z: steps overshoot
             break
         z, best = trial, value
-    # g is even, so its half-periods are critical points (Lin and Wang, Ann. of Math. 2010)
-    halves = _green_raw(spec, 0.5 * np.array([1.0, spec.tau, 1.0 + spec.tau]))
+    # g is even, so its half-periods are critical points (Lin and Wang, Ann. of Math. 2010);
+    # the polish climbs from the highest start, so only a NaN leaves it below them
+    halves = vals[1:]
     if not (hess[0, 0] < 0.0 < np.linalg.det(hess) and best >= np.max(halves)):
         raise AccuracyError(
             f"max-zero polish at tau = {spec.tau} ends at z = {z:.6g} with g = {best!r}: the "
@@ -347,12 +348,16 @@ def arakelov_green(spec: TorusSpec, normalization: str = "meanzero") -> Arakelov
     return ArakelovGreen(spec=spec, gamma=gamma, normalization=normalization)
 
 
-def _five_point_laplacian(f, z: complex, h: float) -> float:
-    """Euclidean Laplacian of ``f`` at ``z`` by the five-point stencil of
-    step ``h``."""
-    return (
-        f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4.0 * f(z)
-    ) / (h * h)
+def _five_point_laplacian(f, z, h: float):
+    """Euclidean Laplacian of ``f`` at the centres ``z`` by the five-point
+    stencil of step ``h``, shaped as ``z``.
+
+    ``f`` is evaluated once, on the ``(..., 5)`` array of every centre's
+    nodes ``z + h, z - h, z + ih, z - ih, z``, and the stencil sums them in
+    that order."""
+    nodes = np.asarray(z)[..., None] + np.array([h, -h, 1j * h, -1j * h, 0.0])
+    east, west, north, south, centre = np.moveaxis(f(nodes), -1, 0)
+    return (east + west + north + south - 4.0 * centre) / (h * h)
 
 
 # the five-point stencil step of laplacian_deviation, and its samples, where
@@ -370,12 +375,9 @@ def laplacian_deviation(green: ArakelovGreen) -> float:
     gates it."""
     spec = green.spec
     h = _LAP_STEP * min(1.0, spec.tau2)
-    devs = []
-    for w in _LAP_SAMPLES:
-        z = complex(w.real, w.imag * spec.tau2)
-        lap_vol = spec.tau2 / (2.0 * math.pi) * _five_point_laplacian(green, z, h)
-        devs.append(abs(lap_vol + 1.0))
-    return float(np.max(devs, initial=0.0))
+    z = np.array([complex(w.real, w.imag * spec.tau2) for w in _LAP_SAMPLES])
+    lap_vol = spec.tau2 / (2.0 * math.pi) * _five_point_laplacian(green, z, h)
+    return float(np.max(np.abs(lap_vol + 1.0), initial=0.0))
 
 
 def torus_capacity(green: ArakelovGreen) -> float:
@@ -444,7 +446,8 @@ class ThetaBasis:
         ``U = exp(2 pi i d nu a/n)`` and ``W = exp(pi i tau d nu^2 +
         2 pi i d nu tau b/n)``, so row ``j`` is the product ``U_j W_j^T``.
         ``d nu`` is an integer, so ``U`` takes its phase reduced mod ``n``
-        exactly.  The Gaussian factor stays in ``W``, where ``|W|`` is the
+        exactly, as an entry of the table of the ``n`` roots of unity (the
+        bits of the exponential taken entrywise).  The Gaussian factor stays in ``W``, where ``|W|`` is the
         modulus of the series term, at most ``exp(pi d Im tau)``; split off,
         ``exp(2 pi i d nu tau b/n)`` alone grows like ``exp(2 pi d N Im tau)``
         and overflows (``d = 10``, ``tau = i``).
@@ -454,7 +457,7 @@ class ThetaBasis:
         dnu = d * np.arange(-N, N + 1) + np.arange(d)[:, None]  # (d, 2N+1)
         nu = dnu / d
         idx = np.arange(n)
-        U = np.exp(2j * math.pi / n * (np.multiply.outer(dnu, idx) % n))  # (d, 2N+1, n)
+        U = np.exp(2j * math.pi / n * idx)[np.multiply.outer(dnu, idx) % n]  # (d, 2N+1, n)
         expo = 1j * math.pi * tau * d * nu**2
         W = np.exp(expo[:, :, None] + 2j * math.pi * d * np.multiply.outer(nu, idx / n * tau))
         return (np.swapaxes(U, 1, 2) @ W).reshape(d, n * n)
@@ -512,11 +515,9 @@ def torus_gram(basis: ThetaBasis) -> tuple[np.ndarray, float]:
     doublings = (_GRAM_CAP // start).bit_length() - 1
 
     def compute(n: int) -> np.ndarray:
-        s = np.arange(n) / n
-        S, T = np.meshgrid(s, s, indexing="ij")
-        Z = (S + T * basis.spec.tau).ravel()
         theta_rows = basis.theta_grid(n)
-        w = basis.weight(Z)
+        # the weight at a/n + (b/n) tau depends on b alone; columns a-major
+        w = np.tile(basis.weight(np.arange(n) / n * basis.spec.tau), n)
         G = (theta_rows * w) @ theta_rows.conj().T / (n * n)
         return 0.5 * (G + G.conj().T)
 
@@ -527,8 +528,18 @@ def torus_gram(basis: ThetaBasis) -> tuple[np.ndarray, float]:
     return refine(lambda k: compute(start << k), change, _GRAM_TOL, doublings)
 
 
+def _scaled_gram(gram: tuple[np.ndarray, float]) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """``(corr, scale, condition, residual)`` of a :func:`torus_gram` result
+    ``(G, residual)``: the Jacobi scaling of ``G`` (``bergman._jacobi_scaled``)
+    and its condition (``bergman._normalized_condition``), formed once for
+    every base point :func:`torus_bergman` takes on that Gram."""
+    G, resid = gram
+    corr, scale = _jacobi_scaled(G)
+    return corr, scale, _normalized_condition(corr), resid
+
+
 def torus_bergman(
-    spec: TorusSpec, d: int, p: complex, gram: tuple[np.ndarray, float]
+    spec: TorusSpec, d: int, p: complex, scaled: tuple[np.ndarray, np.ndarray, float, float]
 ) -> KernelEstimate:
     """Weighted kernel diagonal of the degree-``d`` section space at ``p``:
     ``weight(p) * b^H G^{-1} b`` with ``b_j = theta_j(p)``.
@@ -539,18 +550,18 @@ def torus_bergman(
     by ``O(exp(-pi d Im tau / 2))`` — exponentially small in the degree
     but far above machine precision at small ``d``.
 
-    ``gram`` is the ``(G, residual)`` of :func:`torus_gram` on the same
-    basis; each call solves the Gram system afresh.
+    ``scaled`` is :func:`_scaled_gram` of the :func:`torus_gram` on the
+    same basis; each call takes one solve with its scaled matrix and reads
+    the condition and residual as they are.
     """
     basis = ThetaBasis(spec, d)
-    G, resid = gram
+    corr, scale, condition, resid = scaled
     b = np.array([basis.theta(j, p) for j in range(d)])
-    corr, scale = _jacobi_scaled(G)
     value = float(basis.weight(p)) * _dense_kernel_value(corr, scale, b)
     return KernelEstimate(
         value=value,
         basis_size=d,
-        gram_condition=_normalized_condition(corr),
+        gram_condition=condition,
         truncation_error_estimate=resid,
     )
 
@@ -580,10 +591,8 @@ def curvature_coefficients(green: ArakelovGreen, d: int) -> tuple[float, float]:
 
     z, h = _CURVATURE_POINT, _CURVATURE_STEP
     factor = spec.tau2 / (4.0 * math.pi)
-    a = -factor * _five_point_laplacian(lambda w: 2.0 * float(green(w)), z, h)
-    b = factor * _five_point_laplacian(
-        lambda w: -math.log(float(basis.weight(complex(w)))), z, h
-    )
+    a = -factor * _five_point_laplacian(lambda w: 2.0 * green(w), z, h)
+    b = factor * _five_point_laplacian(lambda w: -np.log(basis.weight(w)), z, h)
     return float(a), float(b)
 
 
@@ -642,19 +651,18 @@ def arak1_check(spec: TorusSpec, d: int) -> ReportRecord:
     delta = d / 2.0 - 1.0
     factor = math.pi * (1.0 + 1.0 / delta)
 
-    basis = ThetaBasis(spec, d)
-    gram = torus_gram(basis)
-    kernel = torus_bergman(spec, d, p=0.0, gram=gram)
+    scaled = _scaled_gram(torus_gram(ThetaBasis(spec, d)))
+    kernel = torus_bergman(spec, d, p=0.0, scaled=scaled)
     # base points where the metrized bundle is literally translation-
     # invariant: the refined-lattice translates of the origin
     others = [
-        torus_bergman(spec, d, p=1.0 / d, gram=gram).value,
-        torus_bergman(spec, d, p=(1.0 + spec.tau) / d, gram=gram).value,
+        torus_bergman(spec, d, p=1.0 / d, scaled=scaled).value,
+        torus_bergman(spec, d, p=(1.0 + spec.tau) / d, scaled=scaled).value,
     ]
     diag_spread = float(np.max(np.abs(np.subtract(others, kernel.value)))) / kernel.value
     # between refined-lattice points the diagonal varies by an amount
     # exponentially small in d; recorded for reference, not gated
-    midcell = torus_bergman(spec, d, p=(1.0 + spec.tau) / (2 * d), gram=gram).value
+    midcell = torus_bergman(spec, d, p=(1.0 + spec.tau) / (2 * d), scaled=scaled).value
     midcell_dev = abs(midcell - kernel.value) / kernel.value
     lhs = factor * kernel.value
 

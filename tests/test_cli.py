@@ -78,10 +78,19 @@ _SETTABLE_DEFAULTS = {
 }
 
 
+def _parameter_defaults(fn) -> list[str]:
+    return [
+        p.name for p in inspect.signature(fn).parameters.values()
+        if p.default is not inspect.Parameter.empty
+    ]
+
+
 def _settable_defaults() -> set[str]:
     """``module.callable.name`` of every parameter with a default, and
     every dataclass field with a default, of the public callables of the
-    library modules."""
+    library modules, and ``module.Class.method.name`` of every parameter
+    with a default of the public methods, classmethods and staticmethods of
+    their public classes."""
     found = set()
     for module in (bergman, domains, extension, fuchsian, reports, squeezing, torus):
         short = module.__name__.rpartition(".")[2]
@@ -93,10 +102,12 @@ def _settable_defaults() -> set[str]:
                 f.name for f in (fields(obj) if is_dataclass(obj) else ())
                 if f.default is not MISSING or f.default_factory is not MISSING
             ]
-            defaults += [
-                p.name for p in inspect.signature(obj).parameters.values()
-                if p.default is not inspect.Parameter.empty
-            ]
+            defaults += _parameter_defaults(obj)
+            if inspect.isclass(obj):
+                for attr, raw in vars(obj).items():
+                    fn = getattr(raw, "__func__", raw)  # classmethod, staticmethod
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        defaults += [f"{attr}.{d}" for d in _parameter_defaults(fn)]
             found |= {f"{short}.{name}.{d}" for d in defaults if not d.startswith("_")}
     return found
 
@@ -480,6 +491,17 @@ class TestCliRuns:
         slug = argv[0].replace("-", "_")
         records = _read_report(tmp_path / f"{slug}_report.json")["records"]
         assert records and all(rec["passed"] for rec in records)
+
+    @pytest.mark.parametrize("radius", ["0.5", "2"])
+    def test_squeeze_trend_on_a_disc_of_any_radius(self, tmp_path, radius):
+        # the trend points lie at R (1 - 10^-k), written at distance R 10^-k
+        argv = ["squeeze-check", "--domain", f"disc:{radius}", "--outdir", str(tmp_path), "--no-cache"]
+        assert main(argv) == 0
+        records = _read_report(tmp_path / "squeeze_check_report.json")["records"]
+        assert len(records) == 9 and all(rec["passed"] for rec in records)
+        (dat,) = tmp_path.glob("squeeze_trend_*.dat")
+        distances = np.loadtxt(dat)[:, 0]
+        assert distances.tolist() == [float(radius) * 10.0**-k for k in (1, 2, 3, 4)]
 
     def test_module_error_gives_exit_1_and_failing_record(self, tmp_path, capsys):
         rc = main(
@@ -1090,21 +1112,21 @@ def _spoil_call(monkeypatch, owner, name, n, spoil):
     monkeypatch.setattr(owner, name, patched)
 
 
-def _nan_at_4(values):
-    """A copy of ``values`` with its 5th element NaN."""
+def _nan_at(values, k):
+    """A copy of ``values`` with its element ``k`` NaN."""
     out = np.array(values, dtype=float)
-    out[4] = math.nan
+    out[k] = math.nan
     return out
 
 
 def _nan_ode_r1(mp):
     # one ode_residual call covers the grid; its 5th r1 is NaN
-    _spoil_call(mp, extension, "ode_residual", 1, lambda r: (_nan_at_4(r[0]), r[1]))
+    _spoil_call(mp, extension, "ode_residual", 1, lambda r: (_nan_at(r[0], 4), r[1]))
     return extension.ode_record(1.0, np.geomspace(0.1, 50.0, 20)), "residual_r1"
 
 
 def _nan_ode_r2(mp):
-    _spoil_call(mp, extension, "ode_residual", 1, lambda r: (r[0], _nan_at_4(r[1])))
+    _spoil_call(mp, extension, "ode_residual", 1, lambda r: (r[0], _nan_at(r[1], 4)))
     return extension.ode_record(1.0, np.geomspace(0.1, 50.0, 20)), "residual_r2"
 
 
@@ -1137,14 +1159,15 @@ def _nan_torus_diagonal(mp):
 
 
 def _nan_laplacian_sample(mp):
-    _spoil_call(mp, torus, "_five_point_laplacian", 2, lambda lap: math.nan)
+    # one stencil call takes every sample; its 2nd Laplacian is NaN
+    _spoil_call(mp, torus, "_five_point_laplacian", 1, lambda lap: _nan_at(lap, 1))
     return torus.arak1_check(torus.TorusSpec(1j), 4), "laplacian"
 
 
 def _nan_maxzero_sup(mp):
     # calls: the polish's 96^2 search grid, then the 97^2 grid, whose 5th
     # row is NaN
-    _spoil_call(mp, torus, "_green_grid", 2, _nan_at_4)
+    _spoil_call(mp, torus, "_green_grid", 2, lambda grid: _nan_at(grid, 4))
     return torus.arak1_check(torus.TorusSpec(1j), 4), "maxzero_sup"
 
 

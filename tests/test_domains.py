@@ -231,7 +231,7 @@ class TestGreenNystrom:
     # check at 128 used to solve, so each value is the one it gave
 
     def test_disc_oracle(self):
-        g = green_evaluator(Jordan.circle()).green(0.5, 0.0)
+        g = green_evaluator(Jordan.circle(1.0)).green(0.5, 0.0)
         assert g == pytest.approx(math.log(0.5), abs=1e-8)
 
     def test_ellipse_symmetry(self):
@@ -246,11 +246,11 @@ class TestGreenNystrom:
     def test_default_node_count_is_even(self):
         # the n/2 witness takes every other node of the reported system
         assert domains._QUAD_POINTS % 2 == 0
-        assert green_evaluator(Jordan.circle())._half.n == domains._QUAD_POINTS // 2
+        assert green_evaluator(Jordan.circle(1.0))._half.n == domains._QUAD_POINTS // 2
 
     def test_boundary_distance_guard(self, monkeypatch):
         monkeypatch.setattr(domains, "_QUAD_POINTS", 64)
-        ev = green_evaluator(Jordan.circle())
+        ev = green_evaluator(Jordan.circle(1.0))
         with pytest.raises(DomainError):
             ev.green(0.9999, 0.0)
 
@@ -295,7 +295,7 @@ class TestCapacity:
                 )
 
     def test_nystrom_capacity_disc(self):
-        ev = green_evaluator(Jordan.circle())
+        ev = green_evaluator(Jordan.circle(1.0))
         for z in (0.0, 0.6, 0.3j, -0.4 + 0.5j):
             assert capacity(ev, z) == pytest.approx(1.0 / (1.0 - abs(z) ** 2), abs=1e-7)
 
@@ -449,7 +449,7 @@ class TestEvaluatorGuards:
             (Disc(), "bogus"),
             (Disc(), "auto"),
             (Annulus(0.2), "closed_form"),
-            (Jordan.circle(), "laurent_modes"),
+            (Jordan.circle(1.0), "laurent_modes"),
         ],
     )
     def test_direct_construction_checks_the_method(self, domain, method):
@@ -574,7 +574,7 @@ class TestJordan:
         assert ids[0] == ids[1] == "Jordan({-1: (0.25+0j), 1: (0.95+0j)}) xi=0.5 z=0.1"
 
     def test_containment_and_distance(self):
-        dom = Jordan.circle()
+        dom = Jordan.circle(1.0)
         assert dom.contains(0.5)
         assert not dom.contains(1.5)
         assert dom.boundary_distance(0.0) == pytest.approx(1.0, abs=1e-6)

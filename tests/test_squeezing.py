@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bergreen import squeezing
 from bergreen.domains import Annulus, Disc, Jordan
 from bergreen.errors import ParameterError, PoleOnCircleError
 from bergreen.squeezing import (
@@ -258,6 +259,18 @@ class TestBoundaryTrend:
     def test_angle_parameter(self):
         rec = boundary_trend_check(Annulus(0.2), ks=(1, 2), angle=math.pi / 3)
         assert rec.passed
+
+    @pytest.mark.parametrize("domain", [Disc(0.5), Disc(), Disc(2.0), Annulus(0.2)])
+    def test_points_approach_the_outer_circle(self, domain, monkeypatch):
+        # at R (1 - 10^-k), R the radius of the outer circle (1 on an annulus)
+        points = []
+        real = squeezing.suita_ratio
+        monkeypatch.setattr(
+            squeezing, "suita_ratio", lambda dom, p: points.append(p) or real(dom, p)
+        )
+        assert boundary_trend_check(domain, ks=(1, 3)).passed
+        R = getattr(domain, "radius", 1.0)
+        assert points == [R * (1.0 - 10.0**-k) for k in (1, 3)]
 
     def test_rejects_unsorted_ks(self):
         with pytest.raises(ParameterError):

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergreen import torus
+from bergreen import bergman, torus
 from bergreen.domains import gauss_legendre
 from bergreen.errors import AccuracyError, ParameterError, TruncationError
 from bergreen.torus import (
@@ -167,6 +167,43 @@ MAXZERO_TAUS = [
     TAU_I, TAU_SKEW, 0.3 + 1.1j, 2j, 0.1 + 0.6j, 0.5 + 0.6j, 0.2j, 0.15j, 0.3j,
     cmath.exp(1j * math.pi / 3), -0.4 + 0.95j, 0.13 + 1.27j,
 ]
+
+
+def _count(monkeypatch, owner, name):
+    """Log the positional arguments of each ``owner.name`` call; returns
+    the log."""
+    calls = []
+    inner = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _scalar_laplacian(f, z: complex, h: float) -> float:
+    """Reference five-point stencil: ``f`` called on one node at a time,
+    summed in the order of ``torus._five_point_laplacian``."""
+    return (f(z + h) + f(z - h) + f(z + 1j * h) + f(z - 1j * h) - 4.0 * f(z)) / (h * h)
+
+
+def _stencil_nodes(z, h: float) -> np.ndarray:
+    """The five nodes of each centre ``z``, in the stencil's order."""
+    return np.add.outer(z, np.array([h, -h, 1j * h, -1j * h, 0.0]))
+
+
+def _stencil_rounding(f_nodes, h: float) -> float:
+    """Bound on the change of a five-point Laplacian when each node value
+    ``f`` is evaluated another way, stated before measuring: 1024 eps max|f|
+    / h^2, from the stencil weights 1 + 1 + 1 + 1 + 4 = 8, both ways
+    rounding, and each value summing at most ``theta1``'s 64 terms."""
+    return 1024.0 * np.finfo(float).eps * float(np.max(np.abs(f_nodes))) / (h * h)
+
+
+# the moduli on which the batched stencils are held against the scalar one
+STENCIL_TAUS = [TAU_I, TAU_SKEW, 0.15j, 0.1j]
 
 
 @pytest.fixture(scope="module")
@@ -494,15 +531,25 @@ class TestArakelovGreen:
         monkeypatch.setattr(torus, "_green_raw", lambda sp, z: np.abs(np.asarray(z)) ** 2)
         with pytest.raises(AccuracyError, match="Hessian must be negative definite"):
             torus._gamma_maxzero(spec)
-        # the 96^2 grid holds the three half-periods, so the polish can end
-        # below them only if the profile disagrees between calls; one raised
-        # in its three-point call alone stands in for that
-        monkeypatch.setattr(
-            torus, "_green_raw",
-            lambda sp, z: raw(sp, z) + (1.0 if np.shape(z) == (3,) else 0.0),
-        )
-        with pytest.raises(AccuracyError, match="half-periods"):
+        # the guard reads the half-periods from the four-point start call,
+        # and the polish climbs from the highest start, so only a NaN there
+        # ends it below them
+        def nan_half_period(sp, z):
+            out = raw(sp, z)
+            if np.shape(z) == (4,):
+                out[2] = math.nan
+            return out
+
+        monkeypatch.setattr(torus, "_green_raw", nan_half_period)
+        with pytest.raises(AccuracyError, match=r"g = nan: .* \(half-periods\)"):
             torus._gamma_maxzero(spec)
+
+    def test_maxzero_guard_reads_the_start_call(self, spec_skew, monkeypatch):
+        # one _green_raw call holds the start node and the three half-periods
+        calls = _count(monkeypatch, torus, "_green_raw")
+        torus._gamma_maxzero(spec_skew)
+        shapes = [np.shape(z) for _, z in calls]
+        assert shapes[0] == (4,) and (3,) not in shapes
 
     def test_normalizations_differ_by_constant(self, green_mean_i, green_max_i):
         zs = np.array([0.3 + 0.2j, 0.1 + 0.45j, 0.42 + 0.18j])
@@ -532,6 +579,25 @@ class TestLaplacianDeviation:
         for w in torus._LAP_SAMPLES:
             z = complex(w.real, w.imag * tau.imag)
             assert lattice_reduce(z, tau) == z and abs(z) >= 0.1
+
+    def test_one_theta1_call(self, green_mean_i, monkeypatch):
+        # the four samples' twenty stencil nodes take one theta1 call
+        calls = _count(monkeypatch, torus, "theta1")
+        laplacian_deviation(green_mean_i)
+        assert [np.shape(z) for z, *_ in calls] == [(len(torus._LAP_SAMPLES), 5)]
+
+    @pytest.mark.parametrize("tau", STENCIL_TAUS)
+    def test_matches_one_node_per_call(self, tau):
+        spec = TorusSpec(tau)
+        green = arakelov_green(spec, normalization="meanzero")
+        h = torus._LAP_STEP * min(1.0, spec.tau2)
+        zs = np.array([complex(w.real, w.imag * spec.tau2) for w in torus._LAP_SAMPLES])
+        factor = spec.tau2 / (2.0 * math.pi)
+        reference = max(
+            abs(factor * _scalar_laplacian(lambda w: float(green(w)), z, h) + 1.0) for z in zs
+        )
+        bound = factor * _stencil_rounding(green(_stencil_nodes(zs, h)), h)
+        assert abs(laplacian_deviation(green) - reference) <= bound
 
     def test_impossible_tolerance_fails_the_record(self, spec_i, monkeypatch):
         # arak1_check's laplacian margin is the one gate on the deviation
@@ -682,6 +748,29 @@ class TestTorusGram:
         assert table.shape == (d, n * n)
         assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("d", [4, 6, 10])
+    @pytest.mark.parametrize("tau", GRAM_TAUS)
+    def test_matches_the_entrywise_recipe(self, tau, d, monkeypatch):
+        # U indexes the table of the n roots of unity, and the weight is
+        # taken on one column of the grid: bit for bit the Gram whose
+        # exponentials are taken at every entry and every grid point
+        basis = ThetaBasis(TorusSpec(tau), d)
+        levels = _count(monkeypatch, ThetaBasis, "theta_grid")
+        G, _ = torus_gram(basis)
+        n = levels[-1][1]
+        N = basis._n_range
+        dnu = d * np.arange(-N, N + 1) + np.arange(d)[:, None]
+        nu = dnu / d
+        idx = np.arange(n)
+        U = np.exp(2j * math.pi / n * (np.multiply.outer(dnu, idx) % n))
+        expo = 1j * math.pi * tau * d * nu**2
+        W = np.exp(expo[:, :, None] + 2j * math.pi * d * np.multiply.outer(nu, idx / n * tau))
+        rows = (np.swapaxes(U, 1, 2) @ W).reshape(d, n * n)
+        S, T = np.meshgrid(idx / n, idx / n, indexing="ij")
+        w = basis.weight((S + T * tau).ravel())
+        reference = (rows * w) @ rows.conj().T / (n * n)
+        assert np.array_equal(G, 0.5 * (reference + reference.conj().T))
+
     def test_hermitian_and_well_conditioned(self, spec_i):
         G, _ = torus_gram(ThetaBasis(spec_i, 4))
         assert np.array_equal(G, G.conj().T)
@@ -699,28 +788,32 @@ class TestTorusGram:
             torus_gram(ThetaBasis(spec_i, 4))
 
 
+def _scaled(spec, d):
+    """The scaled Gram that ``torus_bergman`` takes, from a fresh Gram."""
+    return torus._scaled_gram(torus_gram(ThetaBasis(spec, d)))
+
+
 def _kernel_at_origin(spec, d):
     """``torus_bergman`` at ``p = 0`` on a fresh Gram."""
-    return torus_bergman(spec, d, 0.0, torus_gram(ThetaBasis(spec, d)))
+    return torus_bergman(spec, d, 0.0, _scaled(spec, d))
 
 
 class TestTorusBergman:
     def test_refined_lattice_constancy(self, spec_i):
         d = 4
-        basis = ThetaBasis(spec_i, d)
-        gram = torus_gram(basis)
-        base = torus_bergman(spec_i, d, p=0.0, gram=gram).value
+        scaled = _scaled(spec_i, d)
+        base = torus_bergman(spec_i, d, p=0.0, scaled=scaled).value
         for p in (1.0 / d, TAU_I / d, (1.0 + TAU_I) / d, 2.0 / d, 3.0 * TAU_I / d):
-            v = torus_bergman(spec_i, d, p=p, gram=gram).value
+            v = torus_bergman(spec_i, d, p=p, scaled=scaled).value
             assert abs(v - base) <= 1e-12 * base
 
     def test_midcell_variation_small_and_decaying(self, spec_i):
         devs = {}
         for d in (4, 6):
-            gram = torus_gram(ThetaBasis(spec_i, d))
-            base = torus_bergman(spec_i, d, p=0.0, gram=gram).value
+            scaled = _scaled(spec_i, d)
+            base = torus_bergman(spec_i, d, p=0.0, scaled=scaled).value
             mid = torus_bergman(
-                spec_i, d, p=(1.0 + TAU_I) / (2 * d), gram=gram
+                spec_i, d, p=(1.0 + TAU_I) / (2 * d), scaled=scaled
             ).value
             devs[d] = abs(mid - base) / base
         # variation between refined-lattice points follows the
@@ -738,12 +831,41 @@ class TestTorusBergman:
         assert k4 < k6
 
     def test_gram_reuse_is_exact(self, spec_i):
-        basis = ThetaBasis(spec_i, 4)
-        gram = torus_gram(basis)
-        a = torus_bergman(spec_i, 4, p=0.3, gram=gram)
-        b = torus_bergman(spec_i, 4, p=0.3, gram=torus_gram(basis))
+        scaled = _scaled(spec_i, 4)
+        a = torus_bergman(spec_i, 4, p=0.3, scaled=scaled)
+        b = torus_bergman(spec_i, 4, p=0.3, scaled=_scaled(spec_i, 4))
         assert a.value == b.value
         assert a.gram_condition == b.gram_condition
+
+    @pytest.mark.parametrize("tau", [TAU_I, TAU_SKEW, 0.1j])
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_record_kernels_match_a_fresh_scaling_per_point(self, tau, d):
+        # arak1_check scales its Gram once; each of its four values equals,
+        # bit for bit, a weighted solve on a scaling formed for that point
+        spec = TorusSpec(tau)
+        basis = ThetaBasis(spec, d)
+        G, _ = torus_gram(basis)
+
+        def fresh(p):
+            b = np.array([basis.theta(j, p) for j in range(d)])
+            corr, scale = bergman._jacobi_scaled(G)
+            return float(basis.weight(p)) * bergman._dense_kernel_value(corr, scale, b)
+
+        origin, *others, mid = (
+            fresh(p) for p in (0.0, 1.0 / d, (1.0 + tau) / d, (1.0 + tau) / (2 * d))
+        )
+        q = arak1_check(spec, d).quantities
+        assert q["kernel_diag"] == origin
+        assert q["diag_spread"] == float(np.max(np.abs(np.subtract(others, origin)))) / origin
+        assert q["midcell_deviation"] == abs(mid - origin) / origin
+        corr, _ = bergman._jacobi_scaled(G)
+        assert q["gram_condition"] == bergman._normalized_condition(corr)
+
+    def test_one_scaling_and_condition_per_record(self, spec_skew, monkeypatch):
+        scalings = _count(monkeypatch, torus, "_jacobi_scaled")
+        conditions = _count(monkeypatch, torus, "_normalized_condition")
+        arak1_check(spec_skew, 4)
+        assert len(scalings) == len(conditions) == 1
 
     def test_estimate_fields(self, spec_i):
         est = _kernel_at_origin(spec_i, 4)
@@ -770,6 +892,29 @@ class TestCurvatureCoefficients:
     def test_ratio_two_over_degree(self, green_mean_i, d):
         a, b = curvature_coefficients(green_mean_i, d)
         assert abs(2.0 * a / b - 2.0 / d) < 1e-6
+
+    def test_one_theta1_call(self, green_mean_i, monkeypatch):
+        # the a half's five stencil nodes take one theta1 call; b needs none
+        calls = _count(monkeypatch, torus, "theta1")
+        curvature_coefficients(green_mean_i, 4)
+        assert [np.shape(z) for z, *_ in calls] == [(5,)]
+
+    @pytest.mark.parametrize("tau", STENCIL_TAUS)
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_matches_one_node_per_call(self, tau, d):
+        spec = TorusSpec(tau)
+        green = arakelov_green(spec, normalization="meanzero")
+        basis = ThetaBasis(spec, d)
+        z, h = torus._CURVATURE_POINT, torus._CURVATURE_STEP
+        factor = spec.tau2 / (4.0 * math.pi)
+        a_ref = -factor * _scalar_laplacian(lambda w: 2.0 * float(green(w)), z, h)
+        b_ref = factor * _scalar_laplacian(
+            lambda w: -math.log(float(basis.weight(complex(w)))), z, h
+        )
+        nodes = _stencil_nodes(z, h)
+        a, b = curvature_coefficients(green, d)
+        assert abs(a - a_ref) <= factor * _stencil_rounding(2.0 * green(nodes), h)
+        assert abs(b - b_ref) <= factor * _stencil_rounding(np.log(basis.weight(nodes)), h)
 
     def test_gamma_invariance(self, green_mean_i, green_max_i):
         # curvature ignores the additive normalization
