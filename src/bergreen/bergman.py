@@ -718,9 +718,6 @@ def kernel_record(domain: PlanarDomain, weight: WeightSpec, z: complex) -> Repor
     record passes while the diagonal is finite."""
     est = kernel_diag(domain, weight, z)
     return make_record(
-        command="bergman",
-        input_id=f"{domain!r} {weight!r} z={z}",
-        inputs={"domain": repr(domain), "weight": repr(weight), "z": z},
         quantities={
             "kernel_diag": est.value,
             "basis_size": est.basis_size,
@@ -751,9 +748,6 @@ def suita_ratio(domain: PlanarDomain, z: complex) -> ReportRecord:
         raise ZeroKernelError("kernel diagonal is not positive")
     ratio = cap**2 / (math.pi * est.value)
     return make_record(
-        command="suita-check",
-        input_id=f"{domain!r} z={z}",
-        inputs={"domain": repr(domain), "z": z},
         quantities={
             "ratio": ratio,
             "capacity": cap,
@@ -801,9 +795,6 @@ def extended_suita_check(
     rho = float(weight.density(np.asarray([z], dtype=complex))[0])
     margin = math.pi * rho * est.value - cap**2
     return make_record(
-        command="extended-suita-check",
-        input_id=f"{domain!r} {weight!r} z={z}",
-        inputs={"domain": repr(domain), "weight": repr(weight), "z": z},
         quantities={
             "margin": margin,
             "capacity_sq": cap**2,

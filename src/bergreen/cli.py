@@ -4,7 +4,7 @@ report persistence, and plot-data emission.
 Every run resolves one configuration (defaults < JSON config file < CLI
 flags, flags winning), validates it, and expands it through the registry
 ``CHECKS`` into cases, each a call of a record-building check in the
-module that owns it.
+module that owns it; ``_unit`` runs each case and names its record.
 A run writes one JSON report (full records) and one CSV summary (one row
 per check) into the output directory, plus two-column plot-data files for
 the sweep commands (``optimal-constant`` ratio-vs-a, ``squeeze-check``
@@ -68,7 +68,8 @@ DEFAULT_OUTDIR = "reports"
 class Param:
     """One command parameter: value kind, default, help text, and the
     preconditions that the owning check states for one value (each element
-    of a list) and for a whole list, which raise :class:`ParameterError`."""
+    of a list, each point of a grid) and for a whole list, which raise
+    :class:`ParameterError`."""
 
     kind: str  # str | int | float | complex | bool | floats | ints | complexes | strs | grid
     default: object
@@ -123,7 +124,8 @@ PARAMS: dict[str, dict[str, Param]] = {
     "ode-check": {
         "deltas": Param("floats", [0.1, 0.5, 1.0, 2.0, 10.0], "delta grid",
                         check=extension.require_positive_delta),
-        "t_grid": Param("grid", "log:0.01:50:200", "t grid spec (log:lo:hi:n | lin:lo:hi:n | comma list)"),
+        "t_grid": Param("grid", "log:0.01:50:200", "t grid spec (log:lo:hi:n | lin:lo:hi:n | comma list)",
+                        check=extension.require_ode_t),
     },
     "cutoff-check": {
         "t0s": Param("floats", [1.0, 5.0], "anchoring offsets", check=extension.require_t0),
@@ -234,6 +236,7 @@ def _coerce(kind: str, value, name: str):
 
 
 def _parse_grid(spec: str) -> np.ndarray:
+    """The points of a grid spec, every one finite."""
     parts = spec.split(":")
     if parts[0] in ("log", "lin"):
         if len(parts) != 4:
@@ -241,17 +244,21 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
         if n < 2:
             raise ConfigError("grid needs at least 2 points")
-        if parts[0] == "log":
-            if not (0.0 < lo < hi):
-                raise ConfigError("log grid needs 0 < lo < hi")
-            return np.geomspace(lo, hi, n)
-        if not (lo < hi):
+        if parts[0] == "log" and not (0.0 < lo < hi):
+            raise ConfigError("log grid needs 0 < lo < hi")
+        elif not (lo < hi):
             raise ConfigError("lin grid needs lo < hi")
-        return np.linspace(lo, hi, n)
-    values = [float(x) for x in _split_list(spec)]
-    if not values:
-        raise ConfigError("empty grid")
-    return np.asarray(values)
+        # an infinite bound, or a span past the float range, gives
+        # non-finite points, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.geomspace(lo, hi, n) if parts[0] == "log" else np.linspace(lo, hi, n)
+    else:
+        grid = np.asarray([float(x) for x in _split_list(spec)])
+        if not grid.size:
+            raise ConfigError("empty grid")
+    if not np.isfinite(grid).all():
+        raise ConfigError("grid points must be finite")
+    return grid
 
 
 def _sweep_points(domain, n: int) -> list[complex]:
@@ -315,6 +322,8 @@ def _validate(config: dict) -> None:
         # a list may be empty only where its default is (a sweep takes its place)
         if isinstance(value, list) and not value and p.default:
             raise ConfigError(f"{name} must be a non-empty list")
+        if p.kind == "grid":  # its points are checked as a list's elements
+            value = list(_parse_grid(value))
         try:
             if p.check is not None:
                 for v in value if isinstance(value, list) else [value]:
@@ -403,31 +412,32 @@ class Case(NamedTuple):
 
 def _unit(command: str, case: Case) -> ReportRecord:
     """Run and time one case.  The check is looked up on its module when it
-    runs, so a wrapper installed there sees the call.  The record carries
-    the case's id and echoed inputs; any error the check raises (a module
-    error, or a numpy or programming error) becomes a failing record, so
-    the report is still written and the exit code is 1."""
+    runs, so a wrapper installed there sees the call.  The check returns
+    quantities and gates only; this is the one place that names a record,
+    stamping the command, the case's id and echoed inputs and the wall
+    time.  Any error the check raises (a module error, or a numpy or
+    programming error) becomes a failing record, its error echoed beside
+    the inputs, so the report is still written and the exit code is 1."""
     module, _, name = case.check.partition(".")
+    inputs = dict(case.inputs)
     start = time.perf_counter()
     try:
         record = getattr(sys.modules[f"{__package__}.{module}"], name)(**case.kwargs)
     except Exception as exc:
         if not isinstance(exc, BergreenError):
             traceback.print_exc()  # not a numerical failure: keep the trace
-        return make_record(
-            command=command,
-            input_id=case.input_id,
-            inputs={**case.inputs, "error": f"{type(exc).__name__}: {exc}"},
+        inputs["error"] = f"{type(exc).__name__}: {exc}"
+        record = make_record(
             quantities={"error_flag": 1.0},
             gates={"module_error": (-1.0, 0.0)},
             primary="error_flag",
             provenance={"error_flag": type(exc).__name__},
-            wall_time_s=time.perf_counter() - start,
         )
     return replace(
         record,
+        command=command,
         input_id=case.input_id,
-        inputs={**record.inputs, **case.inputs},
+        inputs=inputs,
         wall_time_s=time.perf_counter() - start,
     )
 
@@ -589,14 +599,6 @@ def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9.]+", "_", text).strip("_").lower()
 
 
-def _outer_radius(domain_repr: str) -> float:
-    """Outer radius of the domain a trend record echoes by its repr, as
-    ``squeezing.boundary_trend_check`` takes it: ``R`` of
-    ``Disc(radius=R)``, else 1 (an annulus)."""
-    disc = re.fullmatch(r"Disc\(radius=(.+)\)", domain_repr)
-    return float(disc.group(1)) if disc else 1.0
-
-
 def _plot_series(records: list[ReportRecord]):
     """(filename, xs, ys, header) for each sweep record."""
     series = []
@@ -613,8 +615,7 @@ def _plot_series(records: list[ReportRecord]):
             )
         elif rec.command == "squeeze-check" and "final_deficit" in rec.quantities:
             ks = rec.inputs.get("ks") or []
-            R = _outer_radius(str(rec.inputs.get("domain")))
-            xs = [R * 10.0 ** (-k) for k in ks]
+            xs = [rec.quantities[f"distance_k{k}"] for k in ks]
             ys = [rec.quantities[f"ratio_k{k}"] for k in ks]
             name = f"squeeze_trend_{_slug(str(rec.inputs.get('domain', 'domain')))}.dat"
             series.append(

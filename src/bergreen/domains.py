@@ -9,11 +9,12 @@ boundary parameterization.  Green functions follow the convention
 with ``H`` harmonic in ``xi``, ``G < 0`` inside and ``G = 0`` on the
 boundary.  The logarithmic capacity is ``c_beta(z) = exp(H(z, z))``.
 
-Three evaluation methods are provided:
+Two evaluation methods are provided:
 
-* ``closed_form``   -- disc of any radius,
-* ``laurent_modes`` -- annulus, via per-mode closed-form coefficients,
-* ``nystrom``       -- smooth Jordan domains (and the annulus, with the
+* ``auto``    -- routed by the domain's type: the closed form on a disc of
+  any radius, per-mode closed-form Laurent coefficients on an annulus, and
+  ``nystrom`` on a Jordan domain;
+* ``nystrom`` -- smooth Jordan domains (and the annulus, with the
   standard one-log-source augmentation for the hole), via a double layer
   potential discretized with the trapezoid rule.
 
@@ -599,13 +600,16 @@ def _nystrom_components(domain: PlanarDomain):
 # ---------------------------------------------------------------------------
 
 
-# what ``green_evaluator`` accepts; ``auto`` picks by the domain's type
-GREEN_METHODS = ("auto", "closed_form", "laurent_modes", "nystrom")
+# what ``green_evaluator`` accepts; ``auto`` routes by the domain's type
+GREEN_METHODS = ("auto", "nystrom")
 
 
 @dataclass
 class GreenEvaluator:
-    """Uniform interface over the three Green function methods.
+    """Uniform interface over the Green function methods: ``auto`` takes
+    the closed form on a disc, Laurent modes on an annulus and the Nystrom
+    method on a Jordan domain; ``nystrom`` takes the Nystrom method on
+    every domain.
 
     ``green(xi, z)`` and ``remainder(xi, z)`` evaluate ``G`` and
     ``H = G - log|xi - z|``; ``robin(z)`` returns the diagonal ``H(z, z)``
@@ -635,16 +639,12 @@ class GreenEvaluator:
     _solver: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.method not in GREEN_METHODS[1:]:
+        if self.method not in GREEN_METHODS:
             raise DomainError(
                 f"unknown Green function method {self.method!r} "
-                f"(use {' | '.join(GREEN_METHODS[1:])})"
+                f"(use {' | '.join(GREEN_METHODS)})"
             )
-        if self.method == "closed_form" and not isinstance(self.domain, Disc):
-            raise DomainError("closed_form method is only available on discs")
-        if self.method == "laurent_modes" and not isinstance(self.domain, Annulus):
-            raise DomainError("laurent_modes method is only available on annuli")
-        if self.method == "nystrom":
+        if self.method == "nystrom" or not isinstance(self.domain, (Disc, Annulus)):
             self._solver = _NystromSolver(*_nystrom_components(self.domain), _QUAD_POINTS)
             A = self._solver.matrix
             if not np.isfinite(A).all():
@@ -663,7 +663,7 @@ class GreenEvaluator:
         for p in points:
             if not dom.contains(p):
                 raise DomainError(f"point {p} is not inside the domain")
-            if self.method == "nystrom" and dom.boundary_distance(p) <= 1e-3 * dom.diameter:
+            if self._solver is not None and dom.boundary_distance(p) <= 1e-3 * dom.diameter:
                 raise DomainError(f"point {p} is closer to the boundary than 1e-3 * diameter")
 
     def _modes_for(self, z: complex, w: complex) -> int:
@@ -715,13 +715,13 @@ class GreenEvaluator:
 
     def remainder(self, xi: complex, z: complex) -> float:
         self._check_inside(z, xi)
-        if self.method == "closed_form":
+        if self._solver is not None:
+            return self._nystrom_remainder(xi, z)
+        if isinstance(self.domain, Disc):
             return _disc_remainder(xi, z, self.domain.radius)
-        if self.method == "laurent_modes":
-            return self._tail_gated(
-                _annulus_remainder(self.domain.r_inner, xi, z, self._modes_for(xi, z))
-            )
-        return self._nystrom_remainder(xi, z)
+        return self._tail_gated(
+            _annulus_remainder(self.domain.r_inner, xi, z, self._modes_for(xi, z))
+        )
 
     def green(self, xi: complex, z: complex) -> float:
         _check_distinct(xi, z)
@@ -730,28 +730,18 @@ class GreenEvaluator:
     def robin(self, z: complex) -> float:
         """Diagonal remainder ``H(z, z)``, guarded as :meth:`remainder`."""
         self._check_inside(z)
-        if self.method == "closed_form":
+        if self._solver is not None:
+            # H = G - log|xi - z| has no log term, so the Nystrom value is
+            # evaluated at xi = z itself
+            return self._nystrom_remainder(z, z)
+        if isinstance(self.domain, Disc):
             return _disc_robin(z, self.domain.radius)
-        if self.method == "laurent_modes":
-            return self._tail_gated(_annulus_robin(self.domain.r_inner, z))
-        # H = G - log|xi - z| has no log term, so the Nystrom value is
-        # evaluated at xi = z itself
-        return self._nystrom_remainder(z, z)
+        return self._tail_gated(_annulus_robin(self.domain.r_inner, z))
 
 
 def green_evaluator(domain: PlanarDomain, method: str = "auto") -> GreenEvaluator:
-    """Construct the natural evaluator for the domain.
-
-    ``auto`` picks ``closed_form`` for discs, ``laurent_modes`` for annuli
-    and ``nystrom`` for Jordan domains.
-    """
-    if method == "auto":
-        if isinstance(domain, Disc):
-            method = "closed_form"
-        elif isinstance(domain, Annulus):
-            method = "laurent_modes"
-        else:
-            method = "nystrom"
+    """Construct the evaluator ``method`` of :data:`GREEN_METHODS` for the
+    domain; ``auto`` is its natural one (see :class:`GreenEvaluator`)."""
     return GreenEvaluator(domain, method)
 
 
@@ -772,9 +762,6 @@ def green_record(domain: PlanarDomain, xi: complex, z: complex, method: str) -> 
     # G from the one remainder evaluation, as GreenEvaluator.green forms it
     g = math.log(abs(xi - z)) + h
     return make_record(
-        command="green",
-        input_id=f"{domain!r} xi={xi} z={z}",
-        inputs={"domain": repr(domain), "method": method, "xi": xi, "z": z},
         quantities={"green": g, "remainder": h},
         gates={"finite": (finite_margin(g, h), 0.0)},
         primary="green",
@@ -787,9 +774,6 @@ def capacity_record(domain: PlanarDomain, z: complex) -> ReportRecord:
     record passes while it is finite."""
     val = capacity(domain, z)
     return make_record(
-        command="capacity",
-        input_id=f"{domain!r} z={z}",
-        inputs={"domain": repr(domain), "z": z},
         quantities={"capacity": val, "log_capacity": math.log(val)},
         gates={"finite": (finite_margin(val), 0.0)},
         primary="capacity",

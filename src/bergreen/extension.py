@@ -35,6 +35,7 @@ __all__ = [
     "OdePair",
     "ode_pair",
     "ode_residual",
+    "require_ode_t",
     "ode_record",
     "PolarSpec",
     "delta_class_check",
@@ -218,8 +219,9 @@ def cutoff_limit_check(t0: float, eps_sequence) -> ReportRecord:
     """Check ``v' -> b_{t0}`` pointwise along a decreasing ``eps`` sequence.
 
     Records the sup over sample points (excluding the two kink points of
-    ``b_{t0}``) of ``|v' - b_{t0}|`` per ``eps``; passes if the sequence
-    decreases monotonically and ends below ``_LIMIT_TOL``.
+    ``b_{t0}``) of ``|v' - b_{t0}|`` per ``eps``, and the number of those
+    points; passes if the sequence decreases monotonically and ends below
+    ``_LIMIT_TOL``.
     """
     require_t0(t0)
     eps_sequence = [float(e) for e in eps_sequence]
@@ -235,10 +237,8 @@ def cutoff_limit_check(t0: float, eps_sequence) -> ReportRecord:
     diffs = [a - b for a, b in zip(gaps[:-1], gaps[1:])]
     quantities = {f"sup_gap_eps_{e}": g for e, g in zip(eps_sequence, gaps)}
     quantities["final_sup_gap"] = gaps[-1]
+    quantities["samples"] = int(ts.size)
     return make_record(
-        command="cutoff-check",
-        input_id=f"t0={t0},eps={eps_sequence}",
-        inputs={"t0": t0, "eps_sequence": eps_sequence, "samples": int(ts.size)},
         quantities=quantities,
         gates={
             "monotone_decrease": (min_margin(diffs), 1e-12),
@@ -330,6 +330,13 @@ _FD_STEP = 1e-6
 _FD_REL_TOL = 1e-5
 
 
+def require_ode_t(t: float) -> None:
+    """Precondition of :func:`ode_residual`, and so of :func:`ode_record`,
+    on each point ``t`` of its grid."""
+    if not 0.0 < t < math.inf:
+        raise ParameterError("ode_residual requires t > 0 and finite")
+
+
 def ode_residual(pair: OdePair, t):
     """Residuals of the defining identities at each ``t`` (a float or an
     array of floats):
@@ -346,7 +353,8 @@ def ode_residual(pair: OdePair, t):
     1e-6 carries ~1e-10 roundoff, which would swamp a pure relative
     comparison against derivatives decaying like ``e^{-t}``.)
 
-    Every check is per point: ``t > 0``, then the four cross-checks in the
+    Every check is per point: ``t`` finite and positive
+    (:func:`require_ode_t`), then the four cross-checks in the
     order u', s', u'', s'', then ``u''s - s'' > 0``.  The error raised is
     the one of the first point that fails a check, naming its first failing
     check, as a loop over the points would raise it.  A scalar ``t`` gives
@@ -354,10 +362,10 @@ def ode_residual(pair: OdePair, t):
     """
     ts = np.asarray(t, dtype=float)
     flat = ts.reshape(-1)
-    # only the points before the first nonpositive t are evaluated; a NaN t
-    # is not positive
-    positive = flat > 0.0
-    first = flat.size if positive.all() else int(np.argmin(positive))
+    # only the points before the first t outside (0, inf) are evaluated; a
+    # NaN t is outside
+    inside = (flat > 0.0) & (flat < math.inf)
+    first = flat.size if inside.all() else int(np.argmin(inside))
     tt = flat[:first]
     h = _FD_STEP
     u, up, upp = pair.u(tt), pair.u_prime(tt), pair.u_second(tt)
@@ -389,7 +397,7 @@ def ode_residual(pair: OdePair, t):
     if error is not None:
         raise error
     if first < flat.size:
-        raise ParameterError("ode_residual requires t > 0")
+        require_ode_t(float(flat[first]))  # raises: that t is outside (0, inf)
 
     # e^{u-t} through libm, point by point
     growth = np.fromiter(map(math.exp, u - tt), dtype=float, count=first)
@@ -427,9 +435,6 @@ def ode_record(delta: float, grid) -> ReportRecord:
         "min_denom": float(np.min(denom)),
     }
     return make_record(
-        command="ode-check",
-        input_id=f"delta={delta:g}",
-        inputs={"delta": delta},
         quantities=quantities,
         gates={
             "residual_r1": (-quantities["max_r1"], _ODE_RESIDUAL_TOL),
@@ -526,16 +531,6 @@ def delta_class_check(
     worst = min_margin(margins, empty=math.inf)
 
     return make_record(
-        command="delta-class-check",
-        input_id=f"{psi.name or 'psi'},delta={delta}",
-        inputs={
-            "weight": type(phi_weight).__name__,
-            "psi": psi.name or "custom",
-            "delta": delta,
-            "radii": list(radii),
-            "centers": len(centers),
-            "angular_nodes": _ANGULAR_NODES,
-        },
         quantities={
             "worst_margin": worst,
             "circles_tested": len(margins),
@@ -719,9 +714,6 @@ def residual_record(psi0: float, f: str, t: float = 20.0) -> ReportRecord:
     expected = math.exp(-psi0)
     err = abs(mass - expected)
     return make_record(
-        command="residual-measure",
-        input_id=f"psi0={psi0:g},f={f}",
-        inputs={"psi0": psi0, "f": f, "t": t},
         quantities={"mass": mass, "expected": expected, "abs_error": err},
         gates={"value_match": (-err, _MASS_TOL)},
         primary="mass",
@@ -846,9 +838,6 @@ def optimal_constant_experiment(
         }
     )
     return make_record(
-        command="optimal-constant",
-        input_id=f"delta={delta:g},eps={eps:g}",
-        inputs={"delta": delta, "eps": eps, "a_values": list(a_values)},
         quantities=quantities,
         gates={
             "limit_within_rel": (-rel_err, _LIMIT_REL_TOL),

@@ -185,9 +185,6 @@ def inequality_check(c_grid=DEFAULT_C_GRID, N: int = 256) -> ReportRecord:
         gates[f"margin_c{key}"] = (total - product, tail)
     quantities["min_margin"] = min_margin([m for m, _ in gates.values()])
     return make_record(
-        command="fuchsian-check",
-        input_id=f"c_grid={c_grid},N={N}",
-        inputs={"c_grid": c_grid, "N": N},
         quantities=quantities,
         gates=gates,
         primary="min_margin",

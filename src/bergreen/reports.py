@@ -1,9 +1,11 @@
 """Report records, deterministic summaries, and the content-addressed cache.
 
-Every check in the toolkit produces a :class:`ReportRecord`: inputs echoed,
-named computed quantities, gates, and a pass flag that is recomputable from
-the record (``passed`` if and only if every margin is at least
-``-tolerance``).
+Every check in the toolkit returns a :class:`ReportRecord` built by
+:func:`make_record` from named computed quantities and gates, with a pass
+flag that is recomputable from the record (``passed`` if and only if every
+margin is at least ``-tolerance``).  The check does not name its record:
+the command, the input id, the echoed inputs and the wall time are stamped
+on it by the one caller that runs checks, ``cli._unit``.
 
 A gate is one ``(margin, tolerance)`` pair, in one of two shapes:
   - a deviation held below its gate, ``dev <= gate`` (an equality
@@ -64,7 +66,9 @@ class ReportRecord:
     ``[re, im]`` pairs); ``margins`` and ``tolerances`` share keys, and
     ``passed`` is exactly ``all(margins[k] >= -tolerances[k])``.  ``primary``
     names the quantity echoed in the CSV summary row; ``provenance`` maps
-    each quantity name to the operation that produced it.
+    each quantity name to the operation that produced it.  ``command``,
+    ``input_id`` and ``inputs`` (the echoed inputs) name the case that the
+    record answers.
     """
 
     command: str
@@ -82,16 +86,7 @@ class ReportRecord:
     cached: bool = False
 
 
-def make_record(
-    command: str,
-    input_id: str,
-    inputs: dict,
-    quantities: dict,
-    gates: dict,
-    primary: str,
-    provenance: dict | None = None,
-    wall_time_s: float = 0.0,
-) -> ReportRecord:
+def make_record(quantities: dict, gates: dict, primary: str, provenance: dict) -> ReportRecord:
     """Build a record from ``gates = {name: (margin, tolerance)}``, in the
     module's two gate shapes (a deviation is ``(-dev, gate)``); the pairs
     are split into the record's ``margins`` and ``tolerances``, and the
@@ -99,7 +94,8 @@ def make_record(
 
     Every container is copied, quantities become Python numbers (complex
     values ``[re, im]`` pairs), and margins and tolerances Python floats, so
-    the record serializes as it stands.
+    the record serializes as it stands.  The command, input id and echoed
+    inputs are left empty, and the wall time 0: ``cli._unit`` stamps them.
     """
     if primary not in quantities:
         raise ConfigError(f"primary quantity {primary!r} missing from quantities")
@@ -108,16 +104,15 @@ def make_record(
     tolerances = {k: float(tol) for k, (_, tol) in gates.items()}
     passed = all(margins[k] >= -tolerances[k] for k in margins)
     return ReportRecord(
-        command=command,
-        input_id=input_id,
-        inputs=_jsonable_value(dict(inputs)),
+        command="",
+        input_id="",
+        inputs={},
         quantities=quantities,
         margins=margins,
         tolerances=tolerances,
         passed=passed,
         primary=primary,
-        provenance=dict(provenance or {}),
-        wall_time_s=wall_time_s,
+        provenance=dict(provenance),
     )
 
 
@@ -150,24 +145,6 @@ def _jsonable_number(v):
     if isinstance(v, bool) or isinstance(v, int):
         return v
     return float(v)
-
-
-def _jsonable_value(v):
-    """Echoed inputs must serialize: complex values become their ``str``,
-    numpy containers their lists, and anything else falls back to ``str``."""
-    if isinstance(v, (bool, int, str)) or v is None:
-        return v
-    if isinstance(v, float):
-        return float(v)
-    if isinstance(v, complex):
-        return str(v)
-    if hasattr(v, "tolist"):
-        return _jsonable_value(v.tolist())
-    if isinstance(v, (list, tuple)):
-        return [_jsonable_value(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): _jsonable_value(x) for k, x in v.items()}
-    return str(v)
 
 
 _FIELDS = tuple(f.name for f in fields(ReportRecord))

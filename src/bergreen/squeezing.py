@@ -186,9 +186,6 @@ def sandwich_check(domain, p: complex) -> ReportRecord:
     ratio = suita_ratio(domain, p).quantities
     c_val = ratio["ratio"]
     return make_record(
-        command="squeeze-check",
-        input_id=f"{domain!r}@p={p!r}",
-        inputs={"domain": repr(domain), "p": p},
         quantities={
             "ratio": c_val,
             "squeeze_lower": s_low,
@@ -243,7 +240,7 @@ def boundary_trend_check(domain, ks=(1, 2, 3, 4), angle: float = 0.0) -> ReportR
     distance ``R 10^{-k}`` from the outer circle of radius ``R`` (the
     radius of a disc, 1 on an annulus), must increase toward 1 along the
     ``k`` sequence (within ``_TREND_SLACK``) and end within ``_CLOSE_TOL``
-    of 1.
+    of 1.  Each distance is recorded as ``distance_k{k}``.
     """
     ks = [int(k) for k in ks]
     require_trend_ks(ks)
@@ -258,15 +255,16 @@ def boundary_trend_check(domain, ks=(1, 2, 3, 4), angle: float = 0.0) -> ReportR
         ratios.append(suita_ratio(domain, p).quantities["ratio"])
     quantities = {f"ratio_k{k}": r for k, r in zip(ks, ratios)}
     quantities["final_deficit"] = 1.0 - ratios[-1]
+    quantities.update({f"distance_k{k}": R * 10.0 ** (-k) for k in ks})
     return make_record(
-        command="squeeze-check",
-        input_id=f"{domain!r}:boundary-trend",
-        inputs={"domain": repr(domain), "ks": ks, "angle": angle},
         quantities=quantities,
         gates={
             "monotone_toward_one": (min_margin(np.diff(ratios)), _TREND_SLACK),
             "final_close_to_one": (-abs(1.0 - ratios[-1]), _CLOSE_TOL),
         },
         primary="final_deficit",
-        provenance={k: "suita_ratio" for k in quantities},
+        provenance={
+            k: "boundary_trend_check" if k.startswith("distance_") else "suita_ratio"
+            for k in quantities
+        },
     )

@@ -698,6 +698,7 @@ def arak1_check(spec: TorusSpec, d: int) -> ReportRecord:
         "rhs_maxzero": rhs_max,
         "margin_maxzero": lhs - rhs_max,
         "maxzero_grid_sup": grid_sup,
+        "t_residual": _T_RESIDUAL,
     }
     gated = {  # name: (margin, tolerance)
         "diag_constancy": (-diag_spread, _DIAG_TOL),
@@ -710,9 +711,6 @@ def arak1_check(spec: TorusSpec, d: int) -> ReportRecord:
     }
     from_kernel = ("lhs", "kernel_diag", "diag_spread", "gram_condition")
     return make_record(
-        command="torus-check",
-        input_id=f"tau={spec.tau},d={d}",
-        inputs={"tau": spec.tau, "d": d, "t_residual": _T_RESIDUAL},
         quantities=quantities,
         gates=gated,
         primary="lhs",

@@ -4,6 +4,7 @@ tolerances and a wall-clock budget.  Every test prints one
 pytest's own PASSED/FAILED verdict is the per-criterion pass/fail line."""
 
 import cmath
+import inspect
 import math
 import time
 
@@ -121,7 +122,7 @@ def test_criterion_03_optimal_constant_limit():
         for eps in (0.0, 0.1):
             rec = optimal_constant_experiment(delta, eps)
             q = rec.quantities
-            a_values = rec.inputs["a_values"]
+            a_values = inspect.signature(optimal_constant_experiment).parameters["a_values"].default
             assert a_values[-1] == 1e-4
             rel = abs(q[f"ratio_{len(a_values) - 1}"] - q["target"]) / q["target"]
             assert rel < 0.01

@@ -889,7 +889,7 @@ class TestSuitaRatio:
 
     def test_structure(self):
         s = suita_ratio(ANN, 0.5)
-        assert s.command == "suita-check" and s.primary == "ratio"
+        assert s.primary == "ratio"
         assert s.quantities["capacity"] > 0
         assert s.quantities["kernel_diag"] > 0
         assert s.margins == {"upper": 1.0 - s.quantities["ratio"], "positive": s.quantities["ratio"]}
@@ -898,7 +898,7 @@ class TestSuitaRatio:
 class TestExtendedSuita:
     def test_trivial_weight_equality_at_center(self):
         res = extended_suita_check(DISC, Unweighted(), 0.0)
-        assert res.command == "extended-suita-check" and res.primary == "margin"
+        assert res.primary == "margin"
         assert abs(res.quantities["margin"]) < 1e-12
         assert res.passed
 

@@ -25,10 +25,9 @@ from bergreen.cli import (
     resolve_config,
 )
 from bergreen.domains import Annulus, Disc, GreenEvaluator, Jordan
-from bergreen.errors import AccuracyError, ConfigError
+from bergreen.errors import AccuracyError, ConfigError, ParameterError
 from bergreen.reports import (
     CSV_COLUMNS,
-    _jsonable_value,
     cache_load,
     cache_store,
     config_hash,
@@ -54,8 +53,8 @@ _SETTABLE_DEFAULTS = {
     "domains.sample_interior.seed": "benchmarks/workloads.py passes it",
     "domains.sample_interior.margin": "benchmarks/workloads.py passes it",
     "extension.PolarSpec.name": "residual-measure and torus-check pass it",
-    "extension.delta_class_check.radii": "a field of the record (inputs)",
-    "extension.delta_class_check.centers": "a field of the record (inputs)",
+    "extension.delta_class_check.radii": "tests pass it; no command runs the check (ROADMAP item 14)",
+    "extension.delta_class_check.centers": "tests pass it; no command runs the check (ROADMAP item 14)",
     "extension.residual_record.t": "the CLI schema reads it (residual-measure --t)",
     "extension.optimal_constant_experiment.a_values": "the CLI schema reads it (--a-values)",
     "fuchsian.inequality_check.c_grid": "the CLI schema reads it (--c-grid)",
@@ -71,8 +70,6 @@ _SETTABLE_DEFAULTS = {
     "reports.ReportRecord.library_version": "a field of the record",
     "reports.ReportRecord.config_hash": "a field of the record",
     "reports.ReportRecord.cached": "a field of the record",
-    "reports.make_record.provenance": "a field of the record",
-    "reports.make_record.wall_time_s": "a field of the record; every command passes it",
     "reports.min_margin.empty": "delta_class_check passes inf for a record that tests no circle",
     "reports.write_plot_data.header": "every sweep command passes it",
 }
@@ -165,7 +162,10 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "spec",
-        ["log:0:1:10", "log:1:0.5:10", "lin:1:0:10", "log:0.1:1", "lin:0:1:1", ""],
+        [
+            "log:0:1:10", "log:1:0.5:10", "lin:1:0:10", "log:0.1:1", "lin:0:1:1", "",
+            "log:1:inf:5", "lin:-inf:1:5", "lin:-1e308:1e308:5", "1,inf", "nan",
+        ],
     )
     def test_grid_rejects(self, spec):
         with pytest.raises(ConfigError):
@@ -303,6 +303,8 @@ class TestResolveConfig:
             ("residual-measure", {"psi0s": "nan"}),
             ("torus-check", {"taus": "nan+1j"}),
             ("cutoff-check", {"t0s": "1e16"}),
+            ("green", {"method": "closed_form"}),
+            ("green", {"method": "laurent_modes"}),
         ],
     )
     def test_validation_failures(self, tmp_path, command, overrides):
@@ -387,6 +389,13 @@ class TestResolveConfig:
             (["cutoff-check", "--eps-sequence", "0.1,0.2"],
              "eps_sequence: eps sequence must be strictly decreasing"),
             (["cutoff-check", "--eps-sequence", "0.3,0.2"], "eps_sequence: eps must lie in (0, 1/4)"),
+            # every point of a t grid is checked, and a grid of infinite
+            # points is rejected before any is computed
+            (["ode-check", "--deltas", "1", "--t-grid", "1,inf"], "t_grid: grid points must be finite"),
+            (["ode-check", "--deltas", "1", "--t-grid", "log:1:inf:5"],
+             "t_grid: grid points must be finite"),
+            (["ode-check", "--deltas", "1", "--t-grid", "lin:0:10:5"],
+             "t_grid: ode_residual requires t > 0"),
         ],
     )
     def test_out_of_range_parameter_exits_2(self, tmp_path, capsys, argv, message):
@@ -962,62 +971,86 @@ class TestReportHelpers:
 
     def test_binding_margin_is_smallest(self):
         rec = make_record(
-            command="demo",
-            input_id="x",
-            inputs={},
             quantities={"v": 1.0},
             gates={"loose": (5.0, 0.0), "tight": (0.25, 0.5)},
             primary="v",
+            provenance={},
         )
         row = csv_summary_text([rec]).splitlines()[1].split(",")
         assert float(row[4]) == 0.25
         assert float(row[5]) == 0.5
 
-    def test_jsonable_value_roundtrip(self):
-        v = _jsonable_value(
-            {
-                "tau": 0.5 + 1.0j,
-                "grid": np.array([1.0, 2.0]),
-                "pair": (1, 2),
-                "flag": True,
-                "name": "x",
-                "nothing": None,
-            }
-        )
-        json.dumps(v)  # must not raise
-        assert complex(v["tau"]) == 0.5 + 1.0j
-        assert v["grid"] == [1.0, 2.0]
-        assert v["pair"] == [1, 2]
-        assert v["flag"] is True and v["name"] == "x" and v["nothing"] is None
 
-    def test_jsonable_value_numpy_scalars(self):
-        out = _jsonable_value({"a": np.float64(0.5), "b": np.complex128(1 + 2j), "c": np.int64(3)})
-        assert out["a"] == 0.5 and isinstance(out["a"], float)
-        assert complex(out["b"]) == 1 + 2j
-        assert out["c"] == 3
-        json.dumps(out)
+class TestRecordOwner:
+    """``cli._unit`` alone names a record: the command, id and echoed inputs
+    of every record are those of the ``Case`` it answers, on a passing and
+    on a failing case alike; a check returns quantities and gates only."""
+
+    @staticmethod
+    def _cases_of_all(outdir: str) -> list:
+        return [
+            (command, case)
+            for command, overrides in cli._ALL_SEQUENCE
+            for case in cli.CHECKS[command](
+                resolve_config(command, None, {**overrides, "outdir": outdir})
+            )
+        ]
+
+    @pytest.mark.parametrize("broken", [None, "extension.cutoff_limit_check"])
+    def test_every_record_of_all_is_named_by_its_case(self, tmp_path, monkeypatch, broken):
+        def raises(**kwargs):
+            raise ParameterError("injected")
+
+        if broken is not None:
+            monkeypatch.setattr(f"bergreen.{broken}", raises)
+        assert main(["all", "--no-cache", "--outdir", str(tmp_path)]) == (broken is not None)
+        records = _read_report(tmp_path / "all_report.json")["records"]
+        expected = self._cases_of_all(str(tmp_path))
+        assert len(records) == len(expected) == 61
+        assert sum(case.check == broken for _, case in expected) == (2 if broken else 0)
+        for rec, (command, case) in zip(records, expected):
+            inputs = dict(case.inputs)
+            if case.check == broken:
+                inputs["error"] = "ParameterError: injected"
+            assert rec["command"] == command
+            assert rec["input_id"] == case.input_id
+            assert rec["inputs"] == inputs
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("command", "demo"), ("input_id", "x"), ("inputs", {}), ("wall_time_s", 0.5)],
+    )
+    def test_make_record_takes_no_name(self, name, value):
+        with pytest.raises(TypeError):
+            make_record(quantities={"v": 1.0}, gates={}, primary="v", provenance={}, **{name: value})
 
 
 def _writer_records():
     """Records with a complex pair, list inputs, non-finite values and a
-    cached flag: what the writers must serialize unchanged."""
-    plain = make_record(
+    cached flag, named as ``cli._unit`` names a case's record: what the
+    writers must serialize unchanged."""
+    plain = replace(
+        make_record(
+            quantities={"value": 0.25 - 0.5j, "count": 3, "ratio": np.float64(0.75)},
+            gates={"upper": (0.25, 1e-6), "positive": (np.float64(0.5), 0.0)},
+            primary="value",
+            provenance={"value": "demo", "ratio": "demo"},
+        ),
         command="demo",
         input_id="z=(0.3+0.1j)",
-        inputs={"z": 0.3 + 0.1j, "grid": np.array([1.0, 2.0]), "pair": (1, 2), "flag": True},
-        quantities={"value": 0.25 - 0.5j, "count": 3, "ratio": np.float64(0.75)},
-        gates={"upper": (0.25, 1e-6), "positive": (np.float64(0.5), 0.0)},
-        primary="value",
-        provenance={"value": "demo", "ratio": "demo"},
+        inputs={"z": "(0.3+0.1j)", "grid": [1.0, 2.0], "pair": [1, 2], "flag": True},
         wall_time_s=0.125,
     )
-    odd = make_record(
+    odd = replace(
+        make_record(
+            quantities={"green": math.nan, "big": math.inf, "small": -math.inf},
+            gates={"finite": (-1.0, 0.0), "gap": (math.nan, math.inf)},
+            primary="green",
+            provenance={},
+        ),
         command="demo",
         input_id="nan",
         inputs={"points": [0.1, [0.2, 0.3]]},
-        quantities={"green": math.nan, "big": math.inf, "small": -math.inf},
-        gates={"finite": (-1.0, 0.0), "gap": (math.nan, math.inf)},
-        primary="green",
     )
     return [plain, odd, replace(plain, cached=True, config_hash="abc")]
 
@@ -1067,12 +1100,10 @@ class TestWriters:
 
     def test_float32_margin_passes_and_writes_a_whole_report(self, tmp_path):
         rec = make_record(
-            command="demo",
-            input_id="x",
-            inputs={},
             quantities={"v": 1.0},
             gates={"m": (np.float32(0.5), np.float32(0.0))},
             primary="v",
+            provenance={},
         )
         assert rec.passed
         assert type(rec.margins["m"]) is float and type(rec.tolerances["m"]) is float

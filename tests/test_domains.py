@@ -220,7 +220,7 @@ def test_annulus_nystrom_at_any_node_count(n, monkeypatch):
     # the Nystrom remainder against the Laurent-mode series, at node counts
     # whose assembly (or n/2 witness) ends in a partial row block
     ann = Annulus(0.2)
-    ref = green_evaluator(ann, method="laurent_modes").remainder(0.5, -0.3j)
+    ref = green_evaluator(ann).remainder(0.5, -0.3j)
     monkeypatch.setattr(domains, "_QUAD_POINTS", n)
     got = green_evaluator(ann, method="nystrom").remainder(0.5, -0.3j)
     assert abs(got - ref) <= domains._REFINE_TOL
@@ -443,18 +443,22 @@ class TestEvaluatorGuards:
         with pytest.raises(AccuracyError):
             capacity(green_evaluator(Jordan.ellipse(1.2, 0.7)), 0.3)
 
-    @pytest.mark.parametrize(
-        "domain,method",
-        [
-            (Disc(), "bogus"),
-            (Disc(), "auto"),
-            (Annulus(0.2), "closed_form"),
-            (Jordan.circle(1.0), "laurent_modes"),
-        ],
-    )
+    @pytest.mark.parametrize("domain,method", [(Disc(), "bogus")])
     def test_direct_construction_checks_the_method(self, domain, method):
         with pytest.raises(DomainError):
             GreenEvaluator(domain, method)
+
+    def test_direct_construction_routes_auto_by_the_domain(self):
+        # auto takes the closed form on a disc, Laurent modes on an annulus
+        # and the Nystrom method on a Jordan domain
+        xi, z = 0.3, -0.35j
+        disc = GreenEvaluator(Disc(0.5), "auto")
+        assert disc.remainder(xi, z) == domains._disc_remainder(xi, z, 0.5)
+        ann = GreenEvaluator(Annulus(0.2), "auto")
+        assert disc._solver is None and ann._solver is None
+        nystrom = GreenEvaluator(Annulus(0.2), "nystrom").remainder(xi, z)
+        assert abs(ann.remainder(xi, z) - nystrom) <= domains._REFINE_TOL
+        assert GreenEvaluator(Jordan.ellipse(1.2, 0.7), "auto")._solver is not None
 
     def test_green_record_evaluates_once(self, monkeypatch):
         dom, xi, z = Jordan.ellipse(1.2, 0.7), 0.3, -0.2j
@@ -566,12 +570,10 @@ class TestJordan:
             Jordan({-1: 1.0})
 
     def test_record_id_is_the_same_for_two_builds(self):
-        # the id comes from the coefficients, not from an object address
-        ids = [
-            domains.green_record(Jordan.ellipse(1.2, 0.7), 0.5, 0.1, "nystrom").input_id
-            for _ in range(2)
-        ]
-        assert ids[0] == ids[1] == "Jordan({-1: (0.25+0j), 1: (0.95+0j)}) xi=0.5 z=0.1"
+        # the repr a record id may carry comes from the coefficients, not
+        # from an object address
+        reprs = [repr(Jordan.ellipse(1.2, 0.7)) for _ in range(2)]
+        assert reprs[0] == reprs[1] == "Jordan({-1: (0.25+0j), 1: (0.95+0j)})"
 
     def test_containment_and_distance(self):
         dom = Jordan.circle(1.0)
@@ -741,8 +743,9 @@ def test_separation_on_planted_pairs(j, dist, separated, angle):
 @pytest.mark.parametrize(
     "domain,method",
     [
-        (Disc(), "closed_form"),
-        (Annulus(0.2), "laurent_modes"),
+        # each id names the route the method takes on its domain
+        pytest.param(Disc(), "auto", id="domain0-closed_form"),
+        pytest.param(Annulus(0.2), "auto", id="domain1-laurent_modes"),
         (Jordan.ellipse(1.2, 0.9), "nystrom"),
     ],
 )

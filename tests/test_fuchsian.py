@@ -251,7 +251,6 @@ class TestClosedFormSums:
 class TestInequalityCheck:
     def test_default_grid_record(self):
         rec = inequality_check()
-        assert rec.command == "fuchsian-check"
         assert rec.primary == "min_margin"
         assert rec.passed
         assert rec.quantities["min_margin"] > 0.0

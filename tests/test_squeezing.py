@@ -221,7 +221,6 @@ class TestSqueezeLower:
 class TestSandwichCheck:
     def test_disc_equality(self):
         rec = sandwich_check(Disc(), 0.3)
-        assert rec.command == "squeeze-check"
         assert rec.passed
         assert rec.quantities["squeeze_lower_sq"] == 1.0
         assert rec.quantities["ratio"] == pytest.approx(1.0, abs=1e-12)

@@ -967,7 +967,6 @@ class TestArak1Check:
     def test_record_passes(self, tau, d):
         rec = arak1_check(TorusSpec(tau), d)
         assert rec.passed
-        assert rec.command == "torus-check"
         assert rec.primary == "lhs"
         for key, margin in rec.margins.items():
             assert margin >= -rec.tolerances[key], key
