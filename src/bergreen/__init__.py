@@ -30,104 +30,10 @@ reports
     hashing, and the content-addressed result cache.
 cli
     ``bergreen`` command-line harness tying everything together.
+
+The package binds only ``__version__``: callers import the modules
+(``from bergreen import domains``, ``from bergreen.bergman import
+kernel_diag``).
 """
 
 __version__ = "0.1.0"
-
-from .bergman import (
-    HarmonicLog,
-    HarmonicRe,
-    KernelEstimate,
-    MaxPiece,
-    Unweighted,
-    extended_suita_check,
-    gram_matrix,
-    kernel_diag,
-    least_norm_extension,
-    suita_ratio,
-)
-from .domains import (
-    Annulus,
-    Disc,
-    GreenEvaluator,
-    Jordan,
-    capacity,
-    green_evaluator,
-)
-from .errors import BergreenError, ConfigError
-from .extension import (
-    CutoffFamily,
-    OdePair,
-    PolarSpec,
-    cutoff_limit_check,
-    make_cutoff,
-    ode_pair,
-    ode_residual,
-    optimal_constant_experiment,
-    residual_measure,
-)
-from .fuchsian import inequality_check
-from .reports import ReportRecord, make_record
-from .squeezing import boundary_trend_check, sandwich_check
-from .torus import (
-    ArakelovGreen,
-    TorusSpec,
-    arak1_check,
-    arakelov_green,
-    curvature_coefficients,
-    theta1,
-    torus_bergman,
-    torus_capacity,
-)
-
-__all__ = [
-    "__version__",
-    # domains
-    "Disc",
-    "Annulus",
-    "Jordan",
-    "GreenEvaluator",
-    "green_evaluator",
-    "capacity",
-    # bergman
-    "Unweighted",
-    "HarmonicLog",
-    "HarmonicRe",
-    "MaxPiece",
-    "KernelEstimate",
-    "gram_matrix",
-    "kernel_diag",
-    "least_norm_extension",
-    "suita_ratio",
-    "extended_suita_check",
-    # extension
-    "CutoffFamily",
-    "make_cutoff",
-    "cutoff_limit_check",
-    "OdePair",
-    "ode_pair",
-    "ode_residual",
-    "PolarSpec",
-    "residual_measure",
-    "optimal_constant_experiment",
-    # squeezing
-    "sandwich_check",
-    "boundary_trend_check",
-    # fuchsian
-    "inequality_check",
-    # torus
-    "TorusSpec",
-    "theta1",
-    "ArakelovGreen",
-    "arakelov_green",
-    "torus_capacity",
-    "torus_bergman",
-    "curvature_coefficients",
-    "arak1_check",
-    # reports
-    "ReportRecord",
-    "make_record",
-    # errors
-    "BergreenError",
-    "ConfigError",
-]

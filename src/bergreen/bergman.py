@@ -49,7 +49,6 @@ __all__ = [
     "HarmonicRe",
     "WeightSpec",
     "KernelEstimate",
-    "weight_phi",
     "parse_weight",
     "gram_matrix",
     "kernel_diag",
@@ -131,13 +130,6 @@ class HarmonicRe:
 
 
 WeightSpec = Unweighted | HarmonicLog | MaxPiece | HarmonicRe
-
-
-def weight_phi(weight: WeightSpec, z):
-    """Exponent ``phi`` with ``rho = exp(-phi)`` (so ``phi = 2h`` when the
-    weight comes from a harmonic ``h``)."""
-    with np.errstate(divide="ignore"):
-        return -np.log(weight.density(z))
 
 
 def parse_weight(spec: str) -> WeightSpec:
@@ -575,8 +567,10 @@ def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) ->
     integer = alpha == math.floor(alpha)  # p0 = 0 is an exponent
     if integer:
         total += 0.5 / -math.log(lo)
-    rho = q ** (1.0 + min(p_pos, p_neg))
-    n_terms = math.ceil(math.log(_TAIL_TOL * (1.0 - rho)) / math.log(rho))
+    # log rho is taken from log q: on thin annuli rho itself underflows to 0
+    power = 1.0 + min(p_pos, p_neg)
+    rho = q**power
+    n_terms = math.ceil(math.log(_TAIL_TOL * (1.0 - rho)) / (power * log_q))
     k = np.arange(n_terms)
     tails = 0.0
     for y, a, near in (

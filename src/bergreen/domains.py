@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,13 +108,21 @@ class Disc:
 
 @dataclass(frozen=True)
 class Annulus:
-    """Annulus ``r_inner < |z| < 1``; the outer radius is fixed at 1."""
+    """Annulus ``r_inner < |z| < 1``; the outer radius is fixed at 1.
+
+    ``r_inner`` must be a normal float, at least ``sys.float_info.min``
+    (2.2e-308): below it ``1 / r_inner`` overflows and the Laurent route's
+    ``log(1 / r_inner)`` would turn infinite without raising.
+    """
 
     r_inner: float
 
     def __post_init__(self):
-        if not (0.0 < self.r_inner < 1.0):
-            raise DomainError("annulus requires 0 < r_inner < 1")
+        if not (sys.float_info.min <= self.r_inner < 1.0):
+            raise DomainError(
+                "annulus requires sys.float_info.min (2.2e-308) <= r_inner < 1, "
+                "a normal float"
+            )
 
     @property
     def diameter(self) -> float:
@@ -215,11 +224,6 @@ class Jordan:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def circle(cls, radius: float) -> "Jordan":
-        """Circle of radius ``radius`` about the origin."""
-        return cls({1: complex(radius)})
-
-    @classmethod
     def ellipse(cls, a: float, b: float) -> "Jordan":
         """Ellipse about the origin with semi-axes ``a`` (real direction)
         and ``b``."""
@@ -261,20 +265,9 @@ class Jordan:
         t = np.asarray(t, dtype=float)
         return np.exp(1j * np.multiply.outer(t, self._indices.astype(float)))
 
-    def point(self, t) -> np.ndarray:
-        """Boundary point(s) ``gamma(t)``; vectorized in ``t``."""
-        return self._table(t) @ self._weights[0]
-
-    def tangent(self, t) -> np.ndarray:
-        return self._table(t) @ self._weights[1]
-
-    def second(self, t) -> np.ndarray:
-        return self._table(t) @ self._weights[2]
-
     def derivatives(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(gamma(t), gamma'(t), gamma''(t))``, each the value of
-        :meth:`point`, :meth:`tangent` and :meth:`second`, from one table
-        of ``exp(i k t)``."""
+        """``(gamma(t), gamma'(t), gamma''(t))``, vectorized in ``t``, from
+        one table of ``exp(i k t)``."""
         table = self._table(t)
         return tuple(table @ w for w in self._weights)
 
@@ -835,7 +828,7 @@ def refine(compute, change, tol: float, doublings: int):
 
 
 # ---------------------------------------------------------------------------
-# Deterministic interior sampling (used by checks and the CLI)
+# Deterministic interior sampling (the benchmark's generator and the tests use it)
 # ---------------------------------------------------------------------------
 
 

@@ -1,11 +1,10 @@
-"""Sharp-constant machinery: cutoffs, an ODE pair, pole classes, residual
-shell measures, and the optimal-constant experiment.
+"""Sharp-constant machinery: cutoffs, an ODE pair, residual shell
+measures, and the optimal-constant experiment.
 
 The pieces fit together as follows.  A smoothed cutoff family ``v_{t0,eps}``
 (unit-mass second derivative supported in ``(-t0-1, -t0)``) drives weight
 deformations; a closed-form ODE pair ``(u, s)`` realizes the sharp constant
-``C = 1`` in the defining identity; densities with a single logarithmic
-pole are classified by sub-mean-value checks; the residual measure of a
+``C = 1`` in the defining identity; the residual measure of a
 pole is extracted by integrating ``f e^{-Psi}`` over the sublevel shell
 ``{-1-t < Psi < -t}``; and the optimal-constant experiment computes
 least-norm extensions against the plateaued weight ``MaxPiece(delta, a)``
@@ -22,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bergman import MaxPiece, WeightSpec, least_norm_extension, weight_phi
-from .domains import PlanarDomain, gauss_legendre, refine
+from .bergman import MaxPiece, least_norm_extension
+from .domains import gauss_legendre, refine
 from .errors import AccuracyError, DerivativeMismatchError, ParameterError
 from .reports import ReportRecord, make_record, min_margin
 
@@ -38,7 +37,6 @@ __all__ = [
     "require_ode_t",
     "ode_record",
     "PolarSpec",
-    "delta_class_check",
     "residual_measure",
     "RESIDUAL_PROFILES",
     "residual_record",
@@ -313,8 +311,7 @@ class OdePair:
 
 
 def require_positive_delta(delta: float) -> None:
-    """Precondition of :func:`ode_pair` and :func:`delta_class_check` on
-    ``delta``: positive; ``inf`` is allowed (the pair's limit ``a = 1``)."""
+    """Precondition of :func:`ode_pair` on ``delta``: positive; ``inf`` is allowed (the pair's limit ``a = 1``)."""
     if not delta > 0.0:
         raise ParameterError("delta must be positive")
 
@@ -450,7 +447,7 @@ def ode_record(delta: float, grid) -> ReportRecord:
 
 
 # ---------------------------------------------------------------------------
-# Polar pole specifications and the class check
+# Residual measure
 # ---------------------------------------------------------------------------
 
 
@@ -465,89 +462,6 @@ class PolarSpec:
 
     pole: complex
     psi: Callable
-    name: str = ""
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        with np.errstate(divide="ignore"):
-            out = 2.0 * np.log(np.abs(z - self.pole)) + np.asarray(
-                self.psi(z), dtype=float
-            )
-        return out if out.ndim else float(out)
-
-
-# nodes per circle, and the allowed sub-mean-value deficit
-_ANGULAR_NODES = 4096
-_SMV_TOL = 1e-6
-
-
-def delta_class_check(
-    phi_weight: WeightSpec,
-    psi: PolarSpec,
-    delta: float,
-    domain: PlanarDomain,
-    radii=(1e-2, 1e-3),
-    centers=None,
-) -> ReportRecord:
-    """Sub-mean-value test of the class membership conditions.
-
-    Both ``phi + Psi`` and ``phi + (1 + delta) Psi`` must be subharmonic;
-    on a grid of centers and circle radii the circle average, over
-    ``_ANGULAR_NODES`` nodes, must be at least the center value minus
-    ``_SMV_TOL``.  Circles that exit the domain (or centers at the pole)
-    are skipped and counted.  The record's margin is the worst
-    ``average - center`` over all tested circles.
-    """
-    require_positive_delta(delta)
-    if centers is None:
-        from .domains import sample_interior
-
-        centers = sample_interior(domain, 48, seed=0)
-    centers = [complex(c) for c in centers]
-
-    def combined(z, factor):
-        return weight_phi(phi_weight, z) + factor * psi(z)
-
-    margins = []
-    skipped = 0
-    theta = np.linspace(0.0, 2.0 * math.pi, _ANGULAR_NODES, endpoint=False)
-    ring = np.exp(1j * theta)
-    for c in centers:
-        if abs(c - psi.pole) < 1e-6:
-            skipped += 1
-            continue
-        for r in radii:
-            if domain.boundary_distance(c) <= r:
-                skipped += 1
-                continue
-            zs = c + r * ring
-            dmin = np.min(np.abs(zs - psi.pole))
-            if dmin < 1e-12:  # pole hits a node: rotate the grid half a step
-                zs = c + r * np.exp(1j * (theta + math.pi / _ANGULAR_NODES))
-            for factor in (1.0, 1.0 + delta):
-                avg = float(np.mean(combined(zs, factor)))
-                center_val = float(combined(np.asarray([c]), factor)[0])
-                margins.append(avg - center_val)
-    worst = min_margin(margins, empty=math.inf)
-
-    return make_record(
-        quantities={
-            "worst_margin": worst,
-            "circles_tested": len(margins),
-            "circles_skipped": skipped,
-        },
-        gates={"sub_mean_value": (worst, _SMV_TOL)},
-        primary="worst_margin",
-        provenance={
-            "worst_margin": "delta_class_check",
-            "circles_tested": "delta_class_check",
-            "circles_skipped": "delta_class_check",
-        },
-    )
-
-# ---------------------------------------------------------------------------
-# Residual measure
-# ---------------------------------------------------------------------------
 
 
 def _shell_edges(psi: PolarSpec, theta: np.ndarray, level_lo: float, level_hi: float):
@@ -707,9 +621,7 @@ def residual_record(psi0: float, f: str, t: float = 20.0) -> ReportRecord:
     the point mass ``e^{-psi0} f(0)``."""
     require_psi0(psi0)
     require_shell_depth(t)
-    psi = PolarSpec(
-        0.0, lambda z: np.full(np.shape(z), psi0, dtype=float), name=f"log-pole+{psi0:g}"
-    )
+    psi = PolarSpec(0.0, lambda z: np.full(np.shape(z), psi0, dtype=float))
     mass = residual_measure(psi, RESIDUAL_PROFILES[f], t)
     expected = math.exp(-psi0)
     err = abs(mass - expected)

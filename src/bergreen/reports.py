@@ -123,11 +123,11 @@ def finite_margin(*values) -> float:
     return 0.0 if all(math.isfinite(v) for v in values) else -1.0
 
 
-def min_margin(values, empty: float = 0.0) -> float:
+def min_margin(values) -> float:
     """The smallest of ``values`` as a margin: NaN if any value is NaN
-    (Python's ``min`` skips a NaN unless it comes first), ``empty`` when
-    there are no values."""
-    return float(np.min(values)) if len(values) else empty
+    (Python's ``min`` skips a NaN unless it comes first), 0.0 when there
+    are no values."""
+    return float(np.min(values)) if len(values) else 0.0
 
 
 def primary_text(rec: ReportRecord) -> str:

@@ -329,9 +329,6 @@ class ArakelovGreen:
     def __call__(self, z):
         return _green_raw(self.spec, z) + self.gamma
 
-    def pair(self, p, q):
-        return self(np.asarray(p, dtype=complex) - np.asarray(q, dtype=complex))
-
 
 def arakelov_green(spec: TorusSpec, normalization: str = "meanzero") -> ArakelovGreen:
     """Green function of the unit-volume flat torus in the requested
@@ -610,7 +607,7 @@ def residual_mass(green: ArakelovGreen, t: float = 20.0) -> float:
             - 2.0 * math.pi * np.asarray(z, dtype=complex).imag ** 2 / spec.tau2
         )
 
-    psi = PolarSpec(0.0, psi_rest, name="torus-green")
+    psi = PolarSpec(0.0, psi_rest)
     return 2.0 / spec.tau2 * residual_measure(psi, lambda z: np.ones(np.shape(z)), t)
 
 

@@ -218,11 +218,7 @@ def test_criterion_06_residual_measure():
     }
     worst = 0.0
     for psi0 in (0.0, -0.7, 0.3):
-        spec = PolarSpec(
-            0.0,
-            lambda z, c=psi0: np.full(np.shape(z), c, dtype=float),
-            name=f"log-pole+{psi0:g}",
-        )
+        spec = PolarSpec(0.0, lambda z, c=psi0: np.full(np.shape(z), c, dtype=float))
         for name, f in profiles.items():
             mass = residual_measure(spec, f, 20.0)
             gap = abs(mass - math.exp(-psi0))  # f(0) = 1 for both profiles

@@ -41,7 +41,6 @@ from bergreen.bergman import (
     log_radial_moments,
     parse_weight,
     suita_ratio,
-    weight_phi,
 )
 from bergreen.domains import (
     Annulus,
@@ -130,18 +129,20 @@ class TestWeights:
             assert np.all(rho > 0.0) and np.all(np.isfinite(rho))
 
     def test_weight_phi_matches_density(self):
+        # phi = -log(rho) is 2h for a weight from the harmonic h
         zs = np.asarray(sample_interior(ANN, 8, seed=4))
-        for w in [HarmonicLog(0.3), MaxPiece(0.7, 0.4), HarmonicRe(-0.5)]:
-            np.testing.assert_allclose(
-                np.exp(-weight_phi(w, zs)), w.density(zs), rtol=1e-14
-            )
+        for w, phi in [
+            (HarmonicLog(0.3), 2.0 * 0.3 * np.log(np.abs(zs))),
+            (HarmonicRe(-0.5), 2.0 * -0.5 * zs.real),
+        ]:
+            np.testing.assert_allclose(-np.log(w.density(zs)), phi, rtol=1e-14)
 
     def test_maxpiece_phi_is_plateaued_log(self):
         w = MaxPiece(1.0, 0.5)
-        # below |z| = a the exponent plateaus at (1+delta) log a^2
-        inner = weight_phi(w, np.asarray([0.1 + 0.0j, 0.3j]))
+        # below |z| = a the exponent -log(rho) plateaus at (1+delta) log a^2
+        inner = -np.log(w.density(np.asarray([0.1 + 0.0j, 0.3j])))
         np.testing.assert_allclose(inner, 2.0 * 2.0 * math.log(0.5), rtol=1e-14)
-        outer = weight_phi(w, np.asarray([0.8 + 0.0j]))
+        outer = -np.log(w.density(np.asarray([0.8 + 0.0j])))
         np.testing.assert_allclose(outer, 2.0 * 2.0 * math.log(0.8), rtol=1e-14)
 
     def test_maxpiece_validation(self):
@@ -717,6 +718,17 @@ class TestClosedFormKernel:
             est = kernel_diag(domain, weight, z)
             modal = kernel_diag(domain, weight, z, basis=auto_basis(domain, z)).value
             assert est.value == pytest.approx(modal, rel=1e-12), (s, est.value, modal)
+
+    @pytest.mark.parametrize("weight", [Unweighted(), HarmonicLog(0.3)], ids=["none", "harmoniclog"])
+    def test_thin_annulus_matches_modal_sum(self, weight):
+        # r = 2.2e-86, where q^(1 + p) underflows to 0: the term count comes
+        # from log q, and the value still meets the explicit-basis modal sum
+        # (6e-14 at worst when written)
+        thin = Annulus(2.2e-86)
+        for z in [1.5e-43, 0.5, 1e-85, 3e-86j]:
+            est = kernel_diag(thin, weight, z)
+            modal = kernel_diag(thin, weight, z, basis=(-64, 64)).value
+            assert est.value == pytest.approx(modal, rel=1e-12), (z, est.value, modal)
 
     @pytest.mark.parametrize("alpha", ["1e-9", "0.999999999", "-2.000000001"])
     def test_near_integer_alpha(self, alpha):

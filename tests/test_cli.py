@@ -52,9 +52,6 @@ _SETTABLE_DEFAULTS = {
     "domains.green_evaluator.method": "the CLI schema reads it (green --method)",
     "domains.sample_interior.seed": "benchmarks/workloads.py passes it",
     "domains.sample_interior.margin": "benchmarks/workloads.py passes it",
-    "extension.PolarSpec.name": "residual-measure and torus-check pass it",
-    "extension.delta_class_check.radii": "tests pass it; no command runs the check (ROADMAP item 14)",
-    "extension.delta_class_check.centers": "tests pass it; no command runs the check (ROADMAP item 14)",
     "extension.residual_record.t": "the CLI schema reads it (residual-measure --t)",
     "extension.optimal_constant_experiment.a_values": "the CLI schema reads it (--a-values)",
     "fuchsian.inequality_check.c_grid": "the CLI schema reads it (--c-grid)",
@@ -70,7 +67,6 @@ _SETTABLE_DEFAULTS = {
     "reports.ReportRecord.library_version": "a field of the record",
     "reports.ReportRecord.config_hash": "a field of the record",
     "reports.ReportRecord.cached": "a field of the record",
-    "reports.min_margin.empty": "delta_class_check passes inf for a record that tests no circle",
     "reports.write_plot_data.header": "every sweep command passes it",
 }
 
@@ -396,6 +392,13 @@ class TestResolveConfig:
              "t_grid: grid points must be finite"),
             (["ode-check", "--deltas", "1", "--t-grid", "lin:0:10:5"],
              "t_grid: ode_residual requires t > 0"),
+            # a subnormal inner radius would make the Laurent capacity 1.0
+            *[
+                ([command, "--domain", f"annulus:{r}", point, "1e-155"],
+                 f"'annulus:{r}': annulus requires sys.float_info.min (2.2e-308) <= r_inner < 1")
+                for r in ("1e-310", "5e-324")
+                for command, point in (("capacity", "--z"), ("suita-check", "--zs"))
+            ],
         ],
     )
     def test_out_of_range_parameter_exits_2(self, tmp_path, capsys, argv, message):
@@ -1202,17 +1205,6 @@ def _nan_maxzero_sup(mp):
     return torus.arak1_check(torus.TorusSpec(1j), 4), "maxzero_sup"
 
 
-def _nan_sub_mean_value(mp):
-    # psi is NaN only around the second center, so the first circles are numbers
-    psi = extension.PolarSpec(
-        0.0, lambda z: np.where(np.abs(z - 0.5j) < 0.05, math.nan, 0.0), name="nan-spot"
-    )
-    rec = extension.delta_class_check(
-        bergman.Unweighted(), psi, 1.0, Disc(), radii=(1e-2,), centers=[0.3, 0.5j]
-    )
-    return rec, "sub_mean_value"
-
-
 @pytest.mark.parametrize(
     "build",
     [
@@ -1225,7 +1217,6 @@ def _nan_sub_mean_value(mp):
         _nan_torus_diagonal,
         _nan_laplacian_sample,
         _nan_maxzero_sup,
-        _nan_sub_mean_value,
     ],
     ids=lambda f: f.__name__[len("_nan_"):],
 )

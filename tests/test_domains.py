@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ class TestGreenNystrom:
     # check at 128 used to solve, so each value is the one it gave
 
     def test_disc_oracle(self):
-        g = green_evaluator(Jordan.circle(1.0)).green(0.5, 0.0)
+        g = green_evaluator(Jordan({1: 1.0})).green(0.5, 0.0)
         assert g == pytest.approx(math.log(0.5), abs=1e-8)
 
     def test_ellipse_symmetry(self):
@@ -240,17 +241,17 @@ class TestGreenNystrom:
         assert ev.green(z, w) == pytest.approx(ev.green(w, z), abs=1e-7)
 
     def test_scaled_disc(self):
-        g = green_evaluator(Jordan.circle(radius=2.0)).green(0.5, 0.0)
+        g = green_evaluator(Jordan({1: 2.0})).green(0.5, 0.0)
         assert g == pytest.approx(green_evaluator(Disc(2.0)).green(0.5, 0.0), abs=1e-7)
 
     def test_default_node_count_is_even(self):
         # the n/2 witness takes every other node of the reported system
         assert domains._QUAD_POINTS % 2 == 0
-        assert green_evaluator(Jordan.circle(1.0))._half.n == domains._QUAD_POINTS // 2
+        assert green_evaluator(Jordan({1: 1.0}))._half.n == domains._QUAD_POINTS // 2
 
     def test_boundary_distance_guard(self, monkeypatch):
         monkeypatch.setattr(domains, "_QUAD_POINTS", 64)
-        ev = green_evaluator(Jordan.circle(1.0))
+        ev = green_evaluator(Jordan({1: 1.0}))
         with pytest.raises(DomainError):
             ev.green(0.9999, 0.0)
 
@@ -295,7 +296,7 @@ class TestCapacity:
                 )
 
     def test_nystrom_capacity_disc(self):
-        ev = green_evaluator(Jordan.circle(1.0))
+        ev = green_evaluator(Jordan({1: 1.0}))
         for z in (0.0, 0.6, 0.3j, -0.4 + 0.5j):
             assert capacity(ev, z) == pytest.approx(1.0 / (1.0 - abs(z) ** 2), abs=1e-7)
 
@@ -576,7 +577,7 @@ class TestJordan:
         assert reprs[0] == reprs[1] == "Jordan({-1: (0.25+0j), 1: (0.95+0j)})"
 
     def test_containment_and_distance(self):
-        dom = Jordan.circle(1.0)
+        dom = Jordan({1: 1.0})
         assert dom.contains(0.5)
         assert not dom.contains(1.5)
         assert dom.boundary_distance(0.0) == pytest.approx(1.0, abs=1e-6)
@@ -604,15 +605,9 @@ class TestJordan:
         t = np.linspace(0.0, 2.0 * math.pi, 2048, endpoint=False)
         for dom in (a, b):
             for z in (0.1 + 0.2j, 1.5, -0.9j):
-                direct = np.sum(dom.tangent(t) / (dom.point(t) - z)) * (2.0 * math.pi / 2048)
+                point, tangent, _ = dom.derivatives(t)
+                direct = np.sum(tangent / (point - z)) * (2.0 * math.pi / 2048)
                 assert dom.winding(z) == int(round((direct / (2j * math.pi)).real))
-
-    def test_derivatives_are_point_tangent_and_second(self):
-        t = np.linspace(0.0, 2.0 * math.pi, 256, endpoint=False)
-        for dom in (Jordan.ellipse(1.2, 0.7), wobbly_domain()):
-            got = dom.derivatives(t)
-            ref = (dom.point(t), dom.tangent(t), dom.second(t))
-            assert [a.tobytes() for a in got] == [b.tobytes() for b in ref]
 
     def test_from_file_roundtrip(self, tmp_path):
         path = tmp_path / "curve.txt"
@@ -635,9 +630,19 @@ class TestJordan:
         with pytest.raises(DomainError):
             Disc(0.0)
 
+    @pytest.mark.parametrize("r", [1e-310, 5e-324, math.nan])
+    def test_subnormal_annulus_rejected(self, r):
+        # below the smallest normal float 1/r overflows, and the Laurent
+        # route's log(1/r) turns infinite without raising
+        with pytest.raises(DomainError, match="a normal float"):
+            Annulus(r)
+
+    def test_smallest_normal_annulus_accepted(self):
+        assert Annulus(sys.float_info.min).r_inner == sys.float_info.min
+
 
 def fourier_samples(coeffs: dict, t: np.ndarray) -> np.ndarray:
-    """``gamma(t)`` computed as :meth:`Jordan.point` does, also for curves
+    """``gamma(t)`` computed as :meth:`Jordan.derivatives` does, also for curves
     that ``Jordan`` rejects."""
     k = np.array(sorted(coeffs), dtype=np.int64).astype(float)
     c = np.array([complex(coeffs[j]) for j in sorted(coeffs)])

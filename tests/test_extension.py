@@ -1,5 +1,5 @@
 """Tests for the smoothed cutoff family, the sharp-constant ODE pair, the
-class-membership check, the generalized residual measure, and the
+generalized residual measure, and the
 optimal-constant experiment."""
 
 import math
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bergreen import extension
-from bergreen.bergman import MaxPiece, Unweighted, least_norm_extension, weight_phi
+from bergreen.bergman import MaxPiece, least_norm_extension
 from bergreen.domains import Disc
 from bergreen.errors import AccuracyError, DerivativeMismatchError, ParameterError
 from bergreen.extension import (
@@ -21,7 +21,6 @@ from bergreen.extension import (
     PolarSpec,
     b_step,
     cutoff_limit_check,
-    delta_class_check,
     make_cutoff,
     ode_pair,
     ode_residual,
@@ -285,95 +284,12 @@ class TestOdePair:
 
 
 # ---------------------------------------------------------------------------
-# Class-membership check
+# Residual measure
 # ---------------------------------------------------------------------------
 
 
 def _zero_psi(z):
     return np.zeros(np.shape(z))
-
-
-class TestDeltaClassCheck:
-    def test_plateaued_pair_passes(self):
-        # phi from the plateaued radial weight, pole spec with the matching
-        # plateaued remainder: both combinations stay subharmonic
-        a, delta, eps = 0.5, 1.0, 0.1
-        psi = PolarSpec(
-            0.0,
-            lambda z: -np.maximum(
-                2.0 * np.log(np.maximum(np.abs(z), 1e-300)), 2.0 * math.log(a)
-            )
-            - eps,
-            name="plateaued-remainder",
-        )
-        rec = delta_class_check(MaxPiece(delta, a), psi, delta, Disc())
-        assert rec.passed
-        assert rec.quantities["circles_skipped"] == 0
-        assert rec.quantities["worst_margin"] > -1e-6
-
-    @pytest.mark.parametrize("delta", [0.3, 1.0, 4.0])
-    def test_pure_log_pole_passes(self, delta):
-        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
-        rec = delta_class_check(Unweighted(), psi, delta, Disc())
-        assert rec.passed
-        assert rec.quantities["worst_margin"] > -1e-6
-
-    def test_superharmonic_remainder_fails(self):
-        # log(2 - |z|^2) has strictly negative Laplacian on the disc, so the
-        # circle averages fall below the center value
-        psi = PolarSpec(
-            0.0,
-            lambda z: np.log(2.0 - np.abs(z) ** 2),
-            name="superharmonic-remainder",
-        )
-        rec = delta_class_check(Unweighted(), psi, 1.0, Disc())
-        assert not rec.passed
-        assert rec.quantities["worst_margin"] < -1e-6
-
-    def test_skips_near_boundary_circles_and_pole_centers(self):
-        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
-        rec = delta_class_check(
-            Unweighted(), psi, 1.0, Disc(), centers=[0.995, 0.0, 0.5]
-        )
-        # center 0.995: the radius-1e-2 circle exits the disc (skipped);
-        # center 0.0 is the pole (skipped entirely)
-        assert rec.quantities["circles_skipped"] == 2
-        # remaining circles: (0.995, r=1e-3) and (0.5, both radii), each with
-        # two subharmonicity factors
-        assert rec.quantities["circles_tested"] == 6
-        assert rec.passed
-
-    def test_pole_on_quadrature_node_is_rotated(self):
-        # the pole 0.51 lies exactly on the theta = 0 node of the circle of
-        # radius 1e-2 around 0.5; the half-step rotation keeps values finite
-        psi = PolarSpec(0.51, _zero_psi, name="pole-on-node")
-        rec = delta_class_check(Unweighted(), psi, 1.0, Disc(), centers=[0.5])
-        assert math.isfinite(rec.quantities["worst_margin"])
-        assert rec.passed
-
-    def test_rejects_nonpositive_delta(self):
-        psi = PolarSpec(0.0, _zero_psi)
-        with pytest.raises(ParameterError):
-            delta_class_check(Unweighted(), psi, 0.0, Disc(), centers=[0.5])
-
-    def test_weight_phi_enters_the_combination(self):
-        # phi alone superharmonic enough to break subharmonicity of the sum:
-        # phi = -3 log(2 - |z|^2) is subharmonic... use the negated sign via
-        # a pole remainder instead: psi = +3 log(2-|z|^2) fails, and adding
-        # the plateaued weight phi (subharmonic) cannot rescue a remainder
-        # whose negative Laplacian dominates near the rim.
-        psi = PolarSpec(
-            0.0,
-            lambda z: 3.0 * np.log(2.0 - np.abs(z) ** 2),
-            name="strongly-superharmonic",
-        )
-        rec = delta_class_check(MaxPiece(0.5, 0.3), psi, 0.5, Disc())
-        assert not rec.passed
-
-
-# ---------------------------------------------------------------------------
-# Residual measure
-# ---------------------------------------------------------------------------
 
 
 def _one(z):
@@ -383,38 +299,34 @@ def _one(z):
 class TestResidualMeasure:
     @pytest.mark.parametrize("t", [0.5, 5.0, 20.0])
     def test_pure_log_gives_unit_mass_at_every_level(self, t):
-        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
+        psi = PolarSpec(0.0, _zero_psi)
         assert residual_measure(psi, _one, t) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("psi0", [-0.7, 0.0, 0.3])
     def test_constant_remainder_scales_exponentially(self, psi0):
-        psi = PolarSpec(
-            0.0, lambda z: np.full(np.shape(z), psi0), name="constant"
-        )
+        psi = PolarSpec(0.0, lambda z: np.full(np.shape(z), psi0))
         for t in (0.5, 3.0, 20.0):
             got = residual_measure(psi, _one, t)
             assert got == pytest.approx(math.exp(-psi0), rel=1e-12)
 
     def test_affine_density_averages_out(self):
-        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
+        psi = PolarSpec(0.0, _zero_psi)
         got = residual_measure(psi, lambda z: 1.0 + np.real(z), 20.0)
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_harmonic_remainder_tends_to_pole_value(self):
-        psi = PolarSpec(
-            0.0, lambda z: 0.2 * np.real(z), name="harmonic-remainder"
-        )
+        psi = PolarSpec(0.0, lambda z: 0.2 * np.real(z))
         got = residual_measure(psi, _one, 20.0)
         assert got == pytest.approx(1.0, abs=1e-8)
 
     def test_off_center_pole_gives_unit_mass(self):
-        psi = PolarSpec(0.9, _zero_psi, name="off-center")
+        psi = PolarSpec(0.9, _zero_psi)
         for t in (0.5, 20.0):
             assert residual_measure(psi, _one, t) == pytest.approx(1.0, abs=1e-10)
 
     def test_nan_integrand_fails(self, monkeypatch):
         monkeypatch.setattr(extension, "_SHELL_CAP", (16, 16))
-        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
+        psi = PolarSpec(0.0, _zero_psi)
         with pytest.raises(AccuracyError):
             residual_measure(psi, lambda z: np.full(np.shape(z), np.nan), 20.0)
 
@@ -438,13 +350,13 @@ class TestResidualMeasure:
         # nested grids (no offset) alias it identically on both levels,
         # agree at 1.03125 and return that as the mass
         levels = _spy_shell_levels(monkeypatch)
-        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
+        psi = PolarSpec(0.0, _zero_psi)
         assert abs(residual_measure(psi, _oscillating(k), 20.0) - 1.0) < 1e-12
         assert levels[-1][1] > 32
 
     def test_aliased_frequency_at_a_small_cap_fails(self, monkeypatch):
         monkeypatch.setattr(extension, "_SHELL_CAP", (64, 32))
-        psi = PolarSpec(0.0, _zero_psi, name="pure-log")
+        psi = PolarSpec(0.0, _zero_psi)
         with pytest.raises(AccuracyError):
             residual_measure(psi, _oscillating(64), 20.0)
 
@@ -453,7 +365,7 @@ class TestResidualMeasure:
         "rest", [_zero_psi, lambda z: 0.2 * np.real(z) + 0.1 * np.imag(np.asarray(z) ** 2)]
     )
     def test_stacked_edges_match_per_level_bisection(self, n_ang, rest):
-        psi = PolarSpec(0.05 + 0.02j, rest, name="edges")
+        psi = PolarSpec(0.05 + 0.02j, rest)
         theta = 2.0 * math.pi * (np.arange(n_ang) + 0.618) / n_ang
         for t in (0.5, 20.0):
             _assert_edges_certified(psi, theta, t)
@@ -463,7 +375,7 @@ class TestResidualMeasure:
         # Psi = 2u + c on a constant psi = c, so the edges are (level - c)/2,
         # also where e^u is far below |pole|
         c = 0.7
-        psi = PolarSpec(pole, lambda z: np.full(np.shape(z), c), name="constant")
+        psi = PolarSpec(pole, lambda z: np.full(np.shape(z), c))
         theta = 2.0 * math.pi * (np.arange(64) + 0.618) / 64
         for t in (0.5, 20.0, 24.0):
             for edge, level in zip(extension._shell_edges(psi, theta, -1.0 - t, -t), (-1.0 - t, -t)):
@@ -476,7 +388,7 @@ class TestResidualMeasure:
         # Psi = 2u + c log(1 + e^{2u}) climbs at slopes up to 2 + 2c: Newton
         # steps at the pole slope 2 diverge there, so only the bracket may
         # stop the solve
-        psi = PolarSpec(0.0, lambda z: c * np.log1p(np.abs(z) ** 2), name="steep")
+        psi = PolarSpec(0.0, lambda z: c * np.log1p(np.abs(z) ** 2))
         theta = 2.0 * math.pi * (np.arange(16) + 0.618) / 16
         _assert_edges_certified(psi, theta, t)
 

@@ -434,10 +434,6 @@ class TestArakelovGreen:
             assert abs(green_mean_i(z + 1.0) - g) < 1e-11
             assert abs(green_mean_i(z + TAU_I) - g) < 1e-11
 
-    def test_pair_is_difference(self, green_mean_i):
-        p, q = 0.4 + 0.2j, 0.1 - 0.3j
-        assert abs(green_mean_i.pair(p, q) - green_mean_i(p - q)) < 1e-15
-
     def test_vectorized(self, green_mean_i):
         z = np.array([0.3 + 0.1j, 0.2 + 0.4j])
         out = green_mean_i(z)
