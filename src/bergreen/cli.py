@@ -164,7 +164,7 @@ PARAMS: dict[str, dict[str, Param]] = {
     "all": {},
 }
 
-# commands whose checks need closed-form moments or exact circle images
+# commands whose checks need closed-form moments or the closed-form squeezing bound
 _DISC_OR_ANNULUS = {"bergman", "suita-check", "extended-suita-check", "squeeze-check"}
 
 

@@ -50,14 +50,5 @@ class ParameterError(BergreenError):
     """A parameter lies outside its documented range."""
 
 
-class GeometryError(BergreenError):
-    """An exact-geometry assumption is violated (should not happen for
-    admissible inputs; raised defensively)."""
-
-
-class PoleOnCircleError(BergreenError):
-    """A Moebius circle image is a line because the circle hits the pole."""
-
-
 class ConfigError(BergreenError):
     """Malformed run configuration."""

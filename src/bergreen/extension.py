@@ -36,7 +36,6 @@ __all__ = [
     "ode_residual",
     "require_ode_t",
     "ode_record",
-    "PolarSpec",
     "residual_measure",
     "RESIDUAL_PROFILES",
     "residual_record",
@@ -451,21 +450,8 @@ def ode_record(delta: float, grid) -> ReportRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PolarSpec:
-    """Density exponent with one logarithmic pole:
-
-    ``Psi(z) = log|z - pole|^2 + psi(z)`` with ``psi`` continuous and
-    bounded on the validity domain (the single-pole normalization of the
-    admissible class).
-    """
-
-    pole: complex
-    psi: Callable
-
-
-def _shell_edges(psi: PolarSpec, theta: np.ndarray, level_lo: float, level_hi: float):
-    """Per-angle solutions of ``Psi(pole + e^{u + i theta}) = level`` in
+def _shell_edges(psi: Callable, theta: np.ndarray, level_lo: float, level_hi: float):
+    """Per-angle solutions of ``Psi(e^{u + i theta}) = level`` in
     ``u = log(radius)`` for both shell levels, by one bracketed Newton
     solve over the stacked (2, angles) array.
 
@@ -482,16 +468,13 @@ def _shell_edges(psi: PolarSpec, theta: np.ndarray, level_lo: float, level_hi: f
     after 64 iterations at the latest; each edge is the midpoint of a
     bracket whose ends ``Psi`` puts on either side of the level.
     """
-    z0 = psi.pole
-
     def g(u, th):
-        # 2 log|z - pole| is u exactly: formed from z, it would lose the
-        # digits of |pole| / e^u to cancellation
-        return 2.0 * u + np.asarray(psi.psi(z0 + np.exp(u) * np.exp(1j * th)), dtype=float)
+        # 2 log|z| is 2u exactly
+        return 2.0 * u + np.asarray(psi(np.exp(u) * np.exp(1j * th)), dtype=float)
 
     # estimate the local psi spread on a probe circle at the shell scale
     probe_r = math.exp(0.5 * (level_lo - 1.0))
-    probe = np.asarray(psi.psi(z0 + probe_r * np.exp(1j * theta)), dtype=float)
+    probe = np.asarray(psi(probe_r * np.exp(1j * theta)), dtype=float)
     lo_guess = 0.5 * (level_lo - float(np.max(probe))) - 1.0
     hi_guess = 0.5 * (level_hi - float(np.min(probe))) + 1.0
 
@@ -541,10 +524,9 @@ def _shell_edges(psi: PolarSpec, theta: np.ndarray, level_lo: float, level_hi: f
 _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
-def _shell_integral(psi: PolarSpec, f: Callable, t: float, n_rad: int, n_ang: int) -> float:
+def _shell_integral(psi: Callable, f: Callable, t: float, n_rad: int, n_ang: int) -> float:
     """The smooth polar integral on ``n_rad`` radial by ``n_ang`` angular
     nodes."""
-    z0 = psi.pole
     theta = 2.0 * math.pi * (np.arange(n_ang) + _GOLDEN) / n_ang
     u_lo, u_hi = _shell_edges(psi, theta, -1.0 - t, -t)
     x, w = gauss_legendre(n_rad)
@@ -552,11 +534,11 @@ def _shell_integral(psi: PolarSpec, f: Callable, t: float, n_rad: int, n_ang: in
     half = 0.5 * (u_hi - u_lo)
     mid = 0.5 * (u_hi + u_lo)
     u = mid[None, :] + half[None, :] * x[:, None]  # (rad, ang)
-    zs = z0 + np.exp(u) * np.exp(1j * theta[None, :])
+    zs = np.exp(u) * np.exp(1j * theta[None, :])
     # rho drho dtheta with rho = e^u: the pole factor e^{-2u} cancels exactly,
     # leaving the smooth integrand f e^{-psi}
     vals = np.asarray(f(zs), dtype=float) * np.exp(
-        -np.asarray(psi.psi(zs), dtype=float)
+        -np.asarray(psi(zs), dtype=float)
     )
     radial = (w[:, None] * vals).sum(axis=0) * half
     return float(radial.mean() * 2.0 * math.pi / math.pi)
@@ -568,8 +550,11 @@ _SHELL_TOL = 1e-6
 _SHELL_CAP = (1024, 512)
 
 
-def residual_measure(psi: PolarSpec, f: Callable, t: float) -> float:
-    """Residual mass ``(1/pi) integral_{-1-t < Psi < -t} f e^{-Psi} dLambda``.
+def residual_measure(psi: Callable, f: Callable, t: float) -> float:
+    """Residual mass ``(1/pi) integral_{-1-t < Psi < -t} f e^{-Psi} dLambda``
+    of ``Psi(z) = log|z|^2 + psi(z)``, the single-pole normalization of the
+    admissible class: one logarithmic pole at the origin and a remainder
+    ``psi`` continuous and bounded near it.
 
     In the radial log coordinate the pole factor cancels and the integrand
     is smooth, so Gauss-Legendre (radially, inside per-angle shell edges)
@@ -621,8 +606,9 @@ def residual_record(psi0: float, f: str, t: float = 20.0) -> ReportRecord:
     the point mass ``e^{-psi0} f(0)``."""
     require_psi0(psi0)
     require_shell_depth(t)
-    psi = PolarSpec(0.0, lambda z: np.full(np.shape(z), psi0, dtype=float))
-    mass = residual_measure(psi, RESIDUAL_PROFILES[f], t)
+    mass = residual_measure(
+        lambda z: np.full(np.shape(z), psi0, dtype=float), RESIDUAL_PROFILES[f], t
+    )
     expected = math.exp(-psi0)
     err = abs(mass - expected)
     return make_record(

@@ -10,7 +10,8 @@ instance of the comparison verified elsewhere through capacities and
 kernels.  :func:`fuchsian_sums` computes both sides in closed form, from
 ``g^n(0) = tanh(n artanh c)``, with an explicit geometric tail bound;
 :class:`CyclicGroup` walks the orbit of any hyperbolic generator by chain
-rule, the general route and the tests' oracle.
+rule, the general route and the tests' oracle, on the fractional-linear
+maps of :class:`MoebiusMap`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 
 from .errors import NonConvergenceError, ParameterError
 from .reports import ReportRecord, make_record, min_margin
-from .squeezing import MoebiusMap
 
 __all__ = [
+    "MoebiusMap",
     "CyclicGroup",
     "canonical_generator",
     "require_c",
@@ -36,6 +37,36 @@ __all__ = [
 ]
 
 DEFAULT_C_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
+
+
+@dataclass(frozen=True)
+class MoebiusMap:
+    """Fractional-linear map ``z -> (alpha z + beta) / (gamma z + delta_coef)``
+    with unit determinant ``alpha delta_coef - beta gamma = 1``."""
+
+    alpha: complex
+    beta: complex
+    gamma: complex
+    delta_coef: complex
+
+    def __post_init__(self):
+        det = self.alpha * self.delta_coef - self.beta * self.gamma
+        if abs(det - 1.0) > 1e-12:
+            raise ParameterError(
+                f"Moebius coefficients must have unit determinant, got {det!r}"
+            )
+
+    def __call__(self, z):
+        z = np.asarray(z, dtype=complex)
+        out = (self.alpha * z + self.beta) / (self.gamma * z + self.delta_coef)
+        return out if out.ndim else complex(out)
+
+    def inverse(self) -> "MoebiusMap":
+        return MoebiusMap(self.delta_coef, -self.beta, -self.gamma, self.alpha)
+
+    @property
+    def trace(self) -> complex:
+        return self.alpha + self.delta_coef
 
 
 def require_c(c: float) -> None:

@@ -283,11 +283,11 @@ def write_csv_summary(path: str, records: list[ReportRecord]) -> None:
         fh.write(csv_summary_text(records))
 
 
-def write_plot_data(path: str, xs, ys, header: str = "") -> None:
-    """Two-column numeric text (x y per line), optional # header."""
+def write_plot_data(path: str, xs, ys, header: str) -> None:
+    """Two-column numeric text (x y per line) under a # header line."""
     rows = "".join(f"{float(x)!r} {float(y)!r}\n" for x, y in zip(xs, ys))
     with open(path, "w") as fh:
-        fh.write((f"# {header}\n" if header else "") + rows)
+        fh.write(f"# {header}\n" + rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,38 +1,28 @@
-"""Squeezing-function lower bounds via exact Möbius circle images.
+"""Squeezing-function lower bounds on discs and annuli, in closed form.
 
-A disc automorphism taking the base point to the origin embeds the domain
-into the unit disc; the image of an annulus is the disc minus a closed
-disc (the image of the inner boundary circle), computed here exactly from
-the standard inversion formulas.  The distance from the origin to that
-hole is a certified lower bound for the squeezing function, and
-``sandwich_check`` verifies the two-sided comparison with the
+The disc automorphism ``m_p(z) = (z - p) / (1 - conj(p) z)`` takes the
+base point ``p`` to the origin and embeds the domain into the unit disc;
+the image of the annulus ``r < |z| < 1`` is the disc minus the image of
+the closed disc ``|z| <= r``.  The distance from the origin to that hole
+is the pseudo-hyperbolic distance ``(|p| - r) / (1 - r |p|)`` from ``p``
+to the inner circle, a certified lower bound for the squeezing function,
+and ``sandwich_check`` verifies the two-sided comparison with the
 capacity-to-kernel ratio: ``s_low^2 <= C <= 1``.
-
-The ``MoebiusMap`` type is shared with the Fuchsian-group module.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bergman import suita_ratio
 from .domains import Annulus, Disc
-from .errors import (
-    GeometryError,
-    ParameterError,
-    PoleOnCircleError,
-)
+from .errors import ParameterError
 from .reports import ReportRecord, make_record, min_margin
 
 __all__ = [
-    "Circle",
-    "MoebiusMap",
-    "normalizer",
-    "image_circle",
     "squeeze_lower",
     "sandwich_check",
     "require_trend_k",
@@ -43,96 +33,6 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Möbius maps and circles
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Circle:
-    """Circle ``|z - center| = radius`` with positive radius."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if not (self.radius > 0.0 and math.isfinite(self.radius)):
-            raise ParameterError("circle radius must be positive and finite")
-
-    def points(self, n: int) -> np.ndarray:
-        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        return self.center + self.radius * np.exp(1j * theta)
-
-
-@dataclass(frozen=True)
-class MoebiusMap:
-    """Fractional-linear map ``z -> (alpha z + beta) / (gamma z + delta_coef)``
-    with unit determinant ``alpha delta_coef - beta gamma = 1``."""
-
-    alpha: complex
-    beta: complex
-    gamma: complex
-    delta_coef: complex
-
-    def __post_init__(self):
-        det = self.alpha * self.delta_coef - self.beta * self.gamma
-        if abs(det - 1.0) > 1e-12:
-            raise ParameterError(
-                f"Moebius coefficients must have unit determinant, got {det!r}"
-            )
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = (self.alpha * z + self.beta) / (self.gamma * z + self.delta_coef)
-        return out if out.ndim else complex(out)
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.delta_coef, -self.beta, -self.gamma, self.alpha)
-
-    @property
-    def trace(self) -> complex:
-        return self.alpha + self.delta_coef
-
-
-def normalizer(p: complex) -> MoebiusMap:
-    """Disc automorphism ``m(z) = (z - p) / (1 - conj(p) z)`` with
-    ``m(p) = 0``, in unit-determinant form."""
-    p = complex(p)
-    if not abs(p) < 1.0:
-        raise ParameterError("normalizer requires |p| < 1")
-    s = math.sqrt(1.0 - abs(p) ** 2)
-    return MoebiusMap(1.0 / s, -p / s, -p.conjugate() / s, 1.0 / s)
-
-
-def image_circle(m: MoebiusMap, circle: Circle) -> Circle:
-    """Exact image of a circle under a Möbius map (a circle again, since the
-    input is required not to pass through the pole of ``m``).
-
-    Uses the cancellation-free form of the image center for unit-determinant
-    maps: with ``w = gamma c + delta`` and ``D = |w|^2 - r^2 |gamma|^2``,
-
-        center = (conj(w) (alpha c + beta) - alpha r^2 conj(gamma)) / D
-        radius = r / |D|
-
-    (the pole-at-``z0 = -delta/gamma`` decomposition produces the same
-    values but through intermediates of size ``1/|gamma|`` whose
-    cancellation destroys the result for nearly affine maps; this form has
-    no large intermediates and covers ``gamma = 0`` exactly)."""
-    c, r = complex(circle.center), float(circle.radius)
-    w = m.gamma * c + m.delta_coef
-    hole = (r * abs(m.gamma)) ** 2
-    D = abs(w) ** 2 - hole
-    if abs(D) < 1e-12 * max(abs(w) ** 2, hole, 1e-300):
-        raise PoleOnCircleError(
-            f"circle (center {c!r}, radius {r!r}) passes through the map "
-            f"pole; the image is a line, not a circle"
-        )
-    center = (
-        w.conjugate() * (m.alpha * c + m.beta) - m.alpha * r * r * m.gamma.conjugate()
-    ) / D
-    return Circle(center, r / abs(D))
-
-
-# ---------------------------------------------------------------------------
 # Squeezing lower bound
 # ---------------------------------------------------------------------------
 
@@ -140,11 +40,13 @@ def image_circle(m: MoebiusMap, circle: Circle) -> Circle:
 def squeeze_lower(domain, p: complex) -> float:
     """Certified lower bound for the squeezing function at ``p``.
 
-    Uses the embedding given by the disc automorphism sending ``p`` to the
-    origin.  For the disc the image is the whole disc (bound 1); for an
-    annulus the image is the disc minus the closed disc bounded by the
-    image of the inner boundary circle, and the bound is the distance from
-    the origin to that hole.
+    Uses the embedding given by the disc automorphism ``m_p`` sending
+    ``p`` to the origin.  For the disc the image is the whole disc (bound
+    1); for an annulus the bound is the distance from the origin to the
+    image of the hole ``|z| <= r``, the minimum of ``|m_p(z)|`` on ``|z| =
+    r``: by ``1 - |m_p(z)|^2 = (1 - |p|^2)(1 - |z|^2) / |1 - conj(p) z|^2``
+    it is reached where ``conj(p) z`` is positive, at ``z = r p / |p|``,
+    and it equals ``(|p| - r) / (1 - r |p|)``.
     """
     p = complex(p)
     if isinstance(domain, Disc):
@@ -155,17 +57,10 @@ def squeeze_lower(domain, p: complex) -> float:
         raise ParameterError(
             "squeeze_lower supports discs and annuli (circular boundaries)"
         )
-    if not (domain.r_inner < abs(p) < 1.0):
+    r, rho = domain.r_inner, abs(p)
+    if not (r < rho < 1.0):
         raise ParameterError("point must lie inside the open annulus")
-    m = normalizer(p)
-    hole = image_circle(m, Circle(0.0, domain.r_inner))
-    dist = abs(hole.center) - hole.radius
-    if dist < 0.0 and abs(hole.center) < hole.radius:
-        # the origin (= image of p) would lie inside the removed disc
-        raise GeometryError(
-            "origin lies inside the image hole; point is not in the domain"
-        )
-    return max(dist, 0.0)
+    return (rho - r) / (1.0 - r * rho)
 
 
 # the allowed overshoot of either side of the sandwich

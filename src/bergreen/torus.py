@@ -33,7 +33,7 @@ import numpy as np
 from .bergman import KernelEstimate, _dense_kernel_value, _jacobi_scaled, _normalized_condition
 from .domains import refine
 from .errors import AccuracyError, ParameterError, TruncationError
-from .extension import PolarSpec, residual_measure
+from .extension import residual_measure
 from .reports import ReportRecord, make_record
 
 __all__ = [
@@ -607,8 +607,7 @@ def residual_mass(green: ArakelovGreen, t: float = 20.0) -> float:
             - 2.0 * math.pi * np.asarray(z, dtype=complex).imag ** 2 / spec.tau2
         )
 
-    psi = PolarSpec(0.0, psi_rest)
-    return 2.0 / spec.tau2 * residual_measure(psi, lambda z: np.ones(np.shape(z)), t)
+    return 2.0 / spec.tau2 * residual_measure(psi_rest, lambda z: np.ones(np.shape(z)), t)
 
 
 # the allowed negative inequality margin and max-zero grid supremum, and the

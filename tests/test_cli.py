@@ -67,7 +67,6 @@ _SETTABLE_DEFAULTS = {
     "reports.ReportRecord.library_version": "a field of the record",
     "reports.ReportRecord.config_hash": "a field of the record",
     "reports.ReportRecord.cached": "a field of the record",
-    "reports.write_plot_data.header": "every sweep command passes it",
 }
 
 

@@ -3,7 +3,6 @@ generalized residual measure, and the
 optimal-constant experiment."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from bergreen.errors import AccuracyError, DerivativeMismatchError, ParameterErr
 from bergreen.extension import (
     CutoffFamily,
     OdePair,
-    PolarSpec,
     b_step,
     cutoff_limit_check,
     make_cutoff,
@@ -299,41 +297,31 @@ def _one(z):
 class TestResidualMeasure:
     @pytest.mark.parametrize("t", [0.5, 5.0, 20.0])
     def test_pure_log_gives_unit_mass_at_every_level(self, t):
-        psi = PolarSpec(0.0, _zero_psi)
-        assert residual_measure(psi, _one, t) == pytest.approx(1.0, abs=1e-12)
+        assert residual_measure(_zero_psi, _one, t) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("psi0", [-0.7, 0.0, 0.3])
     def test_constant_remainder_scales_exponentially(self, psi0):
-        psi = PolarSpec(0.0, lambda z: np.full(np.shape(z), psi0))
         for t in (0.5, 3.0, 20.0):
-            got = residual_measure(psi, _one, t)
+            got = residual_measure(lambda z: np.full(np.shape(z), psi0), _one, t)
             assert got == pytest.approx(math.exp(-psi0), rel=1e-12)
 
     def test_affine_density_averages_out(self):
-        psi = PolarSpec(0.0, _zero_psi)
-        got = residual_measure(psi, lambda z: 1.0 + np.real(z), 20.0)
+        got = residual_measure(_zero_psi, lambda z: 1.0 + np.real(z), 20.0)
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_harmonic_remainder_tends_to_pole_value(self):
-        psi = PolarSpec(0.0, lambda z: 0.2 * np.real(z))
-        got = residual_measure(psi, _one, 20.0)
+        got = residual_measure(lambda z: 0.2 * np.real(z), _one, 20.0)
         assert got == pytest.approx(1.0, abs=1e-8)
-
-    def test_off_center_pole_gives_unit_mass(self):
-        psi = PolarSpec(0.9, _zero_psi)
-        for t in (0.5, 20.0):
-            assert residual_measure(psi, _one, t) == pytest.approx(1.0, abs=1e-10)
 
     def test_nan_integrand_fails(self, monkeypatch):
         monkeypatch.setattr(extension, "_SHELL_CAP", (16, 16))
-        psi = PolarSpec(0.0, _zero_psi)
         with pytest.raises(AccuracyError):
-            residual_measure(psi, lambda z: np.full(np.shape(z), np.nan), 20.0)
+            residual_measure(_zero_psi, lambda z: np.full(np.shape(z), np.nan), 20.0)
 
     @pytest.mark.parametrize(
         "mass",
         [
-            lambda: residual_measure(PolarSpec(0.0, _zero_psi), _one, 20.0),
+            lambda: residual_measure(_zero_psi, _one, 20.0),
             lambda: residual_mass(arakelov_green(TorusSpec(1j))),
         ],
         ids=["pure-log", "torus-green"],
@@ -350,32 +338,30 @@ class TestResidualMeasure:
         # nested grids (no offset) alias it identically on both levels,
         # agree at 1.03125 and return that as the mass
         levels = _spy_shell_levels(monkeypatch)
-        psi = PolarSpec(0.0, _zero_psi)
-        assert abs(residual_measure(psi, _oscillating(k), 20.0) - 1.0) < 1e-12
+        assert abs(residual_measure(_zero_psi, _oscillating(k), 20.0) - 1.0) < 1e-12
         assert levels[-1][1] > 32
 
     def test_aliased_frequency_at_a_small_cap_fails(self, monkeypatch):
         monkeypatch.setattr(extension, "_SHELL_CAP", (64, 32))
-        psi = PolarSpec(0.0, _zero_psi)
         with pytest.raises(AccuracyError):
-            residual_measure(psi, _oscillating(64), 20.0)
+            residual_measure(_zero_psi, _oscillating(64), 20.0)
 
     @pytest.mark.parametrize("n_ang", [16, 512])
     @pytest.mark.parametrize(
         "rest", [_zero_psi, lambda z: 0.2 * np.real(z) + 0.1 * np.imag(np.asarray(z) ** 2)]
     )
     def test_stacked_edges_match_per_level_bisection(self, n_ang, rest):
-        psi = PolarSpec(0.05 + 0.02j, rest)
         theta = 2.0 * math.pi * (np.arange(n_ang) + 0.618) / n_ang
         for t in (0.5, 20.0):
-            _assert_edges_certified(psi, theta, t)
+            _assert_edges_certified(rest, theta, t)
 
-    @pytest.mark.parametrize("pole", [0.0, 0.05 + 0.02j, 0.3 - 0.4j])
-    def test_edges_on_a_constant_psi_are_exact(self, pole):
-        # Psi = 2u + c on a constant psi = c, so the edges are (level - c)/2,
-        # also where e^u is far below |pole|
+    def test_edges_on_a_constant_psi_are_exact(self):
+        # Psi = 2u + c on a constant psi = c, so the edges are (level - c)/2
         c = 0.7
-        psi = PolarSpec(pole, lambda z: np.full(np.shape(z), c))
+
+        def psi(z):
+            return np.full(np.shape(z), c)
+
         theta = 2.0 * math.pi * (np.arange(64) + 0.618) / 64
         for t in (0.5, 20.0, 24.0):
             for edge, level in zip(extension._shell_edges(psi, theta, -1.0 - t, -t), (-1.0 - t, -t)):
@@ -388,9 +374,8 @@ class TestResidualMeasure:
         # Psi = 2u + c log(1 + e^{2u}) climbs at slopes up to 2 + 2c: Newton
         # steps at the pole slope 2 diverge there, so only the bracket may
         # stop the solve
-        psi = PolarSpec(0.0, lambda z: c * np.log1p(np.abs(z) ** 2))
         theta = 2.0 * math.pi * (np.arange(16) + 0.618) / 16
-        _assert_edges_certified(psi, theta, t)
+        _assert_edges_certified(lambda z: c * np.log1p(np.abs(z) ** 2), theta, t)
 
     def test_torus_shell_takes_few_psi_calls(self, monkeypatch):
         # a 64-step bisection to the same width takes 66 calls of Psi; each
@@ -403,9 +388,9 @@ class TestResidualMeasure:
 
             def counted(z):
                 counts[-1] += 1
-                return psi.psi(z)
+                return psi(z)
 
-            return edges(replace(psi, psi=counted), *args)
+            return edges(counted, *args)
 
         monkeypatch.setattr(extension, "_shell_edges", spy)
         residual_mass(arakelov_green(TorusSpec(1j)))
@@ -448,9 +433,8 @@ def _assert_edges_certified(psi, theta, t: float) -> None:
 
 
 def _exact_psi(psi, u, theta):
-    """``Psi`` at ``pole + e^{u + i theta}`` with ``2 log|z - pole|`` taken
-    as ``2u``: formed from ``z``, it loses the digits of ``|pole| / e^u``."""
-    return 2.0 * u + psi.psi(psi.pole + np.exp(u) * np.exp(1j * theta))
+    """``Psi`` at ``e^{u + i theta}`` with ``2 log|z|`` taken as ``2u``."""
+    return 2.0 * u + psi(np.exp(u) * np.exp(1j * theta))
 
 
 def _edge_reference(psi, theta, level, level_lo, level_hi):
@@ -461,7 +445,7 @@ def _edge_reference(psi, theta, level, level_lo, level_hi):
     def g(u, th):
         return _exact_psi(psi, u, th)
 
-    probe = psi.psi(psi.pole + math.exp(0.5 * (level_lo - 1.0)) * np.exp(1j * theta))
+    probe = psi(math.exp(0.5 * (level_lo - 1.0)) * np.exp(1j * theta))
     a = np.full(theta.size, 0.5 * (level_lo - float(np.max(probe))) - 1.0)
     b = np.full(theta.size, 0.5 * (level_hi - float(np.min(probe))) + 1.0)
     ga = g(a, theta) - level

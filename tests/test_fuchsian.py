@@ -16,12 +16,21 @@ from bergreen.errors import NonConvergenceError, ParameterError
 from bergreen.fuchsian import (
     DEFAULT_C_GRID,
     CyclicGroup,
+    MoebiusMap,
     canonical_generator,
     fuchsian_sums,
     group_sums,
     inequality_check,
 )
-from bergreen.squeezing import MoebiusMap, normalizer
+
+
+def normalizer(p: complex) -> MoebiusMap:
+    """Disc automorphism ``m(z) = (z - p) / (1 - conj(p) z)`` with
+    ``m(p) = 0``, in unit-determinant form: a generator with complex
+    coefficients."""
+    p = complex(p)
+    s = math.sqrt(1.0 - abs(p) ** 2)
+    return MoebiusMap(1.0 / s, -p / s, -p.conjugate() / s, 1.0 / s)
 
 
 def _rotation(theta: float) -> MoebiusMap:

@@ -36,6 +36,7 @@ _CI_COMMANDS = [
     "suita-check --domain disc:2 --zs 0.5,1.2j,-1.9",
     "bergman --domain disc:0.5 --weight maxpiece:1:0.3 --z 0.2",
     "squeeze-check --domain disc:0.5",
+    "squeeze-check --domain annulus:0.2 --ps 0.99999,-0.99999j --no-trend",
 ]
 
 # paths that neither all nor CI takes
@@ -59,11 +60,11 @@ _NOT_ENTERED = {
     "fuchsian.canonical_generator": "the chain-rule oracle of fuchsian_sums (ROADMAP item 16)",
     "fuchsian.CyclicGroup.__post_init__": "the chain-rule oracle of fuchsian_sums (ROADMAP item 16)",
     "fuchsian.group_sums": "the chain-rule oracle of fuchsian_sums (ROADMAP item 16)",
+    "fuchsian.MoebiusMap.__post_init__": "the chain-rule oracle builds the group's maps",
+    "fuchsian.MoebiusMap.__call__": "the chain-rule oracle applies the group's maps",
+    "fuchsian.MoebiusMap.inverse": "the chain-rule oracle builds the group's inverses",
+    "fuchsian.MoebiusMap.trace": "the tests check that a generator is hyperbolic",
     "reports._strict_json": "writes a non-finite float, which no passing run holds",
-    "squeezing.Circle.points": "the tests sample image circles with it",
-    "squeezing.MoebiusMap.__call__": "the chain-rule oracle applies the group's maps",
-    "squeezing.MoebiusMap.inverse": "the chain-rule oracle builds the group's inverses",
-    "squeezing.MoebiusMap.trace": "the tests check that a generator is hyperbolic",
     "torus.ThetaBasis.quasi_periodicity_defect": "ungated; ROADMAP item 6 gates or deletes it",
 }
 

@@ -1,9 +1,10 @@
-"""Tests for Möbius circle images, squeezing lower bounds, and the
+"""Tests for Möbius maps, the closed-form squeezing lower bound, and the
 two-sided ratio sandwich."""
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,18 +12,20 @@ from hypothesis import strategies as st
 
 from bergreen import squeezing
 from bergreen.domains import Annulus, Disc, Jordan
-from bergreen.errors import ParameterError, PoleOnCircleError
-from bergreen.squeezing import (
-    Circle,
-    MoebiusMap,
-    boundary_trend_check,
-    image_circle,
-    normalizer,
-    sandwich_check,
-    squeeze_lower,
-)
+from bergreen.errors import ParameterError
+from bergreen.fuchsian import MoebiusMap
+from bergreen.squeezing import boundary_trend_check, sandwich_check, squeeze_lower
 
 IDENTITY = MoebiusMap(1.0, 0.0, 0.0, 1.0)
+
+
+def normalizer(p: complex) -> MoebiusMap:
+    """Disc automorphism ``m_p(z) = (z - p) / (1 - conj(p) z)`` with
+    ``m_p(p) = 0``, in unit-determinant form: the oracle of the squeezing
+    bound and a map with complex coefficients."""
+    p = complex(p)
+    s = math.sqrt(1.0 - abs(p) ** 2)
+    return MoebiusMap(1.0 / s, -p / s, -p.conjugate() / s, 1.0 / s)
 
 
 def _rotation(theta: float) -> MoebiusMap:
@@ -83,6 +86,9 @@ class TestMoebiusMap:
 
 
 class TestNormalizer:
+    """The oracle ``m_p`` of the sampled-hole property below, which also
+    builds the complex maps of :class:`TestMoebiusMap`."""
+
     def test_zero_point_is_identity(self):
         m = normalizer(0.0)
         zs = np.array([0.3, -0.2 + 0.7j])
@@ -91,11 +97,6 @@ class TestNormalizer:
     @pytest.mark.parametrize("p", [0.5, -0.3 + 0.4j, 0.9j, 0.99])
     def test_sends_base_point_to_zero(self, p):
         assert abs(normalizer(p)(p)) < 1e-14
-
-    @pytest.mark.parametrize("p", [1.0, -1.0, 1.2j, 2.0])
-    def test_rejects_points_outside_disc(self, p):
-        with pytest.raises(ParameterError):
-            normalizer(p)
 
     def test_preserves_unit_circle(self):
         ring = np.exp(1j * np.linspace(0, 2 * math.pi, 100, endpoint=False))
@@ -106,66 +107,6 @@ class TestNormalizer:
         m = normalizer(0.3 + 0.4j)
         det = m.alpha * m.delta_coef - m.beta * m.gamma
         assert abs(det - 1.0) < 1e-15
-
-
-class TestImageCircle:
-    def test_circle_validation(self):
-        with pytest.raises(ParameterError):
-            Circle(0.0, 0.0)
-        with pytest.raises(ParameterError):
-            Circle(0.0, -1.0)
-
-    def test_identity_keeps_circle(self):
-        img = image_circle(IDENTITY, Circle(0.3 + 0.1j, 0.25))
-        assert img.center == pytest.approx(0.3 + 0.1j, abs=1e-15)
-        assert img.radius == pytest.approx(0.25, abs=1e-15)
-
-    def test_affine_map(self):
-        m = MoebiusMap(2.0, 1.0, 0.0, 0.5)  # w = 4z + 2
-        img = image_circle(m, Circle(1.0, 0.3))
-        assert img.center == pytest.approx(6.0, abs=1e-14)
-        assert img.radius == pytest.approx(1.2, abs=1e-14)
-
-    def test_matches_dense_sampling(self):
-        m = normalizer(0.5)
-        circ = Circle(0.0, 0.2)
-        img = image_circle(m, circ)
-        pts = m(circ.points(360))
-        assert np.max(np.abs(np.abs(pts - img.center) - img.radius)) < 1e-10
-
-    def test_automorphism_fixes_unit_circle(self):
-        img = image_circle(normalizer(0.5), Circle(0.0, 1.0))
-        assert abs(img.center) < 1e-12
-        assert img.radius == pytest.approx(1.0, abs=1e-12)
-
-    def test_roundtrip_with_inverse(self):
-        m = normalizer(0.4 - 0.2j)
-        circ = Circle(0.1 + 0.2j, 0.35)
-        back = image_circle(m.inverse(), image_circle(m, circ))
-        assert abs(back.center - circ.center) < 1e-10
-        assert abs(back.radius - circ.radius) < 1e-10
-
-    def test_circle_through_pole_raises(self):
-        # normalizer(0.5) has its pole at 1/conj(0.5) = 2
-        with pytest.raises(PoleOnCircleError):
-            image_circle(normalizer(0.5), Circle(1.5, 0.5))
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        p=st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False),
-        theta=st.floats(0.0, 2 * math.pi),
-        c=st.complex_numbers(max_magnitude=0.6, allow_nan=False, allow_infinity=False),
-        r=st.floats(0.05, 0.3),
-    )
-    def test_image_contains_mapped_points(self, p, theta, c, r):
-        m = compose(_rotation(theta), normalizer(p))
-        circ = Circle(c, r)
-        try:
-            img = image_circle(m, circ)
-        except PoleOnCircleError:
-            assume(False)
-        pts = m(circ.points(72))
-        assert np.max(np.abs(np.abs(pts - img.center) - img.radius)) < 1e-9
 
 
 class TestSqueezeLower:
@@ -179,8 +120,44 @@ class TestSqueezeLower:
     def test_real_point_closed_form(self, r):
         ann = Annulus(r)
         for p in (math.sqrt(r), 0.5, 0.9):
-            expected = (p - r) / (1.0 - p * r)
-            assert squeeze_lower(ann, p) == pytest.approx(expected, abs=1e-13)
+            assert abs(squeeze_lower(ann, p) - _exact_lower(r, p)) <= 4e-16
+
+    @pytest.mark.parametrize("r", [0.2, 0.04, 2.2e-86])
+    @pytest.mark.parametrize("phase", [1.0, -1j, cmath.exp(0.7j)], ids=["real", "imag", "complex"])
+    def test_closed_form_matches_mpmath_near_both_circles(self, r, phase):
+        # |p| is exact on the axes; elsewhere abs(p) rounds once, and
+        # |p| - r magnifies that error by |p| / (|p| - r)
+        eps = np.finfo(float).eps
+        rhos = [r * (1.0 + 1e-9), r * (1.0 + 1e-3), 0.5, 1.0 - 5e-5, 1.0 - 1e-5, 1.0 - 1e-7]
+        if r == 0.2:
+            rhos.append(0.2000000001)
+        for rho in rhos:
+            p = rho * phase
+            gain = 1.0 if phase in (1.0, -1j) else abs(p) / (abs(p) - r)
+            exact = _exact_lower(r, p)
+            rel = abs(squeeze_lower(Annulus(r), p) - exact) / exact
+            assert rel <= 2.0 * eps * gain, (rho, rel)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        r=st.floats(0.01, 0.5),
+        frac=st.floats(0.05, 0.95),
+        theta=st.floats(0.0, 2 * math.pi),
+    )
+    def test_closed_form_bounds_the_sampled_hole(self, r, frac, theta):
+        # the distance from 0 to the image of |z| <= r is the minimum of
+        # |m_p| on |z| = r; h = 2 pi / 4096 node spacing leaves the nearest
+        # node within h / 2 of the minimizer z = r p / |p|, where
+        # |m_p|^2 exceeds its minimum by at most rho r (h / 2)^2 / (1 - rho r)^2
+        rho = r + frac * (1.0 - r)
+        p = rho * cmath.exp(1j * theta)
+        n = 4096
+        ring = r * np.exp(2j * math.pi * np.arange(n) / n)
+        sampled = float(np.min(np.abs(normalizer(p)(ring))))
+        low = squeeze_lower(Annulus(r), p)
+        assert low <= sampled * (1.0 + 1e-13)
+        h = 2.0 * math.pi / n
+        assert sampled**2 - low**2 <= rho * r * (0.5 * h) ** 2 / (1.0 - rho * r) ** 2 + 1e-15
 
     def test_bounded_by_one_and_positive(self):
         ann = Annulus(1e-6)
@@ -244,6 +221,25 @@ class TestSandwichCheck:
             for p in (0.5, 0.5j, -0.7, 0.3 + 0.3j):
                 rec = sandwich_check(ann, p)
                 assert rec.passed, (ann, p, rec.margins)
+
+    @pytest.mark.parametrize(
+        "r,p", [(0.2, 0.99999), (0.2, -0.99999j), (0.2, 0.99995), (0.2, 0.9999999), (0.04, 0.99999)]
+    )
+    def test_points_near_the_outer_circle(self, r, p):
+        # here the unit-determinant coefficients of m_p, formed in floating
+        # point, miss det = 1 by more than 1e-12
+        rec = sandwich_check(Annulus(r), p)
+        assert rec.passed, rec.margins
+        assert rec.quantities["squeeze_lower"] == pytest.approx(_exact_lower(r, p), rel=1e-15)
+
+
+def _exact_lower(r: float, p: complex) -> float:
+    """``(|p| - r) / (1 - r |p|)`` at 40 digits, with ``|p|`` taken from the
+    exact float components of ``p``."""
+    p = complex(p)
+    with mpmath.workdps(40):
+        rho = mpmath.sqrt(mpmath.mpf(p.real) ** 2 + mpmath.mpf(p.imag) ** 2)
+        return float((rho - r) / (1 - mpmath.mpf(r) * rho))
 
 
 class TestBoundaryTrend:
