@@ -9,15 +9,12 @@ geometrically.  The inequality "sum >= product" is the cyclic-group
 instance of the comparison verified elsewhere through capacities and
 kernels.  :func:`fuchsian_sums` computes both sides in closed form, from
 ``g^n(0) = tanh(n artanh c)``, with an explicit geometric tail bound;
-:class:`CyclicGroup` walks the orbit of any hyperbolic generator by chain
-rule, the general route and the tests' oracle, on the fractional-linear
-maps of :class:`MoebiusMap`.
+the tests walk the orbit by chain rule as its oracle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +22,8 @@ from .errors import NonConvergenceError, ParameterError
 from .reports import ReportRecord, make_record, min_margin
 
 __all__ = [
-    "MoebiusMap",
-    "CyclicGroup",
-    "canonical_generator",
     "require_c",
     "require_terms",
-    "group_sums",
     "fuchsian_sums",
     "inequality_check",
     "DEFAULT_C_GRID",
@@ -39,39 +32,9 @@ __all__ = [
 DEFAULT_C_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
-    """Fractional-linear map ``z -> (alpha z + beta) / (gamma z + delta_coef)``
-    with unit determinant ``alpha delta_coef - beta gamma = 1``."""
-
-    alpha: complex
-    beta: complex
-    gamma: complex
-    delta_coef: complex
-
-    def __post_init__(self):
-        det = self.alpha * self.delta_coef - self.beta * self.gamma
-        if abs(det - 1.0) > 1e-12:
-            raise ParameterError(
-                f"Moebius coefficients must have unit determinant, got {det!r}"
-            )
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = (self.alpha * z + self.beta) / (self.gamma * z + self.delta_coef)
-        return out if out.ndim else complex(out)
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.delta_coef, -self.beta, -self.gamma, self.alpha)
-
-    @property
-    def trace(self) -> complex:
-        return self.alpha + self.delta_coef
-
-
 def require_c(c: float) -> None:
-    """Precondition of :func:`canonical_generator` (and so of every sum
-    over its group) on the displacement ``c = g(0)``."""
+    """Precondition of :func:`fuchsian_sums` (and so of
+    :func:`inequality_check`) on the displacement ``c = g(0)``."""
     if not 0.0 < c < 1.0:
         raise ParameterError(f"generator parameter c = {c} must lie in (0, 1)")
 
@@ -81,72 +44,6 @@ def require_terms(N: int) -> None:
     :func:`inequality_check`) on the orbit truncation."""
     if N < 8:
         raise ParameterError("fuchsian_sums requires N >= 8")
-
-
-def canonical_generator(c: float) -> MoebiusMap:
-    """Hyperbolic disc automorphism ``g(z) = (z + c) / (1 + c z)`` with
-    ``g(0) = c`` and fixed points ±1, in unit-determinant form."""
-    c = float(c)
-    require_c(c)
-    s = math.sqrt(1.0 - c * c)
-    return MoebiusMap(1.0 / s, c / s, c / s, 1.0 / s)
-
-
-@dataclass(frozen=True)
-class CyclicGroup:
-    """Cyclic group generated by a hyperbolic disc automorphism, with the
-    orbit of the origin and the chain-rule derivatives cached for
-    ``|n| <= N``.
-
-    ``points[k]`` and ``derivs[k]`` correspond to exponent ``ns[k]``,
-    ``ns = (-N, ..., N)``; derivatives are accumulated incrementally as
-    ``(g^{n+1})'(0) = g'(g^n(0)) (g^n)'(0)`` to avoid composing
-    coefficient matrices of unbounded size.
-    """
-
-    generator: MoebiusMap
-    N: int
-    ns: np.ndarray = field(init=False, repr=False, compare=False)
-    points: np.ndarray = field(init=False, repr=False, compare=False)
-    derivs: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ParameterError("orbit truncation N must be at least 1")
-        if abs(self.generator.trace) <= 2.0:
-            raise ParameterError(
-                "generator is not hyperbolic: |trace| must exceed 2"
-            )
-        N = self.N
-        points = np.empty(2 * N + 1, dtype=complex)
-        derivs = np.empty(2 * N + 1, dtype=complex)
-        points[N] = 0.0
-        derivs[N] = 1.0
-        # numpy complex scalars, one shared denominator q = gamma z + delta
-        # per step: g(z) = (alpha z + beta) / q and g'(z) = 1 / q^2
-        for m, step in ((self.generator, 1), (self.generator.inverse(), -1)):
-            a, b, c, d = map(np.complex128, (m.alpha, m.beta, m.gamma, m.delta_coef))
-            z, dz = points[N], derivs[N]
-            for k in range(N + step, N + step * (N + 1), step):
-                q = c * z + d
-                z, dz = (a * z + b) / q, 1.0 / (q * q) * dz
-                points[k], derivs[k] = z, dz
-        # hyperbolic orbits approach the boundary so fast that |g^n(0)|
-        # saturates to 1.0 in floating point; only genuine escape is an error
-        if np.any(np.abs(points) > 1.0 + 1e-9):
-            raise ParameterError("orbit left the unit disc; generator invalid")
-        object.__setattr__(self, "ns", np.arange(-N, N + 1))
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "derivs", derivs)
-
-
-def group_sums(group: CyclicGroup) -> tuple[float, float]:
-    """(derivative sum, modulus product) over the cached orbit:
-    ``Σ_{|n|<=N} (g^n)'(0)`` and ``Π_{0<|n|<=N} |g^n(0)|^2``."""
-    total = float(np.sum(group.derivs).real)
-    mods = np.abs(group.points) ** 2
-    product = float(np.prod(np.delete(mods, group.N)))
-    return total, product
 
 
 def _tail_bound(c: float, N: int) -> float:

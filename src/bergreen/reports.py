@@ -46,7 +46,6 @@ __all__ = [
     "min_margin",
     "primary_text",
     "record_to_dict",
-    "record_from_dict",
     "config_hash",
     "write_json_report",
     "write_csv_summary",
@@ -155,10 +154,6 @@ def record_to_dict(rec: ReportRecord) -> dict:
     serializing only: its containers are the record's own (copied and
     normalized by :func:`make_record`), so the result must not be mutated."""
     return {name: getattr(rec, name) for name in _FIELDS}
-
-
-def record_from_dict(d: dict) -> ReportRecord:
-    return ReportRecord(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +322,7 @@ def cache_load(outdir: str, key: str) -> list[ReportRecord] | None:
     try:
         with open(path) as fh:
             data = json.load(fh)
-        records = [record_from_dict(d) for d in data]
+        records = [ReportRecord(**d) for d in data]
     except Exception as exc:  # corrupt cache: recompute
         warnings.warn(f"ignoring corrupt cache entry {path}: {exc}", RuntimeWarning)
         return None

@@ -280,7 +280,8 @@ def _gamma_meanzero(spec: TorusSpec) -> float:
 def _gamma_maxzero(spec: TorusSpec) -> float:
     """Additive constant making ``sup g = 0``: minus the raw profile's
     maximum, by Newton steps (central differences of step ``_POLISH_STEP``)
-    from the 96^2 grid maximum, each taken only if it raises the profile.
+    from the 96^2 grid maximum, each taken only if it raises the profile; a
+    singular Hessian ends the polish, and the guard then raises.
 
     The grid (:func:`_green_grid`) only picks the start node, taken in
     ``[0, 1)^2`` in the ``(1, tau)`` basis.  Its value comes from one
@@ -302,7 +303,10 @@ def _gamma_maxzero(spec: TorusSpec) -> float:
         fxy = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
         hess = np.array([[np.diff(f[:, 1], 2)[0], fxy], [fxy, np.diff(f[1], 2)[0]]]) / (h * h)
         grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
-        trial = z + complex(*np.linalg.solve(hess, -grad))
+        try:
+            trial = z + complex(*np.linalg.solve(hess, -grad))
+        except np.linalg.LinAlgError:  # g flat along a direction (tall tori)
+            break
         value = float(_green_raw(spec, trial))
         if not value > best:  # on thin tori g is almost flat along Im z: steps overshoot
             break
@@ -313,7 +317,8 @@ def _gamma_maxzero(spec: TorusSpec) -> float:
     if not (hess[0, 0] < 0.0 < np.linalg.det(hess) and best >= np.max(halves)):
         raise AccuracyError(
             f"max-zero polish at tau = {spec.tau} ends at z = {z:.6g} with g = {best!r}: the "
-            f"Hessian must be negative definite, and g at least {np.max(halves)!r} (half-periods)"
+            f"Hessian must be negative definite, and g at least {float(np.max(halves))!r} "
+            f"(half-periods)"
         )
     return -best
 
@@ -464,22 +469,6 @@ class ThetaBasis:
         out = np.exp(-2.0 * math.pi * self.d * z.imag**2 / self.spec.tau2)
         return out if out.ndim else float(out)
 
-    def quasi_periodicity_defect(self, z_samples) -> float:
-        """Max relative defect of the two automorphy relations."""
-        z = np.asarray(z_samples, dtype=complex)
-        tau, d = self.spec.tau, self.d
-        worst = 0.0
-        for j in range(d):
-            v = self.theta(j, z)
-            scale = np.maximum(np.abs(v), 1e-300)
-            d1 = np.abs(self.theta(j, z + 1.0) - v) / scale
-            factor = np.exp(-1j * math.pi * tau * d - 2j * math.pi * d * z)
-            d2 = np.abs(self.theta(j, z + tau) - factor * v) / (
-                np.maximum(np.abs(factor), 1.0) * scale
-            )
-            worst = max(worst, float(np.max(d1)), float(np.max(d2)))
-        return worst
-
 
 # the largest scaled entry change between the two last torus Gram levels, and
 # the finest grid, nodes per period
@@ -568,7 +557,8 @@ def torus_bergman(
 # ---------------------------------------------------------------------------
 
 
-# the point and the five-point stencil step of curvature_coefficients
+# the point and the five-point stencil step of curvature_coefficients, where
+# x + iy stands for the point x + i y Im tau, as in _LAP_SAMPLES
 _CURVATURE_POINT = 0.31 + 0.23j
 _CURVATURE_STEP = 3e-4
 
@@ -577,7 +567,9 @@ def curvature_coefficients(green: ArakelovGreen, d: int) -> tuple[float, float]:
     """(a, b): curvature coefficients against the volume form of the Green
     weight ``2g`` and the degree-``d`` section weight, extracted by
     five-point finite differences of the implemented potentials at
-    ``_CURVATURE_POINT``.
+    ``_CURVATURE_POINT`` with step ``_CURVATURE_STEP * min(1, Im tau)``,
+    placed as :func:`laplacian_deviation` places its samples (a fixed point
+    and step would let the stencil error in ``a`` grow like ``Im tau h^2``).
 
     The coefficient of a weight ``phi`` is ``(Im tau / 4 pi) Lap_euclid
     phi``; for ``-2g`` it integrates to 1 (Green condition), for the
@@ -586,7 +578,8 @@ def curvature_coefficients(green: ArakelovGreen, d: int) -> tuple[float, float]:
     spec = green.spec
     basis = ThetaBasis(spec, d)
 
-    z, h = _CURVATURE_POINT, _CURVATURE_STEP
+    z = complex(_CURVATURE_POINT.real, _CURVATURE_POINT.imag * spec.tau2)
+    h = _CURVATURE_STEP * min(1.0, spec.tau2)
     factor = spec.tau2 / (4.0 * math.pi)
     a = -factor * _five_point_laplacian(lambda w: 2.0 * green(w), z, h)
     b = factor * _five_point_laplacian(lambda w: -np.log(basis.weight(w)), z, h)

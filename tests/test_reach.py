@@ -18,8 +18,9 @@ _PACKAGE = Path(bergreen.__file__).resolve().parent
 
 # the CI workflow's command steps, one argv each, without --no-cache/--outdir
 _CI_COMMANDS = [
-    # thin tori
+    # thin and tall tori
     "torus-check --taus 0.15j,0.12j,0.1j,0.2j,0.3j --ds 4",
+    "torus-check --taus 4j,6j,0.3+4j --ds 4",
     # closed-form kernels
     "extended-suita-check --domain disc --weight harmonicre:1.0",
     "extended-suita-check --domain annulus:0.2 --weight harmonicre:1.0",
@@ -57,15 +58,7 @@ _NOT_ENTERED = {
     "extension.CutoffFamily.v": "the tests check the anchoring v(t) = t",
     "extension.CutoffFamily.v_second": "the tests check v'' against v'",
     "extension.CutoffFamily.support": "the tests check the support of v''",
-    "fuchsian.canonical_generator": "the chain-rule oracle of fuchsian_sums (ROADMAP item 16)",
-    "fuchsian.CyclicGroup.__post_init__": "the chain-rule oracle of fuchsian_sums (ROADMAP item 16)",
-    "fuchsian.group_sums": "the chain-rule oracle of fuchsian_sums (ROADMAP item 16)",
-    "fuchsian.MoebiusMap.__post_init__": "the chain-rule oracle builds the group's maps",
-    "fuchsian.MoebiusMap.__call__": "the chain-rule oracle applies the group's maps",
-    "fuchsian.MoebiusMap.inverse": "the chain-rule oracle builds the group's inverses",
-    "fuchsian.MoebiusMap.trace": "the tests check that a generator is hyperbolic",
     "reports._strict_json": "writes a non-finite float, which no passing run holds",
-    "torus.ThetaBasis.quasi_periodicity_defect": "ungated; ROADMAP item 6 gates or deletes it",
 }
 
 

@@ -1,5 +1,5 @@
-"""Tests for Möbius maps, the closed-form squeezing lower bound, and the
-two-sided ratio sandwich."""
+"""Tests for the closed-form squeezing lower bound, its disc-automorphism
+oracle, and the two-sided ratio sandwich."""
 
 import cmath
 import math
@@ -13,81 +13,18 @@ from hypothesis import strategies as st
 from bergreen import squeezing
 from bergreen.domains import Annulus, Disc, Jordan
 from bergreen.errors import ParameterError
-from bergreen.fuchsian import MoebiusMap
 from bergreen.squeezing import boundary_trend_check, sandwich_check, squeeze_lower
 
-IDENTITY = MoebiusMap(1.0, 0.0, 0.0, 1.0)
 
-
-def normalizer(p: complex) -> MoebiusMap:
+def normalizer(p: complex):
     """Disc automorphism ``m_p(z) = (z - p) / (1 - conj(p) z)`` with
-    ``m_p(p) = 0``, in unit-determinant form: the oracle of the squeezing
-    bound and a map with complex coefficients."""
+    ``m_p(p) = 0``: the oracle of the squeezing bound."""
     p = complex(p)
-    s = math.sqrt(1.0 - abs(p) ** 2)
-    return MoebiusMap(1.0 / s, -p / s, -p.conjugate() / s, 1.0 / s)
-
-
-def _rotation(theta: float) -> MoebiusMap:
-    half = cmath.exp(0.5j * theta)
-    return MoebiusMap(half, 0.0, 0.0, 1.0 / half)
-
-
-def compose(m1: MoebiusMap, m2: MoebiusMap) -> MoebiusMap:
-    """Map applying ``m2`` first (matrix product m1 @ m2)."""
-    return MoebiusMap(
-        m1.alpha * m2.alpha + m1.beta * m2.gamma,
-        m1.alpha * m2.beta + m1.beta * m2.delta_coef,
-        m1.gamma * m2.alpha + m1.delta_coef * m2.gamma,
-        m1.gamma * m2.beta + m1.delta_coef * m2.delta_coef,
-    )
-
-
-def deriv(m: MoebiusMap, z):
-    """Complex derivative ``1 / (gamma z + delta_coef)^2`` of ``m``."""
-    z = np.asarray(z, dtype=complex)
-    out = 1.0 / (m.gamma * z + m.delta_coef) ** 2
-    return out if out.ndim else complex(out)
-
-
-class TestMoebiusMap:
-    def test_rejects_non_unit_determinant(self):
-        with pytest.raises(ParameterError):
-            MoebiusMap(1.0, 0.0, 0.0, 2.0)
-        with pytest.raises(ParameterError):
-            MoebiusMap(1.0, 0.5, 2.0, 1.0)
-
-    def test_identity(self):
-        zs = np.array([0.1, -0.5 + 0.2j, 0.9j])
-        assert np.allclose(IDENTITY(zs), zs, atol=1e-15)
-        assert np.allclose(deriv(IDENTITY, zs), 1.0, atol=1e-15)
-
-    def test_inverse_and_compose(self):
-        m = normalizer(0.3 - 0.4j)
-        zs = 0.7 * np.exp(1j * np.linspace(0, 2 * math.pi, 17))
-        assert np.max(np.abs(m.inverse()(m(zs)) - zs)) < 1e-14
-        ident = compose(m, m.inverse())
-        assert np.max(np.abs(ident(zs) - zs)) < 1e-14
-
-    def test_compose_applies_right_factor_first(self):
-        m1, m2 = normalizer(0.2), _rotation(1.3)
-        zs = np.array([0.1, 0.5j, -0.3 + 0.3j])
-        assert np.allclose(compose(m1, m2)(zs), m1(m2(zs)), atol=1e-14)
-
-    def test_derivative_matches_finite_differences(self):
-        m = normalizer(0.4 + 0.1j)
-        h = 1e-7
-        for z in (0.0, 0.2 + 0.3j, -0.6j):
-            fd = (m(z + h) - m(z - h)) / (2 * h)
-            assert abs(deriv(m, z) - fd) < 1e-6
-
-    def test_trace(self):
-        assert _rotation(0.0).trace == pytest.approx(2.0)
+    return lambda z: (z - p) / (1.0 - p.conjugate() * z)
 
 
 class TestNormalizer:
-    """The oracle ``m_p`` of the sampled-hole property below, which also
-    builds the complex maps of :class:`TestMoebiusMap`."""
+    """The oracle ``m_p`` of the sampled-hole property below."""
 
     def test_zero_point_is_identity(self):
         m = normalizer(0.0)
@@ -102,11 +39,6 @@ class TestNormalizer:
         ring = np.exp(1j * np.linspace(0, 2 * math.pi, 100, endpoint=False))
         for p in (0.5, 0.2 - 0.6j):
             assert np.max(np.abs(np.abs(normalizer(p)(ring)) - 1.0)) < 1e-12
-
-    def test_unit_determinant(self):
-        m = normalizer(0.3 + 0.4j)
-        det = m.alpha * m.delta_coef - m.beta * m.gamma
-        assert abs(det - 1.0) < 1e-15
 
 
 class TestSqueezeLower:

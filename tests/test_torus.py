@@ -11,6 +11,7 @@ Gaussian-integral closed form.
 """
 
 import cmath
+import json
 import math
 
 import mpmath
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergreen import bergman, torus
+from bergreen import bergman, cli, torus
 from bergreen.domains import gauss_legendre
 from bergreen.errors import AccuracyError, ParameterError, TruncationError
 from bergreen.torus import (
@@ -664,9 +665,18 @@ class TestThetaBasis:
 
     @pytest.mark.parametrize("tau,d", [(TAU_I, 4), (TAU_SKEW, 6)])
     def test_quasi_periodicity(self, tau, d):
+        # theta_j(z + 1) = theta_j(z) and theta_j(z + tau) = exp(-pi i tau d
+        # - 2 pi i d z) theta_j(z), relative to |theta_j(z)| (and to the
+        # factor's modulus where it exceeds 1)
         basis = ThetaBasis(TorusSpec(tau), d)
         zs = np.array([0.1 + 0.2j, 0.45 - 0.3j, -0.2 + 0.6j, 0.0])
-        assert basis.quasi_periodicity_defect(zs) < 1e-9
+        factor = np.exp(-1j * math.pi * tau * d - 2j * math.pi * d * zs)
+        for j in range(d):
+            v = basis.theta(j, zs)
+            scale = np.maximum(np.abs(v), 1e-300)
+            assert np.max(np.abs(basis.theta(j, zs + 1.0) - v) / scale) < 1e-9
+            shifted = np.abs(basis.theta(j, zs + tau) - factor * v)
+            assert np.max(shifted / (np.maximum(np.abs(factor), 1.0) * scale)) < 1e-9
 
     def test_weighted_modulus_doubly_periodic(self, spec_i):
         basis = ThetaBasis(spec_i, 4)
@@ -901,7 +911,8 @@ class TestCurvatureCoefficients:
         spec = TorusSpec(tau)
         green = arakelov_green(spec, normalization="meanzero")
         basis = ThetaBasis(spec, d)
-        z, h = torus._CURVATURE_POINT, torus._CURVATURE_STEP
+        z = complex(torus._CURVATURE_POINT.real, torus._CURVATURE_POINT.imag * spec.tau2)
+        h = torus._CURVATURE_STEP * min(1.0, spec.tau2)
         factor = spec.tau2 / (4.0 * math.pi)
         a_ref = -factor * _scalar_laplacian(lambda w: 2.0 * float(green(w)), z, h)
         b_ref = factor * _scalar_laplacian(
@@ -975,6 +986,28 @@ class TestArak1Check:
         assert 0.0 < q["midcell_deviation"] < 10.0 * math.exp(-math.pi * d * tau.imag / 2.0)
         assert abs(q["two_a_over_b"] - 2.0 / d) < 1e-6
         assert -1e-3 < q["maxzero_grid_sup"] <= 0.0
+
+    @pytest.mark.parametrize("tau", [4j, 6j, 0.3 + 4j])
+    def test_tall_tori_pass(self, tau):
+        # the curvature stencil scales with Im tau as the Laplacian samples
+        # do; at a fixed point and step these three missed the 1e-6 gate by
+        # 3e-8 to 5.5e-7
+        rec = arak1_check(TorusSpec(tau), 4)
+        assert rec.passed, rec.margins
+        assert abs(rec.quantities["two_a_over_b"] - 0.5) < 1e-7
+
+    def test_flat_maxzero_hessian_fails_cleanly(self, tmp_path, capsys):
+        # on the tall torus 10i, g is flat along Re z where the polish stops:
+        # its Newton solve meets a singular Hessian, and the guard names tau
+        # and prints plain floats
+        with pytest.raises(AccuracyError, match=r"tau = 10j .* g at least [-\d.e]+ \(half"):
+            arak1_check(TorusSpec(10j), 4)
+        argv = ["torus-check", "--taus", "10j", "--ds", "4", "--no-cache", "--outdir", str(tmp_path)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "LinAlgError" not in err
+        record = json.loads((tmp_path / "torus_check_report.json").read_text())["records"][0]
+        assert record["provenance"] == {"error_flag": "AccuracyError"}
 
     def test_one_residual_mass_per_record(self, spec_skew, monkeypatch):
         # the max-zero Green function enters through its constant alone
