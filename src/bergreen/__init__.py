@@ -6,8 +6,9 @@ Modules
 -------
 domains
     Planar domains (disc, annulus, Jordan via conformal coefficients),
-    Green-function evaluators (closed form, Laurent modes, Nyström),
-    Robin constants, and logarithmic capacities.
+    Green-function evaluators (the closed form on the disc, the closed
+    form through the prime function on the annulus, Nyström), Robin
+    constants, and logarithmic capacities.
 bergman
     Monomial/Laurent bases, harmonic weights, Gram matrices, reproducing
     kernel diagonals, least-norm extensions, and the capacity-vs-kernel

@@ -12,7 +12,7 @@ boundary.  The logarithmic capacity is ``c_beta(z) = exp(H(z, z))``.
 Two evaluation methods are provided:
 
 * ``auto``    -- routed by the domain's type: the closed form on a disc of
-  any radius, per-mode closed-form Laurent coefficients on an annulus, and
+  any radius, the prime-function closed form on an annulus, and
   ``nystrom`` on a Jordan domain;
 * ``nystrom`` -- smooth Jordan domains (and the annulus, with the
   standard one-log-source augmentation for the hole), via a double layer
@@ -63,7 +63,7 @@ __all__ = [
 _COINCIDENT_TOL = 1e-14
 # the Nystrom refinement tolerance (see GreenEvaluator._nystrom_remainder)
 _REFINE_TOL = 1e-7
-# the largest certified mode-series tail of a Laurent-mode value
+# the largest certified product tail of an annulus value (see _PRODUCT_TOL)
 _TAIL_TOL = 1e-9
 # kappa_2(A) <= kappa_F(A) = ||A||_F ||A^-1||_F (Higham, Accuracy and
 # Stability of Numerical Algorithms, ch. 6), so a Frobenius condition at or
@@ -111,8 +111,9 @@ class Annulus:
     """Annulus ``r_inner < |z| < 1``; the outer radius is fixed at 1.
 
     ``r_inner`` must be a normal float, at least ``sys.float_info.min``
-    (2.2e-308): below it ``1 / r_inner`` overflows and the Laurent route's
-    ``log(1 / r_inner)`` would turn infinite without raising.
+    (2.2e-308): below it the float holds fewer than 53 significant bits,
+    and the closed-form Bergman kernel divides by zero next to the inner
+    circle, where its ratio ``r^2 / |z|^2`` underflows.
     """
 
     r_inner: float
@@ -373,87 +374,75 @@ def _disc_robin(z: complex, radius: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Laurent modes: annulus
+# Prime function: annulus
 # ---------------------------------------------------------------------------
 
 
-def _annulus_tail_ratio(r: float, z: complex, w: complex) -> float:
-    az, aw = abs(z), abs(w)
-    return max(az * aw, r * r / (az * aw), r * r * az / aw, r * r * aw / az)
+# The prime function of r < |z| < 1 (Crowdy and Marshall, IMA J. Appl. Math.
+# 72, 2007) is P(w) = (1 - w) prod_{k>=1} (1 - q^k w)(1 - q^k / w), q = r^2.
+# Each value below sums the logs of K factors of four such products, and
+# every factor is 1 - x with |x| <= q^(k-1), so the factors after K sum in
+# |log| to at most sum_{k>K} 4 q^(k-1) / (1 - q) = 4 q^K / (1 - q)^2.  K is
+# the least count whose bound is below _PRODUCT_TOL, and at most _MAX_TERMS;
+# the bound itself is the certified tail that _TAIL_TOL gates.
+_PRODUCT_TOL = 1e-17
+_MAX_TERMS = 4_000_000
 
 
-def _annulus_modes_auto(q: float, tol: float, lo: int = 64, hi: int = 4_000_000) -> int:
-    """Smallest mode count with geometric tail ``q^N/(1-q)`` below ``tol``."""
-    if q <= 0.0:
-        return lo
-    n = math.log(max(tol, 1e-300) * (1.0 - q)) / math.log(q)
-    return int(min(max(lo, math.ceil(n) + 8), hi))
+def _prime_powers(r: float) -> tuple[np.ndarray, float]:
+    """``q^(k-1)`` for ``k = 1..K`` with ``q = r^2``, and the certified tail
+    ``4 q^K / (1 - q)^2`` of the ``K``-factor products.  Both come from
+    ``log q``, so ``q`` may underflow without a NaN."""
+    log_q = 2.0 * math.log(r)
+    one_minus_q = -math.expm1(log_q)
+    need = math.log(_PRODUCT_TOL * one_minus_q * one_minus_q / 4.0) / log_q
+    K = min(max(1, math.ceil(need)), _MAX_TERMS)
+    return np.exp(np.arange(K) * log_q), 4.0 * math.exp(K * log_q) / (one_minus_q * one_minus_q)
 
 
-def _annulus_remainder(
-    r: float, z: complex, w: complex, modes: int
-) -> tuple[float, float]:
-    """Harmonic remainder ``H(z, w)`` on ``A(r, 1)`` and a tail estimate.
+def _annulus_remainder(r: float, z: complex, w: complex, qk: np.ndarray) -> float:
+    """Harmonic remainder ``H(z, w)`` on ``A(r, 1)`` from the ``K`` factors
+    whose powers ``qk`` :func:`_prime_powers` gives.
 
-    ``H = d0 log|z| + sum_k Re[alpha_k z^k + beta_k z^{-k}]`` where the
-    coefficients solve the two-circle Dirichlet matching problem:
-
-        beta_k  = r^{2k} (conj(w)^{-k} - w^k) / (k (1 - r^{2k})),
-        alpha_k = conj(w)^k / k - conj(beta_k),
-        d0      = log|w| / log(1/r).
-
-    All mode terms are assembled from bases of modulus < 1 so the sum is
-    overflow-free for any admissible pair of points.
+    ``G(z, w) = log|P(z/w)| - log|P(z conj(w))| - log|w| log|z| / log r +
+    log|w|``: the factor ``1 - z/w`` of ``P(z/w)`` is ``log|z - w| -
+    log|w|``, and the rest is ``H``.  Each ``q^k x`` is formed as
+    ``q^(k-1)`` times a product of bases of modulus below 1, such as
+    ``q^k / (z conj(w)) = q^(k-1) (r/z)(r/conj(w))``, so no step overflows.
     """
-    d0 = math.log(abs(w)) / math.log(1.0 / r)
-    out = d0 * math.log(abs(z))
-
-    k = np.arange(1, modes + 1, dtype=float)
-    r2k = np.exp(k * (2.0 * math.log(r)))  # r^(2k), safe
-    denom = k * (1.0 - r2k)
-
     wb = w.conjugate()
-    B2 = r * r / wb  # |.| = r^2/|w| < 1
-    B3 = r * r * w  # |.| < r^2
-
-    # beta_k z^{-k} = ((B2/z)^k - (B3/z)^k) / denom
-    t_bz = (np.power(B2 / z, k) - np.power(B3 / z, k)) / denom
-    # conj(beta_k) z^k = ((conj(B2) z)^k - (conj(B3) z)^k) / denom
-    t_cbz = (np.power(B2.conjugate() * z, k) - np.power(B3.conjugate() * z, k)) / denom
-    # alpha_k z^k = (conj(w) z)^k / k - conj(beta_k) z^k
-    t_az = np.power(wb * z, k) / k - t_cbz
-
-    out += float(np.sum(t_az.real + t_bz.real))
-
-    q = _annulus_tail_ratio(r, z, w)
-    if q >= 1.0:
-        raise NonConvergenceError("mode series does not converge at these points")
-    tail = 3.0 * q ** (modes + 1) / ((1.0 - q) * (modes + 1) * (1.0 - r * r))
-    return out, tail
+    products = 0.0
+    for base, sign in (
+        ((r / w) * (r * z), 1.0),  # q^k z / w
+        ((r / z) * (r * w), 1.0),  # q^k w / z
+        ((r * z) * (r * wb), -1.0),  # q^k z conj(w)
+        ((r / z) * (r / wb), -1.0),  # q^k / (z conj(w))
+    ):
+        products += sign * float(np.sum(np.log(np.abs(1.0 - base * qk))))
+    harmonic = math.log(abs(w)) * math.log(abs(z)) / math.log(r)
+    return products - math.log(abs(1.0 - z * wb)) - harmonic
 
 
-def _annulus_robin(r: float, z: complex, modes: int | None = None) -> tuple[float, float]:
-    """Diagonal remainder ``H(z, z)`` on the annulus and a tail estimate.
+def _annulus_robin(r: float, z: complex, qk: np.ndarray) -> float:
+    """Diagonal remainder ``H(z, z)`` on the annulus from the ``K`` factors
+    whose powers ``qk`` :func:`_prime_powers` gives.
 
-    The pure-disc part sums to ``-log(1 - |z|^2)`` in closed form; the
-    remaining correction terms decay at least like ``max(r^2/|z|^2, r^2|z|^2,
-    r^2)^k`` and are summed adaptively.  Term ``k`` is at most
-    ``4 q^k / (k (1 - r^2))``, so the terms after ``n`` sum to at most
-    ``4 q^(n+1) / ((1 - q) (n + 1) (1 - r^2))``.
+    ``H(z, z) = 2 sum_k log(1 - q^k) - log P(|z|^2) - (log|z|)^2 / log r``.
+    The three factors of each ``k`` are taken as one, ``(1 - q^k)^2 / ((1 -
+    q^k |z|^2)(1 - q^k / |z|^2)) = 1 + q^k (1/|z| - |z|)^2 / (...)``, so the
+    sum holds no cancelling terms.  ``1 - |z|^2`` is formed as ``(1 - |z|)(1
+    + |z|)`` and ``1 - q / |z|^2`` as ``((|z| - r)/|z|)((|z| + r)/|z|)``,
+    which keep their relative accuracy next to the outer and the inner
+    circle, and ``q^k / |z|^2`` as ``q^(k-1) (r/|z|)^2``, which does not
+    underflow where ``q`` does.
     """
     s = abs(z)
-    s2 = s * s
-    q = max(r * r / s2, r * r * s2, r * r)
-    n = modes if modes is not None else _annulus_modes_auto(q, 1e-14)
-    k = np.arange(1, n + 1, dtype=float)
-    r2k = np.exp(k * (2.0 * math.log(r)))
-    corr = (
-        np.power(r * r / s2, k) - 2.0 * r2k + np.power(r * r * s2, k)
-    ) / (k * (1.0 - r2k))
-    lz = math.log(abs(z))
-    tail = 4.0 * q ** (n + 1) / ((1.0 - q) * (n + 1) * (1.0 - r * r))
-    # 1 - |z|^2 as a product, which stays accurate near the outer circle
-    return lz * lz / math.log(1.0 / r) - math.log((1.0 - s) * (1.0 + s)) + float(np.sum(corr)), tail
+    t = r / s
+    outer = (1.0 - s) * (1.0 + s)
+    inner = 1.0 - t * t * qk
+    inner[0] = ((s - r) / s) * ((s + r) / s)
+    ratio = t * t * qk * outer * outer / ((1.0 - (r * s) * (r * s) * qk) * inner)
+    return float(np.sum(np.log1p(ratio))) - math.log(outer) - math.log(s) ** 2 / math.log(r)
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +589,9 @@ GREEN_METHODS = ("auto", "nystrom")
 @dataclass
 class GreenEvaluator:
     """Uniform interface over the Green function methods: ``auto`` takes
-    the closed form on a disc, Laurent modes on an annulus and the Nystrom
-    method on a Jordan domain; ``nystrom`` takes the Nystrom method on
-    every domain.
+    the closed form on a disc, the prime-function closed form on an annulus
+    and the Nystrom method on a Jordan domain; ``nystrom`` takes the Nystrom
+    method on every domain.
 
     ``green(xi, z)`` and ``remainder(xi, z)`` evaluate ``G`` and
     ``H = G - log|xi - z|``; ``robin(z)`` returns the diagonal ``H(z, z)``
@@ -610,15 +599,15 @@ class GreenEvaluator:
 
     Every evaluation is guarded: a point outside the domain raises
     :class:`DomainError`, and so does, on the Nystrom method, a point
-    within ``1e-3 * diameter`` of the boundary.  A Laurent-mode value sums
-    as many modes as its geometric tail needs, and one whose certified tail
-    still exceeds ``_TAIL_TOL`` raises :class:`NonConvergenceError`.  The
-    Nystrom method reports the value on ``_QUAD_POINTS`` nodes per boundary
-    component and raises :class:`AccuracyError` unless the same problem on
-    half (or, failing that, twice) as many nodes certifies it; each witness
-    system is built on first use, the half one sliced from the reported
-    system.  The Nystrom systems are real and not symmetric; each value
-    solves for its pole's density afresh, by one partial-pivoting LU solve
+    within ``1e-3 * diameter`` of the boundary.  An annulus value whose
+    certified product tail (:func:`_prime_powers`) exceeds ``_TAIL_TOL``
+    raises :class:`NonConvergenceError`.  The Nystrom method reports the
+    value on ``_QUAD_POINTS`` nodes per boundary component and raises
+    :class:`AccuracyError` unless the same problem on half (or, failing
+    that, twice) as many nodes certifies it; each witness system is built
+    on first use, the half one sliced from the reported system.  The
+    Nystrom systems are real and not symmetric; each value solves for its
+    pole's density afresh, by one partial-pivoting LU solve
     (``numpy.linalg.solve``).  No factor or density is kept.
     The reported system must hold finite entries and have a 2-norm
     condition of at most 1e12, or :class:`SolverSingularError` is raised;
@@ -659,12 +648,9 @@ class GreenEvaluator:
             if self._solver is not None and dom.boundary_distance(p) <= 1e-3 * dom.diameter:
                 raise DomainError(f"point {p} is closer to the boundary than 1e-3 * diameter")
 
-    def _modes_for(self, z: complex, w: complex) -> int:
-        q = _annulus_tail_ratio(self.domain.r_inner, z, w)
-        return _annulus_modes_auto(q, _TAIL_TOL * 1e-2)
-
     @staticmethod
-    def _tail_gated(value_and_tail: tuple[float, float]) -> float:
+    def _tail_gated(value_and_tail: tuple):
+        """The value, once its certified tail is at most ``_TAIL_TOL``."""
         value, tail = value_and_tail
         if not tail <= _TAIL_TOL:
             raise NonConvergenceError(f"tail estimate {tail:.3e} exceeds {_TAIL_TOL:.3e}")
@@ -712,9 +698,8 @@ class GreenEvaluator:
             return self._nystrom_remainder(xi, z)
         if isinstance(self.domain, Disc):
             return _disc_remainder(xi, z, self.domain.radius)
-        return self._tail_gated(
-            _annulus_remainder(self.domain.r_inner, xi, z, self._modes_for(xi, z))
-        )
+        r = self.domain.r_inner
+        return _annulus_remainder(r, xi, z, self._tail_gated(_prime_powers(r)))
 
     def green(self, xi: complex, z: complex) -> float:
         _check_distinct(xi, z)
@@ -729,7 +714,8 @@ class GreenEvaluator:
             return self._nystrom_remainder(z, z)
         if isinstance(self.domain, Disc):
             return _disc_robin(z, self.domain.radius)
-        return self._tail_gated(_annulus_robin(self.domain.r_inner, z))
+        r = self.domain.r_inner
+        return _annulus_robin(r, z, self._tail_gated(_prime_powers(r)))
 
 
 def green_evaluator(domain: PlanarDomain, method: str = "auto") -> GreenEvaluator:

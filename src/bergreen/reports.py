@@ -164,13 +164,15 @@ _HASH_EXCLUDED = {"outdir", "cache"}
 
 
 def config_hash(config: dict) -> str:
-    """sha256 of the canonical JSON of the config, the package source and
-    the content of every ``jordan:<path>`` file the config references.
+    """sha256 of the canonical JSON of the config, the package source with
+    the numpy and BLAS it runs on, and the content of every
+    ``jordan:<path>`` file the config references.
 
     The output directory and the cache toggle never change results, so they
     are excluded: the hash identifies the computation, not its destination.
-    A code change or an edited coefficient file gives a new key, so the
-    cache never serves a record the current inputs would not produce.
+    A code change, a numpy or BLAS upgrade or an edited coefficient file
+    gives a new key, so the cache never serves a record the current inputs
+    would not produce.
     """
     core = {k: v for k, v in config.items() if k not in _HASH_EXCLUDED}
     canon = json.dumps(
@@ -183,8 +185,15 @@ def config_hash(config: dict) -> str:
 
 @functools.cache
 def _source_digest() -> str:
-    """sha256 over the package's ``.py`` files, computed once per process."""
-    h = hashlib.sha256()
+    """sha256 over the package's ``.py`` files and the name and version of
+    numpy and of its BLAS, which may move results by rounding, computed
+    once per process."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 names no BLAS here
+        blas = {}
+    stack = f"numpy {np.__version__}\0{blas.get('name')} {blas.get('version')}\0"
+    h = hashlib.sha256(stack.encode())
     here = os.path.dirname(os.path.abspath(__file__))
     for name in sorted(os.listdir(here)):
         if name.endswith(".py"):

@@ -658,12 +658,15 @@ def arak1_check(spec: TorusSpec, d: int) -> ReportRecord:
     green = arakelov_green(spec, "meanzero")
     lap_dev = laplacian_deviation(green)
     a, b = curvature_coefficients(green, d)
+    two_a_over_b = 2.0 * a / b
     cap_mean = torus_capacity(green)
     rhs_mean = cap_mean * cap_mean
     mass = residual_mass(green, t=_T_RESIDUAL)
+    mass_expected = 2.0 / rhs_mean
     green_max = arakelov_green(spec, "maxzero")
     cap_max = torus_capacity(green_max)
     rhs_max = cap_max * cap_max
+    margin_mean, margin_max = lhs - rhs_mean, lhs - rhs_max
     grid_sup = float(np.max(_green_grid(spec, 97))) + green_max.gamma
 
     quantities = {
@@ -677,25 +680,25 @@ def arak1_check(spec: TorusSpec, d: int) -> ReportRecord:
         "laplacian_deviation": lap_dev,
         "curvature_a": a,
         "curvature_b": b,
-        "two_a_over_b": 2.0 * a / b,
+        "two_a_over_b": two_a_over_b,
         "capacity_meanzero": cap_mean,
         "rhs_meanzero": rhs_mean,
-        "margin_meanzero": lhs - rhs_mean,
+        "margin_meanzero": margin_mean,
         "residual_mass_meanzero": mass,
-        "residual_expected_meanzero": 2.0 / rhs_mean,
+        "residual_expected_meanzero": mass_expected,
         "capacity_maxzero": cap_max,
         "rhs_maxzero": rhs_max,
-        "margin_maxzero": lhs - rhs_max,
+        "margin_maxzero": margin_max,
         "maxzero_grid_sup": grid_sup,
         "t_residual": _T_RESIDUAL,
     }
     gated = {  # name: (margin, tolerance)
         "diag_constancy": (-diag_spread, _DIAG_TOL),
         "laplacian": (-lap_dev, _LAP_TOL),
-        "curvature_ratio": (-abs(2.0 * a / b - 2.0 / d), _AB_TOL),
-        "inequality_meanzero": (lhs - rhs_mean, _MARGIN_TOL),
-        "residual_mass_meanzero": (-abs(mass - 2.0 / rhs_mean), _RESIDUAL_TOL),
-        "inequality_maxzero": (lhs - rhs_max, _MARGIN_TOL),
+        "curvature_ratio": (-abs(two_a_over_b - 2.0 / d), _AB_TOL),
+        "inequality_meanzero": (margin_mean, _MARGIN_TOL),
+        "residual_mass_meanzero": (-abs(mass - mass_expected), _RESIDUAL_TOL),
+        "inequality_maxzero": (margin_max, _MARGIN_TOL),
         "maxzero_sup": (-grid_sup, _MARGIN_TOL),
     }
     from_kernel = ("lhs", "kernel_diag", "diag_spread", "gram_condition")

@@ -1,5 +1,7 @@
 """Reference computations that the tests hold the library against."""
 
+import math
+
 import numpy as np
 
 
@@ -22,3 +24,49 @@ def chain_rule_orbit(c: float, N: int) -> tuple[np.ndarray, np.ndarray]:
             z, dz = (z + s) / q, (1.0 - s * s) / (q * q) * dz
             points[N + sign * n], derivs[N + sign * n] = z, dz
     return points, derivs
+
+
+def laurent_remainder(r: float, z: complex, w: complex, modes: int) -> float:
+    """``H(z, w)`` on ``r < |z| < 1`` from the first ``modes`` Laurent modes:
+    the oracle of the annulus prime-function route in ``domains``.
+
+    ``H = d0 log|z| + sum_k Re[alpha_k z^k + beta_k z^{-k}]``, where the
+    coefficients solve the two-circle Dirichlet matching problem:
+
+        beta_k  = r^{2k} (conj(w)^{-k} - w^k) / (k (1 - r^{2k})),
+        alpha_k = conj(w)^k / k - conj(beta_k),
+        d0      = log|w| / log(1/r).
+
+    Every power is of a base of modulus below 1.  The series converges with
+    ratio ``max(|z||w|, r^2/(|z||w|), r^2|z|/|w|, r^2|w|/|z|)``, and nothing
+    here sizes ``modes`` to it.
+    """
+    out = math.log(abs(w)) / math.log(1.0 / r) * math.log(abs(z))
+    k = np.arange(1, modes + 1, dtype=float)
+    r2k = np.exp(k * (2.0 * math.log(r)))
+    denom = k * (1.0 - r2k)
+    wb = w.conjugate()
+    B2 = r * r / wb  # |.| = r^2/|w| < 1
+    B3 = r * r * w  # |.| < r^2
+    # beta_k z^{-k} = ((B2/z)^k - (B3/z)^k) / denom
+    t_bz = (np.power(B2 / z, k) - np.power(B3 / z, k)) / denom
+    # conj(beta_k) z^k = ((conj(B2) z)^k - (conj(B3) z)^k) / denom
+    t_cbz = (np.power(B2.conjugate() * z, k) - np.power(B3.conjugate() * z, k)) / denom
+    # alpha_k z^k = (conj(w) z)^k / k - conj(beta_k) z^k
+    t_az = np.power(wb * z, k) / k - t_cbz
+    return out + float(np.sum(t_az.real + t_bz.real))
+
+
+def laurent_robin(r: float, z: complex, modes: int) -> float:
+    """``H(z, z)`` on the annulus from the first ``modes`` Laurent modes.
+
+    The pure-disc part sums to ``-log(1 - |z|^2)`` in closed form, and mode
+    ``k`` of the rest is ``((r^2/|z|^2)^k - 2 r^{2k} + (r^2|z|^2)^k) / (k (1
+    - r^{2k}))``, which converges with ratio ``max(r^2/|z|^2, r^2|z|^2)``.
+    """
+    s = abs(z)
+    k = np.arange(1, modes + 1, dtype=float)
+    r2k = np.exp(k * (2.0 * math.log(r)))
+    corr = (np.power(r * r / (s * s), k) - 2.0 * r2k + np.power(r * r * s * s, k)) / (k * (1.0 - r2k))
+    lz = math.log(s)
+    return lz * lz / math.log(1.0 / r) - math.log((1.0 - s) * (1.0 + s)) + float(np.sum(corr))

@@ -899,6 +899,21 @@ class TestSuitaRatio:
                 assert 0.0 < s.quantities["ratio"] <= 1.0 + 1e-6
                 assert s.passed
 
+    @pytest.mark.parametrize("z", [0.5, 0.25 + 0.3j, 0.7j, 0.45 + 0.2j, -0.6 + 0.1j])
+    def test_curvature_identity_ties_the_closed_forms(self, z):
+        # Suita: Delta log c_beta = 4 pi K on the annulus, the Laplacian of
+        # the prime-function capacity by the Richardson 5-point stencil
+        # (4 L(h) - L(2h)) / 3 against the Lambert-series kernel
+        robin = green_evaluator(ANN).robin
+
+        def lap(h):
+            ring = sum(robin(z + h * u) for u in (1, -1, 1j, -1j))
+            return (ring - 4.0 * robin(z)) / (h * h)
+
+        h = 2e-3
+        kernel = bergman._closed_form_kernel(ANN, Unweighted(), z).value
+        assert abs((4.0 * lap(h) - lap(2.0 * h)) / 3.0 / (4.0 * math.pi * kernel) - 1.0) <= 1e-7
+
     def test_structure(self):
         s = suita_ratio(ANN, 0.5)
         assert s.primary == "ratio"

@@ -391,7 +391,8 @@ class TestResolveConfig:
              "t_grid: grid points must be finite"),
             (["ode-check", "--deltas", "1", "--t-grid", "lin:0:10:5"],
              "t_grid: ode_residual requires t > 0"),
-            # a subnormal inner radius would make the Laurent capacity 1.0
+            # a subnormal inner radius holds fewer than 53 significant bits,
+            # and the closed-form kernel divides by zero next to it
             *[
                 ([command, "--domain", f"annulus:{r}", point, "1e-155"],
                  f"'annulus:{r}': annulus requires sys.float_info.min (2.2e-308) <= r_inner < 1")
@@ -965,6 +966,21 @@ class TestReportHelpers:
     def test_strict_json_spells_non_finite_floats(self):
         out = reports._strict_json({"a": [math.nan, -math.inf, 1.5], "b": (math.inf, "x")})
         assert out == {"a": ["nan", "-inf", 1.5], "b": ["inf", "x"]}
+
+    def test_config_hash_sees_numpy_and_blas(self, monkeypatch):
+        # the digest is taken once per process; the uncached one sees the
+        # patched stack, and the cache never holds it
+        config = {"command": "capacity", "z": "0.3"}
+        before = config_hash(config)
+        monkeypatch.setattr(reports, "_source_digest", reports._source_digest.__wrapped__)
+        assert config_hash(config) == before
+        monkeypatch.setattr(np, "__version__", "0.0.0")
+        assert config_hash(config) != before
+        monkeypatch.undo()
+        monkeypatch.setattr(reports, "_source_digest", reports._source_digest.__wrapped__)
+        blas = {"Build Dependencies": {"blas": {"name": "openblas", "version": "0.0"}}}
+        monkeypatch.setattr(np, "show_config", lambda mode: blas)
+        assert config_hash(config) != before
 
     def test_config_hash_sees_everything_else(self):
         a = {"command": "suita-check", "points": 8}

@@ -4,9 +4,11 @@ import cmath
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import laurent_remainder, laurent_robin
 
 from bergreen import domains
 from bergreen.domains import (
@@ -82,7 +84,7 @@ class TestGreenDisc:
 
 
 # ---------------------------------------------------------------------------
-# Laurent modes on the annulus
+# The prime-function closed form on the annulus
 # ---------------------------------------------------------------------------
 
 
@@ -127,10 +129,51 @@ class TestGreenAnnulus:
         )
 
     def test_mode_refinement_stability(self):
+        # the Laurent oracle is settled at 128 modes, and the closed form
+        # agrees with it
         z, w = math.sqrt(0.2) * cmath.exp(0.9j), 0.55 - 0.2j
-        h1, _ = domains._annulus_remainder(0.2, z, w, 128)
-        h2, _ = domains._annulus_remainder(0.2, z, w, 256)
+        h1 = laurent_remainder(0.2, z, w, 128)
+        h2 = laurent_remainder(0.2, z, w, 256)
         assert abs(h1 - h2) < 1e-12
+        assert abs(green_evaluator(self.ann).remainder(z, w) - h2) < 1e-14
+
+    @pytest.mark.parametrize("r", [0.2, 0.04])
+    def test_matches_the_laurent_oracle(self, r):
+        # 200 seeded pairs in the middle 90 % of the annulus, where the
+        # oracle's ratio is at most 0.96^2 and 2000 modes leave no tail
+        ann = Annulus(r)
+        ev = green_evaluator(ann)
+        pts = sample_interior(ann, 400, seed=36, margin=0.05)
+        worst = max(
+            abs(ev.remainder(z, w) - laurent_remainder(r, z, w, 2000))
+            for z, w in zip(pts[::2], pts[1::2])
+        )
+        assert worst <= 1e-14
+
+    def test_term_count_depends_on_r_alone(self):
+        # 4 q^K / (1 - q)^2 below 1e-17: 13 factors at r = 0.2 and 7 at
+        # 0.04, whatever the point; one factor once q underflows
+        for r, count in [(0.2, 13), (0.04, 7), (0.9, 209), (1e-80, 1), (3e-308, 1)]:
+            qk, tail = domains._prime_powers(r)
+            assert qk.size == count
+            assert tail <= domains._PRODUCT_TOL
+            assert qk[0] == 1.0 and np.all(np.isfinite(qk))
+
+    @pytest.mark.parametrize("z", [0.2000001, 0.2 + 1e-9, -0.2000001j, 0.99999999])
+    def test_points_next_to_either_circle(self, z):
+        # the products take the same 13 factors next to a circle as anywhere
+        ev = green_evaluator(self.ann)
+        assert math.isfinite(ev.robin(z))
+        assert abs(ev.green(z, 0.5 + 0.1j)) < 1e-6
+
+    def test_harmonic_measure_term(self):
+        # without -log|w| log|z| / log r, g is a nonzero constant on the
+        # inner circle, and the Robin constant misses (log|z|)^2 / log r
+        ev = green_evaluator(self.ann)
+        for w in (0.5 + 0.1j, 0.9j, -0.25):
+            for z in (0.2 * (1.0 + 1e-12) * cmath.exp(1j * t) for t in (0.3, 2.0, 4.5)):
+                assert abs(ev.green(z, w)) < 1e-10
+            assert abs(ev.robin(w) - laurent_robin(0.2, w, 4000)) < 1e-13
 
     def test_harmonicity_off_pole(self):
         # five-point Laplacian of G(., w) away from the pole vanishes
@@ -150,8 +193,9 @@ class TestGreenAnnulus:
             green_evaluator(self.ann).green(0.5, 0.5)
 
     def test_non_convergence_error(self, monkeypatch):
-        # 64 modes leave a tail far above the gate this close to both circles
-        monkeypatch.setattr(domains, "_annulus_modes_auto", lambda q, tol: 64)
+        # r = 0.9 needs 209 factors; capped at 64 they leave a certified
+        # tail of 1.6e-4, far above the gate
+        monkeypatch.setattr(domains, "_MAX_TERMS", 64)
         tight = Annulus(0.9)
         z = 0.901 * cmath.exp(0.3j)
         w = 0.901 * cmath.exp(0.31j)
@@ -218,8 +262,8 @@ def test_halved_system_is_the_assembled_half(domain, n):
 
 @pytest.mark.parametrize("n", PARTIAL_BLOCK_NODE_COUNTS + [256])
 def test_annulus_nystrom_at_any_node_count(n, monkeypatch):
-    # the Nystrom remainder against the Laurent-mode series, at node counts
-    # whose assembly (or n/2 witness) ends in a partial row block
+    # the Nystrom remainder against the prime-function closed form, at node
+    # counts whose assembly (or n/2 witness) ends in a partial row block
     ann = Annulus(0.2)
     ref = green_evaluator(ann).remainder(0.5, -0.3j)
     monkeypatch.setattr(domains, "_QUAD_POINTS", n)
@@ -301,10 +345,13 @@ class TestCapacity:
             assert capacity(ev, z) == pytest.approx(1.0 / (1.0 - abs(z) ** 2), abs=1e-7)
 
     def test_annulus_capacity_stability(self):
+        # the Laurent oracle is settled at 128 modes, and the closed form
+        # agrees with it
         z = math.sqrt(0.2) * cmath.exp(0.9j)
-        h1, _ = domains._annulus_robin(0.2, z, 128)
-        h2, _ = domains._annulus_robin(0.2, z, 256)
-        assert abs(math.exp(h1) - math.exp(h2)) < 1e-7
+        h1 = laurent_robin(0.2, z, 128)
+        h2 = laurent_robin(0.2, z, 256)
+        assert abs(math.exp(h1) - math.exp(h2)) < 1e-12
+        assert capacity(Annulus(0.2), z) == pytest.approx(math.exp(h2), rel=1e-14)
 
     def test_annulus_capacity_nystrom_cross_method(self):
         z = math.sqrt(0.2) * cmath.exp(0.9j)
@@ -313,12 +360,62 @@ class TestCapacity:
         assert capacity(ev, z) == pytest.approx(direct, abs=1e-7)
 
     def test_truncated_mode_sum_raises(self, monkeypatch):
-        # two modes leave a certified tail of about 0.2 at z = 0.3, and the
-        # sum is 4.4 % below the certified capacity
+        # two factors leave a certified tail of 4 q^2 / (1 - q)^2 = 6.9e-3
         assert capacity(Annulus(0.2), 0.3) == pytest.approx(4.573181024599501, rel=1e-12)
-        monkeypatch.setattr(domains, "_annulus_modes_auto", lambda q, tol: 2)
-        with pytest.raises(NonConvergenceError, match="tail estimate"):
+        monkeypatch.setattr(domains, "_MAX_TERMS", 2)
+        with pytest.raises(NonConvergenceError, match="tail estimate 6.944e-03"):
             capacity(Annulus(0.2), 0.3)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.floats(min_value=1e-6, max_value=0.95),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    )
+    def test_reflection_through_the_middle_circle(self, r, u, t):
+        # z -> r / conj(z) maps the annulus onto itself, so
+        # c(z) = c(r / conj(z)) r / |z|^2; rounding p moves H by about
+        # eps |p| / distance(p)
+        z = cmath.exp(complex(u * math.log(r), t))
+        image = r / z.conjugate()
+        ann = Annulus(r)
+        if not (ann.contains(z) and ann.contains(image)):
+            return
+        ev = green_evaluator(ann)
+        lhs = ev.robin(z)
+        rhs = ev.robin(image) + math.log(r) - 2.0 * math.log(abs(z))
+        rounding = 4.0 * sys.float_info.epsilon * max(
+            abs(p) / ann.boundary_distance(p) for p in (z, image)
+        )
+        assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs)) + rounding
+
+
+def _mp_robin(r: float, z: complex) -> float:
+    """``H(z, z)`` from the product form of the prime function in 40-digit
+    mpmath, with every factor whose ``|x|`` is above ``1e-45``."""
+    with mpmath.workdps(40):
+        R, s = mpmath.mpf(r), abs(mpmath.mpc(z))
+        q, x = R * R, s * s
+        total = -mpmath.log(1 - x) - mpmath.log(s) ** 2 / mpmath.log(R)
+        k = 1
+        while k == 1 or q ** (k - 1) > mpmath.mpf(10) ** -45:
+            qk = q**k
+            total += 2 * mpmath.log(1 - qk) - mpmath.log(1 - qk * x) - mpmath.log(1 - qk / x)
+            k += 1
+        return float(total)
+
+
+@pytest.mark.parametrize("r", [0.2, 0.04, 0.5, 0.9, 1e-80, 1e-154, 3e-308])
+def test_annulus_capacity_matches_mpmath(r):
+    # log c_beta to 1e-15 relative, from the middle of the annulus to within
+    # 1e-9 of either circle, down to an r whose q = r^2 underflows; at
+    # r (1 + 1e-9) on annulus:0.2, 1 - r^2/|z|^2 formed as (1 - r/|z|)(1 +
+    # r/|z|) put H 1e-9 off
+    ev = green_evaluator(Annulus(r))
+    for z in [math.sqrt(r), 1.01 * r, (1.0 + r) / 2.0, 1.0 - 1e-3, r * (1.0 + 1e-7),
+              r * (1.0 + 1e-9), 1.0 - 1e-9]:
+        ref = _mp_robin(r, z)
+        assert abs(ev.robin(z) - ref) <= 1e-15 * abs(ref), z
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +547,8 @@ class TestEvaluatorGuards:
             GreenEvaluator(domain, method)
 
     def test_direct_construction_routes_auto_by_the_domain(self):
-        # auto takes the closed form on a disc, Laurent modes on an annulus
-        # and the Nystrom method on a Jordan domain
+        # auto takes the closed form on a disc, the prime-function closed
+        # form on an annulus and the Nystrom method on a Jordan domain
         xi, z = 0.3, -0.35j
         disc = GreenEvaluator(Disc(0.5), "auto")
         assert disc.remainder(xi, z) == domains._disc_remainder(xi, z, 0.5)
@@ -632,8 +729,9 @@ class TestJordan:
 
     @pytest.mark.parametrize("r", [1e-310, 5e-324, math.nan])
     def test_subnormal_annulus_rejected(self, r):
-        # below the smallest normal float 1/r overflows, and the Laurent
-        # route's log(1/r) turns infinite without raising
+        # below the smallest normal float r holds fewer than 53 significant
+        # bits, and the closed-form kernel divides by zero next to the inner
+        # circle
         with pytest.raises(DomainError, match="a normal float"):
             Annulus(r)
 
@@ -750,7 +848,7 @@ def test_separation_on_planted_pairs(j, dist, separated, angle):
     [
         # each id names the route the method takes on its domain
         pytest.param(Disc(), "auto", id="domain0-closed_form"),
-        pytest.param(Annulus(0.2), "auto", id="domain1-laurent_modes"),
+        pytest.param(Annulus(0.2), "auto", id="domain1-prime_function"),
         (Jordan.ellipse(1.2, 0.9), "nystrom"),
     ],
 )

@@ -38,6 +38,11 @@ _CI_COMMANDS = [
     "bergman --domain disc:0.5 --weight maxpiece:1:0.3 --z 0.2",
     "squeeze-check --domain disc:0.5",
     "squeeze-check --domain annulus:0.2 --ps 0.99999,-0.99999j --no-trend",
+    "capacity --domain annulus:0.2 --z 0.2000001",
+    "green --domain annulus:0.2 --xi 0.2000001 --z 0.2000001j",
+    "suita-check --domain annulus:0.2 --zs 0.2000001,0.99999j",
+    "squeeze-check --domain annulus:0.2 --ps 0.2000001,-0.2000001j --no-trend",
+    "capacity --domain annulus:2.2e-86 --z 2.2000001e-86",
 ]
 
 # paths that neither all nor CI takes

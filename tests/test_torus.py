@@ -987,6 +987,25 @@ class TestArak1Check:
         assert abs(q["two_a_over_b"] - 2.0 / d) < 1e-6
         assert -1e-3 < q["maxzero_grid_sup"] <= 0.0
 
+    def test_margins_gate_the_reported_values(self):
+        # each margin is formed from the quantities the record reports, bit
+        # for bit, so a wrong reported value cannot pass its gate
+        d = 4
+        rec = arak1_check(TorusSpec(TAU_SKEW), d)
+        q, m = rec.quantities, rec.margins
+        expected = {
+            "diag_constancy": -q["diag_spread"],
+            "laplacian": -q["laplacian_deviation"],
+            "curvature_ratio": -abs(q["two_a_over_b"] - 2.0 / d),
+            "inequality_meanzero": q["margin_meanzero"],
+            "residual_mass_meanzero": -abs(
+                q["residual_mass_meanzero"] - q["residual_expected_meanzero"]
+            ),
+            "inequality_maxzero": q["margin_maxzero"],
+            "maxzero_sup": -q["maxzero_grid_sup"],
+        }
+        assert {k: v.hex() for k, v in m.items()} == {k: v.hex() for k, v in expected.items()}
+
     @pytest.mark.parametrize("tau", [4j, 6j, 0.3 + 4j])
     def test_tall_tori_pass(self, tau):
         # the curvature stencil scales with Im tau as the Laplacian samples
