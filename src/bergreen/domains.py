@@ -761,8 +761,7 @@ def capacity_record(domain: PlanarDomain, z: complex) -> ReportRecord:
 
 
 # ---------------------------------------------------------------------------
-# Quadrature nodes and refinement (shared by the Gram, shell and torus
-# integrals)
+# Quadrature nodes and refinement (shared by the shell and torus integrals)
 # ---------------------------------------------------------------------------
 
 

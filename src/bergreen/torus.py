@@ -20,7 +20,8 @@ Conventions (pinned by internal-consistency checks, see README):
 * Degree-``d`` sections are modeled by theta functions with
   characteristics ``j/d`` and the translation-invariant Gaussian weight
   ``exp(-2 pi d (Im z)^2 / Im tau)``; the weighted squared modulus is
-  doubly periodic, so fundamental-domain quadrature applies verbatim.
+  doubly periodic, and the sections are orthogonal with one norm in closed
+  form (:func:`torus_gram`).
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bergman import KernelEstimate, _dense_kernel_value, _jacobi_scaled, _normalized_condition
-from .domains import refine
 from .errors import AccuracyError, ParameterError, TruncationError
 from .extension import residual_measure
 from .reports import ReportRecord, make_record
@@ -439,117 +438,71 @@ class ThetaBasis:
         out = np.exp(expo + 2j * math.pi * d * np.multiply.outer(z, nu)).sum(axis=-1)
         return out if out.ndim else complex(out)
 
-    def theta_grid(self, n: int) -> np.ndarray:
-        """``theta_j`` for every ``j`` on the product grid ``a/n + (b/n) tau``
-        (``0 <= a, b < n``): shape ``(d, n*n)``, columns ``a``-major, as
-        :meth:`theta` gives them term by term.
-
-        A series term factors as ``U[a, nu] W[b, nu]`` with the unimodular
-        ``U = exp(2 pi i d nu a/n)`` and ``W = exp(pi i tau d nu^2 +
-        2 pi i d nu tau b/n)``, so row ``j`` is the product ``U_j W_j^T``.
-        ``d nu`` is an integer, so ``U`` takes its phase reduced mod ``n``
-        exactly, as an entry of the table of the ``n`` roots of unity (the
-        bits of the exponential taken entrywise).  The Gaussian factor stays in ``W``, where ``|W|`` is the
-        modulus of the series term, at most ``exp(pi d Im tau)``; split off,
-        ``exp(2 pi i d nu tau b/n)`` alone grows like ``exp(2 pi d N Im tau)``
-        and overflows (``d = 10``, ``tau = i``).
-        """
-        tau, d = self.spec.tau, self.d
-        N = self._n_range
-        dnu = d * np.arange(-N, N + 1) + np.arange(d)[:, None]  # (d, 2N+1)
-        nu = dnu / d
-        idx = np.arange(n)
-        U = np.exp(2j * math.pi / n * idx)[np.multiply.outer(dnu, idx) % n]  # (d, 2N+1, n)
-        expo = 1j * math.pi * tau * d * nu**2
-        W = np.exp(expo[:, :, None] + 2j * math.pi * d * np.multiply.outer(nu, idx / n * tau))
-        return (np.swapaxes(U, 1, 2) @ W).reshape(d, n * n)
-
     def weight(self, z):
         z = np.asarray(z, dtype=complex)
         out = np.exp(-2.0 * math.pi * self.d * z.imag**2 / self.spec.tau2)
         return out if out.ndim else float(out)
 
 
-# the largest scaled entry change between the two last torus Gram levels, and
-# the finest grid, nodes per period
-_GRAM_TOL = 1e-9
-_GRAM_CAP = 256
+def torus_gram(basis: ThetaBasis) -> float:
+    """Squared norm ``1 / sqrt(2 d Im tau)`` of each weighted theta section
+    against the unit volume form; the sections are orthogonal, so this
+    times the identity is their Gram matrix (D. Mumford, *Tata Lectures on
+    Theta I*, 1983).
 
-
-def torus_gram(basis: ThetaBasis) -> tuple[np.ndarray, float]:
-    """(Gram matrix, doubling residual) of the weighted theta sections over
-    the fundamental domain against the unit volume form.
-
-    The integrand is smooth and doubly periodic, so the uniform product
-    grid (trapezoid in both periods) converges spectrally.  On that grid a
-    theta term factors into a table over the real period and a table over
-    the ``tau`` period (:meth:`ThetaBasis.theta_grid`), so the ``d`` rows
-    on ``n^2`` points take one batched ``(n, 2N+1) @ (2N+1, n)`` product
-    instead of an ``exp`` per point and term; the Gaussian factor
-    ``exp(pi i tau d nu^2)`` rides with the ``tau``-direction table, which
-    it keeps bounded.
-
-    ``_GRAM_CAP`` is the finest grid: the grid starts from the smallest
-    power of two that covers the basis band ``2N + 1`` (or ``_GRAM_CAP //
-    2`` if that is smaller), so a coarse pair cannot agree by aliasing, and
-    doubles through :func:`domains.refine` until entries move by at most
-    ``_GRAM_TOL`` relative to the diagonal scale; reaching the cap without
-    agreement, or a NaN change, raises :class:`AccuracyError`.
+    Over ``0 < Re z < 1``, ``theta_j conj(theta_k)`` keeps only its terms
+    ``nu = mu`` (so ``j = k``), and the weighted modulus of term ``nu`` is
+    ``exp(-2 pi d (Im z + nu Im tau)^2 / Im tau)``: the sum over ``nu``
+    unfolds the integral over ``0 < Im z < Im tau`` into a Gaussian integral
+    over the line.  The tests hold it against the trapezoid quadrature of
+    the Gram (``tests/oracles.py::theta_gram``).
     """
-    band = 2 * basis._n_range + 1
-    start = min(1 << (band - 1).bit_length(), _GRAM_CAP // 2)
-    doublings = (_GRAM_CAP // start).bit_length() - 1
-
-    def compute(n: int) -> np.ndarray:
-        theta_rows = basis.theta_grid(n)
-        # the weight at a/n + (b/n) tau depends on b alone; columns a-major
-        w = np.tile(basis.weight(np.arange(n) / n * basis.spec.tau), n)
-        G = (theta_rows * w) @ theta_rows.conj().T / (n * n)
-        return 0.5 * (G + G.conj().T)
-
-    def change(fine: np.ndarray, coarse: np.ndarray) -> float:
-        scale = float(np.max(np.abs(np.diag(fine)).real))
-        return float(np.max(np.abs(fine - coarse))) / scale
-
-    return refine(lambda k: compute(start << k), change, _GRAM_TOL, doublings)
+    return 1.0 / math.sqrt(2.0 * basis.d * basis.spec.tau2)
 
 
-def _scaled_gram(gram: tuple[np.ndarray, float]) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """``(corr, scale, condition, residual)`` of a :func:`torus_gram` result
-    ``(G, residual)``: the Jacobi scaling of ``G`` (``bergman._jacobi_scaled``)
-    and its condition (``bergman._normalized_condition``), formed once for
-    every base point :func:`torus_bergman` takes on that Gram."""
-    G, resid = gram
-    corr, scale = _jacobi_scaled(G)
-    return corr, scale, _normalized_condition(corr), resid
+def torus_bergman(spec: TorusSpec, d: int, ps) -> np.ndarray:
+    """Weighted kernel diagonal ``K = weight sum_j |theta_j|^2 /``
+    :func:`torus_gram` of the degree-``d`` section space at the points
+    ``ps``, shaped as ``ps``.
 
-
-def torus_bergman(
-    spec: TorusSpec, d: int, p: complex, scaled: tuple[np.ndarray, np.ndarray, float, float]
-) -> KernelEstimate:
-    """Weighted kernel diagonal of the degree-``d`` section space at ``p``:
-    ``weight(p) * b^H G^{-1} b`` with ``b_j = theta_j(p)``.
-
-    The diagonal is exactly invariant under translating ``p`` by the
-    refined lattice ``(Z + tau Z) / d`` (the translations that fix the
-    section space as a metrized bundle); between those points it varies
-    by ``O(exp(-pi d Im tau / 2))`` — exponentially small in the degree
-    but far above machine precision at small ``d``.
-
-    ``scaled`` is :func:`_scaled_gram` of the :func:`torus_gram` on the
-    same basis; each call takes one solve with its scaled matrix and reads
-    the condition and residual as they are.
+    K is invariant under the division lattice ``(Z + tau Z) / d`` (the
+    translations that fix the section space as a metrized bundle), and its
+    torus mean is ``d``, the dimension of the section space.  Between
+    division points it varies: on rectangular tori the mid-cell deviation
+    depends on ``s = d min(Im tau, 1/Im tau)`` alone, and reads 1.8 to 8
+    times ``exp(-pi s / 2)`` from 0.1i to 10i at ``d`` in {4, 6, 8} (0.5858
+    at ``s = 1``); non-rectangular moduli were not measured.
     """
     basis = ThetaBasis(spec, d)
-    corr, scale, condition, resid = scaled
-    b = np.array([basis.theta(j, p) for j in range(d)])
-    value = float(basis.weight(p)) * _dense_kernel_value(corr, scale, b)
-    return KernelEstimate(
-        value=value,
-        basis_size=d,
-        gram_condition=condition,
-        truncation_error_estimate=resid,
-    )
+    ps = np.asarray(ps, dtype=complex)
+    squares = sum(np.abs(basis.theta(j, ps)) ** 2 for j in range(d))
+    return basis.weight(ps) * squares / torus_gram(basis)
+
+
+# the aliasing bound of the kernel-mean trapezoid, relative to d: rounding
+_MEAN_ALIAS = float(np.finfo(float).eps)
+
+
+def _kernel_samples(spec: TorusSpec, d: int) -> tuple[np.ndarray, float]:
+    """(K at the origin, at its translates ``1/d`` and ``(1 + tau)/d`` and
+    at the mid-cell point ``(1 + tau)/(2d)``; the torus mean of K), from one
+    :func:`torus_bergman` call.
+
+    K is invariant under the division lattice, so its torus mean is its
+    mean over one division cell, taken by the trapezoid on the nodes ``(a +
+    b tau) / (m d)``, ``0 <= a, b < m``.  The rule misses only the Fourier
+    modes of K whose indices are multiples of ``m``; a leading pair of them
+    is at most ``2 exp(-pi d m^2 min(Im tau, 1/Im tau) / 2)`` relative to
+    ``d``, and ``m`` is the smallest count that puts that below
+    ``_MEAN_ALIAS``.
+    """
+    s = min(spec.tau2, 1.0 / spec.tau2)
+    m = math.ceil(math.sqrt(2.0 * math.log(2.0 / _MEAN_ALIAS) / (math.pi * d * s)))
+    a = np.arange(m) / (m * d)
+    nodes = np.add.outer(a, a * spec.tau).ravel()
+    base = np.array([0.0, 1.0, 1.0 + spec.tau, 0.5 * (1.0 + spec.tau)]) / d
+    values = torus_bergman(spec, d, np.concatenate([base, nodes]))
+    return values[: base.size], float(np.mean(values[base.size :]))
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +558,13 @@ def residual_mass(green: ArakelovGreen, t: float = 20.0) -> float:
 
 # the allowed negative inequality margin and max-zero grid supremum, and the
 # gates on the residual-mass identity, the Laplacian deviation, the
-# curvature ratio and the kernel diagonal spread
+# curvature ratio, the kernel diagonal spread and the kernel's mean
 _MARGIN_TOL = 1e-9
 _RESIDUAL_TOL = 1e-4
 _LAP_TOL = 1e-5
 _AB_TOL = 1e-6
 _DIAG_TOL = 1e-6
+_MEAN_TOL = 1e-12
 # the shell depth of the residual mass: its e^{-t} bias, relative, must stay
 # inside the absolute gate on masses up to 178.9 (mean-zero at tau = 0.1i),
 # where it is 1.3e-4 at t = 20 and 2.4e-6 at t = 24
@@ -624,7 +578,8 @@ def arak1_check(spec: TorusSpec, d: int) -> ReportRecord:
       Green normalizations;
     * volume Laplacian of ``g`` equals -1 (finite differences);
     * curvature ratio ``2a/b = 2/d``;
-    * kernel diagonal constant across base points;
+    * kernel diagonal constant across division-lattice base points, and its
+      torus mean equal to ``d``;
     * residual mass of ``2g`` equals ``2 / capacity^2``;
     * the max-zero ``g`` is at most 0 on the 97^2 grid, which shares only
       the pole node with the 96^2 grid of the polish that fixed its
@@ -640,20 +595,13 @@ def arak1_check(spec: TorusSpec, d: int) -> ReportRecord:
     delta = d / 2.0 - 1.0
     factor = math.pi * (1.0 + 1.0 / delta)
 
-    scaled = _scaled_gram(torus_gram(ThetaBasis(spec, d)))
-    kernel = torus_bergman(spec, d, p=0.0, scaled=scaled)
-    # base points where the metrized bundle is literally translation-
-    # invariant: the refined-lattice translates of the origin
-    others = [
-        torus_bergman(spec, d, p=1.0 / d, scaled=scaled).value,
-        torus_bergman(spec, d, p=(1.0 + spec.tau) / d, scaled=scaled).value,
-    ]
-    diag_spread = float(np.max(np.abs(np.subtract(others, kernel.value)))) / kernel.value
-    # between refined-lattice points the diagonal varies by an amount
-    # exponentially small in d; recorded for reference, not gated
-    midcell = torus_bergman(spec, d, p=(1.0 + spec.tau) / (2 * d), scaled=scaled).value
-    midcell_dev = abs(midcell - kernel.value) / kernel.value
-    lhs = factor * kernel.value
+    base, kernel_mean = _kernel_samples(spec, d)
+    kernel, *others, midcell = base.tolist()
+    diag_spread = float(np.max(np.abs(np.subtract(others, kernel)))) / kernel
+    # between division-lattice points the diagonal varies; recorded for
+    # reference, not gated
+    midcell_dev = abs(midcell - kernel) / kernel
+    lhs = factor * kernel
 
     green = arakelov_green(spec, "meanzero")
     lap_dev = laplacian_deviation(green)
@@ -671,12 +619,12 @@ def arak1_check(spec: TorusSpec, d: int) -> ReportRecord:
 
     quantities = {
         "lhs": lhs,
-        "kernel_diag": kernel.value,
+        "kernel_diag": kernel,
         "delta": delta,
         "factor": factor,
         "diag_spread": diag_spread,
         "midcell_deviation": midcell_dev,
-        "gram_condition": kernel.gram_condition,
+        "kernel_mean": kernel_mean,
         "laplacian_deviation": lap_dev,
         "curvature_a": a,
         "curvature_b": b,
@@ -694,6 +642,7 @@ def arak1_check(spec: TorusSpec, d: int) -> ReportRecord:
     }
     gated = {  # name: (margin, tolerance)
         "diag_constancy": (-diag_spread, _DIAG_TOL),
+        "kernel_mean": (-abs(kernel_mean / d - 1.0), _MEAN_TOL),
         "laplacian": (-lap_dev, _LAP_TOL),
         "curvature_ratio": (-abs(two_a_over_b - 2.0 / d), _AB_TOL),
         "inequality_meanzero": (margin_mean, _MARGIN_TOL),
@@ -701,7 +650,7 @@ def arak1_check(spec: TorusSpec, d: int) -> ReportRecord:
         "inequality_maxzero": (margin_max, _MARGIN_TOL),
         "maxzero_sup": (-grid_sup, _MARGIN_TOL),
     }
-    from_kernel = ("lhs", "kernel_diag", "diag_spread", "gram_condition")
+    from_kernel = ("lhs", "kernel_diag", "diag_spread", "midcell_deviation", "kernel_mean")
     return make_record(
         quantities=quantities,
         gates=gated,

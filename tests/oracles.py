@@ -70,3 +70,40 @@ def laurent_robin(r: float, z: complex, modes: int) -> float:
     corr = (np.power(r * r / (s * s), k) - 2.0 * r2k + np.power(r * r * s * s, k)) / (k * (1.0 - r2k))
     lz = math.log(s)
     return lz * lz / math.log(1.0 / r) - math.log((1.0 - s) * (1.0 + s)) + float(np.sum(corr))
+
+
+def theta_rows(basis, n: int) -> np.ndarray:
+    """``theta_j`` of ``basis`` for every ``j`` on the product grid ``a/n +
+    (b/n) tau`` (``0 <= a, b < n``): shape ``(d, n*n)``, columns ``a``-major.
+
+    A series term factors as ``U[a, nu] W[b, nu]`` with ``U = exp(2 pi i d
+    nu a/n)`` and ``W = exp(pi i tau d nu^2 + 2 pi i d nu tau b/n)``, each
+    exponential taken at every entry, so row ``j`` is the product ``U_j
+    W_j^T``.  The Gaussian factor stays in ``W``, where ``|W|`` is the
+    modulus of a series term, at most ``exp(pi d Im tau)``.
+    """
+    tau, d = basis.spec.tau, basis.d
+    N = basis._n_range
+    dnu = d * np.arange(-N, N + 1) + np.arange(d)[:, None]  # (d, 2N+1)
+    nu = dnu / d
+    idx = np.arange(n)
+    U = np.exp(2j * math.pi / n * (np.multiply.outer(dnu, idx) % n))  # (d, 2N+1, n)
+    expo = 1j * math.pi * tau * d * nu**2
+    W = np.exp(expo[:, :, None] + 2j * math.pi * d * np.multiply.outer(nu, idx / n * tau))
+    return (np.swapaxes(U, 1, 2) @ W).reshape(d, n * n)
+
+
+def theta_gram(basis, n: int) -> np.ndarray:
+    """Gram matrix of the weighted theta sections of ``basis`` against the
+    unit volume form, by the trapezoid rule on the ``n x n`` product grid
+    of :func:`theta_rows`: the oracle of ``torus.torus_gram``.
+
+    The integrand is smooth and doubly periodic, so the rule converges
+    spectrally in ``n``; nothing here sizes ``n`` or checks convergence.
+    """
+    rows = theta_rows(basis, n)
+    idx = np.arange(n)
+    S, T = np.meshgrid(idx / n, idx / n, indexing="ij")
+    w = basis.weight((S + T * basis.spec.tau).ravel())
+    G = (rows * w) @ rows.conj().T / (n * n)
+    return 0.5 * (G + G.conj().T)

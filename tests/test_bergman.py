@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
 
-from bergreen import bergman, torus
+from bergreen import bergman
 from bergreen.cli import _sweep_points
 from bergreen.bergman import (
     HarmonicLog,
@@ -417,13 +417,6 @@ class TestGramAgainstFullFft:
     @pytest.mark.parametrize("domain,basis", BASES)
     def test_exactly_hermitian_and_condition_matches_svd(self, domain, basis, weight):
         gram = _series_gram(domain, weight, basis)
-        assert np.array_equal(gram, gram.conj().T)
-        kappa = _condition(gram)
-        assert kappa == pytest.approx(_svd_condition(gram), rel=1e-12)
-
-    @pytest.mark.parametrize("tau,d", [(1j, 4), (0.3 + 1.1j, 6)])
-    def test_torus_gram_exactly_hermitian(self, tau, d):
-        gram, _ = torus.torus_gram(torus.ThetaBasis(torus.TorusSpec(tau), d))
         assert np.array_equal(gram, gram.conj().T)
         kappa = _condition(gram)
         assert kappa == pytest.approx(_svd_condition(gram), rel=1e-12)

@@ -1202,8 +1202,9 @@ def _nan_closed_route(mp):
 
 
 def _nan_torus_diagonal(mp):
-    # calls: p = 0, then the two refined-lattice points, then mid-cell
-    _spoil_call(mp, torus, "torus_bergman", 3, lambda est: replace(est, value=math.nan))
+    # one call takes p = 0, the two refined-lattice points, the mid-cell
+    # point and the cell nodes; the second refined-lattice value is NaN
+    _spoil_call(mp, torus, "torus_bergman", 1, lambda k: _nan_at(k, 2))
     return torus.arak1_check(torus.TorusSpec(1j), 4), "diag_constancy"
 
 

@@ -18,9 +18,10 @@ _PACKAGE = Path(bergreen.__file__).resolve().parent
 
 # the CI workflow's command steps, one argv each, without --no-cache/--outdir
 _CI_COMMANDS = [
-    # thin and tall tori
+    # thin, tall and high-degree tori
     "torus-check --taus 0.15j,0.12j,0.1j,0.2j,0.3j --ds 4",
     "torus-check --taus 4j,6j,0.3+4j --ds 4",
+    "torus-check --taus 1j,0.5+1j,2j --ds 64,128,200",
     # closed-form kernels
     "extended-suita-check --domain disc --weight harmonicre:1.0",
     "extended-suita-check --domain annulus:0.2 --weight harmonicre:1.0",

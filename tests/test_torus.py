@@ -6,8 +6,8 @@ Oracle policy: ``mpmath.jtheta``, ``mpmath.eta`` and the Dedekind-eta
 product are used here (tests only) as independent references for the theta
 series and the derived constants; the closed-form constants are also checked
 against their definitions, the mean of g by quadrature and the capacity as a
-Richardson-extrapolated limit; Gram matrices are checked against the exact
-Gaussian-integral closed form.
+Richardson-extrapolated limit; the closed-form section norm and kernel are
+checked against the trapezoid quadrature of the Gram (``tests/oracles.py``).
 """
 
 import cmath
@@ -17,10 +17,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import theta_gram, theta_rows
 
-from bergreen import bergman, cli, torus
+from bergreen import cli, torus
 from bergreen.domains import gauss_legendre
 from bergreen.errors import AccuracyError, ParameterError, TruncationError
 from bergreen.torus import (
@@ -708,177 +709,143 @@ class TestTorusGram:
     @pytest.mark.parametrize("tau", GRAM_TAUS)
     def test_matches_gaussian_closed_form(self, tau, d):
         # completing the square in the section series gives the exact Gram
-        # G = I / sqrt(2 d Im tau); the quadrature route must reproduce it
-        spec = TorusSpec(tau)
-        G, resid = torus_gram(ThetaBasis(spec, d))
-        exact = 1.0 / math.sqrt(2.0 * d * spec.tau2)
-        diag = np.diag(G).real
-        assert float(np.max(np.abs(diag - exact))) < 1e-12 * exact
-        off = G - np.diag(np.diag(G))
-        assert float(np.max(np.abs(off))) < 1e-12 * exact
-        assert resid < 1e-9
-        assert np.all(np.isfinite(G))
-
-    @pytest.mark.parametrize("tau,d", [(TAU_I, 4), (0.2j, 10), (2j, 4)])
-    def test_first_level_covers_the_basis_band(self, tau, d, monkeypatch):
-        sizes = []
-        theta_grid = ThetaBasis.theta_grid
-
-        def spy(self, n):
-            rows = theta_grid(self, n)
-            sizes.append(rows.shape[1])
-            return rows
-
-        monkeypatch.setattr(ThetaBasis, "theta_grid", spy)
+        # G = I / sqrt(2 d Im tau); the trapezoid quadrature on 64^2 nodes
+        # reproduces it
         basis = ThetaBasis(TorusSpec(tau), d)
-        torus_gram(basis)
-        n0 = math.isqrt(sizes[0])
-        band = 2 * basis._n_range + 1
-        # the smallest power of two that covers the band
-        assert n0 * n0 == sizes[0]
-        assert band <= n0 < 2 * band
-        assert n0 & (n0 - 1) == 0
+        norm = torus_gram(basis)
+        assert norm == 1.0 / math.sqrt(2.0 * d * tau.imag)
+        G = theta_gram(basis, 64)
+        assert np.all(np.isfinite(G))
+        assert float(np.max(np.abs(G - norm * np.eye(d)))) < 1e-12 * norm
 
     @pytest.mark.parametrize("n", [32, 64])
     @pytest.mark.parametrize("d", [4, 6, 8, 10])
     @pytest.mark.parametrize("tau", GRAM_TAUS)
     def test_grid_table_matches_the_series(self, tau, d, n):
-        # the separable table against the term-by-term series on the same
-        # a-major product grid a/n + (b/n) tau
+        # the oracle's separable table against the term-by-term series on
+        # the same a-major product grid a/n + (b/n) tau
         basis = ThetaBasis(TorusSpec(tau), d)
         s = np.arange(n) / n
         S, T = np.meshgrid(s, s, indexing="ij")
         Z = (S + T * tau).ravel()
         ref = np.vstack([basis.theta(j, Z) for j in range(d)])
-        table = basis.theta_grid(n)
+        table = theta_rows(basis, n)
         assert table.shape == (d, n * n)
         assert np.max(np.abs(table - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("d", [4, 6, 10])
     @pytest.mark.parametrize("tau", GRAM_TAUS)
-    def test_matches_the_entrywise_recipe(self, tau, d, monkeypatch):
-        # U indexes the table of the n roots of unity, and the weight is
-        # taken on one column of the grid: bit for bit the Gram whose
-        # exponentials are taken at every entry and every grid point
-        basis = ThetaBasis(TorusSpec(tau), d)
-        levels = _count(monkeypatch, ThetaBasis, "theta_grid")
-        G, _ = torus_gram(basis)
-        n = levels[-1][1]
-        N = basis._n_range
-        dnu = d * np.arange(-N, N + 1) + np.arange(d)[:, None]
-        nu = dnu / d
-        idx = np.arange(n)
-        U = np.exp(2j * math.pi / n * (np.multiply.outer(dnu, idx) % n))
-        expo = 1j * math.pi * tau * d * nu**2
-        W = np.exp(expo[:, :, None] + 2j * math.pi * d * np.multiply.outer(nu, idx / n * tau))
-        rows = (np.swapaxes(U, 1, 2) @ W).reshape(d, n * n)
-        S, T = np.meshgrid(idx / n, idx / n, indexing="ij")
-        w = basis.weight((S + T * tau).ravel())
-        reference = (rows * w) @ rows.conj().T / (n * n)
-        assert np.array_equal(G, 0.5 * (reference + reference.conj().T))
-
-    def test_hermitian_and_well_conditioned(self, spec_i):
-        G, _ = torus_gram(ThetaBasis(spec_i, 4))
-        assert np.array_equal(G, G.conj().T)
-        assert np.linalg.cond(G) < 1.0 + 1e-9
-
-    def test_coarse_grid_detected(self, spec_i, monkeypatch):
-        monkeypatch.setattr(torus, "_GRAM_CAP", 4)
-        with pytest.raises(AccuracyError):
-            torus_gram(ThetaBasis(spec_i, 4))
-
-    def test_nan_weight_fails(self, spec_i, monkeypatch):
-        monkeypatch.setattr(ThetaBasis, "weight", lambda self, z: np.full(np.shape(z), np.nan))
-        monkeypatch.setattr(torus, "_GRAM_CAP", 16)
-        with pytest.raises(AccuracyError):
-            torus_gram(ThetaBasis(spec_i, 4))
-
-
-def _scaled(spec, d):
-    """The scaled Gram that ``torus_bergman`` takes, from a fresh Gram."""
-    return torus._scaled_gram(torus_gram(ThetaBasis(spec, d)))
-
-
-def _kernel_at_origin(spec, d):
-    """``torus_bergman`` at ``p = 0`` on a fresh Gram."""
-    return torus_bergman(spec, d, 0.0, _scaled(spec, d))
+    def test_matches_the_entrywise_recipe(self, tau, d):
+        # the kernel through the norm equals weight(p) b^H G^{-1} b with b_j =
+        # theta_j(p) and G the oracle's Gram, whose exponentials are taken at
+        # every entry and every grid point: the route the closed form replaced
+        spec = TorusSpec(tau)
+        basis = ThetaBasis(spec, d)
+        G = theta_gram(basis, 64)
+        ps = np.array([0.0, 0.31 + 0.23j * tau.imag, (1.0 + tau) / (2 * d)])
+        for p, value in zip(ps, torus_bergman(spec, d, ps)):
+            b = np.array([basis.theta(j, p) for j in range(d)])
+            ref = float(basis.weight(p)) * float(np.vdot(b, np.linalg.solve(G, b)).real)
+            assert abs(value - ref) <= 1e-12 * ref
 
 
 class TestTorusBergman:
     def test_refined_lattice_constancy(self, spec_i):
         d = 4
-        scaled = _scaled(spec_i, d)
-        base = torus_bergman(spec_i, d, p=0.0, scaled=scaled).value
-        for p in (1.0 / d, TAU_I / d, (1.0 + TAU_I) / d, 2.0 / d, 3.0 * TAU_I / d):
-            v = torus_bergman(spec_i, d, p=p, scaled=scaled).value
+        ps = np.array([0.0, 1.0 / d, TAU_I / d, (1.0 + TAU_I) / d, 2.0 / d, 3.0 * TAU_I / d])
+        base, *others = torus_bergman(spec_i, d, ps)
+        for v in others:
             assert abs(v - base) <= 1e-12 * base
+
+    def test_shaped_as_the_points(self, spec_skew):
+        ps = np.array([[0.0, 0.1 + 0.2j, -0.3j], [0.25, 0.4 + 0.1j, 0.7 - 0.5j]])
+        values = torus_bergman(spec_skew, 6, ps)
+        assert values.shape == ps.shape
+        for p, v in zip(ps.ravel(), values.ravel()):
+            assert v == torus_bergman(spec_skew, 6, np.array([p]))[0]
 
     def test_midcell_variation_small_and_decaying(self, spec_i):
         devs = {}
         for d in (4, 6):
-            scaled = _scaled(spec_i, d)
-            base = torus_bergman(spec_i, d, p=0.0, scaled=scaled).value
-            mid = torus_bergman(
-                spec_i, d, p=(1.0 + TAU_I) / (2 * d), scaled=scaled
-            ).value
+            base, mid = torus_bergman(spec_i, d, np.array([0.0, (1.0 + TAU_I) / (2 * d)]))
             devs[d] = abs(mid - base) / base
-        # variation between refined-lattice points follows the
-        # exp(-pi d Im tau / 2) envelope: small, positive, and dropping
-        # by far more than the 1/e per unit degree a power law would give
+        # on rectangular tori the variation between refined-lattice points
+        # reads 1.8 to 8 times exp(-pi d min(Im tau, 1/Im tau) / 2) (8 at
+        # tau = i): small, positive, and dropping by far more than the 1/e
+        # per unit degree a power law would give
         assert 1e-3 < devs[4] < 1e-1
         assert devs[6] < devs[4] / 5.0
         assert devs[6] > 0.0
 
+    @pytest.mark.parametrize("tau", [4j, 0.25j, 6j])
+    def test_midcell_depends_on_the_reduced_degree(self, tau):
+        # at d min(Im tau, 1/Im tau) = 1 the mid-cell deviation reads 2 - sqrt 2
+        d = round(max(tau.imag, 1.0 / tau.imag))
+        base, mid = torus_bergman(TorusSpec(tau), d, np.array([0.0, (1.0 + tau) / (2 * d)]))
+        assert abs(abs(mid - base) / base - (2.0 - math.sqrt(2.0))) < 1e-9
+
     def test_diagonal_near_degree_and_monotone(self, spec_i):
-        k4 = _kernel_at_origin(spec_i, 4).value
-        k6 = _kernel_at_origin(spec_i, 6).value
+        k4 = torus_bergman(spec_i, 4, 0.0)
+        k6 = torus_bergman(spec_i, 6, 0.0)
         assert abs(k4 - 4.0) < 0.1
         assert abs(k6 - 6.0) < 0.1
         assert k4 < k6
 
-    def test_gram_reuse_is_exact(self, spec_i):
-        scaled = _scaled(spec_i, 4)
-        a = torus_bergman(spec_i, 4, p=0.3, scaled=scaled)
-        b = torus_bergman(spec_i, 4, p=0.3, scaled=_scaled(spec_i, 4))
-        assert a.value == b.value
-        assert a.gram_condition == b.gram_condition
-
     @pytest.mark.parametrize("tau", [TAU_I, TAU_SKEW, 0.1j])
     @pytest.mark.parametrize("d", [4, 6])
     def test_record_kernels_match_a_fresh_scaling_per_point(self, tau, d):
-        # arak1_check scales its Gram once; each of its four values equals,
-        # bit for bit, a weighted solve on a scaling formed for that point
+        # the record reads its kernel values from one torus_bergman call on
+        # the base points and the cell nodes; each equals, bit for bit, a
+        # call at that point alone, which takes its own norm (the Gram's
+        # scale, G = norm I)
         spec = TorusSpec(tau)
-        basis = ThetaBasis(spec, d)
-        G, _ = torus_gram(basis)
-
-        def fresh(p):
-            b = np.array([basis.theta(j, p) for j in range(d)])
-            corr, scale = bergman._jacobi_scaled(G)
-            return float(basis.weight(p)) * bergman._dense_kernel_value(corr, scale, b)
-
         origin, *others, mid = (
-            fresh(p) for p in (0.0, 1.0 / d, (1.0 + tau) / d, (1.0 + tau) / (2 * d))
+            torus_bergman(spec, d, np.array([p]))[0]
+            for p in (0.0, 1.0 / d, (1.0 + tau) / d, 0.5 * (1.0 + tau) / d)
         )
         q = arak1_check(spec, d).quantities
         assert q["kernel_diag"] == origin
         assert q["diag_spread"] == float(np.max(np.abs(np.subtract(others, origin)))) / origin
         assert q["midcell_deviation"] == abs(mid - origin) / origin
-        corr, _ = bergman._jacobi_scaled(G)
-        assert q["gram_condition"] == bergman._normalized_condition(corr)
+        assert q["kernel_mean"] == torus._kernel_samples(spec, d)[1]
+        assert "gram_condition" not in q
 
-    def test_one_scaling_and_condition_per_record(self, spec_skew, monkeypatch):
-        scalings = _count(monkeypatch, torus, "_jacobi_scaled")
-        conditions = _count(monkeypatch, torus, "_normalized_condition")
+    def test_one_kernel_call_and_one_norm_per_record(self, spec_skew, monkeypatch):
+        kernels = _count(monkeypatch, torus, "torus_bergman")
+        norms = _count(monkeypatch, torus, "torus_gram")
         arak1_check(spec_skew, 4)
-        assert len(scalings) == len(conditions) == 1
+        assert len(kernels) == len(norms) == 1
 
-    def test_estimate_fields(self, spec_i):
-        est = _kernel_at_origin(spec_i, 4)
-        assert est.basis_size == 4
-        assert est.gram_condition < 1.0 + 1e-9
-        assert est.truncation_error_estimate < 1e-9
-        assert est.value > 0.0
+
+class TestKernelMean:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(x=st.floats(-0.5, 0.5), y=st.floats(0.02, 50.0), half=st.integers(2, 100))
+    @example(x=0.0, y=0.02, half=2)
+    @example(x=0.0, y=50.0, half=2)
+    @example(x=0.5, y=0.02, half=2)
+    @example(x=-0.5, y=50.0, half=100)
+    def test_mean_is_the_degree_everywhere(self, x, y, half):
+        # the cell trapezoid's aliasing bound stays below rounding on the
+        # whole range, tall and thin, skew and rectangular, where the fixed
+        # m = 8 of d = 4 would miss by 6.4e-4 at 0.02i and 50i
+        d = 2 * half
+        _, mean = torus._kernel_samples(TorusSpec(complex(x, y)), d)
+        assert abs(mean / d - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("tau", [TAU_I, TAU_SKEW])
+    @pytest.mark.parametrize("wrong", ["scaled", "degree"])
+    def test_a_wrong_norm_fails_only_the_mean(self, tau, wrong, monkeypatch):
+        # the norm 1.001 times too large, or with its 2d written d: every
+        # other margin of the record passes, so the mean gate is the one
+        # that sees it
+        norms = {
+            "scaled": lambda basis: 1.001 / math.sqrt(2.0 * basis.d * basis.spec.tau2),
+            "degree": lambda basis: 1.0 / math.sqrt(basis.d * basis.spec.tau2),
+        }
+        monkeypatch.setattr(torus, "torus_gram", norms[wrong])
+        rec = arak1_check(TorusSpec(tau), 4)
+        failing = [k for k, m in rec.margins.items() if m < -rec.tolerances[k]]
+        assert failing == ["kernel_mean"]
 
 
 class TestCurvatureCoefficients:
@@ -981,9 +948,12 @@ class TestArak1Check:
         assert q["lhs"] > q["rhs_meanzero"]
         assert q["lhs"] > q["rhs_maxzero"]
         assert q["diag_spread"] < 1e-12
-        # between refined-lattice points the diagonal varies by
-        # O(exp(-pi d Im tau / 2)), which is not small on the thin tori
-        assert 0.0 < q["midcell_deviation"] < 10.0 * math.exp(-math.pi * d * tau.imag / 2.0)
+        assert abs(q["kernel_mean"] / d - 1.0) <= 1e-12
+        # between refined-lattice points the diagonal varies: on rectangular
+        # tori by 1.8 to 8 times exp(-pi d min(Im tau, 1/Im tau) / 2), which
+        # is not small on the thin tori (0.5 + i, skew, reads 4.8 times it)
+        s = min(tau.imag, 1.0 / tau.imag)
+        assert 0.0 < q["midcell_deviation"] < 10.0 * math.exp(-math.pi * d * s / 2.0)
         assert abs(q["two_a_over_b"] - 2.0 / d) < 1e-6
         assert -1e-3 < q["maxzero_grid_sup"] <= 0.0
 
@@ -995,6 +965,7 @@ class TestArak1Check:
         q, m = rec.quantities, rec.margins
         expected = {
             "diag_constancy": -q["diag_spread"],
+            "kernel_mean": -abs(q["kernel_mean"] / d - 1.0),
             "laplacian": -q["laplacian_deviation"],
             "curvature_ratio": -abs(q["two_a_over_b"] - 2.0 / d),
             "inequality_meanzero": q["margin_meanzero"],
@@ -1014,6 +985,16 @@ class TestArak1Check:
         rec = arak1_check(TorusSpec(tau), 4)
         assert rec.passed, rec.margins
         assert abs(rec.quantities["two_a_over_b"] - 0.5) < 1e-7
+
+    @pytest.mark.parametrize("tau", [TAU_I, TAU_SKEW, 2j])
+    @pytest.mark.parametrize("d", [64, 128, 200])
+    def test_high_degrees_pass(self, tau, d):
+        # the Gram quadrature the closed form replaced reached its 256-node
+        # cap unresolved on 7 of these 9 (all but d = 64 at i and 0.5 + i);
+        # at 2i from d = 128 its tau-direction table overflowed to NaN
+        rec = arak1_check(TorusSpec(tau), d)
+        assert rec.passed, rec.margins
+        assert abs(rec.quantities["kernel_diag"] / d - 1.0) < 1e-12
 
     def test_flat_maxzero_hessian_fails_cleanly(self, tmp_path, capsys):
         # on the tall torus 10i, g is flat along Re z where the polish stops:
@@ -1049,6 +1030,7 @@ class TestArak1Check:
         rec = arak1_check(spec_i, 4)
         q, m, tol = rec.quantities, rec.margins, rec.tolerances
         assert m["diag_constancy"] == -q["diag_spread"] and tol["diag_constancy"] == 1e-6
+        assert m["kernel_mean"] == -abs(q["kernel_mean"] / 4 - 1.0) and tol["kernel_mean"] == 1e-12
         assert m["laplacian"] == -q["laplacian_deviation"] and tol["laplacian"] == 1e-5
         assert m["curvature_ratio"] == -abs(q["two_a_over_b"] - 0.5) and tol["curvature_ratio"] == 1e-6
         assert m["residual_mass_meanzero"] == -abs(
@@ -1056,7 +1038,7 @@ class TestArak1Check:
         ) and tol["residual_mass_meanzero"] == 1e-4
         assert m["maxzero_sup"] == -q["maxzero_grid_sup"] and tol["maxzero_sup"] == 1e-9
         assert set(m) == {
-            "diag_constancy", "laplacian", "curvature_ratio", "inequality_meanzero",
+            "diag_constancy", "kernel_mean", "laplacian", "curvature_ratio", "inequality_meanzero",
             "residual_mass_meanzero", "inequality_maxzero", "maxzero_sup",
         }
 
