@@ -12,10 +12,10 @@ with closed-form per-mode moments.  Without a basis range, the kernel of
 rational function on the disc, a Lambert series with a certified geometric
 tail on an annulus.  Over a given basis range it sums the modes in log
 space, so that very large bases neither overflow nor underflow.
-``HarmonicRe`` builds a dense real Gram matrix from the modified-Bessel
-expansion of its density, a series of one-signed terms with a certified
-tail, and solves a Jacobi-scaled symmetric system, built once per Gram
-with its underflowed tail dropped.
+``HarmonicRe`` solves a dense real symmetric system: its Gram matrix,
+from the modified-Bessel expansion of its density (a series of one-signed
+terms with a certified tail), is built Jacobi-scaled in log space, with
+its underflowed tail dropped.
 
 Norm convention: ``||f||^2 = integral |f|^2 rho dLambda`` (plain Lebesgue
 area measure).  Under this convention the unweighted unit disc gives
@@ -25,6 +25,7 @@ area measure).  Under this convention the unweighted unit disc gives
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -247,8 +248,9 @@ def default_basis(domain: PlanarDomain) -> tuple[int, int]:
 def auto_basis(domain: PlanarDomain, z: complex) -> tuple[int, int]:
     """Index range making the kernel truncation at ``z`` negligible.
 
-    Kernel terms decay like ``|z|^{2n} n`` for large positive ``n`` and like
-    ``(r/|z|)^{2|n|} |n|`` for large negative ``n`` on an annulus.  The range
+    Kernel terms decay like ``(|z|/R)^{2n} n`` for large positive ``n`` on a
+    disc of radius ``R`` (``R = 1`` on an annulus) and like ``(r/|z|)^{2|n|}
+    |n|`` for large negative ``n`` on an annulus.  The range
     is sized so that *half* of it already truncates at relative level
     ``_BASIS_REL_TOL``, which keeps the halved-range estimate reported by
     :func:`kernel_diag` comfortably below its gate while making the full
@@ -269,7 +271,18 @@ def auto_basis(domain: PlanarDomain, z: complex) -> tuple[int, int]:
     s = abs(z)
     if isinstance(domain, Annulus):
         return (-2 * n_for(domain.r_inner / s), 2 * n_for(s))
-    return (0, 2 * n_for(s))
+    return (0, 2 * n_for(s / domain.radius))
+
+
+def _modes(domain: PlanarDomain, basis: tuple[int, int] | None) -> np.ndarray:
+    """The indices ``n`` of a basis range (:func:`default_basis` for
+    ``None``), which must be nonempty and, on a disc, nonnegative."""
+    n_min, n_max = default_basis(domain) if basis is None else basis
+    if n_min > n_max:
+        raise DomainError("basis range is empty")
+    if isinstance(domain, Disc) and n_min < 0:
+        raise DomainError("disc basis requires n_min >= 0")
+    return np.arange(n_min, n_max + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -277,64 +290,71 @@ def auto_basis(domain: PlanarDomain, z: complex) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
+# the largest log of a Gram entry, and the refusal beyond it
+_EXP_MAX = 700.0
+_RANGE_ERROR = (
+    "Gram entries exceed the floating-point range; "
+    "kernel_diag evaluates kernels in log space instead"
+)
+# the relative series tail of the HarmonicRe Grams the solves read
+_GRAM_TOL = 1e-16
+# the most series terms a HarmonicRe Gram entry may take (_bessel_gram)
+_SERIES_TERMS = 1000
+# eps^2: Jacobi-scaled entries below it are set to 0 (_bessel_gram).  The
+# dropped part E of an n x n matrix has ||E||_2 <= ||E||_F < n eps^2, so a
+# solve moves by at most kappa n eps^2 relative, below 1.3e-19 at n = 257 for
+# every kappa under the 1e10 warning, and by Weyl's inequality no eigenvalue
+# moves by more than ||E||_2 (N. J. Higham, *Accuracy and Stability of
+# Numerical Algorithms*, 2nd ed., 2002, ch. 7)
+_DROP = 2.0**-104
+
+
 def gram_matrix(
     domain: PlanarDomain,
     weight: WeightSpec,
     basis: tuple[int, int] | None = None,
-    gram_tol: float = 1e-16,
+    gram_tol: float = _GRAM_TOL,
     quad_start: int = 64,
 ) -> np.ndarray:
     """Gram matrix of the monomials ``z^n`` for ``n`` in the basis range.
 
     Entry ``(m, n)`` is ``integral z^m conj(z)^n rho dLambda``.  Radial
     weights on disc/annulus give a diagonal matrix with closed-form
-    moments; ``HarmonicRe`` gives a dense real symmetric matrix from the
-    series of :func:`_bessel_gram`, whose tail is certified at most
+    moments; ``HarmonicRe`` gives the dense real symmetric matrix ``corr
+    d d^T`` of :func:`_bessel_gram`, whose series tail is certified at most
     ``gram_tol`` relative to every entry (the default is below a unit
     roundoff).  ``quad_start`` is unused; it stays because
     ``benchmarks/spans.py`` keys traced calls on it by name.
 
     Raises :class:`DomainError` for a weight outside :data:`WeightSpec`
-    and if an entry exceeds the float range (radial kernels are
-    evaluated by :func:`kernel_diag` in log space instead).
+    and if a diagonal entry exceeds the float range (kernels are evaluated
+    by :func:`kernel_diag` in log space instead).
     """
-    if basis is None:
-        basis = default_basis(domain)
-    n_min, n_max = basis
-    if n_min > n_max:
-        raise DomainError("basis range is empty")
-    if isinstance(domain, Disc) and n_min < 0:
-        raise DomainError("disc basis requires n_min >= 0")
+    ns = _modes(domain, basis)
     if not isinstance(weight, WeightSpec):
         raise DomainError(f"no Gram matrix for the weight {weight!r}")
-    ns = np.arange(n_min, n_max + 1)
-
     if isinstance(weight, HarmonicRe):
-        return _bessel_gram(domain, weight, ns, gram_tol)
+        corr, log_d = _bessel_gram(domain, weight, ns, gram_tol)
+        if 2.0 * np.max(log_d) > _EXP_MAX:
+            raise DomainError(_RANGE_ERROR)
+        d = np.exp(log_d)
+        return corr * np.outer(d, d)
     logs = log_radial_moments(domain, weight, ns)
     if np.max(logs) > _EXP_MAX:
         raise DomainError(_RANGE_ERROR)
     return np.diag(np.exp(logs))
 
 
-# the largest log of a Gram entry, and the refusal beyond it
-_EXP_MAX = 700.0
-_RANGE_ERROR = (
-    "Gram entries exceed the floating-point range; "
-    "kernel_diag evaluates radial kernels in log space instead"
-)
-# the most series terms a HarmonicRe Gram entry may take (_bessel_gram)
-_SERIES_TERMS = 1000
-
-
 def _bessel_gram(
     domain: PlanarDomain, weight: HarmonicRe, ns: np.ndarray, gram_tol: float
-) -> np.ndarray:
-    """Real symmetric Gram of ``HarmonicRe(c)`` from its Bessel moments.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobi-scaled Gram ``(corr, log d)`` of ``HarmonicRe(c)`` from its
+    Bessel moments: ``d = sqrt(diag G)`` and ``corr = G / (d d^T)``, built in
+    log space without forming ``G``.
 
     ``e^{-2 c s cos t} = sum_k (-1)^k I_k(2 c s) e^{ikt}`` and the power
-    series of ``I_k`` turn entry ``(m, n)`` on the unit disc or an annulus
-    ``lo < |z| < 1`` into
+    series of ``I_k`` turn entry ``(m, n)`` of ``G`` on the unit disc or an
+    annulus ``lo < |z| < 1`` into
 
         2 pi (-c)^k sum_j c^(2j) / (j! (j+k)!) L(2 (max(m, n) + 1 + j)),
 
@@ -346,12 +366,19 @@ def _bessel_gram(
     bound is largest at ``k = 0``, where term ``J`` is at most ``c^(2J) /
     (J!)^2`` times term 0; ``J`` is the first index that takes it below
     ``gram_tol``.  On a disc of radius ``R`` the entry is ``R^(m+n+2)`` times
-    the unit-disc entry at ``c R``.  Every entry is a cell ``(max(m, n),
-    |m - n|)`` of one table, a product of the Hankel matrix of ``L`` and the
-    coefficients; coefficients below the smallest normal float are set to
-    0, which keeps subnormal operands out of that product.  The far
-    off-diagonal entries, which fall like ``c^k / k!``, underflow once
-    Jacobi-scaled; :func:`_jacobi_scaled` drops that tail before any solve.
+    the unit-disc entry at ``c R``.
+
+    ``L(p) = lo^min(p, 0) L(|p|)``, so ``log L`` is ``min(p, 0) log lo`` plus
+    a log of modest size from :func:`_log_power_integrals`; differences of
+    ``log L`` are taken part by part, and neither ``lo^p`` nor a difference
+    of large logs is formed.  Entry ``(m, n)`` is a cell ``(M, k)``, ``M =
+    max(m, n)``, of one table ``T``: the Hankel matrix of ``L``, each row
+    divided by its first moment ``L(2 (M + 1))`` (ratios at most 1), times
+    the coefficients, those below the smallest normal float set to 0.  With
+    ``l_n = log L(2 (n + 1))``, ``2 pi``, ``R^(m+n+2)`` and the row factors
+    cancel in ``corr[m, n] = e^{-|l_m - l_n| / 2} T[M, k] / sqrt(T[m, 0]
+    T[n, 0])``.  Its entries below ``_DROP`` (the far ones fall like ``c^k /
+    k!``) are set to 0, since subnormal values slow every later LAPACK call.
 
     Raises :class:`AccuracyError` when ``c`` is not finite or the series
     needs more than ``_SERIES_TERMS`` terms.
@@ -377,69 +404,43 @@ def _bessel_gram(
         last *= c2 / (n_terms * n_terms)
 
     size = ns.size
-    # L(2 (M + 1 + j)) for every M + j, M in the basis range and j <= J
+    # L(p) for p = 2 (M + 1 + j), M in the basis range and j <= J
     p = 2.0 * np.arange(ns[0] + 1, ns[-1] + n_terms + 2)
-    if lo > 0.0 and p[0] * math.log(lo) > _EXP_MAX:
-        raise DomainError(_RANGE_ERROR)
-    power = np.full(p.shape, -math.log(lo) if lo > 0.0 else math.inf)
-    nonzero = p != 0.0
-    power[nonzero] = (1.0 - lo ** p[nonzero]) / p[nonzero]
+    low, log_l = np.minimum(p, 0.0), _log_power_integrals(np.abs(p), lo, 1.0)
+    log_lo = math.log(lo) if lo > 0.0 else 0.0  # low = 0 on a disc
+
+    def gap(a, b):  # log L(p[a]) - log L(p[b])
+        return (low[a] - low[b]) * log_lo + (log_l[a] - log_l[b])
+
     # coeff[j, k] = (-c)^k c^(2j) / (j! (j+k)!), by recurrence in k, then j
     ks = np.arange(size)
     coeff = np.empty((n_terms + 1, size))
     coeff[0] = np.cumprod(np.concatenate(([1.0], -c / ks[1:])))
     for j in range(1, n_terms + 1):
         coeff[j] = coeff[j - 1] * (c2 / (j * (j + ks)))
-    tiny = np.finfo(float).tiny
-    coeff[np.abs(coeff) < tiny] = 0.0
-    hankel = power[ks[:, None] + np.arange(n_terms + 1)]
-    table = (2.0 * math.pi) * (hankel @ coeff)  # [M - n_min, k]
-    gram = table[np.maximum.outer(ks, ks), np.abs(ks[:, None] - ks)]
-    if radius != 1.0:
-        gram *= np.outer(radius ** (ns + 1.0), radius ** (ns + 1.0))
-    return gram
-
-
-def _is_diagonal(gram: np.ndarray) -> bool:
-    return bool(np.all(gram == np.diag(np.diag(gram))))
-
-
-# eps^2: Jacobi-scaled entries below it are set to 0 (_jacobi_scaled).  The
-# dropped part E of an n x n matrix has ||E||_2 <= ||E||_F < n eps^2, so a
-# solve moves by at most kappa n eps^2 relative, below 1.3e-19 at n = 257 for
-# every kappa under the 1e10 warning, and by Weyl's inequality no eigenvalue
-# moves by more than ||E||_2 (N. J. Higham, *Accuracy and Stability of
-# Numerical Algorithms*, 2nd ed., 2002, ch. 7)
-_DROP = 2.0**-104
-
-
-def _jacobi_scaled(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(corr, d)`` with ``d = sqrt|diag gram|`` and ``corr = gram / d
-    d^T``, whose unit diagonal keeps modes of very different norms equally
-    accurate.  Entries of ``corr`` below ``_DROP`` in modulus are set to 0:
-    the far off-diagonal entries of a Bessel-moment Gram fall like ``c^k /
-    k!``, and their subnormal quotients slow every later LAPACK call.  The
-    scaling and the drop are entrywise, so ``corr[ix(half, half)]`` and
-    ``d[half]`` are, bit for bit, those of the sub-Gram."""
-    d = np.sqrt(np.abs(np.diag(gram)).real)
-    corr = gram / np.outer(d, d)
+    coeff[np.abs(coeff) < np.finfo(float).tiny] = 0.0
+    table = np.exp(gap(ks[:, None] + np.arange(n_terms + 1), ks[:, None])) @ coeff
+    root = np.sqrt(table[:, 0])  # table is [M - n_min, k]
+    corr = table[np.maximum.outer(ks, ks), np.abs(ks[:, None] - ks)]
+    corr *= np.exp(-0.5 * np.abs(gap(ks[:, None], ks))) / np.outer(root, root)
     corr[np.abs(corr) < _DROP] = 0.0
-    return corr, d
+    log_n = low[:size] * log_lo + log_l[:size]
+    log_d = 0.5 * (_LOG_2PI + log_n) + np.log(root) + (ns + 1.0) * math.log(radius)
+    return corr, log_d
 
 
 def _normalized_condition(corr: np.ndarray) -> float:
-    """Condition number of the Jacobi-scaled (correlation) matrix ``corr``
-    of :func:`_jacobi_scaled`.
+    """Condition number of the Jacobi-scaled matrix ``corr`` of
+    :func:`_bessel_gram`.
 
-    ``corr`` is exactly symmetric (real) or Hermitian (complex), since
-    every Gram builder returns its Gram so: the 2-norm condition is then
+    ``corr`` is real and exactly symmetric: the 2-norm condition is then
     ``max |lambda| / min |lambda|`` over the eigenvalues from ``eigvalsh``,
     which reads one triangle only.  For a diagonal Gram matrix the basis is
     orthogonal, per-mode solves are perfectly conditioned, and the
     normalized condition is exactly 1.  A condition above 1e10 triggers an
     ill-conditioning warning.
     """
-    if _is_diagonal(corr):
+    if np.all(corr == np.diag(np.diag(corr))):
         return 1.0
     # the spectrum of a symmetric permutation of corr, the same up to
     # rounding: in stride-31 order LAPACK's tridiagonal reduction (dsytrd)
@@ -469,18 +470,19 @@ class KernelEstimate:
     truncation_error_estimate: float
 
 
-def _log_kernel_terms(
-    domain: PlanarDomain, weight: WeightSpec, z: complex, ns: np.ndarray
-) -> np.ndarray:
-    """``log`` of the per-mode kernel terms ``|z|^{2n} / gram_nn``."""
-    logs = log_radial_moments(domain, weight, ns)
+def _log_powers(z: complex, ns: np.ndarray) -> np.ndarray:
+    """``log |z^n|`` for each ``n`` in ``ns`` (at ``z = 0``, 0 for ``n = 0``
+    and ``-inf`` otherwise)."""
     s = abs(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logz = math.log(s) if s > 0.0 else -math.inf
-        lt = 2.0 * ns * logz - logs
-        if s == 0.0:
-            lt = np.where(ns == 0, -logs, -math.inf)
-    return lt
+    if s == 0.0:
+        return np.where(ns == 0, 0.0, -math.inf)
+    return ns * math.log(s)
+
+
+def _scaled_powers(z: complex, ns: np.ndarray, log_d: np.ndarray) -> np.ndarray:
+    """``z^n / d_n`` as ``exp(n log|z| - log d_n) e^{i n arg z}``, which
+    neither overflows nor underflows where the quotient does not."""
+    return np.exp(_log_powers(z, ns) - log_d + 1j * ns * cmath.phase(z))
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -490,22 +492,19 @@ def _logsumexp(values: np.ndarray) -> float:
     return m + math.log(np.sum(np.exp(values - m)))
 
 
-def _jacobi_solve(corr: np.ndarray, d: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``y`` with ``gram^{-1} rhs = y / d``, for ``(corr, d)`` from
-    :func:`_jacobi_scaled`: ``y`` solves ``corr y = rhs / d``.  The system
-    is symmetric or Hermitian; it is solved by partial-pivoting LU
-    (``numpy.linalg``), on a real Gram in real arithmetic, with the real and
-    imaginary parts of a complex ``rhs`` as two right-hand sides."""
-    rhs = rhs / d
-    if np.isrealobj(corr) and np.iscomplexobj(rhs):
-        y = np.linalg.solve(corr, np.stack([rhs.real, rhs.imag], axis=-1))
-        return y[:, 0] + 1j * y[:, 1]
-    return np.linalg.solve(corr, rhs)
+def _jacobi_solve(corr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``y`` solving ``corr y = rhs`` for the real symmetric ``corr`` of
+    :func:`_bessel_gram` and a complex ``rhs``, by partial-pivoting LU
+    (``numpy.linalg``) in real arithmetic, with the real and imaginary parts
+    of ``rhs`` as two right-hand sides."""
+    y = np.linalg.solve(corr, np.stack([rhs.real, rhs.imag], axis=-1))
+    return y[:, 0] + 1j * y[:, 1]
 
 
-def _dense_kernel_value(corr: np.ndarray, d: np.ndarray, b: np.ndarray) -> float:
-    """``b^H gram^{-1} b`` through :func:`_jacobi_solve`."""
-    return float(np.vdot(b / d, _jacobi_solve(corr, d, b)).real)
+def _dense_kernel_value(corr: np.ndarray, bd: np.ndarray) -> float:
+    """``b^H G^{-1} b = (b/d)^H corr^{-1} (b/d)`` for ``bd = b / d``,
+    through :func:`_jacobi_solve`."""
+    return float(np.vdot(bd, _jacobi_solve(corr, bd)).real)
 
 
 def _half_mask(ns: np.ndarray) -> np.ndarray:
@@ -604,10 +603,11 @@ def kernel_diag(
     halved toward zero.  :class:`TruncationError` is raised when the
     estimate exceeds ``_TRUNC_TOL``.
 
-    Calls that pass the same ``memo`` dict build the dense Gram of each
-    (domain, weight, basis) once and share its Jacobi scaling ``(corr, d)``
-    (:func:`_jacobi_scaled`) and the condition of ``corr``; a build that
-    raises stores nothing, so the next call tries again.
+    A non-radial weight solves with the Jacobi-scaled Gram ``(corr, log
+    d)`` of :func:`_bessel_gram`.  Calls that pass the same ``memo`` dict
+    build it once per (domain, weight, basis) and share it and the
+    condition of ``corr``; a build that raises stores nothing, so the next
+    call tries again.
     """
     if (
         basis is None
@@ -617,16 +617,11 @@ def kernel_diag(
         est = _closed_form_kernel(domain, weight, z)
         _check_truncation(est.truncation_error_estimate)
         return est
-    if basis is None:
-        basis = default_basis(domain)
-    n_min, n_max = basis
-    if isinstance(domain, Disc) and n_min < 0:
-        raise DomainError("disc basis requires n_min >= 0")
-    ns = np.arange(n_min, n_max + 1)
+    ns = _modes(domain, basis)
     half = _half_mask(ns)
 
-    if weight.radial and isinstance(domain, (Disc, Annulus)):
-        lt = _log_kernel_terms(domain, weight, z, ns)
+    if weight.radial:
+        lt = 2.0 * _log_powers(z, ns) - log_radial_moments(domain, weight, ns)
         log_k = _logsumexp(lt)
         if log_k == -math.inf:
             raise ZeroKernelError("kernel diagonal vanishes on this basis")
@@ -635,14 +630,14 @@ def kernel_diag(
         condition = 1.0
     else:
         memo = {} if memo is None else memo
-        key = (domain, weight, (n_min, n_max))
+        key = (domain, weight, (int(ns[0]), int(ns[-1])))
         if key not in memo:
-            corr, d = _jacobi_scaled(gram_matrix(domain, weight, basis))
-            memo[key] = corr, d, _normalized_condition(corr)
-        corr, d, condition = memo[key]
-        b = np.asarray(z, dtype=complex) ** ns
-        value = _dense_kernel_value(corr, d, b)
-        value_half = _dense_kernel_value(corr[np.ix_(half, half)], d[half], b[half])
+            corr, log_d = _bessel_gram(domain, weight, ns, _GRAM_TOL)
+            memo[key] = corr, log_d, _normalized_condition(corr)
+        corr, log_d, condition = memo[key]
+        bd = _scaled_powers(z, ns, log_d)
+        value = _dense_kernel_value(corr, bd)
+        value_half = _dense_kernel_value(corr[np.ix_(half, half)], bd[half])
 
     trunc = abs(value - value_half) / value if value > 0.0 else 0.0
     _check_truncation(trunc)
@@ -680,22 +675,21 @@ def least_norm_extension(
     section ``value K(., z0) / K(z0, z0)`` with coefficients
     ``value M^{-1} conj(b) / K``.
     """
-    if basis is None:
-        basis = default_basis(domain)
-    ns = np.arange(basis[0], basis[1] + 1)
+    ns = _modes(domain, basis)
     if value == 0:
         return 0.0, np.zeros(ns.size, dtype=complex)
-    gram = gram_matrix(domain, weight, basis)
-    b = np.asarray(z0, dtype=complex) ** ns
-    if _is_diagonal(gram):
-        d = np.diag(gram).real
+    if weight.radial:
+        d = np.diag(gram_matrix(domain, weight, basis))
+        b = np.asarray(z0, dtype=complex) ** ns
         kz = float(np.sum(np.abs(b) ** 2 / d))
         sol = np.conj(b) / d
     else:
-        corr, d = _jacobi_scaled(gram)
+        corr, log_d = _bessel_gram(domain, weight, ns, _GRAM_TOL)
         _normalized_condition(corr)  # warns if ill-conditioned
-        sol = _jacobi_solve(corr, d, np.conj(b)) / d
-        kz = _dense_kernel_value(corr, d, b)
+        bd = _scaled_powers(z0, ns, log_d)
+        y = _jacobi_solve(corr, bd)
+        kz = float(np.vdot(bd, y).real)
+        sol = np.conj(y) * np.exp(-log_d)
     if kz <= 1e-300:
         raise ZeroKernelError("kernel diagonal vanishes at the prescribed point")
     coeffs = value * sol / kz
@@ -794,7 +788,9 @@ def extended_suita_check(
             "capacity_sq": cap**2,
             "rho_at_z": rho,
             "weighted_kernel": est.value,
+            "basis_size": est.basis_size,
             "gram_condition": est.gram_condition,
+            "truncation_error": est.truncation_error_estimate,
         },
         gates={"nonnegative": (margin, _MARGIN_TOL)},
         primary="margin",
@@ -803,6 +799,8 @@ def extended_suita_check(
             "capacity_sq": "capacity",
             "rho_at_z": "extended_suita_check",
             "weighted_kernel": "kernel_diag",
+            "basis_size": "kernel_diag",
             "gram_condition": "gram_matrix",
+            "truncation_error": "kernel_diag",
         },
     )

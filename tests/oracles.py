@@ -3,6 +3,9 @@
 import math
 
 import numpy as np
+from scipy.special import gammaln
+
+from bergreen import bergman
 
 
 def chain_rule_orbit(c: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -24,6 +27,42 @@ def chain_rule_orbit(c: float, N: int) -> tuple[np.ndarray, np.ndarray]:
             z, dz = (z + s) / q, (1.0 - s * s) / (q * q) * dz
             points[N + sign * n], derivs[N + sign * n] = z, dz
     return points, derivs
+
+
+def bessel_gram(lo: float, c: float, ns: np.ndarray, terms: int = 40) -> np.ndarray:
+    """The Gram of ``HarmonicRe(c)`` on ``lo < |z| < 1`` (the unit disc at
+    ``lo = 0``), each entry summed term by term in floating point:
+
+        2 pi (-c)^k sum_{j < terms} c^(2j) / (j! (j+k)!) L(2 (M + 1 + j)),
+
+    ``M = max(m, n)``, ``k = |m - n|``, ``L(p) = (1 - lo^p) / p`` with
+    ``lo^p`` formed (``log(1/lo)`` at ``p = 0``).  The terms have one sign,
+    so each entry is accurate to a few roundings while it is in the float
+    range.  The oracle of ``bergman._bessel_gram``, which forms neither
+    ``lo^p`` nor the Gram; nothing here checks that ``terms`` suffices.
+    """
+    big = np.maximum.outer(ns, ns)
+    k = np.abs(np.subtract.outer(ns, ns))
+    gram = np.zeros(k.shape)
+    for j in range(terms):
+        p = 2.0 * (big + 1 + j)
+        moment = np.full(p.shape, -math.log(lo) if lo > 0.0 else math.inf)
+        np.divide(1.0 - lo**p, p, out=moment, where=p != 0.0)
+        log_coeff = (k + 2 * j) * math.log(abs(c)) - gammaln(j + 1) - gammaln(j + k + 1)
+        gram += np.exp(log_coeff) * moment
+    return 2.0 * math.pi * np.where(k % 2 == 1, -math.copysign(1.0, c), 1.0) * gram
+
+
+def jacobi_scaled(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(corr, d)`` with ``d = sqrt|diag gram|`` and ``corr = gram / d
+    d^T``, its entries below ``bergman._DROP`` in modulus set to 0: the
+    oracle of ``bergman._bessel_gram``, which builds ``corr`` and ``log d``
+    in log space without forming ``gram``.  Every operation here is one
+    rounding on the entries of ``gram`` itself."""
+    d = np.sqrt(np.abs(np.diag(gram)).real)
+    corr = gram / np.outer(d, d)
+    corr[np.abs(corr) < bergman._DROP] = 0.0
+    return corr, d
 
 
 def laurent_remainder(r: float, z: complex, w: complex, modes: int) -> float:

@@ -8,7 +8,10 @@ Oracles used here (tests only, never in library code):
   - scipy.special.iv and mpmath.besseli for the HarmonicRe angular integrals:
         integral_0^{2pi} e^{i k t} e^{-2 c s cos t} dt = 2 pi (-1)^k I_k(2 c s),
   - ``_gram_quadrature``, a Gauss-Legendre x trapezoid product quadrature
-    of any density, for the HarmonicRe Bessel-moment Gram.
+    of any density, for the HarmonicRe Bessel-moment Gram,
+  - ``oracles.bessel_gram`` and ``oracles.jacobi_scaled``, the HarmonicRe
+    Gram summed term by term and its Jacobi scaling, for the scaled Gram
+    that ``bergman._bessel_gram`` builds in log space.
 """
 
 import cmath
@@ -25,6 +28,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
 
+from oracles import bessel_gram, jacobi_scaled
 from bergreen import bergman
 from bergreen.cli import _sweep_points
 from bergreen.bergman import (
@@ -92,12 +96,19 @@ def _count_conditions(monkeypatch):
 
 def _condition(gram):
     """``bergman._normalized_condition`` of the Jacobi scaling of ``gram``."""
-    return bergman._normalized_condition(bergman._jacobi_scaled(gram)[0])
+    return bergman._normalized_condition(jacobi_scaled(gram)[0])
 
 
-def _kernel_value(gram, b):
-    """``b^H gram^{-1} b`` by the Jacobi-scaled dense solve of ``bergman``."""
-    return bergman._dense_kernel_value(*bergman._jacobi_scaled(gram), b)
+def _scaled_gram(domain, c, basis):
+    """``(corr, log d)`` of ``HarmonicRe(c)`` on a basis range, from the
+    builder that ``kernel_diag`` solves with."""
+    ns = np.arange(basis[0], basis[1] + 1)
+    return bergman._bessel_gram(domain, HarmonicRe(c), ns, bergman._GRAM_TOL)
+
+
+def _complex_kernel_value(corr, bd):
+    """``bd^H corr^{-1} bd`` by one complex LU solve."""
+    return float(np.vdot(bd, np.linalg.solve(corr.astype(complex), bd)).real)
 
 
 def disc_kernel(z: complex) -> float:
@@ -477,13 +488,38 @@ class TestBesselGram:
         with pytest.raises(DomainError, match="floating-point range"):
             gram_matrix(Annulus(0.04), HarmonicRe(0.2), (-128, 128))
 
+    @pytest.mark.parametrize(
+        "domain,basis,c", [(ANN, (-128, 128), 0.2), (ANN, (-128, 128), 1.0), (DISC, (0, 128), 1.0)]
+    )
+    def test_matches_the_jacobi_scaled_oracle(self, domain, basis, c):
+        # measured: corr within 7.8e-16 absolute and 8.4e-15 relative, log d
+        # within one ulp of its largest modulus (202.5 on the annulus)
+        ns = np.arange(basis[0], basis[1] + 1)
+        lo = domain.r_inner if isinstance(domain, Annulus) else 0.0
+        oracle, d = jacobi_scaled(bessel_gram(lo, c, ns))
+        corr, log_d = _scaled_gram(domain, c, basis)
+        kept = oracle != 0.0
+        assert np.array_equal(corr != 0.0, kept)
+        assert np.max(np.abs(corr - oracle)) <= 2e-15
+        assert np.max(np.abs(corr[kept] / oracle[kept] - 1.0)) <= 2e-14
+        assert np.max(np.abs(log_d - np.log(d))) <= 4 * np.spacing(np.max(np.abs(log_d)))
+
+    def test_beyond_the_float_range(self):
+        # the scaled Gram of (-128, 128) on annulus:0.04, whose unscaled
+        # diagonal reaches e^817, and of (0, 534) on disc:2 (R^1070)
+        eps = np.finfo(float).eps
+        for domain, basis in [(Annulus(0.04), (-128, 128)), (Disc(2.0), (0, 534))]:
+            corr, log_d = _scaled_gram(domain, 0.5, basis)
+            assert np.all(np.isfinite(log_d)) and 2.0 * np.max(log_d) > 700.0
+            assert np.max(np.abs(corr)) <= 1.0 + eps and np.allclose(np.diag(corr), 1.0, rtol=0, atol=eps)
+
     @pytest.mark.parametrize("z", [0.3 + 0.1j, -0.45, 0.5j])
     def test_real_solve_matches_complex_solve(self, z):
-        gram = gram_matrix(ANN, HarmonicRe(0.2), (-16, 16))
-        assert gram.dtype == np.float64
-        b = np.asarray(z, dtype=complex) ** np.arange(-16, 17)
-        real = _kernel_value(gram, b)
-        assert real == pytest.approx(_kernel_value(gram.astype(complex), b), rel=1e-13)
+        corr, log_d = _scaled_gram(ANN, 0.2, (-16, 16))
+        assert corr.dtype == np.float64
+        bd = bergman._scaled_powers(z, np.arange(-16, 17), log_d)
+        real = bergman._dense_kernel_value(corr, bd)
+        assert real == pytest.approx(_complex_kernel_value(corr, bd), rel=1e-13)
 
 
 class TestLogRadialMoments:
@@ -648,15 +684,15 @@ class TestKernelDiag:
         memo = {}
         est = kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), memo=memo)
         assert len(conds) == 1
-        gram = gram_matrix(ANN, HarmonicRe(0.2), (-8, 8))
-        assert est.gram_condition == _condition(gram)
+        corr, _ = _scaled_gram(ANN, 0.2, (-8, 8))
+        assert est.gram_condition == bergman._normalized_condition(corr)
         conds.clear()
         shared = kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), memo=memo)
         assert conds == [] and shared == est
 
     def test_memo_builds_one_gram_for_two_points(self, monkeypatch):
         _open_truncation_gate(monkeypatch)
-        grams = _count(monkeypatch, bergman, "gram_matrix")
+        grams = _count(monkeypatch, bergman, "_bessel_gram")
         conds = _count_conditions(monkeypatch)
         memo = {}
         for z in [0.5, 0.4j]:
@@ -668,7 +704,7 @@ class TestKernelDiag:
         def unresolved(*args, **kwargs):
             raise AccuracyError("injected")
 
-        monkeypatch.setattr(bergman, "gram_matrix", unresolved)
+        monkeypatch.setattr(bergman, "_bessel_gram", unresolved)
         memo = {}
         with pytest.raises(AccuracyError, match="injected"):
             kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), memo=memo)
@@ -963,8 +999,8 @@ class TestExtendedSuita:
 class TestDiscEqualityOracle:
     """The disc is simply connected, so ``c_beta(z)^2 = pi rho(z) K_rho(z, z)``
     for every harmonic weight: an exact oracle for the Bessel-moment Gram,
-    and, through the rotated Gram of :func:`_series_gram`, for the complex
-    Jacobi solve."""
+    and, through the rotated Gram of :func:`_series_gram` and a complex
+    solve, for that Gram's rotation."""
 
     @staticmethod
     def _ratio(weight, z, memo):
@@ -972,8 +1008,8 @@ class TestDiscEqualityOracle:
             q = extended_suita_check(DISC, weight, z, memo=memo).quantities
             return q["capacity_sq"] / (math.pi * q["rho_at_z"] * q["weighted_kernel"])
         basis = auto_basis(DISC, z)
-        b = z ** np.arange(basis[0], basis[1] + 1)
-        kernel = _kernel_value(_series_gram(DISC, weight, basis), b)
+        corr, d = jacobi_scaled(_series_gram(DISC, weight, basis))
+        kernel = _complex_kernel_value(corr, z ** np.arange(basis[0], basis[1] + 1) / d)
         rho = float(weight.density(np.asarray([z]))[0])
         return capacity(DISC, z) ** 2 / (math.pi * rho * kernel)
 
@@ -987,6 +1023,33 @@ class TestDiscEqualityOracle:
             assert abs(ratio - 1.0) <= 1e-12, (weight, z, ratio)
 
 
+class TestFloatRange:
+    """``extended-suita-check`` where the unscaled Gram leaves the float
+    range: the four default points of ``annulus:0.04`` and a point of
+    ``disc:2`` next to its circle pass, on the scaled Gram built in log
+    space."""
+
+    def test_thin_annulus(self):
+        domain, memo = Annulus(0.04), {}
+        for z in _sweep_points(domain, 4):
+            q = extended_suita_check(domain, HarmonicRe(0.2), z, memo=memo).quantities
+            assert q["margin"] > 0.0 and q["truncation_error"] == 0.0
+            assert q["basis_size"] == 257 and q["gram_condition"] == pytest.approx(2.2147, rel=1e-4)
+        assert [key[2] for key in memo] == [(-128, 128)]
+
+    def test_disc_of_radius_two(self):
+        # auto_basis sizes the basis by |z| / R: (0, 534) at 1.9, where |z|
+        # alone asked for (0, 128) and truncated at 1.1e-2
+        domain = Disc(2.0)
+        assert auto_basis(domain, 1.9) == (0, 534) and auto_basis(domain, 1.0) == auto_basis(DISC, 0.5)
+        rec = extended_suita_check(domain, HarmonicRe(0.5), 1.9)
+        q = rec.quantities
+        assert rec.passed and q["basis_size"] == 535 and q["truncation_error"] < 1e-10
+        # the disc is simply connected: an equality
+        ratio = q["capacity_sq"] / (math.pi * q["rho_at_z"] * q["weighted_kernel"])
+        assert abs(ratio - 1.0) <= 1e-12
+
+
 class TestSharedGram:
     """``extended_suita_check(..., memo=...)`` builds the dense Gram of each
     (domain, weight, basis) once per memo and shares it."""
@@ -994,7 +1057,7 @@ class TestSharedGram:
     ONE_BASIS = [0.5, 0.5j, -0.45, 0.4 - 0.3j]  # all (-128, 128)
 
     def test_one_gram_and_one_condition_for_one_basis(self, monkeypatch):
-        grams = _count(monkeypatch, bergman, "gram_matrix")
+        grams = _count(monkeypatch, bergman, "_bessel_gram")
         conds = _count_conditions(monkeypatch)
         memo = {}
         for z in self.ONE_BASIS:
@@ -1003,17 +1066,16 @@ class TestSharedGram:
         assert list(memo) == [(ANN, HarmonicRe(0.2), (-128, 128))]
 
     def test_one_gram_per_distinct_basis(self, monkeypatch):
-        grams = _count(monkeypatch, bergman, "gram_matrix")
+        grams = _count(monkeypatch, bergman, "_bessel_gram")
         conds = _count_conditions(monkeypatch)
-        scalings = _count(monkeypatch, bergman, "_jacobi_scaled")
         zs = [0.5, 0.85, 0.5j, -0.85]
         bases = [auto_basis(ANN, z) for z in zs]
         assert bases[0] == bases[2] != bases[1] == bases[3]
         memo = {}
         for z in zs:
             extended_suita_check(ANN, HarmonicRe(0.2), z, memo=memo)
-        assert [args[2] for args in grams] == bases[:2]
-        assert len(conds) == len(scalings) == 2
+        assert [(args[2][0], args[2][-1]) for args in grams] == bases[:2]
+        assert len(conds) == 2
 
     def test_shared_gram_gives_the_same_result(self):
         memo = {}
@@ -1023,7 +1085,7 @@ class TestSharedGram:
 
     @pytest.mark.parametrize("domain,weight", [(ANN, HarmonicLog(0.3)), (DISC, Unweighted())])
     def test_radial_weights_store_nothing(self, monkeypatch, domain, weight):
-        grams = _count(monkeypatch, bergman, "gram_matrix")
+        grams = _count(monkeypatch, bergman, "_bessel_gram")
         memo = {}
         for z in [0.3, 0.5j]:
             extended_suita_check(domain, weight, z, memo=memo)
@@ -1045,9 +1107,9 @@ class TestSharedGram:
 class TestJacobiScaledOperands:
     """The dense path of ``extended-suita-check`` on ``annulus:0.2`` with
     ``harmonicre:0.2`` at the four points of ``bergreen all``: the
-    Jacobi-scaled matrix is formed once per memo entry, without the
-    underflowed tail of ``bergman._jacobi_scaled``, and dropping that tail
-    moves no kernel value and no margin."""
+    Jacobi-scaled matrix is built once per memo entry, without the
+    underflowed tail that ``bergman._bessel_gram`` drops, and dropping that
+    tail moves no kernel value and no margin."""
 
     WEIGHT = HarmonicRe(0.2)
     ZS = _sweep_points(ANN, 4)  # all in basis (-128, 128)
@@ -1086,34 +1148,35 @@ class TestJacobiScaledOperands:
             assert q["gram_condition"] == pytest.approx(r["gram_condition"], rel=1e-13)
 
     def test_one_scaling_per_least_norm_extension(self, monkeypatch):
-        scalings = _count(monkeypatch, bergman, "_jacobi_scaled")
+        scalings = _count(monkeypatch, bergman, "_bessel_gram")
         least_norm_extension(ANN, self.WEIGHT, 0.5, 1.0, basis=(-16, 16))
         assert len(scalings) == 1
 
 
 class TestJacobiSolveAccuracy:
-    """The dense kernel value ``b^H gram^{-1} b`` against a 50-digit
-    ``mpmath`` solve of the same float64 Gram.  Partial-pivoting LU is
-    backward stable, so the relative error is of order ``n * kappa * eps``
-    with ``n`` the basis size and ``kappa`` the measured 2-norm condition of
-    the Jacobi-scaled system; that product is the tolerance.  For the
+    """The dense kernel value ``bd^H corr^{-1} bd`` against a 50-digit
+    ``mpmath`` solve of the same float64 scaled Gram and right-hand side
+    ``bd = b / d``.  Partial-pivoting LU is backward stable, so the relative
+    error is of order ``n * kappa * eps`` with ``n`` the basis size and
+    ``kappa`` the measured 2-norm condition of the Jacobi-scaled system;
+    that product is the tolerance.  For the
     (-8, 8) basis below ``kappa`` is about 2, the tolerance about 7.5e-15,
-    and the measured worst error about 3e-16."""
+    and the measured worst error about 1.7e-16."""
 
     BASIS = (-8, 8)
 
     @pytest.mark.parametrize("z", [0.3, 0.5j, -0.7 + 0.1j, 0.25 - 0.2j])
     def test_matches_fifty_digit_solve(self, z):
-        gram = gram_matrix(ANN, HarmonicRe(0.2), self.BASIS)
+        corr, log_d = _scaled_gram(ANN, 0.2, self.BASIS)
         ns = np.arange(self.BASIS[0], self.BASIS[1] + 1)
-        b = np.asarray(z, dtype=complex) ** ns
-        value = _kernel_value(gram, b)
+        bd = bergman._scaled_powers(z, ns, log_d)
+        value = bergman._dense_kernel_value(corr, bd)
         with mpmath.workdps(50):
-            g = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in gram])
-            bb = mpmath.matrix([mpmath.mpc(complex(x)) for x in b])
+            g = mpmath.matrix([[mpmath.mpf(x) for x in row] for row in corr])
+            bb = mpmath.matrix([mpmath.mpc(complex(x)) for x in bd])
             y = mpmath.lu_solve(g, bb)
             exact = float(sum(mpmath.conj(bb[i]) * y[i] for i in range(ns.size)).real)
-        kappa = _condition(gram)
+        kappa = bergman._normalized_condition(corr)
         tol = ns.size * kappa * np.finfo(float).eps
         assert abs(value - exact) <= tol * exact
 
@@ -1135,13 +1198,13 @@ class TestNormalizedCondition:
         ],
     )
     def test_matches_the_unpermuted_spectrum(self, domain, c, basis):
-        corr, _ = bergman._jacobi_scaled(gram_matrix(domain, HarmonicRe(c), basis))
+        corr, _ = _scaled_gram(domain, c, basis)
         lam = np.abs(np.linalg.eigvalsh(corr))
         reference = lam.max() / lam.min()
         assert bergman._normalized_condition(corr) == pytest.approx(reference, rel=1e-13)
 
     def test_diagonal_gram_is_exactly_one(self):
-        corr, _ = bergman._jacobi_scaled(gram_matrix(ANN, Unweighted(), (-16, 16)))
+        corr, _ = jacobi_scaled(gram_matrix(ANN, Unweighted(), (-16, 16)))
         assert bergman._normalized_condition(corr) == 1.0
 
     def test_warns_above_1e10(self):

@@ -41,7 +41,7 @@ from bergreen.reports import (
 # modules, and what sets it; any other numerical setting is a private module
 # constant beside the code that reads it, which a test monkeypatches
 _SETTABLE_DEFAULTS = {
-    "bergman.gram_matrix.basis": "kernel_diag passes the basis of its command",
+    "bergman.gram_matrix.basis": "least_norm_extension passes the basis of its caller",
     "bergman.gram_matrix.gram_tol": "benchmarks/spans.py binds it",
     "bergman.gram_matrix.quad_start": "benchmarks/spans.py binds it",
     "bergman.kernel_diag.basis": "extended-suita-check passes auto_basis",
@@ -912,18 +912,17 @@ class TestExtendedSuitaSharedGram:
         return calls
 
     def test_one_gram_and_one_condition_per_command(self, tmp_path, monkeypatch):
-        grams = self._count(monkeypatch, bergman, "gram_matrix")
+        grams = self._count(monkeypatch, bergman, "_bessel_gram")
         conds = self._count(monkeypatch, bergman, "_normalized_condition")
-        scalings = self._count(monkeypatch, bergman, "_jacobi_scaled")
         assert main(self._argv(tmp_path, self.ZS)) == 0
-        assert len(grams) == len(conds) == len(scalings) == 1
+        assert len(grams) == len(conds) == 1
         assert main(self._argv(tmp_path, self.ZS)) == 0
-        assert len(grams) == len(conds) == len(scalings) == 2  # the next command builds again
+        assert len(grams) == len(conds) == 2  # the next command builds again
 
     def test_one_gram_per_distinct_basis(self, tmp_path, monkeypatch):
-        grams = self._count(monkeypatch, bergman, "gram_matrix")
+        grams = self._count(monkeypatch, bergman, "_bessel_gram")
         assert main(self._argv(tmp_path, "0.5,0.85,0.5j,-0.85")) == 0
-        assert [args[2] for args in grams] == [(-128, 128), (-128, 154)]
+        assert [(args[2][0], args[2][-1]) for args in grams] == [(-128, 128), (-128, 154)]
 
     def test_records_match_point_by_point_checks(self, tmp_path):
         assert main(self._argv(tmp_path, f"{self.ZS},0.85")) == 0
@@ -933,7 +932,8 @@ class TestExtendedSuitaSharedGram:
         for rec, z in zip(records, zs):
             res = extended_suita_check(Annulus(0.2), HarmonicRe(0.2), z)
             assert list(res.quantities) == [
-                "margin", "capacity_sq", "rho_at_z", "weighted_kernel", "gram_condition"
+                "margin", "capacity_sq", "rho_at_z", "weighted_kernel", "basis_size",
+                "gram_condition", "truncation_error",
             ]
             assert rec["quantities"] == res.quantities
 

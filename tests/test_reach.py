@@ -25,6 +25,8 @@ _CI_COMMANDS = [
     # closed-form kernels
     "extended-suita-check --domain disc --weight harmonicre:1.0",
     "extended-suita-check --domain annulus:0.2 --weight harmonicre:1.0",
+    "extended-suita-check --domain annulus:0.04 --weight harmonicre:0.2",
+    "extended-suita-check --domain disc:2 --weight harmonicre:0.5 --zs 1.9",
     "suita-check --domain annulus:0.04 --zs 0.0404,0.5j,-0.9999",
     "suita-check --domain annulus:2.2e-86 --zs 1.5e-43,0.5,1e-85",
     "fuchsian-check --c-grid 0.01,0.5,0.999 --n-terms 4096",
