@@ -12,10 +12,9 @@ with closed-form per-mode moments.  Without a basis range, the kernel of
 rational function on the disc, a Lambert series with a certified geometric
 tail on an annulus.  Over a given basis range it sums the modes in log
 space, so that very large bases neither overflow nor underflow.
-``HarmonicRe`` solves a dense real symmetric system: its Gram matrix,
-from the modified-Bessel expansion of its density (a series of one-signed
-terms with a certified tail), is built Jacobi-scaled in log space, with
-its underflowed tail dropped.
+``HarmonicRe(c)`` is not radial, but ``f -> f e^{-c z}`` maps its space
+isometrically onto the unweighted one, so its kernel is the unweighted
+closed form times ``e^{2 c Re z}``.
 
 Norm convention: ``||f||^2 = integral |f|^2 rho dLambda`` (plain Lebesgue
 area measure).  Under this convention the unweighted unit disc gives
@@ -25,17 +24,15 @@ area measure).  Under this convention the unweighted unit disc gives
 
 from __future__ import annotations
 
-import cmath
 import math
-import warnings
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
 
 from .domains import Annulus, Disc, PlanarDomain, capacity
 from .errors import (
-    AccuracyError,
     DivergentIntegralError,
     DomainError,
     TruncationError,
@@ -58,18 +55,18 @@ __all__ = [
     "extended_suita_check",
     "kernel_record",
     "default_basis",
-    "auto_basis",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# the relative truncation level half of an automatic basis reaches (auto_basis)
-_BASIS_REL_TOL = 1e-7
 # the largest halved-basis change of a kernel diagonal (kernel_diag)
 _TRUNC_TOL = 1e-6
 # the allowed overshoot of c^2/(pi K) <= 1 (suita_ratio)
 _RATIO_TOL = 1e-6
 # the allowed negative margin of pi rho K - c^2 >= 0 (extended_suita_check)
 _MARGIN_TOL = 1e-9
+# the smallest normal float: e^t and e^-t are both normal for |t| <= -log of it
+_TINY = sys.float_info.min
+_LOG_TINY = math.log(_TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -245,35 +242,6 @@ def default_basis(domain: PlanarDomain) -> tuple[int, int]:
     return (0, 64)
 
 
-def auto_basis(domain: PlanarDomain, z: complex) -> tuple[int, int]:
-    """Index range making the kernel truncation at ``z`` negligible.
-
-    Kernel terms decay like ``(|z|/R)^{2n} n`` for large positive ``n`` on a
-    disc of radius ``R`` (``R = 1`` on an annulus) and like ``(r/|z|)^{2|n|}
-    |n|`` for large negative ``n`` on an annulus.  The range
-    is sized so that *half* of it already truncates at relative level
-    ``_BASIS_REL_TOL``, which keeps the halved-range estimate reported by
-    :func:`kernel_diag` comfortably below its gate while making the full
-    range's own truncation negligible.
-    """
-
-    def n_for(q: float) -> int:
-        if q <= 0.0 or q >= 1.0:
-            return 64
-        n = 64.0
-        for _ in range(4):
-            n = max(
-                64.0,
-                (math.log(_BASIS_REL_TOL) - 2.0 * math.log(n + 2.0)) / (2.0 * math.log(q)),
-            )
-        return int(math.ceil(n))
-
-    s = abs(z)
-    if isinstance(domain, Annulus):
-        return (-2 * n_for(domain.r_inner / s), 2 * n_for(s))
-    return (0, 2 * n_for(s / domain.radius))
-
-
 def _modes(domain: PlanarDomain, basis: tuple[int, int] | None) -> np.ndarray:
     """The indices ``n`` of a basis range (:func:`default_basis` for
     ``None``), which must be nonempty and, on a disc, nonnegative."""
@@ -296,163 +264,34 @@ _RANGE_ERROR = (
     "Gram entries exceed the floating-point range; "
     "kernel_diag evaluates kernels in log space instead"
 )
-# the relative series tail of the HarmonicRe Grams the solves read
-_GRAM_TOL = 1e-16
-# the most series terms a HarmonicRe Gram entry may take (_bessel_gram)
-_SERIES_TERMS = 1000
-# eps^2: Jacobi-scaled entries below it are set to 0 (_bessel_gram).  The
-# dropped part E of an n x n matrix has ||E||_2 <= ||E||_F < n eps^2, so a
-# solve moves by at most kappa n eps^2 relative, below 1.3e-19 at n = 257 for
-# every kappa under the 1e10 warning, and by Weyl's inequality no eigenvalue
-# moves by more than ||E||_2 (N. J. Higham, *Accuracy and Stability of
-# Numerical Algorithms*, 2nd ed., 2002, ch. 7)
-_DROP = 2.0**-104
 
 
 def gram_matrix(
     domain: PlanarDomain,
     weight: WeightSpec,
     basis: tuple[int, int] | None = None,
-    gram_tol: float = _GRAM_TOL,
+    gram_tol: float = 1e-16,
     quad_start: int = 64,
 ) -> np.ndarray:
     """Gram matrix of the monomials ``z^n`` for ``n`` in the basis range.
 
     Entry ``(m, n)`` is ``integral z^m conj(z)^n rho dLambda``.  Radial
     weights on disc/annulus give a diagonal matrix with closed-form
-    moments; ``HarmonicRe`` gives the dense real symmetric matrix ``corr
-    d d^T`` of :func:`_bessel_gram`, whose series tail is certified at most
-    ``gram_tol`` relative to every entry (the default is below a unit
-    roundoff).  ``quad_start`` is unused; it stays because
-    ``benchmarks/spans.py`` keys traced calls on it by name.
+    moments.  ``gram_tol`` and ``quad_start`` are unused; they stay because
+    ``benchmarks/spans.py`` keys traced calls on them by name.
 
-    Raises :class:`DomainError` for a weight outside :data:`WeightSpec`
-    and if a diagonal entry exceeds the float range (kernels are evaluated
-    by :func:`kernel_diag` in log space instead).
+    Raises :class:`DomainError` for a weight that is not radial (the
+    kernel of ``HarmonicRe`` is taken in closed form by :func:`kernel_diag`,
+    without a Gram matrix) and if a diagonal entry exceeds the float range
+    (kernels are evaluated by :func:`kernel_diag` in log space instead).
     """
     ns = _modes(domain, basis)
-    if not isinstance(weight, WeightSpec):
-        raise DomainError(f"no Gram matrix for the weight {weight!r}")
-    if isinstance(weight, HarmonicRe):
-        corr, log_d = _bessel_gram(domain, weight, ns, gram_tol)
-        if 2.0 * np.max(log_d) > _EXP_MAX:
-            raise DomainError(_RANGE_ERROR)
-        d = np.exp(log_d)
-        return corr * np.outer(d, d)
+    if not (isinstance(weight, WeightSpec) and weight.radial):
+        raise DomainError(f"no Gram matrix for the non-radial weight {weight!r}")
     logs = log_radial_moments(domain, weight, ns)
     if np.max(logs) > _EXP_MAX:
         raise DomainError(_RANGE_ERROR)
     return np.diag(np.exp(logs))
-
-
-def _bessel_gram(
-    domain: PlanarDomain, weight: HarmonicRe, ns: np.ndarray, gram_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobi-scaled Gram ``(corr, log d)`` of ``HarmonicRe(c)`` from its
-    Bessel moments: ``d = sqrt(diag G)`` and ``corr = G / (d d^T)``, built in
-    log space without forming ``G``.
-
-    ``e^{-2 c s cos t} = sum_k (-1)^k I_k(2 c s) e^{ikt}`` and the power
-    series of ``I_k`` turn entry ``(m, n)`` of ``G`` on the unit disc or an
-    annulus ``lo < |z| < 1`` into
-
-        2 pi (-c)^k sum_j c^(2j) / (j! (j+k)!) L(2 (max(m, n) + 1 + j)),
-
-    with ``k = |m - n|`` and ``L(p) = integral_lo^1 s^(p-1) ds``
-    (``log(1/lo)`` at ``p = 0``).  The terms have one sign and ``L``
-    decreases in ``p``, so term ``j + 1`` is at most ``rho_j = c^2 / ((j+1)
-    (j+k+1))`` times term ``j``, and after terms ``0..J`` the tail is at most
-    term ``J`` times ``rho_J / (1 - rho_J)``.  Relative to the entry, that
-    bound is largest at ``k = 0``, where term ``J`` is at most ``c^(2J) /
-    (J!)^2`` times term 0; ``J`` is the first index that takes it below
-    ``gram_tol``.  On a disc of radius ``R`` the entry is ``R^(m+n+2)`` times
-    the unit-disc entry at ``c R``.
-
-    ``L(p) = lo^min(p, 0) L(|p|)``, so ``log L`` is ``min(p, 0) log lo`` plus
-    a log of modest size from :func:`_log_power_integrals`; differences of
-    ``log L`` are taken part by part, and neither ``lo^p`` nor a difference
-    of large logs is formed.  Entry ``(m, n)`` is a cell ``(M, k)``, ``M =
-    max(m, n)``, of one table ``T``: the Hankel matrix of ``L``, each row
-    divided by its first moment ``L(2 (M + 1))`` (ratios at most 1), times
-    the coefficients, those below the smallest normal float set to 0.  With
-    ``l_n = log L(2 (n + 1))``, ``2 pi``, ``R^(m+n+2)`` and the row factors
-    cancel in ``corr[m, n] = e^{-|l_m - l_n| / 2} T[M, k] / sqrt(T[m, 0]
-    T[n, 0])``.  Its entries below ``_DROP`` (the far ones fall like ``c^k /
-    k!``) are set to 0, since subnormal values slow every later LAPACK call.
-
-    Raises :class:`AccuracyError` when ``c`` is not finite or the series
-    needs more than ``_SERIES_TERMS`` terms.
-    """
-    if isinstance(domain, Disc):
-        lo, radius = 0.0, domain.radius
-    elif isinstance(domain, Annulus):
-        lo, radius = domain.r_inner, 1.0
-    else:
-        raise DomainError("the HarmonicRe Gram needs a disc or annulus")
-    c = weight.c * radius
-    if not math.isfinite(c):
-        raise AccuracyError(f"the HarmonicRe Gram series is undefined at c = {weight.c!r}")
-    c2 = c * c
-    last, n_terms = 1.0, 0  # term n_terms relative to term 0, at k = 0
-    while not (c2 < (n_terms + 1) ** 2 and last * c2 / ((n_terms + 1) ** 2 - c2) <= gram_tol):
-        n_terms += 1
-        if n_terms > _SERIES_TERMS:
-            raise AccuracyError(
-                f"the HarmonicRe Gram series at c = {weight.c!r} needs more than "
-                f"{_SERIES_TERMS} terms for gram_tol={gram_tol:.3e}"
-            )
-        last *= c2 / (n_terms * n_terms)
-
-    size = ns.size
-    # L(p) for p = 2 (M + 1 + j), M in the basis range and j <= J
-    p = 2.0 * np.arange(ns[0] + 1, ns[-1] + n_terms + 2)
-    low, log_l = np.minimum(p, 0.0), _log_power_integrals(np.abs(p), lo, 1.0)
-    log_lo = math.log(lo) if lo > 0.0 else 0.0  # low = 0 on a disc
-
-    def gap(a, b):  # log L(p[a]) - log L(p[b])
-        return (low[a] - low[b]) * log_lo + (log_l[a] - log_l[b])
-
-    # coeff[j, k] = (-c)^k c^(2j) / (j! (j+k)!), by recurrence in k, then j
-    ks = np.arange(size)
-    coeff = np.empty((n_terms + 1, size))
-    coeff[0] = np.cumprod(np.concatenate(([1.0], -c / ks[1:])))
-    for j in range(1, n_terms + 1):
-        coeff[j] = coeff[j - 1] * (c2 / (j * (j + ks)))
-    coeff[np.abs(coeff) < np.finfo(float).tiny] = 0.0
-    table = np.exp(gap(ks[:, None] + np.arange(n_terms + 1), ks[:, None])) @ coeff
-    root = np.sqrt(table[:, 0])  # table is [M - n_min, k]
-    corr = table[np.maximum.outer(ks, ks), np.abs(ks[:, None] - ks)]
-    corr *= np.exp(-0.5 * np.abs(gap(ks[:, None], ks))) / np.outer(root, root)
-    corr[np.abs(corr) < _DROP] = 0.0
-    log_n = low[:size] * log_lo + log_l[:size]
-    log_d = 0.5 * (_LOG_2PI + log_n) + np.log(root) + (ns + 1.0) * math.log(radius)
-    return corr, log_d
-
-
-def _normalized_condition(corr: np.ndarray) -> float:
-    """Condition number of the Jacobi-scaled matrix ``corr`` of
-    :func:`_bessel_gram`.
-
-    ``corr`` is real and exactly symmetric: the 2-norm condition is then
-    ``max |lambda| / min |lambda|`` over the eigenvalues from ``eigvalsh``,
-    which reads one triangle only.  For a diagonal Gram matrix the basis is
-    orthogonal, per-mode solves are perfectly conditioned, and the
-    normalized condition is exactly 1.  A condition above 1e10 triggers an
-    ill-conditioning warning.
-    """
-    if np.all(corr == np.diag(np.diag(corr))):
-        return 1.0
-    # the spectrum of a symmetric permutation of corr, the same up to
-    # rounding: in stride-31 order LAPACK's tridiagonal reduction (dsytrd)
-    # took half the time it takes on the banded order of a Bessel-moment
-    # Gram (3.6 against 7.7 ms at n = 257); why is not established
-    order = np.argsort(np.arange(corr.shape[0]) % 31, kind="stable")
-    lam = np.abs(np.linalg.eigvalsh(corr[np.ix_(order, order)]))
-    with np.errstate(divide="ignore"):
-        cond = float(lam.max() / lam.min())
-    if cond > 1e10:
-        warnings.warn(f"Gram matrix condition {cond:.3e} exceeds 1e10", RuntimeWarning)
-    return cond
 
 
 # ---------------------------------------------------------------------------
@@ -479,32 +318,11 @@ def _log_powers(z: complex, ns: np.ndarray) -> np.ndarray:
     return ns * math.log(s)
 
 
-def _scaled_powers(z: complex, ns: np.ndarray, log_d: np.ndarray) -> np.ndarray:
-    """``z^n / d_n`` as ``exp(n log|z| - log d_n) e^{i n arg z}``, which
-    neither overflows nor underflows where the quotient does not."""
-    return np.exp(_log_powers(z, ns) - log_d + 1j * ns * cmath.phase(z))
-
-
 def _logsumexp(values: np.ndarray) -> float:
     m = float(np.max(values))
     if m == -math.inf:
         return -math.inf
     return m + math.log(np.sum(np.exp(values - m)))
-
-
-def _jacobi_solve(corr: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """``y`` solving ``corr y = rhs`` for the real symmetric ``corr`` of
-    :func:`_bessel_gram` and a complex ``rhs``, by partial-pivoting LU
-    (``numpy.linalg``) in real arithmetic, with the real and imaginary parts
-    of ``rhs`` as two right-hand sides."""
-    y = np.linalg.solve(corr, np.stack([rhs.real, rhs.imag], axis=-1))
-    return y[:, 0] + 1j * y[:, 1]
-
-
-def _dense_kernel_value(corr: np.ndarray, bd: np.ndarray) -> float:
-    """``b^H G^{-1} b = (b/d)^H corr^{-1} (b/d)`` for ``bd = b / d``,
-    through :func:`_jacobi_solve`."""
-    return float(np.vdot(bd, _jacobi_solve(corr, bd)).real)
 
 
 def _half_mask(ns: np.ndarray) -> np.ndarray:
@@ -587,66 +405,67 @@ def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) ->
     return KernelEstimate(value, size, 1.0, tails / total)
 
 
+def _harmonic_re_kernel(domain: PlanarDomain, weight: HarmonicRe, z: complex) -> KernelEstimate:
+    """``K_rho(z, z) = e^{2 c Re z} K(z, z)`` for ``rho = e^{-2 c Re z}``, with
+    ``K`` the unweighted closed form, whose term count and tail it reports.
+
+    ``|f e^{-c z}|^2 = |f|^2 rho``, so ``f -> f e^{-c z}`` maps ``A^2(Omega,
+    rho)`` isometrically onto ``A^2(Omega)`` and ``K_rho(z, w) = e^{c z} K(z,
+    w) e^{c conj(w)}``.  Raises :class:`DomainError` where ``rho(z)`` or
+    ``K_rho(z, z)`` is not a normal float: ``|2 c Re z|`` beyond ``-log`` of
+    the smallest normal float, or the product out of range.
+    """
+    est = _closed_form_kernel(domain, Unweighted(), z)
+    exponent = 2.0 * weight.c * complex(z).real
+    value = est.value * math.exp(exponent) if abs(exponent) <= -_LOG_TINY else math.nan
+    if not _TINY <= value < math.inf:
+        raise DomainError(
+            f"K_rho(z, z) = e^(2c Re z) K(z, z) at z = {z} with c = {weight.c!r} "
+            f"(2c Re z = {exponent:.6g}) leaves the floating-point range"
+        )
+    return replace(est, value=value)
+
+
 def kernel_diag(
     domain: PlanarDomain,
     weight: WeightSpec,
     z: complex,
     basis: tuple[int, int] | None = None,
-    memo: dict | None = None,
 ) -> KernelEstimate:
     """Bergman kernel diagonal ``K(z, z)`` over the monomial basis span.
 
     Without ``basis``, ``Unweighted`` and ``HarmonicLog`` on discs and on
-    annuli take every mode in closed form (:func:`_closed_form_kernel`);
-    other weights use :func:`default_basis`.  Over a basis range, the
+    annuli take every mode in closed form (:func:`_closed_form_kernel`),
+    and ``HarmonicRe`` is that closed form times ``e^{2 c Re z}``
+    (:func:`_harmonic_re_kernel`); ``MaxPiece`` uses :func:`default_basis`.
+    Over a basis range the radial modes are summed in log space, and the
     truncation error estimate is the relative change when the range is
     halved toward zero.  :class:`TruncationError` is raised when the
-    estimate exceeds ``_TRUNC_TOL``.
-
-    A non-radial weight solves with the Jacobi-scaled Gram ``(corr, log
-    d)`` of :func:`_bessel_gram`.  Calls that pass the same ``memo`` dict
-    build it once per (domain, weight, basis) and share it and the
-    condition of ``corr``; a build that raises stores nothing, so the next
-    call tries again.
+    estimate exceeds ``_TRUNC_TOL``, and :class:`DomainError` for a
+    non-radial weight over a basis range or off discs and annuli.
     """
-    if (
-        basis is None
-        and isinstance(weight, (Unweighted, HarmonicLog))
-        and isinstance(domain, (Disc, Annulus))
-    ):
+    closed = basis is None and isinstance(domain, (Disc, Annulus))
+    if closed and isinstance(weight, HarmonicRe):
+        est = _harmonic_re_kernel(domain, weight, z)
+    elif closed and isinstance(weight, (Unweighted, HarmonicLog)):
         est = _closed_form_kernel(domain, weight, z)
-        _check_truncation(est.truncation_error_estimate)
-        return est
-    ns = _modes(domain, basis)
-    half = _half_mask(ns)
-
-    if weight.radial:
+    elif not weight.radial:
+        raise DomainError(
+            f"no modal sum for the non-radial weight {weight!r}: its kernel is "
+            "taken in closed form, without a basis range, on discs and annuli"
+        )
+    else:
+        ns = _modes(domain, basis)
         lt = 2.0 * _log_powers(z, ns) - log_radial_moments(domain, weight, ns)
         log_k = _logsumexp(lt)
         if log_k == -math.inf:
             raise ZeroKernelError("kernel diagonal vanishes on this basis")
         value = math.exp(log_k)
-        value_half = math.exp(_logsumexp(lt[half]))
-        condition = 1.0
-    else:
-        memo = {} if memo is None else memo
-        key = (domain, weight, (int(ns[0]), int(ns[-1])))
-        if key not in memo:
-            corr, log_d = _bessel_gram(domain, weight, ns, _GRAM_TOL)
-            memo[key] = corr, log_d, _normalized_condition(corr)
-        corr, log_d, condition = memo[key]
-        bd = _scaled_powers(z, ns, log_d)
-        value = _dense_kernel_value(corr, bd)
-        value_half = _dense_kernel_value(corr[np.ix_(half, half)], bd[half])
-
-    trunc = abs(value - value_half) / value if value > 0.0 else 0.0
-    _check_truncation(trunc)
-    return KernelEstimate(
-        value=value,
-        basis_size=int(ns.size),
-        gram_condition=condition,
-        truncation_error_estimate=trunc,
-    )
+        value_half = math.exp(_logsumexp(lt[_half_mask(ns)]))
+        trunc = abs(value - value_half) / value if value > 0.0 else 0.0
+        est = KernelEstimate(value, int(ns.size), 1.0, trunc)
+    _check_truncation(est.truncation_error_estimate)
+    return est
 
 
 def _check_truncation(trunc: float) -> None:
@@ -673,23 +492,21 @@ def least_norm_extension(
     Returns ``(minimum of ||F||^2, coefficient vector)``.  The minimum is
     ``|value|^2 / K(z0, z0)`` and the minimizer is the normalized kernel
     section ``value K(., z0) / K(z0, z0)`` with coefficients
-    ``value M^{-1} conj(b) / K``.
+    ``value M^{-1} conj(b) / K``, ``M`` the diagonal Gram of a radial
+    weight; a weight that is not radial raises :class:`DomainError`.
     """
+    if not weight.radial:
+        raise DomainError(
+            f"no least-norm extension for the non-radial weight {weight!r}: "
+            "it is solved over the orthogonal monomials of a radial weight"
+        )
     ns = _modes(domain, basis)
     if value == 0:
         return 0.0, np.zeros(ns.size, dtype=complex)
-    if weight.radial:
-        d = np.diag(gram_matrix(domain, weight, basis))
-        b = np.asarray(z0, dtype=complex) ** ns
-        kz = float(np.sum(np.abs(b) ** 2 / d))
-        sol = np.conj(b) / d
-    else:
-        corr, log_d = _bessel_gram(domain, weight, ns, _GRAM_TOL)
-        _normalized_condition(corr)  # warns if ill-conditioned
-        bd = _scaled_powers(z0, ns, log_d)
-        y = _jacobi_solve(corr, bd)
-        kz = float(np.vdot(bd, y).real)
-        sol = np.conj(y) * np.exp(-log_d)
+    d = np.diag(gram_matrix(domain, weight, basis))
+    b = np.asarray(z0, dtype=complex) ** ns
+    kz = float(np.sum(np.abs(b) ** 2 / d))
+    sol = np.conj(b) / d
     if kz <= 1e-300:
         raise ZeroKernelError("kernel diagonal vanishes at the prescribed point")
     coeffs = value * sol / kz
@@ -757,7 +574,6 @@ def extended_suita_check(
     domain: PlanarDomain,
     weight: WeightSpec,
     z: complex,
-    memo: dict | None = None,
 ) -> ReportRecord:
     """``pi rho(z) K_rho(z, z) - c_beta(z)^2 >= -_MARGIN_TOL``: the
     ``extended-suita-check`` record.
@@ -765,10 +581,10 @@ def extended_suita_check(
     ``weight`` must come from an exponent harmonic on ``domain``
     (``Unweighted``, ``HarmonicRe``, or ``HarmonicLog`` off the disc);
     ``MaxPiece`` is not of that form, and ``HarmonicLog(alpha)`` with
-    ``alpha != 0`` has a pole at 0, inside a disc.  The radial weights take
-    the closed-form kernel, ``HarmonicRe`` the dense Gram on
-    :func:`auto_basis`; calls that pass the same ``memo`` share their dense
-    Grams through :func:`kernel_diag`.
+    ``alpha != 0`` has a pole at 0, inside a disc.  Every one takes the
+    closed-form kernel of :func:`kernel_diag`; for ``HarmonicRe``, ``rho(z)
+    K_rho(z, z) = K(z, z)``, so the margin is that of Suita's inequality,
+    which holds with equality exactly on the disc.
     """
     if isinstance(weight, MaxPiece):
         raise DomainError("extended check requires a harmonic weight variant")
@@ -778,8 +594,7 @@ def extended_suita_check(
             "has a pole at 0, inside the disc"
         )
     cap = capacity(domain, z)
-    basis = auto_basis(domain, z) if isinstance(weight, HarmonicRe) else None
-    est = kernel_diag(domain, weight, z, basis=basis, memo=memo)
+    est = kernel_diag(domain, weight, z)
     rho = float(weight.density(np.asarray([z], dtype=complex))[0])
     margin = math.pi * rho * est.value - cap**2
     return make_record(

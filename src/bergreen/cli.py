@@ -482,12 +482,11 @@ def _suita(cfg):
 def _extended_suita(cfg):
     domain, zs = _points(cfg, "zs")
     weight = parse_weight(cfg["weight"])
-    memo = {}  # the dense Grams this command's points share
     for z in zs:
         yield Case(f"{cfg['domain']} {cfg['weight']} z={z}",
                    {**_echo(cfg, "domain", "weight"), "z": str(z)},
                    "bergman.extended_suita_check",
-                   {"domain": domain, "weight": weight, "z": z, "memo": memo})
+                   {"domain": domain, "weight": weight, "z": z})
 
 
 def _optimal_constant(cfg):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import chain_rule_orbit, laurent_robin
+from oracles import auto_basis, chain_rule_orbit, laurent_robin
 from scipy.integrate import quad
 
 from bergreen.bergman import (
@@ -18,7 +18,6 @@ from bergreen.bergman import (
     HarmonicRe,
     MaxPiece,
     Unweighted,
-    auto_basis,
     extended_suita_check,
     kernel_diag,
     least_norm_extension,

@@ -5,19 +5,20 @@ Oracles used here (tests only, never in library code):
   - the modal sum of ``kernel_diag`` over an explicit basis, for its
     closed-form (Lambert) route,
   - scipy.integrate.quad radial integrals for diagonal Gram entries,
+  - ``oracles.dense_kernel``, the HarmonicRe kernel solved against the
+    dense Gram of the monomials, for the closed form ``e^{2 c Re z} K``,
   - scipy.special.iv and mpmath.besseli for the HarmonicRe angular integrals:
         integral_0^{2pi} e^{i k t} e^{-2 c s cos t} dt = 2 pi (-1)^k I_k(2 c s),
   - ``_gram_quadrature``, a Gauss-Legendre x trapezoid product quadrature
-    of any density, for the HarmonicRe Bessel-moment Gram,
+    of any density, for the HarmonicRe Bessel-moment Gram of that oracle,
   - ``oracles.bessel_gram`` and ``oracles.jacobi_scaled``, the HarmonicRe
     Gram summed term by term and its Jacobi scaling, for the scaled Gram
-    that ``bergman._bessel_gram`` builds in log space.
+    that ``oracles.scaled_bessel_gram`` builds in log space.
 """
 
 import cmath
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import mpmath
@@ -28,7 +29,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import iv
 
-from oracles import bessel_gram, jacobi_scaled
+import oracles
+from oracles import auto_basis, bessel_gram, harmonic_re_gram, jacobi_scaled
 from bergreen import bergman
 from bergreen.cli import _sweep_points
 from bergreen.bergman import (
@@ -36,7 +38,6 @@ from bergreen.bergman import (
     HarmonicRe,
     MaxPiece,
     Unweighted,
-    auto_basis,
     default_basis,
     extended_suita_check,
     gram_matrix,
@@ -88,22 +89,16 @@ def _open_truncation_gate(monkeypatch):
     monkeypatch.setattr(bergman, "_TRUNC_TOL", 1.0)
 
 
-def _count_conditions(monkeypatch):
-    """Log each Gram condition, that is each
-    ``bergman._normalized_condition`` call; returns the log."""
-    return _count(monkeypatch, bergman, "_normalized_condition")
-
-
 def _condition(gram):
-    """``bergman._normalized_condition`` of the Jacobi scaling of ``gram``."""
-    return bergman._normalized_condition(jacobi_scaled(gram)[0])
+    """``oracles.normalized_condition`` of the Jacobi scaling of ``gram``."""
+    return oracles.normalized_condition(jacobi_scaled(gram)[0])
 
 
 def _scaled_gram(domain, c, basis):
     """``(corr, log d)`` of ``HarmonicRe(c)`` on a basis range, from the
-    builder that ``kernel_diag`` solves with."""
+    builder that ``oracles.dense_kernel`` solves with."""
     ns = np.arange(basis[0], basis[1] + 1)
-    return bergman._bessel_gram(domain, HarmonicRe(c), ns, bergman._GRAM_TOL)
+    return oracles.scaled_bessel_gram(domain, HarmonicRe(c), ns)
 
 
 def _complex_kernel_value(corr, bd):
@@ -232,7 +227,7 @@ class TestGram:
     def test_harmonic_re_gram_vs_bessel_oracle(self):
         c = 0.2
         ns = np.arange(-6, 7)
-        g = gram_matrix(ANN, HarmonicRe(c), (-6, 6))
+        g = harmonic_re_gram(ANN, HarmonicRe(c), (-6, 6))
         for i, nio in enumerate(ns):
             for j, njo in enumerate(ns):
                 k = int(nio - njo)
@@ -246,7 +241,7 @@ class TestGram:
                 assert abs(g[i, j] - v) / scale < 1e-10
 
     def test_gram_hermitian_positive_definite(self):
-        g = gram_matrix(ANN, HarmonicRe(0.7), (-8, 8))
+        g = harmonic_re_gram(ANN, HarmonicRe(0.7), (-8, 8))
         np.testing.assert_allclose(g, g.conj().T, atol=1e-14)
         evals = np.linalg.eigvalsh(g)
         assert np.all(evals > 0.0)
@@ -269,10 +264,9 @@ class TestGram:
         est = kernel_diag(Annulus(0.04), Unweighted(), 0.5, basis=(-200, 64))
         assert est.value > 0.0 and math.isfinite(est.value)
 
-    def test_ill_conditioning_warning(self, monkeypatch):
-        _open_truncation_gate(monkeypatch)
+    def test_ill_conditioning_warning(self):
         with pytest.warns(RuntimeWarning, match="condition"):
-            kernel_diag(DISC, HarmonicRe(10.0), 0.1, basis=(0, 24))
+            oracles.dense_kernel(DISC, HarmonicRe(10.0), 0.1, basis=(0, 24))
 
     def test_unresolved_quadrature_fails(self):
         # the oracle quadrature: five doublings from 18 x 24 nodes cannot
@@ -283,11 +277,23 @@ class TestGram:
     def test_nan_density_fails(self):
         for c in (math.nan, math.inf):
             with pytest.raises(AccuracyError, match=repr(c)):
-                gram_matrix(DISC, HarmonicRe(c), (0, 2))
+                harmonic_re_gram(DISC, HarmonicRe(c), (0, 2))
+            with pytest.raises(DomainError, match=f"c = {c!r}"):
+                kernel_diag(DISC, HarmonicRe(c), 0.3)
 
     def test_only_weight_specs(self):
         with pytest.raises(DomainError, match="RotatedRe"):
             gram_matrix(DISC, ROTATED, (0, 2))
+
+    def test_non_radial_weight_has_no_gram(self):
+        # HarmonicRe's kernel is the closed form e^{2c Re z} K: no Gram, no
+        # modal sum over a basis range, no least-norm extension
+        with pytest.raises(DomainError, match="non-radial"):
+            gram_matrix(ANN, HarmonicRe(0.2), (-2, 2))
+        with pytest.raises(DomainError, match="non-radial"):
+            kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8))
+        with pytest.raises(DomainError, match="non-radial"):
+            least_norm_extension(ANN, HarmonicRe(0.2), 0.5, 1.0, basis=(-8, 8))
 
 
 def _elementwise_gram(domain, weight, ns, n_rad=64, n_ang=256):
@@ -355,7 +361,7 @@ class TestGramQuadrature:
     def test_matches_elementwise_reference(self, domain, basis):
         ns = np.arange(basis[0], basis[1] + 1)
         weight = HarmonicRe(0.2)
-        gram = gram_matrix(domain, weight, basis)
+        gram = harmonic_re_gram(domain, weight, basis)
         assert _scaled_max_error(gram, _elementwise_gram(domain, weight, ns)) < 1e-12
 
     @pytest.mark.parametrize("domain,basis", [(DISC, (0, 8)), (ANN, (-8, 8))])
@@ -369,7 +375,7 @@ class TestGramQuadrature:
     @pytest.mark.parametrize("domain,basis", [(DISC, (0, 8)), (ANN, (-8, 8))])
     def test_zero_c_is_the_radial_diagonal(self, domain, basis):
         ns = np.arange(basis[0], basis[1] + 1)
-        gram = gram_matrix(domain, HarmonicRe(0.0), basis)
+        gram = harmonic_re_gram(domain, HarmonicRe(0.0), basis)
         moments = np.exp([log_radial_moment(domain, Unweighted(), int(n)) for n in ns])
         np.testing.assert_allclose(np.diag(gram), moments, rtol=1e-14)
         assert np.array_equal(gram, np.diag(np.diag(gram)))
@@ -380,7 +386,8 @@ class RotatedRe:
     """Harmonic weight ``h = Re(c z)`` for complex ``c``, density
     ``exp(-2 Re(c z))``.  Unlike ``HarmonicRe`` (real ``c``) it is not even
     under ``z -> conj(z)``, so its Gram is complex.  ``gram_matrix`` does not
-    take it; :func:`_series_gram` rotates the Gram of ``HarmonicRe(|c|)``."""
+    take it; :func:`_series_gram` rotates the oracle Gram of
+    ``HarmonicRe(|c|)``."""
 
     c: complex
     radial: ClassVar[bool] = False
@@ -393,15 +400,16 @@ ROTATED = RotatedRe(0.5 * cmath.exp(0.7j))
 
 
 def _series_gram(domain, weight, basis):
-    """``gram_matrix`` for a ``HarmonicRe``; for ``RotatedRe(|c| e^{i phi})``,
+    """``oracles.harmonic_re_gram`` for a ``HarmonicRe``; for
+    ``RotatedRe(|c| e^{i phi})``,
     whose density is that of ``HarmonicRe(|c|)`` at ``e^{i phi} z``, the
     rotated Gram ``D M D^H`` with ``D = diag(e^{-i n phi})``, made exactly
     Hermitian."""
     if not isinstance(weight, RotatedRe):
-        return gram_matrix(domain, weight, basis)
+        return harmonic_re_gram(domain, weight, basis)
     ns = np.arange(basis[0], basis[1] + 1)
     d = np.exp(-1j * ns * cmath.phase(weight.c))
-    gram = d[:, None] * gram_matrix(domain, HarmonicRe(abs(weight.c)), basis) * d.conj()
+    gram = d[:, None] * harmonic_re_gram(domain, HarmonicRe(abs(weight.c)), basis) * d.conj()
     return 0.5 * (gram + gram.conj().T)
 
 
@@ -446,8 +454,8 @@ def _besseli_entry(domain, c, m, n):
 
 
 class TestBesselGram:
-    """The series of ``bergman._bessel_gram``: entries, certified tail,
-    guards, and the real solves on its real Gram."""
+    """The series of ``oracles.scaled_bessel_gram``: entries, certified
+    tail, guards, and the real solves on its real Gram."""
 
     @pytest.mark.parametrize(
         "domain,basis,c",
@@ -456,7 +464,7 @@ class TestBesselGram:
     def test_matches_mpmath_besseli(self, domain, basis, c):
         # Jacobi-scaled; 4.1e-16 at worst when written
         ns = [int(n) for n in range(basis[0], basis[1] + 1)]
-        gram = gram_matrix(domain, HarmonicRe(c), basis)
+        gram = harmonic_re_gram(domain, HarmonicRe(c), basis)
         oracle = np.empty_like(gram)
         for i, m in enumerate(ns):
             for j, n in enumerate(ns[i:], start=i):
@@ -465,20 +473,20 @@ class TestBesselGram:
 
     @pytest.mark.parametrize("c", [0.2, 1.0, 3.0])
     def test_tail_bound_holds(self, c):
-        exact = gram_matrix(ANN, HarmonicRe(c), (-8, 8))
+        exact = harmonic_re_gram(ANN, HarmonicRe(c), (-8, 8))
         for tol in (1e-2, 1e-5, 1e-9):
-            cut = gram_matrix(ANN, HarmonicRe(c), (-8, 8), gram_tol=tol)
+            cut = harmonic_re_gram(ANN, HarmonicRe(c), (-8, 8), gram_tol=tol)
             assert np.all(np.abs(cut - exact) <= tol * np.abs(exact))
-        assert not np.array_equal(gram_matrix(ANN, HarmonicRe(c), (-8, 8), gram_tol=1e-2), exact)
+        assert not np.array_equal(harmonic_re_gram(ANN, HarmonicRe(c), (-8, 8), gram_tol=1e-2), exact)
 
     def test_series_term_cap(self):
         with pytest.raises(AccuracyError, match="terms"):
-            gram_matrix(DISC, HarmonicRe(2.0), (0, 4), gram_tol=-1.0)
+            harmonic_re_gram(DISC, HarmonicRe(2.0), (0, 4), gram_tol=-1.0)
 
     def test_subnormal_entries_flushed(self):
         # the far off-diagonal entries fall like c^k/k! below the smallest
         # normal float; they are 0, not subnormal
-        gram = gram_matrix(ANN, HarmonicRe(0.2), (-128, 128))
+        gram = harmonic_re_gram(ANN, HarmonicRe(0.2), (-128, 128))
         tiny = np.finfo(float).tiny
         assert np.all((gram == 0.0) | (np.abs(gram) >= tiny))
         assert np.any(gram == 0.0) and np.all(np.diag(gram) > 0.0)
@@ -486,7 +494,7 @@ class TestBesselGram:
     def test_float_range_guard(self):
         # 0.04^-254 exceeds the float range: refused, with no overflow warning
         with pytest.raises(DomainError, match="floating-point range"):
-            gram_matrix(Annulus(0.04), HarmonicRe(0.2), (-128, 128))
+            harmonic_re_gram(Annulus(0.04), HarmonicRe(0.2), (-128, 128))
 
     @pytest.mark.parametrize(
         "domain,basis,c", [(ANN, (-128, 128), 0.2), (ANN, (-128, 128), 1.0), (DISC, (0, 128), 1.0)]
@@ -517,8 +525,8 @@ class TestBesselGram:
     def test_real_solve_matches_complex_solve(self, z):
         corr, log_d = _scaled_gram(ANN, 0.2, (-16, 16))
         assert corr.dtype == np.float64
-        bd = bergman._scaled_powers(z, np.arange(-16, 17), log_d)
-        real = bergman._dense_kernel_value(corr, bd)
+        bd = oracles.scaled_powers(z, np.arange(-16, 17), log_d)
+        real = oracles.dense_kernel_value(corr, bd)
         assert real == pytest.approx(_complex_kernel_value(corr, bd), rel=1e-13)
 
 
@@ -678,47 +686,6 @@ class TestKernelDiag:
             big = kernel_diag(ANN, Unweighted(), z, basis=(-2 * lo, 2 * lo))
         assert small.value <= big.value + 1e-12
 
-    def test_dense_condition_taken_once(self, monkeypatch):
-        _open_truncation_gate(monkeypatch)
-        conds = _count_conditions(monkeypatch)
-        memo = {}
-        est = kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), memo=memo)
-        assert len(conds) == 1
-        corr, _ = _scaled_gram(ANN, 0.2, (-8, 8))
-        assert est.gram_condition == bergman._normalized_condition(corr)
-        conds.clear()
-        shared = kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), memo=memo)
-        assert conds == [] and shared == est
-
-    def test_memo_builds_one_gram_for_two_points(self, monkeypatch):
-        _open_truncation_gate(monkeypatch)
-        grams = _count(monkeypatch, bergman, "_bessel_gram")
-        conds = _count_conditions(monkeypatch)
-        memo = {}
-        for z in [0.5, 0.4j]:
-            kernel_diag(ANN, HarmonicRe(0.2), z, basis=(-8, 8), memo=memo)
-        assert len(grams) == 1 and len(conds) == 1
-        assert list(memo) == [(ANN, HarmonicRe(0.2), (-8, 8))]
-
-    def test_memo_stores_no_failed_build(self, monkeypatch):
-        def unresolved(*args, **kwargs):
-            raise AccuracyError("injected")
-
-        monkeypatch.setattr(bergman, "_bessel_gram", unresolved)
-        memo = {}
-        with pytest.raises(AccuracyError, match="injected"):
-            kernel_diag(ANN, HarmonicRe(0.2), 0.5, basis=(-8, 8), memo=memo)
-        assert memo == {}
-
-    def test_memo_stores_no_gram_whose_condition_raised(self, monkeypatch):
-        _open_truncation_gate(monkeypatch)
-        memo = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(RuntimeWarning, match="condition"):
-                kernel_diag(DISC, HarmonicRe(10.0), 0.1, basis=(0, 24), memo=memo)
-        assert memo == {}
-
 
 class TestClosedFormKernel:
     """``kernel_diag`` without a basis: the Lambert form on annuli and the
@@ -867,14 +834,22 @@ class TestLeastNorm:
     def test_reproducing_identity(self, domain, weight, z0, value, monkeypatch):
         _open_truncation_gate(monkeypatch)
         basis = (0, 24) if isinstance(domain, Disc) else (-24, 24)
-        mn, coeffs = least_norm_extension(domain, weight, z0, value, basis=basis)
-        est = kernel_diag(domain, weight, z0, basis=basis)
+        if weight.radial:
+            mn, coeffs = least_norm_extension(domain, weight, z0, value, basis=basis)
+            kernel = kernel_diag(domain, weight, z0, basis=basis).value
+            g = gram_matrix(domain, weight, basis)
+        else:
+            # the library takes HarmonicRe in closed form only; the oracle's
+            # dense route solves on the basis, and meets that closed form
+            mn, coeffs = oracles.dense_least_norm(domain, weight, z0, value, basis)
+            kernel = oracles.dense_kernel(domain, weight, z0, basis).value
+            g = harmonic_re_gram(domain, weight, basis)
+            assert kernel == pytest.approx(kernel_diag(domain, weight, z0).value, rel=1e-12)
         # minimum x kernel = |value|^2
-        assert mn * est.value == pytest.approx(abs(value) ** 2, rel=1e-9)
+        assert mn * kernel == pytest.approx(abs(value) ** 2, rel=1e-9)
         # the minimizer interpolates the prescribed value
         assert evaluate_span(coeffs, basis, z0) == pytest.approx(value, rel=1e-9)
         # and its Gram norm equals the reported minimum
-        g = gram_matrix(domain, weight, basis)
         norm_sq = float(np.real(np.conj(coeffs) @ g @ coeffs))
         assert norm_sq == pytest.approx(mn, rel=1e-9)
 
@@ -998,158 +973,179 @@ class TestExtendedSuita:
 
 class TestDiscEqualityOracle:
     """The disc is simply connected, so ``c_beta(z)^2 = pi rho(z) K_rho(z, z)``
-    for every harmonic weight: an exact oracle for the Bessel-moment Gram,
+    for every harmonic weight: an exact oracle for the closed-form
+    ``HarmonicRe`` record and for the oracle's dense Bessel-moment solve,
     and, through the rotated Gram of :func:`_series_gram` and a complex
     solve, for that Gram's rotation."""
 
     @staticmethod
-    def _ratio(weight, z, memo):
-        if not isinstance(weight, RotatedRe):
-            q = extended_suita_check(DISC, weight, z, memo=memo).quantities
-            return q["capacity_sq"] / (math.pi * q["rho_at_z"] * q["weighted_kernel"])
+    def _ratios(weight, z):
         basis = auto_basis(DISC, z)
         corr, d = jacobi_scaled(_series_gram(DISC, weight, basis))
         kernel = _complex_kernel_value(corr, z ** np.arange(basis[0], basis[1] + 1) / d)
         rho = float(weight.density(np.asarray([z]))[0])
-        return capacity(DISC, z) ** 2 / (math.pi * rho * kernel)
+        ratios = [capacity(DISC, z) ** 2 / (math.pi * rho * kernel)]
+        if not isinstance(weight, RotatedRe):
+            q = extended_suita_check(DISC, weight, z).quantities
+            ratios.append(q["capacity_sq"] / (math.pi * q["rho_at_z"] * q["weighted_kernel"]))
+        return ratios
 
     @pytest.mark.parametrize(
         "weight", [HarmonicRe(0.2), HarmonicRe(0.5), HarmonicRe(1.0), ROTATED]
     )
     def test_harmonic_weight_is_an_equality(self, weight):
-        memo = {}
         for z in [0.0, 0.3, 0.5j, -0.4 + 0.3j, 0.7]:
-            ratio = self._ratio(weight, complex(z), memo)
-            assert abs(ratio - 1.0) <= 1e-12, (weight, z, ratio)
+            for ratio in self._ratios(weight, complex(z)):
+                assert abs(ratio - 1.0) <= 1e-12, (weight, z, ratio)
+
+
+# (domain, c, z) of the closed form against the dense oracle
+_ORACLE_POINTS = [0.3, 0.25 + 0.3j, -0.5 + 0.2j, 0.9j, 0.45 - 0.6j, 0.21]
+_ORACLE_CASES = [
+    *[(ANN, c, z) for c in (0.2, 0.7, 1.0, -1.5) for z in _ORACLE_POINTS],
+    *[(DISC, c, z) for c in (0.5, 1.0, 3.0) for z in _ORACLE_POINTS],
+    (Disc(2.0), 0.5, 1.9),
+    (Annulus(0.04), 0.2, 0.05),
+    (Annulus(0.04), 0.2, 0.5),
+]
+
+
+def _oracle_tolerance(domain, c):
+    """The bound on ``|K / K_dense - 1|``: 4e-15 (3.1e-15 at worst when
+    written, at -0.5+0.2i on annulus:0.2 at c = -1.5), and 4e-13 on the unit
+    disc at c = 3, where the dense Gram's condition is 1.5e5 and its solve
+    keeps fewer digits (2.1e-13 at worst when written)."""
+    return 4e-13 if domain == DISC and c == 3.0 else 4e-15
+
+
+def _oracle_misses():
+    """The cases where ``kernel_diag``'s closed form leaves the dense
+    oracle's value by more than :func:`_oracle_tolerance`."""
+    misses = []
+    for domain, c, z in _ORACLE_CASES:
+        dense = oracles.dense_kernel(domain, HarmonicRe(c), z)
+        assert dense.truncation_error_estimate < 1e-9
+        value = kernel_diag(domain, HarmonicRe(c), z).value
+        if not abs(value / dense.value - 1.0) <= _oracle_tolerance(domain, c):
+            misses.append((domain, c, z, value, dense.value))
+    return misses
+
+
+# wrong weight factors in place of e^{2c Re z}: each must fail the oracle
+# comparison and one of `all`'s harmonicre:0.2 records
+_WITNESS_FACTORS = {
+    "sign_flipped": lambda c, x: math.exp(-2.0 * c * x),
+    "factor_two_dropped": lambda c, x: math.exp(c * x),
+}
+
+
+class TestHarmonicReClosedForm:
+    """``K_rho(z, z) = e^{2 c Re z} K(z, z)`` for ``rho = e^{-2 c Re z}``
+    against the dense Gram of the monomials, solved at test time by
+    ``oracles.dense_kernel``; and two wrong factors that the comparison and
+    ``all``'s records both refuse."""
+
+    def test_matches_the_dense_oracle(self):
+        assert _oracle_misses() == []
+
+    def test_reports_the_unweighted_terms_and_tail(self):
+        for domain, z in [(ANN, 0.3), (DISC, 0.5j), (Annulus(0.04), 0.05)]:
+            est = kernel_diag(domain, HarmonicRe(0.7), z)
+            plain = kernel_diag(domain, Unweighted(), z)
+            assert est.value == plain.value * math.exp(1.4 * z.real)
+            assert (est.basis_size, est.truncation_error_estimate) == (
+                plain.basis_size, plain.truncation_error_estimate
+            )
+            assert est.gram_condition == 1.0
+
+    def test_suita_margin_is_the_unweighted_one(self):
+        # rho K_rho = K, so the margin is Suita's to the rounding of the
+        # products rho e^(2c Re z) K, a few ulps of pi K
+        for z in _sweep_points(ANN, 4):
+            weighted = extended_suita_check(ANN, HarmonicRe(0.2), z).quantities["margin"]
+            plain = extended_suita_check(ANN, Unweighted(), z).quantities
+            bound = 4.0 * np.finfo(float).eps * math.pi * plain["weighted_kernel"]
+            assert abs(weighted - plain["margin"]) <= bound
+
+    @pytest.mark.parametrize("witness", sorted(_WITNESS_FACTORS))
+    def test_a_wrong_factor_fails_the_oracle_and_the_records(self, witness, monkeypatch):
+        factor = _WITNESS_FACTORS[witness]
+
+        def wrong(domain, weight, z):
+            est = bergman._closed_form_kernel(domain, Unweighted(), z)
+            return replace(est, value=est.value * factor(weight.c, complex(z).real))
+
+        monkeypatch.setattr(bergman, "_harmonic_re_kernel", wrong)
+        assert _oracle_misses()
+        records = [extended_suita_check(ANN, HarmonicRe(0.2), z) for z in _sweep_points(ANN, 4)]
+        assert not all(rec.passed for rec in records)
 
 
 class TestFloatRange:
-    """``extended-suita-check`` where the unscaled Gram leaves the float
-    range: the four default points of ``annulus:0.04`` and a point of
-    ``disc:2`` next to its circle pass, on the scaled Gram built in log
-    space."""
+    """``HarmonicRe`` where a dense Gram left the float range (the four
+    default points of ``annulus:0.04``, whose unscaled Gram reached
+    ``e^817``, and ``disc:2`` at 1.9, whose basis reached (0, 534)), and
+    where ``rho(z)`` or ``K_rho(z, z)`` itself leaves it."""
 
     def test_thin_annulus(self):
-        domain, memo = Annulus(0.04), {}
+        domain = Annulus(0.04)
         for z in _sweep_points(domain, 4):
-            q = extended_suita_check(domain, HarmonicRe(0.2), z, memo=memo).quantities
-            assert q["margin"] > 0.0 and q["truncation_error"] == 0.0
-            assert q["basis_size"] == 257 and q["gram_condition"] == pytest.approx(2.2147, rel=1e-4)
-        assert [key[2] for key in memo] == [(-128, 128)]
+            q = extended_suita_check(domain, HarmonicRe(0.2), z).quantities
+            assert q["margin"] > 0.0 and q["truncation_error"] <= 2.0**-53
+            assert q["basis_size"] == 11 and q["gram_condition"] == 1.0
 
     def test_disc_of_radius_two(self):
-        # auto_basis sizes the basis by |z| / R: (0, 534) at 1.9, where |z|
-        # alone asked for (0, 128) and truncated at 1.1e-2
-        domain = Disc(2.0)
-        assert auto_basis(domain, 1.9) == (0, 534) and auto_basis(domain, 1.0) == auto_basis(DISC, 0.5)
-        rec = extended_suita_check(domain, HarmonicRe(0.5), 1.9)
+        rec = extended_suita_check(Disc(2.0), HarmonicRe(0.5), 1.9)
         q = rec.quantities
-        assert rec.passed and q["basis_size"] == 535 and q["truncation_error"] < 1e-10
+        assert rec.passed and q["basis_size"] == 1 and q["truncation_error"] == 0.0
         # the disc is simply connected: an equality
         ratio = q["capacity_sq"] / (math.pi * q["rho_at_z"] * q["weighted_kernel"])
-        assert abs(ratio - 1.0) <= 1e-12
+        assert abs(ratio - 1.0) <= 4.0 * np.finfo(float).eps
 
+    def test_weight_beyond_the_float_range_is_refused(self):
+        # 2c Re z = -720 and 720: rho = e^720 overflows, and K_rho = e^720 K
+        # with it; on the imaginary axis rho = 1 and the point passes
+        for z in (-0.9, 0.9):
+            with pytest.raises(DomainError, match=r"2c Re z = -?720\).*floating-point range"):
+                extended_suita_check(ANN, HarmonicRe(400.0), z)
+        assert extended_suita_check(ANN, HarmonicRe(400.0), 0.5j).passed
 
-class TestSharedGram:
-    """``extended_suita_check(..., memo=...)`` builds the dense Gram of each
-    (domain, weight, basis) once per memo and shares it."""
-
-    ONE_BASIS = [0.5, 0.5j, -0.45, 0.4 - 0.3j]  # all (-128, 128)
-
-    def test_one_gram_and_one_condition_for_one_basis(self, monkeypatch):
-        grams = _count(monkeypatch, bergman, "_bessel_gram")
-        conds = _count_conditions(monkeypatch)
-        memo = {}
-        for z in self.ONE_BASIS:
-            assert extended_suita_check(ANN, HarmonicRe(0.2), z, memo=memo).passed
-        assert len(grams) == 1 and len(conds) == 1
-        assert list(memo) == [(ANN, HarmonicRe(0.2), (-128, 128))]
-
-    def test_one_gram_per_distinct_basis(self, monkeypatch):
-        grams = _count(monkeypatch, bergman, "_bessel_gram")
-        conds = _count_conditions(monkeypatch)
-        zs = [0.5, 0.85, 0.5j, -0.85]
-        bases = [auto_basis(ANN, z) for z in zs]
-        assert bases[0] == bases[2] != bases[1] == bases[3]
-        memo = {}
-        for z in zs:
-            extended_suita_check(ANN, HarmonicRe(0.2), z, memo=memo)
-        assert [(args[2][0], args[2][-1]) for args in grams] == bases[:2]
-        assert len(conds) == 2
-
-    def test_shared_gram_gives_the_same_result(self):
-        memo = {}
-        for z in [*self.ONE_BASIS, 0.85]:
-            shared = extended_suita_check(ANN, HarmonicRe(0.2), z, memo=memo)
-            assert shared == extended_suita_check(ANN, HarmonicRe(0.2), z)
-
-    @pytest.mark.parametrize("domain,weight", [(ANN, HarmonicLog(0.3)), (DISC, Unweighted())])
-    def test_radial_weights_store_nothing(self, monkeypatch, domain, weight):
-        grams = _count(monkeypatch, bergman, "_bessel_gram")
-        memo = {}
-        for z in [0.3, 0.5j]:
-            extended_suita_check(domain, weight, z, memo=memo)
-        assert memo == {} and grams == []
-
-    def test_failed_build_is_not_stored(self, monkeypatch):
-        def unresolved(*args, **kwargs):
-            raise AccuracyError("injected")
-
-        monkeypatch.setattr(bergman, "_bessel_gram", unresolved)
-        attempts = _count(monkeypatch, bergman, "_bessel_gram")
-        memo = {}
-        for z in self.ONE_BASIS[:2]:
-            with pytest.raises(AccuracyError, match="injected"):
-                extended_suita_check(ANN, HarmonicRe(0.2), z, memo=memo)
-        assert memo == {} and len(attempts) == 2
+    def test_kernel_beyond_the_float_range_is_refused(self):
+        # |2c Re z| = 708 keeps rho normal; K_rho = e^(+-708) K is normal for
+        # K = 1.27 (annulus:0.2 at |z| = 0.5) and for K = 0.091 (disc:2 at
+        # 0.5), overflows for K = 8.98 (annulus:0.2 at 0.9) and is subnormal
+        # for K = 0.091 at -0.5
+        tiny = np.finfo(float).tiny
+        for domain, c, z in [(ANN, 708.0, 0.5), (ANN, 708.0, -0.5), (Disc(2.0), 708.0, 0.5)]:
+            assert tiny <= kernel_diag(domain, HarmonicRe(c), z).value < math.inf
+        for domain, c, z in [(ANN, 708.0 / 1.8, 0.9), (Disc(2.0), 708.0, -0.5)]:
+            with pytest.raises(DomainError, match="floating-point range"):
+                kernel_diag(domain, HarmonicRe(c), z)
 
 
 class TestJacobiScaledOperands:
-    """The dense path of ``extended-suita-check`` on ``annulus:0.2`` with
-    ``harmonicre:0.2`` at the four points of ``bergreen all``: the
-    Jacobi-scaled matrix is built once per memo entry, without the
-    underflowed tail that ``bergman._bessel_gram`` drops, and dropping that
-    tail moves no kernel value and no margin."""
+    """The oracle's dense route with ``harmonicre:0.2`` on ``annulus:0.2`` at
+    the four points of ``bergreen all``: dropping the underflowed tail of
+    its Jacobi-scaled Gram moves no kernel value, and a least-norm solve
+    builds the scaled Gram once."""
 
     WEIGHT = HarmonicRe(0.2)
     ZS = _sweep_points(ANN, 4)  # all in basis (-128, 128)
 
-    def _records(self):
-        memo = {}
-        return [extended_suita_check(ANN, self.WEIGHT, z, memo=memo) for z in self.ZS]
-
-    def test_no_lapack_matrix_holds_an_entry_below_eps_squared(self, monkeypatch):
-        operands = []
-        for name in ("solve", "eigvalsh"):
-            inner = getattr(np.linalg, name)
-
-            def spy(*args, inner=inner):
-                operands.append(args)
-                return inner(*args)
-
-            monkeypatch.setattr(np.linalg, name, spy)
-        assert all(rec.passed for rec in self._records())
-        # one condition, then a full and a halved solve per point
-        assert len(operands) == 1 + 2 * len(self.ZS)
-        eps2, tiny = np.finfo(float).eps ** 2, np.finfo(float).tiny
-        for matrix, *rhs in operands:
-            # the smallest nonzero entry was 5e-324 before the drop
-            assert np.min(np.abs(matrix[matrix != 0.0])) >= eps2
-            for x in rhs:
-                assert not np.any((x != 0.0) & (np.abs(x) < tiny))
+    def _kernels(self):
+        return [oracles.dense_kernel(ANN, self.WEIGHT, z) for z in self.ZS]
 
     def test_values_match_the_undropped_solve(self, monkeypatch):
-        dropped = self._records()
-        monkeypatch.setattr(bergman, "_DROP", 0.0)
-        kept = self._records()
+        dropped = self._kernels()
+        monkeypatch.setattr(oracles, "DROP", 0.0)
+        kept = self._kernels()
         for a, b in zip(dropped, kept):
-            q, r = a.quantities, b.quantities
-            assert q["weighted_kernel"] == r["weighted_kernel"] and q["margin"] == r["margin"]
-            assert q["gram_condition"] == pytest.approx(r["gram_condition"], rel=1e-13)
+            assert a.value == b.value
+            assert a.gram_condition == pytest.approx(b.gram_condition, rel=1e-13)
 
     def test_one_scaling_per_least_norm_extension(self, monkeypatch):
-        scalings = _count(monkeypatch, bergman, "_bessel_gram")
-        least_norm_extension(ANN, self.WEIGHT, 0.5, 1.0, basis=(-16, 16))
+        scalings = _count(monkeypatch, oracles, "scaled_bessel_gram")
+        oracles.dense_least_norm(ANN, self.WEIGHT, 0.5, 1.0, basis=(-16, 16))
         assert len(scalings) == 1
 
 
@@ -1169,20 +1165,20 @@ class TestJacobiSolveAccuracy:
     def test_matches_fifty_digit_solve(self, z):
         corr, log_d = _scaled_gram(ANN, 0.2, self.BASIS)
         ns = np.arange(self.BASIS[0], self.BASIS[1] + 1)
-        bd = bergman._scaled_powers(z, ns, log_d)
-        value = bergman._dense_kernel_value(corr, bd)
+        bd = oracles.scaled_powers(z, ns, log_d)
+        value = oracles.dense_kernel_value(corr, bd)
         with mpmath.workdps(50):
             g = mpmath.matrix([[mpmath.mpf(x) for x in row] for row in corr])
             bb = mpmath.matrix([mpmath.mpc(complex(x)) for x in bd])
             y = mpmath.lu_solve(g, bb)
             exact = float(sum(mpmath.conj(bb[i]) * y[i] for i in range(ns.size)).real)
-        kappa = bergman._normalized_condition(corr)
+        kappa = oracles.normalized_condition(corr)
         tol = ns.size * kappa * np.finfo(float).eps
         assert abs(value - exact) <= tol * exact
 
 
 class TestNormalizedCondition:
-    """``bergman._normalized_condition`` takes the spectrum of a symmetric
+    """``oracles.normalized_condition`` takes the spectrum of a symmetric
     permutation of the scaled Gram: an exact similarity, so it matches the
     unpermuted spectrum to rounding."""
 
@@ -1201,16 +1197,16 @@ class TestNormalizedCondition:
         corr, _ = _scaled_gram(domain, c, basis)
         lam = np.abs(np.linalg.eigvalsh(corr))
         reference = lam.max() / lam.min()
-        assert bergman._normalized_condition(corr) == pytest.approx(reference, rel=1e-13)
+        assert oracles.normalized_condition(corr) == pytest.approx(reference, rel=1e-13)
 
     def test_diagonal_gram_is_exactly_one(self):
         corr, _ = jacobi_scaled(gram_matrix(ANN, Unweighted(), (-16, 16)))
-        assert bergman._normalized_condition(corr) == 1.0
+        assert oracles.normalized_condition(corr) == 1.0
 
     def test_warns_above_1e10(self):
         corr = np.diag([1.0, 1.0, 1e-11]) + np.diag([1e-12, 1e-12], 1) + np.diag([1e-12, 1e-12], -1)
         with pytest.warns(RuntimeWarning, match="exceeds 1e10"):
-            assert bergman._normalized_condition(corr) > 1e10
+            assert oracles.normalized_condition(corr) > 1e10
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from bergreen.cli import (
     resolve_config,
 )
 from bergreen.domains import Annulus, Disc, GreenEvaluator, Jordan
-from bergreen.errors import AccuracyError, ConfigError, ParameterError
+from bergreen.errors import ConfigError, ParameterError
 from bergreen.reports import (
     CSV_COLUMNS,
     cache_load,
@@ -44,10 +44,8 @@ _SETTABLE_DEFAULTS = {
     "bergman.gram_matrix.basis": "least_norm_extension passes the basis of its caller",
     "bergman.gram_matrix.gram_tol": "benchmarks/spans.py binds it",
     "bergman.gram_matrix.quad_start": "benchmarks/spans.py binds it",
-    "bergman.kernel_diag.basis": "extended-suita-check passes auto_basis",
-    "bergman.kernel_diag.memo": "extended-suita-check passes the memo of its command",
+    "bergman.kernel_diag.basis": "the tests' modal sums pass it, the oracle of the closed forms",
     "bergman.least_norm_extension.basis": "optimal-constant passes (0, 8)",
-    "bergman.extended_suita_check.memo": "extended-suita-check passes the memo of its command",
     "domains.Disc.radius": "every command with a domain passes it, from disc:R",
     "domains.green_evaluator.method": "the CLI schema reads it (green --method)",
     "domains.sample_interior.seed": "benchmarks/workloads.py passes it",
@@ -893,36 +891,16 @@ class TestParser:
 # ---------------------------------------------------------------------------
 
 
-class TestExtendedSuitaSharedGram:
-    """One ``extended-suita-check`` builds each dense Gram once and shares
-    it across its points; nothing is shared across commands."""
+class TestExtendedSuitaRecords:
+    """``extended-suita-check`` writes the records of the point-by-point
+    checks, and a failing record where the weight leaves the float range."""
 
-    ZS = "0.5,0.5j,-0.45,(0.4-0.3j)"  # all in basis (-128, 128) on annulus:0.2
+    ZS = "0.5,0.5j,-0.45,(0.4-0.3j)"
 
     @staticmethod
-    def _argv(tmp_path, zs):
-        return ["extended-suita-check", "--domain=annulus:0.2", "--weight=harmonicre:0.2",
+    def _argv(tmp_path, zs, weight="harmonicre:0.2"):
+        return ["extended-suita-check", "--domain=annulus:0.2", f"--weight={weight}",
                 f"--zs={zs}", "--no-cache", f"--outdir={tmp_path}"]
-
-    @staticmethod
-    def _count(monkeypatch, owner, name):
-        calls = []
-        inner = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(a) or inner(*a, **k))
-        return calls
-
-    def test_one_gram_and_one_condition_per_command(self, tmp_path, monkeypatch):
-        grams = self._count(monkeypatch, bergman, "_bessel_gram")
-        conds = self._count(monkeypatch, bergman, "_normalized_condition")
-        assert main(self._argv(tmp_path, self.ZS)) == 0
-        assert len(grams) == len(conds) == 1
-        assert main(self._argv(tmp_path, self.ZS)) == 0
-        assert len(grams) == len(conds) == 2  # the next command builds again
-
-    def test_one_gram_per_distinct_basis(self, tmp_path, monkeypatch):
-        grams = self._count(monkeypatch, bergman, "_bessel_gram")
-        assert main(self._argv(tmp_path, "0.5,0.85,0.5j,-0.85")) == 0
-        assert [(args[2][0], args[2][-1]) for args in grams] == [(-128, 128), (-128, 154)]
 
     def test_records_match_point_by_point_checks(self, tmp_path):
         assert main(self._argv(tmp_path, f"{self.ZS},0.85")) == 0
@@ -937,18 +915,15 @@ class TestExtendedSuitaSharedGram:
             ]
             assert rec["quantities"] == res.quantities
 
-    def test_failed_build_fails_every_point(self, tmp_path, monkeypatch):
-        def unresolved(*args, **kwargs):
-            raise AccuracyError("injected")
-
-        monkeypatch.setattr(bergman, "_bessel_gram", unresolved)
-        attempts = self._count(monkeypatch, bergman, "_bessel_gram")
-        assert main(self._argv(tmp_path, self.ZS)) == 1
+    def test_weight_beyond_the_float_range_fails_its_record(self, tmp_path):
+        # rho = e^(-+720) at -+0.9: a DomainError, not an OverflowError or a
+        # RuntimeWarning; rho = 1 on the imaginary axis
+        assert main(self._argv(tmp_path, "-0.9,0.9,0.5j", weight="harmonicre:400")) == 1
         records = _read_report(tmp_path / "extended_suita_check_report.json")["records"]
-        assert len(records) == len(attempts) == 4
-        for rec in records:
-            assert rec["passed"] is False
-            assert rec["inputs"]["error"] == "AccuracyError: injected"
+        assert [rec["passed"] for rec in records] == [False, False, True]
+        for rec in records[:2]:
+            assert rec["inputs"]["error"].startswith("DomainError: K_rho(z, z)")
+            assert "floating-point range" in rec["inputs"]["error"]
 
 
 class TestReportHelpers:
