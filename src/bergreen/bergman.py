@@ -305,7 +305,6 @@ class KernelEstimate:
 
     value: float
     basis_size: int
-    gram_condition: float
     truncation_error_estimate: float
 
 
@@ -360,7 +359,8 @@ def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) ->
     reported truncation error, and the number of summed terms the basis size.
     ``1 - x`` is formed as ``(1 - |z|)(1 + |z|)`` (``(R - |z|)(R + |z|) /
     R^2`` on the disc) and ``1 - q/x`` as ``(|z| - r)(|z| + r)/x``, which
-    keeps their relative accuracy near the circles.
+    keeps their relative accuracy near the circles.  A value that is not a
+    normal float raises :class:`DomainError`.
     """
     alpha = weight.alpha if isinstance(weight, HarmonicLog) else 0.0
     radius = domain.radius if isinstance(domain, Disc) else 1.0
@@ -374,7 +374,7 @@ def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) ->
         if alpha >= 1.0:
             raise DivergentIntegralError("radial integral diverges at the origin")
         value = (1.0 / outer - alpha) / outer / math.pi * radius ** (2.0 * alpha - 2.0)
-        return KernelEstimate(value, 1, 1.0, 0.0)
+        return _normal_kernel(KernelEstimate(value, 1, 0.0), weight, z)
 
     q, log_q = lo * lo, 2.0 * math.log(lo)
     p_pos = math.floor(alpha) + 1.0 - alpha  # in (0, 1]
@@ -402,7 +402,17 @@ def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) ->
         tails += float(f[-1]) * ratio / (1.0 - ratio)
     value = x ** (alpha - 1.0) * total / math.pi
     size = 2 + 2 * n_terms + integer
-    return KernelEstimate(value, size, 1.0, tails / total)
+    return _normal_kernel(KernelEstimate(value, size, tails / total), weight, z)
+
+
+def _normal_kernel(est: KernelEstimate, weight: WeightSpec, z: complex) -> KernelEstimate:
+    """``est`` if its value is a normal float; :class:`DomainError` if not:
+    a kernel diagonal is positive, so a 0 or a subnormal is an underflow."""
+    if not _TINY <= est.value < math.inf:
+        raise DomainError(
+            f"K(z, z) at z = {z} for {weight!r} ({est.value!r}) leaves the floating-point range"
+        )
+    return est
 
 
 def _harmonic_re_kernel(domain: PlanarDomain, weight: HarmonicRe, z: complex) -> KernelEstimate:
@@ -463,7 +473,7 @@ def kernel_diag(
         value = math.exp(log_k)
         value_half = math.exp(_logsumexp(lt[_half_mask(ns)]))
         trunc = abs(value - value_half) / value if value > 0.0 else 0.0
-        est = KernelEstimate(value, int(ns.size), 1.0, trunc)
+        est = KernelEstimate(value, int(ns.size), trunc)
     _check_truncation(est.truncation_error_estimate)
     return est
 
@@ -526,7 +536,6 @@ def kernel_record(domain: PlanarDomain, weight: WeightSpec, z: complex) -> Repor
         quantities={
             "kernel_diag": est.value,
             "basis_size": est.basis_size,
-            "gram_condition": est.gram_condition,
             "truncation_error": est.truncation_error_estimate,
         },
         gates={"finite": (finite_margin(est.value), 0.0)},
@@ -534,7 +543,6 @@ def kernel_record(domain: PlanarDomain, weight: WeightSpec, z: complex) -> Repor
         provenance={
             "kernel_diag": "kernel_diag",
             "basis_size": "kernel_diag",
-            "gram_condition": "gram_matrix",
             "truncation_error": "kernel_diag",
         },
     )
@@ -549,15 +557,12 @@ def suita_ratio(domain: PlanarDomain, z: complex) -> ReportRecord:
     """
     cap = capacity(domain, z)
     est = kernel_diag(domain, Unweighted(), z)
-    if est.value <= 0.0:
-        raise ZeroKernelError("kernel diagonal is not positive")
     ratio = cap**2 / (math.pi * est.value)
     return make_record(
         quantities={
             "ratio": ratio,
             "capacity": cap,
             "kernel_diag": est.value,
-            "gram_condition": est.gram_condition,
         },
         gates={"upper": (1.0 - ratio, _RATIO_TOL), "positive": (ratio, 0.0)},
         primary="ratio",
@@ -565,7 +570,6 @@ def suita_ratio(domain: PlanarDomain, z: complex) -> ReportRecord:
             "ratio": "suita_ratio",
             "capacity": "capacity",
             "kernel_diag": "kernel_diag",
-            "gram_condition": "gram_matrix",
         },
     )
 
@@ -584,7 +588,9 @@ def extended_suita_check(
     ``alpha != 0`` has a pole at 0, inside a disc.  Every one takes the
     closed-form kernel of :func:`kernel_diag`; for ``HarmonicRe``, ``rho(z)
     K_rho(z, z) = K(z, z)``, so the margin is that of Suita's inequality,
-    which holds with equality exactly on the disc.
+    which holds with equality exactly on the disc.  For ``HarmonicLog``,
+    :class:`DomainError` is raised where ``|2 alpha log|z||`` exceeds
+    ``-log`` of the smallest normal float, as for ``HarmonicRe``.
     """
     if isinstance(weight, MaxPiece):
         raise DomainError("extended check requires a harmonic weight variant")
@@ -595,6 +601,13 @@ def extended_suita_check(
         )
     cap = capacity(domain, z)
     est = kernel_diag(domain, weight, z)
+    if isinstance(weight, HarmonicLog) and weight.alpha != 0.0:
+        exponent = -2.0 * weight.alpha * math.log(abs(z))
+        if abs(exponent) > -_LOG_TINY:
+            raise DomainError(
+                f"rho(z) = |z|^(-2 alpha) at z = {z} with alpha = {weight.alpha!r} "
+                f"(-2 alpha log|z| = {exponent:.6g}) leaves the floating-point range"
+            )
     rho = float(weight.density(np.asarray([z], dtype=complex))[0])
     margin = math.pi * rho * est.value - cap**2
     return make_record(
@@ -604,7 +617,6 @@ def extended_suita_check(
             "rho_at_z": rho,
             "weighted_kernel": est.value,
             "basis_size": est.basis_size,
-            "gram_condition": est.gram_condition,
             "truncation_error": est.truncation_error_estimate,
         },
         gates={"nonnegative": (margin, _MARGIN_TOL)},
@@ -615,7 +627,6 @@ def extended_suita_check(
             "rho_at_z": "extended_suita_check",
             "weighted_kernel": "kernel_diag",
             "basis_size": "kernel_diag",
-            "gram_condition": "gram_matrix",
             "truncation_error": "kernel_diag",
         },
     )

@@ -9,7 +9,7 @@ from scipy.special import gammaln
 
 from bergreen import bergman
 from bergreen.bergman import KernelEstimate
-from bergreen.domains import Annulus, Disc
+from bergreen.domains import Annulus, Disc, gauss_legendre, refine
 from bergreen.errors import AccuracyError, DomainError
 
 
@@ -248,11 +248,12 @@ def dense_kernel_value(corr: np.ndarray, bd: np.ndarray) -> float:
     return float(np.vdot(bd, jacobi_solve(corr, bd)).real)
 
 
-def dense_kernel(domain, weight, z: complex, basis=None) -> KernelEstimate:
+def dense_kernel(domain, weight, z: complex, basis=None) -> tuple[KernelEstimate, float]:
     """``K_rho(z, z)`` of ``HarmonicRe(c)`` over the monomials of a basis
     range (:func:`auto_basis` for ``None``), solved against the dense Gram:
-    the value, the basis size, the condition of ``corr``, and the relative
-    change when the range is halved toward zero (not gated)."""
+    the estimate (the value, the basis size, and the relative change when
+    the range is halved toward zero, not gated) and, beside it, the
+    condition of ``corr``."""
     basis = auto_basis(domain, z) if basis is None else basis
     ns = np.arange(basis[0], basis[1] + 1)
     corr, log_d = scaled_bessel_gram(domain, weight, ns)
@@ -261,7 +262,7 @@ def dense_kernel(domain, weight, z: complex, basis=None) -> KernelEstimate:
     half = bergman._half_mask(ns)
     value = dense_kernel_value(corr, bd)
     value_half = dense_kernel_value(corr[np.ix_(half, half)], bd[half])
-    return KernelEstimate(value, int(ns.size), condition, abs(value - value_half) / value)
+    return KernelEstimate(value, int(ns.size), abs(value - value_half) / value), condition
 
 
 def dense_least_norm(domain, weight, z0: complex, value: complex, basis):
@@ -275,6 +276,33 @@ def dense_least_norm(domain, weight, z0: complex, value: complex, basis):
     y = jacobi_solve(corr, bd)
     kz = float(np.vdot(bd, y).real)
     return abs(value) ** 2 / kz, value * np.conj(y) * np.exp(-log_d) / kz
+
+
+# the largest relative change between the two last panel levels of
+# min_norm_quadrature
+MIN_NORM_TOL = 1e-12
+
+
+def min_norm_quadrature(delta: float, a: float) -> float:
+    """The least norm ``2 pi int_0^1 s rho(s) ds`` of ``F(0) = 1`` on the unit
+    disc for ``MaxPiece(delta, a)``, by direct radial quadrature split at
+    the corner ``s = a``: Gauss-Legendre, exact for the linear inner
+    integrand, and the outer ``int_a^1 s^{-1-2 delta} ds = int_{log a}^0
+    e^{-2 delta u} du`` over up to 256 panels in ``u = log s``, doubled
+    through ``domains.refine``.  The oracle of the closed-form moments that
+    the ``optimal-constant`` record takes through ``least_norm_extension``.
+    """
+    x, w = gauss_legendre(16)
+    s = 0.5 * a * (x + 1.0)
+    inner = float(0.5 * a * w @ (2.0 * math.pi * s)) * a ** (-2.0 * (1.0 + delta))
+
+    def outer(k: int) -> float:
+        edges = np.linspace(math.log(a), 0.0, (1 << k) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        u = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x
+        return float(np.sum(half * w * 2.0 * math.pi * np.exp(-2.0 * delta * u)))
+
+    return inner + refine(outer, lambda f, c: abs(f - c) / abs(f), MIN_NORM_TOL, 8)[0]
 
 
 def laurent_remainder(r: float, z: complex, w: complex, modes: int) -> float:

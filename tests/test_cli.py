@@ -578,7 +578,7 @@ class TestCliRuns:
             (
                 ["bergman"],
                 "bergreen.bergman.kernel_diag",
-                lambda *a, **k: KernelEstimate(float("nan"), 1, 1.0, 0.0),
+                lambda *a, **k: KernelEstimate(float("nan"), 1, 0.0),
             ),
         ],
         ids=["green", "capacity", "bergman"],
@@ -911,7 +911,7 @@ class TestExtendedSuitaRecords:
             res = extended_suita_check(Annulus(0.2), HarmonicRe(0.2), z)
             assert list(res.quantities) == [
                 "margin", "capacity_sq", "rho_at_z", "weighted_kernel", "basis_size",
-                "gram_condition", "truncation_error",
+                "truncation_error",
             ]
             assert rec["quantities"] == res.quantities
 
@@ -924,6 +924,32 @@ class TestExtendedSuitaRecords:
         for rec in records[:2]:
             assert rec["inputs"]["error"].startswith("DomainError: K_rho(z, z)")
             assert "floating-point range" in rec["inputs"]["error"]
+
+    def test_harmoniclog_beyond_the_float_range_fails_its_record(self, tmp_path):
+        # at 0.21, K_rho = 4.5e-540 (a 40-digit mpmath sum of the modes) and
+        # rho = e^1249: a DomainError, not a kernel of 0.0 or an overflow in
+        # the density; the same weight at 0.5, 0.99 and -0.9i keeps passing
+        zs = "0.21,0.5,0.99,-0.9j"
+        assert main(self._argv(tmp_path, zs, weight="harmoniclog:400")) == 1
+        records = _read_report(tmp_path / "extended_suita_check_report.json")["records"]
+        assert [rec["passed"] for rec in records] == [False, True, True, True]
+        assert records[0]["inputs"]["error"].startswith("DomainError: K(z, z) at z = (0.21+0j)")
+        assert "floating-point range" in records[0]["inputs"]["error"]
+        assert main(["bergman", "--domain=annulus:0.2", "--weight=harmoniclog:400", "--z=0.21",
+                     "--no-cache", f"--outdir={tmp_path}"]) == 1
+        (rec,) = _read_report(tmp_path / "bergman_report.json")["records"]
+        assert rec["inputs"]["error"].startswith("DomainError: K(z, z)")
+
+    def test_harmoniclog_density_beyond_the_float_range_fails_its_record(self, tmp_path):
+        # -2 alpha log|z| = 708.47 at 0.5 with alpha = 511.05, past -log of
+        # the smallest normal float (708.40), while K_rho = 2.6e-308 is still
+        # normal: the weight's own guard fails the record; alpha = 511 passes
+        assert main(self._argv(tmp_path, "0.5", weight="harmoniclog:511.05")) == 1
+        (rec,) = _read_report(tmp_path / "extended_suita_check_report.json")["records"]
+        error = rec["inputs"]["error"]
+        assert error.startswith("DomainError: rho(z) = |z|^(-2 alpha) at z = (0.5+0j)")
+        assert "alpha = 511.05" in error and "708.466" in error
+        assert main(self._argv(tmp_path, "0.5", weight="harmoniclog:511")) == 0
 
 
 class TestReportHelpers:
@@ -1166,14 +1192,9 @@ def _nan_trend_ratio(mp):
     return squeezing.boundary_trend_check(Annulus(0.2)), "monotone_toward_one"
 
 
-def _nan_quadrature_route(mp):
-    _spoil_call(mp, extension, "_min_norm_quadrature", 3, lambda mq: math.nan)
-    return extension.optimal_constant_experiment(1.0, 0.0), "routes_agree"
-
-
 def _nan_closed_route(mp):
     _spoil_call(mp, extension, "least_norm_extension", 3, lambda res: (math.nan, res[1]))
-    return extension.optimal_constant_experiment(1.0, 0.0), "ratios_increasing"
+    return extension.optimal_constant_experiment(1.0, 0.0), "law"
 
 
 def _nan_torus_diagonal(mp):
@@ -1203,7 +1224,6 @@ def _nan_maxzero_sup(mp):
         _nan_ode_r2,
         _nan_cutoff_gap,
         _nan_trend_ratio,
-        _nan_quadrature_route,
         _nan_closed_route,
         _nan_torus_diagonal,
         _nan_laplacian_sample,

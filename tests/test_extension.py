@@ -2,7 +2,9 @@
 generalized residual measure, and the
 optimal-constant experiment."""
 
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import oracles
 from bergreen import extension
+from bergreen.cli import main
 from bergreen.bergman import MaxPiece, least_norm_extension
 from bergreen.domains import Disc
 from bergreen.errors import AccuracyError, DerivativeMismatchError, ParameterError
@@ -477,6 +481,36 @@ def _ratios(rec) -> list:
     return [rec.quantities[f"ratio_{i}"] for i in range(n)]
 
 
+def _law(delta: float, eps: float, a: float) -> float:
+    """The exact ratio pi e^{-eps} [(1 + 1/delta) - a^{2 delta}/delta]: the
+    least norm of F(0) = 1 is the integral of the radial weight, pi
+    a^{-2 delta} (1 + 1/delta) - pi/delta, scaled by a^{2 delta} e^{-eps}."""
+    return math.pi * math.exp(-eps) * ((1.0 + 1.0 / delta) - a ** (2.0 * delta) / delta)
+
+
+def _mutant(old: str, new: str):
+    """``optimal_constant_experiment`` compiled from its own source with the
+    one occurrence of ``old`` written ``new``, in a copy of the module's
+    namespace, so that the module itself is untouched."""
+    source = textwrap.dedent(inspect.getsource(optimal_constant_experiment))
+    assert source.count(old) == 1
+    namespace = dict(vars(extension))
+    exec(compile(source.replace(old, new), extension.__file__, "exec"), namespace)
+    return namespace["optimal_constant_experiment"]
+
+
+# the two hand-made mutants of the sharp constant: the target's (1 + 1/delta)
+# and the ratio's normalization e^{-eps}, each off by 1e-3 or less
+_CONSTANT_MUTANTS = {
+    "target_factor": ("(1.0 + 1.0 / delta) * math.pi", "(1.0 + 1.002 / delta) * math.pi"),
+    "ratio_normalization": (
+        "a ** (2.0 * delta) * math.exp(-eps)", "a ** (2.0 * delta) * math.exp(-1.001 * eps)"
+    ),
+}
+
+_A_VALUES = inspect.signature(optimal_constant_experiment).parameters["a_values"].default
+
+
 class TestOptimalConstant:
     def test_closed_form_table(self):
         rec = optimal_constant_experiment(1.0, 0.0, a_values=(0.5, 0.1, 0.01))
@@ -488,9 +522,24 @@ class TestOptimalConstant:
         assert q["target"] == pytest.approx(2.0 * math.pi, rel=1e-15)
         for a in (0.5, 0.1, 0.01):
             mn, _ = least_norm_extension(Disc(), MaxPiece(1.0, a), 0.0, 1.0, basis=(0, 8))
-            mq = extension._min_norm_quadrature(1.0, a)
-            assert abs(mn - mq) / mn < 1e-9
-        assert q["cross_rel_max"] < 1e-9 and rec.passed
+            assert abs(mn - oracles.min_norm_quadrature(1.0, a)) / mn < 1e-9
+        assert rec.passed
+
+    @pytest.mark.parametrize("delta", [0.1, 0.5, 1.0, 2.0, 4.0, 5.0, 10.0])
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_ratios_follow_the_law(self, delta, eps):
+        rec = optimal_constant_experiment(delta, eps)
+        tol = rec.tolerances["law"]
+        # eight rounding units of the largest log moment, at a = 1e-4
+        units = max(1.0, 2.0 * delta * math.log(1e4))
+        assert tol == pytest.approx(8.0 * np.finfo(float).eps * units, rel=1e-15)
+        assert rec.tolerances["below_target"] == tol
+        target = (1.0 + 1.0 / delta) * math.pi * math.exp(-eps)
+        for i, a in enumerate(_A_VALUES):
+            ratio = rec.quantities[f"ratio_{i}"]
+            assert abs(ratio / _law(delta, eps, a) - 1.0) <= tol
+            assert ratio <= target * (1.0 + tol)
+        assert rec.passed and -rec.margins["law"] <= tol
 
     @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("eps", [0.0, 0.1])
@@ -500,10 +549,10 @@ class TestOptimalConstant:
         assert q["target"] == pytest.approx(
             (1.0 + 1.0 / delta) * math.pi * math.exp(-eps), rel=1e-15
         )
-        # the ratio is exactly affine in a^{2 delta}, so one Richardson step
-        # removes the whole finite-a correction
-        assert abs(q["limit"] - q["target"]) < 1e-10 * q["target"]
-        assert q["limit_rel_error"] < 1e-10
+        # the ratio is exactly the law, so adding the law's correction
+        # pi e^{-eps} a^{2 delta}/delta at a = 1e-4 removes the whole
+        # finite-a part, to the law's rounding
+        assert abs(q["limit"] - q["target"]) <= rec.tolerances["law"] * q["target"]
         # raw ratio at a = 1e-4 is already within one percent
         assert abs(_ratios(rec)[-1] - q["target"]) / q["target"] < 0.01
 
@@ -513,30 +562,51 @@ class TestOptimalConstant:
         # from the annulus a < |z| < 1
         for a in (0.5, 0.1, 0.01, 1e-3, 1e-4):
             closed = math.pi * a ** (-2.0 * delta) * (1.0 + 1.0 / delta) - math.pi / delta
-            rel = abs(extension._min_norm_quadrature(delta, a) - closed) / closed
-            assert rel <= extension._CROSS_TOL
+            rel = abs(oracles.min_norm_quadrature(delta, a) - closed) / closed
             assert rel <= 1e-14
 
     def test_ratios_increase_as_a_shrinks(self):
+        # the law's increments (pi/delta)(a_i^{2 delta} - a_{i+1}^{2 delta})
+        # exceed twice the law's tolerance here, so the law gate implies
+        # the increase
         rec = optimal_constant_experiment(0.5, 0.0)
         ratios = _ratios(rec)
-        diffs = np.diff(ratios)
-        assert np.all(diffs > 0.0)
-        assert rec.margins["ratios_increasing"] == diffs.min()
+        target = rec.quantities["target"]
+        increments = np.diff([_law(0.5, 0.0, a) for a in _A_VALUES])
+        assert np.all(increments > 2.0 * rec.tolerances["law"] * target)
+        assert np.all(np.diff(ratios) > 0.0)
         # and stay below the limiting value
-        assert max(ratios) < rec.quantities["target"] + 1e-12
+        assert max(ratios) < target
+        assert rec.margins["below_target"] > 0.0
 
     def test_disagreeing_routes_fail_the_record(self, monkeypatch):
-        # one percent off at every a: the routes_agree margin, not an
-        # exception, reports it
-        quad_route = extension._min_norm_quadrature
-        monkeypatch.setattr(
-            extension, "_min_norm_quadrature", lambda delta, a: 1.01 * quad_route(delta, a)
-        )
+        # the least-norm route one percent off at every a: the law margin,
+        # not an exception, reports it
+        route = extension.least_norm_extension
+
+        def off(*args, **kwargs):
+            mn, coeffs = route(*args, **kwargs)
+            return 1.01 * mn, coeffs
+
+        monkeypatch.setattr(extension, "least_norm_extension", off)
         rec = optimal_constant_experiment(1.0, 0.0)
         assert not rec.passed
-        assert rec.margins["routes_agree"] < -rec.tolerances["routes_agree"]
-        assert rec.quantities["cross_rel_max"] == pytest.approx(0.01, rel=1e-6)
+        assert rec.margins["law"] == pytest.approx(-0.01, rel=1e-6)
+        assert rec.margins["below_target"] < -rec.tolerances["below_target"]
+
+    @pytest.mark.parametrize("mutant", sorted(_CONSTANT_MUTANTS))
+    def test_a_wrong_constant_fails_the_record(self, mutant):
+        old, new = _CONSTANT_MUTANTS[mutant]
+        assert _mutant(old, old)(1.0, 0.1).passed
+        rec = _mutant(old, new)(1.0, 0.1)
+        assert not rec.passed
+        assert rec.margins["law"] < -rec.tolerances["law"]
+
+    def test_large_deltas_pass(self, tmp_path):
+        # the increments at a = 1e-3 and 1e-4 are about 1e-24 here, far
+        # below the ratio's rounding; no gate reads them as a decrease
+        argv = ["optimal-constant", "--deltas", "4,5,10", "--no-cache", "--outdir", str(tmp_path)]
+        assert main(argv) == 0
 
     def test_parameter_validation(self):
         with pytest.raises(ParameterError):

@@ -49,6 +49,7 @@ _CI_COMMANDS = [
     "suita-check --domain annulus:0.2 --zs 0.2000001,0.99999j",
     "squeeze-check --domain annulus:0.2 --ps 0.2000001,-0.2000001j --no-trend",
     "capacity --domain annulus:2.2e-86 --z 2.2000001e-86",
+    "optimal-constant --deltas 4,5,10",
 ]
 
 # paths that neither all nor CI takes
