@@ -1,20 +1,16 @@
-"""Weighted Bergman kernels as least-norm extremal problems.
+"""Weighted Bergman kernels on discs and annuli, and Suita's inequality.
 
-The kernel diagonal is the extremal value ``sup |f(z)|^2 / ||f||_rho^2``
-over the monomial span, computed from the Gram matrix
-
-    M[i, j] = integral_Omega  z^{n_i} conj(z)^{n_j} rho(z) dLambda(z)
-
-as ``K(z, z) = b* M^{-1} b`` with ``b_i = z^{n_i}``.  For radial weights on
-disc/annulus the monomials are orthogonal and the Gram matrix is diagonal
-with closed-form per-mode moments.  Without a basis range, the kernel of
-``Unweighted`` and ``HarmonicLog`` sums every mode in closed form: a
-rational function on the disc, a Lambert series with a certified geometric
-tail on an annulus.  Over a given basis range it sums the modes in log
-space, so that very large bases neither overflow nor underflow.
+Without a basis range, the kernel diagonal of ``Unweighted`` and
+``HarmonicLog`` sums every mode in closed form, in logs: a rational function
+on the disc, a Lambert series with a certified geometric tail on an annulus.
 ``HarmonicRe(c)`` is not radial, but ``f -> f e^{-c z}`` maps its space
-isometrically onto the unweighted one, so its kernel is the unweighted
-closed form times ``e^{2 c Re z}``.
+isometrically onto the unweighted one, so its log kernel is the unweighted
+one plus ``2 c Re z``.  Over a given basis range the radial modes, orthogonal
+with closed-form moments, are summed in log space, so that very large bases
+neither overflow nor underflow; that modal sum is the closed forms' oracle
+and the route of ``MaxPiece``.  Suita's inequality and its extended form are
+gated on ``log(pi rho K_rho) - 2 log c_beta``, which stays finite where the
+values leave the float range.
 
 Norm convention: ``||f||^2 = integral |f|^2 rho dLambda`` (plain Lebesgue
 area measure).  Under this convention the unweighted unit disc gives
@@ -31,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .domains import Annulus, Disc, PlanarDomain, capacity
+from .domains import Annulus, Disc, PlanarDomain, exp_normal, green_evaluator
 from .errors import (
     DivergentIntegralError,
     DomainError,
@@ -57,16 +53,10 @@ __all__ = [
     "default_basis",
 ]
 
+_LOG_PI = math.log(math.pi)
 _LOG_2PI = math.log(2.0 * math.pi)
 # the largest halved-basis change of a kernel diagonal (kernel_diag)
 _TRUNC_TOL = 1e-6
-# the allowed overshoot of c^2/(pi K) <= 1 (suita_ratio)
-_RATIO_TOL = 1e-6
-# the allowed negative margin of pi rho K - c^2 >= 0 (extended_suita_check)
-_MARGIN_TOL = 1e-9
-# the smallest normal float: e^t and e^-t are both normal for |t| <= -log of it
-_TINY = sys.float_info.min
-_LOG_TINY = math.log(_TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +70,8 @@ class Unweighted:
 
     radial: ClassVar[bool] = True
 
-    def density(self, z):
-        return np.ones(np.shape(z))
+    def log_density(self, z):
+        return np.zeros(np.shape(z))
 
 
 @dataclass(frozen=True)
@@ -91,8 +81,13 @@ class HarmonicLog:
     alpha: float
     radial: ClassVar[bool] = True
 
-    def density(self, z):
-        return np.abs(np.asarray(z, dtype=complex)) ** (-2.0 * self.alpha)
+    def __post_init__(self):
+        _require_finite(self, self.alpha)
+
+    def log_density(self, z):
+        # alpha = 0 is rho = 1 also at z = 0, where log|z| is -inf
+        s = np.abs(np.asarray(z, dtype=complex))
+        return -2.0 * self.alpha * np.log(s) if self.alpha else np.zeros(s.shape)
 
 
 @dataclass(frozen=True)
@@ -109,10 +104,9 @@ class MaxPiece:
         if not (0.0 < self.a < 1.0):
             raise DomainError("MaxPiece requires 0 < a < 1")
 
-    def density(self, z):
+    def log_density(self, z):
         s = np.abs(np.asarray(z, dtype=complex))
-        phi = 2.0 * (1.0 + self.delta) * np.log(np.maximum(s, self.a))
-        return np.exp(-phi)
+        return -2.0 * (1.0 + self.delta) * np.log(np.maximum(s, self.a))
 
 
 @dataclass(frozen=True)
@@ -122,9 +116,16 @@ class HarmonicRe:
     c: float
     radial: ClassVar[bool] = False
 
-    def density(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.exp(-2.0 * self.c * z.real)
+    def __post_init__(self):
+        _require_finite(self, self.c)
+
+    def log_density(self, z):
+        return -2.0 * self.c * np.asarray(z, dtype=complex).real
+
+
+def _require_finite(weight, parameter: float) -> None:
+    if not math.isfinite(parameter):
+        raise DomainError(f"{weight!r} requires a finite parameter")
 
 
 WeightSpec = Unweighted | HarmonicLog | MaxPiece | HarmonicRe
@@ -301,11 +302,16 @@ def gram_matrix(
 
 @dataclass(frozen=True)
 class KernelEstimate:
-    """Kernel diagonal value with numerical quality indicators."""
+    """Kernel diagonal ``log K(z, z)`` with numerical quality indicators."""
 
-    value: float
+    log_value: float
     basis_size: int
     truncation_error_estimate: float
+
+    @property
+    def value(self) -> float:
+        """``K(z, z)``, or :class:`DomainError` where it is not a normal float."""
+        return exp_normal(self.log_value, "K(z, z)")
 
 
 def _log_powers(z: complex, ns: np.ndarray) -> np.ndarray:
@@ -337,10 +343,10 @@ _TAIL_TOL = 2.0**-60
 
 def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) -> KernelEstimate:
     """Every mode of ``Unweighted`` or ``HarmonicLog(alpha)`` summed in
-    closed form, with ``x = |z|^2``.
+    closed form, with ``x = |z|^2``, as ``log K``.
 
-    On the unit disc the modes ``n >= 0`` sum to ``(1/(1 - x)^2 - alpha/(1 -
-    x)) / pi``; on a disc of radius ``R``, ``z = R w`` maps it to the unit
+    On the unit disc the modes ``n >= 0`` sum to ``pi K = (1 - alpha (1 - x))
+    / (1 - x)^2``; on a disc of radius ``R``, ``z = R w`` maps it to the unit
     disc, so ``K_R(z) = R^(2 alpha - 2) K_1(z / R)``.  On the annulus ``r <
     |z| < 1``, ``q = r^2``, mode ``n`` is ``x^(alpha-1) x^p p / (1 - q^p) /
     pi`` with ``p = n + 1 - alpha``.  Expanding ``1/(1 - q^p)`` as a
@@ -357,10 +363,11 @@ def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) ->
     geometrically with ratio ``q^a``; after its last term ``t`` the rest is
     at most ``t rho/(1 - rho)``.  That bound, relative to ``K``, is the
     reported truncation error, and the number of summed terms the basis size.
-    ``1 - x`` is formed as ``(1 - |z|)(1 + |z|)`` (``(R - |z|)(R + |z|) /
-    R^2`` on the disc) and ``1 - q/x`` as ``(|z| - r)(|z| + r)/x``, which
-    keeps their relative accuracy near the circles.  A value that is not a
-    normal float raises :class:`DomainError`.
+    ``x``, ``q`` and ``q/x`` enter as logs and every bracketed term is at
+    most about 1, so nothing over- or underflows where ``K`` leaves the float
+    range; ``1 - x`` is formed as ``(1 - |z|)(1 + |z|)`` (``((R - |z|)/R)((R +
+    |z|)/R)`` on the disc) and ``1 - q/x`` as ``((|z| - r)/|z|)((|z| +
+    r)/|z|)``, which keeps their relative accuracy near the circles.
     """
     alpha = weight.alpha if isinstance(weight, HarmonicLog) else 0.0
     radius = domain.radius if isinstance(domain, Disc) else 1.0
@@ -368,72 +375,47 @@ def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) ->
     s = abs(z)
     if not (lo < s < radius or lo == 0.0 <= s < radius):
         raise DomainError(f"z = {z} is not inside {domain!r}")
-    unit = s / radius  # |z / R|, a point of the unit disc
-    x, outer = unit * unit, (radius - s) * (radius + s) / (radius * radius)
+    outer = ((radius - s) / radius) * ((radius + s) / radius)
     if lo == 0.0:
         if alpha >= 1.0:
             raise DivergentIntegralError("radial integral diverges at the origin")
-        value = (1.0 / outer - alpha) / outer / math.pi * radius ** (2.0 * alpha - 2.0)
-        return _normal_kernel(KernelEstimate(value, 1, 0.0), weight, z)
+        log_pi_k = math.log1p(-alpha * outer) - 2.0 * math.log(outer)
+        return KernelEstimate(log_pi_k + (2.0 * alpha - 2.0) * math.log(radius) - _LOG_PI, 1, 0.0)
 
-    q, log_q = lo * lo, 2.0 * math.log(lo)
+    log_x, log_q = 2.0 * math.log(s), 2.0 * math.log(lo)
     p_pos = math.floor(alpha) + 1.0 - alpha  # in (0, 1]
-    p_neg = alpha + 1.0 - math.ceil(alpha)  # in (0, 1]
-    total = p_pos * x**p_pos / -math.expm1(p_pos * log_q)
-    total += p_neg * (q / x) ** p_neg / -math.expm1(p_neg * log_q)
+    p_neg = alpha - (math.ceil(alpha) - 1.0)  # in (0, 1], exact for alpha > 0
+    total = p_pos * math.exp(p_pos * log_x) / -math.expm1(p_pos * log_q)
+    total += p_neg * math.exp(p_neg * (log_q - log_x)) / -math.expm1(p_neg * log_q)
     integer = alpha == math.floor(alpha)  # p0 = 0 is an exponent
     if integer:
         total += 0.5 / -math.log(lo)
-    # log rho is taken from log q: on thin annuli rho itself underflows to 0
     power = 1.0 + min(p_pos, p_neg)
-    rho = q**power
-    n_terms = math.ceil(math.log(_TAIL_TOL * (1.0 - rho)) / (power * log_q))
-    k = np.arange(n_terms)
+    n_terms = math.ceil(math.log(-_TAIL_TOL * math.expm1(power * log_q)) / (power * log_q))
+    k = np.arange(n_terms) * log_q
     tails = 0.0
-    for y, a, near in (
-        (x * q**k, p_pos + 1.0, outer),  # k >= 0
-        (q ** (k + 1) / x, p_neg + 1.0, (s - lo) * (s + lo) / x),  # k >= 1
+    for log_y, a, near in (
+        (log_x + k, p_pos + 1.0, outer),  # x q^k, k >= 0
+        (log_q - log_x + k, p_neg + 1.0, ((s - lo) / s) * ((s + lo) / s)),  # q^k / x, k >= 1
     ):
+        y = np.exp(log_y)
         om = 1.0 - y
         om[0] = near
-        f = y**a * (a / om + y / (om * om))
+        f = np.exp(a * log_y) * (a / om + y / (om * om))
         total += float(np.sum(f))
-        ratio = q**a
+        ratio = math.exp(a * log_q)
         tails += float(f[-1]) * ratio / (1.0 - ratio)
-    value = x ** (alpha - 1.0) * total / math.pi
-    size = 2 + 2 * n_terms + integer
-    return _normal_kernel(KernelEstimate(value, size, tails / total), weight, z)
-
-
-def _normal_kernel(est: KernelEstimate, weight: WeightSpec, z: complex) -> KernelEstimate:
-    """``est`` if its value is a normal float; :class:`DomainError` if not:
-    a kernel diagonal is positive, so a 0 or a subnormal is an underflow."""
-    if not _TINY <= est.value < math.inf:
-        raise DomainError(
-            f"K(z, z) at z = {z} for {weight!r} ({est.value!r}) leaves the floating-point range"
-        )
-    return est
+    log_k = (alpha - 1.0) * log_x + math.log(total) - _LOG_PI
+    return KernelEstimate(log_k, 2 + 2 * n_terms + integer, tails / total)
 
 
 def _harmonic_re_kernel(domain: PlanarDomain, weight: HarmonicRe, z: complex) -> KernelEstimate:
-    """``K_rho(z, z) = e^{2 c Re z} K(z, z)`` for ``rho = e^{-2 c Re z}``, with
-    ``K`` the unweighted closed form, whose term count and tail it reports.
-
-    ``|f e^{-c z}|^2 = |f|^2 rho``, so ``f -> f e^{-c z}`` maps ``A^2(Omega,
-    rho)`` isometrically onto ``A^2(Omega)`` and ``K_rho(z, w) = e^{c z} K(z,
-    w) e^{c conj(w)}``.  Raises :class:`DomainError` where ``rho(z)`` or
-    ``K_rho(z, z)`` is not a normal float: ``|2 c Re z|`` beyond ``-log`` of
-    the smallest normal float, or the product out of range.
-    """
+    """``log K_rho(z, z) = 2 c Re z + log K(z, z)`` for ``rho = e^{-2 c Re
+    z}``, ``K`` the unweighted closed form, whose term count and tail it
+    reports: ``|f e^{-c z}|^2 = |f|^2 rho``, so ``f -> f e^{-c z}`` maps
+    ``A^2(Omega, rho)`` isometrically onto ``A^2(Omega)``."""
     est = _closed_form_kernel(domain, Unweighted(), z)
-    exponent = 2.0 * weight.c * complex(z).real
-    value = est.value * math.exp(exponent) if abs(exponent) <= -_LOG_TINY else math.nan
-    if not _TINY <= value < math.inf:
-        raise DomainError(
-            f"K_rho(z, z) = e^(2c Re z) K(z, z) at z = {z} with c = {weight.c!r} "
-            f"(2c Re z = {exponent:.6g}) leaves the floating-point range"
-        )
-    return replace(est, value=value)
+    return replace(est, log_value=2.0 * weight.c * complex(z).real + est.log_value)
 
 
 def kernel_diag(
@@ -446,7 +428,7 @@ def kernel_diag(
 
     Without ``basis``, ``Unweighted`` and ``HarmonicLog`` on discs and on
     annuli take every mode in closed form (:func:`_closed_form_kernel`),
-    and ``HarmonicRe`` is that closed form times ``e^{2 c Re z}``
+    and ``HarmonicRe`` is that closed form plus ``2 c Re z`` in logs
     (:func:`_harmonic_re_kernel`); ``MaxPiece`` uses :func:`default_basis`.
     Over a basis range the radial modes are summed in log space, and the
     truncation error estimate is the relative change when the range is
@@ -470,19 +452,13 @@ def kernel_diag(
         log_k = _logsumexp(lt)
         if log_k == -math.inf:
             raise ZeroKernelError("kernel diagonal vanishes on this basis")
-        value = math.exp(log_k)
-        value_half = math.exp(_logsumexp(lt[_half_mask(ns)]))
-        trunc = abs(value - value_half) / value if value > 0.0 else 0.0
-        est = KernelEstimate(value, int(ns.size), trunc)
-    _check_truncation(est.truncation_error_estimate)
-    return est
-
-
-def _check_truncation(trunc: float) -> None:
-    if trunc > _TRUNC_TOL:
+        trunc = -math.expm1(_logsumexp(lt[_half_mask(ns)]) - log_k)
+        est = KernelEstimate(log_k, int(ns.size), trunc)
+    if est.truncation_error_estimate > _TRUNC_TOL:
         raise TruncationError(
-            f"basis truncation estimate {trunc:.3e} exceeds {_TRUNC_TOL:.3e}"
+            f"basis truncation estimate {est.truncation_error_estimate:.3e} exceeds {_TRUNC_TOL:.3e}"
         )
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -548,50 +524,73 @@ def kernel_record(domain: PlanarDomain, weight: WeightSpec, z: complex) -> Repor
     )
 
 
-def suita_ratio(domain: PlanarDomain, z: complex) -> ReportRecord:
-    """``c_beta(z)^2 / (pi K(z, z)) <= 1`` (overshoot up to ``_RATIO_TOL``)
-    and ``> 0``: the ``suita-check`` record, with the ratio, the capacity
-    and the kernel diagonal among its quantities.  The capacity is that of
-    the domain's natural evaluator, the kernel the closed form of
-    :func:`kernel_diag`.
-    """
-    cap = capacity(domain, z)
-    est = kernel_diag(domain, Unweighted(), z)
-    ratio = cap**2 / (math.pi * est.value)
+# The tolerance of a Suita margin m = (log(pi K_rho) + log rho) - 2 log c_beta,
+# in the rounding model of N. J. Higham (Accuracy and Stability of Numerical
+# Algorithms, 2002, ch. 3), with L = max(1/(1 - r^2), |log c_beta|, |log pi
+# K_rho|, |log rho|), r = 0 on a disc.  Each log is within 2 eps L: values
+# formed from |z|, r and the weight in a few relative roundings carry eps,
+# the factors 1 - y of the annulus series (y up to q = r^2 past their first
+# terms) eps/(1 - q) each, and the sums that make each log, such as (alpha -
+# 1) log x + log S - log pi or -log(1 - |z|^2) - (log|z|)^2 / log r, half an
+# ulp of terms of about L.  The two additions of m add half an ulp of |log pi
+# K_rho + log rho| <= 2 L and of |m|, near 0 where the gate binds: 7 eps L,
+# taken as 8.  A 60-digit mpmath oracle reads at most 1.87 eps L at `all`'s
+# and CI's points; from r = 0.9995 to 0.99999 the computed margins fall at
+# most 0.83 eps/(1 - q) below 0.  The series stops short of K by at most its
+# certified relative tail t, which lowers log K by at most t, so t is added.
+_MARGIN_ULPS = 8.0
+
+
+def _suita_record(domain: PlanarDomain, weight: WeightSpec, z: complex, primary: str) -> ReportRecord:
+    """The record of ``c_beta(z)^2 <= pi rho(z) K_rho(z, z)``, gated in logs:
+    ``margin = log(pi rho K_rho) - 2 log c_beta >= -tol``, ``ratio`` its
+    exponential ``c_beta^2 / (pi rho K_rho)``.  ``log c_beta`` is the Robin
+    constant of the domain's natural evaluator, ``K_rho`` the closed form of
+    :func:`kernel_diag`, ``log rho`` the weight's exponent; none of them is
+    exponentiated, so a point where ``c_beta``, ``rho`` or ``K_rho`` leaves
+    the float range still gets a margin."""
+    log_cap = green_evaluator(domain).robin(z)
+    est = kernel_diag(domain, weight, z)
+    log_rho = float(weight.log_density(z))
+    log_pi_kernel = _LOG_PI + est.log_value
+    margin = log_pi_kernel + log_rho - 2.0 * log_cap
+    q = domain.r_inner**2 if isinstance(domain, Annulus) else 0.0
+    scale = max(1.0 / (1.0 - q), abs(log_cap), abs(log_pi_kernel), abs(log_rho))
+    tol = _MARGIN_ULPS * sys.float_info.epsilon * scale + est.truncation_error_estimate
     return make_record(
         quantities={
-            "ratio": ratio,
-            "capacity": cap,
-            "kernel_diag": est.value,
+            "margin": margin,
+            "ratio": math.exp(-margin),
+            "log_capacity": log_cap,
+            "log_rho": log_rho,
+            "log_kernel": est.log_value,
+            "basis_size": est.basis_size,
+            "truncation_error": est.truncation_error_estimate,
         },
-        gates={"upper": (1.0 - ratio, _RATIO_TOL), "positive": (ratio, 0.0)},
-        primary="ratio",
+        gates={"upper": (margin, tol)},
+        primary=primary,
         provenance={
-            "ratio": "suita_ratio",
-            "capacity": "capacity",
-            "kernel_diag": "kernel_diag",
+            "margin": "_suita_record", "ratio": "_suita_record", "log_capacity": "robin",
+            "log_rho": "log_density", "log_kernel": "kernel_diag", "basis_size": "kernel_diag",
+            "truncation_error": "kernel_diag",
         },
     )
 
 
-def extended_suita_check(
-    domain: PlanarDomain,
-    weight: WeightSpec,
-    z: complex,
-) -> ReportRecord:
-    """``pi rho(z) K_rho(z, z) - c_beta(z)^2 >= -_MARGIN_TOL``: the
-    ``extended-suita-check`` record.
+def suita_ratio(domain: PlanarDomain, z: complex) -> ReportRecord:
+    """Suita's inequality ``c_beta(z)^2 <= pi K(z, z)``: the ``suita-check``
+    record, :func:`_suita_record` with ``rho = 1``, its primary the ratio
+    ``c_beta^2 / (pi K)``, which is 1 on a disc and below 1 on an annulus."""
+    return _suita_record(domain, Unweighted(), z, "ratio")
 
-    ``weight`` must come from an exponent harmonic on ``domain``
-    (``Unweighted``, ``HarmonicRe``, or ``HarmonicLog`` off the disc);
-    ``MaxPiece`` is not of that form, and ``HarmonicLog(alpha)`` with
-    ``alpha != 0`` has a pole at 0, inside a disc.  Every one takes the
-    closed-form kernel of :func:`kernel_diag`; for ``HarmonicRe``, ``rho(z)
-    K_rho(z, z) = K(z, z)``, so the margin is that of Suita's inequality,
-    which holds with equality exactly on the disc.  For ``HarmonicLog``,
-    :class:`DomainError` is raised where ``|2 alpha log|z||`` exceeds
-    ``-log`` of the smallest normal float, as for ``HarmonicRe``.
-    """
+
+def extended_suita_check(domain: PlanarDomain, weight: WeightSpec, z: complex) -> ReportRecord:
+    """The extended Suita inequality ``c_beta(z)^2 <= pi rho(z) K_rho(z,
+    z)``: the ``extended-suita-check`` record, :func:`_suita_record` with
+    the margin as its primary.  ``weight`` must come from an exponent
+    harmonic on ``domain``: ``MaxPiece`` does not, and ``HarmonicLog(alpha)``
+    with ``alpha != 0`` has a pole at 0, inside a disc.  For ``HarmonicRe``,
+    ``rho K_rho = K``: Suita's margin, 0 exactly on the disc."""
     if isinstance(weight, MaxPiece):
         raise DomainError("extended check requires a harmonic weight variant")
     if isinstance(weight, HarmonicLog) and weight.alpha != 0.0 and isinstance(domain, Disc):
@@ -599,34 +598,4 @@ def extended_suita_check(
             f"extended check requires a weight harmonic on the domain: {weight!r} "
             "has a pole at 0, inside the disc"
         )
-    cap = capacity(domain, z)
-    est = kernel_diag(domain, weight, z)
-    if isinstance(weight, HarmonicLog) and weight.alpha != 0.0:
-        exponent = -2.0 * weight.alpha * math.log(abs(z))
-        if abs(exponent) > -_LOG_TINY:
-            raise DomainError(
-                f"rho(z) = |z|^(-2 alpha) at z = {z} with alpha = {weight.alpha!r} "
-                f"(-2 alpha log|z| = {exponent:.6g}) leaves the floating-point range"
-            )
-    rho = float(weight.density(np.asarray([z], dtype=complex))[0])
-    margin = math.pi * rho * est.value - cap**2
-    return make_record(
-        quantities={
-            "margin": margin,
-            "capacity_sq": cap**2,
-            "rho_at_z": rho,
-            "weighted_kernel": est.value,
-            "basis_size": est.basis_size,
-            "truncation_error": est.truncation_error_estimate,
-        },
-        gates={"nonnegative": (margin, _MARGIN_TOL)},
-        primary="margin",
-        provenance={
-            "margin": "extended_suita_check",
-            "capacity_sq": "capacity",
-            "rho_at_z": "extended_suita_check",
-            "weighted_kernel": "kernel_diag",
-            "basis_size": "kernel_diag",
-            "truncation_error": "kernel_diag",
-        },
-    )
+    return _suita_record(domain, weight, z, "margin")

@@ -90,17 +90,17 @@ PARAMS: dict[str, dict[str, Param]] = {
         "domain": Param("str", "disc", "domain spec (disc[:R] | annulus:r | ellipse:a:b | jordan:file)"),
         "method": Param("str", _default(domains.green_evaluator, "method"),
                         " | ".join(domains.GREEN_METHODS)),
-        "xi": Param("complex", "0.5", "evaluation point"),
-        "z": Param("complex", "0.1", "pole location"),
+        "xi": Param("complex", None, "evaluation point (default: 0.5 of the way out)"),
+        "z": Param("complex", None, "pole location (default: 0.1 of the way out)"),
     },
     "capacity": {
         "domain": Param("str", "disc", "domain spec"),
-        "z": Param("complex", "0.3", "point"),
+        "z": Param("complex", None, "point (default: 0.3 of the way out)"),
     },
     "bergman": {
         "domain": Param("str", "disc", "domain spec (disc or annulus)"),
         "weight": Param("str", "none", "weight spec (none | harmoniclog:a | harmonicre:c | maxpiece:d:a)"),
-        "z": Param("complex", "0.3", "diagonal point"),
+        "z": Param("complex", None, "diagonal point (default: 0.3 of the way out)"),
     },
     "suita-check": {
         "domain": Param("str", "annulus:0.2", "domain spec (disc or annulus)"),
@@ -309,7 +309,9 @@ def _apply(config: dict, command: str, key: str, value) -> None:
 def _canonicalize(config: dict) -> None:
     command = config["command"]
     for name, p in PARAMS[command].items():
-        config[name] = _coerce(p.kind, config[name], name)
+        # a point may stay unset where its default is: _point places it
+        if config[name] is not None or p.default is not None:
+            config[name] = _coerce(p.kind, config[name], name)
 
 
 def _validate(config: dict) -> None:
@@ -451,25 +453,39 @@ def _points(cfg: dict, key: str):
     return domain, [complex(s) for s in cfg[key]] or _sweep_points(domain, cfg["points"])
 
 
+def _point(cfg: dict, key: str, domain, t: float) -> complex:
+    """The point ``cfg[key]``, or where it is unset the point a fraction
+    ``t`` of the way out along the positive axis: from the centre of a disc
+    to its circle, from the inner circle of an annulus to the outer, and
+    ``t`` itself on a Jordan domain."""
+    if cfg[key] is not None:
+        return complex(cfg[key])
+    lo = domain.r_inner if isinstance(domain, Annulus) else 0.0
+    return complex(lo + t * (getattr(domain, "radius", 1.0) - lo))
+
+
 def _green(cfg):
-    xi, z = complex(cfg["xi"]), complex(cfg["z"])
-    kwargs = {"domain": parse_domain(cfg["domain"]), "xi": xi, "z": z, "method": cfg["method"]}
-    yield Case(f"{cfg['domain']} xi={xi} z={z}", _echo(cfg, "domain", "method", "xi", "z"),
+    domain = parse_domain(cfg["domain"])
+    xi, z = _point(cfg, "xi", domain, 0.5), _point(cfg, "z", domain, 0.1)
+    kwargs = {"domain": domain, "xi": xi, "z": z, "method": cfg["method"]}
+    yield Case(f"{cfg['domain']} xi={xi} z={z}",
+               {**_echo(cfg, "domain", "method"), "xi": str(xi), "z": str(z)},
                "domains.green_record", kwargs)
 
 
 def _capacity(cfg):
-    z = complex(cfg["z"])
-    kwargs = {"domain": parse_domain(cfg["domain"]), "z": z}
-    yield Case(f"{cfg['domain']} z={z}", _echo(cfg, "domain", "z"),
-               "domains.capacity_record", kwargs)
+    domain = parse_domain(cfg["domain"])
+    z = _point(cfg, "z", domain, 0.3)
+    yield Case(f"{cfg['domain']} z={z}", {"domain": cfg["domain"], "z": str(z)},
+               "domains.capacity_record", {"domain": domain, "z": z})
 
 
 def _bergman(cfg):
-    z = complex(cfg["z"])
-    kwargs = {"domain": parse_domain(cfg["domain"]), "weight": parse_weight(cfg["weight"]), "z": z}
+    domain = parse_domain(cfg["domain"])
+    z = _point(cfg, "z", domain, 0.3)
+    kwargs = {"domain": domain, "weight": parse_weight(cfg["weight"]), "z": z}
     yield Case(f"{cfg['domain']} {cfg['weight']} z={z}",
-               _echo(cfg, "domain", "weight", "z"), "bergman.kernel_record", kwargs)
+               {**_echo(cfg, "domain", "weight"), "z": str(z)}, "bergman.kernel_record", kwargs)
 
 
 def _suita(cfg):

@@ -53,6 +53,7 @@ __all__ = [
     "GREEN_METHODS",
     "green_evaluator",
     "capacity",
+    "exp_normal",
     "green_record",
     "capacity_record",
     "gauss_legendre",
@@ -111,9 +112,7 @@ class Annulus:
     """Annulus ``r_inner < |z| < 1``; the outer radius is fixed at 1.
 
     ``r_inner`` must be a normal float, at least ``sys.float_info.min``
-    (2.2e-308): below it the float holds fewer than 53 significant bits,
-    and the closed-form Bergman kernel divides by zero next to the inner
-    circle, where its ratio ``r^2 / |z|^2`` underflows.
+    (2.2e-308): below it the float holds fewer than 53 significant bits.
     """
 
     r_inner: float
@@ -724,12 +723,27 @@ def green_evaluator(domain: PlanarDomain, method: str = "auto") -> GreenEvaluato
     return GreenEvaluator(domain, method)
 
 
+def exp_normal(log_value: float, name: str) -> float:
+    """``e^log_value``, the value of the positive quantity ``name``, where it
+    is a normal float; :class:`DomainError` naming the range where it is
+    not (a 0 or a subnormal is an underflow)."""
+    huge = math.log(sys.float_info.max)  # e^huge is still finite
+    value = math.exp(log_value) if log_value <= huge else math.inf
+    if not sys.float_info.min <= value < math.inf:
+        raise DomainError(
+            f"{name} = e^{log_value:.6g} leaves the floating-point range of normal "
+            f"floats, e^{math.log(sys.float_info.min):.6g} to e^{huge:.6g}"
+        )
+    return value
+
+
 def capacity(evaluator: GreenEvaluator | PlanarDomain, z: complex) -> float:
     """Logarithmic capacity ``c_beta(z) = exp(H(z, z))``, from the
-    evaluator's diagonal :meth:`GreenEvaluator.robin` on every method."""
+    evaluator's diagonal :meth:`GreenEvaluator.robin` on every method;
+    :class:`DomainError` where it is not a normal float."""
     if not isinstance(evaluator, GreenEvaluator):
         evaluator = green_evaluator(evaluator)
-    return math.exp(evaluator.robin(z))
+    return exp_normal(evaluator.robin(z), f"c_beta(z) at z = {z}")
 
 
 def green_record(domain: PlanarDomain, xi: complex, z: complex, method: str) -> ReportRecord:

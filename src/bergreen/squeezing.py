@@ -85,8 +85,8 @@ def sandwich_check(domain, p: complex) -> ReportRecord:
             "ratio": c_val,
             "squeeze_lower": s_low,
             "squeeze_lower_sq": s_low * s_low,
-            "capacity": ratio["capacity"],
-            "kernel": ratio["kernel_diag"],
+            "log_capacity": ratio["log_capacity"],
+            "log_kernel": ratio["log_kernel"],
         },
         gates={
             "lower": (c_val - s_low * s_low, _SANDWICH_TOL),
@@ -97,8 +97,8 @@ def sandwich_check(domain, p: complex) -> ReportRecord:
             "ratio": "suita_ratio",
             "squeeze_lower": "squeeze_lower",
             "squeeze_lower_sq": "squeeze_lower",
-            "capacity": "capacity",
-            "kernel": "kernel_diag",
+            "log_capacity": "robin",
+            "log_kernel": "kernel_diag",
         },
     )
 

@@ -262,7 +262,7 @@ def dense_kernel(domain, weight, z: complex, basis=None) -> tuple[KernelEstimate
     half = bergman._half_mask(ns)
     value = dense_kernel_value(corr, bd)
     value_half = dense_kernel_value(corr[np.ix_(half, half)], bd[half])
-    return KernelEstimate(value, int(ns.size), abs(value - value_half) / value), condition
+    return KernelEstimate(math.log(value), int(ns.size), abs(value - value_half) / value), condition
 
 
 def dense_least_norm(domain, weight, z0: complex, value: complex, basis):

@@ -321,13 +321,15 @@ def test_criterion_10_extended_suita():
     worst_margin = math.inf
     for weight in (HarmonicLog(0.3), HarmonicRe(0.2)):
         for z in points:
-            margin = extended_suita_check(ann, weight, z).quantities["margin"]
-            assert margin >= -1e-9
+            rec = extended_suita_check(ann, weight, z)
+            margin = rec.quantities["margin"]
+            # the log margin at its tolerance of a few ulps of the logs
+            assert margin >= -rec.tolerances["upper"] and rec.tolerances["upper"] < 1e-14
             worst_margin = min(worst_margin, margin)
     worst_red = 0.0
     for z in points:
         q0 = extended_suita_check(ann, Unweighted(), z).quantities
-        implied = q0["capacity_sq"] / (math.pi * q0["rho_at_z"] * q0["weighted_kernel"])
+        implied = q0["ratio"]
         ratio = suita_ratio(ann, z).quantities["ratio"]
         assert abs(implied - ratio) < 1e-9
         worst_red = max(worst_red, abs(implied - ratio))

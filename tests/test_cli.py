@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from bergreen import bergman, cli, domains, extension, fuchsian, reports, squeezing, torus
-from bergreen.bergman import HarmonicRe, KernelEstimate, extended_suita_check
+from bergreen.bergman import HarmonicRe, extended_suita_check
 from bergreen.cli import (
     _parse_grid,
     _sweep_points,
@@ -578,7 +578,10 @@ class TestCliRuns:
             (
                 ["bergman"],
                 "bergreen.bergman.kernel_diag",
-                lambda *a, **k: KernelEstimate(float("nan"), 1, 0.0),
+                # KernelEstimate.value refuses a value out of range itself
+                lambda *a, **k: SimpleNamespace(
+                    value=float("nan"), basis_size=1, truncation_error_estimate=0.0
+                ),
             ),
         ],
         ids=["green", "capacity", "bergman"],
@@ -910,46 +913,37 @@ class TestExtendedSuitaRecords:
         for rec, z in zip(records, zs):
             res = extended_suita_check(Annulus(0.2), HarmonicRe(0.2), z)
             assert list(res.quantities) == [
-                "margin", "capacity_sq", "rho_at_z", "weighted_kernel", "basis_size",
+                "margin", "ratio", "log_capacity", "log_rho", "log_kernel", "basis_size",
                 "truncation_error",
             ]
             assert rec["quantities"] == res.quantities
 
-    def test_weight_beyond_the_float_range_fails_its_record(self, tmp_path):
-        # rho = e^(-+720) at -+0.9: a DomainError, not an OverflowError or a
-        # RuntimeWarning; rho = 1 on the imaginary axis
-        assert main(self._argv(tmp_path, "-0.9,0.9,0.5j", weight="harmonicre:400")) == 1
+    def test_weight_beyond_the_float_range_gets_its_margin(self, tmp_path):
+        # rho = e^(-+720) at -+0.9: the margin is taken in logs, so every
+        # point passes, with no OverflowError or RuntimeWarning
+        assert main(self._argv(tmp_path, "-0.9,0.9,0.5j", weight="harmonicre:400")) == 0
         records = _read_report(tmp_path / "extended_suita_check_report.json")["records"]
-        assert [rec["passed"] for rec in records] == [False, False, True]
-        for rec in records[:2]:
-            assert rec["inputs"]["error"].startswith("DomainError: K_rho(z, z)")
-            assert "floating-point range" in rec["inputs"]["error"]
+        assert [rec["quantities"]["log_rho"] for rec in records] == [720.0, -720.0, -0.0]
 
-    def test_harmoniclog_beyond_the_float_range_fails_its_record(self, tmp_path):
+    def test_harmoniclog_beyond_the_float_range_gets_its_margin(self, tmp_path):
         # at 0.21, K_rho = 4.5e-540 (a 40-digit mpmath sum of the modes) and
-        # rho = e^1249: a DomainError, not a kernel of 0.0 or an overflow in
-        # the density; the same weight at 0.5, 0.99 and -0.9i keeps passing
+        # rho = e^1249: both logs are finite and the record passes; the
+        # bergman record, which prints K_rho, fails with a DomainError
         zs = "0.21,0.5,0.99,-0.9j"
-        assert main(self._argv(tmp_path, zs, weight="harmoniclog:400")) == 1
-        records = _read_report(tmp_path / "extended_suita_check_report.json")["records"]
-        assert [rec["passed"] for rec in records] == [False, True, True, True]
-        assert records[0]["inputs"]["error"].startswith("DomainError: K(z, z) at z = (0.21+0j)")
-        assert "floating-point range" in records[0]["inputs"]["error"]
+        assert main(self._argv(tmp_path, zs, weight="harmoniclog:400")) == 0
         assert main(["bergman", "--domain=annulus:0.2", "--weight=harmoniclog:400", "--z=0.21",
                      "--no-cache", f"--outdir={tmp_path}"]) == 1
         (rec,) = _read_report(tmp_path / "bergman_report.json")["records"]
-        assert rec["inputs"]["error"].startswith("DomainError: K(z, z)")
+        assert rec["inputs"]["error"].startswith("DomainError: K(z, z) = e^-1241.88")
+        assert "floating-point range" in rec["inputs"]["error"]
 
-    def test_harmoniclog_density_beyond_the_float_range_fails_its_record(self, tmp_path):
+    def test_harmoniclog_density_past_float_range_gets_a_margin(self, tmp_path):
         # -2 alpha log|z| = 708.47 at 0.5 with alpha = 511.05, past -log of
         # the smallest normal float (708.40), while K_rho = 2.6e-308 is still
-        # normal: the weight's own guard fails the record; alpha = 511 passes
-        assert main(self._argv(tmp_path, "0.5", weight="harmoniclog:511.05")) == 1
+        # normal: log rho is the weight's exponent, so the record passes
+        assert main(self._argv(tmp_path, "0.5", weight="harmoniclog:511.05")) == 0
         (rec,) = _read_report(tmp_path / "extended_suita_check_report.json")["records"]
-        error = rec["inputs"]["error"]
-        assert error.startswith("DomainError: rho(z) = |z|^(-2 alpha) at z = (0.5+0j)")
-        assert "alpha = 511.05" in error and "708.466" in error
-        assert main(self._argv(tmp_path, "0.5", weight="harmoniclog:511")) == 0
+        assert rec["quantities"]["log_rho"] == pytest.approx(708.466, abs=1e-3)
 
 
 class TestReportHelpers:
@@ -1188,7 +1182,7 @@ def _nan_cutoff_gap(mp):
 
 
 def _nan_trend_ratio(mp):
-    _spoil_call(mp, bergman, "capacity", 3, lambda cap: math.nan)
+    _spoil_call(mp, bergman, "kernel_diag", 3, lambda est: replace(est, log_value=math.nan))
     return squeezing.boundary_trend_check(Annulus(0.2)), "monotone_toward_one"
 
 
@@ -1241,7 +1235,6 @@ def test_a_nan_never_passes_a_record(monkeypatch, build):
 
 # every gate of `all` held at tolerance 0.0, with the reason it has no bound
 _ZERO_TOLERANCE_GATES = {
-    ("suita-check", "positive"): "positivity at 0",
     ("ode-check", "denom_positive"): "positivity at 0",
     ("ode-check", "s_prime_positive"): "positivity at 0",
     ("fuchsian-check", "margin_c0.9"): "the certified tail underflows to 0.0",

@@ -33,9 +33,19 @@ _CI_COMMANDS = [
     "suita-check --domain annulus:0.04 --zs 0.0404,0.5j,-0.9999",
     "suita-check --domain annulus:2.2e-86 --zs 1.5e-43,0.5,1e-85",
     "fuchsian-check --c-grid 0.01,0.5,0.999 --n-terms 4096",
+    "suita-check --domain annulus:1e-300 --zs 1e-299,1e-200,1e-150",
+    "extended-suita-check --domain annulus:1e-300 --weight harmonicre:1.0 --zs 1e-299",
+    "suita-check --domain annulus:1e-150 --zs 1.0000001e-150",
+    "suita-check --domain annulus:3e-308 --zs 3.03e-308",
+    "extended-suita-check --domain annulus:0.2 --weight harmonicre:-1.5 --zs 0.9999",
+    "extended-suita-check --domain disc:0.001 --weight harmonicre:3 --zs 0.0009",
+    "extended-suita-check --domain annulus:0.2 --weight harmoniclog:511.05 --zs 0.5",
+    "extended-suita-check --domain annulus:0.2 --weight harmoniclog:400 --zs 0.21",
     # commands outside all
     "green",
     "capacity",
+    "green --domain annulus:0.2",
+    "capacity --domain annulus:0.5",
     "bergman",
     "bergman --weight maxpiece:1:0.5",
     "green --domain ellipse:1.2:0.7",
@@ -61,7 +71,7 @@ _OTHER_COMMANDS = [
 
 # every function no command enters, with the reason it stays in src/
 _NOT_ENTERED = {
-    "bergman.MaxPiece.density": "the tests' quadrature oracle for the closed-form moments",
+    "bergman.MaxPiece.log_density": "the tests' quadrature oracle for the closed-form moments",
     "cli._default": "runs at import, before any command",
     "domains.Jordan.__repr__": "names a Jordan domain in error messages only",
     "domains.GreenEvaluator._double": "the 2n witness, built only when the n/2 one cannot tell",
