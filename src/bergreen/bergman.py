@@ -27,14 +27,15 @@ from typing import ClassVar
 
 import numpy as np
 
-from .domains import Annulus, Disc, PlanarDomain, exp_normal, green_evaluator
+from .domains import _MAX_TERMS, Annulus, Disc, PlanarDomain, exp_normal, green_evaluator
 from .errors import (
     DivergentIntegralError,
     DomainError,
+    NonConvergenceError,
     TruncationError,
     ZeroKernelError,
 )
-from .reports import ReportRecord, finite_margin, make_record
+from .reports import ReportRecord, make_record
 
 __all__ = [
     "Unweighted",
@@ -363,6 +364,8 @@ def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) ->
     geometrically with ratio ``q^a``; after its last term ``t`` the rest is
     at most ``t rho/(1 - rho)``.  That bound, relative to ``K``, is the
     reported truncation error, and the number of summed terms the basis size.
+    A series that needs more than ``domains._MAX_TERMS`` terms, as next to
+    ``r = 1``, raises :class:`NonConvergenceError` before any is formed.
     ``x``, ``q`` and ``q/x`` enter as logs and every bracketed term is at
     most about 1, so nothing over- or underflows where ``K`` leaves the float
     range; ``1 - x`` is formed as ``(1 - |z|)(1 + |z|)`` (``((R - |z|)/R)((R +
@@ -392,6 +395,11 @@ def _closed_form_kernel(domain: PlanarDomain, weight: WeightSpec, z: complex) ->
         total += 0.5 / -math.log(lo)
     power = 1.0 + min(p_pos, p_neg)
     n_terms = math.ceil(math.log(-_TAIL_TOL * math.expm1(power * log_q)) / (power * log_q))
+    if n_terms > _MAX_TERMS:
+        raise NonConvergenceError(
+            f"the annulus kernel at z = {z} needs {n_terms} Lambert terms in each series, "
+            f"more than the cap of {_MAX_TERMS}"
+        )
     k = np.arange(n_terms) * log_q
     tails = 0.0
     for log_y, a, near in (
@@ -505,22 +513,19 @@ def least_norm_extension(
 
 
 def kernel_record(domain: PlanarDomain, weight: WeightSpec, z: complex) -> ReportRecord:
-    """Kernel diagonal ``K_rho(z, z)`` with its basis diagnostics; the
-    record passes while the diagonal is finite."""
+    """Kernel diagonal ``K_rho(z, z)`` with its basis diagnostics, ungated:
+    :attr:`KernelEstimate.value` refuses a diagonal that is not a normal float."""
     est = kernel_diag(domain, weight, z)
+    quantities = {
+        "kernel_diag": est.value,
+        "basis_size": est.basis_size,
+        "truncation_error": est.truncation_error_estimate,
+    }
     return make_record(
-        quantities={
-            "kernel_diag": est.value,
-            "basis_size": est.basis_size,
-            "truncation_error": est.truncation_error_estimate,
-        },
-        gates={"finite": (finite_margin(est.value), 0.0)},
+        quantities=quantities,
+        gates={},
         primary="kernel_diag",
-        provenance={
-            "kernel_diag": "kernel_diag",
-            "basis_size": "kernel_diag",
-            "truncation_error": "kernel_diag",
-        },
+        provenance=dict.fromkeys(quantities, "kernel_diag"),
     )
 
 

@@ -763,19 +763,19 @@ def green_record(domain: PlanarDomain, xi: complex, z: complex, method: str) -> 
 
 
 def capacity_record(domain: PlanarDomain, z: complex) -> ReportRecord:
-    """Logarithmic capacity ``c_beta(z)`` (see :func:`capacity`); the
-    record passes while it is finite."""
+    """Logarithmic capacity ``c_beta(z)``, ungated: :func:`capacity` refuses
+    a value that is not a normal float."""
     val = capacity(domain, z)
     return make_record(
         quantities={"capacity": val, "log_capacity": math.log(val)},
-        gates={"finite": (finite_margin(val), 0.0)},
+        gates={},
         primary="capacity",
         provenance={"capacity": "capacity", "log_capacity": "capacity"},
     )
 
 
 # ---------------------------------------------------------------------------
-# Quadrature nodes and refinement (shared by the shell and torus integrals)
+# Quadrature nodes and refinement (shared by the cutoff bump moments and the shell integral)
 # ---------------------------------------------------------------------------
 
 

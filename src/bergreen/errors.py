@@ -43,7 +43,7 @@ class ZeroKernelError(BergreenError):
 
 
 class DerivativeMismatchError(BergreenError):
-    """Analytic and finite-difference derivatives disagree."""
+    """Analytic and complex-step derivatives disagree."""
 
 
 class ParameterError(BergreenError):

@@ -265,48 +265,22 @@ class OdePair:
     a: float
     b: float
 
-    def _de(self, t):
-        t = np.asarray(t, dtype=float)
+    def jet(self, t):
+        """``(u, u', u'', s, s', s'')`` at ``t``, a float, a complex number or
+        an array of either, from one ``e^{-t}``; every form is analytic, so a
+        complex ``t`` gives their continuations.  ``ParameterError`` where
+        ``Re(a - e^{-t}) <= 0``."""
+        t = np.asarray(t)
         e = np.exp(-t)
         d = self.a - e
-        if np.any(d <= 0.0):
+        if np.any(np.real(d) <= 0.0):
             raise ParameterError("t out of range: need e^{-t} < a")
-        return t, e, d
-
-    def u(self, t):
-        _, _, d = self._de(t)
-        out = -np.log(d)
-        return out if out.ndim else float(out)
-
-    def u_prime(self, t):
-        _, e, d = self._de(t)
-        out = -e / d
-        return out if out.ndim else float(out)
-
-    def u_second(self, t):
-        _, e, d = self._de(t)
-        out = self.a * e / d**2
-        return out if out.ndim else float(out)
-
-    def s(self, t):
-        t, e, d = self._de(t)
-        out = (self.a * t + e + self.b) / d
-        return out if out.ndim else float(out)
-
-    def s_prime(self, t):
-        # from s' = 1 + s u'
-        t, e, d = self._de(t)
         n = self.a * t + e + self.b
-        out = 1.0 - n * e / d**2
-        return out if out.ndim else float(out)
-
-    def s_second(self, t):
-        # s'' = s' u' + s u''
-        t, e, d = self._de(t)
-        n = self.a * t + e + self.b
+        up = -e / d
+        upp = self.a * e / d**2
+        s = n / d
         sp = 1.0 - n * e / d**2
-        out = sp * (-e / d) + (n / d) * (self.a * e / d**2)
-        return out if out.ndim else float(out)
+        return -np.log(d), up, upp, s, sp, sp * up + s * upp
 
 
 def require_positive_delta(delta: float) -> None:
@@ -321,9 +295,9 @@ def ode_pair(delta: float) -> OdePair:
     return OdePair(delta=float(delta), a=a, b=a * a - 2.0 * a)
 
 
-# the finite-difference step and its allowed relative mismatch
-_FD_STEP = 1e-6
-_FD_REL_TOL = 1e-5
+# the complex step, and the allowed relative mismatch of each derivative
+_COMPLEX_STEP = 1e-20
+_DERIVATIVE_REL_TOL = 1e-5
 
 
 def require_ode_t(t: float) -> None:
@@ -339,15 +313,13 @@ def ode_residual(pair: OdePair, t):
 
     ``r1 = (s + s'^2/(u''s - s'')) e^{u-t} - 1`` and ``r2 = s' - s u' - 1``,
 
-    both evaluated from analytic derivatives in one array pass over the
-    points.  The analytic first derivatives are cross-checked against
-    central finite differences of ``u, s`` and the analytic second
-    derivatives against central differences of the analytic first
-    derivatives, at step ``_FD_STEP``; a relative mismatch above
-    ``_FD_REL_TOL`` raises :class:`DerivativeMismatchError`.  (The relative
-    error uses denominator floor 1e-3: differencing magnitudes ~1 at step
-    1e-6 carries ~1e-10 roundoff, which would swamp a pure relative
-    comparison against derivatives decaying like ``e^{-t}``.)
+    both evaluated from one :meth:`OdePair.jet` over the points.  The
+    analytic first and second derivatives are cross-checked against the
+    complex step of ``u, s`` and of ``u', s'``: ``f'(t) = Im f(t + ih) / h``
+    at ``h = _COMPLEX_STEP``, from one jet at ``t + ih``, with no difference
+    to cancel (W. Squire and G. Trapp, SIAM Rev. 40, 1998).  A relative
+    mismatch above ``_DERIVATIVE_REL_TOL``, against the larger of the
+    analytic value and 1e-3, raises :class:`DerivativeMismatchError`.
 
     Every check is per point: ``t`` finite and positive
     (:func:`require_ode_t`), then the four cross-checks in the
@@ -363,35 +335,26 @@ def ode_residual(pair: OdePair, t):
     inside = (flat > 0.0) & (flat < math.inf)
     first = flat.size if inside.all() else int(np.argmin(inside))
     tt = flat[:first]
-    h = _FD_STEP
-    u, up, upp = pair.u(tt), pair.u_prime(tt), pair.u_second(tt)
-    s, sp, spp = pair.s(tt), pair.s_prime(tt), pair.s_second(tt)
-
-    checks = [
-        (up, (pair.u(tt + h) - pair.u(tt - h)) / (2 * h), "u'"),
-        (sp, (pair.s(tt + h) - pair.s(tt - h)) / (2 * h), "s'"),
-        (upp, (pair.u_prime(tt + h) - pair.u_prime(tt - h)) / (2 * h), "u''"),
-        (spp, (pair.s_prime(tt + h) - pair.s_prime(tt - h)) / (2 * h), "s''"),
-    ]
-    # each check looks only before the first failure found so far, so the
-    # earliest point wins and, at one point, the earlier check
-    error = None
-    for analytic, fd, name in checks:
-        rel = np.abs(analytic - fd) / np.maximum(np.abs(analytic), 1e-3)
-        hit = np.flatnonzero(rel[:first] > _FD_REL_TOL)
-        if hit.size:
-            k = first = int(hit[0])
-            error = DerivativeMismatchError(
-                f"{name} analytic={float(analytic[k])} vs finite-difference={float(fd[k])} "
-                f"(relative {rel[k]:.3e} > {_FD_REL_TOL:.1e}) at t={float(tt[k])}"
-            )
+    u, up, upp, s, sp, spp = pair.jet(tt)
+    stepped = pair.jet(tt + 1j * _COMPLEX_STEP)
+    analytic = np.stack([up, sp, upp, spp])
+    step = np.stack([stepped[0], stepped[3], stepped[1], stepped[4]]).imag / _COMPLEX_STEP
+    rel = np.abs(analytic - step) / np.maximum(np.abs(analytic), 1e-3)
     denom = upp * s - spp
-    hit = np.flatnonzero(denom[:first] <= 0.0)
-    if hit.size:
-        k = first = int(hit[0])
-        error = ParameterError(f"u''s - s'' = {float(denom[k])} not positive at t={float(tt[k])}")
-    if error is not None:
-        raise error
+    # rows: the checks in their order; the first column with a failure is the
+    # first failing point, and its first failing row the check it names
+    fails = np.vstack([rel > _DERIVATIVE_REL_TOL, denom <= 0.0])
+    bad = np.flatnonzero(fails.any(axis=0))
+    if bad.size:
+        k = int(bad[0])
+        check = int(np.argmax(fails[:, k]))
+        if check == 4:
+            raise ParameterError(f"u''s - s'' = {float(denom[k])} not positive at t={float(tt[k])}")
+        name = ("u'", "s'", "u''", "s''")[check]
+        raise DerivativeMismatchError(
+            f"{name} analytic={float(analytic[check, k])} vs complex-step={float(step[check, k])} "
+            f"(relative {rel[check, k]:.3e} > {_DERIVATIVE_REL_TOL:.1e}) at t={float(tt[k])}"
+        )
     if first < flat.size:
         require_ode_t(float(flat[first]))  # raises: that t is outside (0, inf)
 
@@ -411,15 +374,13 @@ _ODE_END_TOL = 1e-6
 
 def ode_record(delta: float, grid) -> ReportRecord:
     """The ODE pair on the t ``grid``: both identity residuals below
-    ``_ODE_RESIDUAL_TOL``, ``s >= 1/delta``, ``s' > 0``, ``u'' s - s'' > 0``,
-    and ``u`` at the grid end within ``_ODE_END_TOL`` of its limit
-    ``-log a``."""
+    ``_ODE_RESIDUAL_TOL``, ``s >= 1/delta``, ``s' > 0``, and ``u`` at the
+    grid end within ``_ODE_END_TOL`` of its limit ``-log a``.
+    (:func:`ode_residual` raises where ``u'' s - s'' <= 0``.)"""
     pair = ode_pair(delta)
     r1s, r2s = ode_residual(pair, grid)
-    s_vals = pair.s(grid)
-    sp_vals = pair.s_prime(grid)
-    denom = pair.u_second(grid) * s_vals - pair.s_second(grid)
-    u_end = pair.u(float(grid[-1]))
+    u_vals, _, _, s_vals, sp_vals, _ = pair.jet(grid)
+    u_end = float(u_vals[-1])
     u_target = -math.log(pair.a)
     quantities = {
         "max_r1": float(np.max(np.abs(r1s))),
@@ -428,7 +389,6 @@ def ode_record(delta: float, grid) -> ReportRecord:
         "u_target": u_target,
         "min_s_minus_floor": float(np.min(s_vals)) - 1.0 / delta,
         "min_s_prime": float(np.min(sp_vals)),
-        "min_denom": float(np.min(denom)),
     }
     return make_record(
         quantities=quantities,
@@ -437,7 +397,6 @@ def ode_record(delta: float, grid) -> ReportRecord:
             "residual_r2": (-quantities["max_r2"], _ODE_RESIDUAL_TOL),
             "s_floor": (quantities["min_s_minus_floor"], 1e-12),
             "s_prime_positive": (quantities["min_s_prime"], 0.0),
-            "denom_positive": (quantities["min_denom"], 0.0),
             "u_end_close": (-abs(u_end - u_target), _ODE_END_TOL),
         },
         primary="max_r1",

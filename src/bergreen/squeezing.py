@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -63,43 +64,36 @@ def squeeze_lower(domain, p: complex) -> float:
     return (rho - r) / (1.0 - r * rho)
 
 
-# the allowed overshoot of either side of the sandwich
-_SANDWICH_TOL = 1e-6
+# lower's tolerance past Suita's tol, in units of eps / (1 - r), r = 0 on a
+# disc: the ulp of |p|, scaled by |p| ds/d|p| <= (1 + r) / (1 - r), that of
+# r|p|, scaled by 1 / (2 (1 - r)), and three half ulps put s_low = (|p| - r) /
+# (1 - r|p|) within 3 units of s, and s_low^2 within 6 and half an ulp; the
+# ratio e^{-margin} lies below an exact ratio <= 1 by at most 1 - e^{-tol} <=
+# tol and half an ulp: tol + 7 units in all, taken as 8.
+_LOWER_ULPS = 8.0
 
 
 def sandwich_check(domain, p: complex) -> ReportRecord:
-    """Two-sided comparison ``s_low^2 - tol <= C <= 1 + tol`` at one point,
-    ``tol = _SANDWICH_TOL``.
-
-    ``C`` is the capacity-squared to kernel ratio; ``s_low`` the certified
-    squeezing lower bound from :func:`squeeze_lower`.  The lower estimate
-    holds because the true squeezing value dominates ``s_low`` and ``C``
-    dominates its square.
+    """``s_low^2 <= C <= 1`` at one point, ``C`` the capacity-squared to
+    kernel ratio: the record of :func:`bergman.suita_ratio`, whose gate
+    ``upper`` is ``C <= 1``, plus the squeezing lower bound ``s_low`` of
+    :func:`squeeze_lower`, its square, and the gate ``lower``.  It holds
+    because the squeezing function dominates ``s_low`` and ``C`` its square.
     """
     p = complex(p)
     s_low = squeeze_lower(domain, p)
-    ratio = suita_ratio(domain, p).quantities
-    c_val = ratio["ratio"]
+    rec = suita_ratio(domain, p)
+    r = domain.r_inner if isinstance(domain, Annulus) else 0.0
+    tol = rec.tolerances["upper"] + _LOWER_ULPS * sys.float_info.epsilon / (1.0 - r)
+    squeeze = {"squeeze_lower": s_low, "squeeze_lower_sq": s_low * s_low}
     return make_record(
-        quantities={
-            "ratio": c_val,
-            "squeeze_lower": s_low,
-            "squeeze_lower_sq": s_low * s_low,
-            "log_capacity": ratio["log_capacity"],
-            "log_kernel": ratio["log_kernel"],
-        },
+        quantities={**rec.quantities, **squeeze},
         gates={
-            "lower": (c_val - s_low * s_low, _SANDWICH_TOL),
-            "upper": (1.0 - c_val, _SANDWICH_TOL),
+            "upper": (rec.margins["upper"], rec.tolerances["upper"]),
+            "lower": (rec.quantities["ratio"] - s_low * s_low, tol),
         },
         primary="ratio",
-        provenance={
-            "ratio": "suita_ratio",
-            "squeeze_lower": "squeeze_lower",
-            "squeeze_lower_sq": "squeeze_lower",
-            "log_capacity": "robin",
-            "log_kernel": "kernel_diag",
-        },
+        provenance={**rec.provenance, **dict.fromkeys(squeeze, "squeeze_lower")},
     )
 
 

@@ -152,11 +152,11 @@ def test_criterion_04_ode_pair():
             r1, r2 = ode_residual(pair, float(t))
             assert abs(r1) < 1e-9 and abs(r2) < 1e-9
             worst_r = max(worst_r, abs(r1), abs(r2))
-        s = pair.s(grid)
+        _, _, upp, s, sp, spp = pair.jet(grid)
         assert np.all(s >= 1.0 / delta)
-        assert np.all(pair.s_prime(grid) > 0.0)
-        assert np.all(pair.u_second(grid) * s - pair.s_second(grid) > 0.0)
-        end_gap = abs(pair.u(50.0) + math.log(1.0 + 1.0 / delta))
+        assert np.all(sp > 0.0)
+        assert np.all(upp * s - spp > 0.0)
+        end_gap = abs(pair.jet(50.0)[0] + math.log(1.0 + 1.0 / delta))
         assert end_gap < 1e-6
         worst_end = max(worst_end, end_gap)
     _finish(

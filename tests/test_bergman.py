@@ -32,7 +32,7 @@ from scipy.special import iv
 
 import oracles
 from oracles import auto_basis, bessel_gram, harmonic_re_gram, jacobi_scaled
-from bergreen import bergman
+from bergreen import bergman, domains
 from bergreen.cli import _sweep_points, main
 from bergreen.bergman import (
     HarmonicLog,
@@ -61,6 +61,7 @@ from bergreen.errors import (
     AccuracyError,
     DivergentIntegralError,
     DomainError,
+    NonConvergenceError,
     TruncationError,
     ZeroKernelError,
 )
@@ -772,6 +773,23 @@ class TestClosedFormKernel:
         assert kernel_diag(DISC, HarmonicLog(0.3), 0.0).value == pytest.approx(
             0.7 / math.pi, rel=1e-15
         )
+
+    def test_term_count_cap(self, monkeypatch):
+        # next to r = 1 a series takes about log(2^60 / (1 - q^2)) / (2 (1 - q))
+        # terms: 1.4e8 on annulus:0.9999999, some 1.1 GB an array, which is
+        # refused before any array is formed
+        arange = np.arange
+
+        def capped_arange(n, *args, **kwargs):
+            assert n <= domains._MAX_TERMS, f"an array of {n} terms was formed"
+            return arange(n, *args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", capped_arange)
+        with pytest.raises(NonConvergenceError, match=r"needs 140801574 .* cap of 4000000$"):
+            kernel_diag(Annulus(0.9999999), Unweighted(), 0.99999995)
+        est = kernel_diag(Annulus(0.99999), Unweighted(), 0.999995)
+        assert est.basis_size == 2_585_765
+        assert est.truncation_error_estimate <= 2.0**-60
 
     def test_points_outside_rejected(self):
         for domain, z in [(DISC, 1.0), (DISC, 1.5j), (ANN, 0.2), (ANN, 0.1), (ANN, 0.0)]:

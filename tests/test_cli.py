@@ -571,27 +571,41 @@ class TestCliRuns:
         assert [row[1] for row in failing] == [row[1] for row in passing]
 
     @pytest.mark.parametrize(
-        "argv,target,value",
+        "argv,target,value,margins,error",
         [
-            (["green"], "bergreen.domains.GreenEvaluator.remainder", lambda self, xi, z: float("nan")),
-            (["capacity"], "bergreen.domains.capacity", lambda *a, **k: float("inf")),
+            (
+                ["green"],
+                "bergreen.domains.GreenEvaluator.remainder",
+                lambda self, xi, z: float("nan"),
+                {"finite": -1.0},
+                None,
+            ),
+            # capacity and bergman have no gate: the value they print is
+            # e^log, which domains.exp_normal refuses unless it is a normal float
+            (
+                ["capacity"],
+                "bergreen.domains.GreenEvaluator.robin",
+                lambda self, z: float("nan"),
+                {"module_error": -1.0},
+                "DomainError",
+            ),
             (
                 ["bergman"],
                 "bergreen.bergman.kernel_diag",
-                # KernelEstimate.value refuses a value out of range itself
-                lambda *a, **k: SimpleNamespace(
-                    value=float("nan"), basis_size=1, truncation_error_estimate=0.0
-                ),
+                lambda *a, **k: bergman.KernelEstimate(float("nan"), 1, 0.0),
+                {"module_error": -1.0},
+                "DomainError",
             ),
         ],
         ids=["green", "capacity", "bergman"],
     )
-    def test_non_finite_headline_fails(self, tmp_path, monkeypatch, argv, target, value):
+    def test_non_finite_headline_fails(self, tmp_path, monkeypatch, argv, target, value, margins, error):
         monkeypatch.setattr(target, value)
         assert main([*argv, "--no-cache", "--outdir", str(tmp_path)]) == 1
         (rec,) = _read_report(tmp_path / f"{argv[0]}_report.json")["records"]
         assert rec["passed"] is False
-        assert rec["margins"] == {"finite": -1.0} and rec["tolerances"] == {"finite": 0.0}
+        assert rec["margins"] == margins
+        assert rec["inputs"].get("error", "").partition(":")[0] == (error or "")
 
     def test_malformed_config_exits_2_without_report(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -1235,7 +1249,6 @@ def test_a_nan_never_passes_a_record(monkeypatch, build):
 
 # every gate of `all` held at tolerance 0.0, with the reason it has no bound
 _ZERO_TOLERANCE_GATES = {
-    ("ode-check", "denom_positive"): "positivity at 0",
     ("ode-check", "s_prime_positive"): "positivity at 0",
     ("fuchsian-check", "margin_c0.9"): "the certified tail underflows to 0.0",
     ("fuchsian-check", "margin_c0.95"): "the certified tail underflows to 0.0",

@@ -194,8 +194,9 @@ def _broken_from(t_bad):
     """An ODE pair whose analytic u' is off by 0.1 % for ``t >= t_bad``."""
 
     class Broken(OdePair):
-        def u_prime(self, t):
-            return super().u_prime(t) * np.where(np.asarray(t) >= t_bad, 1.001, 1.0)
+        def jet(self, t):
+            u, up, *rest = super().jet(t)
+            return (u, up * np.where(np.real(t) >= t_bad, 1.001, 1.0), *rest)
 
     return Broken(delta=1.0, a=2.0, b=0.0)
 
@@ -215,14 +216,15 @@ class TestOdePair:
     @pytest.mark.parametrize("delta", DELTA_GRID)
     def test_initial_values(self, delta):
         pair = ode_pair(delta)
-        assert pair.s(0.0) == pytest.approx(1.0 / delta, rel=1e-12)
-        assert pair.u(0.0) == pytest.approx(math.log(delta), abs=1e-12)
-        assert pair.s_prime(0.0) == pytest.approx(0.0, abs=1e-12)
+        u, _, _, s, sp, _ = pair.jet(0.0)
+        assert s == pytest.approx(1.0 / delta, rel=1e-12)
+        assert u == pytest.approx(math.log(delta), abs=1e-12)
+        assert sp == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("delta", DELTA_GRID)
     def test_long_time_value(self, delta):
         pair = ode_pair(delta)
-        assert pair.u(50.0) == pytest.approx(-math.log(1.0 + 1.0 / delta), abs=1e-6)
+        assert pair.jet(50.0)[0] == pytest.approx(-math.log(1.0 + 1.0 / delta), abs=1e-6)
 
     @pytest.mark.parametrize("delta", DELTA_GRID)
     def test_residuals_below_threshold(self, delta):
@@ -236,9 +238,8 @@ class TestOdePair:
     @pytest.mark.parametrize("delta", DELTA_GRID)
     def test_monotonicity_and_positivity(self, delta):
         pair = ode_pair(delta)
-        s = pair.s(T_GRID)
-        sp = pair.s_prime(T_GRID)
-        denom = pair.u_second(T_GRID) * s - pair.s_second(T_GRID)
+        _, _, upp, s, sp, spp = pair.jet(T_GRID)
+        denom = upp * s - spp
         assert np.all(s >= 1.0 / delta - 1e-12)
         assert np.all(sp > 0.0)
         assert np.all(denom > 0.0)
@@ -250,7 +251,7 @@ class TestOdePair:
                 ode_residual(pair, t)
         # the closed forms themselves blow up once e^{-t} reaches a
         with pytest.raises(ParameterError):
-            pair.u(-5.0)
+            pair.jet(-5.0)
 
     def test_detects_inconsistent_derivatives(self):
         with pytest.raises(DerivativeMismatchError):
@@ -275,14 +276,38 @@ class TestOdePair:
         with pytest.raises(DerivativeMismatchError, match=r"at t=1\.0$"):
             ode_residual(_broken_from(0.5), np.array([1.0, 0.0]))
 
+    def test_nonpositive_denominator_raises(self):
+        # negating s keeps every derivative consistent with its complex step,
+        # so only u''s - s'' > 0 can fail
+        class Flipped(OdePair):
+            def jet(self, t):
+                u, up, upp, s, sp, spp = super().jet(t)
+                return u, up, upp, -s, -sp, -spp
+
+        with pytest.raises(ParameterError, match=r"^u''s - s'' = .* not positive at t=0\.5$"):
+            ode_residual(Flipped(delta=1.0, a=2.0, b=0.0), np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-4, 1.0])
+    def test_complex_step_reads_the_derivatives_to_rounding(self, delta):
+        # central differences at step 1e-6 missed s'(0.01) by 5.5e-5 relative
+        # at delta = 1e-4; Im f(t + ih) / h has no difference to cancel
+        pair = ode_pair(delta)
+        h = 1e-20
+        for t in (0.01, 1.0, 30.0):
+            _, up, upp, _, sp, spp = pair.jet(t)
+            u_h, up_h, _, s_h, sp_h, _ = pair.jet(t + 1j * h)
+            for stepped, analytic in [(u_h, up), (s_h, sp), (up_h, upp), (sp_h, spp)]:
+                assert stepped.imag / h == pytest.approx(analytic, rel=1e-12, abs=1e-300)
+
     @settings(max_examples=40, deadline=None)
     @given(delta=st.floats(0.05, 20.0), t=st.floats(0.01, 60.0))
     def test_identities_hold_generically(self, delta, t):
         pair = ode_pair(delta)
         r1, r2 = ode_residual(pair, t)
         assert abs(r1) < 1e-9 and abs(r2) < 1e-9
-        assert pair.s(t) >= 1.0 / delta - 1e-10
-        assert pair.s_prime(t) > 0.0
+        _, _, _, s, sp, _ = pair.jet(t)
+        assert s >= 1.0 / delta - 1e-10
+        assert sp > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
-"""A property sweep of the Suita records and the capacity over annuli.
+"""Property sweeps of the Suita records and the capacity over annuli, and of
+the ODE pair over delta.
 
-``suita-check``, ``extended-suita-check`` and ``capacity`` run through
-``main`` on ``annulus:r`` with ``r`` from the smallest normal float to 0.9,
-at points from just outside the inner circle to ``1 - 1e-4``, for the
-weights ``none``, ``harmoniclog:alpha`` (``|alpha| <= 600``) and
-``harmonicre:c``.  No error other than a ``BergreenError`` may reach the
-records, and a record may fail only on a documented precondition: the
-capacity's value, which the ``capacity`` record prints, must be a normal
-float.  The Suita records gate logs and must pass everywhere."""
+``suita-check``, ``extended-suita-check``, ``capacity`` and
+``squeeze-check`` (without its trend) run through ``main`` on
+``annulus:r`` with ``r`` from the smallest normal float to 0.9, at points
+from just outside the inner circle to ``1 - 1e-4``, for the weights
+``none``, ``harmoniclog:alpha`` (``|alpha| <= 600``) and ``harmonicre:c``.
+No error other than a ``BergreenError`` may reach the records, and a record
+may fail only on a documented precondition: the capacity's value, which the
+``capacity`` record prints, must be a normal float.  The Suita and squeeze
+records gate logs and must pass everywhere.  ``ode-check`` runs on its
+default grid at ``delta`` log-uniform in ``[1e-6, 1e6]`` and must pass
+everywhere."""
 
 import json
 import math
@@ -79,7 +83,24 @@ def test_every_annulus_point_gets_a_record(tmp_path, spec):
     records = _records(tmp_path, "suita-check", [domain, zs])
     records += _records(tmp_path, "extended-suita-check", [domain, f"--weight={weight}", zs])
     records += _records(tmp_path, "capacity", [domain, f"--z={complex(points[0])}"])
-    assert len(records) == 7
+    ps = zs.replace("--zs=", "--ps=")
+    records += _records(tmp_path, "squeeze-check", [domain, ps, "--no-trend"])
+    assert len(records) == 10
     for record in records:
         _check(record)
+
+
+@settings(
+    max_examples=40,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(log_deltas=st.lists(st.floats(math.log(1e-6), math.log(1e6)), min_size=5, max_size=5))
+def test_every_delta_passes_ode_check(tmp_path, log_deltas):
+    deltas = "--deltas=" + ",".join(repr(math.exp(x)) for x in log_deltas)
+    records = _records(tmp_path, "ode-check", [deltas])
+    assert len(records) == 5
+    for record in records:
+        assert record["passed"], record
 

@@ -60,6 +60,7 @@ _CI_COMMANDS = [
     "squeeze-check --domain annulus:0.2 --ps 0.2000001,-0.2000001j --no-trend",
     "capacity --domain annulus:2.2e-86 --z 2.2000001e-86",
     "optimal-constant --deltas 4,5,10",
+    "ode-check --deltas 1e-6,1e-5,1e-4",
 ]
 
 # paths that neither all nor CI takes

@@ -2,7 +2,9 @@
 oracle, and the two-sided ratio sandwich."""
 
 import cmath
+import json
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bergreen import squeezing
+from bergreen import bergman, squeezing
+from bergreen.bergman import suita_ratio
+from bergreen.cli import main
 from bergreen.domains import Annulus, Disc, Jordan
 from bergreen.errors import ParameterError
 from bergreen.squeezing import boundary_trend_check, sandwich_check, squeeze_lower
@@ -153,6 +157,35 @@ class TestSandwichCheck:
             for p in (0.5, 0.5j, -0.7, 0.3 + 0.3j):
                 rec = sandwich_check(ann, p)
                 assert rec.passed, (ann, p, rec.margins)
+
+    @pytest.mark.parametrize("domain", [Disc(), Annulus(0.2)])
+    def test_upper_is_the_suita_record(self, domain):
+        rec, suita = sandwich_check(domain, 0.3 + 0.2j), suita_ratio(domain, 0.3 + 0.2j)
+        assert rec.margins["upper"] == suita.margins["upper"]
+        assert rec.tolerances["upper"] == suita.tolerances["upper"]
+        assert {k: rec.quantities[k] for k in suita.quantities} == suita.quantities
+        assert rec.tolerances["lower"] > rec.tolerances["upper"]
+
+    def test_kernel_short_by_1e_9_fails(self, tmp_path, monkeypatch):
+        # a disc kernel 1e-9 (relative) below the truth puts the ratio 1e-9
+        # above 1: inside a ratio tolerance of 1e-6, but far outside the
+        # rounding of the log margin
+        real = bergman.kernel_diag
+
+        def short(*args, **kwargs):
+            est = real(*args, **kwargs)
+            return replace(est, log_value=est.log_value + math.log1p(-1e-9))
+
+        monkeypatch.setattr(bergman, "kernel_diag", short)
+        argv = ["squeeze-check", "--domain", "disc:0.5", "--no-cache", f"--outdir={tmp_path}"]
+        assert main(argv) == 1
+        records = json.loads((tmp_path / "squeeze_check_report.json").read_text())["records"]
+        sandwich = [r for r in records if r["primary"] == "ratio"]
+        assert len(sandwich) == 8
+        for r in sandwich:
+            assert r["passed"] is False
+            assert r["margins"]["upper"] < -1e5 * r["tolerances"]["upper"]
+            assert r["margins"]["lower"] > 0.0
 
     @pytest.mark.parametrize(
         "r,p", [(0.2, 0.99999), (0.2, -0.99999j), (0.2, 0.99995), (0.2, 0.9999999), (0.04, 0.99999)]
