@@ -409,72 +409,37 @@ def ode_record(delta: float, grid) -> ReportRecord:
 # ---------------------------------------------------------------------------
 
 
+# the edge solve's error target, in units of eps * max(1, |u|)
+_EDGE_ULPS = 16.0
+
+
 def _shell_edges(psi: Callable, theta: np.ndarray, level_lo: float, level_hi: float):
-    """Per-angle solutions of ``Psi(e^{u + i theta}) = level`` in
-    ``u = log(radius)`` for both shell levels, by one bracketed Newton
-    solve over the stacked (2, angles) array.
-
-    Near the pole ``Psi = 2u + psi`` with ``psi`` continuous, so ``Psi`` is
-    strictly increasing in ``u`` once ``2u`` dominates; the bracket is
-    built from the local spread of ``psi``.  Each iteration samples
-    ``Psi`` at ``u`` and ``u +- delta`` (``delta`` 16 ulps of ``max(1,
-    |u|)``) in one call; every sample inside the bracket moves the end of
-    its sign.  The next ``u`` is the Newton step with the secant slope of
-    the outer pair (the pole slope 2 where that is not positive), at least
-    ``2 delta`` long, or the bracket's midpoint if the step leaves it (R. P.
-    Brent, *Algorithms for Minimization without Derivatives*, 1973, ch. 4).
-    The solve stops when every bracket is at most ``2 delta`` wide, and
-    after 64 iterations at the latest; each edge is the midpoint of a
-    bracket whose ends ``Psi`` puts on either side of the level.
+    """Per-angle solutions ``u = log(radius)`` of ``2u + psi(e^{u + i theta})
+    = level`` for both shell levels, by the fixed-point iteration ``u <-
+    (level - psi) / 2`` over the stacked (2, angles) array from ``u = level /
+    2``, one ``psi`` call a step.  It contracts where ``psi`` moves at most
+    half as fast as the pole term ``2 log|z|``; a step that fails to halve
+    the one before, a NaN, or 64 steps raise :class:`AccuracyError`.  The
+    ratio ``q <= 1/2`` of the last two steps bounds an edge's error by ``q /
+    (1 - q)`` times the last step (the step itself at first), and the solve
+    stops when that is ``_EDGE_ULPS`` units of ``eps * max(1, |u|)``.  The
+    rounding of ``psi`` adds up to 44 units at ``tau = 0.1i`` (1.8e-13 over
+    40 ulps at ``|u| ~ 9.4``); the steps need not reach it, as ``q`` is 6e-6.
     """
-    def g(u, th):
-        # 2 log|z| is 2u exactly
-        return 2.0 * u + np.asarray(psi(np.exp(u) * np.exp(1j * th)), dtype=float)
-
-    # estimate the local psi spread on a probe circle at the shell scale
-    probe_r = math.exp(0.5 * (level_lo - 1.0))
-    probe = np.asarray(psi(probe_r * np.exp(1j * theta)), dtype=float)
-    lo_guess = 0.5 * (level_lo - float(np.max(probe))) - 1.0
-    hi_guess = 0.5 * (level_hi - float(np.min(probe))) + 1.0
-
-    shape = (2, theta.size)
-    th = np.broadcast_to(theta, shape)
-    level = np.broadcast_to(np.array([[level_lo], [level_hi]]), shape)
-    a = np.full(shape, lo_guess)
-    b = np.full(shape, hi_guess)
-    ga = g(a, th) - level
-    gb = g(b, th) - level
-    for _ in range(8):  # widen until bracketed (psi bounded: terminates)
-        bad_a = ga >= 0.0
-        if np.any(bad_a):
-            a[bad_a] -= 2.0
-            ga[bad_a] = g(a[bad_a], th[bad_a]) - level[bad_a]
-        bad_b = gb <= 0.0
-        if np.any(bad_b):
-            b[bad_b] += 2.0
-            gb[bad_b] = g(b[bad_b], th[bad_b]) - level[bad_b]
-        if not (np.any(bad_a) or np.any(bad_b)):
+    level = np.array([[level_lo], [level_hi]])
+    u = np.broadcast_to(0.5 * level, (2, theta.size))
+    before = math.inf
+    for n in range(1, 65):
+        nxt = 0.5 * (level - np.asarray(psi(np.exp(u) * np.exp(1j * theta)), dtype=float))
+        step, u = float(np.max(np.abs(nxt - u))), nxt
+        if not step <= 0.5 * before:
             break
-    else:
-        raise AccuracyError("could not bracket the shell edge")
-    u = np.clip(0.5 * (level - probe), a, b)  # Psi = 2u + psi, psi read off the probe
-    for _ in range(64):
-        delta = 16.0 * np.spacing(np.maximum(1.0, np.abs(u)))
-        x = u + delta * np.array([-1.0, 0.0, 1.0])[:, None, None]
-        F = g(x, th) - level  # one call for the three samples
-        # each sample inside the bracket moves the end of its sign to it
-        inside = (a < x) & (x < b)
-        a = np.max(np.where(inside & (F < 0.0), x, a), axis=0)
-        b = np.min(np.where(inside & (F >= 0.0), x, b), axis=0)
-        if np.all(b - a <= 2.0 * delta):
-            break
-        slope = (F[2] - F[0]) / (2.0 * delta)
-        step = -F[1] / np.where(slope > 0.0, slope, 2.0)
-        # a step under 2 delta would resample the span u +- delta just taken
-        step = u + np.copysign(np.maximum(np.abs(step), 2.0 * delta), step)
-        u = np.where((a < step) & (step < b), step, 0.5 * (a + b))
-    edges = 0.5 * (a + b)
-    return edges[0], edges[1]
+        bound = step if n == 1 else step * step / (before - step)
+        if bound <= _EDGE_ULPS * np.finfo(float).eps * max(1.0, float(np.max(np.abs(u)))):
+            return u[0], u[1]
+        before = step
+    raise AccuracyError(f"shell edges at levels {level_lo:g} and {level_hi:g}: step {n} moved "
+                        f"{step:.3g} after {before:.3g}; psi must move at most half as fast as 2 log|z|")
 
 
 # angular offset of every shell grid, as a fraction of its step: irrational,
@@ -496,9 +461,7 @@ def _shell_integral(psi: Callable, f: Callable, t: float, n_rad: int, n_ang: int
     zs = np.exp(u) * np.exp(1j * theta[None, :])
     # rho drho dtheta with rho = e^u: the pole factor e^{-2u} cancels exactly,
     # leaving the smooth integrand f e^{-psi}
-    vals = np.asarray(f(zs), dtype=float) * np.exp(
-        -np.asarray(psi(zs), dtype=float)
-    )
+    vals = np.asarray(f(zs), dtype=float) * np.exp(-np.asarray(psi(zs), dtype=float))
     radial = (w[:, None] * vals).sum(axis=0) * half
     return float(radial.mean() * 2.0 * math.pi / math.pi)
 
@@ -550,9 +513,11 @@ def require_psi0(psi0: float) -> None:
 
 
 def require_shell_depth(t: float) -> None:
-    """Precondition of :func:`residual_record` on the shell depth ``t``."""
-    if not 0.0 < t < math.inf:
-        raise ParameterError("shell depth t must be finite and positive")
+    """Precondition of :func:`residual_record` on the shell depth ``t``: the
+    rounded levels ``-1 - t`` and ``-t`` lie one unit apart within
+    ``_SHELL_TOL`` (from ``t = 2**53`` they round to one level)."""
+    if not (0.0 < t < math.inf and abs((-t) - (-1.0 - t) - 1.0) <= _SHELL_TOL):
+        raise ParameterError(f"shell depth t must be positive with -t - (-1 - t) within {_SHELL_TOL:g} of 1")
 
 
 # the bound on |mass - e^{-psi0}|

@@ -397,6 +397,12 @@ class TestResolveConfig:
                 for r in ("1e-310", "5e-324")
                 for command, point in (("capacity", "--z"), ("suita-check", "--zs"))
             ],
+            # from 2^53 the level -1 - t rounds to -t and the shell is empty
+            *[
+                (["residual-measure", "--t", t],
+                 "t: shell depth t must be positive with -t - (-1 - t) within 1e-06 of 1")
+                for t in ("1e16", "1e300")
+            ],
         ],
     )
     def test_out_of_range_parameter_exits_2(self, tmp_path, capsys, argv, message):

@@ -5,6 +5,7 @@ optimal-constant experiment."""
 import inspect
 import math
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -385,30 +386,62 @@ class TestResidualMeasure:
             _assert_edges_certified(rest, theta, t)
 
     def test_edges_on_a_constant_psi_are_exact(self):
-        # Psi = 2u + c on a constant psi = c, so the edges are (level - c)/2
+        # Psi = 2u + c on a constant psi = c, so the edges are (level - c)/2:
+        # the first step lands on them, and the second moves by 0
         c = 0.7
+        calls = []
 
         def psi(z):
+            calls.append(z)
             return np.full(np.shape(z), c)
 
         theta = 2.0 * math.pi * (np.arange(64) + 0.618) / 64
         for t in (0.5, 20.0, 24.0):
+            calls.clear()
             for edge, level in zip(extension._shell_edges(psi, theta, -1.0 - t, -t), (-1.0 - t, -t)):
                 exact = 0.5 * (level - c)
                 assert np.all(np.abs(edge - exact) <= 1e-14 * max(1.0, abs(exact)))
+            assert len(calls) == 2
 
-    @pytest.mark.parametrize("t", [-3.0, -1.0, 0.5, 3.0])
-    @pytest.mark.parametrize("c", [2.5, 6.0])
+    @pytest.mark.parametrize("c,t", [(2.5, 3.0), (6.0, 3.0)])
     def test_edges_on_a_steep_psi_match_bisection(self, c, t):
-        # Psi = 2u + c log(1 + e^{2u}) climbs at slopes up to 2 + 2c: Newton
-        # steps at the pole slope 2 diverge there, so only the bracket may
-        # stop the solve
+        # Psi = 2u + c log(1 + e^{2u}): far below the unit circle psi moves
+        # slower than half the pole term, and the iteration contracts
         theta = 2.0 * math.pi * (np.arange(16) + 0.618) / 16
         _assert_edges_certified(lambda z: c * np.log1p(np.abs(z) ** 2), theta, t)
 
+    @pytest.mark.parametrize("c,t", [(2.5, -3.0), (2.5, -1.0), (2.5, 0.5), (6.0, -3.0), (6.0, -1.0), (6.0, 0.5)])
+    def test_edges_on_a_psi_steeper_than_the_pole_term_fail(self, c, t):
+        # near the unit circle psi = c log(1 + |z|^2) moves faster than half
+        # of 2 log|z|: the second step does not halve the first, and the
+        # solve stops there, before it can overflow
+        calls = []
+
+        def psi(z):
+            calls.append(z)
+            return c * np.log1p(np.abs(z) ** 2)
+
+        theta = 2.0 * math.pi * (np.arange(16) + 0.618) / 16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyError, match=f"levels {-1.0 - t:g} and {-t:g}: step 2"):
+                extension._shell_edges(psi, theta, -1.0 - t, -t)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("fill", [np.nan, 0.0])
+    def test_nan_psi_fails(self, fill):
+        # psi NaN at every angle, or at all but those past 3 radians
+        def psi(z):
+            return np.where(np.angle(z) > 3.0, fill, np.nan)
+
+        theta = 2.0 * math.pi * (np.arange(16) + 0.618) / 16
+        with pytest.raises(AccuracyError, match="step 1 moved nan"):
+            extension._shell_edges(psi, theta, -21.0, -20.0)
+
     def test_torus_shell_takes_few_psi_calls(self, monkeypatch):
-        # a 64-step bisection to the same width takes 66 calls of Psi; each
-        # Psi call evaluates psi once, and the probe circle once more
+        # the tori of all and of CI: psi = psi(0) + O(|z|^2) on the shell at
+        # |z| ~ e^{-10}, so each step is a small fraction of the one before
+        # (6e-6 at 0.1i); a 64-step bisection to the same width takes 66 calls
         counts = []
         edges = extension._shell_edges
 
@@ -422,8 +455,20 @@ class TestResidualMeasure:
             return edges(counted, *args)
 
         monkeypatch.setattr(extension, "_shell_edges", spy)
-        residual_mass(arakelov_green(TorusSpec(1j)))
-        assert len(counts) == 2 and max(counts) <= 1 + 8
+        for tau in (1j, 0.5 + 1j, 2j, 4j, 6j, 0.3 + 4j, 0.15j, 0.12j, 0.1j, 0.2j, 0.3j):
+            counts.clear()
+            residual_mass(arakelov_green(TorusSpec(tau)))
+            assert len(counts) == 2 and max(counts) <= 3, tau
+
+    @pytest.mark.parametrize("t", [0.9, 1.3])
+    def test_shell_depth_accepts_rounded_levels(self, t):
+        # (-1 - t) + t is -1 + 2^-53 at 0.9 and -1 + 2^-52 at 1.3: the width
+        # is off by rounding, not by the shell
+        extension.require_shell_depth(t)
+
+    def test_deep_shell_passes(self, tmp_path):
+        # |u| ~ 2.25e15, where an ulp of u is half the shell's width in u
+        assert main(["residual-measure", "--t", "4.5e15", "--no-cache", "--outdir", str(tmp_path)]) == 0
 
 
 def _spy_shell_levels(monkeypatch) -> list:
@@ -467,9 +512,9 @@ def _exact_psi(psi, u, theta):
 
 
 def _edge_reference(psi, theta, level, level_lo, level_hi):
-    """One shell edge by its own bracket-and-bisect pass, with the probe
-    and the bracket of :func:`extension._shell_edges`: the oracle for its
-    Newton solve."""
+    """One shell edge by a bracket-and-bisect pass from the local spread of
+    ``psi`` on a probe circle: the oracle for the fixed-point solve of
+    :func:`extension._shell_edges`."""
 
     def g(u, th):
         return _exact_psi(psi, u, th)

@@ -61,6 +61,8 @@ _CI_COMMANDS = [
     "capacity --domain annulus:2.2e-86 --z 2.2000001e-86",
     "optimal-constant --deltas 4,5,10",
     "ode-check --deltas 1e-6,1e-5,1e-4",
+    "residual-measure --t 4.5e15 --psi0s 0.3 --fs one",
+    "residual-measure --t 0.01",
 ]
 
 # paths that neither all nor CI takes
