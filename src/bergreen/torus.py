@@ -63,8 +63,6 @@ _PRIME0_TERMS = 64
 # this times eps (see theta1_term_count)
 _THETA_TOL = 1e-12
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-# the central-difference step of the max-zero Newton polish
-_POLISH_STEP = 1e-4
 
 
 def require_tau(tau) -> None:
@@ -276,48 +274,76 @@ def _gamma_meanzero(spec: TorusSpec) -> float:
     return -math.log(abs(theta1_prime0(spec.tau)) / (2.0 * math.pi)) / 3.0
 
 
-def _gamma_maxzero(spec: TorusSpec) -> float:
-    """Additive constant making ``sup g = 0``: minus the raw profile's
-    maximum, by Newton steps (central differences of step ``_POLISH_STEP``)
-    from the 96^2 grid maximum, each taken only if it raises the profile; a
-    singular Hessian ends the polish, and the guard then raises.
+def _green_jet(spec: TorusSpec, z: complex) -> tuple[float, np.ndarray, np.ndarray]:
+    """(:func:`_green_raw`'s value, gradient, Hessian) at ``z``, in ``(Re z,
+    Im z)``, from one sine/cosine table: with ``h = theta1'/theta1``, ``h' =
+    theta1''/theta1 - h^2`` and ``c = 2 pi / Im tau``, the gradient is ``(Re h,
+    -Im h - c Im z)`` and the Hessian ``[[Re h', -Im h'], [-Im h', -Re h' - c]]``.
+    Past :func:`theta1_term_count`'s ``N >= 8`` the factor ``(2n+1)^2 pi^2`` of
+    theta1'' grows under 1.25-fold a term as theta1's terms halve, so its
+    dropped terms are at most ``(4/3) (2N+1)^2 pi^2`` times theta1's tail."""
+    zc = complex(lattice_reduce(z, spec.tau))
+    ns = np.arange(theta1_term_count(zc, spec.tau))
+    k = math.pi * (2 * ns + 1)
+    phase = math.pi * (zc * (2 * ns + 1))  # as theta1 forms it: the value is _green_raw's
+    sin, q_pow = np.sin(phase), _q_powers(spec.tau, ns)
+    theta = 2.0 * sin @ q_pow
+    with np.errstate(divide="ignore", invalid="ignore"):  # a trial on the pole reads -inf
+        h = 2.0 * (k * np.cos(phase)) @ q_pow / theta
+        h_prime = -2.0 * (k * k * sin) @ q_pow / theta - h * h
+        value = float(np.log(np.abs(theta)) - math.pi * zc.imag**2 / spec.tau2)
+    c = 2.0 * math.pi / spec.tau2
+    hess = np.array([[h_prime.real, -h_prime.imag], [-h_prime.imag, -h_prime.real - c]])
+    return value, np.array([h.real, -h.imag - c * zc.imag]), hess
 
-    The grid (:func:`_green_grid`) only picks the start node, taken in
-    ``[0, 1)^2`` in the ``(1, tau)`` basis.  Its value comes from one
-    :func:`_green_raw` call with the three half-periods, and the polish
-    starts from the highest of the four: where the maximum is a
-    half-period, the start then holds the half-period's value bit for bit,
-    as the final guard reads it from the same call.
-    """
-    n = 96
-    s = np.linspace(0.0, 1.0, n, endpoint=False)
-    a, b = divmod(int(np.argmax(_green_grid(spec, n))), n)
-    starts = np.array([s[a] + s[b] * spec.tau, 0.5, 0.5 * spec.tau, 0.5 * (1.0 + spec.tau)])
-    vals = _green_raw(spec, starts)
-    k = int(np.argmax(vals))
-    z, best, h = complex(starts[k]), float(vals[k]), _POLISH_STEP
-    stencil = h * np.add.outer(np.arange(-1, 2), 1j * np.arange(-1, 2))
-    while True:
-        f = _green_raw(spec, z + stencil)  # f[i, j] at z + ((i - 1) + (j - 1) i) h
-        fxy = (f[2, 2] - f[2, 0] - f[0, 2] + f[0, 0]) / 4.0
-        hess = np.array([[np.diff(f[:, 1], 2)[0], fxy], [fxy, np.diff(f[1], 2)[0]]]) / (h * h)
-        grad = np.array([f[2, 1] - f[0, 1], f[1, 2] - f[1, 0]]) / (2.0 * h)
-        try:
-            trial = z + complex(*np.linalg.solve(hess, -grad))
-        except np.linalg.LinAlgError:  # g flat along a direction (tall tori)
+
+# Hessian eigenvalues under this share of the largest are rounding (20i: -1.8e-15 of 0.31)
+_HESS_FLOOR = 1e-13
+# the most jet evaluations, steps and halvings (about 60 halvings take a step to zero)
+_ASCENT_EVALS = 200
+
+
+def _gamma_maxzero(spec: TorusSpec) -> float:
+    """``-max`` of :func:`_green_raw`, so that ``sup g = 0``: an ascent on
+    :func:`_green_jet` from the highest half-period, the maximum or a saddle
+    beside the extra pair of maxima (C.-S. Lin and C.-L. Wang, Ann. of Math.
+    172, 2010).  Steps use the Hessian's eigenvalues made negative and floored
+    (J. Nocedal and S. J. Wright, *Numerical Optimization*, 2006, ch. 3),
+    halve until g rises, and leave a saddle along its rising eigenvector (g is
+    even about a half-period: either sign does).  A zero step, a NaN and the
+    step cap fail the guard, which reads the start's :func:`_green_raw` call."""
+    halves = np.array([0.5, 0.5 * spec.tau, 0.5 * (1.0 + spec.tau)])
+    vals = _green_raw(spec, halves)
+    z, best = complex(halves[np.argmax(vals)]), float(np.max(vals))
+    _, grad, hess = _green_jet(spec, z)
+    # the rise that rounding hides: 16 eps times the size of log|theta1| and the Gaussian term
+    tol = 16.0 * np.finfo(float).eps * (1.0 + math.pi * spec.tau2 / 4.0)
+    step = None
+    for _ in range(_ASCENT_EVALS):
+        if step is None:
+            # the eigenvalues sum to -2 pi / Im tau, so the floor is positive
+            lam, vec = np.linalg.eigh(hess)
+            floor = _HESS_FLOOR * float(np.max(np.abs(lam)))
+            along = grad @ vec
+            coef = along / np.maximum(np.abs(lam), floor)
+            decrement, concave = 0.5 * float(along @ coef), bool(lam[1] < -floor)
+            if decrement <= tol:
+                if concave:
+                    break
+                coef[1] = 0.25 * min(1.0, spec.tau2)  # a quarter of the cell's short side
+            step = complex(*(vec @ coef))
+        if z + step == z:
             break
-        value = float(_green_raw(spec, trial))
-        if not value > best:  # on thin tori g is almost flat along Im z: steps overshoot
-            break
-        z, best = trial, value
-    # g is even, so its half-periods are critical points (Lin and Wang, Ann. of Math. 2010);
-    # the polish climbs from the highest start, so only a NaN leaves it below them
-    halves = vals[1:]
-    if not (hess[0, 0] < 0.0 < np.linalg.det(hess) and best >= np.max(halves)):
+        value, trial_grad, trial_hess = _green_jet(spec, z + step)
+        if value > best:
+            z, best, grad, hess, step = z + step, value, trial_grad, trial_hess, None
+        else:
+            step *= 0.5
+    if not (concave and decrement <= tol and best >= np.max(vals)):
         raise AccuracyError(
             f"max-zero polish at tau = {spec.tau} ends at z = {z:.6g} with g = {best!r}: the "
-            f"Hessian must be negative definite, and g at least {float(np.max(halves))!r} "
-            f"(half-periods)"
+            f"Hessian must be negative definite, the Newton decrement {decrement:.3g} at most "
+            f"{tol:.3g}, and g at least {float(np.max(vals))!r} (half-periods)"
         )
     return -best
 
@@ -342,10 +368,7 @@ def arakelov_green(spec: TorusSpec, normalization: str = "meanzero") -> Arakelov
     elif normalization == "maxzero":
         gamma = _gamma_maxzero(spec)
     else:
-        raise ParameterError(
-            f"unknown normalization {normalization!r}; "
-            f"use 'meanzero' or 'maxzero'"
-        )
+        raise ParameterError(f"unknown normalization {normalization!r}; use 'meanzero' or 'maxzero'")
     return ArakelovGreen(spec=spec, gamma=gamma, normalization=normalization)
 
 
@@ -542,16 +565,12 @@ def curvature_coefficients(green: ArakelovGreen, d: int) -> tuple[float, float]:
 def residual_mass(green: ArakelovGreen, t: float = 20.0) -> float:
     """Mass of the generalized residual of ``Psi = 2 g`` against the
     volume form: ``(2 / Im tau) * (1/pi) int_{shell} e^{-Psi} dLambda``."""
-    spec = green.spec
-    gamma = green.gamma
+    spec, gamma = green.spec, green.gamma
 
     def psi_rest(z):
         z = np.asarray(z, dtype=complex)
-        return (
-            2.0 * gamma
-            + 2.0 * _log_abs_theta_over_z(spec, z)
-            - 2.0 * math.pi * np.asarray(z, dtype=complex).imag ** 2 / spec.tau2
-        )
+        psi = 2.0 * gamma + 2.0 * _log_abs_theta_over_z(spec, z)
+        return psi - 2.0 * math.pi * z.imag**2 / spec.tau2
 
     return 2.0 / spec.tau2 * residual_measure(psi_rest, lambda z: np.ones(np.shape(z)), t)
 
@@ -581,9 +600,8 @@ def arak1_check(spec: TorusSpec, d: int) -> ReportRecord:
     * kernel diagonal constant across division-lattice base points, and its
       torus mean equal to ``d``;
     * residual mass of ``2g`` equals ``2 / capacity^2``;
-    * the max-zero ``g`` is at most 0 on the 97^2 grid, which shares only
-      the pole node with the 96^2 grid of the polish that fixed its
-      constant.
+    * the max-zero ``g`` is at most 0 on the 97^2 grid, outside the polish
+      that fixed its constant.
 
     The normalizations differ by a constant, so the Laplacian, curvature
     and residual mass are taken on the mean-zero ``g`` alone; the max-zero

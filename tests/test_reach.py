@@ -22,6 +22,8 @@ _CI_COMMANDS = [
     "torus-check --taus 0.15j,0.12j,0.1j,0.2j,0.3j --ds 4",
     "torus-check --taus 4j,6j,0.3+4j --ds 4",
     "torus-check --taus 1j,0.5+1j,2j --ds 64,128,200",
+    "torus-check --taus 7j,10j,0.5+2j,0.5+3j,0.5+4j,0.3+8j --ds 4,6",
+    "torus-check --taus=-0.336304+0.95665j,0.393196+1.156011j,0.409036+1.20273j,0.387011+1.118533j --ds 4,6",
     # closed-form kernels
     "extended-suita-check --domain disc --weight harmonicre:1.0",
     "extended-suita-check --domain annulus:0.2 --weight harmonicre:1.0",

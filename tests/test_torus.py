@@ -61,6 +61,15 @@ def mp_theta1_prime0(tau: complex) -> complex:
     return complex(mpmath.pi * mpmath.jtheta(1, 0, q, 1))
 
 
+def mp_theta1_derivatives(z: complex, tau: complex) -> tuple[complex, complex, complex]:
+    """(theta1, theta1', theta1'') at ``z``: mpmath's ``jtheta(1, pi z, q)``
+    and its first two derivatives in ``pi z``, times ``pi`` and ``pi^2``."""
+    with mpmath.workdps(40):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        u = mpmath.pi * mpmath.mpc(z)
+        return tuple(complex(mpmath.pi**k * mpmath.jtheta(1, u, q, k)) for k in range(3))
+
+
 def dense_theta1(z, tau: complex, terms: int = 64):
     """Reference for the truncation: the series summed over all ``terms``
     terms, with no stopping rule."""
@@ -162,12 +171,20 @@ def nelder_mead_maxzero(spec: TorusSpec) -> float:
     return float(res.fun)
 
 
+# moduli of the benchmark's torus box (seeds 319, 526, 862 and 961) where the
+# maximum of g lies off the highest half-period, a saddle there
+BOX_MAXZERO_TAUS = [
+    -0.336304 + 0.95665j, 0.393196 + 1.156011j, 0.409036 + 1.20273j, 0.387011 + 1.118533j,
+]
+# tall moduli where g is nearly flat along one direction
+TALL_MAXZERO_TAUS = [7j, 10j, 0.5 + 2j, 0.5 + 3j, 0.5 + 4j, 0.3 + 8j]
 # the moduli on which the max-zero polish is pinned against Nelder-Mead: thin
-# tori (0.15i, 0.2i, 0.3i), where g is almost flat along Im z, and the
-# rhombic and hexagonal ones, where g has five critical points
+# tori (0.15i, 0.2i, 0.3i), where g is almost flat along Im z, the rhombic
+# and hexagonal ones, where g has five critical points, and the two above
 MAXZERO_TAUS = [
     TAU_I, TAU_SKEW, 0.3 + 1.1j, 2j, 0.1 + 0.6j, 0.5 + 0.6j, 0.2j, 0.15j, 0.3j,
     cmath.exp(1j * math.pi / 3), -0.4 + 0.95j, 0.13 + 1.27j,
+    *BOX_MAXZERO_TAUS, *TALL_MAXZERO_TAUS,
 ]
 
 
@@ -496,8 +513,9 @@ class TestArakelovGreen:
         # at 0.1i the theta series cancels to 1e-4 of its terms, and
         # _green_raw's own error reaches 1.1e-13 (see the mpmath test below)
         assert np.max(np.abs(grid[1:] - ref[1:])) <= (2e-13 if tau == 0.1j else 1e-13)
-        # the start node is a maximum of _green_raw's grid; on the rhombic
-        # tori 0.5 + i and -0.4 + 0.95i two nodes tie up to rounding
+        # the grid's highest node is _green_raw's, as the maxzero_sup gate
+        # reads it; on the rhombic tori 0.5 + i and -0.4 + 0.95i two nodes
+        # tie up to rounding
         assert ref[np.argmax(grid)] >= np.max(ref) - 1e-15
 
     def test_separable_grid_on_the_thinnest_torus_matches_mpmath(self):
@@ -521,21 +539,61 @@ class TestArakelovGreen:
         center = torus._green_raw(spec, (1.0 + tau) / 3.0)
         assert abs(-torus._gamma_maxzero(spec) - center) <= 1e-15
 
+    @pytest.mark.parametrize("tau", [TAU_I, TAU_SKEW, 0.1j, 4j])
+    def test_jet_matches_mpmath(self, tau):
+        # theta1' = h theta1 and theta1'' = (h' + h^2) theta1, with h and h'
+        # read off the jet's gradient and Hessian, against mpmath; the worst
+        # relative error, 1.1e-14, is at 0.1 + 0.045i on 0.1i, where the
+        # series cancels to |theta1| = 2.2e-2
+        spec = TorusSpec(tau)
+        c = 2.0 * math.pi / tau.imag
+        for w in [0.3 + 0.2j, 0.1 + 0.45j, -0.25 + 0.3j, 0.5 + 0.5j, 0.42 + 0.18j]:
+            z = w.real + w.imag * tau
+            value, grad, hess = torus._green_jet(spec, z)
+            assert value == torus._green_raw(spec, z)
+            assert hess[0, 1] == hess[1, 0]
+            h = complex(grad[0], -grad[1] - c * z.imag)
+            h_prime = complex(hess[0, 0], -hess[0, 1])
+            assert hess[1, 1] == -hess[0, 0] - c
+            theta, d1, d2 = mp_theta1_derivatives(z, tau)
+            assert abs(h * theta - d1) <= 1e-13 * abs(d1)
+            assert abs((h_prime + h * h) * theta - d2) <= 1e-13 * abs(d2)
+
+    def test_maxzero_leaves_a_saddle_start(self, monkeypatch):
+        # at 0.5 + 2i the highest half-period (1 + tau)/2 is a saddle, and the
+        # maxima are the pair +-(0.5 + 0.99252i) (Lin and Wang's extra pair)
+        tau = 0.5 + 2j
+        spec = TorusSpec(tau)
+        jet = torus._green_jet
+        calls = _count(monkeypatch, torus, "_green_jet")
+        gamma = torus._gamma_maxzero(spec)
+        start = calls[0][1]
+        assert start == 0.5 * (1.0 + tau)
+        assert np.linalg.eigvalsh(jet(spec, start)[2])[1] > 0.0
+        end = [z for _, z in calls if jet(spec, z)[0] == -gamma][-1]
+        p = 0.5 + 0.99252j
+        assert min(abs(lattice_reduce(end - p, tau)), abs(lattice_reduce(end + p, tau))) < 1e-5
+        # the maximum is 8.07e-5 above the saddle
+        assert -gamma > torus._green_raw(spec, start) + 8e-5
+
     def test_maxzero_polish_guards(self, monkeypatch):
         spec = TorusSpec(TAU_SKEW)
-        raw = torus._green_raw
-        # on the convex profile |z|^2 the polish stops where the Hessian is
-        # positive definite
-        monkeypatch.setattr(torus, "_green_raw", lambda sp, z: np.abs(np.asarray(z)) ** 2)
+        jet, raw = torus._green_jet, torus._green_raw
+        # on the convex profile |z|^2 every step rises, the Hessian stays
+        # positive definite, and the step cap ends the ascent
+        def convex(sp, z):
+            return abs(z) ** 2, 2.0 * np.array([z.real, z.imag]), 2.0 * np.eye(2)
+
+        monkeypatch.setattr(torus, "_green_jet", convex)
         with pytest.raises(AccuracyError, match="Hessian must be negative definite"):
             torus._gamma_maxzero(spec)
-        # the guard reads the half-periods from the four-point start call,
-        # and the polish climbs from the highest start, so only a NaN there
-        # ends it below them
+        monkeypatch.setattr(torus, "_green_jet", jet)
+        # the guard reads the half-periods from the start call, and the ascent
+        # climbs from the highest of them, so only a NaN there ends it below
         def nan_half_period(sp, z):
             out = raw(sp, z)
-            if np.shape(z) == (4,):
-                out[2] = math.nan
+            if np.shape(z) == (3,):
+                out[1] = math.nan
             return out
 
         monkeypatch.setattr(torus, "_green_raw", nan_half_period)
@@ -543,11 +601,11 @@ class TestArakelovGreen:
             torus._gamma_maxzero(spec)
 
     def test_maxzero_guard_reads_the_start_call(self, spec_skew, monkeypatch):
-        # one _green_raw call holds the start node and the three half-periods
+        # one _green_raw call holds the three half-periods; the ascent runs on
+        # the jet alone
         calls = _count(monkeypatch, torus, "_green_raw")
         torus._gamma_maxzero(spec_skew)
-        shapes = [np.shape(z) for _, z in calls]
-        assert shapes[0] == (4,) and (3,) not in shapes
+        assert [np.shape(z) for _, z in calls] == [(3,)]
 
     def test_normalizations_differ_by_constant(self, green_mean_i, green_max_i):
         zs = np.array([0.3 + 0.2j, 0.1 + 0.45j, 0.42 + 0.18j])
@@ -996,16 +1054,26 @@ class TestArak1Check:
         assert rec.passed, rec.margins
         assert abs(rec.quantities["kernel_diag"] / d - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("tau", BOX_MAXZERO_TAUS + TALL_MAXZERO_TAUS)
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_saddle_and_tall_maxima_pass(self, tau, d):
+        # a polish on a central-difference Hessian converged to the half-period
+        # saddle on the four box moduli, and met a singular or indefinite
+        # Hessian on the tall ones
+        rec = arak1_check(TorusSpec(tau), d)
+        assert rec.passed, rec.margins
+        assert -1e-3 < rec.quantities["maxzero_grid_sup"] <= 0.0
+
     def test_flat_maxzero_hessian_fails_cleanly(self, tmp_path, capsys):
-        # on the tall torus 10i, g is flat along Re z where the polish stops:
-        # its Newton solve meets a singular Hessian, and the guard names tau
-        # and prints plain floats
-        with pytest.raises(AccuracyError, match=r"tau = 10j .* g at least [-\d.e]+ \(half"):
-            arak1_check(TorusSpec(10j), 4)
-        argv = ["torus-check", "--taus", "10j", "--ds", "4", "--no-cache", "--outdir", str(tmp_path)]
+        # on the tall torus 20i two half-periods tie at g = 0.0, and along Re z
+        # the Hessian reads -1.8e-15, rounding of a true -4e-26: no step rises,
+        # and the guard names tau and prints plain floats
+        with pytest.raises(AccuracyError, match=r"tau = 20j .* g at least [-\d.e]+ \(half"):
+            arak1_check(TorusSpec(20j), 4)
+        argv = ["torus-check", "--taus", "20j", "--ds", "4", "--no-cache", "--outdir", str(tmp_path)]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert "Traceback" not in err and "LinAlgError" not in err
+        assert "Traceback" not in err and "ZeroDivisionError" not in err
         record = json.loads((tmp_path / "torus_check_report.json").read_text())["records"][0]
         assert record["provenance"] == {"error_flag": "AccuracyError"}
 
@@ -1053,7 +1121,7 @@ class TestArak1Check:
 
     def test_maxzero_sup_sees_an_unpolished_constant(self, spec_skew, monkeypatch):
         # at 0.5 + i the 96^2 grid maximum lies 5.8e-5 below the supremum,
-        # so a polish that took no Newton step fails the record
+        # so a constant from a grid search alone fails the record
         monkeypatch.setattr(
             torus, "_gamma_maxzero", lambda spec: -float(np.max(torus._green_grid(spec, 96)))
         )
